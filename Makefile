@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-obs bench-cache bench-scale bench-frontier bench-replica bench-trend bench sweep sweep-iter sweep-rpc sweep-obs sweep-cache sweep-scale sweep-frontier sweep-replica clean
+.PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-obs bench-cache bench-scale bench-frontier bench-replica bench-trend bench-e2e bench sweep sweep-iter sweep-rpc sweep-obs sweep-cache sweep-scale sweep-frontier sweep-replica clean
 
 check: vet build race fuzz-smoke bench-store bench-iter bench-rpc bench-obs bench-cache bench-scale bench-frontier bench-replica bench-trend
 
@@ -41,12 +41,11 @@ bench-iter:
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
 
 # Smoke the TCP transport: the fetch pipeline over real loopback sockets,
-# serialized vs multiplexed client, on both the gob and wirebin codecs.
-# Catches regressions in the seq-keyed dispatch, the per-connection
-# worker pool, and the frame codec. The alloc-budget test holds the
-# wirebin hot path to the allocations-per-op ceilings checked in as
-# BENCH_budget.json — a codec change that starts allocating fails here,
-# not in production profiles.
+# serialized vs multiplexed client. Catches regressions in the seq-keyed
+# dispatch, the per-connection worker pool, and the frame codec. The
+# alloc-budget test holds the wirebin hot path to the allocations-per-op
+# ceilings checked in as BENCH_budget.json — a codec change that starts
+# allocating fails here, not in production profiles.
 bench-rpc:
 	$(GO) test ./internal/repo -run TestAllocBudget -count 1
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
@@ -65,11 +64,11 @@ bench-obs:
 bench-cache:
 	$(GO) run ./cmd/weakbench -cache -cache-quick -cache-json /tmp/BENCH_cache_smoke.json
 
-# Smoke the listing scalability sweep: monolithic vs partitioned
-# streaming listings at two small sizes catches regressions in the
-# scatter-gather List path (per-element cost must stay flat, first
-# element must track the first partition). Writes to /tmp so the
-# committed BENCH_scale.json (produced by sweep-scale) is left alone.
+# Smoke the listing scalability sweep: the partitioned streaming
+# listing at two small sizes catches regressions in the scatter-gather
+# List path (per-element cost must stay flat, first element must track
+# the first partition). Writes to /tmp so the committed BENCH_scale.json
+# (produced by sweep-scale) is left alone.
 bench-scale:
 	$(GO) run ./cmd/weakbench -scale -scale-quick -scale-json /tmp/BENCH_scale_smoke.json
 
@@ -92,13 +91,19 @@ bench-replica:
 # Trend gate: re-run the quick store, iter, cache, TCP, obs, and scale
 # sweeps and compare their size-independent figures (sharded-engine
 # speedup, batched-fetch speedup, bytes elided warm, leased steady-state
-# RPCs/run, multiplexing and codec speedups, obs overhead, listing
-# degradation caps) against the committed BENCH_*.json reports. Fails
-# loudly on reproducible regressions — a failing sweep is re-measured
-# once to absorb host noise; absolute throughput is never compared, so
-# it is machine-portable.
+# RPCs/run, multiplexing speedup, obs overhead, listing degradation
+# caps) against the committed BENCH_*.json reports. Fails loudly on
+# reproducible regressions — a failing sweep is re-measured once to
+# absorb host noise; absolute throughput is never compared, so it is
+# machine-portable.
 bench-trend:
 	$(GO) run ./cmd/weakbench -trend
+
+# The end-to-end benchmark BENCHMARK.json declares: four workloads over
+# loopback tcprpc with per-layer timings (bench/README.md). Not part of
+# check: it runs for minutes. Report and span files land in /tmp.
+bench-e2e:
+	$(GO) run ./bench -seed 1 -out /tmp/bench-e2e
 
 # Full root benchmark suite (slow).
 bench:

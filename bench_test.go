@@ -299,14 +299,11 @@ func startTCPArchive(b *testing.B, lat time.Duration) (*tcprpc.Server, func()) {
 // member on a repository server reachable only over a real loopback
 // socket, so the batched pipeline's concurrent GetBatches either queue
 // behind a one-call-at-a-time client (tcp-serial, the old transport) or
-// share the multiplexed stream (tcp-mux). Both of those pin the gob
-// codec for comparability with older runs; tcp-mux-wb is the same
-// multiplexed fetch on the negotiated wirebin codec, so the
-// serialization step shows up next to the transport step.
+// share the multiplexed stream (tcp-mux).
 // cmd/weakbench -iter and -rpc run the full sweeps and write
 // BENCH_iter.json / BENCH_rpc.json.
 func BenchmarkIterFetch(b *testing.B) {
-	for _, mode := range []string{"per-object", "batched", "tcp-serial", "tcp-mux", "tcp-mux-wb"} {
+	for _, mode := range []string{"per-object", "batched", "tcp-serial", "tcp-mux"} {
 		overTCP := strings.HasPrefix(mode, "tcp-")
 		b.Run(mode, func(b *testing.B) {
 			ctx := context.Background()
@@ -324,9 +321,6 @@ func BenchmarkIterFetch(b *testing.B) {
 				srv, stopArchive := startTCPArchive(b, time.Millisecond)
 				defer stopArchive()
 				client := tcprpc.Dial(srv.Addr(), "gateway")
-				if mode != "tcp-mux-wb" {
-					client.Codec = tcprpc.CodecGob
-				}
 				if mode == "tcp-serial" {
 					client.MaxInflight = 1
 				}

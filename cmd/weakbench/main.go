@@ -13,8 +13,8 @@
 // and writes BENCH_obs.json.
 //
 // With -scale it sweeps the listing path itself — a full Elements run
-// over one collection grown from 10k to 1M members, monolithic List
-// versus partitioned streaming ListParts — and writes BENCH_scale.json.
+// over one collection grown from 10k to 1M members through the
+// partitioned streaming ListParts — and writes BENCH_scale.json.
 //
 // With -frontier it sweeps reader concurrency over a churning collection
 // and writes the weakness-versus-throughput frontier — runs/sec against
@@ -96,7 +96,7 @@ func run(args []string) error {
 		cacheRun  = fs.Bool("cache", false, "run the element-cache cold/warm/mutating sweep instead of experiments")
 		cacheJSON = fs.String("cache-json", "BENCH_cache.json", "where -cache writes its machine-readable results")
 		cacheQk   = fs.Bool("cache-quick", false, "trim the -cache sweep (smaller set)")
-		scaleRun  = fs.Bool("scale", false, "run the listing scalability sweep (monolithic vs partitioned, 10k-1M elements) instead of experiments")
+		scaleRun  = fs.Bool("scale", false, "run the listing scalability sweep (partitioned streaming listing, 10k-1M elements) instead of experiments")
 		scaleJSON = fs.String("scale-json", "BENCH_scale.json", "where -scale writes its machine-readable results")
 		scaleQk   = fs.Bool("scale-quick", false, "trim the -scale sweep (smaller sets, one round)")
 		frontRun  = fs.Bool("frontier", false, "run the weakness-vs-throughput frontier sweep instead of experiments")
@@ -344,13 +344,12 @@ type rpcResult struct {
 // rpcCodecCfg selects the wire configuration for one codec-section row.
 type rpcCodecCfg struct {
 	label       string
-	codec       string
 	compress    bool
 	compressMin int
 }
 
 // rpcCodecResult is one row of the codec section: the same snapshot
-// fetch with the client pinned to one codec, at zero service latency so
+// fetch with compression off or on, at zero service latency so
 // serialization is the dominant cost. AllocsPerCall is whole-process
 // (client plus the in-process remote) — the comparative figure the
 // pooled-frame codec is meant to move, not a per-side absolute.
@@ -369,9 +368,7 @@ type rpcCodecResult struct {
 }
 
 // rpcReport is the BENCH_rpc.json document. Speedup maps
-// "payload=N/budget=B" to multiplexed-over-serial elements/sec;
-// CodecSpeedup maps "payload=N" to wirebin-over-gob calls/sec at the
-// codec section's fixed budget.
+// "payload=N/budget=B" to multiplexed-over-serial elements/sec.
 type rpcReport struct {
 	Meta             benchMeta          `json:"meta"`
 	GOMAXPROCS       int                `json:"gomaxprocs"`
@@ -383,7 +380,6 @@ type rpcReport struct {
 	Results          []rpcResult        `json:"results"`
 	Speedup          map[string]float64 `json:"speedup"`
 	CodecResults     []rpcCodecResult   `json:"codecResults"`
-	CodecSpeedup     map[string]float64 `json:"codecSpeedup"`
 }
 
 // startRPCRemote boots the sweep's "remote process": its own network,
@@ -451,7 +447,6 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 		Payloads:         payloads,
 		Budgets:          budgets,
 		Speedup:          map[string]float64{},
-		CodecSpeedup:     map[string]float64{},
 	}
 	table := metrics.NewTable(
 		fmt.Sprintf("TCP transport: %d-element snapshot fetch, batch=%d, %.1fms service time per RPC",
@@ -507,21 +502,20 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 
 	// The codec section re-runs the budget-8 fetch with the service time
 	// zeroed: with no simulated disk in the way, what remains per call is
-	// framing and (de)serialization, so the gob-versus-wirebin step is
-	// visible instead of hiding behind milliseconds of sleep.
+	// framing and (de)serialization, so what compression costs and saves
+	// is visible instead of hiding behind milliseconds of sleep.
 	const (
 		codecBudget = 8
 		codecBatch  = 64
 	)
 	codecCfgs := []rpcCodecCfg{
-		{label: "gob", codec: tcprpc.CodecGob},
-		{label: "wirebin", codec: tcprpc.CodecWirebin},
-		{label: "wirebin+z", codec: tcprpc.CodecWirebin, compress: true, compressMin: 512},
+		{label: "wirebin"},
+		{label: "wirebin+z", compress: true, compressMin: 512},
 	}
 	ctable := metrics.NewTable(
 		fmt.Sprintf("TCP codec: %d-element snapshot fetch, batch=%d, budget=%d, no service latency",
 			elements, codecBatch, codecBudget),
-		"payload", "codec", "rpc/sec", "allocs/call", "sent B/call", "recv B/call", "speedup")
+		"payload", "codec", "rpc/sec", "allocs/call", "sent B/call", "recv B/call")
 	rounds := 20
 	if quick {
 		rounds = 5
@@ -531,26 +525,15 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 		if err != nil {
 			return fmt.Errorf("rpc codec sweep: %w", err)
 		}
-		stop := func() { srv.Close() }
-		base := 0.0
 		for _, cfg := range codecCfgs {
 			res, err := runCodecFetch(ctx, srv.Addr(), cfg, codecBudget, codecBatch, elements, rounds)
 			if err != nil {
-				stop()
+				srv.Close()
 				return fmt.Errorf("rpc codec sweep: %s/payload=%d: %w", cfg.label, payload, err)
 			}
 			res.Payload = payload
 			report.CodecResults = append(report.CodecResults, res)
 
-			speedup := "-"
-			switch {
-			case cfg.label == "gob":
-				base = res.CallsPerSec
-			case cfg.label == "wirebin" && base > 0:
-				ratio := res.CallsPerSec / base
-				report.CodecSpeedup[fmt.Sprintf("payload=%d", payload)] = ratio
-				speedup = fmt.Sprintf("%.1fx", ratio)
-			}
 			perCall := func(total int64) string {
 				if res.Batches == 0 {
 					return "-"
@@ -564,10 +547,9 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 				fmt.Sprintf("%.1f", res.AllocsPerCall),
 				perCall(res.BytesSent),
 				perCall(res.BytesReceived),
-				speedup,
 			)
 		}
-		stop()
+		srv.Close()
 	}
 	ctable.Render(os.Stdout)
 
@@ -737,23 +719,20 @@ func runRPCFetch(ctx context.Context, addr, mode string, budget, batch, elements
 	return res, nil
 }
 
-// runCodecFetch runs drainSnapshot with the client pinned to cfg's wire
-// configuration, reading runtime.MemStats around the timed region:
+// runCodecFetch runs drainSnapshot with the client on cfg's compression
+// settings, reading runtime.MemStats around the timed region:
 // ΔMallocs over GetBatch calls is the whole-process allocations-per-call
 // figure. Wire bytes come from the client's own per-method accounting,
 // so a compression win shows up as fewer BytesReceived for the same
 // payload.
 func runCodecFetch(ctx context.Context, addr string, cfg rpcCodecCfg, budget, batch, elements, rounds int) (rpcCodecResult, error) {
 	client := tcprpc.Dial(addr, "bench-codec-"+cfg.label)
-	client.Codec = cfg.codec
 	client.Compress = cfg.compress
-	if cfg.compressMin > 0 {
-		client.CompressMin = cfg.compressMin
-	}
+	client.CompressMin = cfg.compressMin
 	defer client.Close()
 
-	// Warm the connection (and run the handshake) outside the timed and
-	// alloc-counted region.
+	// Dial and warm the connection outside the timed and alloc-counted
+	// region.
 	if _, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "snap"}); err != nil {
 		return rpcCodecResult{}, err
 	}

@@ -1,14 +1,13 @@
 package main
 
 // The -scale sweep: listing-path scalability. It grows one collection
-// from 10k to 1M+ members and times a full Elements run at each size,
-// once over the monolithic single-List baseline and once over the
-// partitioned streaming ListParts path, on a zero-latency logical-time
-// cluster so the numbers are pure CPU cost of the listing and fetch
-// machinery. Runs use Immutable semantics: it reads the opening listing
-// through exactly the same streamed path as Snapshot but takes no pin,
-// whose server-side snapshot sort is O(n) by construction and would
-// mask the listing path's scaling. The two figures the partitioning
+// from 10k to 1M+ members and times a full Elements run at each size
+// over the partitioned streaming ListParts path, on a zero-latency
+// logical-time cluster so the numbers are pure CPU cost of the listing
+// and fetch machinery. Runs use Immutable semantics: it reads the
+// opening listing through exactly the same streamed path as Snapshot
+// but takes no pin, whose server-side snapshot sort is O(n) by
+// construction and would mask the listing path's scaling. The two figures the partitioning
 // work is meant to move: per-element cost should stay flat as the set
 // grows, and time-to-first-element should track the first partition,
 // not the set.
@@ -31,9 +30,9 @@ import (
 )
 
 // scaleResult is one row of the -scale sweep: the best-of-rounds
-// Elements run at one size and listing mode.
+// Elements run at one size.
 type scaleResult struct {
-	Mode          string        `json:"mode"` // "monolithic" or "partitioned"
+	Mode          string        `json:"mode"` // always scaleMode
 	Elements      int           `json:"elements"`
 	Partitions    int           `json:"partitions"`
 	Yielded       int           `json:"yielded"`
@@ -47,7 +46,7 @@ type scaleResult struct {
 }
 
 // scaleReport is the BENCH_scale.json document. The ratio maps hold the
-// sweep's acceptance figures, each keyed by mode: PerElementRatio is
+// sweep's acceptance figures, keyed by scaleMode: PerElementRatio is
 // per-element cost at the largest size over the smallest (flat scaling
 // ⇒ ~1.0), FirstElementRatio the same for time-to-first-element.
 type scaleReport struct {
@@ -65,6 +64,8 @@ type scaleReport struct {
 }
 
 const (
+	// scaleMode labels the rows and ratio keys: the one listing path.
+	scaleMode    = "partitioned"
 	scaleDir     = netsim.NodeID("dir")
 	scaleColl    = "scale"
 	scalePayload = 64
@@ -156,11 +157,8 @@ func newScaleWorld(n, partitions int, seed int64) (*scaleWorld, error) {
 
 // runScaleOnce times one full Elements run: time-to-first-element and
 // total wall time, with the membership-read RPC mix from the bus.
-func runScaleOnce(ctx context.Context, w *scaleWorld, mode string) (scaleResult, error) {
-	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{
-		Semantics:         core.Immutable,
-		MonolithicListing: mode == "monolithic",
-	})
+func runScaleOnce(ctx context.Context, w *scaleWorld) (scaleResult, error) {
+	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: core.Immutable})
 	if err != nil {
 		return scaleResult{}, err
 	}
@@ -192,7 +190,7 @@ func runScaleOnce(ctx context.Context, w *scaleWorld, mode string) (scaleResult,
 	}
 
 	res := scaleResult{
-		Mode:          mode,
+		Mode:          scaleMode,
 		Yielded:       yielded,
 		Setup:         setup,
 		FirstElement:  first,
@@ -235,12 +233,12 @@ func runScaleSweep(jsonPath string, quick bool, seed int64) error {
 	table := metrics.NewTable(
 		fmt.Sprintf("Listing scalability: full Immutable Elements run, %d storage nodes, zero latency (best of %d)",
 			scaleStorage, rounds),
-		"elements", "mode", "parts", "setup", "first elem", "total", "ns/elem", "List", "ListParts", "GetBatch")
+		"elements", "parts", "setup", "first elem", "total", "ns/elem", "List", "ListParts", "GetBatch")
 
 	ctx := context.Background()
-	// base per-mode figures at the smallest size, for the ratio maps.
-	basePerElem := map[string]float64{}
-	baseFirst := map[string]time.Duration{}
+	// base figures at the smallest size, for the ratio maps.
+	var basePerElem float64
+	var baseFirst time.Duration
 	for _, n := range sizes {
 		partitions := scalePartitions(n)
 		seedStart := time.Now()
@@ -258,58 +256,53 @@ func runScaleSweep(jsonPath string, quick bool, seed int64) error {
 			report.Engine = es.Engine
 		}
 
-		for _, mode := range []string{"monolithic", "partitioned"} {
-			var best scaleResult
-			for r := 0; r < rounds; r++ {
-				res, err := runScaleOnce(ctx, w, mode)
-				if err != nil {
-					w.close()
-					return fmt.Errorf("scale sweep: %s/%d: %w", mode, n, err)
-				}
-				if res.Yielded != n {
-					w.close()
-					return fmt.Errorf("scale sweep: %s/%d yielded %d elements", mode, n, res.Yielded)
-				}
-				if r == 0 || res.Total < best.Total {
-					best = res
-				}
+		var best scaleResult
+		for r := 0; r < rounds; r++ {
+			res, err := runScaleOnce(ctx, w)
+			if err != nil {
+				w.close()
+				return fmt.Errorf("scale sweep: %d: %w", n, err)
 			}
-			best.Elements = n
-			best.Partitions = partitions
-			report.Results = append(report.Results, best)
-
-			if n == sizes[0] {
-				basePerElem[mode] = best.PerElementNs
-				baseFirst[mode] = best.FirstElement
+			if res.Yielded != n {
+				w.close()
+				return fmt.Errorf("scale sweep: %d yielded %d elements", n, res.Yielded)
 			}
-			if n == sizes[len(sizes)-1] {
-				if b := basePerElem[mode]; b > 0 {
-					report.PerElementRatio[mode] = best.PerElementNs / b
-				}
-				if b := baseFirst[mode]; b > 0 {
-					report.FirstElementRatio[mode] = float64(best.FirstElement) / float64(b)
-				}
+			if r == 0 || res.Total < best.Total {
+				best = res
 			}
-			table.AddRow(
-				fmt.Sprintf("%d", n),
-				mode,
-				fmt.Sprintf("%d", partitions),
-				metrics.FmtDur(best.Setup),
-				metrics.FmtDur(best.FirstElement),
-				best.Total.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", best.PerElementNs),
-				fmt.Sprintf("%d", best.ListRPCs),
-				fmt.Sprintf("%d", best.ListPartsRPCs),
-				fmt.Sprintf("%d", best.BatchRPCs),
-			)
 		}
 		w.close()
+		best.Elements = n
+		best.Partitions = partitions
+		report.Results = append(report.Results, best)
+
+		if n == sizes[0] {
+			basePerElem = best.PerElementNs
+			baseFirst = best.FirstElement
+		}
+		if n == sizes[len(sizes)-1] {
+			if basePerElem > 0 {
+				report.PerElementRatio[scaleMode] = best.PerElementNs / basePerElem
+			}
+			if baseFirst > 0 {
+				report.FirstElementRatio[scaleMode] = float64(best.FirstElement) / float64(baseFirst)
+			}
+		}
+		table.AddRow(
+			fmt.Sprintf("%d", n),
+			fmt.Sprintf("%d", partitions),
+			metrics.FmtDur(best.Setup),
+			metrics.FmtDur(best.FirstElement),
+			best.Total.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", best.PerElementNs),
+			fmt.Sprintf("%d", best.ListRPCs),
+			fmt.Sprintf("%d", best.ListPartsRPCs),
+			fmt.Sprintf("%d", best.BatchRPCs),
+		)
 	}
 	table.Render(os.Stdout)
-	for _, mode := range []string{"monolithic", "partitioned"} {
-		fmt.Printf("%s: per-element %0.2fx, first-element %0.2fx (%d -> %d elements)\n",
-			mode, report.PerElementRatio[mode], report.FirstElementRatio[mode], sizes[0], sizes[len(sizes)-1])
-	}
+	fmt.Printf("per-element %0.2fx, first-element %0.2fx (%d -> %d elements)\n",
+		report.PerElementRatio[scaleMode], report.FirstElementRatio[scaleMode], sizes[0], sizes[len(sizes)-1])
 
 	f, err := os.Create(jsonPath)
 	if err != nil {

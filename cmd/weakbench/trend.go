@@ -10,8 +10,8 @@ package main
 // advantage over the single-mutex engine, the batched fetch pipeline's
 // speedup over per-object Gets, payload bytes elided by the warm cache,
 // read RPCs per steady-state leased run, the multiplexing speedup, the
-// wirebin-over-gob step, the observability overhead ceiling, and the
-// partitioned listing's per-element and first-element degradation caps.
+// observability overhead ceiling, and the partitioned listing's
+// per-element and first-element degradation caps.
 //
 // Several sweeps time sub-millisecond real intervals, and on a small CI
 // box a single load spike can sink whichever sweep it lands on. A sweep
@@ -274,14 +274,6 @@ func runTrend(committed trendPaths, tol float64, seed int64, rpcLat time.Duratio
 					}
 					checks = append(checks, trendCheck{"rpc speedup/" + key, c, s, "ratio"})
 				}
-				for key, s := range smoke.CodecSpeedup {
-					c, ok := com.CodecSpeedup[key]
-					if !ok {
-						skipped = append(skipped, "rpc codecSpeedup/"+key)
-						continue
-					}
-					checks = append(checks, trendCheck{"rpc codecSpeedup/" + key, c, s, "ratio"})
-				}
 				return evalChecks(checks, tol), skipped, nil
 			},
 		},
@@ -392,12 +384,6 @@ func runTrend(committed trendPaths, tol float64, seed int64, rpcLat time.Duratio
 						c, ok := sr.committed[mode]
 						if !ok {
 							skipped = append(skipped, sr.name+"/"+mode)
-							continue
-						}
-						// The monolithic baseline is allowed to degrade —
-						// it exists to be beaten; gating it would reward
-						// making the baseline better.
-						if mode != "partitioned" {
 							continue
 						}
 						if ceiling := c * (1 + tol); s > ceiling {

@@ -71,10 +71,9 @@ type Iterator struct {
 	// refs maps every element ID this run has seen to its location.
 	refs map[spec.ElemID]repo.Ref
 
-	// ing buffers the streamed opening listing; nil when the run opened
-	// with a monolithic List (non-snapshot semantics, or the
-	// MonolithicListing baseline). ingDone flips once the completed
-	// stream has been folded and snapVer sealed.
+	// ing buffers the streamed opening listing; nil for the current-state
+	// semantics, which have no opening listing. ingDone flips once the
+	// completed stream has been folded and snapVer sealed.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
@@ -273,24 +272,7 @@ func (it *Iterator) setup(ctx context.Context) error {
 	if it.opts.Semantics.UsesSnapshot() {
 		it.first = make(map[spec.ElemID]bool)
 		it.nodes = make(map[netsim.NodeID]bool, 8)
-		if it.opts.MonolithicListing {
-			var (
-				members []repo.Ref
-				version uint64
-				err     error
-			)
-			if it.pin != 0 {
-				members, version, err = it.client.ListPinned(ctx, s.dir, s.name, it.pin)
-			} else {
-				members, version, err = it.client.List(ctx, s.dir, s.name)
-			}
-			if err != nil {
-				return fmt.Errorf("read s_first: %w", err)
-			}
-			it.snapVer = version
-			it.fold(repo.PartListing{Part: 0, Partitions: 1, Members: members, Version: version})
-			it.ingDone = true
-		} else if err := it.startIngest(ctx); err != nil {
+		if err := it.startIngest(ctx); err != nil {
 			return fmt.Errorf("read s_first: %w", err)
 		}
 		it.openedAt = time.Now()
@@ -299,10 +281,9 @@ func (it *Iterator) setup(ctx context.Context) error {
 }
 
 // startIngest opens the streamed partitioned listing and waits for its
-// first partition (or its completion), so opening errors surface here
-// exactly as a monolithic opening List's would — while the remaining
-// partitions keep arriving in the background, already fetchable
-// against.
+// first partition (or its completion), so opening errors surface from
+// Elements — while the remaining partitions keep arriving in the
+// background, already fetchable against.
 func (it *Iterator) startIngest(ctx context.Context) error {
 	s := it.set
 	ing := newPartIngest()
@@ -325,12 +306,19 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 		})
 		ing.finish(err)
 	}()
-	select {
-	case <-ing.notify:
-	case <-ctx.Done():
-		return ctx.Err()
+	for {
+		select {
+		case <-ing.notify:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		// A recorded run is checked against the figures invocation by
+		// invocation, so every recorded pre-state must hold the whole
+		// s_first: it waits the stream out before its first invocation.
+		if err := it.drainIngest(); err != nil || it.opts.Recorder == nil || it.ingDone {
+			return err
+		}
 	}
-	return it.drainIngest()
 }
 
 // fold merges one partition's listing into s_first on the iterator
@@ -356,32 +344,21 @@ func (it *Iterator) fold(pl repo.PartListing) {
 	if len(pl.Members) == 0 {
 		return
 	}
-	if it.ing == nil && len(it.first) == 0 && len(it.yielded) == 0 {
-		// Monolithic listing: the whole membership is in hand, so size the
-		// run's maps exactly rather than paying every rehash doubling up
-		// to n. (The caller already paid an O(n) List; this is noise on
-		// that path.)
-		hint := len(pl.Members)
-		it.first = make(map[spec.ElemID]bool, hint)
-		it.refs = make(map[spec.ElemID]repo.Ref, hint)
-		it.yielded = make(map[spec.ElemID]bool, hint)
-	} else if it.ing != nil {
-		// Streamed listing: adopt the pre-sized maps once the background
-		// build finishes. Allocating ~n map capacity takes tens of
-		// milliseconds at a million members, so it happens off the yield
-		// path; adoption only copies what little has folded so far.
-		if m := it.ing.takeSized(); m != nil {
-			for id := range it.first {
-				m.first[id] = true
-			}
-			for id, ref := range it.refs {
-				m.refs[id] = ref
-			}
-			for id := range it.yielded {
-				m.yielded[id] = true
-			}
-			it.first, it.refs, it.yielded = m.first, m.refs, m.yielded
+	// Adopt the pre-sized maps once the background build finishes.
+	// Allocating ~n map capacity takes tens of milliseconds at a million
+	// members, so it happens off the yield path; adoption only copies what
+	// little has folded so far.
+	if m := it.ing.takeSized(); m != nil {
+		for id := range it.first {
+			m.first[id] = true
 		}
+		for id, ref := range it.refs {
+			m.refs[id] = ref
+		}
+		for id := range it.yielded {
+			m.yielded[id] = true
+		}
+		it.first, it.refs, it.yielded = m.first, m.refs, m.yielded
 	}
 	fresh := make([]spec.ElemID, 0, len(pl.Members))
 	for _, ref := range pl.Members {
@@ -424,9 +401,9 @@ func mergeSorted(a, b []spec.ElemID) []spec.ElemID {
 
 // drainIngest folds arrived partitions, without blocking — at most
 // enough to keep a full prefetch window of unyielded members in the
-// cursor, so the fold cost is paid incrementally across yields rather
-// than all before the first element (the in-process stream can outrun
-// the iterator arbitrarily). When the stream has completed and the
+// cursor (everything, under a recorder), so the fold cost is paid
+// incrementally across yields rather than all before the first element
+// (the in-process stream can outrun the iterator arbitrarily). When the stream has completed and the
 // queue is drained it seals snapVer (the highest partition version
 // observed — sound, because every object fetch from here on is at
 // least that fresh) and reports the stream's error, if any.
@@ -434,7 +411,7 @@ func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
 	}
-	for len(it.cursor) < it.prefetchWindow() {
+	for it.opts.Recorder != nil || len(it.cursor) < it.prefetchWindow() {
 		pl, ok, done, err := it.ing.takeOne()
 		if !ok {
 			if !done {

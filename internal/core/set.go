@@ -69,11 +69,6 @@ type Options struct {
 	// Quorum, when also configured, wins for current-state membership
 	// reads.
 	Replicas ReplicaConfig
-	// MonolithicListing makes snapshot-governed runs read their opening
-	// membership as one List round trip instead of the streamed,
-	// partition-at-a-time ListParts — the pre-partitioning baseline,
-	// kept for comparison benchmarks (weakbench -scale mono mode).
-	MonolithicListing bool
 	// Tracer, when set, records a span trace of each Elements run
 	// (subject to the tracer's sampling knob): the run itself, its
 	// membership reads, fetch batches, and — through context propagation

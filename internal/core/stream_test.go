@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 
 	"weaksets/internal/netsim"
@@ -10,28 +12,39 @@ import (
 )
 
 // TestStreamedListingMatchesMonolithic holds the streamed scatter-gather
-// opening listing to the monolithic baseline: for every snapshot-governed
-// semantics the two runs must yield exactly the same elements.
+// opening listing to the test world's ground truth (the refs the world
+// added, i.e. what one monolithic listing of the quiescent collection
+// holds): for every snapshot-governed semantics the run must yield
+// exactly those members, each once, with its own data.
 func TestStreamedListingMatchesMonolithic(t *testing.T) {
 	w := newTestWorld(t, 60)
+	want := make([]string, len(w.refs))
+	for i, ref := range w.refs {
+		want[i] = string(ref.ID)
+	}
+	sort.Strings(want)
 	for _, sem := range []Semantics{Immutable, ImmutablePerRun, Snapshot} {
 		t.Run(sem.String(), func(t *testing.T) {
-			ctx := context.Background()
-			mono, err := w.set(t, Options{Semantics: sem, MonolithicListing: true}).Collect(ctx)
-			if err != nil {
-				t.Fatalf("monolithic collect: %v", err)
-			}
-			streamed, err := w.set(t, Options{Semantics: sem}).Collect(ctx)
+			streamed, err := w.set(t, Options{Semantics: sem}).Collect(context.Background())
 			if err != nil {
 				t.Fatalf("streamed collect: %v", err)
 			}
-			monoIDs, streamIDs := elementIDs(mono), elementIDs(streamed)
-			if len(monoIDs) != len(streamIDs) {
-				t.Fatalf("streamed yielded %d elements, monolithic %d", len(streamIDs), len(monoIDs))
+			got := elementIDs(streamed)
+			if len(got) != len(want) {
+				t.Fatalf("streamed yielded %d elements, world holds %d", len(got), len(want))
 			}
-			for i := range monoIDs {
-				if monoIDs[i] != streamIDs[i] {
-					t.Fatalf("element %d: streamed %s != monolithic %s", i, streamIDs[i], monoIDs[i])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("element %d: streamed %s != world %s", i, got[i], want[i])
+				}
+			}
+			for _, e := range streamed {
+				var i int
+				if _, err := fmt.Sscanf(string(e.Ref.ID), "e%03d", &i); err != nil {
+					t.Fatalf("element id %q: %v", e.Ref.ID, err)
+				}
+				if string(e.Data) != fmt.Sprintf("data-%d", i) || e.Ref.Node != w.c.StorageFor(i) {
+					t.Fatalf("element %s came back as %q from %s", e.Ref.ID, e.Data, e.Ref.Node)
 				}
 			}
 		})
@@ -67,6 +80,7 @@ func TestStreamedListingWithRecorder(t *testing.T) {
 // version.
 func TestFoldCountsPartitionSkew(t *testing.T) {
 	it := &Iterator{
+		ing:     newPartIngest(),
 		first:   make(map[spec.ElemID]bool),
 		refs:    make(map[spec.ElemID]repo.Ref),
 		yielded: make(map[spec.ElemID]bool),

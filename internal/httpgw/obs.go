@@ -233,8 +233,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p.Gauge("weaksets_transport_codec", "Negotiated wire codec (1 for the active codec).",
 				1, l, obs.Label{Key: "codec", Value: ts.Codec})
 		}
-		p.Counter("weaksets_transport_bytes_sent_total", "Wire bytes sent over the TCP transport (all methods, handshakes included).", float64(ts.BytesSent), l)
-		p.Counter("weaksets_transport_bytes_received_total", "Wire bytes received over the TCP transport (all methods, handshakes included).", float64(ts.BytesReceived), l)
+		p.Counter("weaksets_transport_bytes_sent_total", "Wire bytes sent over the TCP transport (all methods, connection preambles included).", float64(ts.BytesSent), l)
+		p.Counter("weaksets_transport_bytes_received_total", "Wire bytes received over the TCP transport (all methods).", float64(ts.BytesReceived), l)
 		for _, m := range ts.Methods {
 			ml := []obs.Label{l, {Key: "method", Value: m.Method}}
 			p.Counter("weaksets_transport_method_calls_total", "TCP transport calls by method.", float64(m.Count), ml...)

@@ -14,7 +14,6 @@ const (
 	EvLeaseBreak    = "lease.break"
 	EvListingSkew   = "skew.listing"
 	EvPartitionSkew = "skew.partition"
-	EvCodecFallback = "codec.fallback"
 	EvReconnect     = "rpc.reconnect"
 	EvGhostGC       = "ghost.gc"
 	EvHandoff       = "replica.handoff"

@@ -11,7 +11,7 @@ var errBadSpanContext = errors.New("obs: bad binary span context")
 // AppendBinary appends the compact binary form of the span context: trace
 // id and span id as unsigned varints, then one sampled byte. This is the
 // envelope format the wirebin transport codec ships across processes
-// (DESIGN.md §11); gob connections keep encoding the struct directly.
+// (DESIGN.md §11).
 func (sc SpanContext) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(sc.Trace))
 	buf = binary.AppendUvarint(buf, uint64(sc.Span))

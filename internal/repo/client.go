@@ -2,7 +2,6 @@ package repo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -190,16 +189,13 @@ func (c *Client) ListPinned(ctx context.Context, dir netsim.NodeID, name string,
 }
 
 // ListParts reads a collection's membership one listing partition at a
-// time, invoking fn for each partition's listing as it arrives — over a
-// streaming transport that can be while later partitions are still in
-// flight. gates is an optional per-partition version vector: a
-// partition still at or below its gate answers NotModified with no
-// members (a short or empty vector gates nothing). A non-zero pin
-// serves that snapshot partitioned on the fly instead of the live
-// membership. Peers that predate partitioned listings answer the
-// monolithic List method, which fn sees as a single partition (part 0
-// of 1), so callers work unchanged across versions. A non-nil error
-// from fn abandons the stream and is returned as-is.
+// time, invoking fn for each partition's listing as it arrives — which
+// can be while later partitions are still in flight. gates is an
+// optional per-partition version vector: a partition still at or below
+// its gate answers NotModified with no members (a short or empty vector
+// gates nothing). A non-zero pin serves that snapshot partitioned on the
+// fly instead of the live membership. A non-nil error from fn abandons
+// the stream and is returned as-is.
 func (c *Client) ListParts(ctx context.Context, dir netsim.NodeID, name string, pin int64, gates []uint64, fn func(PartListing) error) error {
 	return c.ListPartsSubset(ctx, dir, name, pin, gates, nil, fn)
 }
@@ -208,42 +204,29 @@ func (c *Client) ListParts(ctx context.Context, dir netsim.NodeID, name string, 
 // partitions — the scatter primitive for replica-parallel reads, where
 // each live replica serves its share of the partition space and the
 // shares interleave into one fold. A nil/empty parts requests them all.
-// The monolithic fallback for old peers only works for full reads, so a
-// subset request against such a peer fails with the original error.
 func (c *Client) ListPartsSubset(ctx context.Context, node netsim.NodeID, name string, pin int64, gates []uint64, parts []int, fn func(PartListing) error) error {
 	out, _, err := c.bus.Call(ctx, c.node, node, MethodListParts, ListPartsReq{Name: name, Pin: pin, IfVersions: gates, Stream: true, Parts: parts})
 	if err != nil {
-		if errors.Is(err, rpc.ErrNoMethod) && len(parts) == 0 {
-			return c.listPartsFallback(ctx, node, name, pin, gates, fn)
-		}
 		return err
 	}
-	switch body := out.(type) {
-	case rpc.Streamer:
-		for {
-			chunk, ok := body.Next()
-			if !ok {
-				return body.Err()
-			}
-			pl, ok := chunk.(PartListing)
-			if !ok {
-				drainStream(body)
-				return fmt.Errorf("rpc %s: unexpected chunk type %T", MethodListParts, chunk)
-			}
-			if err := fn(pl); err != nil {
-				drainStream(body)
-				return err
-			}
-		}
-	case ListPartsResp:
-		for _, pl := range body.Parts {
-			if err := fn(pl); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
+	st, ok := out.(rpc.Streamer)
+	if !ok {
 		return fmt.Errorf("rpc %s: unexpected response type %T", MethodListParts, out)
+	}
+	for {
+		chunk, ok := st.Next()
+		if !ok {
+			return st.Err()
+		}
+		pl, ok := chunk.(PartListing)
+		if !ok {
+			drainStream(st)
+			return fmt.Errorf("rpc %s: unexpected chunk type %T", MethodListParts, chunk)
+		}
+		if err := fn(pl); err != nil {
+			drainStream(st)
+			return err
+		}
 	}
 }
 
@@ -258,31 +241,6 @@ func drainStream(st rpc.Streamer) {
 			return
 		}
 	}
-}
-
-// listPartsFallback serves ListParts against a peer without the method:
-// one monolithic listing presented as a single partition. A one-entry
-// gate vector maps onto the monolithic IfVersion gate; longer vectors
-// cannot (the peer has no partition versions), so they gate nothing.
-func (c *Client) listPartsFallback(ctx context.Context, dir netsim.NodeID, name string, pin int64, gates []uint64, fn func(PartListing) error) error {
-	var (
-		members []Ref
-		version uint64
-		notMod  bool
-		err     error
-	)
-	switch {
-	case pin != 0:
-		members, version, err = c.ListPinned(ctx, dir, name, pin)
-	case len(gates) == 1:
-		members, version, notMod, err = c.ListIfNew(ctx, dir, name, gates[0])
-	default:
-		members, version, err = c.List(ctx, dir, name)
-	}
-	if err != nil {
-		return err
-	}
-	return fn(PartListing{Part: 0, Partitions: 1, Members: members, Version: version, NotModified: notMod})
 }
 
 // Add inserts a member into a collection.

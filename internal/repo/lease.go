@@ -3,6 +3,7 @@ package repo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +40,6 @@ import (
 // half-TTL renewal cadence is cheap, short enough that a holder that
 // vanished without closing its connection stops costing pushes quickly.
 const DefaultLeaseTTL = 30 * time.Second
-
-// errWatchMaterialize reports a Watch served to a consumer that cannot
-// carry stream chunks (an old peer or a non-streaming transport); the
-// caller must run leaseless.
-var errWatchMaterialize = errors.New("repo: watch requires a streaming transport")
 
 // invKey coalesces pending invalidations: one slot per (collection,
 // partition), latest version wins. A slow or stalled watch consumer
@@ -269,11 +265,6 @@ func (ws *watchStream) Next() (any, bool) {
 
 func (ws *watchStream) Err() error { return nil }
 
-// Materialize refuses: a watch has no single-message equivalent, so a
-// peer that cannot stream gets this error and runs leaseless — the
-// same degradation ladder rung as an old peer without the method.
-func (ws *watchStream) Materialize() (any, error) { return nil, errWatchMaterialize }
-
 // --- Client side ---------------------------------------------------------
 
 // LeaseStats is a LeaseState's counter snapshot, surfaced in /stats and
@@ -309,10 +300,10 @@ type leaseEntry struct {
 // Client.UseLeases; the iterator hot path consults it through Serveable
 // and never blocks on it.
 //
-// Degradation is the design: if the peer predates leases (ErrNoMethod),
-// the transport cannot stream, or the stream ends, the state simply
-// stops reporting Serveable and reads fall back to conditional
-// revalidation. Start must be called again to re-arm after a break.
+// Degradation is the design: if the node does not serve Watch
+// (ErrNoMethod) or the stream ends, the state simply stops reporting
+// Serveable and reads fall back to conditional revalidation. Start must
+// be called again to re-arm after a break.
 type LeaseState struct {
 	client *Client
 	dir    netsim.NodeID
@@ -338,7 +329,7 @@ type LeaseState struct {
 }
 
 // UseJournal makes the holder record a lease.break event whenever its
-// leases drop (stream loss, ErrNoMethod peer). Call before Start.
+// leases drop (stream loss). Call before Start.
 func (ls *LeaseState) UseJournal(j *obs.Journal) { ls.journal = j }
 
 // NewLeaseState creates a lease holder for collections on the directory
@@ -364,9 +355,9 @@ func (ls *LeaseState) Dir() netsim.NodeID { return ls.dir }
 // Start opens the Watch stream and acquires the initial leases. It is
 // the ordering-sensitive half of the protocol: the stream must exist
 // before the first grant, so no invalidation can fall between them.
-// A peer that predates leases, or a transport that cannot stream,
-// leaves the state inactive (reads run leaseless) and Start returns
-// nil; only transport-level failures are reported as errors.
+// A node that does not serve Watch (a gateway registered without the
+// method, say) leaves the state inactive (reads run leaseless) and Start
+// returns nil; every other failure is reported as an error.
 func (ls *LeaseState) Start(ctx context.Context) error {
 	ls.mu.Lock()
 	if ls.started {
@@ -381,18 +372,16 @@ func (ls *LeaseState) Start(ctx context.Context) error {
 	if err != nil {
 		ls.reset()
 		if errors.Is(err, rpc.ErrNoMethod) {
-			// Old peer: no watch, no leases, no error — the degradation
-			// ladder's bottom rung.
+			// The node does not serve Watch: no watch, no leases, no
+			// error — the degradation ladder's bottom rung.
 			return nil
 		}
 		return err
 	}
 	st, ok := out.(rpc.Streamer)
 	if !ok {
-		// A transport that materialized the watch would have errored
-		// above; an unexpected body means the same thing — run leaseless.
 		ls.reset()
-		return nil
+		return fmt.Errorf("rpc %s: unexpected response type %T", MethodWatch, out)
 	}
 
 	ls.mu.Lock()
@@ -517,8 +506,8 @@ func (ls *LeaseState) renewLoop() {
 }
 
 // acquire grants (or renews) every wanted and held lease in one Lease
-// RPC. Failures are left for the next renewal tick; an ErrNoMethod peer
-// deactivates leasing outright.
+// RPC. Failures are left for the next renewal tick; a node that does not
+// serve Lease deactivates leasing outright.
 func (ls *LeaseState) acquire() {
 	ls.mu.Lock()
 	if !ls.active {

@@ -192,20 +192,19 @@ func TestLeaseStopBreaksLeases(t *testing.T) {
 	})
 }
 
-// TestLeaseOldPeerDegrades pins the compat story: a peer that predates
-// the lease protocol answers ErrNoMethod and the client runs leaseless,
-// with no error surfaced.
+// TestLeaseOldPeerDegrades pins the degradation: a node that does not
+// serve the lease protocol answers ErrNoMethod and the client runs
+// leaseless, with no error surfaced.
 func TestLeaseOldPeerDegrades(t *testing.T) {
 	w := newWorld(t)
 	w.net.AddNode("old")
-	// A server with no handlers at all: every method is ErrNoMethod, the
-	// same answer an old repository peer gives for Watch/Lease.
+	// A server with no handlers at all: every method is ErrNoMethod.
 	if err := w.bus.Register(rpc.NewServer(netsim.NodeID("old"))); err != nil {
 		t.Fatal(err)
 	}
 	ls := NewLeaseState(w.client, "old", "c")
 	if err := ls.Start(context.Background()); err != nil {
-		t.Fatalf("start against old peer: %v", err)
+		t.Fatalf("start against a leaseless node: %v", err)
 	}
 	if st := ls.Stats(); st.Active {
 		t.Fatalf("stats = %+v, want inactive", st)

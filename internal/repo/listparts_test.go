@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"weaksets/internal/netsim"
-	"weaksets/internal/rpc"
 )
 
 // partFor mirrors the store's FNV-1a partition map so tests can aim
@@ -160,31 +157,6 @@ func TestListPartsSkewStamping(t *testing.T) {
 	}
 	if !sawLate {
 		t.Fatal("mid-stream add never surfaced in a later partition")
-	}
-}
-
-// TestListPartsFallbackOldPeer points ListParts at a directory that
-// predates the method: the client must synthesize a single-partition
-// listing from the monolithic List, and a one-entry gate vector must
-// map onto the monolithic IfVersion gate.
-func TestListPartsFallbackOldPeer(t *testing.T) {
-	w := newWorld(t)
-	want := seedParts(t, w, 30)
-	// Simulate an old peer: the method answers ErrNoMethod.
-	w.dirSrv.rpc.Handle(MethodListParts, func(context.Context, netsim.NodeID, any) (any, error) {
-		return nil, fmt.Errorf("old peer: %w", rpc.ErrNoMethod)
-	})
-	parts := collectParts(t, w, nil)
-	if len(parts) != 1 || parts[0].Part != 0 || parts[0].Partitions != 1 {
-		t.Fatalf("fallback shape = %+v, want one partition 0 of 1", parts)
-	}
-	if len(parts[0].Members) != len(want) {
-		t.Fatalf("fallback listed %d members, want %d", len(parts[0].Members), len(want))
-	}
-	// A one-entry vector gates the monolithic read.
-	gated := collectParts(t, w, []uint64{parts[0].Version})
-	if len(gated) != 1 || !gated[0].NotModified || len(gated[0].Members) != 0 {
-		t.Fatalf("gated fallback = %+v, want NotModified", gated)
 	}
 }
 

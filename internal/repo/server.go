@@ -308,21 +308,6 @@ func (ps *partStream) Next() (any, bool) {
 
 func (ps *partStream) Err() error { return ps.err }
 
-func (ps *partStream) Materialize() (any, error) {
-	resp := ListPartsResp{Parts: make([]PartListing, 0, len(ps.parts))}
-	for {
-		chunk, ok := ps.Next()
-		if !ok {
-			break
-		}
-		resp.Parts = append(resp.Parts, chunk.(PartListing))
-	}
-	if ps.err != nil {
-		return nil, ps.err
-	}
-	return resp, nil
-}
-
 // sliceStream streams an already-materialized set of partition listings
 // (the pinned path: the pin is one immutable snapshot, partitioned on
 // the fly).
@@ -342,8 +327,21 @@ func (ss *sliceStream) Next() (any, bool) {
 
 func (ss *sliceStream) Err() error { return nil }
 
-func (ss *sliceStream) Materialize() (any, error) {
-	return ListPartsResp{Parts: ss.parts}, nil
+// materializeParts drains a listing stream into the single-message form,
+// for a request that did not ask for a stream.
+func materializeParts(st rpc.Streamer) (any, error) {
+	var resp ListPartsResp
+	for {
+		chunk, ok := st.Next()
+		if !ok {
+			break
+		}
+		resp.Parts = append(resp.Parts, chunk.(PartListing))
+	}
+	if err := st.Err(); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
@@ -396,7 +394,7 @@ func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, req any) 
 		st = &partStream{store: s.store, name: r.Name, total: total, parts: want, gates: r.IfVersions, openVer: openVer}
 	}
 	if !r.Stream {
-		return st.Materialize()
+		return materializeParts(st)
 	}
 	return st, nil
 }

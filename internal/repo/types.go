@@ -52,5 +52,5 @@ var (
 )
 
 // The RPC method names and wire structs live in wire.go; their compact
-// wirebin marshalers (the negotiated hot-path codec, DESIGN.md §11) live
+// wirebin marshalers (the hot-path codec, DESIGN.md §11) live
 // in wirebin.go.

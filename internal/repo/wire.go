@@ -8,10 +8,9 @@ import (
 
 // This file is the repository's wire surface: the RPC method names and
 // the request/response structs copied at every RPC boundary. The structs
-// are deliberately codec-agnostic — gob encodes them by reflection on the
-// cold paths, and wirebin.go registers hand-rolled binary marshalers for
-// the hot half-dozen so the TCP transport can retire gob per connection
-// (DESIGN.md §11).
+// are deliberately codec-agnostic — the TCP transport carries the cold
+// ones as gob blobs inside its frames, and wirebin.go registers
+// hand-rolled binary marshalers for the hot ones (DESIGN.md §11).
 
 // RPC method names served by every repository server.
 const (
@@ -93,9 +92,9 @@ type (
 	// gates nothing). Pin selects a pinned snapshot, partitioned on the
 	// fly (pins are immutable, so its listings carry no version and
 	// ignore IfVersions). Stream asks the server to deliver each
-	// PartListing as its own frame as that partition's snapshot is
-	// taken; transports or peers that cannot stream fall back to one
-	// ListPartsResp.
+	// PartListing as its own chunk as that partition's snapshot is
+	// taken, which is what repo.Client always asks for; without it the
+	// handler answers one materialized ListPartsResp.
 	ListPartsReq struct {
 		Name       string
 		Pin        int64

@@ -13,7 +13,7 @@ import (
 // GetBatchReq/GetBatchResp (the pipelined batch fetch, including the
 // Known-versions and NotModified vectors). Everything else stays on gob
 // inside the transport's envelope; see DESIGN.md §11 for the frame
-// layout and the negotiation that turns these on.
+// layout.
 //
 // Conventions (held to gob's observable round-trip semantics, which the
 // conformance tests in wirebin_test.go enforce):
@@ -28,9 +28,9 @@ import (
 //     keeps aliased frames out of its buffer pool), so a wide GetBatchResp
 //     decodes with O(1) allocations, not O(objects).
 
-// Stable wirebin type ids. These are part of the negotiated protocol:
-// both ends of a wirebin connection run the same table, guaranteed by the
-// handshake confirming the codec as a unit. Never renumber — add.
+// Stable wirebin type ids. These are part of the protocol: both ends of
+// a connection run the same table, which is what the preamble's version
+// byte stands for. Never renumber — add.
 const (
 	wbGetReq       = 1
 	wbObject       = 2

@@ -34,10 +34,10 @@ var (
 // returns one when the response is naturally incremental — a partition
 // at a time of a huge listing, say — and producing the next chunk may do
 // fresh work (take the next snapshot), so consumers overlap their own
-// processing with production. Transports that can carry chunks (the
-// tcprpc streaming path) forward each one as its own frame; everything
-// else calls Materialize. A Streamer is single-consumer: Next must not
-// be called concurrently.
+// processing with production. Every transport carries chunks: the bus
+// hands the Streamer to the caller as-is, and tcprpc forwards each chunk
+// as its own frame. A Streamer is single-consumer: Next must not be
+// called concurrently.
 type Streamer interface {
 	// Next produces the next chunk; ok=false ends the stream, after
 	// which Err reports whether it ended cleanly.
@@ -45,10 +45,6 @@ type Streamer interface {
 	// Err reports the first production error, available once Next has
 	// returned ok=false.
 	Err() error
-	// Materialize drains the stream into its single-message equivalent
-	// for consumers that cannot carry chunks. It must only be called
-	// instead of, never after, Next.
-	Materialize() (any, error)
 }
 
 // Handler services one method. It runs on the server's goroutine context;

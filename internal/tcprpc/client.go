@@ -10,27 +10,21 @@ import (
 	"time"
 
 	"weaksets/internal/obs"
-	"weaksets/internal/rpc"
 )
 
 // ErrClientClosed reports calls on a closed client.
 var ErrClientClosed = errors.New("tcprpc: client closed")
 
-// ErrNoStreams reports a CallStream against a connection that did not
-// negotiate multi-frame responses (an old server, or a gob-pinned
-// handshake-free connection). Callers fall back to a plain Call — the
-// server materializes streamable bodies for such peers anyway.
-var ErrNoStreams = errors.New("tcprpc: connection did not negotiate streams")
-
 // sendBacklog bounds the client's encode queue. The writer goroutine
-// drains it as fast as gob can encode; the bound only matters when the
+// drains it as fast as it can encode; the bound only matters when the
 // kernel socket buffer backs up, at which point callers block in Call
 // (transport backpressure) instead of buffering unboundedly.
 const sendBacklog = 128
 
 // Client is a multiplexed TCP connection to a Server. Many calls share
-// one persistent gob stream concurrently: a dedicated writer goroutine
-// serializes request envelopes onto the socket and a reader goroutine
+// one persistent stream of wirebin frames concurrently: a dedicated
+// writer goroutine opens the connection with the preamble frame and then
+// serializes request envelopes onto the socket, and a reader goroutine
 // dispatches response envelopes to their callers through a seq-keyed
 // pending-call map, so responses may return in any order and slow calls
 // never head-of-line-block fast ones. Per-call cancellation and
@@ -54,17 +48,13 @@ type Client struct {
 	// spans nest under it. Set before the first Call.
 	Tracer *obs.Tracer
 	// Journal, when set, records transport events — redials after a
-	// connection death, codec negotiation falling back to gob — into a
-	// bounded event journal. Set before the first Call.
+	// connection death — into a bounded event journal. Set before the
+	// first Call.
 	Journal *obs.Journal
-	// Codec selects the wire codec to negotiate. "" and CodecWirebin
-	// advertise wirebin in the connection handshake, falling back to gob
-	// when the server doesn't speak it; CodecGob skips negotiation and
-	// pins the connection to gob. Set before the first Call.
-	Codec string
-	// Compress asks for negotiated per-frame deflate on wirebin frames of
-	// at least CompressMin bytes (0 = defaultCompressMin). Only takes
-	// effect when wirebin is negotiated. Set before the first Call.
+	// Compress declares per-frame deflate, in both directions, on frames
+	// of at least CompressMin bytes (0 = defaultCompressMin). It rides
+	// the preamble of every connection the client dials. Set before the
+	// first Call.
 	Compress    bool
 	CompressMin int
 
@@ -72,11 +62,6 @@ type Client struct {
 	cc     *clientConn
 	sem    chan struct{}
 	closed bool
-	// helloFailed latches after a handshake dies at the transport level
-	// (a peer so old it kills the stream on an unknown method, rather than
-	// answering ErrNoMethod); every later dial skips the hello and speaks
-	// plain gob.
-	helloFailed bool
 
 	seq atomic.Uint64
 	ins transportInstruments
@@ -139,11 +124,10 @@ func (q *streamQ) pop() (in response, got bool, done bool) {
 // clientConn is one live connection with its goroutines and in-flight
 // calls. It is immutable except through fail, which runs once.
 type clientConn struct {
-	conn    net.Conn
-	cdc     codec
-	ins     *transportInstruments
-	streams bool // the hello negotiated multi-frame responses
-	sendCh  chan *request
+	conn   net.Conn
+	cdc    *wirebinCodec
+	ins    *transportInstruments
+	sendCh chan *request
 
 	done     chan struct{}
 	failOnce sync.Once
@@ -205,49 +189,10 @@ func (c *Client) conn() (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcprpc: dial %s: %w", c.addr, err)
 	}
-	fio := newFrameIO(conn)
-	gc := newGobCodec(fio)
-	var cdc codec = gc
-	var streams bool
-	if c.Codec != CodecGob && !c.helloFailed {
-		hr, err := c.hello(conn, gc, timeout)
-		switch {
-		case err == nil:
-			if hr.Codec == CodecWirebin {
-				cdc = newWirebinCodec(fio, "", hr.Compress, hr.CompressMin)
-			}
-			streams = hr.Streams
-		case errors.Is(err, rpc.ErrNoMethod):
-			// Pre-negotiation server: it answered the hello like any
-			// unknown method. The connection is healthy — speak gob.
-			c.Journal.Record(obs.Event{
-				Type: obs.EvCodecFallback, Node: c.addr,
-				Detail: "peer predates codec negotiation; speaking gob",
-			})
-		default:
-			// The handshake died at the transport level; assume a peer
-			// that tears the stream down on unknown methods, latch the
-			// fallback, and redial once speaking plain gob.
-			c.helloFailed = true
-			c.Journal.Record(obs.Event{
-				Type: obs.EvCodecFallback, Node: c.addr,
-				Detail: "handshake died at transport level; gob latched for future dials",
-			})
-			_ = conn.Close()
-			conn, err = net.DialTimeout("tcp", c.addr, timeout)
-			if err != nil {
-				return nil, fmt.Errorf("tcprpc: dial %s: %w", c.addr, err)
-			}
-			fio = newFrameIO(conn)
-			cdc = newGobCodec(fio)
-		}
-	}
-	c.ins.setCodec(cdc.name())
 	cc := &clientConn{
 		conn:    conn,
-		cdc:     cdc,
+		cdc:     newWirebinCodec(conn, c.from, c.Compress, c.CompressMin),
 		ins:     &c.ins,
-		streams: streams,
 		sendCh:  make(chan *request, sendBacklog),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*call),
@@ -263,51 +208,6 @@ func (c *Client) conn() (*clientConn, error) {
 	}
 	c.cc = cc
 	return cc, nil
-}
-
-// hello runs the synchronous codec handshake on a fresh connection,
-// before the read/write loops exist — the one moment the stream is
-// guaranteed quiet, so the codec can switch cleanly right after the
-// reply. The whole exchange runs under the dial timeout.
-func (c *Client) hello(conn net.Conn, gc *gobCodec, timeout time.Duration) (helloResp, error) {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	defer func() { _ = conn.SetDeadline(time.Time{}) }()
-
-	out := &request{
-		Seq:    c.seq.Add(1),
-		From:   c.from,
-		Method: methodHello,
-		Body: helloReq{
-			From:        c.from,
-			Codecs:      []string{CodecWirebin},
-			Compress:    c.Compress,
-			CompressMin: c.CompressMin,
-			Streams:     true,
-		},
-	}
-	sent, err := gc.writeRequest(out)
-	if err != nil {
-		return helloResp{}, err
-	}
-	var in response
-	recv, err := gc.readResponse(&in)
-	if err != nil {
-		return helloResp{}, err
-	}
-	c.ins.addSent(methodHello, sent)
-	c.ins.addRecv(methodHello, recv)
-	if in.Seq != out.Seq {
-		return helloResp{}, fmt.Errorf("tcprpc: hello reply for seq %d, want %d", in.Seq, out.Seq)
-	}
-	body, err := finish(in)
-	if err != nil {
-		return helloResp{}, err
-	}
-	hr, ok := body.(helloResp)
-	if !ok {
-		return helloResp{}, fmt.Errorf("tcprpc: hello reply is %T", body)
-	}
-	return hr, nil
 }
 
 // acquire takes an in-flight slot when MaxInflight bounds the stream.
@@ -381,7 +281,7 @@ func (c *Client) do(ctx context.Context, method string, req any) (any, error) {
 		c.ins.inflightDown()
 	}()
 
-	out := &request{Seq: seq, From: c.from, Method: method, Body: req, Trace: obs.FromContext(ctx)}
+	out := &request{Seq: seq, Method: method, Body: req, Trace: obs.FromContext(ctx)}
 	select {
 	case cc.sendCh <- out:
 	case <-ctx.Done():
@@ -461,22 +361,6 @@ func (s *ClientStream) Next() (any, bool) {
 // Err reports how the stream ended, once Next has returned ok=false.
 func (s *ClientStream) Err() error { return s.err }
 
-// Materialize drains the stream and returns the chunks as a slice. The
-// transport does not know the application's single-message form, so
-// callers that need one (a ListPartsResp, say) issue a plain Call
-// instead; this exists to satisfy rpc.Streamer.
-func (s *ClientStream) Materialize() (any, error) {
-	var chunks []any
-	for {
-		chunk, ok := s.Next()
-		if !ok {
-			break
-		}
-		chunks = append(chunks, chunk)
-	}
-	return chunks, s.err
-}
-
 func (s *ClientStream) end(err error) {
 	if s.ended {
 		return
@@ -497,11 +381,7 @@ func (s *ClientStream) abandon() {
 }
 
 // CallStream performs one RPC whose response arrives as a stream of
-// chunks. It fails fast with ErrNoStreams when the connection did not
-// negotiate streaming — callers then issue a plain Call and receive the
-// materialized body (the server collapses streamable responses for such
-// peers on its own). The context governs the whole consumption, not
-// just the send.
+// chunks. The context governs the whole consumption, not just the send.
 func (c *Client) CallStream(ctx context.Context, method string, req any) (*ClientStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -509,9 +389,6 @@ func (c *Client) CallStream(ctx context.Context, method string, req any) (*Clien
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
-	}
-	if !cc.streams {
-		return nil, ErrNoStreams
 	}
 	release, err := c.acquire(ctx)
 	if err != nil {
@@ -535,7 +412,7 @@ func (c *Client) CallStream(ctx context.Context, method string, req any) (*Clien
 		})
 	}
 
-	out := &request{Seq: seq, From: c.from, Method: method, Body: req, Trace: obs.FromContext(ctx)}
+	out := &request{Seq: seq, Method: method, Body: req, Trace: obs.FromContext(ctx)}
 	select {
 	case cc.sendCh <- out:
 	case <-ctx.Done():
@@ -560,8 +437,15 @@ func finish(in response) (any, error) {
 }
 
 // writeLoop is the connection's dedicated writer: the only goroutine
-// that touches the codec's encode side.
+// that touches the codec's encode side. It opens the connection with the
+// preamble, so dialing never waits on the peer.
 func (cc *clientConn) writeLoop() {
+	n, err := cc.cdc.writePreamble()
+	if err != nil {
+		cc.fail(fmt.Errorf("send preamble: %w", err))
+		return
+	}
+	cc.ins.addSent("", n)
 	for {
 		select {
 		case out := <-cc.sendCh:

@@ -9,21 +9,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"weaksets/internal/obs"
 	"weaksets/internal/wirebin"
 )
 
-// Codec names, as they appear in the hello exchange and in TransportStats.
-const (
-	// CodecGob is the reflection-based gob stream every peer speaks; it is
-	// the universal fallback and the only codec pre-negotiation builds know.
-	CodecGob = "gob"
-	// CodecWirebin is the compact length-prefixed binary codec negotiated
-	// for hot-path messages (DESIGN.md §11).
-	CodecWirebin = "wirebin"
-)
+// CodecWirebin names the one wire codec, as TransportStats reports it once
+// a connection is up: length-prefixed binary frames (DESIGN.md §11).
+const CodecWirebin = "wirebin"
 
 const (
 	// maxFrame bounds one wirebin frame and its decompressed size; a
@@ -49,133 +42,34 @@ const (
 	bfMore    = 1 << 3 // response: stream chunk; more responses follow on this seq
 )
 
-// codec reads and writes envelope messages on one connection, reporting
-// the wire bytes each message cost. Implementations are not safe for
-// concurrent use per direction; the transport guarantees a single writer
-// (the client's write loop, the server's write lock) and a single reader
-// per connection.
-type codec interface {
-	name() string
-	writeRequest(req *request) (int, error)
-	readRequest(req *request) (int, error)
-	writeResponse(resp *response) (int, error)
-	readResponse(resp *response) (int, error)
-}
+// preambleMagic opens every connection: three magic bytes and the
+// protocol version. There is one version; anything else is not a peer.
+var preambleMagic = [4]byte{'w', 's', 'r', 1}
 
-// frameIO is the buffered, byte-counting channel both codecs share. A
-// connection builds exactly one, so the gob handshake phase and a
-// negotiated wirebin phase read the same buffered stream — no bytes get
-// stranded in a stale buffer across the codec switch.
-type frameIO struct {
+// pfCompress is the preamble flag bit declaring per-frame compression.
+const pfCompress = 1 << 0
+
+// wirebinCodec frames hand-rolled binary envelopes on one connection: a
+// varint length prefix, a flags byte, then the (optionally
+// deflate-compressed) raw envelope. Registered hot types encode through
+// their wirebin marshalers; everything else rides as a self-contained
+// gob blob inside the frame, so the whole RPC surface works. See
+// DESIGN.md §11 for the byte diagram. It is not safe for concurrent use
+// per direction; the transport guarantees a single writer (the client's
+// write loop, the server's write lock) and a single reader per
+// connection.
+type wirebinCodec struct {
 	br *bufio.Reader
 	bw *bufio.Writer
-	cr countingReader
-	cw countingWriter
-}
 
-func newFrameIO(conn net.Conn) *frameIO {
-	f := &frameIO{
-		br: bufio.NewReader(conn),
-		bw: bufio.NewWriter(conn),
-	}
-	f.cr.r = f.br
-	f.cw.w = f.bw
-	return f
-}
-
-// countingReader counts the bytes the codec consumes. It implements
-// io.ByteReader so gob does not interpose its own read-ahead buffer —
-// read-ahead would steal bytes that belong to the codec taking over
-// after the handshake.
-type countingReader struct {
-	r *bufio.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-type countingWriter struct {
-	w *bufio.Writer
-	n int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
-	return n, err
-}
-
-// gobCodec is the fallback codec: the classic persistent gob stream.
-// Encoder and decoder live for the connection (gob streams are stateful —
-// type descriptors are sent once), so the handshake and any post-
-// handshake gob traffic share them.
-type gobCodec struct {
-	fio *frameIO
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func newGobCodec(fio *frameIO) *gobCodec {
-	return &gobCodec{fio: fio, enc: gob.NewEncoder(&fio.cw), dec: gob.NewDecoder(&fio.cr)}
-}
-
-func (c *gobCodec) name() string { return CodecGob }
-
-func (c *gobCodec) writeRequest(req *request) (int, error) { return c.write(req) }
-
-func (c *gobCodec) writeResponse(resp *response) (int, error) { return c.write(resp) }
-
-func (c *gobCodec) write(v any) (int, error) {
-	start := c.fio.cw.n
-	if err := c.enc.Encode(v); err != nil {
-		return 0, err
-	}
-	if err := c.fio.bw.Flush(); err != nil {
-		return 0, err
-	}
-	return c.fio.cw.n - start, nil
-}
-
-func (c *gobCodec) readRequest(req *request) (int, error) { return c.read(req) }
-
-func (c *gobCodec) readResponse(resp *response) (int, error) { return c.read(resp) }
-
-func (c *gobCodec) read(v any) (int, error) {
-	start := c.fio.cr.n
-	if err := c.dec.Decode(v); err != nil {
-		return 0, err
-	}
-	return c.fio.cr.n - start, nil
-}
-
-// wirebinCodec frames hand-rolled binary envelopes: a varint length
-// prefix, a flags byte, then the (optionally deflate-compressed) raw
-// envelope. Registered hot types encode through their wirebin marshalers;
-// everything else rides as a self-contained gob blob inside the frame, so
-// the whole RPC surface works on a wirebin connection. See DESIGN.md §11
-// for the byte diagram.
-type wirebinCodec struct {
-	fio *frameIO
-
-	// from is the peer identity the client hoisted into its hello; the
-	// server-side codec stamps it onto every decoded request, so From
-	// never rides the per-request hot path. Empty on the client side.
+	// from is the caller's identity for the connection's lifetime: the
+	// client side writes it in the preamble, and the server side, having
+	// read it there, stamps it onto every decoded request — so From never
+	// rides the per-request hot path.
 	from string
 
-	// Compression settings, negotiated as a unit in the handshake. A
-	// compressed frame on a connection that never negotiated compression
+	// Compression settings, declared as a unit in the preamble. A
+	// compressed frame on a connection that never declared compression
 	// is a protocol violation and fails the connection.
 	compressOK  bool
 	compressMin int
@@ -186,14 +80,64 @@ type wirebinCodec struct {
 	zbuf bytes.Buffer
 }
 
-func newWirebinCodec(fio *frameIO, from string, compress bool, compressMin int) *wirebinCodec {
+func newWirebinCodec(conn io.ReadWriter, from string, compress bool, compressMin int) *wirebinCodec {
+	c := &wirebinCodec{br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), from: from}
+	c.setCompression(compress, compressMin)
+	return c
+}
+
+func (c *wirebinCodec) setCompression(compress bool, compressMin int) {
 	if compressMin <= 0 {
 		compressMin = defaultCompressMin
 	}
-	return &wirebinCodec{fio: fio, from: from, compressOK: compress, compressMin: compressMin}
+	c.compressOK, c.compressMin = compress, compressMin
 }
 
-func (c *wirebinCodec) name() string { return CodecWirebin }
+// writePreamble opens the connection from the client side: one raw frame
+// carrying what the server cannot know — who is calling and whether
+// frames may be compressed. Nothing comes back; the client's requests
+// follow immediately.
+func (c *wirebinCodec) writePreamble() (int, error) {
+	raw := append(wirebin.GetBuf(), preambleMagic[:]...)
+	defer func() { wirebin.PutBuf(raw) }()
+	raw = wirebin.AppendString(raw, c.from)
+	var pflags byte
+	if c.compressOK {
+		pflags |= pfCompress
+	}
+	raw = append(raw, pflags)
+	raw = wirebin.AppendUvarint(raw, uint64(c.compressMin))
+	return c.writeRaw(raw, 0)
+}
+
+// readPreamble consumes the client's opening frame on the server side and
+// adopts what it declares. Any deviation — wrong magic or version, a
+// truncated or over-long frame, trailing bytes — is an error, and the
+// caller closes the connection without replying.
+func (c *wirebinCodec) readPreamble() error {
+	raw, _, err := c.readFrame()
+	if err != nil {
+		return fmt.Errorf("tcprpc: preamble: %w", err)
+	}
+	defer wirebin.PutBuf(raw)
+	if len(raw) < len(preambleMagic) || !bytes.Equal(raw[:len(preambleMagic)], preambleMagic[:]) {
+		return errors.New("tcprpc: preamble: bad magic or version")
+	}
+	r := &c.r
+	r.Reset(raw[len(preambleMagic):])
+	from := r.String()
+	pflags := r.Byte()
+	compressMin := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("tcprpc: preamble: %w", err)
+	}
+	if r.Len() != 0 || compressMin > maxFrame {
+		return errors.New("tcprpc: preamble: malformed")
+	}
+	c.from = from
+	c.setCompression(pflags&pfCompress != 0, int(compressMin))
+	return nil
+}
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -205,11 +149,9 @@ func uvarintLen(v uint64) int {
 }
 
 // writeFrame ships one raw envelope, compressing it when the connection
-// negotiated compression, the envelope clears the threshold, and deflate
+// declared compression, the envelope clears the threshold, and deflate
 // actually wins (incompressible payloads go out raw).
 func (c *wirebinCodec) writeFrame(raw []byte) (int, error) {
-	flags := byte(0)
-	payload := raw
 	if c.compressOK && len(raw) >= c.compressMin {
 		c.zbuf.Reset()
 		var rl [binary.MaxVarintLen64]byte
@@ -226,21 +168,25 @@ func (c *wirebinCodec) writeFrame(raw []byte) (int, error) {
 			return 0, err
 		}
 		if c.zbuf.Len() < len(raw) {
-			flags |= frCompressed
-			payload = c.zbuf.Bytes()
+			return c.writeRaw(c.zbuf.Bytes(), frCompressed)
 		}
 	}
+	return c.writeRaw(raw, 0)
+}
+
+// writeRaw puts one frame on the socket: length prefix, flags, payload.
+func (c *wirebinCodec) writeRaw(payload []byte, flags byte) (int, error) {
 	var hdr [binary.MaxVarintLen64 + 1]byte
 	hn := binary.PutUvarint(hdr[:], uint64(1+len(payload)))
 	hdr[hn] = flags
 	hn++
-	if _, err := c.fio.bw.Write(hdr[:hn]); err != nil {
+	if _, err := c.bw.Write(hdr[:hn]); err != nil {
 		return 0, err
 	}
-	if _, err := c.fio.bw.Write(payload); err != nil {
+	if _, err := c.bw.Write(payload); err != nil {
 		return 0, err
 	}
-	if err := c.fio.bw.Flush(); err != nil {
+	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
 	return hn + len(payload), nil
@@ -250,7 +196,7 @@ func (c *wirebinCodec) writeFrame(raw []byte) (int, error) {
 // decides whether it may be pooled again — decoded bodies can alias it)
 // and the wire bytes the frame cost.
 func (c *wirebinCodec) readFrame() ([]byte, int, error) {
-	ln, err := binary.ReadUvarint(c.fio.br)
+	ln, err := binary.ReadUvarint(c.br)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -259,7 +205,7 @@ func (c *wirebinCodec) readFrame() ([]byte, int, error) {
 	}
 	wire := uvarintLen(ln) + int(ln)
 	buf := growBuf(wirebin.GetBuf(), int(ln))
-	if _, err := io.ReadFull(c.fio.br, buf); err != nil {
+	if _, err := io.ReadFull(c.br, buf); err != nil {
 		wirebin.PutBuf(buf)
 		return nil, 0, err
 	}
@@ -270,7 +216,7 @@ func (c *wirebinCodec) readFrame() ([]byte, int, error) {
 	}
 	if !c.compressOK {
 		wirebin.PutBuf(buf)
-		return nil, 0, errors.New("tcprpc: compressed frame without negotiated compression")
+		return nil, 0, errors.New("tcprpc: compressed frame on a connection that did not declare compression")
 	}
 	rawLen, n := binary.Uvarint(raw)
 	if n <= 0 || rawLen == 0 || rawLen > maxFrame {

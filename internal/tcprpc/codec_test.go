@@ -52,9 +52,10 @@ func callEcho(t *testing.T, client *Client, id repo.ObjectID, want []byte) {
 	}
 }
 
-// TestNegotiatesWirebin pairs a codec-aware client with a codec-aware
-// server: the connection must negotiate wirebin, round-trip registered
-// and unregistered (gob-blob) bodies, and account wire bytes per method.
+// TestNegotiatesWirebin pairs a client with a server: the connection must
+// come up on wirebin, round-trip registered and unregistered (gob-blob)
+// bodies, and account wire bytes per method with the preamble in the
+// totals only.
 func TestNegotiatesWirebin(t *testing.T) {
 	payload := bytes.Repeat([]byte("weak"), 64)
 	srv, err := Serve("127.0.0.1:0", codecEchoDispatch(payload))
@@ -82,15 +83,17 @@ func TestNegotiatesWirebin(t *testing.T) {
 
 	st := client.Stats()
 	if st.Codec != CodecWirebin {
-		t.Fatalf("negotiated codec = %q, want %q", st.Codec, CodecWirebin)
+		t.Fatalf("codec = %q, want %q", st.Codec, CodecWirebin)
 	}
 	if st.BytesSent == 0 || st.BytesReceived == 0 {
 		t.Fatalf("byte totals not accounted: %+v", st)
 	}
-	var sawEcho, sawHello bool
+	var sawEcho bool
+	var methodSent, methodRecv int64
 	for _, m := range st.Methods {
-		switch m.Method {
-		case "echo":
+		methodSent += m.BytesSent
+		methodRecv += m.BytesReceived
+		if m.Method == "echo" {
 			sawEcho = true
 			if m.BytesSent == 0 || m.BytesReceived == 0 {
 				t.Fatalf("echo bytes not attributed: %+v", m)
@@ -98,74 +101,32 @@ func TestNegotiatesWirebin(t *testing.T) {
 			if m.BytesReceived < int64(len(payload)) {
 				t.Fatalf("echo received %d bytes, payload alone is %d", m.BytesReceived, len(payload))
 			}
-		case methodHello:
-			sawHello = true
-			if m.BytesSent == 0 || m.BytesReceived == 0 {
-				t.Fatalf("hello bytes not attributed: %+v", m)
-			}
 		}
 	}
-	if !sawEcho || !sawHello {
-		t.Fatalf("missing per-method byte attribution (echo=%v hello=%v): %+v", sawEcho, sawHello, st.Methods)
+	if !sawEcho {
+		t.Fatalf("missing per-method byte attribution: %+v", st.Methods)
+	}
+	// The preamble is the only unattributed traffic, and it is one-way.
+	if st.BytesSent <= methodSent || st.BytesReceived != methodRecv {
+		t.Fatalf("totals sent=%d recv=%d vs per-method sent=%d recv=%d: want the preamble on top of sent only",
+			st.BytesSent, st.BytesReceived, methodSent, methodRecv)
 	}
 }
 
-// TestOldServerFallsBackToGob pairs a codec-aware client with a server
-// built to predate negotiation (hello falls through to dispatch and
-// fails with ErrNoMethod): the client must settle on gob with zero
-// semantic difference.
-func TestOldServerFallsBackToGob(t *testing.T) {
-	payload := []byte("legacy")
-	srv, err := ServeConfig("127.0.0.1:0", codecEchoDispatch(payload), ServerConfig{DisableNegotiation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := Dial(srv.Addr(), "tester")
-	defer client.Close()
-
-	callEcho(t, client, "a", payload)
-	if st := client.Stats(); st.Codec != CodecGob {
-		t.Fatalf("codec = %q, want %q after ErrNoMethod fallback", st.Codec, CodecGob)
-	}
-	// The failed hello must not burn a redial: one dial, no reconnects.
-	if st := client.Stats(); st.Dials != 1 || st.Reconnects != 0 {
-		t.Fatalf("fallback cost connections: %+v", st)
-	}
-}
-
-// TestOldClientAgainstNewServer pins a client to gob (standing in for a
-// pre-codec build that never sends a hello): the codec-aware server must
-// treat its first request as an ordinary call.
-func TestOldClientAgainstNewServer(t *testing.T) {
-	payload := []byte("old-client")
-	srv, err := Serve("127.0.0.1:0", codecEchoDispatch(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := Dial(srv.Addr(), "tester")
-	client.Codec = CodecGob
-	defer client.Close()
-
-	callEcho(t, client, "first", payload)
-	callEcho(t, client, "second", payload)
-	if st := client.Stats(); st.Codec != CodecGob {
-		t.Fatalf("codec = %q, want %q", st.Codec, CodecGob)
-	}
-}
-
-// TestRedialRenegotiates kills the server under a wirebin connection and
-// brings a new one up on the same address: the client's redial must run
-// a fresh handshake and come back on wirebin.
+// TestRedialRenegotiates kills the server under a compressing connection
+// and brings a new one up on the same address: the client's redial must
+// send a fresh preamble and come back on wirebin with its compression
+// settings intact.
 func TestRedialRenegotiates(t *testing.T) {
-	payload := []byte("redial")
+	payload := bytes.Repeat([]byte("redial "), 1024) // ~7 KiB, highly redundant
 	srv, err := Serve("127.0.0.1:0", codecEchoDispatch(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 	client := Dial(addr, "tester")
+	client.Compress = true
+	client.CompressMin = 512
 	defer client.Close()
 
 	callEcho(t, client, "before", payload)
@@ -187,7 +148,7 @@ func TestRedialRenegotiates(t *testing.T) {
 	defer srv2.Close()
 
 	// The dead connection surfaces as one failed call; the next call
-	// redials and renegotiates.
+	// redials and re-sends the preamble.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err = client.Call(context.Background(), "echo", repo.GetReq{ID: "after"})
@@ -205,9 +166,24 @@ func TestRedialRenegotiates(t *testing.T) {
 	if st.Dials < 2 || st.Reconnects < 1 {
 		t.Fatalf("expected a redial: %+v", st)
 	}
+	// The new server only compresses if the second preamble declared it.
+	before := echoBytesReceived(client)
+	callEcho(t, client, "compressed", payload)
+	if got := echoBytesReceived(client) - before; got >= int64(len(payload)) {
+		t.Fatalf("echo after redial cost %d wire bytes for a %d-byte payload; compression was lost", got, len(payload))
+	}
 }
 
-// TestCompressionThreshold negotiates compression with an explicit
+func echoBytesReceived(client *Client) int64 {
+	for _, m := range client.Stats().Methods {
+		if m.Method == "echo" {
+			return m.BytesReceived
+		}
+	}
+	return 0
+}
+
+// TestCompressionThreshold declares compression with an explicit
 // threshold: payloads above it must cross the wire smaller than raw,
 // payloads below must not pay the compressor, and both must round-trip
 // intact.
@@ -229,11 +205,8 @@ func TestCompressionThreshold(t *testing.T) {
 	if st.Codec != CodecWirebin {
 		t.Fatalf("codec = %q, want %q", st.Codec, CodecWirebin)
 	}
-	for _, m := range st.Methods {
-		if m.Method == "echo" && m.BytesReceived >= int64(len(big)) {
-			t.Fatalf("compressed echo response cost %d wire bytes for a %d-byte payload",
-				m.BytesReceived, len(big))
-		}
+	if got := echoBytesReceived(client); got >= int64(len(big)) {
+		t.Fatalf("compressed echo response cost %d wire bytes for a %d-byte payload", got, len(big))
 	}
 
 	// Below the threshold the frame goes out raw — and still intact.
@@ -266,8 +239,8 @@ func TestCompressionExactBoundary(t *testing.T) {
 			cli, srv := net.Pipe()
 			defer cli.Close()
 			defer srv.Close()
-			w := newWirebinCodec(newFrameIO(cli), "", true, 256)
-			r := newWirebinCodec(newFrameIO(srv), "peer", true, 256)
+			w := newWirebinCodec(cli, "", true, 256)
+			r := newWirebinCodec(srv, "peer", true, 256)
 
 			// A compressible error text sized so the whole envelope hits
 			// rawLen exactly: seq varint (1) + flags (1) + two string
@@ -300,19 +273,19 @@ func TestCompressionExactBoundary(t *testing.T) {
 }
 
 // TestCompressedFrameRejectedWithoutNegotiation feeds a compressed frame
-// to a codec that never negotiated compression: a strict protocol
+// to a codec whose preamble never declared compression: a strict protocol
 // violation that must fail the read, not silently inflate.
 func TestCompressedFrameRejectedWithoutNegotiation(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer cli.Close()
 	defer srv.Close()
-	w := newWirebinCodec(newFrameIO(cli), "", true, 64) // compresses eagerly
-	r := newWirebinCodec(newFrameIO(srv), "peer", false, 0)
+	w := newWirebinCodec(cli, "", true, 64) // compresses eagerly
+	r := newWirebinCodec(srv, "peer", false, 0)
 
 	resp := &response{Seq: 9, IsErr: true, ErrText: string(bytes.Repeat([]byte("z"), 4096))}
 	go func() { _, _ = w.writeResponse(resp) }()
 	var in response
 	if _, err := r.readResponse(&in); err == nil {
-		t.Fatal("un-negotiated compressed frame decoded cleanly; want an error")
+		t.Fatal("undeclared compressed frame decoded cleanly; want an error")
 	}
 }

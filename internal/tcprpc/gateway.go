@@ -2,7 +2,6 @@ package tcprpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -46,15 +45,18 @@ func NewGateway(bus *rpc.Bus, node netsim.NodeID, client *Client, methods []stri
 			// A streaming listing request is bridged end-to-end: the
 			// remote chunks become an rpc.Streamer the bus hands to the
 			// local consumer, so partition 0 is being fetched against
-			// while partition N-1 is still crossing the socket.
+			// while partition N-1 is still crossing the socket. The
+			// CallTimeout bounds the whole consumption.
 			if r, ok := req.(repo.ListPartsReq); ok && r.Stream {
-				return g.forwardStream(ctx, method, req)
+				sctx, cancel := context.WithTimeout(ctx, g.CallTimeout)
+				return g.forwardStream(sctx, cancel, method, req)
 			}
 			// A watch is a long-lived push channel: bridge it end-to-end
 			// with no CallTimeout (its lifetime is the lease holder's, not
 			// a call's).
 			if _, ok := req.(repo.WatchReq); ok {
-				return g.forwardWatch(ctx, method, req)
+				sctx, cancel := context.WithCancel(ctx)
+				return g.forwardStream(sctx, cancel, method, req)
 			}
 			// Derive from the incoming context so the caller's trace
 			// context (and cancellation) flows onto the wire.
@@ -70,45 +72,21 @@ func NewGateway(bus *rpc.Bus, node netsim.NodeID, client *Client, methods []stri
 }
 
 // forwardStream forwards a streamed call, returning an rpc.Streamer
-// that the handler's caller consumes after the handler returns. The
-// CallTimeout bounds the whole consumption, and its cancel fires when
-// the stream retires rather than when this function returns — the
-// stream outlives the handler by design. Connections that did not
-// negotiate streaming fall back to one materialized call.
-func (g *Gateway) forwardStream(ctx context.Context, method string, req any) (any, error) {
-	sctx, cancel := context.WithTimeout(ctx, g.CallTimeout)
-	st, err := g.client.CallStream(sctx, method, req)
-	if err != nil {
-		defer cancel()
-		if errors.Is(err, ErrNoStreams) {
-			// The remote materializes streamable bodies for such peers.
-			return g.client.Call(sctx, method, req)
-		}
-		return nil, err
-	}
-	return &gatewayStream{st: st, cancel: cancel}, nil
-}
-
-// forwardWatch bridges a Watch push stream. Unlike forwardStream it is
-// deliberately unbounded in time — invalidations arrive for as long as
-// the lease holder lives — and it degrades to rpc.ErrNoMethod when the
-// connection cannot stream, so the lease layer runs leaseless exactly as
-// it would against a pre-lease peer.
-func (g *Gateway) forwardWatch(ctx context.Context, method string, req any) (any, error) {
-	sctx, cancel := context.WithCancel(ctx)
+// that the handler's caller consumes after the handler returns. sctx
+// governs the whole consumption, and its cancel fires when the stream
+// retires rather than when this function returns — the stream outlives
+// the handler by design.
+func (g *Gateway) forwardStream(sctx context.Context, cancel context.CancelFunc, method string, req any) (any, error) {
 	st, err := g.client.CallStream(sctx, method, req)
 	if err != nil {
 		cancel()
-		if errors.Is(err, ErrNoStreams) {
-			return nil, rpc.ErrNoMethod
-		}
 		return nil, err
 	}
 	return &gatewayStream{st: st, cancel: cancel}, nil
 }
 
 // gatewayStream adapts a ClientStream into the bus-facing Streamer,
-// releasing the per-call timeout when the stream ends.
+// releasing the stream's context when it ends.
 type gatewayStream struct {
 	st     *ClientStream
 	cancel context.CancelFunc
@@ -123,21 +101,6 @@ func (gs *gatewayStream) Next() (any, bool) {
 }
 
 func (gs *gatewayStream) Err() error { return gs.st.Err() }
-
-func (gs *gatewayStream) Materialize() (any, error) {
-	defer gs.cancel()
-	var resp repo.ListPartsResp
-	for {
-		chunk, ok := gs.st.Next()
-		if !ok {
-			break
-		}
-		if pl, ok := chunk.(repo.PartListing); ok {
-			resp.Parts = append(resp.Parts, pl)
-		}
-	}
-	return resp, gs.st.Err()
-}
 
 // Node reports the cluster node the gateway impersonates.
 func (g *Gateway) Node() netsim.NodeID { return g.node }

@@ -229,12 +229,12 @@ func TestLeaseConnDropBreaksAndDegrades(t *testing.T) {
 	}
 }
 
-// TestLeaseOldTCPServerDegrades pins the compat story over a real
-// socket: a remote that never registered the lease methods answers
-// ErrNoMethod through the gateway and the client runs leaseless.
+// TestLeaseOldTCPServerDegrades pins the degradation over a real socket:
+// a remote that does not serve the lease methods answers ErrNoMethod
+// through the gateway and the client runs leaseless.
 func TestLeaseOldTCPServerDegrades(t *testing.T) {
 	// A remote with an empty dispatch table: every method, including
-	// Watch and Lease, answers ErrNoMethod — the old-peer answer.
+	// Watch and Lease, answers ErrNoMethod.
 	old := rpc.NewServer("archive")
 	tcpSrv, err := Serve("127.0.0.1:0", old)
 	if err != nil {
@@ -256,11 +256,11 @@ func TestLeaseOldTCPServerDegrades(t *testing.T) {
 
 	ls := repo.NewLeaseState(c.Client, netsim.NodeID("archive"), "papers")
 	if err := ls.Start(context.Background()); err != nil {
-		t.Fatalf("start against old TCP peer: %v", err)
+		t.Fatalf("start against a leaseless TCP remote: %v", err)
 	}
 	t.Cleanup(ls.Stop)
 	if st := ls.Stats(); st.Active {
-		t.Fatalf("stats = %+v, want inactive against old peer", st)
+		t.Fatalf("stats = %+v, want inactive against a leaseless remote", st)
 	}
 	if _, _, ok := ls.Serveable("papers"); ok {
 		t.Fatal("serveable with no lease protocol on the wire")

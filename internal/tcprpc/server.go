@@ -23,10 +23,6 @@ type ServerConfig struct {
 	// Tracer, when set, records a server-side span per request whose
 	// envelope carries a sampled trace context, joined to that trace.
 	Tracer *obs.Tracer
-	// DisableNegotiation makes the server behave like a pre-codec build:
-	// hello requests fall through to dispatch (failing with ErrNoMethod)
-	// and every connection stays on gob. For compatibility testing.
-	DisableNegotiation bool
 }
 
 // Server serves an rpc.Server's dispatch table over TCP. Each decoded
@@ -39,11 +35,10 @@ type ServerConfig struct {
 // pushing backpressure onto the socket rather than buffering
 // unboundedly.
 type Server struct {
-	lis         net.Listener
-	dispatch    *rpc.Server
-	workers     int
-	tracer      *obs.Tracer
-	noNegotiate bool
+	lis      net.Listener
+	dispatch *rpc.Server
+	workers  int
+	tracer   *obs.Tracer
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
@@ -70,12 +65,11 @@ func ServeConfig(addr string, dispatch *rpc.Server, cfg ServerConfig) (*Server, 
 		workers = DefaultConnWorkers
 	}
 	s := &Server{
-		lis:         lis,
-		dispatch:    dispatch,
-		workers:     workers,
-		tracer:      cfg.Tracer,
-		noNegotiate: cfg.DisableNegotiation,
-		conns:       make(map[net.Conn]bool),
+		lis:      lis,
+		dispatch: dispatch,
+		workers:  workers,
+		tracer:   cfg.Tracer,
+		conns:    make(map[net.Conn]bool),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -131,34 +125,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	fio := newFrameIO(conn)
-	var cdc codec = newGobCodec(fio)
-
-	// The first request decides the connection's codec: a codec-aware
-	// client always leads with a hello (and sends nothing else until the
-	// reply arrives, so the stream is quiet across the switch); anything
-	// else is an old client speaking plain gob for the duration.
-	var first request
-	if _, err := cdc.readRequest(&first); err != nil {
+	// The connection opens with the client's preamble; a peer that sends
+	// anything else is dropped without a reply.
+	cdc := newWirebinCodec(conn, "", false, 0)
+	if err := cdc.readPreamble(); err != nil {
 		return
-	}
-	var pendingFirst *request
-	// streams records whether this connection's client negotiated
-	// multi-frame responses; without the hello saying so, every
-	// streamable body is materialized into one response.
-	var streams bool
-	if hr, ok := first.Body.(helloReq); ok && first.Method == methodHello && !s.noNegotiate {
-		confirmed := negotiate(hr)
-		resp := response{Seq: first.Seq, Body: confirmed}
-		if _, err := cdc.writeResponse(&resp); err != nil {
-			return
-		}
-		if confirmed.Codec == CodecWirebin {
-			cdc = newWirebinCodec(fio, hr.From, confirmed.Compress, confirmed.CompressMin)
-		}
-		streams = confirmed.Streams
-	} else {
-		pendingFirst = &first
 	}
 
 	// connCtx is the per-connection dispatch base: it is cancelled when
@@ -185,24 +156,19 @@ func (s *Server) serveConn(conn net.Conn) {
 				body, err := s.dispatch.Dispatch(ctx, netsim.NodeID(req.From), req.Method, req.Body)
 				sp.End()
 				if st, ok := body.(rpc.Streamer); ok {
-					// A streamable body: ship it chunk-by-chunk when this
-					// client negotiated streams, else collapse it to the
-					// single-response form right here. Shipping runs on a
-					// dedicated goroutine: a stream may outlive ordinary
-					// calls by hours (a Watch push channel), and parking it
-					// on a pool worker would let a handful of streams
-					// starve the connection's entire request pipeline.
-					if streams {
-						streamers.Add(1)
-						go func(seq uint64, st rpc.Streamer) {
-							defer streamers.Done()
-							if !writeStream(cdc, &wmu, seq, st) {
-								_ = conn.Close()
-							}
-						}(req.Seq, st)
-						continue
-					}
-					body, err = st.Materialize()
+					// A streamable body ships chunk-by-chunk on a dedicated
+					// goroutine: a stream may outlive ordinary calls by hours
+					// (a Watch push channel), and parking it on a pool worker
+					// would let a handful of streams starve the connection's
+					// entire request pipeline.
+					streamers.Add(1)
+					go func(seq uint64, st rpc.Streamer) {
+						defer streamers.Done()
+						if !writeStream(cdc, &wmu, seq, st) {
+							_ = conn.Close()
+						}
+					}(req.Seq, st)
+					continue
 				}
 				resp := response{Seq: req.Seq, Body: body}
 				if err != nil {
@@ -222,9 +188,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 		}()
-	}
-	if pendingFirst != nil {
-		reqCh <- *pendingFirst
 	}
 	for {
 		var req request
@@ -250,7 +213,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // on the shared socket — production of the next chunk (taking the next
 // partition snapshot, say) overlaps the previous chunk's transmission.
 // It reports whether the connection is still usable.
-func writeStream(cdc codec, wmu *sync.Mutex, seq uint64, st rpc.Streamer) bool {
+func writeStream(cdc *wirebinCodec, wmu *sync.Mutex, seq uint64, st rpc.Streamer) bool {
 	for {
 		chunk, ok := st.Next()
 		if !ok {
@@ -273,25 +236,4 @@ func writeStream(cdc codec, wmu *sync.Mutex, seq uint64, st rpc.Streamer) bool {
 	_, werr := cdc.writeResponse(&final)
 	wmu.Unlock()
 	return werr == nil
-}
-
-// negotiate picks the connection settings a hello asked for: the best
-// codec both sides speak, and compression (with its threshold) only when
-// the client requested it on a wirebin connection.
-func negotiate(hr helloReq) helloResp {
-	out := helloResp{Codec: CodecGob, Streams: hr.Streams}
-	for _, name := range hr.Codecs {
-		if name == CodecWirebin {
-			out.Codec = CodecWirebin
-			break
-		}
-	}
-	if out.Codec == CodecWirebin && hr.Compress {
-		out.Compress = true
-		out.CompressMin = hr.CompressMin
-		if out.CompressMin <= 0 {
-			out.CompressMin = defaultCompressMin
-		}
-	}
-	return out
 }

@@ -30,8 +30,8 @@ type MethodStats struct {
 // Gateway.Stats, and the httpgw /stats endpoint.
 type TransportStats struct {
 	Addr string `json:"addr"`
-	// Codec is the codec the live connection negotiated ("gob",
-	// "wirebin"; empty before the first dial).
+	// Codec names the wire codec once a connection has been dialed
+	// (always "wirebin"; empty before the first dial).
 	Codec string `json:"codec,omitempty"`
 	// Dials counts every connection established; Reconnects is the
 	// subset that replaced a previously live connection (dials - 1,
@@ -47,7 +47,7 @@ type TransportStats struct {
 	Calls    int64 `json:"calls"`
 	Failures int64 `json:"failures"`
 	// BytesSent and BytesReceived total the wire bytes across all
-	// methods (including handshakes and unattributed frames).
+	// methods (including connection preambles and unattributed frames).
 	BytesSent     int64         `json:"bytesSent"`
 	BytesReceived int64         `json:"bytesReceived"`
 	Methods       []MethodStats `json:"methods"`
@@ -78,15 +78,7 @@ type transportInstruments struct {
 	bytesRecv atomic.Int64
 
 	mu      sync.RWMutex
-	codec   string
 	methods map[string]*methodRec
-}
-
-// setCodec records the codec the live connection negotiated.
-func (in *transportInstruments) setCodec(name string) {
-	in.mu.Lock()
-	in.codec = name
-	in.mu.Unlock()
 }
 
 // addSent attributes sent wire bytes to a method ("" totals only).
@@ -168,8 +160,10 @@ func (in *transportInstruments) snapshot(addr string) TransportStats {
 		BytesSent:     in.bytesSent.Load(),
 		BytesReceived: in.bytesRecv.Load(),
 	}
+	if out.Dials > 0 {
+		out.Codec = CodecWirebin
+	}
 	in.mu.RLock()
-	out.Codec = in.codec
 	names := make([]string, 0, len(in.methods))
 	for m := range in.methods {
 		names = append(names, m)

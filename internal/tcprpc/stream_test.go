@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
-	"weaksets/internal/rpc"
 )
 
 // seedCollection puts n objects on the remote and adds them to
@@ -163,22 +161,16 @@ func TestStreamCancelMidway(t *testing.T) {
 	}
 }
 
-// TestStreamRequiresNegotiation pairs a streaming client with a server
-// predating negotiation: CallStream must refuse with ErrNoStreams, and
-// the plain Call path must deliver the same listing materialized as one
-// ListPartsResp — the cross-version fallback the gateway leans on.
-func TestStreamRequiresNegotiation(t *testing.T) {
-	remote := startRemoteConfig(t, "archive", ServerConfig{DisableNegotiation: true})
+// TestUnstreamedListPartsOverTCP sends the listing request without the
+// Stream flag through a plain Call: the handler must answer the same
+// listing materialized as one ListPartsResp.
+func TestUnstreamedListPartsOverTCP(t *testing.T) {
+	remote := startRemote(t, "archive")
 	client := Dial(remote.srv.Addr(), "tester")
 	defer client.Close()
 	want := seedCollection(t, client, "c", 30)
 
-	if _, err := client.CallStream(context.Background(), repo.MethodListParts,
-		repo.ListPartsReq{Name: "c", Stream: true}); !errors.Is(err, ErrNoStreams) {
-		t.Fatalf("CallStream without negotiation: %v, want ErrNoStreams", err)
-	}
-	out, err := client.Call(context.Background(), repo.MethodListParts,
-		repo.ListPartsReq{Name: "c", Stream: true})
+	out, err := client.Call(context.Background(), repo.MethodListParts, repo.ListPartsReq{Name: "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,24 +208,4 @@ func TestStreamServerError(t *testing.T) {
 	if err := st.Err(); !errors.Is(err, repo.ErrNoCollection) {
 		t.Fatalf("stream err = %v, want ErrNoCollection", err)
 	}
-}
-
-func startRemoteConfig(t *testing.T, node netsim.NodeID, cfg ServerConfig) *remoteProcess {
-	t.Helper()
-	net := netsim.New(netsim.Config{})
-	net.AddNode(node)
-	bus := rpc.NewBus(net)
-	repoSrv, err := repo.NewServer(bus, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpSrv, err := ServeConfig("127.0.0.1:0", busBackedDispatch(bus, node), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		tcpSrv.Close()
-		repoSrv.Close()
-	})
-	return &remoteProcess{srv: tcpSrv, repoSrv: repoSrv}
 }

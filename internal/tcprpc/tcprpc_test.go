@@ -87,7 +87,7 @@ func TestRoundTripOverTCP(t *testing.T) {
 	}
 }
 
-// TestGetBatchOverTCP round-trips the batch RPC through gob: found
+// TestGetBatchOverTCP round-trips the batch RPC over the wire: found
 // objects, missing ids, and the version-gated List all cross the socket.
 func TestGetBatchOverTCP(t *testing.T) {
 	remote := startRemote(t, "archive")
@@ -116,7 +116,7 @@ func TestGetBatchOverTCP(t *testing.T) {
 		t.Fatalf("missing = %v", resp.Missing)
 	}
 
-	// Version-gated List over the wire: NotModified survives gob.
+	// Version-gated List over the wire: NotModified survives the codec.
 	if _, err := client.Call(ctx, repo.MethodCreate, repo.CreateReq{Name: "c"}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestGetBatchOverTCP(t *testing.T) {
 	}
 }
 
-// TestConditionalGetBatchOverTCP round-trips a conditional batch through
-// gob: the Known version map rides the request and the compact
+// TestConditionalGetBatchOverTCP round-trips a conditional batch over
+// the wire: the Known version map rides the request and the compact
 // NotModified list rides the response, with only changed objects shipped.
 func TestConditionalGetBatchOverTCP(t *testing.T) {
 	remote := startRemote(t, "archive")

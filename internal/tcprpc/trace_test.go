@@ -42,7 +42,7 @@ func startTracedRemote(t *testing.T, node netsim.NodeID, tracer *obs.Tracer) *re
 // TestCrossProcessTrace is the observability acceptance test: one
 // `elements` run whose members live on a TCP-served remote process must
 // produce ONE coherent trace — every span on both sides carrying the same
-// trace id, stitched by the context propagated in the gob envelopes.
+// trace id, stitched by the context propagated in the request envelopes.
 // Run it with -race: span recording happens concurrently with the
 // fetcher goroutines and the remote's worker pool.
 func TestCrossProcessTrace(t *testing.T) {

@@ -7,7 +7,6 @@ package tcprpc
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -39,6 +38,22 @@ func echoDispatch(delay time.Duration) *rpc.Server {
 	return srv
 }
 
+// acceptRaw accepts one connection and consumes its preamble, returning
+// the server-side codec: the hand-driven peer for tests that need a
+// server to misbehave in ways Server never would.
+func acceptRaw(lis net.Listener) (net.Conn, *wirebinCodec, error) {
+	conn, err := lis.Accept()
+	if err != nil {
+		return nil, nil, err
+	}
+	cdc := newWirebinCodec(conn, "", false, 0)
+	if err := cdc.readPreamble(); err != nil {
+		_ = conn.Close()
+		return nil, nil, err
+	}
+	return conn, cdc, nil
+}
+
 // TestOutOfOrderResponses runs a raw protocol server that reads two
 // requests and answers them in reverse order: each caller must still
 // receive its own response via the seq-keyed pending map.
@@ -50,30 +65,27 @@ func TestOutOfOrderResponses(t *testing.T) {
 	}
 	defer lis.Close()
 	go func() {
-		conn, err := lis.Accept()
+		conn, cdc, err := acceptRaw(lis)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
 		var reqs [2]request
 		for i := range reqs {
-			if err := dec.Decode(&reqs[i]); err != nil {
+			if _, err := cdc.readRequest(&reqs[i]); err != nil {
 				return
 			}
 		}
 		for i := len(reqs) - 1; i >= 0; i-- { // deliberately reversed
 			in := reqs[i].Body.(repo.GetReq)
 			resp := response{Seq: reqs[i].Seq, Body: repo.Object{ID: in.ID}}
-			if err := enc.Encode(&resp); err != nil {
+			if _, err := cdc.writeResponse(&resp); err != nil {
 				return
 			}
 		}
 	}()
 
 	client := Dial(lis.Addr().String(), "tester")
-	client.Codec = CodecGob // the raw server above speaks only plain gob
 	defer client.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -112,18 +124,17 @@ func TestCancelInFlightCall(t *testing.T) {
 	}
 	defer lis.Close()
 	go func() {
-		conn, err := lis.Accept()
+		conn, cdc, err := acceptRaw(lis)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
 		var req request
-		_ = gob.NewDecoder(conn).Decode(&req) // swallow; never answer
+		_, _ = cdc.readRequest(&req) // swallow; never answer
 		time.Sleep(10 * time.Second)
 	}()
 
 	client := Dial(lis.Addr().String(), "tester")
-	client.Codec = CodecGob // the raw server above speaks only plain gob
 	defer client.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -187,36 +198,32 @@ func TestConnDropFailsAllInFlight(t *testing.T) {
 	const inflight = 16
 	go func() {
 		// First connection: read the calls, then slam the socket shut.
-		conn, err := lis.Accept()
+		conn, cdc, err := acceptRaw(lis)
 		if err != nil {
 			return
 		}
-		dec := gob.NewDecoder(conn)
 		for i := 0; i < inflight; i++ {
 			var req request
-			if err := dec.Decode(&req); err != nil {
+			if _, err := cdc.readRequest(&req); err != nil {
 				break
 			}
 		}
 		_ = conn.Close()
 		// Second connection (the redial): behave properly.
-		conn, err = lis.Accept()
+		conn, cdc, err = acceptRaw(lis)
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		dec = gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		if _, err := cdc.readRequest(&req); err != nil {
 			return
 		}
 		in := req.Body.(repo.GetReq)
-		_ = enc.Encode(&response{Seq: req.Seq, Body: repo.Object{ID: in.ID}})
+		_, _ = cdc.writeResponse(&response{Seq: req.Seq, Body: repo.Object{ID: in.ID}})
 	}()
 
 	client := Dial(lis.Addr().String(), "tester")
-	client.Codec = CodecGob // the raw server above speaks only plain gob
 	defer client.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -280,14 +287,17 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
+	cdc := newWirebinCodec(conn, "flood", false, 0)
+	if _, err := cdc.writePreamble(); err != nil {
+		t.Fatal(err)
+	}
 	const calls = 128 // 128 × 64KiB of responses ≫ socket buffers
 	writeDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < calls; i++ {
-			req := request{Seq: uint64(i + 1), From: "flood", Method: "blob",
+			req := request{Seq: uint64(i + 1), Method: "blob",
 				Body: repo.GetReq{ID: repo.ObjectID(fmt.Sprintf("b%03d", i))}}
-			if err := enc.Encode(&req); err != nil {
+			if _, err := cdc.writeRequest(&req); err != nil {
 				writeDone <- err
 				return
 			}
@@ -297,11 +307,10 @@ func TestSlowReaderBackpressure(t *testing.T) {
 
 	time.Sleep(100 * time.Millisecond) // let the server jam against the unread socket
 
-	dec := gob.NewDecoder(conn)
 	seen := make(map[uint64]bool, calls)
 	for len(seen) < calls {
 		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		if _, err := cdc.readResponse(&resp); err != nil {
 			t.Fatalf("after %d responses: %v", len(seen), err)
 		}
 		if resp.IsErr {

@@ -1,18 +1,20 @@
 // Package tcprpc carries the same RPC surface as internal/rpc over real
-// TCP sockets with gob encoding. It exists to show the weak-set stack is
-// not tied to the simulator: a repository server can be served from a
-// separate process over the wire, and a Gateway splices such a remote
-// server into a simulated cluster as an ordinary node, so weak sets and
-// dynamic sets iterate over it unchanged.
+// TCP sockets. It exists to show the weak-set stack is not tied to the
+// simulator: a repository server can be served from a separate process
+// over the wire, and a Gateway splices such a remote server into a
+// simulated cluster as an ordinary node, so weak sets and dynamic sets
+// iterate over it unchanged.
 //
-// The protocol is a persistent gob stream per connection carrying
-// sequence-numbered request/response envelopes, multiplexed: a client
-// keeps many calls in flight on one stream and matches responses to
-// callers by sequence number, and a server executes decoded requests on
-// a bounded per-connection worker pool, so responses may legally return
-// in any order. See DESIGN.md §8 for the framing, dispatch, and failure
-// semantics. Well-known sentinel errors (repo.ErrNotFound and friends)
-// are mapped to wire codes so errors.Is keeps working across the socket.
+// The protocol is one persistent connection of length-prefixed wirebin
+// frames, opened by a single client-to-server preamble frame and then
+// carrying sequence-numbered request/response envelopes, multiplexed: a
+// client keeps many calls in flight on one connection and matches
+// responses to callers by sequence number, and a server executes decoded
+// requests on a bounded per-connection worker pool, so responses may
+// legally return in any order. See DESIGN.md §8 for the dispatch and
+// failure semantics and §11 for the byte layout. Well-known sentinel
+// errors (repo.ErrNotFound and friends) are mapped to wire codes so
+// errors.Is keeps working across the socket.
 package tcprpc
 
 import (
@@ -26,9 +28,11 @@ import (
 	"weaksets/internal/rpc"
 )
 
-// request is one call envelope. Trace carries the caller's span context
-// across the process boundary, so a sampled `elements()` run produces one
-// coherent trace whose spans come from both sides of the socket.
+// request is one call envelope. From is not encoded per request: the
+// server stamps the identity the connection's preamble declared. Trace
+// carries the caller's span context across the process boundary, so a
+// sampled `elements()` run produces one coherent trace whose spans come
+// from both sides of the socket.
 type request struct {
 	Seq    uint64
 	From   string
@@ -39,10 +43,7 @@ type request struct {
 
 // response is one reply envelope. More marks a stream chunk: the call
 // has further responses coming under the same Seq, and the final one
-// (More false, and empty unless the stream failed) closes it. Peers
-// that predate streaming never see More set — servers only stream to
-// clients that negotiated it in the hello (gob ignores the unknown
-// field in either direction regardless).
+// (More false, and empty unless the stream failed) closes it.
 type response struct {
 	Seq     uint64
 	Body    any
@@ -50,43 +51,6 @@ type response struct {
 	ErrCode string
 	IsErr   bool
 	More    bool
-}
-
-// methodHello is the reserved codec-negotiation method. A codec-aware
-// client sends it as the very first request on a fresh connection, always
-// in gob; a codec-aware server intercepts it before dispatch. On a server
-// that predates negotiation it falls through to dispatch and fails with
-// rpc.ErrNoMethod, which the client reads as "speak gob" — old and new
-// peers interoperate in every pairing.
-const methodHello = "tcprpc.Hello"
-
-// helloReq opens codec negotiation.
-type helloReq struct {
-	// From identifies the caller for the connection's lifetime; wirebin
-	// envelopes omit the per-request From field and the server stamps
-	// this value instead.
-	From string
-	// Codecs lists the codecs the client speaks, most preferred first
-	// (gob is always implied as the fallback).
-	Codecs []string
-	// Compress asks for per-frame deflate on frames clearing CompressMin.
-	Compress bool
-	// CompressMin is the client's preferred minimum frame size to
-	// compress; 0 lets the server pick the default.
-	CompressMin int
-	// Streams declares the client can consume multi-frame responses
-	// (response.More); without it the server materializes streamable
-	// bodies into one response.
-	Streams bool
-}
-
-// helloResp confirms the negotiated settings, authoritative for both
-// directions of the connection.
-type helloResp struct {
-	Codec       string
-	Compress    bool
-	CompressMin int
-	Streams     bool
 }
 
 // sentinelCodes maps well-known errors onto stable wire codes.
@@ -130,13 +94,11 @@ func decodeErr(text, code string) error {
 }
 
 // registerWireTypes registers every concrete type that can ride in a
-// request or response body. gob requires this once per process; the
-// encoder/decoder constructors call it.
+// request or response body as a gob blob (a body with no wirebin
+// marshaler). gob requires this once per process; Dial and ServeConfig
+// call it.
 func registerWireTypes() {
 	gob.Register(struct{}{})
-	// Negotiation wire types.
-	gob.Register(helloReq{})
-	gob.Register(helloResp{})
 	// Repository wire types.
 	gob.Register(repo.GetReq{})
 	gob.Register(repo.GetBatchReq{})

@@ -34,7 +34,7 @@ var (
 // Register binds a message type (given by sample's concrete type) to a
 // stable wire id with its encode/decode pair. Ids must be unique and
 // non-zero; both sides of a connection must agree on the numbering, which
-// the handshake guarantees by negotiating the codec version as a unit.
+// the version byte in the connection preamble stands for.
 func Register(id uint16, sample any, enc EncodeFunc, dec DecodeFunc) {
 	if id == 0 {
 		panic("wirebin: id 0 is reserved")

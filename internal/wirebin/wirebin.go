@@ -1,5 +1,5 @@
 // Package wirebin is the compact binary wire codec the TCP transport
-// negotiates for the hot-path message types (DESIGN.md §11). It replaces
+// speaks (DESIGN.md §11). For the hot-path message types it replaces
 // gob's reflection, type descriptors, and per-message allocations with
 // hand-rolled length-prefixed encoding over pooled buffers:
 //
