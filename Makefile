@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-obs bench-cache bench-scale bench-frontier bench-replica bench-trend bench-e2e bench sweep sweep-iter sweep-rpc sweep-obs sweep-cache sweep-scale sweep-frontier sweep-replica clean
+.PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend bench-e2e bench sweep sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
-check: vet build race fuzz-smoke bench-store bench-iter bench-rpc bench-obs bench-cache bench-scale bench-frontier bench-replica bench-trend
+check: vet build race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend
 
 vet:
 	$(GO) vet ./...
@@ -34,9 +34,9 @@ fuzz-smoke:
 bench-store:
 	$(GO) test -run xxx -bench BenchmarkStoreContention -benchtime 2000x .
 
-# Smoke the iterator fetch pipeline: batched vs per-object over a spread
-# collection catches regressions in the elements hot path. The in-process
-# modes only — the tcp-* modes are bench-rpc's job.
+# Smoke the iterator fetch pipeline: default batching vs one id per round
+# trip over a spread collection catches regressions in the elements hot
+# path. The in-process modes only — the tcp-* modes are bench-rpc's job.
 bench-iter:
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
 
@@ -49,20 +49,6 @@ bench-iter:
 bench-rpc:
 	$(GO) test ./internal/repo -run TestAllocBudget -count 1
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
-
-# Smoke the observability overhead sweep: a quick pass over the four
-# instrumentation modes (off / weakness / sampled / full) catches gross
-# regressions in the traced hot path. Writes to /tmp so the committed
-# BENCH_obs.json (produced by sweep-obs) is left alone.
-bench-obs:
-	$(GO) run ./cmd/weakbench -obs -obs-quick -obs-json /tmp/BENCH_obs_smoke.json
-
-# Smoke the element cache: a quick cold/warm/mutating pass catches
-# regressions in the version-validated read path (snapshot warm runs must
-# go RPC-free, unchanged sets must ship no payload). Writes to /tmp so the
-# committed BENCH_cache.json (produced by sweep-cache) is left alone.
-bench-cache:
-	$(GO) run ./cmd/weakbench -cache -cache-quick -cache-json /tmp/BENCH_cache_smoke.json
 
 # Smoke the listing scalability sweep: the partitioned streaming
 # listing at two small sizes catches regressions in the scatter-gather
@@ -88,14 +74,12 @@ bench-frontier:
 bench-replica:
 	$(GO) run ./cmd/weakbench -replica -replica-quick -replica-json /tmp/BENCH_replica_smoke.json
 
-# Trend gate: re-run the quick store, iter, cache, TCP, obs, and scale
-# sweeps and compare their size-independent figures (sharded-engine
-# speedup, batched-fetch speedup, bytes elided warm, leased steady-state
-# RPCs/run, multiplexing speedup, obs overhead, listing degradation
-# caps) against the committed BENCH_*.json reports. Fails loudly on
-# reproducible regressions — a failing sweep is re-measured once to
-# absorb host noise; absolute throughput is never compared, so it is
-# machine-portable.
+# Trend gate: re-run the quick store, iter, TCP, and scale sweeps and
+# compare their size-independent figures (sharded-engine speedup,
+# batched-fetch speedup, multiplexing speedup, listing degradation caps)
+# against the committed BENCH_*.json reports. Fails loudly on reproducible
+# regressions — a failing sweep is re-measured once to absorb host noise;
+# absolute throughput is never compared, so it is machine-portable.
 bench-trend:
 	$(GO) run ./cmd/weakbench -trend
 
@@ -121,14 +105,6 @@ sweep-iter:
 sweep-rpc:
 	$(GO) run ./cmd/weakbench -rpc
 
-# Regenerate BENCH_obs.json from the full observability overhead sweep.
-sweep-obs:
-	$(GO) run ./cmd/weakbench -obs
-
-# Regenerate BENCH_cache.json from the full element-cache sweep.
-sweep-cache:
-	$(GO) run ./cmd/weakbench -cache
-
 # Regenerate BENCH_scale.json from the full listing-scalability sweep
 # (10k to 1M elements; slow).
 sweep-scale:
@@ -143,6 +119,11 @@ sweep-frontier:
 # sweep (16 readers, 1/2/3 replicas under churn, kill phase; slow).
 sweep-replica:
 	$(GO) run ./cmd/weakbench -replica
+
+# The one number ROADMAP's "net non-test LOC goes down" tracks: Go lines
+# outside tests and outside the end-to-end benchmark harness.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

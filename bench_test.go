@@ -77,9 +77,9 @@ func BenchmarkE7GrowRace(b *testing.B) { runExperiment(b, "E7") }
 // BenchmarkE8Ghosts regenerates E8: ghost-copy accounting (§3.3 claim).
 func BenchmarkE8Ghosts(b *testing.B) { runExperiment(b, "E8") }
 
-// BenchmarkE9QuorumDirectory regenerates E9: single vs majority-quorum
-// directory availability (§3.3 quorum variant).
-func BenchmarkE9QuorumDirectory(b *testing.B) { runExperiment(b, "E9") }
+// BenchmarkE9ReplicatedDirectory regenerates E9: single vs replicated
+// directory availability (the §3.3 replication remark).
+func BenchmarkE9ReplicatedDirectory(b *testing.B) { runExperiment(b, "E9") }
 
 // BenchmarkKernelStep measures the pure semantic kernel: one decision over
 // a 64-element pre-state.
@@ -292,8 +292,9 @@ func startTCPArchive(b *testing.B, lat time.Duration) (*tcprpc.Server, func()) {
 	}
 }
 
-// BenchmarkIterFetch compares the iterator's batched fetch pipeline
-// against the one-Get-per-element baseline: a 64-element snapshot
+// BenchmarkIterFetch compares the iterator's fetch pipeline at its
+// defaults against the same pipeline at one id per round trip (Batch: 1,
+// Inflight: 1 — the per-object baseline): a 64-element snapshot
 // iteration. The per-object and batched modes spread members over 4
 // in-process storage nodes; the tcp-serial and tcp-mux modes host every
 // member on a repository server reachable only over a real loopback
@@ -347,7 +348,10 @@ func BenchmarkIterFetch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			fetch := core.FetchOptions{Disable: mode == "per-object"}
+			var fetch core.FetchOptions
+			if mode == "per-object" {
+				fetch = core.FetchOptions{Batch: 1, Inflight: 1}
+			}
 			if overTCP {
 				// All 64 members live on one node; the default batch of 64
 				// would ride in a single GetBatch and leave the transport

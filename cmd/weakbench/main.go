@@ -3,14 +3,12 @@
 // table per experiment. With -store it instead sweeps the storage-engine
 // contention benchmark (locked vs sharded across worker counts) and writes
 // the machine-readable results to BENCH_store.json. With -iter it sweeps
-// the iterator fetch pipeline (batched vs one-Get-per-element) and writes
-// BENCH_iter.json.
+// the iterator fetch pipeline (default batching vs one id per round trip)
+// and writes BENCH_iter.json.
 //
 // With -rpc it sweeps the TCP transport (serialized vs multiplexed
 // clients at increasing in-flight budgets and payload sizes, over real
-// loopback sockets) and writes BENCH_rpc.json. With -obs it measures what
-// the tracing and weakness-telemetry layer costs on the elements hot path
-// and writes BENCH_obs.json.
+// loopback sockets) and writes BENCH_rpc.json.
 //
 // With -scale it sweeps the listing path itself — a full Elements run
 // over one collection grown from 10k to 1M members through the
@@ -32,7 +30,6 @@
 //	weakbench -store [-store-json BENCH_store.json]
 //	weakbench -iter [-iter-json BENCH_iter.json]
 //	weakbench -rpc [-rpc-json BENCH_rpc.json]
-//	weakbench -obs [-obs-json BENCH_obs.json]
 //	weakbench -scale [-scale-json BENCH_scale.json]
 //	weakbench -frontier [-frontier-json BENCH_frontier.json]
 package main
@@ -90,12 +87,6 @@ func run(args []string) error {
 		rpcJSON   = fs.String("rpc-json", "BENCH_rpc.json", "where -rpc writes its machine-readable results")
 		rpcQk     = fs.Bool("rpc-quick", false, "trim the -rpc sweep (smaller snapshot, fewer budgets)")
 		rpcLat    = fs.Duration("rpc-latency", 2*time.Millisecond, "simulated per-RPC service time on the -rpc remote (disk/WAN stand-in)")
-		obsRun    = fs.Bool("obs", false, "run the observability overhead sweep instead of experiments")
-		obsJSON   = fs.String("obs-json", "BENCH_obs.json", "where -obs writes its machine-readable results")
-		obsQk     = fs.Bool("obs-quick", false, "trim the -obs sweep (fewer runs per trial)")
-		cacheRun  = fs.Bool("cache", false, "run the element-cache cold/warm/mutating sweep instead of experiments")
-		cacheJSON = fs.String("cache-json", "BENCH_cache.json", "where -cache writes its machine-readable results")
-		cacheQk   = fs.Bool("cache-quick", false, "trim the -cache sweep (smaller set)")
 		scaleRun  = fs.Bool("scale", false, "run the listing scalability sweep (partitioned streaming listing, 10k-1M elements) instead of experiments")
 		scaleJSON = fs.String("scale-json", "BENCH_scale.json", "where -scale writes its machine-readable results")
 		scaleQk   = fs.Bool("scale-quick", false, "trim the -scale sweep (smaller sets, one round)")
@@ -105,7 +96,7 @@ func run(args []string) error {
 		replRun   = fs.Bool("replica", false, "run the replica-parallel read sweep (1/2/3 replicas under churn, plus a kill-one-replica phase) instead of experiments")
 		replJSON  = fs.String("replica-json", "BENCH_replica.json", "where -replica writes its machine-readable results")
 		replQk    = fs.Bool("replica-quick", false, "trim the -replica sweep (smaller set, fewer runs)")
-		trendRun  = fs.Bool("trend", false, "run quick store+iter+cache+rpc+obs+scale smoke sweeps and gate their size-independent figures against the committed BENCH_*.json reports")
+		trendRun  = fs.Bool("trend", false, "run quick store+iter+rpc+scale smoke sweeps and gate their size-independent figures against the committed BENCH_*.json reports")
 		trendTol  = fs.Float64("trend-tolerance", 0.5, "multiplicative tolerance for -trend ratio comparisons (0.5 = fail below half the committed speedup)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	)
@@ -134,12 +125,6 @@ func run(args []string) error {
 	if *rpcRun {
 		return runRPCSweep(*rpcJSON, *rpcQk, *rpcLat)
 	}
-	if *obsRun {
-		return runObsSweep(*obsJSON, *obsQk, *seed)
-	}
-	if *cacheRun {
-		return runCacheSweep(*cacheJSON, *cacheQk, *seed, 1)
-	}
 	if *scaleRun {
 		return runScaleSweep(*scaleJSON, *scaleQk, *seed)
 	}
@@ -151,8 +136,7 @@ func run(args []string) error {
 	}
 	if *trendRun {
 		return runTrend(trendPaths{
-			store: *storeJSON, iter: *iterJSON,
-			cache: *cacheJSON, rpc: *rpcJSON, obs: *obsJSON, scale: *scaleJSON,
+			store: *storeJSON, iter: *iterJSON, rpc: *rpcJSON, scale: *scaleJSON,
 		}, *trendTol, *seed, *rpcLat, sim.TimeScale(*iterScale))
 	}
 
@@ -306,7 +290,7 @@ func fmtLat(d time.Duration) string {
 type benchMeta struct {
 	GoVersion   string `json:"goVersion"`
 	Codec       string `json:"codec"`
-	Compression string `json:"compression"` // "off" or "deflate>=<N>B"
+	Compression string `json:"compression"` // "off": no sweep compresses frames
 	// GOMAXPROCS and Partitions identify the machine shape and listing
 	// partition configuration a sweep ran under; sweeps they don't apply
 	// to leave them zero and they stay out of the JSON.
@@ -314,16 +298,12 @@ type benchMeta struct {
 	Partitions []int `json:"partitions,omitempty"`
 }
 
-func newBenchMeta(codec string, compress bool, compressMin int) benchMeta {
-	m := benchMeta{GoVersion: runtime.Version(), Codec: codec, Compression: "off"}
-	if compress {
-		m.Compression = fmt.Sprintf("deflate>=%dB", compressMin)
-	}
-	return m
+func newBenchMeta(codec string) benchMeta {
+	return benchMeta{GoVersion: runtime.Version(), Codec: codec, Compression: "off"}
 }
 
 // inprocMeta is the metadata for sweeps with no wire in the hot path.
-func inprocMeta() benchMeta { return newBenchMeta("inproc", false, 0) }
+func inprocMeta() benchMeta { return newBenchMeta("inproc") }
 
 // rpcResult is one row of the -rpc sweep: one full snapshot fetch over
 // real TCP with a fixed transport mode, in-flight budget, and payload.
@@ -341,32 +321,6 @@ type rpcResult struct {
 	MaxInFlight int64         `json:"maxInFlight"`
 }
 
-// rpcCodecCfg selects the wire configuration for one codec-section row.
-type rpcCodecCfg struct {
-	label       string
-	compress    bool
-	compressMin int
-}
-
-// rpcCodecResult is one row of the codec section: the same snapshot
-// fetch with compression off or on, at zero service latency so
-// serialization is the dominant cost. AllocsPerCall is whole-process
-// (client plus the in-process remote) — the comparative figure the
-// pooled-frame codec is meant to move, not a per-side absolute.
-type rpcCodecResult struct {
-	Codec         string        `json:"codec"`
-	Compress      bool          `json:"compress"`
-	Payload       int           `json:"payloadBytes"`
-	Budget        int           `json:"budget"`
-	Batches       int64         `json:"batchRPCs"`
-	Elapsed       time.Duration `json:"elapsedNs"`
-	CallsPerSec   float64       `json:"callsPerSec"`
-	ElemsPerSec   float64       `json:"elemsPerSec"`
-	AllocsPerCall float64       `json:"allocsPerCall"`
-	BytesSent     int64         `json:"bytesSent"`
-	BytesReceived int64         `json:"bytesReceived"`
-}
-
 // rpcReport is the BENCH_rpc.json document. Speedup maps
 // "payload=N/budget=B" to multiplexed-over-serial elements/sec.
 type rpcReport struct {
@@ -379,7 +333,6 @@ type rpcReport struct {
 	Budgets          []int              `json:"budgets"`
 	Results          []rpcResult        `json:"results"`
 	Speedup          map[string]float64 `json:"speedup"`
-	CodecResults     []rpcCodecResult   `json:"codecResults"`
 }
 
 // startRPCRemote boots the sweep's "remote process": its own network,
@@ -439,7 +392,7 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 	maxBudget := budgets[len(budgets)-1]
 
 	report := rpcReport{
-		Meta:             newBenchMeta(tcprpc.CodecWirebin, false, 0),
+		Meta:             newBenchMeta(tcprpc.CodecWirebin),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		Elements:         elements,
 		Batch:            batch,
@@ -500,59 +453,6 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 	}
 	table.Render(os.Stdout)
 
-	// The codec section re-runs the budget-8 fetch with the service time
-	// zeroed: with no simulated disk in the way, what remains per call is
-	// framing and (de)serialization, so what compression costs and saves
-	// is visible instead of hiding behind milliseconds of sleep.
-	const (
-		codecBudget = 8
-		codecBatch  = 64
-	)
-	codecCfgs := []rpcCodecCfg{
-		{label: "wirebin"},
-		{label: "wirebin+z", compress: true, compressMin: 512},
-	}
-	ctable := metrics.NewTable(
-		fmt.Sprintf("TCP codec: %d-element snapshot fetch, batch=%d, budget=%d, no service latency",
-			elements, codecBatch, codecBudget),
-		"payload", "codec", "rpc/sec", "allocs/call", "sent B/call", "recv B/call")
-	rounds := 20
-	if quick {
-		rounds = 5
-	}
-	for _, payload := range payloads {
-		srv, err := startCodecRemote(elements, payload, codecBudget)
-		if err != nil {
-			return fmt.Errorf("rpc codec sweep: %w", err)
-		}
-		for _, cfg := range codecCfgs {
-			res, err := runCodecFetch(ctx, srv.Addr(), cfg, codecBudget, codecBatch, elements, rounds)
-			if err != nil {
-				srv.Close()
-				return fmt.Errorf("rpc codec sweep: %s/payload=%d: %w", cfg.label, payload, err)
-			}
-			res.Payload = payload
-			report.CodecResults = append(report.CodecResults, res)
-
-			perCall := func(total int64) string {
-				if res.Batches == 0 {
-					return "-"
-				}
-				return fmt.Sprintf("%d", total/res.Batches)
-			}
-			ctable.AddRow(
-				fmt.Sprintf("%dB", payload),
-				cfg.label,
-				fmt.Sprintf("%.0f", res.CallsPerSec),
-				fmt.Sprintf("%.1f", res.AllocsPerCall),
-				perCall(res.BytesSent),
-				perCall(res.BytesReceived),
-			)
-		}
-		srv.Close()
-	}
-	ctable.Render(os.Stdout)
-
 	f, err := os.Create(jsonPath)
 	if err != nil {
 		return fmt.Errorf("rpc sweep: %w", err)
@@ -568,36 +468,6 @@ func runRPCSweep(jsonPath string, quick bool, serviceLat time.Duration) error {
 	}
 	fmt.Printf("wrote %s (%d results)\n", jsonPath, len(report.Results))
 	return nil
-}
-
-// startCodecRemote serves the snapshot straight from memory: no
-// simulated bus, no storage engine, no service latency. Against this
-// remote the fetch loop's cost is the transport and the codec alone,
-// which is exactly what the codec section compares.
-func startCodecRemote(elements, payload, workers int) (*tcprpc.Server, error) {
-	members := make([]repo.Ref, elements)
-	objs := make(map[repo.ObjectID]repo.Object, elements)
-	for i := range members {
-		id := repo.ObjectID(fmt.Sprintf("e%04d", i))
-		members[i] = repo.Ref{ID: id, Node: "archive"}
-		objs[id] = repo.Object{ID: id, Data: make([]byte, payload), Version: 1}
-	}
-	dispatch := rpc.NewServer("archive")
-	dispatch.Handle(repo.MethodList, func(context.Context, netsim.NodeID, any) (any, error) {
-		return repo.ListResp{Members: members, Version: 1}, nil
-	})
-	dispatch.Handle(repo.MethodGetBatch, func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-		in, ok := req.(repo.GetBatchReq)
-		if !ok {
-			return nil, fmt.Errorf("GetBatch: bad body %T", req)
-		}
-		resp := repo.GetBatchResp{Objects: make([]repo.Object, 0, len(in.IDs))}
-		for _, id := range in.IDs {
-			resp.Objects = append(resp.Objects, objs[id])
-		}
-		return resp, nil
-	})
-	return tcprpc.ServeConfig("127.0.0.1:0", dispatch, tcprpc.ServerConfig{Workers: workers})
 }
 
 // seedSnapshot populates the "snap" collection on the remote at addr
@@ -719,67 +589,12 @@ func runRPCFetch(ctx context.Context, addr, mode string, budget, batch, elements
 	return res, nil
 }
 
-// runCodecFetch runs drainSnapshot with the client on cfg's compression
-// settings, reading runtime.MemStats around the timed region:
-// ΔMallocs over GetBatch calls is the whole-process allocations-per-call
-// figure. Wire bytes come from the client's own per-method accounting,
-// so a compression win shows up as fewer BytesReceived for the same
-// payload.
-func runCodecFetch(ctx context.Context, addr string, cfg rpcCodecCfg, budget, batch, elements, rounds int) (rpcCodecResult, error) {
-	client := tcprpc.Dial(addr, "bench-codec-"+cfg.label)
-	client.Compress = cfg.compress
-	client.CompressMin = cfg.compressMin
-	defer client.Close()
-
-	// Dial and warm the connection outside the timed and alloc-counted
-	// region.
-	if _, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "snap"}); err != nil {
-		return rpcCodecResult{}, err
-	}
-
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	var elapsed time.Duration
-	for i := 0; i < rounds; i++ {
-		d, err := drainSnapshot(ctx, client, budget, batch, elements)
-		if err != nil {
-			return rpcCodecResult{}, err
-		}
-		elapsed += d
-	}
-	runtime.ReadMemStats(&m1)
-
-	st := client.Stats()
-	res := rpcCodecResult{
-		Codec:    cfg.label,
-		Compress: cfg.compress,
-		Budget:   budget,
-		Elapsed:  elapsed,
-	}
-	for _, m := range st.Methods {
-		if m.Method == repo.MethodGetBatch {
-			res.Batches = m.Count
-			res.BytesSent = m.BytesSent
-			res.BytesReceived = m.BytesReceived
-		}
-	}
-	if res.Batches > 0 {
-		res.AllocsPerCall = float64(m1.Mallocs-m0.Mallocs) / float64(res.Batches)
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		res.ElemsPerSec = float64(elements*rounds) / s
-		res.CallsPerSec = float64(res.Batches) / s
-	}
-	return res, nil
-}
-
 // iterResult is one row of the -iter sweep: one iterator run over a
 // populated collection with a fixed fetch configuration.
 type iterResult struct {
 	Semantics   string        `json:"semantics"`
 	Elements    int           `json:"elements"`
-	Mode        string        `json:"mode"` // "batched" or "per-object"
+	Mode        string        `json:"mode"` // "batched" or "per-object" (Batch: 1, Inflight: 1)
 	Yielded     int           `json:"yielded"`
 	Virtual     time.Duration `json:"virtualNs"`
 	ElemsPerSec float64       `json:"elemsPerSec"` // per virtual second
@@ -805,9 +620,10 @@ type iterReport struct {
 }
 
 // runIterSweep measures the elements hot path: elements/sec (in virtual
-// time) for the batched, pipelined fetch pipeline against the
-// one-Get-per-element baseline, per semantics and set size, with members
-// spread round-robin across the storage nodes. RPC counts come from the
+// time) for the fetch pipeline at its defaults against the same pipeline
+// at one id per batch and one batch in flight (the per-object baseline),
+// per semantics and set size, with members spread round-robin across the
+// storage nodes. RPC counts come from the
 // bus, so the round-trip savings are visible next to the throughput.
 func runIterSweep(jsonPath string, quick bool, seed int64, scale sim.TimeScale) error {
 	sizes := []int{100, 1000}
@@ -878,10 +694,11 @@ func runIterSweep(jsonPath string, quick bool, seed int64, scale sim.TimeScale) 
 		for _, sem := range []core.Semantics{core.Snapshot, core.GrowOnly} {
 			base := 0.0
 			for _, mode := range []string{"per-object", "batched"} {
-				set, err := core.NewSet(c.Client, cluster.DirNode, coll, core.Options{
-					Semantics: sem,
-					Fetch:     core.FetchOptions{Disable: mode == "per-object"},
-				})
+				opts := core.Options{Semantics: sem}
+				if mode == "per-object" {
+					opts.Fetch = core.FetchOptions{Batch: 1, Inflight: 1}
+				}
+				set, err := core.NewSet(c.Client, cluster.DirNode, coll, opts)
 				if err != nil {
 					c.Close()
 					return fmt.Errorf("iter sweep: %w", err)

@@ -380,11 +380,10 @@ func runReplicaPhase(ctx context.Context, c *cluster.Cluster, coll string, nodes
 				Semantics: core.GrowOnly,
 				Weakness:  reg,
 				Replicas:  core.ReplicaConfig{Nodes: nodes},
-				// Small uncached batches keep element fetches — the part of
-				// the read that genuinely spreads across replicas — the
-				// dominant load, so the sweep prices replica capacity, not
-				// the client cache.
-				Fetch: core.FetchOptions{Batch: 16, NoCache: true},
+				// Small batches (the sweep's clients carry no cache) keep
+				// element fetches — the part of the read that genuinely
+				// spreads across replicas — the dominant load.
+				Fetch: core.FetchOptions{Batch: 16},
 			})
 			for r := 0; err == nil && r < runs; r++ {
 				var n int

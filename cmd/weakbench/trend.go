@@ -1,17 +1,15 @@
 package main
 
 // The -trend gate: the ROADMAP trend-tracking item. It re-runs the quick
-// store, iterator, cache, TCP, observability, and scale sweeps, then
-// compares the figures that are stable across sweep sizes against the
-// committed BENCH_*.json reports and fails loudly on gross regressions.
+// store, iterator, TCP, and scale sweeps, then compares the figures that
+// are stable across sweep sizes against the committed BENCH_*.json
+// reports and fails loudly on gross regressions.
 // Absolute throughput is deliberately not compared — the smoke sweeps are
 // smaller and the machines differ — only ratios and invariants that a
 // correct implementation reproduces at any size: the sharded store's
 // advantage over the single-mutex engine, the batched fetch pipeline's
-// speedup over per-object Gets, payload bytes elided by the warm cache,
-// read RPCs per steady-state leased run, the multiplexing speedup, the
-// observability overhead ceiling, and the partitioned listing's
-// per-element and first-element degradation caps.
+// speedup over one id per round trip, the multiplexing speedup, and the
+// partitioned listing's per-element and first-element degradation caps.
 //
 // Several sweeps time sub-millisecond real intervals, and on a small CI
 // box a single load spike can sink whichever sweep it lands on. A sweep
@@ -100,7 +98,7 @@ func loadTrendReport(path string, into any) error {
 
 // trendPaths names the committed reports the gate compares against.
 type trendPaths struct {
-	store, iter, cache, rpc, obs, scale string
+	store, iter, rpc, scale string
 }
 
 // trendGate couples one smoke sweep with the comparison of its report
@@ -126,8 +124,8 @@ func (g trendGate) attempt() (failures, skipped []string, err error) {
 // iterScale must match the scale the committed iter report was measured
 // at, or the CPU-vs-WAN balance shifts and the speedups don't compare.
 func runTrend(committed trendPaths, tol float64, seed int64, rpcLat time.Duration, iterScale sim.TimeScale) error {
-	fmt.Printf("trend gate: smoke sweeps vs %s, %s, %s, %s, %s, %s (ratio tolerance %.0f%%)\n\n",
-		committed.store, committed.iter, committed.cache, committed.rpc, committed.obs, committed.scale, 100*tol)
+	fmt.Printf("trend gate: smoke sweeps vs %s, %s, %s, %s (ratio tolerance %.0f%%)\n\n",
+		committed.store, committed.iter, committed.rpc, committed.scale, 100*tol)
 
 	gates := []trendGate{
 		{
@@ -201,51 +199,6 @@ func runTrend(committed trendPaths, tol float64, seed int64, rpcLat time.Duratio
 			},
 		},
 		{
-			name: "cache",
-			path: "/tmp/BENCH_cache_trend.json",
-			run: func(path string) error {
-				return runCacheSweep(path, true, seed, sim.TimeScale(1))
-			},
-			eval: func(path string) ([]string, []string, error) {
-				var com, smoke cacheReport
-				if err := loadTrendReport(committed.cache, &com); err != nil {
-					return nil, nil, fmt.Errorf("trend: %w", err)
-				}
-				if err := loadTrendReport(path, &smoke); err != nil {
-					return nil, nil, fmt.Errorf("trend: %w", err)
-				}
-				var checks []trendCheck
-				var failures, skipped []string
-				for sem, c := range com.ByteReduction {
-					s, ok := smoke.ByteReduction[sem]
-					if !ok {
-						skipped = append(skipped, "cache byteReduction/"+sem)
-						continue
-					}
-					checks = append(checks, trendCheck{"cache byteReduction/" + sem, c, s, "fraction"})
-				}
-				for sem, c := range com.LeaseSteadyRPCsPerRun {
-					s, ok := smoke.LeaseSteadyRPCsPerRun[sem]
-					if !ok {
-						skipped = append(skipped, "cache leaseSteadyRPCsPerRun/"+sem)
-						continue
-					}
-					// The leased steady state must stay at (or within
-					// rounding of) the committed zero: any run that starts
-					// paying revalidation RPCs again is exactly the
-					// regression this gate exists to catch.
-					if s > c+0.5 {
-						msg := fmt.Sprintf("cache leaseSteadyRPCsPerRun/%s: smoke %.1f RPCs/run vs committed %.1f (ceiling +0.5)", sem, s, c)
-						failures = append(failures, msg)
-						fmt.Printf("  FAIL %s\n", msg)
-						continue
-					}
-					fmt.Printf("  ok  cache leaseSteadyRPCsPerRun/%s: %.1f RPCs/run (committed %.1f)\n", sem, s, c)
-				}
-				return append(failures, evalChecks(checks, tol)...), skipped, nil
-			},
-		},
-		{
 			name: "rpc",
 			path: "/tmp/BENCH_rpc_trend.json",
 			run: func(path string) error {
@@ -275,80 +228,6 @@ func runTrend(committed trendPaths, tol float64, seed int64, rpcLat time.Duratio
 					checks = append(checks, trendCheck{"rpc speedup/" + key, c, s, "ratio"})
 				}
 				return evalChecks(checks, tol), skipped, nil
-			},
-		},
-		{
-			name: "obs",
-			path: "/tmp/BENCH_obs_trend.json",
-			run: func(path string) error {
-				return runObsSweep(path, true, seed)
-			},
-			eval: func(path string) ([]string, []string, error) {
-				var com, smoke obsReport
-				if err := loadTrendReport(committed.obs, &com); err != nil {
-					return nil, nil, fmt.Errorf("trend: %w", err)
-				}
-				if err := loadTrendReport(path, &smoke); err != nil {
-					return nil, nil, fmt.Errorf("trend: %w", err)
-				}
-				// Observability overhead: percent of throughput lost with
-				// the accounting plane on. The committed figures hover
-				// around zero (noise in either direction), so the gate is
-				// an absolute ceiling, not a ratio: smoke overhead must
-				// stay within a fixed band above the committed value
-				// floored at zero. The band is wide because the off
-				// baseline and each mode are independently timed batches —
-				// on a busy CI box either can catch a load spike, swinging
-				// the relative figure by tens of points. The gate exists to
-				// catch gross regressions (an accounting plane that halves
-				// throughput), not single-digit drift; negative smoke
-				// overhead is never a failure.
-				const obsBand = 35.0 // absolute percentage points over max(committed, 0)
-				var failures, skipped []string
-				for mode, s := range smoke.OverheadPct {
-					c, ok := com.OverheadPct[mode]
-					if !ok {
-						skipped = append(skipped, "obs overheadPct/"+mode)
-						continue
-					}
-					ceiling := c
-					if ceiling < 0 {
-						ceiling = 0
-					}
-					ceiling += obsBand
-					if s > ceiling {
-						msg := fmt.Sprintf("obs overheadPct/%s: smoke %+.1f%% vs committed %+.1f%% (ceiling %+.1f%%)", mode, s, c, ceiling)
-						failures = append(failures, msg)
-						fmt.Printf("  FAIL %s\n", msg)
-						continue
-					}
-					fmt.Printf("  ok  obs overheadPct/%s: %+.1f%% (committed %+.1f%%, ceiling %+.1f%%)\n", mode, s, c, ceiling)
-				}
-				// Structural obs gate, immune to timing noise: each
-				// instrumentation mode must still do what it claims — no
-				// spans without a tracer, a few under sampling, every run's
-				// worth under full tracing.
-				for _, res := range smoke.Results {
-					var bad string
-					switch res.Mode {
-					case "off", "weakness":
-						if res.SpansRetained != 0 {
-							bad = fmt.Sprintf("retained %d spans with no tracer", res.SpansRetained)
-						}
-					case "sampled", "full":
-						if res.SpansRetained == 0 {
-							bad = "retained no spans with tracing on"
-						}
-					}
-					if bad != "" {
-						msg := fmt.Sprintf("obs spans/%s: %s", res.Mode, bad)
-						failures = append(failures, msg)
-						fmt.Printf("  FAIL %s\n", msg)
-						continue
-					}
-					fmt.Printf("  ok  obs spans/%s: %d spans retained\n", res.Mode, res.SpansRetained)
-				}
-				return failures, skipped, nil
 			},
 		},
 		{

@@ -362,27 +362,3 @@ func TestCacheKeepsReadYourWrites(t *testing.T) {
 		t.Fatalf("deleted member yielded as %+v, want stale identity-only yield", last)
 	}
 }
-
-// TestFetchNoCache keeps the opt-out honest: with Fetch.NoCache the warm
-// run fetches everything again even though the client carries a cache.
-func TestFetchNoCache(t *testing.T) {
-	w := newTestWorld(t, 6)
-	ctx := context.Background()
-	cache := repo.NewCache(64)
-	w.c.Client.UseCache(cache)
-	s := w.set(t, Options{Semantics: Snapshot, Fetch: FetchOptions{NoCache: true}})
-
-	if cold, err := s.Collect(ctx); err != nil || len(cold) != 6 {
-		t.Fatalf("cold run: %d elems, %v", len(cold), err)
-	}
-	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
-	if warm, err := s.Collect(ctx); err != nil || len(warm) != 6 {
-		t.Fatalf("warm run: %d elems, %v", len(warm), err)
-	}
-	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d == 0 {
-		t.Fatal("NoCache run served from the cache")
-	}
-	if st := cache.Stats(); st.Hits != 0 {
-		t.Fatalf("NoCache run recorded cache hits: %+v", st)
-	}
-}

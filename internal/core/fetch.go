@@ -24,9 +24,6 @@ import (
 
 // FetchOptions tunes the Iterator's batched fetch path.
 type FetchOptions struct {
-	// Disable turns batching off: every element costs one Get round trip.
-	// Kept for comparison benchmarks and as an escape hatch.
-	Disable bool
 	// Batch caps how many ids ride in one GetBatch RPC. Defaults to 64.
 	Batch int
 	// Inflight bounds concurrent batch RPCs. Defaults to 4.
@@ -39,9 +36,6 @@ type FetchOptions struct {
 	// nil falls back to the cache attached to the client via
 	// repo.Client.UseCache, if any.
 	Cache *repo.Cache
-	// NoCache opts the run out of the element cache even when the client
-	// has one attached — the baseline for cache-off comparisons.
-	NoCache bool
 }
 
 // WithDefaults resolves the zero values to the effective defaults.

@@ -36,20 +36,26 @@ func TestBatchedIteratorUsesBatchRPC(t *testing.T) {
 	}
 }
 
-// TestFetchDisableRestoresPerObjectPath keeps the baseline honest: with
-// Fetch.Disable every element costs one Get and no GetBatch is issued.
+// TestFetchDisableRestoresPerObjectPath keeps the per-object baseline
+// honest now that it is a parameter value of the one pipeline: with
+// Batch: 1, Inflight: 1 every yield costs exactly one one-id GetBatch and
+// no Get is issued.
 func TestFetchDisableRestoresPerObjectPath(t *testing.T) {
 	w := newTestWorld(t, 6)
 	ctx := context.Background()
+	gets := w.c.Bus.MethodCalls(repo.MethodGet)
 	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
 
-	s := w.set(t, Options{Semantics: Snapshot, Fetch: FetchOptions{Disable: true}})
+	s := w.set(t, Options{Semantics: Snapshot, Fetch: FetchOptions{Batch: 1, Inflight: 1}})
 	elems, err := s.Collect(ctx)
 	if err != nil || len(elems) != 6 {
 		t.Fatalf("collect = %d elems, %v", len(elems), err)
 	}
-	if got := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; got != 0 {
-		t.Fatalf("disabled fetch path issued %d GetBatch RPCs", got)
+	if got := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; got != 6 {
+		t.Fatalf("6 yields at one id per batch issued %d GetBatch RPCs, want 6", got)
+	}
+	if got := w.c.Bus.MethodCalls(repo.MethodGet) - gets; got != 0 {
+		t.Fatalf("per-object arm issued %d Gets, want 0", got)
 	}
 }
 

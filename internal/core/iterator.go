@@ -93,7 +93,7 @@ type Iterator struct {
 	// path's per-invocation reachability sample domain.
 	nodes map[netsim.NodeID]bool
 
-	// pf is the batched prefetch pipeline; nil when Fetch.Disable is set.
+	// pf is the batched prefetch pipeline every element fetch goes through.
 	pf *prefetcher
 	// curMembers/listVersion cache the last full membership read for the
 	// current-state semantics; a version-gated List revalidates the cache
@@ -481,7 +481,7 @@ func (it *Iterator) release(ctx context.Context) {
 // pushed bump makes the version comparison fail and the caller falls
 // back to ListIfNew — the degradation ladder's middle rung.
 func (it *Iterator) leaseServe() (map[spec.ElemID]bool, bool) {
-	if it.opts.Quorum.enabled() || it.curMembers == nil || it.listVersion == 0 {
+	if it.curMembers == nil || it.listVersion == 0 {
 		return nil, false
 	}
 	ls := it.client.Leases()
@@ -530,70 +530,57 @@ func (it *Iterator) preState(ctx context.Context) (spec.State, error) {
 		lctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
 		defer lsp.End()
 		ctx = lctx
-		if it.opts.Quorum.enabled() {
-			refs, _, err := readQuorum(ctx, it.client, it.opts.Quorum, it.set.name)
-			if err != nil {
-				return spec.State{}, err
-			}
-			members = make(map[spec.ElemID]bool, len(refs))
-			for _, ref := range refs {
-				id := spec.ElemID(ref.ID)
-				members[id] = true
-				it.refs[id] = ref
+		var (
+			refs        []repo.Ref
+			version     uint64
+			notModified bool
+			err         error
+		)
+		if rt := it.set.router; rt != nil {
+			var from replicaProbe
+			refs, version, notModified, from, err = rt.listIfNew(ctx, it.listVersion)
+			if err == nil {
+				it.noteReplicaList(from, version, &notModified)
 			}
 		} else {
-			var (
-				refs        []repo.Ref
-				version     uint64
-				notModified bool
-				err         error
-			)
-			if rt := it.set.router; rt != nil {
-				var from replicaProbe
-				refs, version, notModified, from, err = rt.listIfNew(ctx, it.listVersion)
-				if err == nil {
-					it.noteReplicaList(from, version, &notModified)
-				}
-			} else {
-				refs, version, notModified, err = it.client.ListIfNew(ctx, it.set.dir, it.set.name, it.listVersion)
-			}
-			if err != nil {
-				return spec.State{}, err
-			}
-			if !notModified {
-				if it.listedOnce && version != it.listVersion {
-					// The listing changed under the run: membership skew the
-					// caller can never distinguish from a slow iteration.
-					it.wk.ListingSkew++
-				}
-				it.listVersion = version
-				it.curMembers = make(map[spec.ElemID]bool, len(refs))
-				for _, ref := range refs {
-					id := spec.ElemID(ref.ID)
-					it.curMembers[id] = true
-					it.refs[id] = ref
-					if it.yielded[id] {
-						// Re-listed but already yielded this run: the "no
-						// duplicates" obligation suppresses it.
-						it.wk.DuplicatesSuppressed++
-					}
-				}
-				it.set.publishListing(version, it.curMembers, it.refs)
-			}
-			it.listedOnce = true
-			// On the not-modified path the cached listing is exact: the
-			// server certified the version is unchanged. Reachability is
-			// still re-sampled below on every invocation.
-			members = it.curMembers
+			refs, version, notModified, err = it.client.ListIfNew(ctx, it.set.dir, it.set.name, it.listVersion)
 		}
+		if err != nil {
+			return spec.State{}, err
+		}
+		if !notModified {
+			if it.listedOnce && version != it.listVersion {
+				// The listing changed under the run: membership skew the
+				// caller can never distinguish from a slow iteration.
+				it.wk.ListingSkew++
+			}
+			it.listVersion = version
+			it.curMembers = make(map[spec.ElemID]bool, len(refs))
+			for _, ref := range refs {
+				id := spec.ElemID(ref.ID)
+				it.curMembers[id] = true
+				it.refs[id] = ref
+				if it.yielded[id] {
+					// Re-listed but already yielded this run: the "no
+					// duplicates" obligation suppresses it.
+					it.wk.DuplicatesSuppressed++
+				}
+			}
+			it.set.publishListing(version, it.curMembers, it.refs)
+		}
+		it.listedOnce = true
+		// On the not-modified path the cached listing is exact: the
+		// server certified the version is unchanged. Reachability is
+		// still re-sampled below on every invocation.
+		members = it.curMembers
 	}
 	return it.assembleState(members), nil
 }
 
 // assembleState turns a membership map into the invocation's pre-state.
-// Membership maps (it.first, it.curMembers, a fresh quorum read) are
-// never mutated in place, so the state aliases them rather than copying
-// — the Recorder clones on record. Reachability is re-sampled every
+// Membership maps (it.first, it.curMembers) are never mutated in place,
+// so the state aliases them rather than copying — the Recorder clones on
+// record. Reachability is re-sampled every
 // invocation — including on lease-served reads, where it is the only
 // fresh observation — but once per distinct node: it is a link property,
 // so members sharing a node share the answer within one sample.
@@ -825,16 +812,7 @@ func (it *Iterator) cursorCandidates(elem spec.ElemID) []repo.Ref {
 // kernel could yield next, consulted lazily on a prefetch miss.
 func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID, candidates func() []repo.Ref) bool {
 	ref := it.refs[elem]
-	var (
-		obj repo.Object
-		err error
-	)
-	fctx := it.traceCtx(ctx)
-	if it.pf != nil {
-		obj, err = it.pf.fetch(fctx, ref, candidates)
-	} else {
-		obj, err = it.client.Get(fctx, ref)
-	}
+	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, candidates)
 	switch {
 	case err == nil:
 		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -980,14 +958,12 @@ func (it *Iterator) finishObs() {
 		return
 	}
 	it.obsDone = true
-	if it.pf != nil {
-		it.wk.EpochRetries = it.pf.epochRetries.Load()
-		it.wk.CacheHits = it.pf.cacheHits.Load()
-		it.wk.CacheValidatedHits = it.pf.cacheValidated.Load()
-		it.wk.ReplicaServed += it.pf.replicaServed.Load()
-		if age := time.Duration(it.pf.replicaAgeMs.Load()) * time.Millisecond; age > it.wk.GhostAge {
-			it.wk.GhostAge = age
-		}
+	it.wk.EpochRetries = it.pf.epochRetries.Load()
+	it.wk.CacheHits = it.pf.cacheHits.Load()
+	it.wk.CacheValidatedHits = it.pf.cacheValidated.Load()
+	it.wk.ReplicaServed += it.pf.replicaServed.Load()
+	if age := time.Duration(it.pf.replicaAgeMs.Load()) * time.Millisecond; age > it.wk.GhostAge {
+		it.wk.GhostAge = age
 	}
 	if it.ing != nil {
 		// Scatter accounting accumulated by the stream goroutines.
@@ -1050,9 +1026,7 @@ func (it *Iterator) Close(ctx context.Context) error {
 	if it.ingCancel != nil {
 		it.ingCancel()
 	}
-	if it.pf != nil {
-		it.pf.close()
-	}
+	it.pf.close()
 	// Release rides the run's trace so the closing unpin/unlock RPCs show
 	// up as the trace's final spans; finishObs then seals the root span.
 	it.release(it.traceCtx(ctx))

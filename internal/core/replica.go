@@ -12,8 +12,7 @@ import (
 	"weaksets/internal/repo"
 )
 
-// This file is the read side of collection replication: the weak-set
-// counterpart of quorum.go's write-availability variant. A replicated
+// This file is the read side of collection replication. A replicated
 // collection keeps its writes on the home node and anti-entropy pushes
 // membership (and home-resident object data) to the replicas, so any
 // replica can serve a read — stale, which Figs. 4–6 make legal, as long

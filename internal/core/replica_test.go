@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -317,6 +318,93 @@ func TestAntiEntropyConvergenceAfterPartition(t *testing.T) {
 	}
 	if wk := it.Weakness(); wk.ReplicaSkew != 0 {
 		t.Fatalf("converged replicas reported skew %d", wk.ReplicaSkew)
+	}
+}
+
+// newDirReplicaWorld replicates only the directory: membership lives on
+// dir (home), s0 and s1, while every element's object lives on s2 or s3 —
+// so crashing membership replicas takes out listings, never element data.
+func newDirReplicaWorld(t *testing.T, elements int) (*testWorld, []netsim.NodeID) {
+	t.Helper()
+	w := newTestWorld(t, 0)
+	c, ctx := w.c, context.Background()
+	for i := 0; i < elements; i++ {
+		id := repo.ObjectID(fmt.Sprintf("e%03d", i))
+		ref, err := c.Client.Put(ctx, c.Storage[2+i%2], repo.Object{ID: id, Data: []byte("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Client.Add(ctx, cluster.DirNode, "set", ref); err != nil {
+			t.Fatal(err)
+		}
+		w.refs = append(w.refs, ref)
+	}
+	nodes := []netsim.NodeID{cluster.DirNode, c.Storage[0], c.Storage[1]}
+	if err := c.Servers[cluster.DirNode].ReplicateCollection("set", nodes[1:]); err != nil {
+		t.Fatal(err)
+	}
+	waitForReplicaVersions(t, w, nodes)
+	return w, nodes
+}
+
+// TestGrowOnlyReplicasToleratePrimaryOutage crashes the home directory:
+// a single-directory grow-only run cannot even read membership, while a
+// replica-routed one lists from a surviving replica and completes.
+func TestGrowOnlyReplicasToleratePrimaryOutage(t *testing.T) {
+	w, nodes := newDirReplicaWorld(t, 6)
+	ctx := context.Background()
+	w.c.Net.Crash(cluster.DirNode)
+
+	plain := w.set(t, Options{Semantics: GrowOnly})
+	if _, err := plain.Collect(ctx); !errors.Is(err, ErrFailure) {
+		t.Fatalf("single-directory read should fail: %v", err)
+	}
+
+	s := w.set(t, Options{Semantics: GrowOnly, Replicas: ReplicaConfig{Nodes: nodes}})
+	elems, err := s.Collect(ctx)
+	if err != nil {
+		t.Fatalf("replicated grow-only failed: %v", err)
+	}
+	if len(elems) != 6 {
+		t.Fatalf("yielded %d, want 6", len(elems))
+	}
+}
+
+// TestOptimisticReplicasBlockWhileAllDownThenRecover takes out the home
+// and every replica: the optimistic run blocks (no node can list the
+// set), then finishes once a single non-home replica restarts.
+func TestOptimisticReplicasBlockWhileAllDownThenRecover(t *testing.T) {
+	w, nodes := newDirReplicaWorld(t, 4)
+	ctx := context.Background()
+	for _, n := range nodes {
+		w.c.Net.Crash(n)
+	}
+	s := w.set(t, Options{
+		Semantics:  Optimistic,
+		BlockRetry: time.Millisecond,
+		Replicas:   ReplicaConfig{Nodes: nodes, ProbeTTL: time.Millisecond},
+	})
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		w.c.Net.Restart(nodes[1])
+	}()
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	n := 0
+	for it.Next(ctx) {
+		n++
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	if n != 4 {
+		t.Fatalf("yielded %d, want 4", n)
+	}
+	if it.Weakness().Blocked == 0 {
+		t.Fatal("run never blocked with every replica down")
 	}
 }
 

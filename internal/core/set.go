@@ -51,23 +51,15 @@ type Options struct {
 	// Recorder, when set, receives every invocation for conformance
 	// checking against the executable specifications.
 	Recorder *spec.Recorder
-	// Quorum, when configured, makes the current-state semantics
-	// (GrowOnly, GrowOnlyPerRun, Optimistic) read membership from a quorum
-	// of directory replicas instead of the single directory node — the
-	// §3.3 "quorum scheme" variant. Snapshot-based semantics ignore it
-	// (pins are primary-resident).
-	Quorum QuorumConfig
 	// Fetch tunes the batched, pipelined element-fetch path. The zero
-	// value enables batching with the defaults; set Fetch.Disable for the
-	// one-Get-per-element baseline.
+	// value batches with the defaults; Batch: 1, Inflight: 1 is one element
+	// per round trip.
 	Fetch FetchOptions
 	// Replicas, when configured with the collection's replica set (home
 	// node first), routes reads to the closest live replica and scatters
 	// snapshot-opening listings across all of them — the replica-parallel
 	// read path. Staleness served from a lagging replica is accounted in
 	// the run's WeaknessReport (ReplicaSkew, GhostAge), never hidden.
-	// Quorum, when also configured, wins for current-state membership
-	// reads.
 	Replicas ReplicaConfig
 	// Tracer, when set, records a span trace of each Elements run
 	// (subject to the tracer's sampling knob): the run itself, its
@@ -242,11 +234,9 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it.span.SetAttr("semantics", s.opts.Semantics.String())
 	it.span.SetAttr("node", string(s.client.Node()))
 	it.wk.Trace = it.span.TraceID()
-	if !s.opts.Fetch.Disable {
-		// The prefetcher's background context carries the run's trace, so
-		// batches issued between Next calls still join it.
-		it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, s.opts.Fetch, s.opts.Tracer)
-	}
+	// The prefetcher's background context carries the run's trace, so
+	// batches issued between Next calls still join it.
+	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, s.opts.Fetch, s.opts.Tracer)
 	if err := it.setup(it.traceCtx(ctx)); err != nil {
 		werr := fmt.Errorf("%w: open %s elements on %q: %v", ErrFailure, s.opts.Semantics, s.name, err)
 		it.release(context.Background())
@@ -254,7 +244,7 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		it.finishObs()
 		return nil, werr
 	}
-	if !s.opts.Semantics.UsesSnapshot() && !s.opts.Quorum.enabled() && s.leaseState() != nil {
+	if !s.opts.Semantics.UsesSnapshot() && s.leaseState() != nil {
 		// Seed the run from the set's last published listing: the opening
 		// membership read becomes a conditional List at worst, and no RPC
 		// at all while the lease certifies the seeded version.
@@ -267,33 +257,31 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	}
 	// The cache binds after setup so the run's governing listing version
 	// (snapVer for snapshot-based semantics) is known.
-	if it.pf != nil && !s.opts.Fetch.NoCache {
-		cache := s.opts.Fetch.Cache
-		if cache == nil {
-			cache = s.client.ElementCache()
-		}
-		if cache != nil {
-			pinned := s.opts.Semantics.UsesSnapshot()
-			it.pf.bindCache(cacheBinding{
-				cache:  cache,
-				coll:   s.name,
-				pinned: pinned,
-				listVer: func() uint64 {
-					if pinned {
-						return it.snapVer
-					}
-					return it.listVersion
-				},
-				leased: func() (uint64, bool) {
-					ls := s.leaseState()
-					if ls == nil {
-						return 0, false
-					}
-					v, _, ok := ls.Serveable(s.name)
-					return v, ok
-				},
-			})
-		}
+	cache := s.opts.Fetch.Cache
+	if cache == nil {
+		cache = s.client.ElementCache()
+	}
+	if cache != nil {
+		pinned := s.opts.Semantics.UsesSnapshot()
+		it.pf.bindCache(cacheBinding{
+			cache:  cache,
+			coll:   s.name,
+			pinned: pinned,
+			listVer: func() uint64 {
+				if pinned {
+					return it.snapVer
+				}
+				return it.listVersion
+			},
+			leased: func() (uint64, bool) {
+				ls := s.leaseState()
+				if ls == nil {
+					return 0, false
+				}
+				v, _, ok := ls.Serveable(s.name)
+				return v, ok
+			},
+		})
 	}
 	if ls := s.leaseState(); ls != nil && !s.opts.Semantics.UsesSnapshot() {
 		// Queue the collection for lease acquisition; the first runs still

@@ -60,7 +60,7 @@ func All() []Experiment {
 		{ID: "E6", Claim: "the semantics form a strictness lattice (§3)", Run: E6Conformance},
 		{ID: "E7", Claim: "a grow-only set that grows faster than it is consumed never terminates (§3.3)", Run: E7GrowRace},
 		{ID: "E8", Claim: "ghost copies accumulate during a run and are reclaimed at termination (§3.3)", Run: E8Ghosts},
-		{ID: "E9", Claim: "a majority-quorum directory tolerates replica failures the single directory cannot (§3.3)", Run: E9QuorumDirectory},
+		{ID: "E9", Claim: "a replicated directory tolerates replica failures the single directory cannot (§3.3)", Run: E9ReplicatedDirectory},
 	}
 }
 

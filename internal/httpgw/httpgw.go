@@ -452,6 +452,29 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
+// Ceilings on the /query tuning parameters. Both size allocations — batch
+// the prefetch window (Batch × Inflight × 4 refs), width the dynamic
+// set's worker semaphore and result channel — so a value from the URL is
+// bounded before it reaches them.
+const (
+	maxQueryBatch = 4096
+	maxQueryWidth = 256
+)
+
+// tuningParam parses a /query tuning parameter: def when absent or not a
+// positive integer, an error above max.
+func tuningParam(raw string, def, max int) (int, error) {
+	// Atoi clamps an overflowing value to MaxInt, so that is over max too.
+	v, err := strconv.Atoi(raw)
+	if v > max {
+		return 0, fmt.Errorf("%s exceeds the limit of %d", raw, max)
+	}
+	if err != nil || v <= 0 {
+		return def, nil
+	}
+	return v, nil
+}
+
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	coll := q.Get("coll")
@@ -470,13 +493,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := query.Options{}
-	// batch tunes the fetch pipeline: ids per batch RPC; 1 disables
-	// batching, 0 keeps the default.
-	batch := 0
-	if bs := q.Get("batch"); bs != "" {
-		if parsed, err := strconv.Atoi(bs); err == nil && parsed > 0 {
-			batch = parsed
-		}
+	// batch tunes the fetch pipeline: ids per batch RPC; 1 is one element
+	// per round trip, 0 (or absent) keeps the default.
+	batch, err := tuningParam(q.Get("batch"), 0, maxQueryBatch)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "batch: %v", err)
+		return
 	}
 	semName := q.Get("sem")
 	if semName == "" {
@@ -484,11 +506,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if semName == "dynamic" {
 		opts.Dynamic = true
-		width := 8
-		if ws := q.Get("width"); ws != "" {
-			if parsed, err := strconv.Atoi(ws); err == nil && parsed > 0 {
-				width = parsed
-			}
+		width, err := tuningParam(q.Get("width"), 8, maxQueryWidth)
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, "width: %v", err)
+			return
 		}
 		opts.DynOptions = core.DynOptions{Width: width, Batch: batch}
 	} else {
@@ -498,10 +519,15 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Semantics = sem
+		fetch := core.FetchOptions{Batch: batch, Cache: g.cache}
+		if batch == 1 {
+			// One id per round trip means one round trip at a time too.
+			fetch.Inflight = 1
+		}
 		opts.SetOptions = core.Options{
 			LockServer: g.lockNode,
 			MaxBlock:   10 * time.Second,
-			Fetch:      core.FetchOptions{Batch: batch, Disable: batch == 1, Cache: g.cache},
+			Fetch:      fetch,
 			Replicas:   g.replicaConfig(coll),
 		}
 	}

@@ -216,6 +216,10 @@ func TestQueryBadRequests(t *testing.T) {
 		{"/query", http.StatusBadRequest},
 		{"/query?coll=menus&q=%3D%3Dbroken", http.StatusBadRequest},
 		{"/query?coll=menus&sem=nonsense", http.StatusBadRequest},
+		// batch and width size allocations; over-limit values never reach them.
+		{"/query?coll=menus&sem=snapshot&batch=4097", http.StatusBadRequest},
+		{"/query?coll=menus&batch=99999999999999999999", http.StatusBadRequest},
+		{"/query?coll=menus&width=257", http.StatusBadRequest},
 	}
 	for _, tt := range tests {
 		resp, body := w.get(t, tt.path)

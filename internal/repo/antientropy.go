@@ -2,7 +2,7 @@ package repo
 
 import (
 	"context"
-
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,8 +16,9 @@ import (
 // on the home node only; the syncer then reconciles each replica against
 // the home's per-partition version vector: digest the replica
 // (MethodSyncDigest), push only the partitions it is behind on
-// (MethodSyncPart), fall back to a full MethodSync push for old peers or
-// layout disagreements. A replica lost to a partition or crash is marked
+// (MethodSyncPart), fall back to a full MethodSync push when the replica
+// has never seen the collection or disagrees on its partition layout. A
+// replica lost to a partition or crash is marked
 // pending (the hinted-handoff bookkeeping, journaled as EvHandoff) and
 // repaired by the next kick or background tick that reaches it
 // (EvRepair) — divergence is legal under the paper's weak semantics and
@@ -211,9 +212,9 @@ func (sy *syncer) round(name string, cs *collSync, replicas []netsim.NodeID) {
 
 // syncReplica brings one replica up to date with the home's current
 // per-partition versions: digest, then push only the stale partitions.
-// Old peers (no SyncDigest/SyncPart method) and layout disagreements
-// fall back to the legacy full-membership push. A transport failure
-// returns the error — the caller's handoff bookkeeping owns it.
+// A replica that has never seen the collection, or holds it under a
+// different partition layout, gets one full-membership push instead. Any
+// other error is returned — the caller's handoff bookkeeping owns it.
 func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.NodeID) error {
 	st := sy.s.store
 	homeVers, err := st.PartVersions(name)
@@ -221,18 +222,17 @@ func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.N
 		return nil // collection gone; nothing to sync
 	}
 	digest, err := rpc.Invoke[DigestResp](ctx, sy.s.bus, sy.s.node, replica, MethodSyncDigest, DigestReq{Name: name})
-	if err != nil {
-		if netsim.IsFailure(err) {
-			return err
-		}
-		// Not a transport failure: an old peer (no SyncDigest method) or
-		// a replica that has never seen the collection. Either way one
-		// full push settles it.
+	if errors.Is(err, ErrNoCollection) {
+		// The replica has never seen the collection: one full push
+		// creates it.
 		return sy.pushFull(ctx, name, replica)
 	}
+	if err != nil {
+		return err
+	}
 	if digest.Partitions != len(homeVers) {
-		// Layout disagreement (or a replica that has never seen the
-		// collection at this partition count): full push rebuilds it.
+		// Layout disagreement: a full push rebuilds the replica's copy at
+		// the home's partition count.
 		return sy.pushFull(ctx, name, replica)
 	}
 	for part, homeVer := range homeVers {
@@ -265,10 +265,7 @@ func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.N
 		req := SyncPartReq{Name: name, Partitions: len(homeVers), Part: part, Members: members, Version: version, Objects: objs}
 		resp, perr := rpc.Invoke[SyncPartResp](ctx, sy.s.bus, sy.s.node, replica, MethodSyncPart, req)
 		if perr != nil {
-			if netsim.IsFailure(perr) {
-				return perr
-			}
-			return sy.pushFull(ctx, name, replica)
+			return perr
 		}
 		if !resp.Applied {
 			// The replica declined (layout raced or the push was stale
@@ -279,11 +276,11 @@ func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.N
 	return nil
 }
 
-// pushFull is the whole-membership push — the fallback for old peers,
-// layout disagreements, and replicas seeing the collection for the
-// first time. It ships home-resident member data along with the
-// listing: after a full push the replica's versions match the home's,
-// so no per-partition round would ever carry the objects later.
+// pushFull is the whole-membership push — the fallback for layout
+// disagreements and replicas seeing the collection for the first time.
+// It ships home-resident member data along with the listing: after a
+// full push the replica's versions match the home's, so no per-partition
+// round would ever carry the objects later.
 func (sy *syncer) pushFull(ctx context.Context, name string, replica netsim.NodeID) error {
 	members, version, _, ok := sy.s.store.SyncState(name)
 	if !ok {

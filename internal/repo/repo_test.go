@@ -517,6 +517,42 @@ func TestReplicationPropagatesAndLags(t *testing.T) {
 	})
 }
 
+// TestSyncReplicaReturnsDigestErrors pins the anti-entropy fallback to its
+// two real triggers: a replica whose digest fails for any reason other
+// than "no such collection" is an error for the handoff bookkeeping, not
+// an invitation to blindly push the whole membership at it.
+func TestSyncReplicaReturnsDigestErrors(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	w.mustColl(t, "c")
+
+	w.net.AddNode("sick")
+	sick := rpc.NewServer("sick")
+	digestErr := errors.New("digest: disk on fire")
+	sick.Handle(MethodSyncDigest, func(context.Context, netsim.NodeID, any) (any, error) {
+		return nil, digestErr
+	})
+	if err := w.bus.Register(sick); err != nil {
+		t.Fatal(err)
+	}
+	pushes := w.bus.MethodCalls(MethodSync)
+	if err := w.dirSrv.ae.syncReplica(ctx, "c", "sick"); !errors.Is(err, digestErr) {
+		t.Fatalf("syncReplica = %v, want the digest error", err)
+	}
+	if got := w.bus.MethodCalls(MethodSync) - pushes; got != 0 {
+		t.Fatalf("digest error triggered %d full pushes", got)
+	}
+
+	// A replica that has never seen the collection still gets its one
+	// full push.
+	if err := w.dirSrv.ae.syncReplica(ctx, "c", "s2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.bus.MethodCalls(MethodSync) - pushes; got != 1 {
+		t.Fatalf("first contact issued %d full pushes, want 1", got)
+	}
+}
+
 func TestReplicaIgnoresStaleSync(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
