@@ -37,8 +37,12 @@ bench-store:
 # Smoke the iterator fetch pipeline: default batching vs one id per round
 # trip over a spread collection catches regressions in the elements hot
 # path. The in-process modes only — the tcp-* modes are bench-rpc's job.
+# Then the current-state stepper at 32/1k/10k members, whose ns/elem must
+# stay flat in n; the output is kept in /tmp for the CI artifacts.
 bench-iter:
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
+	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > /tmp/BENCH_iterlogical_smoke.txt; \
+		s=$$?; cat /tmp/BENCH_iterlogical_smoke.txt; exit $$s
 
 # Smoke the TCP transport: the fetch pipeline over real loopback sockets,
 # serialized vs multiplexed client. Catches regressions in the seq-keyed
@@ -51,10 +55,11 @@ bench-rpc:
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
 
 # Smoke the listing scalability sweep: the partitioned streaming
-# listing at two small sizes catches regressions in the scatter-gather
-# List path (per-element cost must stay flat, first element must track
-# the first partition). Writes to /tmp so the committed BENCH_scale.json
-# (produced by sweep-scale) is left alone.
+# listing and a current-state (GrowOnly) run at two small sizes catch
+# regressions in the scatter-gather List path and the cursor stepper
+# (per-element cost must stay flat, first element must track the first
+# partition). Writes to /tmp so the committed BENCH_scale.json (produced
+# by sweep-scale) is left alone.
 bench-scale:
 	$(GO) run ./cmd/weakbench -scale -scale-quick -scale-json /tmp/BENCH_scale_smoke.json
 
@@ -106,7 +111,7 @@ sweep-rpc:
 	$(GO) run ./cmd/weakbench -rpc
 
 # Regenerate BENCH_scale.json from the full listing-scalability sweep
-# (10k to 1M elements; slow).
+# (partitioned 10k to 1M elements, current 10k and 100k; slow).
 sweep-scale:
 	$(GO) run ./cmd/weakbench -scale
 

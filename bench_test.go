@@ -146,44 +146,51 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkIteratorLogical measures a full 32-element optimistic iteration
-// with the clock disabled: the per-element protocol overhead.
+// BenchmarkIteratorLogical measures a full optimistic iteration with the
+// clock disabled, at 32, 1k and 10k members: the per-element protocol
+// overhead (one conditional List per invocation plus the cursor step),
+// reported as ns/elem, which must stay flat in n.
 func BenchmarkIteratorLogical(b *testing.B) {
-	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Client.CreateCollection(ctx, cluster.DirNode, "bench"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		ref, err := c.Client.Put(ctx, c.StorageFor(i), repo.Object{
-			ID:   repo.ObjectID(fmt.Sprintf("e%03d", i)),
-			Data: make([]byte, 128),
+	for _, n := range []int{32, 1_000, 10_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			if err := c.Client.CreateCollection(ctx, cluster.DirNode, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				ref, err := c.Client.Put(ctx, c.StorageFor(i), repo.Object{
+					ID:   repo.ObjectID(fmt.Sprintf("e%05d", i)),
+					Data: make([]byte, 128),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Client.Add(ctx, cluster.DirNode, "bench", ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+			set, err := core.NewSet(c.Client, cluster.DirNode, "bench", core.Options{Semantics: core.Optimistic})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				elems, err := set.Collect(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(elems) != n {
+					b.Fatalf("yielded %d", len(elems))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Client.Add(ctx, cluster.DirNode, "bench", ref); err != nil {
-			b.Fatal(err)
-		}
-	}
-	set, err := core.NewSet(c.Client, cluster.DirNode, "bench", core.Options{Semantics: core.Optimistic})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		elems, err := set.Collect(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(elems) != 32 {
-			b.Fatalf("yielded %d", len(elems))
-		}
 	}
 }
 

@@ -12,7 +12,8 @@
 //
 // With -scale it sweeps the listing path itself — a full Elements run
 // over one collection grown from 10k to 1M members through the
-// partitioned streaming ListParts — and writes BENCH_scale.json.
+// partitioned streaming ListParts, and a current-state (GrowOnly) run at
+// 10k and 100k — and writes BENCH_scale.json.
 //
 // With -frontier it sweeps reader concurrency over a churning collection
 // and writes the weakness-versus-throughput frontier — runs/sec against
@@ -87,7 +88,7 @@ func run(args []string) error {
 		rpcJSON   = fs.String("rpc-json", "BENCH_rpc.json", "where -rpc writes its machine-readable results")
 		rpcQk     = fs.Bool("rpc-quick", false, "trim the -rpc sweep (smaller snapshot, fewer budgets)")
 		rpcLat    = fs.Duration("rpc-latency", 2*time.Millisecond, "simulated per-RPC service time on the -rpc remote (disk/WAN stand-in)")
-		scaleRun  = fs.Bool("scale", false, "run the listing scalability sweep (partitioned streaming listing, 10k-1M elements) instead of experiments")
+		scaleRun  = fs.Bool("scale", false, "run the listing scalability sweep (partitioned streaming listing 10k-1M elements, current-state run 10k-100k) instead of experiments")
 		scaleJSON = fs.String("scale-json", "BENCH_scale.json", "where -scale writes its machine-readable results")
 		scaleQk   = fs.Bool("scale-quick", false, "trim the -scale sweep (smaller sets, one round)")
 		frontRun  = fs.Bool("frontier", false, "run the weakness-vs-throughput frontier sweep instead of experiments")

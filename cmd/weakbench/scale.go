@@ -1,16 +1,18 @@
 package main
 
 // The -scale sweep: listing-path scalability. It grows one collection
-// from 10k to 1M+ members and times a full Elements run at each size
-// over the partitioned streaming ListParts path, on a zero-latency
-// logical-time cluster so the numbers are pure CPU cost of the listing
-// and fetch machinery. Runs use Immutable semantics: it reads the
-// opening listing through exactly the same streamed path as Snapshot
-// but takes no pin, whose server-side snapshot sort is O(n) by
-// construction and would mask the listing path's scaling. The two figures the partitioning
-// work is meant to move: per-element cost should stay flat as the set
-// grows, and time-to-first-element should track the first partition,
-// not the set.
+// from 10k to 1M+ members and times a full Elements run at each size,
+// on a zero-latency logical-time cluster so the numbers are pure CPU
+// cost of the listing, stepping and fetch machinery. Two modes.
+// "partitioned" is the streaming ListParts path under Immutable
+// semantics: the same streamed opening listing as Snapshot without the
+// pin, whose server-side snapshot sort is O(n) by construction and
+// would mask the listing path's scaling. Per-element cost should stay
+// flat as the set grows, and time-to-first-element should track the
+// first partition, not the set. "current" is a GrowOnly run up to 100k
+// members — one conditional List per invocation, stepped by the
+// version-keyed cursor — gated on per-element cost alone: its first
+// element waits for the whole first listing by construction.
 
 import (
 	"context"
@@ -32,7 +34,7 @@ import (
 // scaleResult is one row of the -scale sweep: the best-of-rounds
 // Elements run at one size.
 type scaleResult struct {
-	Mode          string        `json:"mode"` // always scaleMode
+	Mode          string        `json:"mode"` // a scaleModes name
 	Elements      int           `json:"elements"`
 	Partitions    int           `json:"partitions"`
 	Yielded       int           `json:"yielded"`
@@ -46,9 +48,10 @@ type scaleResult struct {
 }
 
 // scaleReport is the BENCH_scale.json document. The ratio maps hold the
-// sweep's acceptance figures, keyed by scaleMode: PerElementRatio is
-// per-element cost at the largest size over the smallest (flat scaling
-// ⇒ ~1.0), FirstElementRatio the same for time-to-first-element.
+// sweep's acceptance figures, keyed by mode: PerElementRatio is
+// per-element cost at the mode's largest size over its smallest (flat
+// scaling ⇒ ~1.0), FirstElementRatio the same for time-to-first-element
+// (partitioned only).
 type scaleReport struct {
 	Meta              benchMeta          `json:"meta"`
 	GOMAXPROCS        int                `json:"gomaxprocs"`
@@ -63,9 +66,19 @@ type scaleReport struct {
 	FirstElementRatio map[string]float64 `json:"firstElementRatio"`
 }
 
+// scaleModes are the sweep's rows per size. maxElements, when non-zero,
+// caps the sizes a mode runs at.
+var scaleModes = []struct {
+	name         string
+	sem          core.Semantics
+	maxElements  int
+	firstElement bool // gate time-to-first-element too
+}{
+	{name: "partitioned", sem: core.Immutable, firstElement: true},
+	{name: "current", sem: core.GrowOnly, maxElements: 100_000},
+}
+
 const (
-	// scaleMode labels the rows and ratio keys: the one listing path.
-	scaleMode    = "partitioned"
 	scaleDir     = netsim.NodeID("dir")
 	scaleColl    = "scale"
 	scalePayload = 64
@@ -157,8 +170,8 @@ func newScaleWorld(n, partitions int, seed int64) (*scaleWorld, error) {
 
 // runScaleOnce times one full Elements run: time-to-first-element and
 // total wall time, with the membership-read RPC mix from the bus.
-func runScaleOnce(ctx context.Context, w *scaleWorld) (scaleResult, error) {
-	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: core.Immutable})
+func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scaleResult, error) {
+	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: sem})
 	if err != nil {
 		return scaleResult{}, err
 	}
@@ -190,7 +203,6 @@ func runScaleOnce(ctx context.Context, w *scaleWorld) (scaleResult, error) {
 	}
 
 	res := scaleResult{
-		Mode:          scaleMode,
 		Yielded:       yielded,
 		Setup:         setup,
 		FirstElement:  first,
@@ -231,14 +243,14 @@ func runScaleSweep(jsonPath string, quick bool, seed int64) error {
 		FirstElementRatio: map[string]float64{},
 	}
 	table := metrics.NewTable(
-		fmt.Sprintf("Listing scalability: full Immutable Elements run, %d storage nodes, zero latency (best of %d)",
+		fmt.Sprintf("Listing scalability: full Elements run (partitioned: Immutable; current: GrowOnly), %d storage nodes, zero latency (best of %d)",
 			scaleStorage, rounds),
-		"elements", "parts", "setup", "first elem", "total", "ns/elem", "List", "ListParts", "GetBatch")
+		"mode", "elements", "parts", "setup", "first elem", "total", "ns/elem", "List", "ListParts", "GetBatch")
 
 	ctx := context.Background()
 	// base figures at the smallest size, for the ratio maps.
-	var basePerElem float64
-	var baseFirst time.Duration
+	basePerElem := map[string]float64{}
+	baseFirst := map[string]time.Duration{}
 	for _, n := range sizes {
 		partitions := scalePartitions(n)
 		seedStart := time.Now()
@@ -256,53 +268,62 @@ func runScaleSweep(jsonPath string, quick bool, seed int64) error {
 			report.Engine = es.Engine
 		}
 
-		var best scaleResult
-		for r := 0; r < rounds; r++ {
-			res, err := runScaleOnce(ctx, w)
-			if err != nil {
-				w.close()
-				return fmt.Errorf("scale sweep: %d: %w", n, err)
+		for _, mode := range scaleModes {
+			if mode.maxElements != 0 && n > mode.maxElements {
+				continue
 			}
-			if res.Yielded != n {
-				w.close()
-				return fmt.Errorf("scale sweep: %d yielded %d elements", n, res.Yielded)
+			var best scaleResult
+			for r := 0; r < rounds; r++ {
+				res, err := runScaleOnce(ctx, w, mode.sem)
+				if err != nil {
+					w.close()
+					return fmt.Errorf("scale sweep: %s %d: %w", mode.name, n, err)
+				}
+				if res.Yielded != n {
+					w.close()
+					return fmt.Errorf("scale sweep: %s %d yielded %d elements", mode.name, n, res.Yielded)
+				}
+				if r == 0 || res.Total < best.Total {
+					best = res
+				}
 			}
-			if r == 0 || res.Total < best.Total {
-				best = res
+			best.Mode = mode.name
+			best.Elements = n
+			best.Partitions = partitions
+			report.Results = append(report.Results, best)
+
+			// The last size a mode runs at overwrites its ratios.
+			if n == sizes[0] {
+				basePerElem[mode.name] = best.PerElementNs
+				baseFirst[mode.name] = best.FirstElement
+			} else {
+				if base := basePerElem[mode.name]; base > 0 {
+					report.PerElementRatio[mode.name] = best.PerElementNs / base
+				}
+				if base := baseFirst[mode.name]; base > 0 && mode.firstElement {
+					report.FirstElementRatio[mode.name] = float64(best.FirstElement) / float64(base)
+				}
 			}
+			table.AddRow(
+				mode.name,
+				fmt.Sprintf("%d", n),
+				fmt.Sprintf("%d", partitions),
+				metrics.FmtDur(best.Setup),
+				metrics.FmtDur(best.FirstElement),
+				best.Total.Round(time.Millisecond).String(),
+				fmt.Sprintf("%.0f", best.PerElementNs),
+				fmt.Sprintf("%d", best.ListRPCs),
+				fmt.Sprintf("%d", best.ListPartsRPCs),
+				fmt.Sprintf("%d", best.BatchRPCs),
+			)
 		}
 		w.close()
-		best.Elements = n
-		best.Partitions = partitions
-		report.Results = append(report.Results, best)
-
-		if n == sizes[0] {
-			basePerElem = best.PerElementNs
-			baseFirst = best.FirstElement
-		}
-		if n == sizes[len(sizes)-1] {
-			if basePerElem > 0 {
-				report.PerElementRatio[scaleMode] = best.PerElementNs / basePerElem
-			}
-			if baseFirst > 0 {
-				report.FirstElementRatio[scaleMode] = float64(best.FirstElement) / float64(baseFirst)
-			}
-		}
-		table.AddRow(
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", partitions),
-			metrics.FmtDur(best.Setup),
-			metrics.FmtDur(best.FirstElement),
-			best.Total.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", best.PerElementNs),
-			fmt.Sprintf("%d", best.ListRPCs),
-			fmt.Sprintf("%d", best.ListPartsRPCs),
-			fmt.Sprintf("%d", best.BatchRPCs),
-		)
 	}
 	table.Render(os.Stdout)
-	fmt.Printf("per-element %0.2fx, first-element %0.2fx (%d -> %d elements)\n",
-		report.PerElementRatio[scaleMode], report.FirstElementRatio[scaleMode], sizes[0], sizes[len(sizes)-1])
+	for _, mode := range scaleModes {
+		fmt.Printf("%s: per-element %.2fx, first-element %.2fx (largest size over %d elements; 0 = not gated)\n",
+			mode.name, report.PerElementRatio[mode.name], report.FirstElementRatio[mode.name], sizes[0])
+	}
 
 	f, err := os.Create(jsonPath)
 	if err != nil {

@@ -1,0 +1,521 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"weaksets/internal/cluster"
+	"weaksets/internal/netsim"
+	"weaksets/internal/obs"
+	"weaksets/internal/repo"
+	"weaksets/internal/rpc"
+	"weaksets/internal/sim"
+	"weaksets/internal/spec"
+)
+
+// The proof obligations of the version-keyed cursor (fastNext), beyond
+// the exhaustive agreement check in ExhaustiveConformance: the cursor an
+// Iterator actually maintains — trimmed, merged and rebuilt by the
+// production code — decides what the kernel decides over long seeded
+// worlds, and whole scripted runs come out the same on either path.
+
+func elemNode(id spec.ElemID) netsim.NodeID { return netsim.NodeID("n-" + string(id)) }
+
+// refsOf lists members as refs, one node per element, in map (random)
+// order — the listing an Iterator would be handed for that membership.
+func refsOf(members map[spec.ElemID]bool) []repo.Ref {
+	refs := make([]repo.Ref, 0, len(members))
+	for id := range members {
+		refs = append(refs, repo.Ref{ID: repo.ObjectID(id), Node: elemNode(id)})
+	}
+	return refs
+}
+
+// cursorVsKernel steps one bare Iterator's cursor and the kernel side by
+// side over a seeded spec.Env world — adds, removes and reachability
+// flips between invocations, healed when blocked and frozen after 60
+// steps like RunModel — and fails on the first invocation where the
+// cursor claims a decision that is not Step's. The Iterator has no
+// servers behind it: each element lives on its own netsim node, crashed
+// and restarted to mirror the Env's reachability, and the test plays
+// observe's part by handing the production fold/adopt each new listing.
+// It returns how many invocations the cursor decided.
+func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, seed int64) (fast int) {
+	t.Helper()
+	env := spec.NewEnv(sim.NewRand(seed), 8, discipline)
+	net := netsim.New(netsim.Config{Seed: seed})
+	net.AddNode("home")
+	for _, id := range env.Universe() {
+		net.AddNode(elemNode(id))
+	}
+	it := &Iterator{
+		client:  repo.NewClient(rpc.NewBus(net), "home"),
+		opts:    Options{Semantics: sem},
+		yielded: make(map[spec.ElemID]bool),
+	}
+	var (
+		first   spec.State
+		version uint64
+		blocked int
+	)
+	for step := 0; step < 150; step++ {
+		pre := env.State()
+		for _, id := range env.Universe() {
+			if pre.Reach[id] {
+				net.Restart(elemNode(id))
+			} else {
+				net.Crash(elemNode(id))
+			}
+		}
+		switch {
+		case step == 0 && sem.UsesSnapshot():
+			first = pre
+			it.first = make(map[spec.ElemID]bool)
+			it.refs = make(map[spec.ElemID]repo.Ref)
+			it.nodes = make(map[netsim.NodeID]bool)
+			it.ing = newPartIngest()
+			it.fold(repo.PartListing{Partitions: 1, Version: 1, Members: refsOf(pre.Members)})
+		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, it.curMembers)):
+			version++
+			it.adopt(newListing(version, refsOf(pre.Members)))
+		}
+
+		d := Step(sem, first, pre, it.yielded)
+		if fd, ok := it.fastNext(); ok {
+			fast++
+			if fd != d {
+				t.Fatalf("seed %d step %d: cursor decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
+					seed, step, fd, d, pre.Members, pre.Reach, it.yielded)
+			}
+		}
+		switch d.Kind {
+		case DecideYield:
+			it.yielded[d.Elem] = true
+			blocked = 0
+		case DecideReturn, DecideFail:
+			return fast
+		case DecideBlock:
+			if blocked++; blocked > 3 {
+				env.HealAll()
+			}
+		}
+		if step < 60 {
+			env.Step()
+		}
+	}
+	return fast
+}
+
+func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
+	const seeds = 250
+	for _, sem := range AllSemantics() {
+		// Each semantics under its own constraint discipline and, where it
+		// has one, with the constraint broken too: the cursor must track
+		// the kernel even when the environment does not keep its promise
+		// (a grow-only set that shrinks is what makes yielded ids vanish).
+		disciplines := []spec.Constraint{sem.Constraint()}
+		if sem.Constraint() != spec.ConstraintTrue {
+			disciplines = append(disciplines, spec.ConstraintTrue)
+		}
+		for _, discipline := range disciplines {
+			sem, discipline := sem, discipline
+			t.Run(sem.String()+"/env="+discipline.String(), func(t *testing.T) {
+				fast := 0
+				for seed := int64(0); seed < seeds; seed++ {
+					fast += cursorVsKernel(t, sem, discipline, seed)
+				}
+				if fast == 0 {
+					t.Fatal("the cursor never decided an invocation: the comparison is vacuous")
+				}
+				t.Logf("%d invocations decided by the cursor, each equal to Step's", fast)
+			})
+		}
+	}
+}
+
+// leaseWorld attaches an element cache and a started lease state to the
+// world's client, as a leased deployment would.
+func leaseWorld(t *testing.T, w *testWorld) *repo.LeaseState {
+	t.Helper()
+	w.c.Client.UseCache(repo.NewCache(64))
+	ls := repo.NewLeaseState(w.c.Client, cluster.DirNode, "set")
+	if err := ls.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ls.Stop)
+	w.c.Client.UseLeases(ls)
+	return ls
+}
+
+// awaitLease waits until the lease certifies the collection's current
+// listing version: the grant, or the push of the last write, has landed.
+func awaitLease(t *testing.T, w *testWorld, ls *repo.LeaseState) {
+	t.Helper()
+	_, want, err := w.c.Client.List(context.Background(), cluster.DirNode, "set")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if v, _, ok := ls.Serveable("set"); ok && v >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lease never certified listing version %d", want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// scriptedWorld is what a cursorScenario's script acts on.
+type scriptedWorld struct {
+	t  *testing.T
+	w  *testWorld
+	ls *repo.LeaseState // nil unless the scenario is leased
+	bg sync.WaitGroup
+}
+
+func (sw *scriptedWorld) remove(ref repo.Ref) {
+	sw.t.Helper()
+	if err := sw.w.c.Client.DeleteMember(context.Background(), cluster.DirNode, "set", ref); err != nil {
+		sw.t.Fatal(err)
+	}
+}
+
+// cursorScenario is one scripted run: script runs on the test goroutine
+// before the k-th Next call (k from 0) and mutates or partitions the
+// world; check, if set, holds the cursor-path run to what the scenario
+// is about.
+type cursorScenario struct {
+	name   string
+	leased bool
+	sems   []Semantics // nil: the four shipped current-state and snapshot points
+	script func(sw *scriptedWorld, k int)
+	check  func(t *testing.T, sem Semantics, run scriptedRun)
+}
+
+type scriptedRun struct {
+	ids         []string // in yield order; "(stale)" marks a Fig. 4 ghost yield
+	err         error
+	wk          obs.WeaknessReport
+	kernelSteps int
+}
+
+const scriptedMembers = 10
+
+// runScripted plays sc once on a fresh world. With a Recorder the run
+// takes the kernel path and is checked against its figure; without, the
+// cursor path.
+func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recorder) scriptedRun {
+	t.Helper()
+	ctx := context.Background()
+	sw := &scriptedWorld{t: t, w: newTestWorld(t, scriptedMembers)}
+	s := sw.w.set(t, Options{Semantics: sem, Recorder: rec, BlockRetry: time.Millisecond})
+	if sc.leased {
+		sw.ls = leaseWorld(t, sw.w)
+		for i := 0; i < 2; i++ { // publish the listing, land the grant
+			if _, err := s.Collect(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		awaitLease(t, sw.w, sw.ls)
+	}
+	recorded := 0
+	if rec != nil {
+		recorded = rec.Len()
+	}
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	// Both arms start from the whole s_first. An unrecorded snapshot run
+	// would otherwise step over whatever prefix of the opening stream has
+	// arrived — a scheduling difference (ROADMAP item 4), not a stepping one.
+	for it.ing != nil && !it.ingDone {
+		if err := it.drainIngest(); err != nil {
+			t.Fatal(err)
+		}
+		if !it.ingDone {
+			<-it.ing.notify
+		}
+	}
+	var run scriptedRun
+	for k := 0; ; k++ {
+		sc.script(sw, k)
+		if !it.Next(ctx) {
+			break
+		}
+		id := string(it.Element().Ref.ID)
+		if it.Element().Stale {
+			id += "(stale)"
+		}
+		run.ids = append(run.ids, id)
+	}
+	sw.bg.Wait()
+	run.err, run.wk, run.kernelSteps = it.Err(), it.Weakness(), it.kernelSteps
+	if rec != nil {
+		if err := spec.CheckRun(sem.Figure(), spec.Run{Invocations: rec.Run().Invocations[recorded:]}); err != nil {
+			t.Fatalf("recorded run violates %s: %v", sem.Figure(), err)
+		}
+		if int64(run.kernelSteps) != run.wk.Invocations {
+			t.Fatalf("recorded run: %d kernel steps for %d invocations", run.kernelSteps, run.wk.Invocations)
+		}
+	}
+	return run
+}
+
+var cursorScenarios = []cursorScenario{
+	{
+		name: "member added mid-run",
+		script: func(sw *scriptedWorld, k int) {
+			if k == 2 {
+				sw.w.addElement(sw.t, 50)
+			}
+		},
+		check: func(t *testing.T, sem Semantics, run scriptedRun) {
+			want := scriptedMembers + 1
+			if sem == Snapshot {
+				want = scriptedMembers // Fig. 4 loses the addition
+			}
+			if run.err != nil || len(run.ids) != want {
+				t.Fatalf("yielded %d (%v), want %d and a normal return", len(run.ids), run.err, want)
+			}
+		},
+	},
+	{
+		name: "unyielded member removed",
+		script: func(sw *scriptedWorld, k int) {
+			if k == 2 {
+				sw.remove(sw.w.refs[7])
+			}
+		},
+	},
+	{
+		name: "yielded member removed",
+		script: func(sw *scriptedWorld, k int) {
+			if k == 3 {
+				sw.remove(sw.w.refs[0])
+			}
+		},
+		check: func(t *testing.T, sem Semantics, run scriptedRun) {
+			switch sem {
+			case GrowOnly: // the constraint clause was broken: Fig. 5 fails the run
+				if !errors.Is(run.err, ErrFailure) || len(run.ids) != 3 {
+					t.Fatalf("yielded %d, err %v; want 3 and ErrFailure", len(run.ids), run.err)
+				}
+			case Optimistic:
+				if run.err != nil || len(run.ids) != scriptedMembers {
+					t.Fatalf("yielded %d, err %v; want all %d and a normal return", len(run.ids), run.err, scriptedMembers)
+				}
+			}
+		},
+	},
+	{
+		name: "node partitioned then healed",
+		script: func(sw *scriptedWorld, k int) {
+			switch k {
+			case 1: // e000 (s0) is yielded; s3 holds only unyielded members
+				sw.w.c.Net.Isolate(sw.w.c.Storage[3])
+			case 5:
+				sw.w.c.Net.Rejoin(sw.w.c.Storage[3])
+			}
+		},
+		check: func(t *testing.T, sem Semantics, run scriptedRun) {
+			want := []string{"e000", "e001", "e002", "e004", "e005", "e003", "e006", "e007", "e008", "e009"}
+			if run.err != nil || !reflect.DeepEqual(run.ids, want) {
+				t.Fatalf("yielded %v (%v), want %v", run.ids, run.err, want)
+			}
+			if run.kernelSteps < 4 {
+				t.Fatalf("%d kernel steps: the four partitioned invocations belong to the kernel", run.kernelSteps)
+			}
+		},
+	},
+	{
+		name:   "lease lost mid-run",
+		leased: true,
+		script: func(sw *scriptedWorld, k int) {
+			if k == 4 {
+				sw.ls.Stop()
+			}
+		},
+		check: func(t *testing.T, sem Semantics, run scriptedRun) {
+			if run.err != nil || len(run.ids) != scriptedMembers {
+				t.Fatalf("yielded %d (%v), want all %d", len(run.ids), run.err, scriptedMembers)
+			}
+			if sem.UsesSnapshot() {
+				return
+			}
+			if run.wk.LeaseServed != 4 || run.wk.ListingSkew != 0 {
+				t.Fatalf("leaseServed %d, listingSkew %d; want 4 lease-served invocations, then NotModified ones", run.wk.LeaseServed, run.wk.ListingSkew)
+			}
+			if run.kernelSteps > 1 {
+				t.Fatalf("%d kernel steps: losing the lease must not cost the cursor", run.kernelSteps)
+			}
+		},
+	},
+	{
+		// The window inside DeleteMember — data gone, id still listed —
+		// held open for 20 ms: the run must neither yield e009 nor fail,
+		// re-deciding until the listing drops it.
+		name: "ErrNotFound on fetch",
+		sems: []Semantics{Optimistic},
+		script: func(sw *scriptedWorld, k int) {
+			if k != 2 {
+				return
+			}
+			victim := sw.w.refs[9]
+			if err := sw.w.c.Client.Delete(context.Background(), victim); err != nil {
+				sw.t.Fatal(err)
+			}
+			sw.bg.Add(1)
+			go func() {
+				defer sw.bg.Done()
+				time.Sleep(20 * time.Millisecond)
+				if _, err := sw.w.c.Client.Remove(context.Background(), cluster.DirNode, "set", victim.ID); err != nil {
+					sw.t.Error(err)
+				}
+			}()
+		},
+		check: func(t *testing.T, sem Semantics, run scriptedRun) {
+			if run.err != nil || len(run.ids) != scriptedMembers-1 {
+				t.Fatalf("yielded %d (%v), want %d and a normal return", len(run.ids), run.err, scriptedMembers-1)
+			}
+			if run.wk.Invocations <= int64(len(run.ids))+1 {
+				t.Fatalf("%d invocations for %d yields: the missing member was never re-decided", run.wk.Invocations, len(run.ids))
+			}
+		},
+	},
+}
+
+// TestCursorAndKernelRunsAgree plays every scenario twice per semantics —
+// once recorded (kernel path, checked against the figure), once not
+// (cursor path) — and demands the same yield sequence and the same end.
+func TestCursorAndKernelRunsAgree(t *testing.T) {
+	for _, sc := range cursorScenarios {
+		sems := sc.sems
+		if sems == nil {
+			sems = []Semantics{GrowOnly, GrowOnlyPerRun, Optimistic, Snapshot}
+		}
+		for _, sem := range sems {
+			sc, sem := sc, sem
+			t.Run(sc.name+"/"+sem.String(), func(t *testing.T) {
+				kernel := runScripted(t, sc, sem, spec.NewRecorder())
+				cursor := runScripted(t, sc, sem, nil)
+				if !reflect.DeepEqual(cursor.ids, kernel.ids) {
+					t.Fatalf("yield sequences differ:\n cursor %v\n kernel %v", cursor.ids, kernel.ids)
+				}
+				if fmt.Sprint(cursor.err) != fmt.Sprint(kernel.err) {
+					t.Fatalf("runs end differently:\n cursor %v\n kernel %v", cursor.err, kernel.err)
+				}
+				if sc.check != nil {
+					sc.check(t, sem, cursor)
+				}
+			})
+		}
+	}
+}
+
+// TestQuiescentRunStepsKernelOnce is the complexity guard, by count rather
+// than by clock: a quiescent all-reachable current-state run observes its
+// membership n+1 times and hands the kernel the terminal invocation only,
+// with or without a lease; a run with a member node partitioned throughout
+// is the kernel's, every invocation of it.
+func TestQuiescentRunStepsKernelOnce(t *testing.T) {
+	ctx := context.Background()
+	const n = 2000
+	for _, leased := range []bool{false, true} {
+		w := newTestWorld(t, n)
+		var ls *repo.LeaseState
+		if leased {
+			ls = leaseWorld(t, w)
+		}
+		for _, sem := range []Semantics{GrowOnly, Optimistic} {
+			s := w.set(t, Options{Semantics: sem})
+			if leased {
+				if _, err := s.Collect(ctx); err != nil {
+					t.Fatal(err)
+				}
+				awaitLease(t, w, ls)
+			}
+			it, err := s.Elements(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it.Next(ctx) {
+			}
+			_ = it.Close(ctx)
+			wk := it.Weakness()
+			if it.Err() != nil || wk.Yielded != n || wk.Invocations != n+1 || it.kernelSteps > 1 {
+				t.Fatalf("%s leased=%v: yielded %d, %d invocations, %d kernel steps, err %v; want %d, %d, at most 1, nil",
+					sem, leased, wk.Yielded, wk.Invocations, it.kernelSteps, it.Err(), n, n+1)
+			}
+			if served := wk.LeaseServed; leased && served != n+1 || !leased && served != 0 {
+				t.Fatalf("%s leased=%v: %d lease-served invocations", sem, leased, served)
+			}
+		}
+	}
+
+	const m = 200
+	w := newTestWorld(t, m)
+	w.c.Net.Isolate(w.c.Storage[1])
+	for _, sem := range []Semantics{GrowOnly, Optimistic} {
+		s := w.set(t, Options{Semantics: sem, BlockRetry: time.Millisecond, MaxBlock: 2 * time.Millisecond})
+		it, err := s.Elements(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.Next(ctx) {
+		}
+		_ = it.Close(ctx)
+		wk := it.Weakness()
+		if wk.Yielded != m*3/4 || wk.Invocations <= wk.Yielded || int64(it.kernelSteps) != wk.Invocations {
+			t.Fatalf("%s partitioned: yielded %d, %d invocations, %d kernel steps; want %d yields and one kernel step per invocation",
+				sem, wk.Yielded, wk.Invocations, it.kernelSteps, m*3/4)
+		}
+	}
+}
+
+// TestListingSkewCountedOnLeaseServedRun is the regression test for skew
+// dropped on runs that opened from the cross-run listing: a run that has
+// observed its listing five times by lease and then sees it move has
+// seen within-run skew, exactly as one that observed it by RPC.
+func TestListingSkewCountedOnLeaseServedRun(t *testing.T) {
+	w := newTestWorld(t, 12)
+	ctx := context.Background()
+	ls := leaseWorld(t, w)
+	s := w.set(t, Options{Semantics: GrowOnly})
+	for i := 0; i < 2; i++ {
+		if _, err := s.Collect(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitLease(t, w, ls)
+
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	for i := 0; i < 5; i++ {
+		if !it.Next(ctx) {
+			t.Fatalf("next %d: %v", i, it.Err())
+		}
+	}
+	w.addElement(t, 100)
+	awaitLease(t, w, ls)
+	for it.Next(ctx) {
+	}
+	wk := it.Weakness()
+	if it.Err() != nil || wk.Yielded != 13 || wk.LeaseServed != 13 {
+		t.Fatalf("yielded %d, leaseServed %d, err %v; want 13, 13, nil", wk.Yielded, wk.LeaseServed, it.Err())
+	}
+	if wk.ListingSkew != 1 {
+		t.Fatalf("listingSkew = %d, want 1: the listing moved under a run that had observed it", wk.ListingSkew)
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,37 +77,34 @@ type Iterator struct {
 	ingDone    bool
 	maxPartVer uint64
 
-	// cursor is the incremental stepper's yield order: the sorted member
-	// ids not yet yielded, merged partition-by-partition as listings
-	// arrive. When every member node is reachable and no conformance
-	// recorder is attached, cursor[0] IS the kernel's decision (the
-	// lexicographically smallest unyielded reachable member), so a yield
-	// costs O(distinct nodes) instead of an O(members) scan — the
-	// difference between O(n) and O(n²) for a million-element run. Any
-	// anomaly (unreachable node, recorder attached, terminal decision)
-	// falls back to the full kernel Step.
+	// cursor is the one stepper's yield order, for every semantics: the
+	// sorted ids of the governing membership not yet yielded. Snapshot
+	// runs merge it partition-by-partition as s_first streams in;
+	// current-state runs key it on the listing they hold: it stands while
+	// each invocation's observation (lease or NotModified) certifies that
+	// listing and is rebuilt, O(n log n), only when the version moves.
+	// Unless fastNext stands down, cursor[0] IS the kernel's decision, so
+	// a yield costs O(distinct nodes), not an O(members) scan.
 	cursor []spec.ElemID
 	// nodes is the set of distinct nodes holding members, the fast
 	// path's per-invocation reachability sample domain.
 	nodes map[netsim.NodeID]bool
+	// yieldedGone counts yielded ids the held listing no longer lists
+	// (current-state runs only; yielded ⊆ s_first otherwise).
+	yieldedGone int
+	// kernelSteps counts Step calls: what the complexity guard reads.
+	kernelSteps int
 
 	// pf is the batched prefetch pipeline every element fetch goes through.
 	pf *prefetcher
-	// curMembers/listVersion cache the last full membership read for the
-	// current-state semantics; a version-gated List revalidates the cache
-	// in one member-free round trip when the listing hasn't changed.
+	// curMembers/listVersion are the listing a current-state run holds
+	// (see adopt); a version-gated List revalidates it in one member-free
+	// round trip when the listing hasn't changed.
 	curMembers  map[spec.ElemID]bool
 	listVersion uint64
-	// listedOnce flips after the run's first listing RPC: a version move
-	// against a seeded cross-run listing is not within-run skew.
-	listedOnce bool
-	// Reachability expansion cache: when the same membership map expands
-	// the same per-node sample, the member-level map is identical, so it
-	// is reused instead of rebuilt (it is read-only once built). The
-	// per-node sample itself is still taken fresh every invocation.
-	reachMembers map[spec.ElemID]bool
-	reachNodes   map[netsim.NodeID]bool
-	reachCache   map[spec.ElemID]bool
+	// observed flips once this run has observed a listing, by lease or by
+	// RPC: a version move against the cross-run seed is not within-run skew.
+	observed bool
 
 	yielded    map[spec.ElemID]bool
 	blockedFor time.Duration
@@ -271,6 +266,7 @@ func (it *Iterator) setup(ctx context.Context) error {
 
 	if it.opts.Semantics.UsesSnapshot() {
 		it.first = make(map[spec.ElemID]bool)
+		it.refs = make(map[spec.ElemID]repo.Ref)
 		it.nodes = make(map[netsim.NodeID]bool, 8)
 		if err := it.startIngest(ctx); err != nil {
 			return fmt.Errorf("read s_first: %w", err)
@@ -322,9 +318,7 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 }
 
 // fold merges one partition's listing into s_first on the iterator
-// goroutine. The membership maps grow in place, so the identity-keyed
-// reachability cache is explicitly invalidated (copying ~P maps of up
-// to n entries instead would defeat the point of streaming).
+// goroutine.
 func (it *Iterator) fold(pl repo.PartListing) {
 	if pl.Skewed {
 		it.wk.PartitionSkew++
@@ -371,9 +365,8 @@ func (it *Iterator) fold(pl repo.PartListing) {
 		it.nodes[ref.Node] = true
 		fresh = append(fresh, id)
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+	slices.Sort(fresh)
 	it.cursor = mergeSorted(it.cursor, fresh)
-	it.reachMembers, it.reachCache = nil, nil
 }
 
 // mergeSorted merges two ascending id slices into one.
@@ -480,23 +473,20 @@ func (it *Iterator) release(ctx context.Context) {
 // has cached, the conditional revalidation RPC is provably redundant. A
 // pushed bump makes the version comparison fail and the caller falls
 // back to ListIfNew — the degradation ladder's middle rung.
-func (it *Iterator) leaseServe() (map[spec.ElemID]bool, bool) {
-	if it.curMembers == nil || it.listVersion == 0 {
-		return nil, false
-	}
-	ls := it.client.Leases()
-	if ls == nil || ls.Dir() != it.set.dir {
-		return nil, false
+func (it *Iterator) leaseServe() bool {
+	ls := it.set.leaseState()
+	if ls == nil || it.listVersion == 0 {
+		return false
 	}
 	v, age, ok := ls.Serveable(it.set.name)
 	if !ok || v > it.listVersion {
-		return nil, false
+		return false
 	}
 	it.wk.LeaseServed++
 	if age > it.wk.LeaseAge {
 		it.wk.LeaseAge = age
 	}
-	return it.curMembers, true
+	return true
 }
 
 // noteReplicaList accounts a current-state membership read answered by a
@@ -518,106 +508,90 @@ func (it *Iterator) noteReplicaList(from replicaProbe, version uint64, notModifi
 	}
 }
 
-// preState assembles the invocation's pre-state: membership (s_first for
-// snapshot semantics, a fresh read otherwise) plus the reachability of each
-// member judged from the client's node.
-func (it *Iterator) preState(ctx context.Context) (spec.State, error) {
-	members := it.first
-	if !it.opts.Semantics.UsesSnapshot() {
-		if m, served := it.leaseServe(); served {
-			return it.assembleState(m), nil
-		}
-		lctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
-		defer lsp.End()
-		ctx = lctx
-		var (
-			refs        []repo.Ref
-			version     uint64
-			notModified bool
-			err         error
-		)
-		if rt := it.set.router; rt != nil {
-			var from replicaProbe
-			refs, version, notModified, from, err = rt.listIfNew(ctx, it.listVersion)
-			if err == nil {
-				it.noteReplicaList(from, version, &notModified)
-			}
-		} else {
-			refs, version, notModified, err = it.client.ListIfNew(ctx, it.set.dir, it.set.name, it.listVersion)
-		}
-		if err != nil {
-			return spec.State{}, err
-		}
-		if !notModified {
-			if it.listedOnce && version != it.listVersion {
-				// The listing changed under the run: membership skew the
-				// caller can never distinguish from a slow iteration.
-				it.wk.ListingSkew++
-			}
-			it.listVersion = version
-			it.curMembers = make(map[spec.ElemID]bool, len(refs))
-			for _, ref := range refs {
-				id := spec.ElemID(ref.ID)
-				it.curMembers[id] = true
-				it.refs[id] = ref
-				if it.yielded[id] {
-					// Re-listed but already yielded this run: the "no
-					// duplicates" obligation suppresses it.
-					it.wk.DuplicatesSuppressed++
-				}
-			}
-			it.set.publishListing(version, it.curMembers, it.refs)
-		}
-		it.listedOnce = true
-		// On the not-modified path the cached listing is exact: the
-		// server certified the version is unchanged. Reachability is
-		// still re-sampled below on every invocation.
-		members = it.curMembers
+// observe is the invocation's membership observation: s_first as folded
+// so far for snapshot semantics, otherwise a fresh read — the lease's
+// certificate, or a conditional List that certifies the held listing
+// (NotModified) or replaces it. Every invocation pays it, on either path.
+func (it *Iterator) observe(ctx context.Context) (map[spec.ElemID]bool, error) {
+	if it.opts.Semantics.UsesSnapshot() {
+		return it.first, nil
 	}
-	return it.assembleState(members), nil
+	if it.leaseServe() {
+		it.observed = true
+		return it.curMembers, nil
+	}
+	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
+	defer lsp.End()
+	var (
+		refs        []repo.Ref
+		version     uint64
+		notModified bool
+		err         error
+	)
+	if rt := it.set.router; rt != nil {
+		var from replicaProbe
+		refs, version, notModified, from, err = rt.listIfNew(ctx, it.listVersion)
+		if err == nil {
+			it.noteReplicaList(from, version, &notModified)
+		}
+	} else {
+		refs, version, notModified, err = it.client.ListIfNew(ctx, it.set.dir, it.set.name, it.listVersion)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !notModified {
+		if it.observed && version != it.listVersion {
+			// The listing changed under the run: membership skew the
+			// caller can never distinguish from a slow iteration.
+			it.wk.ListingSkew++
+		}
+		l := newListing(version, refs)
+		it.adopt(l)
+		it.set.publishListing(l)
+	}
+	it.observed = true
+	return it.curMembers, nil
 }
 
-// assembleState turns a membership map into the invocation's pre-state.
-// Membership maps (it.first, it.curMembers) are never mutated in place,
-// so the state aliases them rather than copying — the Recorder clones on
-// record. Reachability is re-sampled every
-// invocation — including on lease-served reads, where it is the only
-// fresh observation — but once per distinct node: it is a link property,
-// so members sharing a node share the answer within one sample.
+// adopt makes l the listing the run holds and rebuilds the cursor for it:
+// l's yield order minus what the run already yielded (re-listed yielded
+// members are suppressed — the "no duplicates" obligation).
+func (it *Iterator) adopt(l *listing) {
+	it.listVersion, it.curMembers, it.refs, it.nodes = l.version, l.members, l.refs, l.nodes
+	it.cursor, it.yieldedGone = l.order, 0
+	if len(it.yielded) == 0 {
+		return
+	}
+	for id := range it.yielded {
+		if !l.members[id] {
+			it.yieldedGone++
+		}
+	}
+	it.wk.DuplicatesSuppressed += int64(len(it.yielded) - it.yieldedGone)
+	it.cursor = slices.DeleteFunc(slices.Clone(l.order), func(id spec.ElemID) bool { return it.yielded[id] })
+}
+
+// assembleState turns a membership map into the kernel's pre-state.
+// Membership maps (it.first, it.curMembers) are never mutated once a
+// state aliases them — the Recorder clones on record. Reachability is
+// sampled fresh, once per distinct node: it is a link property, so
+// members sharing a node share the answer within one sample.
 func (it *Iterator) assembleState(members map[spec.ElemID]bool) spec.State {
 	sample := make(map[netsim.NodeID]bool, 8)
-	for id := range members {
-		node := it.refs[id].Node
-		if _, ok := sample[node]; !ok {
-			sample[node] = it.client.NodeReachable(node)
-		}
-	}
-	return spec.State{Members: members, Reach: it.expandReach(members, sample)}
-}
-
-// expandReach maps a per-node reachability sample down to per-member
-// reachability. Successive invocations usually expand the same sample over
-// the same membership; the identical result map is then reused rather than
-// rebuilt — it is read-only once built (the Recorder clones, the kernel
-// and prefetcher only read).
-func (it *Iterator) expandReach(members map[spec.ElemID]bool, sample map[netsim.NodeID]bool) map[spec.ElemID]bool {
-	if it.reachCache != nil && sameMapIdentity(it.reachMembers, members) && maps.Equal(it.reachNodes, sample) {
-		return it.reachCache
-	}
 	reach := make(map[spec.ElemID]bool, len(members))
 	for id := range members {
-		if sample[it.refs[id].Node] {
+		node := it.refs[id].Node
+		up, ok := sample[node]
+		if !ok {
+			up = it.client.NodeReachable(node)
+			sample[node] = up
+		}
+		if up {
 			reach[id] = true
 		}
 	}
-	it.reachMembers, it.reachNodes, it.reachCache = members, sample, reach
-	return reach
-}
-
-// sameMapIdentity reports whether two maps are the same map value (share
-// the same underlying storage), which the membership caching relies on.
-func sameMapIdentity(a, b map[spec.ElemID]bool) bool {
-	return a != nil && b != nil && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	return spec.State{Members: members, Reach: reach}
 }
 
 // Next advances the iterator: it either yields the next element (true) or
@@ -637,42 +611,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			it.terminate(fmt.Errorf("%w: read membership: %v", ErrFailure, err))
 			return false
 		}
-		if elem, ok := it.fastNext(); ok {
-			it.wk.Invocations++
-			pre := spec.State{Members: it.first}
-			if it.fetch(ctx, pre, elem, func() []repo.Ref { return it.cursorCandidates(elem) }) {
-				return true
-			}
-			if it.done {
-				return false
-			}
-			continue
-		}
-		if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && len(it.cursor) == 0 {
-			if it.ingestActive() {
-				// Every folded member is yielded but the opening listing is
-				// still streaming: the kernel could only reach a terminal
-				// decision about a prefix, which the terminal cases below wait
-				// out anyway. Wait for the next partition directly instead of
-				// paying a full kernel pass per arriving partition.
-				if !it.waitIngest(ctx) {
-					return false
-				}
-				continue
-			}
-			if len(it.yielded) >= len(it.first) {
-				// The listing is complete and every snapshot member is
-				// yielded (yielded ⊆ s_first always holds under snapshot
-				// semantics, so equal sizes mean equal sets), which forces
-				// stepSnapshot to Returned no matter what reachability this
-				// invocation would sample. Conclude directly rather than
-				// paying four O(members) scans to prove it.
-				it.wk.Invocations++
-				it.done = true
-				return false
-			}
-		}
-		pre, err := it.preState(ctx)
+		members, err := it.observe(ctx)
 		if err != nil {
 			switch {
 			case ctx.Err() != nil:
@@ -696,14 +635,44 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			return false
 		}
 		it.listFails = 0
-
-		// s_first is read here, not hoisted above the loop: the first
-		// non-empty fold may swap it.first for a pre-sized map.
-		d := Step(it.opts.Semantics, spec.State{Members: it.first}, pre, it.yielded)
+		pre := spec.State{Members: members}
+		d, fast := it.fastNext()
+		if !fast {
+			if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && len(it.cursor) == 0 {
+				if it.ingestActive() {
+					// Every folded member is yielded but the opening listing is
+					// still streaming: the kernel could only reach a terminal
+					// decision about a prefix, which the terminal cases below wait
+					// out anyway. Wait for the next partition directly instead of
+					// paying a full kernel pass per arriving partition.
+					if !it.waitIngest(ctx) {
+						return false
+					}
+					continue
+				}
+				if len(it.yielded) >= len(it.first) {
+					// The listing is complete and every snapshot member is
+					// yielded (yielded ⊆ s_first always holds under snapshot
+					// semantics, so equal sizes mean equal sets), which forces
+					// stepSnapshot to Returned no matter what reachability this
+					// invocation would sample. Conclude directly rather than
+					// paying four O(members) scans to prove it.
+					it.wk.Invocations++
+					it.done = true
+					return false
+				}
+			}
+			// The fast path stood down: the kernel decides. s_first is read
+			// here, not hoisted above the loop: the first non-empty fold may
+			// swap it.first for a pre-sized map.
+			pre = it.assembleState(members)
+			it.kernelSteps++
+			d = Step(it.opts.Semantics, spec.State{Members: it.first}, pre, it.yielded)
+		}
 		it.wk.Invocations++
 		switch d.Kind {
 		case DecideYield:
-			if it.fetch(ctx, pre, d.Elem, func() []repo.Ref { return it.fetchCandidates(pre, d.Elem) }) {
+			if it.fetch(ctx, pre, d.Elem) {
 				return true
 			}
 			if it.done {
@@ -749,33 +718,33 @@ func (it *Iterator) Next(ctx context.Context) bool {
 	}
 }
 
-// fastNext is the incremental stepper: it produces exactly the kernel's
-// decision without the O(members) scans, in the cases where that
-// decision is provable cheaply — a snapshot-governed run with no
-// conformance recorder whose member nodes are all reachable in this
-// invocation's sample. Under those conditions yielded ⊆ reachable(
-// s_first) and an unyielded member remains, so Step would yield the
-// lexicographically smallest unyielded member: cursor[0]. Anything else
-// — an unreachable node, an attached recorder, an exhausted cursor
-// (terminal decision) — falls back to the full kernel.
-func (it *Iterator) fastNext() (spec.ElemID, bool) {
-	if it.opts.Recorder != nil || !it.opts.Semantics.UsesSnapshot() {
-		return "", false
-	}
+// fastNext is the one stepper in front of Step, for every semantics: it
+// produces the kernel's decision without the O(members) state assembly
+// and scans, where that decision is provable cheaply (fastDecide, which
+// ExhaustiveConformance checks against Step). It stands down, leaving
+// the invocation to assembleState + Step, when a conformance Recorder is
+// attached (recorded pre-states are full ones); when some member-holding
+// node is unreachable in this invocation's sample; when the cursor is
+// empty (every terminal decision stays with the kernel); and, except
+// under the optimistic Fig. 6, when a yielded id has left the listing
+// (the pessimistic Fig. 5 kernel must fail that run).
+func (it *Iterator) fastNext() (Decision, bool) {
 	for len(it.cursor) > 0 && it.yielded[it.cursor[0]] {
 		it.cursor = it.cursor[1:]
 	}
-	if len(it.cursor) == 0 {
-		return "", false
+	if it.opts.Recorder != nil || len(it.cursor) == 0 {
+		return Decision{}, false
 	}
 	// Reachability is still sampled fresh on every invocation, as the
 	// spec demands — but per distinct node, not per member.
+	allReachable := true
 	for node := range it.nodes {
 		if !it.client.NodeReachable(node) {
-			return "", false
+			allReachable = false
+			break
 		}
 	}
-	return it.cursor[0], true
+	return fastDecide(it.opts.Semantics, it.cursor, allReachable, it.yieldedGone)
 }
 
 // prefetchWindow bounds how many candidates one prefetch replan hands
@@ -787,10 +756,11 @@ func (it *Iterator) prefetchWindow() int {
 	return it.opts.Fetch.Batch * it.opts.Fetch.Inflight * 4
 }
 
-// cursorCandidates is fetchCandidates for the fast path: the next
-// prefetch window of unyielded members in cursor order (all reachable,
-// or the fast path would not have engaged), elem first.
-func (it *Iterator) cursorCandidates(elem spec.ElemID) []repo.Ref {
+// cursorCandidates lists what the run could yield after elem: the next
+// prefetch window of unyielded members in yield order, elem first, less
+// those the kernel's sample (reach, nil on the fast path) found
+// unreachable. The prefetcher batches them by node for later Next calls.
+func (it *Iterator) cursorCandidates(elem spec.ElemID, reach map[spec.ElemID]bool) []repo.Ref {
 	limit := it.prefetchWindow()
 	out := make([]repo.Ref, 0, limit)
 	out = append(out, it.refs[elem])
@@ -798,7 +768,7 @@ func (it *Iterator) cursorCandidates(elem spec.ElemID) []repo.Ref {
 		if len(out) >= limit {
 			break
 		}
-		if id == elem || it.yielded[id] {
+		if id == elem || it.yielded[id] || (reach != nil && !reach[id]) {
 			continue
 		}
 		out = append(out, it.refs[id])
@@ -808,11 +778,11 @@ func (it *Iterator) cursorCandidates(elem spec.ElemID) []repo.Ref {
 
 // fetch retrieves the chosen element's object. It returns true when the
 // iterator yielded; false means the caller should re-observe (or the
-// iterator terminated — check it.done). candidates lists what the
-// kernel could yield next, consulted lazily on a prefetch miss.
-func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID, candidates func() []repo.Ref) bool {
+// iterator terminated — check it.done). The prefetch candidates are
+// planned lazily, on a miss.
+func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID) bool {
 	ref := it.refs[elem]
-	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, candidates)
+	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, func() []repo.Ref { return it.cursorCandidates(elem, pre.Reach) })
 	switch {
 	case err == nil:
 		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -851,25 +821,6 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID,
 	}
 }
 
-// fetchCandidates lists what the kernel could yield after elem — up to
-// a window of unyielded reachable members, elem first. The prefetcher
-// batches them by node so later Next calls find their objects ready.
-func (it *Iterator) fetchCandidates(pre spec.State, elem spec.ElemID) []repo.Ref {
-	limit := it.prefetchWindow()
-	out := make([]repo.Ref, 0, limit)
-	out = append(out, it.refs[elem])
-	for id := range pre.Members {
-		if len(out) >= limit {
-			break
-		}
-		if id == elem || it.yielded[id] || !pre.Reach[id] {
-			continue
-		}
-		out = append(out, it.refs[id])
-	}
-	return out
-}
-
 func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 	it.record(pre, spec.Suspended, spec.ElemID(ref.ID), true)
 	it.yielded[spec.ElemID(ref.ID)] = true
@@ -887,17 +838,8 @@ func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 // (or ghost-degraded) — the paper's central weakness, observable only
 // here because a weak `elements` run gives the caller no other signal.
 func (it *Iterator) countSkipped(pre spec.State) {
-	members := pre.Members
-	if it.opts.Semantics.UsesSnapshot() {
-		members = it.first
-	}
-	var skipped int64
-	for id := range members {
-		if !it.yielded[id] {
-			skipped++
-		}
-	}
-	it.wk.UnreachableSkipped += skipped
+	// Every yielded id is a member, bar the yieldedGone that left.
+	it.wk.UnreachableSkipped += int64(len(pre.Members) - len(it.yielded) + it.yieldedGone)
 }
 
 // blockPause sleeps one optimistic retry interval. It returns false when

@@ -63,11 +63,27 @@ func Step(sem Semantics, first spec.State, pre spec.State, yielded map[spec.Elem
 	}
 }
 
-// Step runs once per invocation, so an n-element run pays O(n) here n
-// times either way; what the step functions must not do is allocate — the
-// reachable subsets (reachable(s_first), reachable(s_pre)) are folded into
-// single counting scans instead of materialized maps, which halved the CPU
-// floor under batched fetching.
+// Step is O(members). An Iterator runs it only for the invocations its
+// cursor cannot decide (fastDecide) — every terminal one, and any taken
+// under a Recorder, a partition, or a Fig. 5 listing that dropped a
+// yielded id — so a quiescent n-element run pays it once, not n times.
+// What the step functions must not do is allocate: the reachable subsets
+// (reachable(s_first), reachable(s_pre)) are folded into single counting
+// scans instead of materialized maps.
+
+// fastDecide is the cursor stepper's whole decision, as a pure function.
+// cursor is the governing membership (s_first for the snapshot semantics,
+// s_pre otherwise) minus yielded, ascending; allReachable says this
+// invocation's sample found all of it reachable; yieldedGone counts
+// yielded ids outside it. When ok, the decision is Step's: yielded is a
+// strict subset of the reachable members and cursor[0] their smallest
+// unyielded one. Only Fig. 6 never asks where yielded ids went.
+func fastDecide(sem Semantics, cursor []spec.ElemID, allReachable bool, yieldedGone int) (d Decision, ok bool) {
+	if len(cursor) == 0 || !allReachable || (yieldedGone > 0 && sem != Optimistic) {
+		return Decision{}, false
+	}
+	return Decision{Kind: DecideYield, Elem: cursor[0]}, true
+}
 
 // stepSnapshot implements the shared ensures clause of Figures 3 and 4:
 // everything is judged against s_first, with reachability sampled now.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"weaksets/internal/spec"
 )
@@ -13,7 +14,9 @@ import (
 // kernel in each, and checks every decision against the figure's ensures
 // clause via spec.CheckInvocation. Where the property tests sample, this
 // proves: within the bound, no interleaving of mutations, failures and
-// repairs can make the kernel violate its specification.
+// repairs can make the kernel violate its specification — nor make the
+// Iterator's cursor stepper (fastDecide), wherever it claims to apply,
+// decide anything but what the kernel decides.
 
 // mcWorld is a bitmask-encoded model-check configuration. Bit i stands for
 // element i of the universe.
@@ -29,13 +32,15 @@ type ExhaustiveResult struct {
 	Elements    int
 	States      int // distinct configurations visited
 	Invocations int // kernel decisions checked
+	FastDecided int // of those, decided by the cursor stepper too, identically
 }
 
 // ExhaustiveConformance model-checks the semantics over every world of n
 // elements (n <= 8): all initial (membership, reachability) pairs, closed
 // under every environment mutation the constraint discipline permits,
 // every reachability flip, and every kernel invocation. It returns the
-// first specification violation found, or the coverage counts.
+// first specification violation or cursor/kernel disagreement found, or
+// the coverage counts.
 func ExhaustiveConformance(sem Semantics, n int) (ExhaustiveResult, error) {
 	if n < 1 || n > 8 {
 		return ExhaustiveResult{}, fmt.Errorf("core: exhaustive check supports 1..8 elements, got %d", n)
@@ -69,10 +74,31 @@ func ExhaustiveConformance(sem Semantics, n int) (ExhaustiveResult, error) {
 		res.States++
 
 		// Kernel invocation from this world.
-		first := maskState(w.first, full) // reachability irrelevant for first
+		first := maskStateWithReach(w.first, full, n) // reachability irrelevant for first
 		pre := maskStateWithReach(w.members, w.reach, n)
 		yielded := maskSet(w.yielded, n)
 		d := Step(sem, first, pre, yielded)
+
+		// The cursor stepper, fed what an Iterator would hold in this
+		// world: the governing membership minus yielded in yield order,
+		// whether all of it is reachable, how many yielded ids left it.
+		governing := w.members
+		if sem.UsesSnapshot() {
+			governing = w.first
+		}
+		var cursor []spec.ElemID
+		for i := 0; i < n; i++ { // elemID(i) ascends with i
+			if governing&^w.yielded&(1<<i) != 0 {
+				cursor = append(cursor, elemID(i))
+			}
+		}
+		if fd, ok := fastDecide(sem, cursor, governing&^w.reach == 0, bits.OnesCount16(w.yielded&^governing)); ok {
+			if fd != d {
+				return res, fmt.Errorf("world members=%03b reach=%03b yielded=%03b first=%03b: cursor decides %v, kernel %v",
+					w.members, w.reach, w.yielded, w.first, fd, d)
+			}
+			res.FastDecided++
+		}
 
 		inv := spec.Invocation{Pre: pre}
 		next := w
@@ -150,14 +176,6 @@ func maskSet(mask uint16, n int) map[spec.ElemID]bool {
 		}
 	}
 	return out
-}
-
-func maskState(members uint16, full uint16) spec.State {
-	n := 0
-	for full>>n != 0 {
-		n++
-	}
-	return spec.State{Members: maskSet(members, n), Reach: maskSet(full, n)}
 }
 
 func maskStateWithReach(members, reach uint16, n int) spec.State {

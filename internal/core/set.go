@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -84,32 +84,35 @@ func (o Options) withDefaults() Options {
 
 var iterSeq atomic.Int64
 
-// listingCache carries the last full membership read across runs of one
-// Set. A fresh iterator seeded from it opens with a conditional List at
-// worst; under a held lease even that round trip is provably redundant,
-// so the run's opening membership costs no RPC at all — the zero-RPC
-// warm read the lease protocol exists for. Published maps are never
-// mutated after publication: iterators alias members (read-only) and
-// copy refs before extending them.
-type listingCache struct {
-	mu      sync.Mutex
+// listing is one observed membership of the collection, in the shapes a
+// current-state run steps over: the member set, each member's location,
+// the ids in yield order and the distinct nodes holding members.
+// Immutable once built — runs and Set.lastListing alias it freely.
+type listing struct {
 	version uint64
 	members map[spec.ElemID]bool
 	refs    map[spec.ElemID]repo.Ref
+	order   []spec.ElemID // member ids ascending: the cursor of a run that has yielded nothing
+	nodes   map[netsim.NodeID]bool
 }
 
-func (lc *listingCache) publish(version uint64, members map[spec.ElemID]bool, refs map[spec.ElemID]repo.Ref) {
-	lc.mu.Lock()
-	if lc.members == nil || version >= lc.version {
-		lc.version, lc.members, lc.refs = version, members, refs
+func newListing(version uint64, refs []repo.Ref) *listing {
+	l := &listing{
+		version: version,
+		members: make(map[spec.ElemID]bool, len(refs)),
+		refs:    make(map[spec.ElemID]repo.Ref, len(refs)),
+		order:   make([]spec.ElemID, 0, len(refs)),
+		nodes:   make(map[netsim.NodeID]bool, 8),
 	}
-	lc.mu.Unlock()
-}
-
-func (lc *listingCache) snapshot() (uint64, map[spec.ElemID]bool, map[spec.ElemID]repo.Ref) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.version, lc.members, lc.refs
+	for _, ref := range refs {
+		id := spec.ElemID(ref.ID)
+		l.members[id] = true
+		l.refs[id] = ref
+		l.order = append(l.order, id)
+		l.nodes[ref.Node] = true
+	}
+	slices.Sort(l.order)
+	return l
 }
 
 // Set is a weak set bound to a collection in the distributed repository.
@@ -127,11 +130,15 @@ type Set struct {
 	// probe's liveness/latency observations route many reads.
 	router *replicaRouter
 
-	// listings persists the last membership read across runs, but only
-	// when a lease state is attached: without push invalidation a stale
-	// cross-run listing would silently widen the staleness window, so the
-	// leaseless paths keep their per-run read behaviour untouched.
-	listings listingCache
+	// lastListing carries the last full membership read across runs. A fresh
+	// iterator seeded from it opens with a conditional List at worst;
+	// under a held lease even that round trip is provably redundant, so
+	// the run's opening membership costs no RPC at all — and, the listing
+	// being immutable, no copy either. Published only when a lease state
+	// is attached: without push invalidation a stale cross-run listing
+	// would silently widen the staleness window, so the leaseless paths
+	// keep their per-run read behaviour untouched.
+	lastListing atomic.Pointer[listing]
 }
 
 // leaseState returns the client's lease state when it watches this set's
@@ -145,17 +152,17 @@ func (s *Set) leaseState() *repo.LeaseState {
 }
 
 // publishListing retains a freshly read membership for the next run's
-// lease-served opening. refs is filtered to the published members so
-// departed ids do not accumulate across the set's lifetime.
-func (s *Set) publishListing(version uint64, members map[spec.ElemID]bool, refs map[spec.ElemID]repo.Ref) {
-	if s.leaseState() == nil || version == 0 {
+// lease-served opening, unless a newer one is already there.
+func (s *Set) publishListing(l *listing) {
+	if s.leaseState() == nil || l.version == 0 {
 		return
 	}
-	rf := make(map[spec.ElemID]repo.Ref, len(members))
-	for id := range members {
-		rf[id] = refs[id]
+	for {
+		cur := s.lastListing.Load()
+		if cur != nil && cur.version > l.version || s.lastListing.CompareAndSwap(cur, l) {
+			return
+		}
 	}
-	s.listings.publish(version, members, rf)
 }
 
 // NewSet binds a weak set to collection name on directory node dir, read
@@ -223,7 +230,6 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		opts:    s.opts,
 		scale:   s.client.Bus().Network().Scale(),
 		yielded: make(map[spec.ElemID]bool),
-		refs:    make(map[spec.ElemID]repo.Ref),
 		owner:   fmt.Sprintf("%s-iter-%d", s.client.Node(), iterSeq.Add(1)),
 	}
 	it.wk.Collection = s.name
@@ -244,16 +250,16 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		it.finishObs()
 		return nil, werr
 	}
-	if !s.opts.Semantics.UsesSnapshot() && s.leaseState() != nil {
+	if ls := s.leaseState(); ls != nil && !s.opts.Semantics.UsesSnapshot() {
 		// Seed the run from the set's last published listing: the opening
 		// membership read becomes a conditional List at worst, and no RPC
 		// at all while the lease certifies the seeded version.
-		if v, members, refs := s.listings.snapshot(); v != 0 {
-			it.listVersion, it.curMembers = v, members
-			for id, ref := range refs {
-				it.refs[id] = ref
-			}
+		if l := s.lastListing.Load(); l != nil {
+			it.adopt(l)
 		}
+		// Queue the collection for lease acquisition; the first runs still
+		// revalidate conditionally until the (asynchronous) grant lands.
+		ls.Track(s.name)
 	}
 	// The cache binds after setup so the run's governing listing version
 	// (snapVer for snapshot-based semantics) is known.
@@ -282,11 +288,6 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 				return v, ok
 			},
 		})
-	}
-	if ls := s.leaseState(); ls != nil && !s.opts.Semantics.UsesSnapshot() {
-		// Queue the collection for lease acquisition; the first runs still
-		// revalidate conditionally until the (asynchronous) grant lands.
-		ls.Track(s.name)
 	}
 	return it, nil
 }
