@@ -7,6 +7,7 @@ GO ?= go
 .PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend bench-e2e bench sweep sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
 check: vet build race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend
+	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
 
 vet:
 	$(GO) vet ./...

@@ -56,6 +56,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 	it := &Iterator{
 		client:  repo.NewClient(rpc.NewBus(net), "home"),
 		opts:    Options{Semantics: sem},
+		held:    &listing{},
 		yielded: make(map[spec.ElemID]bool),
 	}
 	var (
@@ -75,12 +76,10 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		switch {
 		case step == 0 && sem.UsesSnapshot():
 			first = pre
-			it.first = make(map[spec.ElemID]bool)
-			it.refs = make(map[spec.ElemID]repo.Ref)
-			it.nodes = make(map[netsim.NodeID]bool)
-			it.ing = newPartIngest()
+			it.held = newListing(0, nil)
+			it.ing = newPartIngest(&it.rep)
 			it.fold(repo.PartListing{Partitions: 1, Version: 1, Members: refsOf(pre.Members)})
-		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, it.curMembers)):
+		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, it.held.members)):
 			version++
 			it.adopt(newListing(version, refsOf(pre.Members)))
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -48,18 +47,16 @@ type DynOptions struct {
 	// RetryEvery is the virtual pause between retry sweeps. Defaults to
 	// 50ms.
 	RetryEvery time.Duration
-	// Buffer is the capacity of the results channel. Defaults to Width.
-	Buffer int
-	// Batch caps how many same-node members ride in one GetBatch RPC.
-	// Defaults to 16; any value ≤ 1 (use -1 or 1 explicitly) keeps the
-	// one-Get-per-member path. FallbackCache forces the per-member path
-	// too, since the cache interposes on individual Gets.
+	// Batch caps how many same-node members ride in one GetBatch RPC —
+	// the only way a dynamic set fetches. Defaults to 16; any value ≤ 1
+	// (use -1 or 1 explicitly) is one member per round trip.
 	Batch int
-	// FallbackCache, when set, keeps fetched objects cached and serves an
-	// unreachable member's cached copy — delivered with Element.Stale set —
-	// instead of skipping or retrying it. This is the disconnected-
-	// operation extension: strictly weaker than Fig. 6 (the cached copy is
-	// not reachable), so it is opt-in and visible per element.
+	// FallbackCache, when set, keeps fetched objects cached and, when a
+	// batch's node cannot be reached, serves each of its members' cached
+	// copies — delivered with Element.Stale set — instead of skipping or
+	// retrying them. This is the disconnected-operation extension:
+	// strictly weaker than Fig. 6 (the cached copy is not reachable), so
+	// it is opt-in and visible per element.
 	FallbackCache *repo.Cache
 	// Tracer, when set, records a span trace of the run (subject to the
 	// tracer's sampling knob); fetch RPCs underneath join it.
@@ -75,18 +72,11 @@ func (o DynOptions) withDefaults() DynOptions {
 	if o.RetryEvery <= 0 {
 		o.RetryEvery = 50 * time.Millisecond
 	}
-	if o.Buffer <= 0 {
-		o.Buffer = o.Width
-	}
 	if o.Batch == 0 {
 		o.Batch = 16
 	}
+	o.Batch = max(o.Batch, 1)
 	return o
-}
-
-// batched reports whether the dynamic set fetches per-node batches.
-func (o DynOptions) batched() bool {
-	return o.Batch > 1 && o.FallbackCache == nil
 }
 
 // DynSet is a dynamic set (Steere's abstraction, §1.1): an open handle on a
@@ -155,7 +145,7 @@ func OpenDyn(ctx context.Context, client *repo.Client, dir netsim.NodeID, name s
 		opts:     opts,
 		scale:    client.Bus().Network().Scale(),
 		cancel:   cancel,
-		results:  make(chan Element, opts.Buffer),
+		results:  make(chan Element, opts.Width),
 		done:     make(chan struct{}),
 		seen:     make(map[repo.ObjectID]bool, len(members)),
 		skipped:  make(map[repo.ObjectID]repo.Ref),
@@ -197,17 +187,9 @@ func (d *DynSet) coordinate(ctx context.Context, pending []repo.Ref) {
 
 	for {
 		sortForFetch(d.client, pending, d.opts.Order)
-		var jobs [][]repo.Ref
-		if d.opts.batched() {
-			jobs = chunkByNode(pending, d.opts.Batch)
-		} else {
-			for _, ref := range pending {
-				jobs = append(jobs, []repo.Ref{ref})
-			}
-		}
+		jobs := chunkByNode(pending, d.opts.Batch)
 		pending = nil
 		for _, job := range jobs {
-			job := job
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
@@ -217,11 +199,7 @@ func (d *DynSet) coordinate(ctx context.Context, pending []repo.Ref) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if len(job) == 1 {
-					d.fetch(ctx, job[0])
-				} else {
-					d.fetchBatch(ctx, job)
-				}
+				d.fetchBatch(ctx, job)
 			}()
 		}
 		// Let in-flight fetches finish; they may enqueue retries.
@@ -255,75 +233,33 @@ func (d *DynSet) coordinate(ctx context.Context, pending []repo.Ref) {
 	}
 }
 
-// fetch retrieves one member and routes the outcome: success to the
-// consumer, deletion to the void, unreachability to the fallback cache,
-// retry, or skipped.
-func (d *DynSet) fetch(ctx context.Context, ref repo.Ref) {
-	var (
-		obj   repo.Object
-		stale bool
-		err   error
-	)
-	if d.opts.FallbackCache != nil {
-		obj, stale, err = d.opts.FallbackCache.GetThrough(ctx, d.client, ref)
-	} else {
-		obj, err = d.client.Get(ctx, ref)
-	}
-	switch {
-	case err == nil:
-		e := Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone || stale}
-		select {
-		case d.results <- e:
-			d.yielded.Add(1)
-			if e.Stale {
-				d.ghosts.Add(1)
-			}
-		case <-ctx.Done():
-		}
-	case errors.Is(err, repo.ErrNotFound):
-		// Deleted while we were iterating; Fig. 6 permits missing it.
-	default:
-		d.fetchFails.Add(1)
-		d.mu.Lock()
-		if d.opts.RetryUnreachable {
-			d.retry = append(d.retry, ref)
-		} else {
-			d.skipped[ref.ID] = ref
-		}
-		d.mu.Unlock()
-	}
-}
-
 // fetchBatch retrieves one per-node chunk in a single round trip and
-// routes each member like fetch does. A transport failure fails the whole
-// round trip: every member of the chunk goes to retry or skipped at the
-// cost of one RPC, not one per member.
+// routes each member: fetched to the consumer, deleted (the node answers
+// but has no data — Fig. 6 permits missing it) to the void. A transport
+// failure fails the whole round trip at the cost of one RPC, not one per
+// member: each member is then served stale from the fallback cache if it
+// is there, and goes to retry or skipped otherwise.
 func (d *DynSet) fetchBatch(ctx context.Context, refs []repo.Ref) {
 	ids := make([]repo.ObjectID, len(refs))
 	for i, ref := range refs {
 		ids[i] = ref.ID
 	}
 	objs, _, err := d.client.GetBatch(ctx, refs[0].Node, ids)
-	if err != nil {
-		d.fetchFails.Add(1)
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.opts.RetryUnreachable {
-			d.retry = append(d.retry, refs...)
-		} else {
-			for _, ref := range refs {
-				d.skipped[ref.ID] = ref
-			}
-		}
-		return
-	}
+	cache := d.opts.FallbackCache
+	var unserved []repo.Ref // deleted if the node answered, unreachable if not
 	for _, ref := range refs {
 		obj, ok := objs[ref.ID]
+		switch {
+		case err != nil && cache != nil:
+			obj, ok = cache.Fallback(ref.ID)
+		case ok && cache != nil:
+			cache.Put(obj)
+		}
 		if !ok {
-			// Deleted while we were iterating; Fig. 6 permits missing it.
+			unserved = append(unserved, ref)
 			continue
 		}
-		e := Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone}
+		e := Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone || err != nil}
 		select {
 		case d.results <- e:
 			d.yielded.Add(1)
@@ -333,6 +269,19 @@ func (d *DynSet) fetchBatch(ctx context.Context, refs []repo.Ref) {
 		case <-ctx.Done():
 			return
 		}
+	}
+	if err == nil {
+		return
+	}
+	d.fetchFails.Add(1)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.opts.RetryUnreachable {
+		d.retry = append(d.retry, unserved...)
+		return
+	}
+	for _, ref := range unserved {
+		d.skipped[ref.ID] = ref
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -378,5 +379,182 @@ func TestDynSetFallbackCacheColdMissStillSkips(t *testing.T) {
 	}
 	if len(ds.Skipped()) != 1 {
 		t.Fatalf("skipped = %v", ds.Skipped())
+	}
+}
+
+// TestDynSetBatchOneIsOneIDPerRoundTrip pins the one element path at its
+// smallest batch: Batch ≤ 1 is a one-id GetBatch per member — the same
+// round trips the per-member Get path cost — and never a repo.Get.
+func TestDynSetBatchOneIsOneIDPerRoundTrip(t *testing.T) {
+	w := newTestWorld(t, 10)
+	for _, batch := range []int{1, -1} {
+		w.c.Bus.ResetStats()
+		ds, err := OpenDyn(context.Background(), w.c.Client, cluster.DirNode, "set", DynOptions{Width: 3, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collectDyn(t, ds, 100)
+		_ = ds.Close()
+		if len(got) != 10 {
+			t.Fatalf("Batch %d: yielded %d, want 10", batch, len(got))
+		}
+		if gets, batches := w.c.Bus.MethodCalls(repo.MethodGet), w.c.Bus.MethodCalls(repo.MethodGetBatch); gets != 0 || batches != 10 {
+			t.Fatalf("Batch %d: %d Get and %d GetBatch calls, want 0 and 10", batch, gets, batches)
+		}
+	}
+}
+
+// TestDynSetFallbackAccountsFailedChunk fails one two-member chunk with
+// the cache holding one of the two: the round trip is one fetch failure,
+// and each member is a stale serve or a miss of its own.
+func TestDynSetFallbackAccountsFailedChunk(t *testing.T) {
+	w := newTestWorld(t, 8)
+	ctx := context.Background()
+	cache := repo.NewCache(16)
+	cache.Put(repo.Object{ID: w.refs[0].ID, Data: []byte("cached")})
+	w.c.Net.Isolate(w.c.Storage[0]) // holds e000 (cached) and e004 (not)
+
+	ds, err := OpenDyn(ctx, w.c.Client, cluster.DirNode, "set", DynOptions{Width: 4, FallbackCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectDyn(t, ds, 100)
+	_ = ds.Close()
+	stale := 0
+	for _, e := range got {
+		if e.Stale {
+			stale++
+			if e.Ref.ID != w.refs[0].ID || string(e.Data) != "cached" {
+				t.Fatalf("stale element %s = %q", e.Ref.ID, e.Data)
+			}
+		}
+	}
+	if len(got) != 7 || stale != 1 {
+		t.Fatalf("yielded %d elements, %d stale; want 7 and 1", len(got), stale)
+	}
+	if sk := ds.Skipped(); len(sk) != 1 || sk[0].ID != w.refs[4].ID {
+		t.Fatalf("skipped = %v, want the uncached member of the failed chunk", sk)
+	}
+	if wk := ds.Weakness(); wk.FetchFailures != 1 || wk.GhostsServed != 1 {
+		t.Fatalf("weakness = %+v, want one fetch failure and one ghost", wk)
+	}
+	if st := cache.Stats(); st.StaleServes != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want one stale serve and one miss", st)
+	}
+	if cache.Len() != 7 {
+		t.Fatalf("cache holds %d entries, want the 6 fetched plus the seeded one", cache.Len())
+	}
+}
+
+// TestDynSetFallbackDoesNotResurrectDeleted deletes a cached member's
+// data at its (reachable) owner: the owner's "missing" is an answer, not
+// a failure, so the cache must not mask the deletion.
+func TestDynSetFallbackDoesNotResurrectDeleted(t *testing.T) {
+	w := newTestWorld(t, 4)
+	ctx := context.Background()
+	cache := repo.NewCache(8)
+	run := func() []Element {
+		t.Helper()
+		ds, err := OpenDyn(ctx, w.c.Client, cluster.DirNode, "set", DynOptions{FallbackCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		return collectDyn(t, ds, 100)
+	}
+	if got := run(); len(got) != 4 || cache.Len() != 4 {
+		t.Fatalf("warmup yielded %d, cached %d", len(got), cache.Len())
+	}
+	if err := w.c.Client.Delete(ctx, w.refs[1]); err != nil {
+		t.Fatal(err)
+	}
+	got := run()
+	if len(got) != 3 {
+		t.Fatalf("yielded %v, want the 3 surviving members", elementIDs(got))
+	}
+	for _, e := range got {
+		if e.Ref.ID == w.refs[1].ID || e.Stale {
+			t.Fatalf("deleted member came back: %+v", e)
+		}
+	}
+	if st := cache.Stats(); st.StaleServes != 0 || st.Misses != 0 {
+		t.Fatalf("cache stats = %+v: a reachable owner is no fallback", st)
+	}
+}
+
+// TestDynSetFallbackStress shares one fallback cache among concurrent
+// dynamic sets across a connect → partition → heal cycle (under -race in
+// `make race`): while an owner is unreachable every member of a failed
+// chunk is answered stale or counted a miss, never both, never neither.
+func TestDynSetFallbackStress(t *testing.T) {
+	const (
+		members  = 24
+		capacity = 16 // smaller than members: some entries must evict
+		readers  = 6
+	)
+	w := newTestWorld(t, members)
+	ctx := context.Background()
+	cache := repo.NewCache(capacity)
+	// phase runs the readers concurrently and totals what they saw.
+	phase := func() (yielded, stale, skipped, failures int64) {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				ds, err := OpenDyn(ctx, w.c.Client, cluster.DirNode, "set", DynOptions{Width: 3, Batch: 1 + r%3, FallbackCache: cache})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, st := int64(0), int64(0)
+				for ds.Next(ctx) {
+					n++
+					if ds.Element().Stale {
+						st++
+					}
+				}
+				_ = ds.Close()
+				mu.Lock()
+				defer mu.Unlock()
+				yielded, stale = yielded+n, stale+st
+				skipped += int64(len(ds.Skipped()))
+				failures += ds.Weakness().FetchFailures
+			}(r)
+		}
+		wg.Wait()
+		return
+	}
+
+	if yielded, stale, skipped, failures := phase(); yielded != readers*members || stale+skipped+failures != 0 {
+		t.Fatalf("connected: yielded %d stale %d skipped %d failures %d", yielded, stale, skipped, failures)
+	}
+	warm := cache.Stats()
+	if warm.StaleServes != 0 || warm.Misses != 0 || cache.Len() != capacity {
+		t.Fatalf("connected phase: len %d, stats %+v", cache.Len(), warm)
+	}
+
+	w.c.Net.Isolate(w.c.Storage[0]) // a quarter of the members
+	yielded, stale, skipped, failures := phase()
+	part := cache.Stats()
+	if yielded+skipped != readers*members {
+		t.Fatalf("partitioned: %d yielded + %d skipped, want every member of every run accounted", yielded, skipped)
+	}
+	if part.StaleServes-warm.StaleServes != stale || part.Misses-warm.Misses != skipped {
+		t.Fatalf("partitioned: cache counted %d stale serves and %d misses, readers saw %d and %d",
+			part.StaleServes, part.Misses, stale, skipped)
+	}
+	if stale+skipped != readers*members/4 || failures == 0 {
+		t.Fatalf("partitioned: %d stale + %d skipped over %d failed round trips, want %d unreachable members",
+			stale, skipped, failures, readers*members/4)
+	}
+
+	w.c.Net.Heal()
+	if yielded, stale, skipped, failures := phase(); yielded != readers*members || stale+skipped+failures != 0 {
+		t.Fatalf("healed: yielded %d stale %d skipped %d failures %d", yielded, stale, skipped, failures)
+	}
+	if healed := cache.Stats(); healed.StaleServes != part.StaleServes || healed.Misses != part.Misses {
+		t.Fatalf("healed fetches counted as failures: %+v", healed)
 	}
 }

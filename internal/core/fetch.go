@@ -8,19 +8,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
 )
 
-// This file is the shared fetch pipeline behind both iterator flavours:
-// the closest-first ordering heuristic (§1.1, "fetching 'closer' files
-// first"), per-node batch grouping, and the Iterator's bounded-concurrency
-// prefetcher. Batching is a transport optimisation only — every yield is
-// still decided by the spec kernel against a freshly observed pre-state,
-// so the Fig. 3–6 semantics are untouched.
+// This file is the one element path behind both iterator flavours: the
+// closest-first ordering heuristic (§1.1, "fetching 'closer' files
+// first") and per-node batch grouping, which the Iterator's
+// bounded-concurrency prefetcher and DynSet's fetchers both plan with —
+// an element only ever crosses the wire in a GetBatch. Batching is a
+// transport optimisation only — every yield is still decided by the spec
+// kernel against a freshly observed pre-state, so the Fig. 3–6 semantics
+// are untouched.
 
 // FetchOptions tunes the Iterator's batched fetch path.
 type FetchOptions struct {
@@ -28,8 +29,6 @@ type FetchOptions struct {
 	Batch int
 	// Inflight bounds concurrent batch RPCs. Defaults to 4.
 	Inflight int
-	// Order selects the prefetch order. Defaults to closest-first.
-	Order FetchOrder
 	// Cache is the shared element cache consulted on the batched path:
 	// fresh entries serve snapshot runs with no RPC, warm entries turn
 	// batches into conditional fetches (version in, NotModified out).
@@ -94,35 +93,19 @@ type fetchResult struct {
 	epoch   uint64
 }
 
-// cacheBinding wires one run to the shared element cache. pinned marks a
-// snapshot-governed run (Fig. 3/4): its membership image is fixed at
-// listVer, so an entry stamped at or above it serves without any RPC.
-// Current-state runs (pinned=false) must revalidate every serve — they
-// still save the payload via conditional fetches, but never skip the
-// round trip — unless a lease certifies the listing is current: leased
-// reports the lease's certified listing version, and when that version
-// is at or below the run's own listVer the cached entries are exactly
-// what the owner would ship, so they serve RPC-free like a pinned run's.
-// listVer and leased are called on the iterator goroutine only.
+// cacheBinding wires one run to the shared element cache. held reports
+// the version of the listing the run holds and whether entries stamped at
+// or above it may serve with no round trip: always for a snapshot-
+// governed run (Fig. 3/4), whose membership image is fixed at that
+// version; for a current-state run only while a lease certifies the held
+// listing current, so the cached entries are exactly what the owner would
+// ship — otherwise it revalidates every serve, still saving the payload
+// via conditional fetches but never the round trip. held is called on the
+// iterator goroutine only.
 type cacheBinding struct {
-	cache   *repo.Cache
-	coll    string
-	pinned  bool
-	listVer func() uint64
-	leased  func() (uint64, bool)
-}
-
-// serveDirect reports whether entries stamped at or above listVer may
-// serve with no round trip under this binding.
-func (cb cacheBinding) serveDirect(listVer uint64) bool {
-	if cb.pinned {
-		return true
-	}
-	if cb.leased == nil || listVer == 0 {
-		return false
-	}
-	v, ok := cb.leased()
-	return ok && v <= listVer
+	cache *repo.Cache
+	coll  string
+	held  func() (listVer uint64, direct bool)
 }
 
 // fetchChunk is one per-node batch plus the cache context it was planned
@@ -151,15 +134,17 @@ type fetchChunk struct {
 //     cached data).
 type prefetcher struct {
 	client *repo.Client
-	order  FetchOrder
 	batch  int
 	tracer *obs.Tracer
-	// router, when non-nil, redirects batches aimed at a replicated node
-	// to the closest live replica (anti-entropy copies its objects
-	// there), hedging back to the owner on failure or a replica miss.
+	// router redirects batches aimed at a replicated node to the closest
+	// live replica (anti-entropy copies its objects there), hedging back
+	// to the owner on failure or a replica miss; tally accounts those
+	// serves for the run's weakness report.
 	router *replicaRouter
+	tally  *replicaTally
 
-	// cb wires the run to the shared element cache; cb.cache == nil
+	// cb wires the run to the shared element cache, set once before the
+	// first fetch by the goroutine that owns the iterator; cb.cache == nil
 	// means the cache is off and every batch ships full payloads.
 	cb cacheBinding
 
@@ -170,11 +155,6 @@ type prefetcher struct {
 	// NotModified serves for the weakness report.
 	cacheHits      atomic.Int64
 	cacheValidated atomic.Int64
-	// replicaServed counts batches answered by a non-home replica;
-	// replicaAgeMs bounds how stale those answers could be (the serving
-	// replica's last-sync age). Both fold into the weakness report.
-	replicaServed atomic.Int64
-	replicaAgeMs  atomic.Int64
 
 	// ctx outlives individual Next calls so batches pipeline across
 	// yields; close cancels it and waits out the workers.
@@ -195,14 +175,14 @@ type prefetcher struct {
 // newPrefetcher builds the pipeline. base carries the run's trace
 // context (or is plain Background for an untraced run), so batches
 // issued between Next calls still belong to the run's trace.
-func newPrefetcher(base context.Context, client *repo.Client, router *replicaRouter, o FetchOptions, tracer *obs.Tracer) *prefetcher {
+func newPrefetcher(base context.Context, client *repo.Client, router *replicaRouter, tally *replicaTally, o FetchOptions, tracer *obs.Tracer) *prefetcher {
 	ctx, cancel := context.WithCancel(base)
 	return &prefetcher{
 		client:  client,
-		order:   o.Order,
 		batch:   o.Batch,
 		tracer:  tracer,
 		router:  router,
+		tally:   tally,
 		ctx:     ctx,
 		cancel:  cancel,
 		sem:     make(chan struct{}, o.Inflight),
@@ -210,10 +190,6 @@ func newPrefetcher(base context.Context, client *repo.Client, router *replicaRou
 		pending: make(map[repo.ObjectID]bool),
 	}
 }
-
-// bindCache attaches the shared element cache for this run. Called once,
-// before the first fetch, from the goroutine that owns the iterator.
-func (p *prefetcher) bindCache(cb cacheBinding) { p.cb = cb }
 
 // errMissing marks an id the holding node had no data for; it unwraps to
 // repo.ErrNotFound so the iterator's stale/skip handling applies.
@@ -232,60 +208,51 @@ func errMissing(id repo.ObjectID) error {
 func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, candidates func() []repo.Ref) (repo.Object, error) {
 	for {
 		p.mu.Lock()
-		if res, ok := p.ready[ref.ID]; ok {
+		res, ok := p.ready[ref.ID]
+		if ok {
 			delete(p.ready, ref.ID)
 			p.mu.Unlock()
-			if res.epoch != p.client.Mutations() {
-				p.epochRetries.Add(1)
-				continue // fetched before our own mutation: refetch
-			}
-			if res.missing {
-				return repo.Object{}, errMissing(ref.ID)
-			}
-			return res.obj, nil
-		}
-		if !p.pending[ref.ID] {
-			// Replan only when ref's batch is not already in flight:
-			// replanning on an in-flight miss would launch fragmentary
-			// top-up batches for the few candidates the advancing window
-			// has newly exposed.
-			p.planLocked(candidates())
-			if _, ok := p.ready[ref.ID]; ok {
-				// The plan served ref straight from the cache; loop back to
-				// the ready-hit path.
-				p.mu.Unlock()
-				continue
-			}
+		} else {
 			if !p.pending[ref.ID] {
-				// The batch for ref could not be launched (closed
-				// prefetcher); fall back to a direct Get.
+				// Replan only when ref's batch is not already in flight:
+				// replanning on an in-flight miss would launch fragmentary
+				// top-up batches for the few candidates the advancing window
+				// has newly exposed.
+				p.planLocked(candidates())
+				if _, ok := p.ready[ref.ID]; ok {
+					// The plan served ref straight from the cache; loop back to
+					// the ready-hit path.
+					p.mu.Unlock()
+					continue
+				}
+				if !p.pending[ref.ID] {
+					// Nothing was launched: the pipeline is closed.
+					p.mu.Unlock()
+					return repo.Object{}, p.ctx.Err()
+				}
+			}
+			ch := make(chan fetchResult, 1)
+			p.want, p.wantCh = ref.ID, ch
+			p.mu.Unlock()
+
+			select {
+			case res = <-ch:
+			case <-ctx.Done():
+				p.mu.Lock()
+				p.want, p.wantCh = "", nil
 				p.mu.Unlock()
-				return p.client.Get(ctx, ref)
+				return repo.Object{}, ctx.Err()
 			}
 		}
-		ch := make(chan fetchResult, 1)
-		p.want, p.wantCh = ref.ID, ch
-		p.mu.Unlock()
-
-		select {
-		case res := <-ch:
-			if res.epoch != p.client.Mutations() {
-				p.epochRetries.Add(1)
-				continue
-			}
-			switch {
-			case res.err != nil:
-				return repo.Object{}, res.err
-			case res.missing:
-				return repo.Object{}, errMissing(ref.ID)
-			default:
-				return res.obj, nil
-			}
-		case <-ctx.Done():
-			p.mu.Lock()
-			p.want, p.wantCh = "", nil
-			p.mu.Unlock()
-			return repo.Object{}, ctx.Err()
+		switch {
+		case res.epoch != p.client.Mutations():
+			p.epochRetries.Add(1) // fetched before our own mutation: refetch
+		case res.err != nil:
+			return repo.Object{}, res.err
+		case res.missing:
+			return repo.Object{}, errMissing(ref.ID)
+		default:
+			return res.obj, nil
 		}
 	}
 }
@@ -303,8 +270,7 @@ func (p *prefetcher) planLocked(candidates []repo.Ref) {
 	var listVer uint64
 	direct := false
 	if p.cb.cache != nil {
-		listVer = p.cb.listVer()
-		direct = p.cb.serveDirect(listVer)
+		listVer, direct = p.cb.held()
 	}
 	need := make([]repo.Ref, 0, len(candidates))
 	for _, ref := range candidates {
@@ -330,7 +296,7 @@ func (p *prefetcher) planLocked(candidates []repo.Ref) {
 	if len(need) == 0 {
 		return
 	}
-	sortForFetch(p.client, need, p.order)
+	sortForFetch(p.client, need, OrderClosestFirst)
 	for _, refs := range chunkByNode(need, p.batch) {
 		ch := fetchChunk{refs: refs, listVer: listVer}
 		if p.cb.cache != nil {
@@ -403,40 +369,32 @@ func (p *prefetcher) run(ch fetchChunk) {
 // both hedge back to the owner, so replica routing never loses data,
 // only freshness — which is accounted as ReplicaServed/GhostAge.
 func (p *prefetcher) fetchPlain(ctx context.Context, owner netsim.NodeID, ids []repo.ObjectID) (map[repo.ObjectID]repo.Object, error) {
-	if p.router == nil {
-		objs, _, err := p.client.GetBatch(ctx, owner, ids)
-		return objs, err
-	}
-	target, ok := p.router.routeBatch(ctx, owner)
-	if !ok || target.node == owner {
-		objs, _, err := p.client.GetBatch(ctx, owner, ids)
-		return objs, err
-	}
-	hctx, cancel := context.WithTimeout(ctx, p.router.cfg.HedgeTimeout)
-	objs, missing, err := p.client.GetBatch(hctx, target.node, ids)
-	cancel()
-	if err != nil {
+	if target, ok := p.router.routeBatch(ctx, owner); ok && target.node != owner {
+		hctx, cancel := context.WithTimeout(ctx, p.router.cfg.HedgeTimeout)
+		objs, missing, err := p.client.GetBatch(hctx, target.node, ids)
+		cancel()
+		if err == nil {
+			p.tally.note(target, 0)
+			if len(missing) > 0 {
+				// The replica has not synced these objects yet: detour to
+				// the owner for just the gap. Whatever the owner also lacks
+				// is then a genuinely missing object, reported as such.
+				more, _, merr := p.client.GetBatch(ctx, owner, missing)
+				if merr != nil {
+					return nil, merr
+				}
+				for id, obj := range more {
+					objs[id] = obj
+				}
+			}
+			return objs, nil
+		}
 		// The replica died or timed out under the batch: hedge to the
 		// owner and stop routing to it until the next probe.
 		p.router.markDead(target.node)
-		objs, _, err = p.client.GetBatch(ctx, owner, ids)
-		return objs, err
 	}
-	p.replicaServed.Add(1)
-	atomicMax(&p.replicaAgeMs, int64(target.age()/time.Millisecond))
-	if len(missing) > 0 {
-		// The replica has not synced these objects yet: detour to the
-		// owner for just the gap. Whatever the owner also lacks is then a
-		// genuinely missing object, reported as such.
-		more, _, merr := p.client.GetBatch(ctx, owner, missing)
-		if merr != nil {
-			return nil, merr
-		}
-		for id, obj := range more {
-			objs[id] = obj
-		}
-	}
-	return objs, nil
+	objs, _, err := p.client.GetBatch(ctx, owner, ids)
+	return objs, err
 }
 
 // batchFlight is the shared result of one coalesced conditional batch.

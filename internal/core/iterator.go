@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"weaksets/internal/locksvc"
@@ -51,27 +50,30 @@ type Iterator struct {
 	growToken int64
 	released  bool
 
-	// first is s_first for snapshot-based semantics. With the streamed
-	// partitioned listing it grows partition-by-partition on the
-	// iterator's own goroutine (drainIngest) until the stream completes;
-	// the kernel legally runs against the partial view meanwhile —
-	// members it yields are genuine members of the snapshot — but
-	// terminal decisions wait for completeness.
-	first map[spec.ElemID]bool
-	// snapVer is the listing version governing s_first: the version the
-	// pinned (or opening) membership read reported. It anchors the
-	// cache's freshness check for snapshot-governed runs. While the
-	// partitioned listing is still streaming in it stays 0 (no cache
-	// serves against a version still being assembled); on completion it
-	// becomes the highest partition version observed, which is sound:
-	// any object fetched after that point is at least that fresh.
-	snapVer uint64
-	// refs maps every element ID this run has seen to its location.
-	refs map[spec.ElemID]repo.Ref
+	// held is the one listing the run steps over — members, where each
+	// lives, the distinct nodes holding them (the fast path's reachability
+	// sample domain) — and its version, which anchors the cache's
+	// freshness check.
+	//
+	// A snapshot run grows a private one, s_first, partition by partition
+	// on its own goroutine (fold) until the opening stream completes; the
+	// kernel legally runs against the partial view meanwhile — members it
+	// yields are genuine members of the snapshot — but terminal decisions
+	// wait for completeness. Its version stays 0 while an unpinned stream
+	// is still arriving (no cache serves against a version still being
+	// assembled) and is sealed to the highest partition version observed,
+	// which is sound: any object fetched after that point is at least
+	// that fresh.
+	//
+	// A current-state run aliases the shared immutable listing its last
+	// observation delivered (adopt); a lease or a version-gated List
+	// revalidates it in no or one member-free round trip while the
+	// membership hasn't changed.
+	held *listing
 
 	// ing buffers the streamed opening listing; nil for the current-state
 	// semantics, which have no opening listing. ingDone flips once the
-	// completed stream has been folded and snapVer sealed.
+	// completed stream has been folded and held.version sealed.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
@@ -86,9 +88,6 @@ type Iterator struct {
 	// Unless fastNext stands down, cursor[0] IS the kernel's decision, so
 	// a yield costs O(distinct nodes), not an O(members) scan.
 	cursor []spec.ElemID
-	// nodes is the set of distinct nodes holding members, the fast
-	// path's per-invocation reachability sample domain.
-	nodes map[netsim.NodeID]bool
 	// yieldedGone counts yielded ids the held listing no longer lists
 	// (current-state runs only; yielded ⊆ s_first otherwise).
 	yieldedGone int
@@ -97,11 +96,9 @@ type Iterator struct {
 
 	// pf is the batched prefetch pipeline every element fetch goes through.
 	pf *prefetcher
-	// curMembers/listVersion are the listing a current-state run holds
-	// (see adopt); a version-gated List revalidates it in one member-free
-	// round trip when the listing hasn't changed.
-	curMembers  map[spec.ElemID]bool
-	listVersion uint64
+	// rep tallies the reads a replica answered for this run, whichever of
+	// the listing streams, the membership reads or the batches they were.
+	rep replicaTally
 	// observed flips once this run has observed a listing, by lease or by
 	// RPC: a version move against the cross-run seed is not within-run skew.
 	observed bool
@@ -142,18 +139,13 @@ type partIngest struct {
 	hinted bool
 	sized  *sizedMaps    // pre-sized membership maps, once built
 	notify chan struct{} // buffered(1); signaled on push and finish
-
-	// Replica staleness accounting, written by the (possibly several)
-	// stream goroutines and folded into the run's WeaknessReport on the
-	// iterator goroutine. Atomics because the streams outlive Close on
-	// abandonment.
-	replicaSkew   atomic.Int64
-	replicaServed atomic.Int64
-	replicaAgeMs  atomic.Int64
+	// tally is the run's replica accounting, which the (possibly several)
+	// stream goroutines note replica-served frames in.
+	tally *replicaTally
 }
 
-func newPartIngest() *partIngest {
-	return &partIngest{notify: make(chan struct{}, 1)}
+func newPartIngest(tally *replicaTally) *partIngest {
+	return &partIngest{notify: make(chan struct{}, 1), tally: tally}
 }
 
 func (g *partIngest) signal() {
@@ -206,7 +198,7 @@ func (g *partIngest) takeOne() (pl repo.PartListing, ok, done bool, err error) {
 // listing, built in the background while the first partitions are
 // already being consumed.
 type sizedMaps struct {
-	first   map[spec.ElemID]bool
+	members map[spec.ElemID]bool
 	refs    map[spec.ElemID]repo.Ref
 	yielded map[spec.ElemID]bool
 }
@@ -221,7 +213,7 @@ const sizedMapsMin = 1 << 16
 // must not sit on the time-to-first-element path.
 func (g *partIngest) buildSized(hint int) {
 	m := &sizedMaps{
-		first:   make(map[spec.ElemID]bool, hint),
+		members: make(map[spec.ElemID]bool, hint),
 		refs:    make(map[spec.ElemID]repo.Ref, hint),
 		yielded: make(map[spec.ElemID]bool, hint),
 	}
@@ -265,9 +257,7 @@ func (it *Iterator) setup(ctx context.Context) error {
 	}
 
 	if it.opts.Semantics.UsesSnapshot() {
-		it.first = make(map[spec.ElemID]bool)
-		it.refs = make(map[spec.ElemID]repo.Ref)
-		it.nodes = make(map[netsim.NodeID]bool, 8)
+		it.held = newListing(0, nil)
 		if err := it.startIngest(ctx); err != nil {
 			return fmt.Errorf("read s_first: %w", err)
 		}
@@ -281,27 +271,13 @@ func (it *Iterator) setup(ctx context.Context) error {
 // Elements — while the remaining partitions keep arriving in the
 // background, already fetchable against.
 func (it *Iterator) startIngest(ctx context.Context) error {
-	s := it.set
-	ing := newPartIngest()
+	ing := newPartIngest(&it.rep)
 	it.ing = ing
 	// The stream outlives this call; its context carries the run's trace
 	// and is cancelled by Close.
 	ictx, cancel := context.WithCancel(it.traceCtx(context.Background()))
 	it.ingCancel = cancel
-	go func() {
-		if rt := s.router; rt != nil && it.pin == 0 {
-			// Replica-parallel opening: the listing's partitions stream
-			// from every live replica concurrently into this ingest. A
-			// pinned run stays home-bound — pins are primary-resident.
-			ing.finish(rt.scatter(ictx, ing))
-			return
-		}
-		err := it.client.ListParts(ictx, s.dir, s.name, it.pin, nil, func(pl repo.PartListing) error {
-			ing.push(pl)
-			return ictx.Err()
-		})
-		ing.finish(err)
-	}()
+	go func() { ing.finish(it.set.router.scatter(ictx, it.pin, ing)) }()
 	for {
 		select {
 		case <-ing.notify:
@@ -326,14 +302,15 @@ func (it *Iterator) fold(pl repo.PartListing) {
 	if pl.Version > it.maxPartVer {
 		it.maxPartVer = pl.Version
 	}
-	if it.pin != 0 && pl.Version > it.snapVer {
+	l := it.held
+	if it.pin != 0 && pl.Version > l.version {
 		// A pinned stream's frames all carry the pin's own listing version
 		// (the pin is one immutable snapshot, partitioned on the fly), so
 		// the run's governing version is known from the first frame — the
 		// cache can serve and stamp against it while the rest of the
 		// stream is still arriving, instead of revalidating every element
 		// planned before the final seal in drainIngest.
-		it.snapVer = pl.Version
+		l.version = pl.Version
 	}
 	if len(pl.Members) == 0 {
 		return
@@ -343,26 +320,26 @@ func (it *Iterator) fold(pl repo.PartListing) {
 	// members, so it happens off the yield path; adoption only copies what
 	// little has folded so far.
 	if m := it.ing.takeSized(); m != nil {
-		for id := range it.first {
-			m.first[id] = true
+		for id := range l.members {
+			m.members[id] = true
 		}
-		for id, ref := range it.refs {
+		for id, ref := range l.refs {
 			m.refs[id] = ref
 		}
 		for id := range it.yielded {
 			m.yielded[id] = true
 		}
-		it.first, it.refs, it.yielded = m.first, m.refs, m.yielded
+		l.members, l.refs, it.yielded = m.members, m.refs, m.yielded
 	}
 	fresh := make([]spec.ElemID, 0, len(pl.Members))
 	for _, ref := range pl.Members {
 		id := spec.ElemID(ref.ID)
-		if it.first[id] {
+		if l.members[id] {
 			continue
 		}
-		it.first[id] = true
-		it.refs[id] = ref
-		it.nodes[ref.Node] = true
+		l.members[id] = true
+		l.refs[id] = ref
+		l.nodes[ref.Node] = true
 		fresh = append(fresh, id)
 	}
 	slices.Sort(fresh)
@@ -396,10 +373,11 @@ func mergeSorted(a, b []spec.ElemID) []spec.ElemID {
 // enough to keep a full prefetch window of unyielded members in the
 // cursor (everything, under a recorder), so the fold cost is paid
 // incrementally across yields rather than all before the first element
-// (the in-process stream can outrun the iterator arbitrarily). When the stream has completed and the
-// queue is drained it seals snapVer (the highest partition version
-// observed — sound, because every object fetch from here on is at
-// least that fresh) and reports the stream's error, if any.
+// (the in-process stream can outrun the iterator arbitrarily). When the
+// stream has completed and the queue is drained it seals held.version
+// (the highest partition version observed — sound, because every object
+// fetch from here on is at least that fresh) and reports the stream's
+// error, if any.
 func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
@@ -414,7 +392,7 @@ func (it *Iterator) drainIngest() error {
 			if err != nil {
 				return err
 			}
-			it.snapVer = it.maxPartVer
+			it.held.version = it.maxPartVer
 			return nil
 		}
 		it.fold(pl)
@@ -467,19 +445,27 @@ func (it *Iterator) release(ctx context.Context) {
 	}
 }
 
-// leaseServe tries to serve a current-state membership read from the
-// cached listing under a held lease: the server promised to push any
-// listing change, so if the certified version is still the one the run
-// has cached, the conditional revalidation RPC is provably redundant. A
-// pushed bump makes the version comparison fail and the caller falls
-// back to ListIfNew — the degradation ladder's middle rung.
-func (it *Iterator) leaseServe() bool {
+// certified reports whether a held lease certifies the held listing
+// current — the server promised to push any listing change, and the
+// certified version is still the one the run holds — and how old that
+// certificate is.
+func (it *Iterator) certified() (age time.Duration, ok bool) {
 	ls := it.set.leaseState()
-	if ls == nil || it.listVersion == 0 {
-		return false
+	if ls == nil || it.held.version == 0 {
+		return 0, false
 	}
 	v, age, ok := ls.Serveable(it.set.name)
-	if !ok || v > it.listVersion {
+	return age, ok && v <= it.held.version
+}
+
+// leaseServe tries to serve a current-state membership read from the
+// held listing under the lease: while it is certified the conditional
+// revalidation RPC is provably redundant. A pushed bump makes the version
+// comparison fail and the caller falls back to a conditional List — the
+// degradation ladder's middle rung.
+func (it *Iterator) leaseServe() bool {
+	age, ok := it.certified()
+	if !ok {
 		return false
 	}
 	it.wk.LeaseServed++
@@ -489,59 +475,36 @@ func (it *Iterator) leaseServe() bool {
 	return true
 }
 
-// noteReplicaList accounts a current-state membership read answered by a
-// replica. A non-home serve counts as ReplicaServed and bounds GhostAge
-// by the replica's last-sync age. A reply older than what the run has
-// already observed (the serving replica lags the run's own view) is
-// demoted to not-modified — the run keeps its fresher cached listing,
-// staying monotonic — and the regression is accounted as ReplicaSkew.
-func (it *Iterator) noteReplicaList(from replicaProbe, version uint64, notModified *bool) {
-	if !from.home {
-		it.wk.ReplicaServed++
-		if age := from.age(); age > it.wk.GhostAge {
-			it.wk.GhostAge = age
-		}
-	}
-	if !*notModified && version < it.listVersion {
-		it.wk.ReplicaSkew += int64(it.listVersion - version)
-		*notModified = true
-	}
-}
-
-// observe is the invocation's membership observation: s_first as folded
-// so far for snapshot semantics, otherwise a fresh read — the lease's
-// certificate, or a conditional List that certifies the held listing
+// observe is the invocation's membership observation, after which held is
+// what the invocation steps over: s_first as folded so far for snapshot
+// semantics, otherwise a fresh read — the lease's certificate, or a
+// conditional List through the router that certifies the held listing
 // (NotModified) or replaces it. Every invocation pays it, on either path.
-func (it *Iterator) observe(ctx context.Context) (map[spec.ElemID]bool, error) {
+func (it *Iterator) observe(ctx context.Context) error {
 	if it.opts.Semantics.UsesSnapshot() {
-		return it.first, nil
+		return nil
 	}
 	if it.leaseServe() {
 		it.observed = true
-		return it.curMembers, nil
+		return nil
 	}
 	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
 	defer lsp.End()
-	var (
-		refs        []repo.Ref
-		version     uint64
-		notModified bool
-		err         error
-	)
-	if rt := it.set.router; rt != nil {
-		var from replicaProbe
-		refs, version, notModified, from, err = rt.listIfNew(ctx, it.listVersion)
-		if err == nil {
-			it.noteReplicaList(from, version, &notModified)
-		}
-	} else {
-		refs, version, notModified, err = it.client.ListIfNew(ctx, it.set.dir, it.set.name, it.listVersion)
-	}
+	refs, version, notModified, from, err := it.set.router.listIfNew(ctx, it.held.version)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	var skew uint64
+	if !from.home && !notModified && version < it.held.version {
+		// The serving replica lags what the run has already observed (the
+		// home's answer is authoritative, whatever its version): the reply
+		// is demoted to not-modified — the run keeps its fresher listing,
+		// staying monotonic — and the regression is accounted.
+		skew, notModified = it.held.version-version, true
+	}
+	it.rep.note(from, skew)
 	if !notModified {
-		if it.observed && version != it.listVersion {
+		if it.observed && version != it.held.version {
 			// The listing changed under the run: membership skew the
 			// caller can never distinguish from a slow iteration.
 			it.wk.ListingSkew++
@@ -551,14 +514,14 @@ func (it *Iterator) observe(ctx context.Context) (map[spec.ElemID]bool, error) {
 		it.set.publishListing(l)
 	}
 	it.observed = true
-	return it.curMembers, nil
+	return nil
 }
 
 // adopt makes l the listing the run holds and rebuilds the cursor for it:
 // l's yield order minus what the run already yielded (re-listed yielded
 // members are suppressed — the "no duplicates" obligation).
 func (it *Iterator) adopt(l *listing) {
-	it.listVersion, it.curMembers, it.refs, it.nodes = l.version, l.members, l.refs, l.nodes
+	it.held = l
 	it.cursor, it.yieldedGone = l.order, 0
 	if len(it.yielded) == 0 {
 		return
@@ -572,16 +535,18 @@ func (it *Iterator) adopt(l *listing) {
 	it.cursor = slices.DeleteFunc(slices.Clone(l.order), func(id spec.ElemID) bool { return it.yielded[id] })
 }
 
-// assembleState turns a membership map into the kernel's pre-state.
-// Membership maps (it.first, it.curMembers) are never mutated once a
-// state aliases them — the Recorder clones on record. Reachability is
-// sampled fresh, once per distinct node: it is a link property, so
-// members sharing a node share the answer within one sample.
-func (it *Iterator) assembleState(members map[spec.ElemID]bool) spec.State {
+// assembleState turns the held listing into the kernel's pre-state. A
+// state only aliases the membership map for the length of one invocation
+// — the Recorder clones on record — so a snapshot run's later folds are
+// safe. Reachability is sampled fresh, once per distinct node: it is a
+// link property, so members sharing a node share the answer within one
+// sample.
+func (it *Iterator) assembleState() spec.State {
+	members := it.held.members
 	sample := make(map[netsim.NodeID]bool, 8)
 	reach := make(map[spec.ElemID]bool, len(members))
 	for id := range members {
-		node := it.refs[id].Node
+		node := it.held.refs[id].Node
 		up, ok := sample[node]
 		if !ok {
 			up = it.client.NodeReachable(node)
@@ -611,8 +576,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			it.terminate(fmt.Errorf("%w: read membership: %v", ErrFailure, err))
 			return false
 		}
-		members, err := it.observe(ctx)
-		if err != nil {
+		if err := it.observe(ctx); err != nil {
 			switch {
 			case ctx.Err() != nil:
 				it.terminate(ctx.Err())
@@ -635,7 +599,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			return false
 		}
 		it.listFails = 0
-		pre := spec.State{Members: members}
+		pre := spec.State{Members: it.held.members}
 		d, fast := it.fastNext()
 		if !fast {
 			if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && len(it.cursor) == 0 {
@@ -650,7 +614,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 					}
 					continue
 				}
-				if len(it.yielded) >= len(it.first) {
+				if len(it.yielded) >= len(it.held.members) {
 					// The listing is complete and every snapshot member is
 					// yielded (yielded ⊆ s_first always holds under snapshot
 					// semantics, so equal sizes mean equal sets), which forces
@@ -662,14 +626,24 @@ func (it *Iterator) Next(ctx context.Context) bool {
 					return false
 				}
 			}
-			// The fast path stood down: the kernel decides. s_first is read
-			// here, not hoisted above the loop: the first non-empty fold may
-			// swap it.first for a pre-sized map.
-			pre = it.assembleState(members)
+			// The fast path stood down: the kernel decides. The held
+			// membership doubles as s_first, which Step reads under the
+			// snapshot semantics only; it is read here, not hoisted above the
+			// loop: the first non-empty fold may swap in a pre-sized map.
+			pre = it.assembleState()
 			it.kernelSteps++
-			d = Step(it.opts.Semantics, spec.State{Members: it.first}, pre, it.yielded)
+			d = Step(it.opts.Semantics, spec.State{Members: pre.Members}, pre, it.yielded)
 		}
 		it.wk.Invocations++
+		if (d.Kind == DecideReturn || d.Kind == DecideFail) && it.ingestActive() {
+			// The drained partitions are exhausted but the opening listing
+			// is still streaming in: a terminal decision is about a prefix,
+			// not the snapshot. Wait for more.
+			if !it.waitIngest(ctx) {
+				return false
+			}
+			continue
+		}
 		switch d.Kind {
 		case DecideYield:
 			if it.fetch(ctx, pre, d.Elem) {
@@ -683,27 +657,12 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			continue
 
 		case DecideReturn:
-			if it.ingestActive() {
-				// The drained partitions are exhausted but the opening
-				// listing is still streaming in: the decision is about a
-				// prefix, not the snapshot. Wait for more.
-				if !it.waitIngest(ctx) {
-					return false
-				}
-				continue
-			}
 			it.record(pre, spec.Returned, "", false)
 			it.countSkipped(pre)
 			it.done = true
 			return false
 
 		case DecideFail:
-			if it.ingestActive() {
-				if !it.waitIngest(ctx) {
-					return false
-				}
-				continue
-			}
 			it.record(pre, spec.Failed, "", false)
 			it.countSkipped(pre)
 			it.terminate(fmt.Errorf("%w: %s: unreachable members remain", ErrFailure, it.opts.Semantics))
@@ -738,7 +697,7 @@ func (it *Iterator) fastNext() (Decision, bool) {
 	// Reachability is still sampled fresh on every invocation, as the
 	// spec demands — but per distinct node, not per member.
 	allReachable := true
-	for node := range it.nodes {
+	for node := range it.held.nodes {
 		if !it.client.NodeReachable(node) {
 			allReachable = false
 			break
@@ -763,7 +722,8 @@ func (it *Iterator) prefetchWindow() int {
 func (it *Iterator) cursorCandidates(elem spec.ElemID, reach map[spec.ElemID]bool) []repo.Ref {
 	limit := it.prefetchWindow()
 	out := make([]repo.Ref, 0, limit)
-	out = append(out, it.refs[elem])
+	refs := it.held.refs
+	out = append(out, refs[elem])
 	for _, id := range it.cursor {
 		if len(out) >= limit {
 			break
@@ -771,7 +731,7 @@ func (it *Iterator) cursorCandidates(elem spec.ElemID, reach map[spec.ElemID]boo
 		if id == elem || it.yielded[id] || (reach != nil && !reach[id]) {
 			continue
 		}
-		out = append(out, it.refs[id])
+		out = append(out, refs[id])
 	}
 	return out
 }
@@ -781,7 +741,7 @@ func (it *Iterator) cursorCandidates(elem spec.ElemID, reach map[spec.ElemID]boo
 // iterator terminated — check it.done). The prefetch candidates are
 // planned lazily, on a miss.
 func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID) bool {
-	ref := it.refs[elem]
+	ref := it.held.refs[elem]
 	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, func() []repo.Ref { return it.cursorCandidates(elem, pre.Reach) })
 	switch {
 	case err == nil:
@@ -890,7 +850,21 @@ func (it *Iterator) TraceID() obs.TraceID { return it.span.TraceID() }
 
 // Weakness returns the run's weakness report. It is complete after
 // Close; before that it reflects the run so far.
-func (it *Iterator) Weakness() obs.WeaknessReport { return it.wk }
+func (it *Iterator) Weakness() obs.WeaknessReport {
+	it.foldCounters()
+	return it.wk
+}
+
+// foldCounters copies into the report what the fetch pipeline and the
+// listing streams count on their own goroutines.
+func (it *Iterator) foldCounters() {
+	it.wk.EpochRetries = it.pf.epochRetries.Load()
+	it.wk.CacheHits = it.pf.cacheHits.Load()
+	it.wk.CacheValidatedHits = it.pf.cacheValidated.Load()
+	it.wk.ReplicaSkew = it.rep.skew.Load()
+	it.wk.ReplicaServed = it.rep.served.Load()
+	it.wk.GhostAge = time.Duration(it.rep.ageMs.Load()) * time.Millisecond
+}
 
 // finishObs completes the run's weakness report and root span exactly
 // once: outcome classification, snapshot age, prefetcher epoch retries,
@@ -900,21 +874,7 @@ func (it *Iterator) finishObs() {
 		return
 	}
 	it.obsDone = true
-	it.wk.EpochRetries = it.pf.epochRetries.Load()
-	it.wk.CacheHits = it.pf.cacheHits.Load()
-	it.wk.CacheValidatedHits = it.pf.cacheValidated.Load()
-	it.wk.ReplicaServed += it.pf.replicaServed.Load()
-	if age := time.Duration(it.pf.replicaAgeMs.Load()) * time.Millisecond; age > it.wk.GhostAge {
-		it.wk.GhostAge = age
-	}
-	if it.ing != nil {
-		// Scatter accounting accumulated by the stream goroutines.
-		it.wk.ReplicaSkew += it.ing.replicaSkew.Load()
-		it.wk.ReplicaServed += it.ing.replicaServed.Load()
-		if age := time.Duration(it.ing.replicaAgeMs.Load()) * time.Millisecond; age > it.wk.GhostAge {
-			it.wk.GhostAge = age
-		}
-	}
+	it.foldCounters()
 	if !it.startedAt.IsZero() {
 		it.wk.Duration = time.Since(it.startedAt)
 	}

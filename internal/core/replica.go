@@ -12,13 +12,15 @@ import (
 	"weaksets/internal/repo"
 )
 
-// This file is the read side of collection replication. A replicated
-// collection keeps its writes on the home node and anti-entropy pushes
-// membership (and home-resident object data) to the replicas, so any
-// replica can serve a read — stale, which Figs. 4–6 make legal, as long
-// as the staleness is accounted. The router probes every replica with an
-// anti-entropy digest (one cheap RPC measuring liveness, round-trip time
-// and the replica's per-partition version vector), then:
+// This file is where every Set reads membership, and the read side of
+// collection replication. A replicated collection keeps its writes on
+// the home node and anti-entropy pushes membership (and home-resident
+// object data) to the replicas, so any replica can serve a read — stale,
+// which Figs. 4–6 make legal, as long as the staleness is accounted. An
+// unreplicated collection is the one-node replica set: the home alone,
+// live by definition, never probed. The router probes every replica with
+// an anti-entropy digest (one cheap RPC measuring liveness, round-trip
+// time and the replica's per-partition version vector), then:
 //
 //   - scatters a snapshot-opening partitioned listing across the live
 //     replicas, closest first, so the frames stream from N nodes
@@ -37,7 +39,8 @@ import (
 type ReplicaConfig struct {
 	// Nodes are the nodes holding the collection, home node first (the
 	// same set passed to repo.Server.ReplicateCollection). Fewer than two
-	// nodes disables replica routing.
+	// nodes is the unreplicated collection: the Set's directory node is
+	// the whole replica set, and reads go to it without a probe.
 	Nodes []netsim.NodeID
 	// ProbeTTL bounds how long one digest probe's liveness/latency/
 	// version observations keep routing reads before they are refreshed.
@@ -48,8 +51,6 @@ type ReplicaConfig struct {
 	// replica and finally the home. Defaults to 250ms.
 	HedgeTimeout time.Duration
 }
-
-func (r ReplicaConfig) enabled() bool { return len(r.Nodes) > 1 }
 
 func (r ReplicaConfig) withDefaults() ReplicaConfig {
 	if r.ProbeTTL == 0 {
@@ -83,6 +84,25 @@ func (p replicaProbe) age() time.Duration {
 	return time.Duration(p.ageMs) * time.Millisecond
 }
 
+// replicaTally accumulates one run's replica-served reads — scattered
+// listing frames, current-state listings, element batches — for its
+// WeaknessReport. Atomics because stream and batch goroutines write it
+// and can outlive an abandoned run's Close.
+type replicaTally struct {
+	skew   atomic.Int64 // version steps behind the freshest known listing
+	served atomic.Int64 // reads answered by a non-home replica
+	ageMs  atomic.Int64 // max last-sync age of a serving replica: bounds GhostAge
+}
+
+// note accounts one read answered by p, skew version steps stale.
+func (t *replicaTally) note(p replicaProbe, skew uint64) {
+	t.skew.Add(int64(skew))
+	if !p.home {
+		t.served.Add(1)
+		atomicMax(&t.ageMs, int64(p.age()/time.Millisecond))
+	}
+}
+
 // replicaRouter holds a Set's replica routing state: the config and the
 // last probe of every replica. Safe for concurrent use — one Set's
 // iterators and prefetchers share it.
@@ -94,6 +114,10 @@ type replicaRouter struct {
 	mu       sync.Mutex
 	probes   []replicaProbe
 	probedAt time.Time
+	// probing is non-nil while a refresh is in flight and closed when it
+	// lands: callers that find the probe expired wait on it rather than
+	// each fanning Digest out to every replica.
+	probing chan struct{}
 
 	// rr rotates batch reads among replicas whose probed RTT is within a
 	// near-tie of the closest, so symmetric topologies spread load instead
@@ -101,7 +125,11 @@ type replicaRouter struct {
 	rr atomic.Uint64
 }
 
-func newReplicaRouter(client *repo.Client, name string, cfg ReplicaConfig) *replicaRouter {
+// newReplicaRouter routes reads of collection name, homed on dir.
+func newReplicaRouter(client *repo.Client, dir netsim.NodeID, name string, cfg ReplicaConfig) *replicaRouter {
+	if len(cfg.Nodes) < 2 {
+		cfg.Nodes = []netsim.NodeID{dir}
+	}
 	return &replicaRouter{client: client, name: name, cfg: cfg.withDefaults()}
 }
 
@@ -109,22 +137,42 @@ func (rt *replicaRouter) home() netsim.NodeID { return rt.cfg.Nodes[0] }
 
 // probe returns each replica's liveness, RTT and version vector,
 // refreshing by concurrent Digest RPCs when the cached observation has
-// aged past ProbeTTL. A replica that errors in any way — unreachable,
-// method unknown, collection never synced — is simply not live for
-// routing; the home picks up its share.
+// aged past ProbeTTL — one refresh at a time, whose result every caller
+// that arrives meanwhile shares. A replica that errors in any way —
+// unreachable, method unknown, collection never synced — is simply not
+// live for routing; the home picks up its share.
 func (rt *replicaRouter) probe(ctx context.Context) []replicaProbe {
-	rt.mu.Lock()
-	if rt.probes != nil && time.Since(rt.probedAt) < rt.cfg.ProbeTTL {
-		out := append([]replicaProbe(nil), rt.probes...)
-		rt.mu.Unlock()
-		return out
+	if len(rt.cfg.Nodes) == 1 {
+		// The home alone: nothing to rank, and a dead home fails the read
+		// itself, so there is nothing a Digest could tell.
+		return []replicaProbe{{node: rt.home(), home: true, live: true}}
 	}
+	rt.mu.Lock()
+	for {
+		if rt.probes != nil && time.Since(rt.probedAt) < rt.cfg.ProbeTTL {
+			out := append([]replicaProbe(nil), rt.probes...)
+			rt.mu.Unlock()
+			return out
+		}
+		if rt.probing == nil {
+			break
+		}
+		landed := rt.probing
+		rt.mu.Unlock()
+		select {
+		case <-landed:
+		case <-ctx.Done():
+			return nil // callers fall back to the home, where ctx fails the read
+		}
+		rt.mu.Lock()
+	}
+	landed := make(chan struct{})
+	rt.probing = landed
 	rt.mu.Unlock()
 
 	probes := make([]replicaProbe, len(rt.cfg.Nodes))
 	var wg sync.WaitGroup
 	for i, node := range rt.cfg.Nodes {
-		i, node := i, node
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -144,11 +192,16 @@ func (rt *replicaRouter) probe(ctx context.Context) []replicaProbe {
 	wg.Wait()
 
 	rt.mu.Lock()
-	rt.probes = probes
-	rt.probedAt = time.Now()
-	out := append([]replicaProbe(nil), probes...)
+	if ctx.Err() == nil {
+		// A refresh cut short by its caller's context saw every replica
+		// dead; it is not published, and the next caller probes afresh.
+		rt.probes = append([]replicaProbe(nil), probes...)
+		rt.probedAt = time.Now()
+	}
+	rt.probing = nil
 	rt.mu.Unlock()
-	return out
+	close(landed)
+	return probes
 }
 
 // markDead drops a replica from routing until the next probe refresh —
@@ -236,27 +289,24 @@ func (rt *replicaRouter) nearTieRotate(live []replicaProbe) []replicaProbe {
 // last resort. from reports which replica answered, for the caller's
 // staleness accounting.
 func (rt *replicaRouter) listIfNew(ctx context.Context, lastVersion uint64) (members []repo.Ref, version uint64, notModified bool, from replicaProbe, err error) {
-	for _, p := range rt.nearTieRotate(liveByRTT(rt.probe(ctx))) {
-		if p.home {
-			// The home is the closest live node: no hedge needed, its
-			// answer is authoritative.
-			members, version, notModified, err = rt.client.ListIfNew(ctx, p.node, rt.name, lastVersion)
-			return members, version, notModified, p, err
+	// The home closes the order whether or not it probed live: it is the
+	// final hedge, and its error is the read's.
+	order := append(rt.nearTieRotate(liveByRTT(rt.probe(ctx))), replicaProbe{node: rt.home(), home: true})
+	for _, from = range order {
+		if from.home {
+			// No hedge past the home: its answer is authoritative.
+			members, version, notModified, err = rt.client.ListIfNew(ctx, from.node, rt.name, lastVersion)
+			break
 		}
 		hctx, cancel := context.WithTimeout(ctx, rt.cfg.HedgeTimeout)
-		members, version, notModified, err = rt.client.ListIfNew(hctx, p.node, rt.name, lastVersion)
+		members, version, notModified, err = rt.client.ListIfNew(hctx, from.node, rt.name, lastVersion)
 		cancel()
 		if err == nil {
-			return members, version, notModified, p, nil
+			break
 		}
-		rt.markDead(p.node)
+		rt.markDead(from.node)
 	}
-	// Nothing live (or every live replica failed under us): the home is
-	// the final hedge, erroring if it too is down.
-	home := replicaProbe{node: rt.home(), home: true}
-	members, version, notModified, err = rt.client.ListIfNew(ctx, home.node, rt.name, lastVersion)
-	home.live = err == nil
-	return members, version, notModified, home, err
+	return members, version, notModified, from, err
 }
 
 // routeBatch picks the node to serve a GetBatch aimed at owner: the
@@ -281,16 +331,20 @@ func (rt *replicaRouter) routeBatch(ctx context.Context, owner netsim.NodeID) (r
 	return rt.nearTieRotate(live)[0], true
 }
 
-// scatter streams the collection's opening listing from every live
-// replica concurrently into ing: partitions are dealt round-robin across
-// the live replicas closest-first, each replica streams its share, and a
+// scatter streams the collection's opening listing into ing, from every
+// live replica concurrently: partitions are dealt round-robin across the
+// live replicas closest-first, each replica streams its share, and a
 // replica dying mid-stream has its undelivered partitions reassigned to
-// the survivors (the home last). Staleness accounting rides on ing's
-// atomics — the iterator folds them into the run's WeaknessReport.
-func (rt *replicaRouter) scatter(ctx context.Context, ing *partIngest) error {
-	probes := rt.probe(ctx)
-	live := liveByRTT(probes)
+// the survivors (the home last). A pinned run (pin != 0) streams from the
+// home alone — pins are primary-resident. Staleness accounting rides on
+// ing's tally, which the iterator folds into the run's WeaknessReport.
+func (rt *replicaRouter) scatter(ctx context.Context, pin int64, ing *partIngest) error {
 	home := rt.home()
+	var probes []replicaProbe
+	if pin == 0 {
+		probes = rt.probe(ctx)
+	}
+	live := liveByRTT(probes)
 
 	// The home's partition layout governs; without the home, the freshest
 	// live replica's does. Replicas on a different layout would serve a
@@ -310,9 +364,11 @@ func (rt *replicaRouter) scatter(ctx context.Context, ing *partIngest) error {
 		}
 	}
 	if partitions == 0 {
-		// No live replica knows the collection — stream from the home so
-		// the real error (unreachable, no such collection) surfaces.
-		return rt.client.ListPartsSubset(ctx, home, rt.name, 0, nil, nil, func(pl repo.PartListing) error {
+		// No replica to deal partitions to: a pinned run, the home alone
+		// (never probed for its layout), or no live replica that knows
+		// the collection — where streaming from the home lets the real
+		// error (unreachable, no such collection) surface.
+		return rt.client.ListPartsSubset(ctx, home, rt.name, pin, nil, nil, func(pl repo.PartListing) error {
 			ing.push(pl)
 			return ctx.Err()
 		})
@@ -332,6 +388,7 @@ func (rt *replicaRouter) scatter(ctx context.Context, ing *partIngest) error {
 	)
 	pushFrom := func(p replicaProbe) func(repo.PartListing) error {
 		return func(pl repo.PartListing) error {
+			var skew uint64
 			if pl.Part >= 0 && pl.Part < partitions {
 				mu.Lock()
 				dup := delivered[pl.Part]
@@ -341,13 +398,10 @@ func (rt *replicaRouter) scatter(ctx context.Context, ing *partIngest) error {
 					return ctx.Err() // a retry re-served it; keep the first
 				}
 				if base[pl.Part] > pl.Version {
-					ing.replicaSkew.Add(int64(base[pl.Part] - pl.Version))
+					skew = base[pl.Part] - pl.Version
 				}
 			}
-			if !p.home {
-				ing.replicaServed.Add(1)
-				atomicMax(&ing.replicaAgeMs, int64(p.age()/time.Millisecond))
-			}
+			ing.tally.note(p, skew)
 			ing.push(pl)
 			return ctx.Err()
 		}
@@ -365,7 +419,6 @@ func (rt *replicaRouter) scatter(ctx context.Context, ing *partIngest) error {
 		if len(parts) == 0 {
 			continue
 		}
-		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -51,7 +51,7 @@ func TestLiveByRTTOrdersAndFilters(t *testing.T) {
 // within 2x of the closest RTT take turns leading, while a clearly
 // farther replica never jumps the queue and never disappears.
 func TestNearTieRotateSpreadsNearGroup(t *testing.T) {
-	rt := newReplicaRouter(nil, "set", ReplicaConfig{Nodes: []netsim.NodeID{"dir", "s0", "s1"}})
+	rt := newReplicaRouter(nil, "dir", "set", ReplicaConfig{Nodes: []netsim.NodeID{"dir", "s0", "s1"}})
 	live := liveByRTT(probesWithRTT(map[netsim.NodeID]time.Duration{
 		"dir": 10 * time.Millisecond,
 		"s0":  12 * time.Millisecond, // near-tie with dir
@@ -184,7 +184,7 @@ func TestClosestReplicaSelection(t *testing.T) {
 	}
 	w.c.Net.SetLinkLatency(cluster.HomeNode, near, sim.Fixed(5*time.Millisecond))
 
-	rt := newReplicaRouter(w.c.Client, "set", ReplicaConfig{Nodes: nodes})
+	rt := newReplicaRouter(w.c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: nodes})
 	live := liveByRTT(rt.probe(context.Background()))
 	if len(live) != len(nodes) {
 		t.Fatalf("probe found %d live replicas, want %d", len(live), len(nodes))
@@ -225,7 +225,7 @@ func TestClosestReplicaSelection(t *testing.T) {
 // probe interval, and a fresh probe restores it after restart.
 func TestMarkDeadExcludesUntilReprobe(t *testing.T) {
 	w, nodes := newReplicaWorld(t, 8, 2, 0)
-	rt := newReplicaRouter(w.c.Client, "set", ReplicaConfig{Nodes: nodes, ProbeTTL: time.Hour})
+	rt := newReplicaRouter(w.c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: nodes, ProbeTTL: time.Hour})
 	ctx := context.Background()
 	if live := liveByRTT(rt.probe(ctx)); len(live) != 2 {
 		t.Fatalf("want 2 live replicas, got %d", len(live))
@@ -460,7 +460,7 @@ func TestScatterSurvivesReplicaKill(t *testing.T) {
 // markDead, rotation and batch routing share the router's state.
 func TestReplicaRouterConcurrentProbes(t *testing.T) {
 	w, nodes := newReplicaWorld(t, 8, 3, 0)
-	rt := newReplicaRouter(w.c.Client, "set", ReplicaConfig{Nodes: nodes, ProbeTTL: time.Microsecond})
+	rt := newReplicaRouter(w.c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: nodes, ProbeTTL: time.Microsecond})
 	ctx := context.Background()
 
 	stop := make(chan struct{})
@@ -498,4 +498,123 @@ func TestReplicaRouterConcurrentProbes(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	flapper.Wait()
+}
+
+// readMethods are the repository methods a run can reach for membership
+// or element data.
+var readMethods = []string{
+	repo.MethodList, repo.MethodListParts, repo.MethodGet, repo.MethodGetBatch,
+	repo.MethodPin, repo.MethodStats, repo.MethodSyncDigest,
+}
+
+// TestUnreplicatedSetReadsThroughRouterAtNoCost pins what one run of an
+// unreplicated set costs on the wire, method by method. Every set reads
+// through the router, so the figures are the router's over the one-node
+// replica set — and they are the plain path's figures from before every
+// set had a router: the home alone is never probed, a snapshot opening is
+// one streamed ListParts, a current-state run pays one conditional List
+// per invocation (n yields plus the terminal one), and 12 elements spread
+// over 4 nodes are 4 GetBatch.
+func TestUnreplicatedSetReadsThroughRouterAtNoCost(t *testing.T) {
+	const n = 12
+	want := map[Semantics]map[string]int64{
+		Snapshot:   {repo.MethodListParts: 1, repo.MethodGetBatch: 4, repo.MethodPin: 1},
+		GrowOnly:   {repo.MethodList: n + 1, repo.MethodGetBatch: 4},
+		Optimistic: {repo.MethodList: n + 1, repo.MethodGetBatch: 4},
+	}
+	for sem, calls := range want {
+		t.Run(sem.String(), func(t *testing.T) {
+			w := newTestWorld(t, n)
+			s := w.set(t, Options{Semantics: sem})
+			w.c.Bus.ResetStats()
+			elems, err := s.Collect(context.Background())
+			if err != nil || len(elems) != n {
+				t.Fatalf("collected %d elements, err %v", len(elems), err)
+			}
+			for _, m := range readMethods {
+				if got := w.c.Bus.MethodCalls(m); got != calls[m] {
+					t.Errorf("%s: %d calls, want %d", m, got, calls[m])
+				}
+			}
+		})
+	}
+}
+
+// TestPinnedRunStaysHomeBound opens a Snapshot run on a replicated set:
+// pins are primary-resident, so its listing must stream from the home in
+// one ListParts with no frame counted as replica-served, while the
+// unpinned Immutable opening over the same replicas scatters.
+func TestPinnedRunStaysHomeBound(t *testing.T) {
+	w, nodes := newReplicaWorld(t, 40, 3, 0)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		sem       Semantics
+		listParts int64
+		scattered bool
+	}{
+		{Snapshot, 1, false},
+		{Immutable, int64(len(nodes)), true},
+	} {
+		s := w.set(t, Options{Semantics: tc.sem, Replicas: ReplicaConfig{Nodes: nodes}})
+		w.c.Bus.ResetStats()
+		it, err := s.Elements(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yielded := 0
+		for it.Next(ctx) {
+			yielded++
+		}
+		_ = it.Close(ctx)
+		if it.Err() != nil || yielded != 40 {
+			t.Fatalf("%s: yielded %d, err %v", tc.sem, yielded, it.Err())
+		}
+		if got := w.c.Bus.MethodCalls(repo.MethodListParts); got != tc.listParts {
+			t.Errorf("%s: %d ListParts streams, want %d", tc.sem, got, tc.listParts)
+		}
+		// Element batches may be replica-served either way; only the
+		// listing frames are in question, and those show as skew-free
+		// replica serves beyond the batches'.
+		batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
+		if served := it.Weakness().ReplicaServed; (served > batches) != tc.scattered {
+			t.Errorf("%s: %d replica-served reads over %d batches, scattered=%v", tc.sem, served, batches, tc.scattered)
+		}
+	}
+}
+
+// TestProbeRefreshIsSingleFlight expires the probe under 16 concurrent
+// readers: one of them refreshes it — one Digest per replica — and the
+// rest share that result instead of each fanning out its own.
+func TestProbeRefreshIsSingleFlight(t *testing.T) {
+	// A real scale and 100 ms links (1 ms real, one way) keep the refresh
+	// in flight long enough for every reader to find the probe expired.
+	w, nodes := newReplicaWorld(t, 8, 3, sim.TimeScale(0.01))
+	for _, n := range nodes {
+		w.c.Net.SetLinkLatency(cluster.HomeNode, n, sim.Fixed(100*time.Millisecond))
+	}
+	rt := newReplicaRouter(w.c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: nodes, ProbeTTL: time.Hour})
+	ctx := context.Background()
+	rt.probe(ctx)
+	rt.mu.Lock()
+	rt.probedAt = time.Time{}
+	rt.mu.Unlock()
+
+	w.c.Bus.ResetStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if members, _, _, _, err := rt.listIfNew(ctx, 0); err != nil || len(members) != 8 {
+				t.Errorf("listIfNew: %d members, err %v", len(members), err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := w.c.Bus.MethodCalls(repo.MethodSyncDigest); got != int64(len(nodes)) {
+		t.Fatalf("%d Digest calls for one refresh of %d replicas", got, len(nodes))
+	}
 }

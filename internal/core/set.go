@@ -85,9 +85,12 @@ func (o Options) withDefaults() Options {
 var iterSeq atomic.Int64
 
 // listing is one observed membership of the collection, in the shapes a
-// current-state run steps over: the member set, each member's location,
-// the ids in yield order and the distinct nodes holding members.
-// Immutable once built — runs and Set.lastListing alias it freely.
+// run steps over: the member set, each member's location, the distinct
+// nodes holding members and, for a current-state run, the ids in yield
+// order. One built from a whole membership read is immutable — runs and
+// Set.lastListing alias it freely; a snapshot run instead grows its own
+// from empty as the opening stream arrives (Iterator.fold), merging its
+// cursor as it goes rather than keeping order.
 type listing struct {
 	version uint64
 	members map[spec.ElemID]bool
@@ -125,9 +128,10 @@ type Set struct {
 	name   string
 	opts   Options
 
-	// router is the replica read router, nil unless Options.Replicas
-	// names at least two nodes. Shared by every run of this set, so one
-	// probe's liveness/latency observations route many reads.
+	// router is where every run of this set reads membership and routes
+	// element batches: over Options.Replicas, or over the directory node
+	// alone. Shared, so one probe's liveness/latency observations route
+	// many reads.
 	router *replicaRouter
 
 	// lastListing carries the last full membership read across runs. A fresh
@@ -174,11 +178,10 @@ func NewSet(client *repo.Client, dir netsim.NodeID, name string, opts Options) (
 	if opts.Semantics == ImmutablePerRun && opts.LockServer == "" {
 		return nil, fmt.Errorf("weakset %q: %s requires a LockServer", name, opts.Semantics)
 	}
-	s := &Set{client: client, dir: dir, name: name, opts: opts.withDefaults()}
-	if opts.Replicas.enabled() {
-		s.router = newReplicaRouter(client, name, opts.Replicas)
-	}
-	return s, nil
+	return &Set{
+		client: client, dir: dir, name: name, opts: opts.withDefaults(),
+		router: newReplicaRouter(client, dir, name, opts.Replicas),
+	}, nil
 }
 
 // Semantics reports the set's design-space point.
@@ -208,14 +211,16 @@ func (s *Set) Remove(ctx context.Context, ref repo.Ref) error {
 }
 
 // Size reports the current membership count (the paper's `size`
-// procedure). Like everything here it is only as fresh as the moment of
-// the RPC.
+// procedure): what a listing would hold — members plus the ghosts an
+// open grow-only window keeps listed — from the directory's counters, so
+// no member crosses the wire. Like everything here it is only as fresh as
+// the moment of the RPC.
 func (s *Set) Size(ctx context.Context) (int, error) {
-	members, _, err := s.client.List(ctx, s.dir, s.name)
+	st, err := s.Stats(ctx)
 	if err != nil {
 		return 0, err
 	}
-	return len(members), nil
+	return st.Members + st.Ghosts, nil
 }
 
 // Elements begins a run of the elements iterator (the paper's `elements`
@@ -227,6 +232,7 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it := &Iterator{
 		set:     s,
 		client:  s.client,
+		held:    &listing{},
 		opts:    s.opts,
 		scale:   s.client.Bus().Network().Scale(),
 		yielded: make(map[spec.ElemID]bool),
@@ -242,7 +248,7 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it.wk.Trace = it.span.TraceID()
 	// The prefetcher's background context carries the run's trace, so
 	// batches issued between Next calls still join it.
-	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, s.opts.Fetch, s.opts.Tracer)
+	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, &it.rep, s.opts.Fetch, s.opts.Tracer)
 	if err := it.setup(it.traceCtx(ctx)); err != nil {
 		werr := fmt.Errorf("%w: open %s elements on %q: %v", ErrFailure, s.opts.Semantics, s.name, err)
 		it.release(context.Background())
@@ -261,33 +267,19 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		// revalidate conditionally until the (asynchronous) grant lands.
 		ls.Track(s.name)
 	}
-	// The cache binds after setup so the run's governing listing version
-	// (snapVer for snapshot-based semantics) is known.
+	// The binding reads the held listing each time a fetch is planned, so
+	// it follows the run from an opening stream's unsealed version 0
+	// through every listing it later adopts.
 	cache := s.opts.Fetch.Cache
 	if cache == nil {
 		cache = s.client.ElementCache()
 	}
 	if cache != nil {
 		pinned := s.opts.Semantics.UsesSnapshot()
-		it.pf.bindCache(cacheBinding{
-			cache:  cache,
-			coll:   s.name,
-			pinned: pinned,
-			listVer: func() uint64 {
-				if pinned {
-					return it.snapVer
-				}
-				return it.listVersion
-			},
-			leased: func() (uint64, bool) {
-				ls := s.leaseState()
-				if ls == nil {
-					return 0, false
-				}
-				v, _, ok := ls.Serveable(s.name)
-				return v, ok
-			},
-		})
+		it.pf.cb = cacheBinding{cache: cache, coll: s.name, held: func() (uint64, bool) {
+			_, leased := it.certified()
+			return it.held.version, pinned || leased
+		}}
 	}
 	return it, nil
 }

@@ -147,6 +147,44 @@ func TestSetProcedures(t *testing.T) {
 	}
 }
 
+// TestSizeCountsWithoutListing holds Size to the listing's length — on a
+// live set and while an open grow window keeps a removed member listed as
+// a ghost — and to never shipping the listing to count it.
+func TestSizeCountsWithoutListing(t *testing.T) {
+	w := newTestWorld(t, 5)
+	ctx := context.Background()
+	s := w.set(t, Options{Semantics: GrowOnlyPerRun})
+	check := func(when string) {
+		t.Helper()
+		listed, _, err := w.c.Client.List(ctx, cluster.DirNode, "set")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.c.Bus.ResetStats()
+		n, err := s.Size(ctx)
+		if err != nil || n != len(listed) {
+			t.Fatalf("%s: size = %d, %v; the listing holds %d", when, n, err, len(listed))
+		}
+		if calls := w.c.Bus.MethodCalls(repo.MethodList); calls != 0 {
+			t.Fatalf("%s: Size issued %d List calls", when, calls)
+		}
+	}
+	check("live")
+
+	it, err := s.Elements(ctx) // opens the grow window
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	if err := s.Remove(ctx, w.refs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Stats(ctx); err != nil || st.Ghosts != 1 {
+		t.Fatalf("removal under the window was not deferred: %+v, %v", st, err)
+	}
+	check("deferred removal")
+}
+
 func TestImmutableFailsUnderPartition(t *testing.T) {
 	w := newTestWorld(t, 8)
 	ctx := context.Background()

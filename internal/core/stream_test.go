@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
 	"weaksets/internal/spec"
 )
@@ -79,13 +78,8 @@ func TestStreamedListingWithRecorder(t *testing.T) {
 // id order, and the sealed snapshot version is the max partition
 // version.
 func TestFoldCountsPartitionSkew(t *testing.T) {
-	it := &Iterator{
-		ing:     newPartIngest(),
-		first:   make(map[spec.ElemID]bool),
-		refs:    make(map[spec.ElemID]repo.Ref),
-		yielded: make(map[spec.ElemID]bool),
-		nodes:   make(map[netsim.NodeID]bool),
-	}
+	it := &Iterator{held: newListing(0, nil), yielded: make(map[spec.ElemID]bool)}
+	it.ing = newPartIngest(&it.rep)
 	it.fold(repo.PartListing{Part: 1, Partitions: 2, Version: 7, Members: []repo.Ref{
 		{ID: "b", Node: "n1"}, {ID: "d", Node: "n2"},
 	}})
@@ -107,7 +101,7 @@ func TestFoldCountsPartitionSkew(t *testing.T) {
 			t.Fatalf("cursor = %v, want %v", it.cursor, want)
 		}
 	}
-	if len(it.first) != 4 || !it.nodes["n1"] || !it.nodes["n2"] {
-		t.Fatalf("first=%v nodes=%v", it.first, it.nodes)
+	if len(it.held.members) != 4 || !it.held.nodes["n1"] || !it.held.nodes["n2"] {
+		t.Fatalf("members=%v nodes=%v", it.held.members, it.held.nodes)
 	}
 }

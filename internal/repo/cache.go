@@ -2,10 +2,7 @@ package repo
 
 import (
 	"container/list"
-	"context"
 	"sync"
-
-	"weaksets/internal/netsim"
 )
 
 // The paper's target environment is "a network of (possibly mobile)
@@ -30,9 +27,10 @@ import (
 //     explicit opt-in (DynOptions.FallbackCache), delivering such
 //     elements marked Stale.
 //
-// Both roles share one singleflight group, so N concurrent iterators (or
-// fallback fetchers) missing on the same data produce one upstream round
-// trip.
+// The coherent role owns a singleflight group, so N concurrent iterators
+// missing on the same data produce one upstream round trip. The fallback
+// role rides the dynamic set's one batch path: a chunk that lands is Put,
+// a chunk whose owner cannot be reached asks Fallback per member.
 
 // CacheStats counts cache activity.
 type CacheStats struct {
@@ -281,6 +279,10 @@ func (c *Cache) Drop(id ObjectID) {
 func (c *Cache) Get(id ObjectID) (Object, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.getLocked(id)
+}
+
+func (c *Cache) getLocked(id ObjectID) (Object, bool) {
 	el, ok := c.entries[id]
 	if !ok {
 		return Object{}, false
@@ -291,6 +293,22 @@ func (c *Cache) Get(id ObjectID) (Object, bool) {
 	}
 	c.order.MoveToFront(el)
 	return e.obj.Clone(), true
+}
+
+// Fallback is Get on behalf of a fetch whose owner could not be reached,
+// counted as a stale serve or a miss. Only a transport failure may come
+// here: a member the owner reports missing was deleted, and must not be
+// resurrected from the cache.
+func (c *Cache) Fallback(id ObjectID) (Object, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	obj, ok := c.getLocked(id)
+	if ok {
+		c.stats.StaleServes++
+	} else {
+		c.stats.Misses++
+	}
+	return obj, ok
 }
 
 // Len reports the number of cached entries.
@@ -305,18 +323,6 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-func (c *Cache) countStale() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.StaleServes++
-}
-
-func (c *Cache) countMiss() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Misses++
 }
 
 // flight is one in-flight coalesced fetch: the leader runs the work,
@@ -352,53 +358,4 @@ func (c *Cache) Do(key string, fn func() any) (val any, shared bool) {
 	}()
 	f.val = fn()
 	return f.val, false
-}
-
-// throughResult is what one coalesced GetThrough fetch resolved to.
-type throughResult struct {
-	obj           Object
-	served        bool // obj is valid (fetched, or cached fallback)
-	stale         bool // obj came from cache after a transport failure
-	transportMiss bool // transport failure and nothing cached
-	err           error
-}
-
-// GetThrough fetches ref through client, keeping the cache warm: a
-// successful fetch is stored; a transport failure is answered from the
-// cache when possible (served=true, stale=true) and otherwise returns the
-// original error. Application errors (e.g. ErrNotFound) pass through —
-// a deleted object must not be resurrected from cache. Concurrent calls
-// for the same ref coalesce into one upstream RPC.
-func (c *Cache) GetThrough(ctx context.Context, client *Client, ref Ref) (obj Object, stale bool, err error) {
-	v, _ := c.Do("through|"+string(ref.Node)+"|"+string(ref.ID), func() any {
-		obj, err := client.Get(ctx, ref)
-		switch {
-		case err == nil:
-			c.Put(obj)
-			return throughResult{obj: obj, served: true}
-		case netsim.IsFailure(err):
-			if cached, ok := c.Get(ref.ID); ok {
-				return throughResult{obj: cached, served: true, stale: true}
-			}
-			return throughResult{transportMiss: true, err: err}
-		default:
-			return throughResult{err: err}
-		}
-	})
-	res := v.(throughResult)
-	// Stale/miss accounting is per caller, so coalesced attempts still
-	// add up: every unreachable attempt is either a stale serve or a
-	// miss.
-	switch {
-	case res.served && res.stale:
-		c.countStale()
-		return res.obj.Clone(), true, nil
-	case res.served:
-		return res.obj.Clone(), false, nil
-	case res.transportMiss:
-		c.countMiss()
-		return Object{}, false, res.err
-	default:
-		return Object{}, false, res.err
-	}
 }

@@ -1,8 +1,6 @@
 package repo
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -227,57 +225,26 @@ func TestCacheDoCoalesces(t *testing.T) {
 	}
 }
 
-func TestGetThrough(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-	ref := w.mustPut(t, "s1", "obj", "payload")
-	cache := NewCache(8)
+// TestCacheFallback pins the fallback role: an unreachable owner's member
+// is answered from the cached copy and counted a stale serve, or counted
+// a miss when nothing (or only a "missing" verdict) is cached.
+func TestCacheFallback(t *testing.T) {
+	c := NewCache(8)
+	c.Put(Object{ID: "warm", Data: []byte("payload"), Version: 3})
+	c.PutNegative("coll", 1, "ghost")
 
-	// Healthy: fetch succeeds and warms the cache.
-	obj, stale, err := cache.GetThrough(ctx, w.client, ref)
-	if err != nil || stale {
-		t.Fatalf("obj=%v stale=%v err=%v", obj, stale, err)
+	obj, ok := c.Fallback("warm")
+	if !ok || string(obj.Data) != "payload" || obj.Version != 3 {
+		t.Fatalf("warm fallback = %+v, %v", obj, ok)
 	}
-	if cache.Len() != 1 {
-		t.Fatal("fetch did not warm the cache")
+	if _, ok := c.Fallback("never-fetched"); ok {
+		t.Fatal("cold fallback answered")
 	}
-
-	// Disconnected: the cached copy is served, marked stale.
-	w.net.Isolate("s1")
-	obj, stale, err = cache.GetThrough(ctx, w.client, ref)
-	if err != nil {
-		t.Fatalf("disconnected serve failed: %v", err)
+	if _, ok := c.Fallback("ghost"); ok {
+		t.Fatal("a negative entry answered a fallback with data")
 	}
-	if !stale || string(obj.Data) != "payload" {
-		t.Fatalf("obj=%q stale=%v", obj.Data, stale)
-	}
-
-	// Disconnected miss: error propagates.
-	cold := Ref{ID: "never-fetched", Node: "s1"}
-	if _, _, err := cache.GetThrough(ctx, w.client, cold); err == nil {
-		t.Fatal("cold disconnected fetch succeeded")
-	}
-	st := cache.Stats()
-	if st.StaleServes != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestGetThroughDoesNotResurrectDeleted(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-	ref := w.mustPut(t, "s1", "gone", "x")
-	cache := NewCache(8)
-	if _, _, err := cache.GetThrough(ctx, w.client, ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.client.Delete(ctx, ref); err != nil {
-		t.Fatal(err)
-	}
-	// The node is reachable and reports NotFound: the cache must not mask
-	// the deletion.
-	if _, _, err := cache.GetThrough(ctx, w.client, ref); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	if st := c.Stats(); st.StaleServes != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 stale serve and 2 misses", st)
 	}
 }
 

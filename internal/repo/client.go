@@ -96,15 +96,8 @@ func (c *Client) Get(ctx context.Context, ref Ref) (Object, error) {
 // It returns the found objects keyed by ID plus the ids the node had no
 // data for; only a transport failure errors the whole batch.
 func (c *Client) GetBatch(ctx context.Context, node netsim.NodeID, ids []ObjectID) (map[ObjectID]Object, []ObjectID, error) {
-	resp, err := rpc.Invoke[GetBatchResp](ctx, c.bus, c.node, node, MethodGetBatch, GetBatchReq{IDs: ids})
-	if err != nil {
-		return nil, nil, err
-	}
-	objs := make(map[ObjectID]Object, len(resp.Objects))
-	for _, obj := range resp.Objects {
-		objs[obj.ID] = obj
-	}
-	return objs, resp.Missing, nil
+	objs, _, missing, err := c.GetBatchValidated(ctx, node, ids, nil)
+	return objs, missing, err
 }
 
 // GetBatchValidated is the conditional variant of GetBatch: known maps
@@ -179,31 +172,16 @@ func (c *Client) ListIfNew(ctx context.Context, dir netsim.NodeID, name string, 
 	return resp.Members, resp.Version, resp.NotModified, nil
 }
 
-// ListPinned reads a pinned snapshot of a collection.
-func (c *Client) ListPinned(ctx context.Context, dir netsim.NodeID, name string, pin int64) ([]Ref, uint64, error) {
-	resp, err := rpc.Invoke[ListResp](ctx, c.bus, c.node, dir, MethodList, ListReq{Name: name, Pin: pin})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Members, resp.Version, nil
-}
-
-// ListParts reads a collection's membership one listing partition at a
-// time, invoking fn for each partition's listing as it arrives — which
-// can be while later partitions are still in flight. gates is an
+// ListPartsSubset reads a collection's membership one listing partition
+// at a time from node — the home, or a replica serving its share of a
+// scattered read — invoking fn for each partition's listing as it
+// arrives, which can be while later partitions are still in flight. parts
+// names the partitions wanted (nil/empty requests them all). gates is an
 // optional per-partition version vector: a partition still at or below
 // its gate answers NotModified with no members (a short or empty vector
 // gates nothing). A non-zero pin serves that snapshot partitioned on the
 // fly instead of the live membership. A non-nil error from fn abandons
 // the stream and is returned as-is.
-func (c *Client) ListParts(ctx context.Context, dir netsim.NodeID, name string, pin int64, gates []uint64, fn func(PartListing) error) error {
-	return c.ListPartsSubset(ctx, dir, name, pin, gates, nil, fn)
-}
-
-// ListPartsSubset is ListParts restricted to a subset of listing
-// partitions — the scatter primitive for replica-parallel reads, where
-// each live replica serves its share of the partition space and the
-// shares interleave into one fold. A nil/empty parts requests them all.
 func (c *Client) ListPartsSubset(ctx context.Context, node netsim.NodeID, name string, pin int64, gates []uint64, parts []int, fn func(PartListing) error) error {
 	out, _, err := c.bus.Call(ctx, c.node, node, MethodListParts, ListPartsReq{Name: name, Pin: pin, IfVersions: gates, Stream: true, Parts: parts})
 	if err != nil {

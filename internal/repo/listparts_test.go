@@ -37,7 +37,7 @@ func seedParts(t *testing.T, w *world, n int) map[ObjectID]bool {
 func collectParts(t *testing.T, w *world, gates []uint64) []PartListing {
 	t.Helper()
 	var out []PartListing
-	err := w.client.ListParts(context.Background(), "dir", "c", 0, gates, func(pl PartListing) error {
+	err := w.client.ListPartsSubset(context.Background(), "dir", "c", 0, gates, nil, func(pl PartListing) error {
 		out = append(out, pl)
 		return nil
 	})
@@ -125,7 +125,7 @@ func TestListPartsSkewStamping(t *testing.T) {
 		sawSkew bool
 		sawLate bool
 	)
-	err := w.client.ListParts(ctx, "dir", "c", 0, nil, func(pl PartListing) error {
+	err := w.client.ListPartsSubset(ctx, "dir", "c", 0, nil, nil, func(pl PartListing) error {
 		if pl.Part == 0 {
 			if pl.Skewed {
 				t.Fatal("first partition marked Skewed before any mid-stream write")
@@ -175,7 +175,7 @@ func TestListPartsPinnedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(map[ObjectID]bool)
-	err = w.client.ListParts(ctx, "dir", "c", pin, nil, func(pl PartListing) error {
+	err = w.client.ListPartsSubset(ctx, "dir", "c", pin, nil, nil, func(pl PartListing) error {
 		for _, m := range pl.Members {
 			got[m.ID] = true
 		}
