@@ -1,12 +1,16 @@
 # Pre-PR gate for the weak-sets repo. `make check` is what every change
 # must pass before review: vet, build, the full test suite under the race
-# detector, and a smoke run of the storage-engine contention benchmark.
+# detector, the fuzz and benchmark smokes, and the trend gate.
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend bench-e2e bench sweep sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+# Where bench-smoke writes this run's quick sweeps and bench-trend reads
+# them back (CI collects the directory as an artifact).
+SMOKE := /tmp/weakbench-smoke
 
-check: vet build race fuzz-smoke bench-store bench-iter bench-rpc bench-scale bench-frontier bench-replica bench-trend
+.PHONY: check vet build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+
+check: vet build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
 	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
 
 vet:
@@ -30,24 +34,21 @@ fuzz-smoke:
 	$(GO) test ./internal/wirebin -run xxx -fuzz FuzzReader -fuzztime 3s
 	$(GO) test ./internal/repo -run xxx -fuzz FuzzWirebinDecode -fuzztime 3s
 
-# Smoke the engine comparison: a few hundred iterations per engine is
-# enough to catch regressions in the parallel List/Get hot path.
-bench-store:
-	$(GO) test -run xxx -bench BenchmarkStoreContention -benchtime 2000x .
-
 # Smoke the iterator fetch pipeline: default batching vs one id per round
 # trip over a spread collection catches regressions in the elements hot
-# path. The in-process modes only — the tcp-* modes are bench-rpc's job.
+# path. The in-process modes only — the tcp-mux mode is bench-rpc's job.
 # Then the current-state stepper at 32/1k/10k members, whose ns/elem must
-# stay flat in n; the output is kept in /tmp for the CI artifacts.
+# stay flat in n; the output is kept with the smoke reports for the CI
+# artifacts.
 bench-iter:
+	@mkdir -p $(SMOKE)
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
-	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > /tmp/BENCH_iterlogical_smoke.txt; \
-		s=$$?; cat /tmp/BENCH_iterlogical_smoke.txt; exit $$s
+	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > $(SMOKE)/iterlogical.txt; \
+		s=$$?; cat $(SMOKE)/iterlogical.txt; exit $$s
 
-# Smoke the TCP transport: the fetch pipeline over real loopback sockets,
-# serialized vs multiplexed client. Catches regressions in the seq-keyed
-# dispatch, the per-connection worker pool, and the frame codec. The
+# Smoke the TCP transport: the fetch pipeline over a real loopback
+# socket. Catches regressions in the seq-keyed dispatch, the
+# per-connection worker pool, and the frame codec. The
 # alloc-budget test holds the wirebin hot path to the allocations-per-op
 # ceilings checked in as BENCH_budget.json — a codec change that starts
 # allocating fails here, not in production profiles.
@@ -55,39 +56,27 @@ bench-rpc:
 	$(GO) test ./internal/repo -run TestAllocBudget -count 1
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
 
-# Smoke the listing scalability sweep: the partitioned streaming
-# listing and a current-state (GrowOnly) run at two small sizes catch
-# regressions in the scatter-gather List path and the cursor stepper
-# (per-element cost must stay flat, first element must track the first
-# partition). Writes to /tmp so the committed BENCH_scale.json (produced
-# by sweep-scale) is left alone.
-bench-scale:
-	$(GO) run ./cmd/weakbench -scale -scale-quick -scale-json /tmp/BENCH_scale_smoke.json
+# Every layer sweep once, trimmed, through the one harness: store
+# contention (locked vs sharded), the fetch pipeline, the TCP transport
+# (serial vs multiplexed), listing scalability at 10k and 50k, the
+# weakness-throughput frontier at two reader counts, and replica reads at
+# 1/2/3 replicas plus the kill-one-replica phase, which must complete
+# every run from the survivors. Three trials per point, written to
+# $(SMOKE) so the committed BENCH_*.json (produced by the sweep-* targets)
+# are left alone.
+bench-smoke:
+	@mkdir -p $(SMOKE)
+	$(GO) run ./cmd/weakbench -sweep all -quick -out $(SMOKE)
 
-# Smoke the weakness-throughput frontier: optimistic Collects under
-# churn at two reader counts, checking the sweep still produces
-# populated latency and skew quantiles. Writes to /tmp so the committed
-# BENCH_frontier.json (produced by sweep-frontier) is left alone.
-bench-frontier:
-	$(GO) run ./cmd/weakbench -frontier -frontier-quick -frontier-json /tmp/BENCH_frontier_smoke.json
-
-# Smoke the replica-parallel read sweep: 1/2/3 replicas under churn plus
-# the kill-one-replica phase, at a trimmed size. Catches regressions in
-# the read router (probing, closest-first, hedging, scatter) and the
-# anti-entropy plane; the kill phase must complete every run from the
-# survivors. Writes to /tmp so the committed BENCH_replica.json
-# (produced by sweep-replica) is left alone.
-bench-replica:
-	$(GO) run ./cmd/weakbench -replica -replica-quick -replica-json /tmp/BENCH_replica_smoke.json
-
-# Trend gate: re-run the quick store, iter, TCP, and scale sweeps and
-# compare their size-independent figures (sharded-engine speedup,
-# batched-fetch speedup, multiplexing speedup, listing degradation caps)
-# against the committed BENCH_*.json reports. Fails loudly on reproducible
-# regressions — a failing sweep is re-measured once to absorb host noise;
-# absolute throughput is never compared, so it is machine-portable.
-bench-trend:
-	$(GO) run ./cmd/weakbench -trend
+# Trend gate: hold the reports bench-smoke just wrote against the
+# committed ones, same workload against same workload. Only dimensionless
+# figures are gated (sharded-engine speedup, batched-fetch speedup and
+# its round-trip count, multiplexing speedup, listing degradation against
+# the 10k point), so the gate is machine-portable; a point fails when its
+# median is beyond tolerance and its interquartile range is clear of the
+# committed one. Nothing is measured here.
+bench-trend: bench-smoke
+	$(GO) run ./cmd/weakbench -gate $(SMOKE)
 
 # The end-to-end benchmark BENCHMARK.json declares: four workloads over
 # loopback tcprpc with per-layer timings (bench/README.md). Not part of
@@ -99,32 +88,12 @@ bench-e2e:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Regenerate BENCH_store.json from the full contention sweep.
-sweep:
-	$(GO) run ./cmd/weakbench -store
+# Regenerate a committed BENCH_<name>.json from its full sweep (minutes
+# in all; run on an idle host). `make sweep` is the store sweep, as ever.
+sweep: sweep-store
 
-# Regenerate BENCH_iter.json from the full fetch-pipeline sweep.
-sweep-iter:
-	$(GO) run ./cmd/weakbench -iter
-
-# Regenerate BENCH_rpc.json from the full TCP transport sweep.
-sweep-rpc:
-	$(GO) run ./cmd/weakbench -rpc
-
-# Regenerate BENCH_scale.json from the full listing-scalability sweep
-# (partitioned 10k to 1M elements, current 10k and 100k; slow).
-sweep-scale:
-	$(GO) run ./cmd/weakbench -scale
-
-# Regenerate BENCH_frontier.json from the full weakness-throughput
-# frontier sweep (1 to 16 concurrent readers under churn).
-sweep-frontier:
-	$(GO) run ./cmd/weakbench -frontier
-
-# Regenerate BENCH_replica.json from the full replica-parallel read
-# sweep (16 readers, 1/2/3 replicas under churn, kill phase; slow).
-sweep-replica:
-	$(GO) run ./cmd/weakbench -replica
+sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica:
+	$(GO) run ./cmd/weakbench -sweep $(@:sweep-%=%)
 
 # The one number ROADMAP's "net non-test LOC goes down" tracks: Go lines
 # outside tests and outside the end-to-end benchmark harness.

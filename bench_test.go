@@ -8,7 +8,6 @@ package weaksets
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"weaksets/internal/rpc"
 	"weaksets/internal/sim"
 	"weaksets/internal/spec"
-	"weaksets/internal/store"
 	"weaksets/internal/tcprpc"
 )
 
@@ -265,7 +263,7 @@ func BenchmarkLatencyScaling(b *testing.B) {
 
 // startTCPArchive boots a separate-process-style repository server
 // ("archive") reachable only over loopback TCP — the wire path behind
-// the BenchmarkIterFetch tcp-* modes. Each dispatched RPC pays lat of
+// the BenchmarkIterFetch tcp-mux mode. Each dispatched RPC pays lat of
 // simulated service time (a disk/WAN stand-in; loopback alone has so
 // little latency that transport pipelining would disappear into noise).
 func startTCPArchive(b *testing.B, lat time.Duration) (*tcprpc.Server, func()) {
@@ -303,16 +301,14 @@ func startTCPArchive(b *testing.B, lat time.Duration) (*tcprpc.Server, func()) {
 // defaults against the same pipeline at one id per round trip (Batch: 1,
 // Inflight: 1 — the per-object baseline): a 64-element snapshot
 // iteration. The per-object and batched modes spread members over 4
-// in-process storage nodes; the tcp-serial and tcp-mux modes host every
-// member on a repository server reachable only over a real loopback
-// socket, so the batched pipeline's concurrent GetBatches either queue
-// behind a one-call-at-a-time client (tcp-serial, the old transport) or
-// share the multiplexed stream (tcp-mux).
-// cmd/weakbench -iter and -rpc run the full sweeps and write
-// BENCH_iter.json / BENCH_rpc.json.
+// in-process storage nodes; the tcp-mux mode hosts every member on a
+// repository server reachable only over a real loopback socket, so the
+// batched pipeline's concurrent GetBatches share the multiplexed stream.
+// cmd/weakbench -sweep iter and -sweep rpc (which has the serialized
+// arm) run the full sweeps and write BENCH_iter.json / BENCH_rpc.json.
 func BenchmarkIterFetch(b *testing.B) {
-	for _, mode := range []string{"per-object", "batched", "tcp-serial", "tcp-mux"} {
-		overTCP := strings.HasPrefix(mode, "tcp-")
+	for _, mode := range []string{"per-object", "batched", "tcp-mux"} {
+		overTCP := mode == "tcp-mux"
 		b.Run(mode, func(b *testing.B) {
 			ctx := context.Background()
 			storageNodes := 4
@@ -329,9 +325,6 @@ func BenchmarkIterFetch(b *testing.B) {
 				srv, stopArchive := startTCPArchive(b, time.Millisecond)
 				defer stopArchive()
 				client := tcprpc.Dial(srv.Addr(), "gateway")
-				if mode == "tcp-serial" {
-					client.MaxInflight = 1
-				}
 				c.Net.AddNode("archive")
 				gw, err := tcprpc.NewGateway(c.Bus, "archive", client, tcprpc.RepoMethods())
 				if err != nil {
@@ -363,8 +356,8 @@ func BenchmarkIterFetch(b *testing.B) {
 				// All 64 members live on one node; the default batch of 64
 				// would ride in a single GetBatch and leave the transport
 				// nothing to pipeline. 8-id batches give the prefetcher its
-				// default 4 RPCs in flight — which the serialized client
-				// queues one at a time and the multiplexed client overlaps.
+				// default 4 RPCs in flight for the multiplexed client to
+				// overlap.
 				fetch.Batch = 8
 			}
 			set, err := core.NewSet(c.Client, cluster.DirNode, "bench", core.Options{
@@ -385,54 +378,6 @@ func BenchmarkIterFetch(b *testing.B) {
 					b.Fatalf("yielded %d", len(elems))
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkStoreContention compares the storage engines on the read-heavy
-// parallel mix the directory node serves (List + Get with occasional
-// writes). The single-mutex baseline serializes every List; the sharded
-// engine answers List from an atomic copy-on-write snapshot, so its
-// throughput should scale with GOMAXPROCS. cmd/weakbench -store runs the
-// full worker sweep and writes BENCH_store.json.
-func BenchmarkStoreContention(b *testing.B) {
-	const (
-		objects = 1024
-		members = 256
-	)
-	for _, engine := range []string{"locked", "sharded"} {
-		b.Run(engine, func(b *testing.B) {
-			st, err := store.NewEngine(engine, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := store.SeedContention(st, store.ContentionConfig{Objects: objects, Members: members}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					switch {
-					case i%64 == 0:
-						id := store.ObjectID(fmt.Sprintf("o%04d", i%objects))
-						if _, err := st.PutObject(store.Object{ID: id, Data: []byte("w")}); err != nil {
-							b.Fatal(err)
-						}
-					case i%8 < 5:
-						if _, _, err := st.List("bench"); err != nil {
-							b.Fatal(err)
-						}
-					default:
-						id := store.ObjectID(fmt.Sprintf("o%04d", i%objects))
-						if _, err := st.GetObject(id); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
 		})
 	}
 }

@@ -1,141 +1,68 @@
 package main
 
-// The -frontier sweep: the weakness-versus-throughput frontier the paper's
+// The frontier sweep: the weakness-versus-throughput frontier the paper's
 // position implies. Weak semantics exist to buy throughput; this sweep
 // prices the trade instead of asserting it. At each load level N readers
 // hammer one collection with optimistic Collects while a writer churns the
 // membership, and the rolling weakness windows record what the clients
 // actually observed — run latency quantiles, listing skew, duplicates
-// suppressed. Each level becomes one (throughput, weakness-quantile) point
+// suppressed. Each level becomes one (throughput, weakness-quantile) workload
 // of BENCH_frontier.json; plotted together they are the frontier.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"weaksets/internal/cluster"
 	"weaksets/internal/core"
-	"weaksets/internal/metrics"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
 )
 
-// frontierPoint is one load level of the -frontier sweep.
-type frontierPoint struct {
-	Readers int           `json:"readers"`
-	Runs    int64         `json:"runs"`
-	Yielded int64         `json:"yielded"`
-	Elapsed time.Duration `json:"elapsedNs"`
-	// Throughput axis.
-	RunsPerSec  float64 `json:"runsPerSec"`
-	ElemsPerSec float64 `json:"elemsPerSec"`
-	// Weakness axis: quantiles over the level's rolling windows.
-	LatencyP50 time.Duration `json:"latencyP50Ns"`
-	LatencyP95 time.Duration `json:"latencyP95Ns"`
-	LatencyP99 time.Duration `json:"latencyP99Ns"`
-	// SkewP99 and DuplicatesP99 are per-run counts at the 99th
-	// percentile: what an unlucky run sees, not the average.
-	SkewP99       int64 `json:"skewP99"`
-	DuplicatesP99 int64 `json:"duplicatesP99"`
-	// SkewPerRun is the lifetime mean for the level, the frontier's
-	// center-of-mass companion to the tail figure.
-	SkewPerRun float64 `json:"skewPerRun"`
-	Writes     int64   `json:"writes"`
-}
-
-// frontierReport is the BENCH_frontier.json document.
-type frontierReport struct {
-	Meta          benchMeta       `json:"meta"`
-	GOMAXPROCS    int             `json:"gomaxprocs"`
-	Elements      int             `json:"elements"`
-	RunsPerReader int             `json:"runsPerReader"`
-	Readers       []int           `json:"readers"`
-	Seed          int64           `json:"seed"`
-	Results       []frontierPoint `json:"results"`
-}
-
-// runFrontierSweep drives the frontier: for each reader count, N
+// frontierSweep drives the frontier: for each reader count, N
 // concurrent optimistic Collects against a churning collection, weakness
-// accounted through a fresh registry's rolling windows.
-func runFrontierSweep(jsonPath string, quick bool, seed int64) error {
+// accounted through a fresh registry's rolling windows. Skew and
+// duplicate figures are per-run counts at the 99th percentile — what an
+// unlucky run sees — with the lifetime mean skew beside them.
+func frontierSweep(b *bench) error {
 	const elements = 96
 	readers := []int{1, 2, 4, 8, 16}
 	runsPerReader := 30
-	if quick {
+	if b.quick {
 		readers = []int{1, 8}
 		runsPerReader = 8
 	}
+	b.params["elements"] = elements
+	b.params["runs_per_reader"] = float64(runsPerReader)
 
-	report := frontierReport{
-		Meta:          inprocMeta(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Elements:      elements,
-		RunsPerReader: runsPerReader,
-		Readers:       readers,
-		Seed:          seed,
-	}
-	table := metrics.NewTable(
-		fmt.Sprintf("Weakness-throughput frontier: %d-element optimistic Collect under churn, %d runs/reader",
-			elements, runsPerReader),
-		"readers", "runs/sec", "elems/sec", "lat p50", "lat p99", "skew p99", "dup p99", "skew/run")
-
-	for _, n := range readers {
-		point, err := runFrontierLevel(n, elements, runsPerReader, seed)
-		if err != nil {
-			return fmt.Errorf("frontier: readers=%d: %w", n, err)
+	for t := 0; t < b.trials; t++ {
+		for _, n := range readers {
+			if err := runFrontierLevel(b, n, elements, runsPerReader); err != nil {
+				return fmt.Errorf("readers=%d: %w", n, err)
+			}
 		}
-		report.Results = append(report.Results, point)
-		table.AddRow(
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.1f", point.RunsPerSec),
-			fmt.Sprintf("%.0f", point.ElemsPerSec),
-			metrics.FmtDur(point.LatencyP50),
-			metrics.FmtDur(point.LatencyP99),
-			fmt.Sprintf("%d", point.SkewP99),
-			fmt.Sprintf("%d", point.DuplicatesP99),
-			fmt.Sprintf("%.2f", point.SkewPerRun),
-		)
 	}
-	table.Render(os.Stdout)
-
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return fmt.Errorf("frontier: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("frontier: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("frontier: %w", err)
-	}
-	fmt.Printf("wrote %s (%d load points)\n", jsonPath, len(report.Results))
 	return nil
 }
 
 // runFrontierLevel builds a fresh cluster and registry, churns the
-// collection from a writer goroutine, and times `n` readers collecting
-// `runs` times each.
-func runFrontierLevel(n, elements, runs int, seed int64) (frontierPoint, error) {
+// collection from a writer goroutine, times `n` readers collecting
+// `runs` times each, and records the level's rows.
+func runFrontierLevel(b *bench, n, elements, runs int) error {
 	ctx := context.Background()
-	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: seed})
+	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: b.seed})
 	if err != nil {
-		return frontierPoint{}, err
+		return err
 	}
 	defer c.Close()
 	weakness := obs.NewRegistry()
 
 	const coll = "frontier"
 	if err := c.Client.CreateCollection(ctx, cluster.DirNode, coll); err != nil {
-		return frontierPoint{}, err
+		return err
 	}
 	for i := 0; i < elements; i++ {
 		ref, err := c.Client.Put(ctx, c.StorageFor(i), repo.Object{
@@ -146,7 +73,7 @@ func runFrontierLevel(n, elements, runs int, seed int64) (frontierPoint, error) 
 			err = c.Client.Add(ctx, cluster.DirNode, coll, ref)
 		}
 		if err != nil {
-			return frontierPoint{}, fmt.Errorf("populate: %w", err)
+			return fmt.Errorf("populate: %w", err)
 		}
 	}
 
@@ -226,38 +153,33 @@ func runFrontierLevel(n, elements, runs int, seed int64) (frontierPoint, error) 
 	close(churnStop)
 	<-churnDone
 	if readErr != nil {
-		return frontierPoint{}, readErr
+		return readErr
 	}
 
-	point := frontierPoint{
-		Readers: n,
-		Runs:    int64(n * runs),
-		Yielded: yielded.Load(),
-		Elapsed: elapsed,
-		Writes:  writes.Load(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		point.RunsPerSec = float64(point.Runs) / s
-		point.ElemsPerSec = float64(point.Yielded) / s
-	}
+	w := fmt.Sprintf("readers=%d", n)
+	b.add(w, "runs_per_s", "1/s", float64(n*runs)/elapsed.Seconds())
+	b.add(w, "elems_per_s", "1/s", float64(yielded.Load())/elapsed.Seconds())
 	for _, cw := range weakness.Windows() {
 		if cw.Collection != coll {
 			continue
 		}
 		if lat, ok := cw.Metrics[obs.WinLatency]; ok {
-			point.LatencyP50, point.LatencyP95, point.LatencyP99 = lat.P50, lat.P95, lat.P99
+			b.add(w, "latency_p50_ms", "ms", ms(lat.P50))
+			b.add(w, "latency_p95_ms", "ms", ms(lat.P95))
+			b.add(w, "latency_p99_ms", "ms", ms(lat.P99))
 		}
 		if skew, ok := cw.Metrics[obs.WinListingSkew]; ok {
-			point.SkewP99 = int64(skew.P99)
+			b.add(w, "skew_p99", "count", float64(skew.P99))
 		}
 		if dup, ok := cw.Metrics[obs.WinDuplicates]; ok {
-			point.DuplicatesP99 = int64(dup.P99)
+			b.add(w, "duplicates_p99", "count", float64(dup.P99))
 		}
 	}
 	for _, agg := range weakness.Snapshot() {
 		if agg.Collection == coll && agg.Runs > 0 {
-			point.SkewPerRun = float64(agg.ListingSkew) / float64(agg.Runs)
+			b.add(w, "skew_per_run", "count", float64(agg.ListingSkew)/float64(agg.Runs))
 		}
 	}
-	return point, nil
+	b.add(w, "writes", "count", float64(writes.Load()))
+	return nil
 }

@@ -1,6 +1,6 @@
 package main
 
-// The -replica sweep: what replica-parallel reads buy and what they
+// The replica sweep: what replica-parallel reads buy and what they
 // cost in staleness. Each level replicates one collection across R
 // nodes, caps every server's concurrent handler slots (so "one hot
 // node" versus "R replicas" is a capacity fight, not a free lunch), and
@@ -15,10 +15,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,173 +23,67 @@ import (
 
 	"weaksets/internal/cluster"
 	"weaksets/internal/core"
-	"weaksets/internal/metrics"
 	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
 	"weaksets/internal/sim"
 )
 
-// replicaPoint is one replication level of the -replica sweep.
-type replicaPoint struct {
-	Replicas int           `json:"replicas"`
-	Runs     int64         `json:"runs"`
-	Yielded  int64         `json:"yielded"`
-	Elapsed  time.Duration `json:"elapsedNs"`
-	// Throughput axis.
-	RunsPerSec  float64 `json:"runsPerSec"`
-	ElemsPerSec float64 `json:"elemsPerSec"`
-	// Time-to-first-element quantiles across every run at this level.
-	TTFEP50 time.Duration `json:"ttfeP50Ns"`
-	TTFEP99 time.Duration `json:"ttfeP99Ns"`
-	// Weakness axis: what serving from replicas cost in staleness.
-	ReplicaServed int64         `json:"replicaServed"`
-	ReplicaSkew   int64         `json:"replicaSkew"`
-	MaxGhostAge   time.Duration `json:"maxGhostAgeNs"`
-	Writes        int64         `json:"writes"`
-}
+// Each node is a small server with period-appropriate cost per
+// operation: two handler slots, tens of virtual milliseconds of service
+// time per call (a disk-bound storage node of the paper's era, against
+// 10ms one-way links). At R=1 every listing partition and element batch
+// queues on the home's two slots; replication's win is the extra slots
+// it buys.
+const (
+	replicaServiceLimit = 2
+	replicaServiceTime  = 200 * time.Millisecond // virtual, scaled like link latency
+)
 
-// replicaKill is the kill-one-replica phase: reads must keep completing
-// from the survivors, with the staleness they serve reported.
-type replicaKill struct {
-	Killed        string        `json:"killed"`
-	Runs          int64         `json:"runs"`
-	Completed     int64         `json:"completed"`
-	Failed        int64         `json:"failed"`
-	Yielded       int64         `json:"yielded"`
-	Elapsed       time.Duration `json:"elapsedNs"`
-	RunsPerSec    float64       `json:"runsPerSec"`
-	ElemsPerSec   float64       `json:"elemsPerSec"`
-	ReplicaServed int64         `json:"replicaServed"`
-	ReplicaSkew   int64         `json:"replicaSkew"`
-	MaxGhostAge   time.Duration `json:"maxGhostAgeNs"`
-	// HandoffEvents counts the home's EvHandoff journal records: the
-	// hinted-handoff bookkeeping noticing the dead replica.
-	HandoffEvents int64 `json:"handoffEvents"`
-}
-
-// replicaReport is the BENCH_replica.json document. Speedup maps
-// "replicas=N" to this level's elements/sec over the single-home
-// baseline.
-type replicaReport struct {
-	Meta          benchMeta          `json:"meta"`
-	GOMAXPROCS    int                `json:"gomaxprocs"`
-	Elements      int                `json:"elements"`
-	Readers       int                `json:"readers"`
-	RunsPerReader int                `json:"runsPerReader"`
-	ServiceLimit  int                `json:"serviceLimit"`
-	ServiceTime   time.Duration      `json:"serviceTimeNs"`
-	ReplicaCounts []int              `json:"replicaCounts"`
-	Seed          int64              `json:"seed"`
-	Results       []replicaPoint     `json:"results"`
-	Speedup       map[string]float64 `json:"speedup"`
-	Kill          *replicaKill       `json:"kill,omitempty"`
-}
-
-// runReplicaSweep drives the sweep: one fresh cluster per replication
+// replicaSweep drives the sweep: one fresh cluster per replication
 // level, the kill phase piggybacking on the highest level's cluster.
-func runReplicaSweep(jsonPath string, quick bool, seed int64) error {
+func replicaSweep(b *bench) error {
 	elements, readers, runsPerReader := 64, 16, 24
-	// Each node is a small server with period-appropriate cost per
-	// operation: two handler slots, tens of virtual milliseconds of
-	// service time per call (a disk-bound storage node of the paper's
-	// era, against 10ms one-way links). At R=1 every listing partition
-	// and element batch queues on the home's two slots; replication's win
-	// is the extra slots it buys.
-	const (
-		serviceLimit = 2
-		serviceTime  = 200 * time.Millisecond // virtual, scaled like link latency
-	)
-	counts := []int{1, 2, 3}
-	if quick {
+	if b.quick {
 		elements, readers, runsPerReader = 48, 8, 4
 	}
+	b.params["elements"] = float64(elements)
+	b.params["readers"] = float64(readers)
+	b.params["runs_per_reader"] = float64(runsPerReader)
+	b.params["service_limit"] = replicaServiceLimit
+	b.params["service_time_ms"] = ms(replicaServiceTime)
 
-	report := replicaReport{
-		Meta:          inprocMeta(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Elements:      elements,
-		Readers:       readers,
-		RunsPerReader: runsPerReader,
-		ServiceLimit:  serviceLimit,
-		ServiceTime:   serviceTime,
-		ReplicaCounts: counts,
-		Seed:          seed,
-		Speedup:       map[string]float64{},
-	}
-	table := metrics.NewTable(
-		fmt.Sprintf("Replica-parallel reads: %d-element grow-only Collect under churn, %d readers, %d handler slots/node",
-			elements, readers, serviceLimit),
-		"replicas", "runs/sec", "elems/sec", "ttfe p50", "ttfe p99", "replica-served", "skew", "ghost-age", "speedup")
-
-	base := 0.0
-	for _, r := range counts {
-		point, kill, err := runReplicaLevel(r, elements, readers, runsPerReader, serviceLimit, serviceTime, seed, r == counts[len(counts)-1])
-		if err != nil {
-			return fmt.Errorf("replica sweep: replicas=%d: %w", r, err)
-		}
-		report.Results = append(report.Results, point)
-		report.Kill = kill
-
-		speedup := "-"
-		if r == 1 {
-			base = point.ElemsPerSec
-		} else if base > 0 {
-			ratio := point.ElemsPerSec / base
-			report.Speedup[fmt.Sprintf("replicas=%d", r)] = ratio
-			speedup = fmt.Sprintf("%.1fx", ratio)
-		}
-		table.AddRow(
-			fmt.Sprintf("%d", r),
-			fmt.Sprintf("%.1f", point.RunsPerSec),
-			fmt.Sprintf("%.0f", point.ElemsPerSec),
-			metrics.FmtDur(point.TTFEP50),
-			metrics.FmtDur(point.TTFEP99),
-			fmt.Sprintf("%d", point.ReplicaServed),
-			fmt.Sprintf("%d", point.ReplicaSkew),
-			metrics.FmtDur(point.MaxGhostAge),
-			speedup,
-		)
-	}
-	table.Render(os.Stdout)
-
-	if k := report.Kill; k != nil {
-		fmt.Printf("kill phase: crashed %s; %d/%d runs completed from survivors (%.0f elems/sec, skew %d, ghost-age %s, %d handoff events)\n",
-			k.Killed, k.Completed, k.Runs, k.ElemsPerSec, k.ReplicaSkew, metrics.FmtDur(k.MaxGhostAge), k.HandoffEvents)
-		if k.Failed > 0 {
-			return fmt.Errorf("replica sweep: kill phase: %d of %d runs failed — survivors did not carry the read load", k.Failed, k.Runs)
+	for t := 0; t < b.trials; t++ {
+		var base float64
+		for _, r := range []int{1, 2, 3} {
+			perSec, err := runReplicaLevel(b, r, elements, readers, runsPerReader, r == 3)
+			if err != nil {
+				return fmt.Errorf("replicas=%d: %w", r, err)
+			}
+			if r == 1 {
+				base = perSec
+			} else {
+				b.add(fmt.Sprintf("replicas=%d", r), "replica_speedup", "x", perSec/base)
+			}
 		}
 	}
-
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return fmt.Errorf("replica sweep: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("replica sweep: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("replica sweep: %w", err)
-	}
-	fmt.Printf("wrote %s (%d levels)\n", jsonPath, len(report.Results))
 	return nil
 }
 
 // runReplicaLevel builds a fresh cluster, replicates the collection
-// across r nodes, waits for the replicas to converge, and times the
-// reader pool under churn. With doKill it then crashes one non-home
-// replica and runs a second read phase against the survivors.
-func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime time.Duration, seed int64, doKill bool) (replicaPoint, *replicaKill, error) {
+// across r nodes, waits for the replicas to converge, times the reader
+// pool under churn, and records the level's rows; it returns the level's
+// elements/sec. With doKill it then crashes one non-home replica and
+// runs a second read phase against the survivors, which must complete
+// every run.
+func runReplicaLevel(b *bench, r, elements, readers, runs int, doKill bool) (float64, error) {
 	ctx := context.Background()
 	// The scale must be explicit: a zero scale records latencies without
 	// sleeping them, so neither the 10ms links nor the per-call service
 	// cost would occupy anything and the capacity fight would be fiction.
-	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: seed, Scale: sim.DefaultScale})
+	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: b.seed, Scale: sim.DefaultScale})
 	if err != nil {
-		return replicaPoint{}, nil, err
+		return 0, err
 	}
 	defer c.Close()
 	journal := obs.NewJournal(obs.DefaultJournalCapacity)
@@ -200,7 +91,7 @@ func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime t
 
 	const coll = "replicated"
 	if err := c.Client.CreateCollection(ctx, cluster.DirNode, coll); err != nil {
-		return replicaPoint{}, nil, err
+		return 0, err
 	}
 	// Objects live on the home node so anti-entropy ships their data to
 	// the replicas (member refs pointing elsewhere travel by reference).
@@ -213,17 +104,17 @@ func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime t
 			err = c.Client.Add(ctx, cluster.DirNode, coll, ref)
 		}
 		if err != nil {
-			return replicaPoint{}, nil, fmt.Errorf("populate: %w", err)
+			return 0, fmt.Errorf("populate: %w", err)
 		}
 	}
 
 	nodes, err := c.Replicate(coll, r)
 	if err != nil {
-		return replicaPoint{}, nil, err
+		return 0, err
 	}
 	c.Servers[cluster.DirNode].SetAntiEntropy(100 * time.Millisecond)
 	if err := waitReplicaConvergence(ctx, c, coll, nodes); err != nil {
-		return replicaPoint{}, nil, err
+		return 0, err
 	}
 
 	// Every server gets the same slot budget and the same per-call
@@ -231,8 +122,8 @@ func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime t
 	// the same workload spreads across three nodes' slots. This is the
 	// contention replication relieves.
 	for _, node := range append([]netsim.NodeID{cluster.DirNode}, c.Storage...) {
-		c.Bus.SetServiceLimit(node, serviceLimit)
-		c.Bus.SetServiceTime(node, serviceTime)
+		c.Bus.SetServiceLimit(node, replicaServiceLimit)
+		c.Bus.SetServiceTime(node, replicaServiceTime)
 	}
 
 	// The churn writer: a steady stream of adds through the home, each
@@ -286,26 +177,14 @@ func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime t
 	weakness := obs.NewRegistry()
 	phase, err := runReplicaPhase(ctx, c, coll, nodes, readers, runs, weakness)
 	if err != nil {
-		return replicaPoint{}, nil, err
+		return 0, err
 	}
 
-	point := replicaPoint{
-		Replicas: r,
-		Runs:     phase.runs,
-		Yielded:  phase.yielded,
-		Elapsed:  phase.elapsed,
-		TTFEP50:  phase.ttfeP50,
-		TTFEP99:  phase.ttfeP99,
-		Writes:   writes.Load(),
-	}
-	if s := phase.elapsed.Seconds(); s > 0 {
-		point.RunsPerSec = float64(phase.runs) / s
-		point.ElemsPerSec = float64(phase.yielded) / s
-	}
-	point.ReplicaServed, point.ReplicaSkew, point.MaxGhostAge = weaknessReplicaFigures(weakness, coll)
-
-	if !doKill || r < 2 {
-		return point, nil, nil
+	w := fmt.Sprintf("replicas=%d", r)
+	perSec := phase.record(b, w, weakness, coll)
+	b.add(w, "writes", "count", float64(writes.Load()))
+	if !doKill {
+		return perSec, nil
 	}
 
 	// Kill phase: crash the farthest replica and read again. The routers
@@ -315,39 +194,23 @@ func runReplicaLevel(r, elements, readers, runs, serviceLimit int, serviceTime t
 	victim := nodes[len(nodes)-1]
 	c.Net.Crash(victim)
 	killWeakness := obs.NewRegistry()
-	killRuns := runs / 2
-	if killRuns < 3 {
-		killRuns = 3
-	}
+	killRuns := max(runs/2, 3)
 	killPhase, err := runReplicaPhase(ctx, c, coll, nodes, readers, killRuns, killWeakness)
-	if err != nil {
-		// Reads failing outright is exactly what this phase exists to
-		// catch; report it as data, not as a sweep crash.
-		killPhase.failed++
-	}
 	stopChurn()
-
-	kill := &replicaKill{
-		Killed:    string(victim),
-		Runs:      killPhase.runs + killPhase.failed,
-		Completed: killPhase.runs,
-		Failed:    killPhase.failed,
-		Yielded:   killPhase.yielded,
-		Elapsed:   killPhase.elapsed,
+	want := int64(readers * killRuns)
+	if err != nil || killPhase.runs != want {
+		return 0, fmt.Errorf("kill phase: crashed %s; %d of %d runs completed — survivors did not carry the read load: %v",
+			victim, killPhase.runs, want, err)
 	}
-	if s := killPhase.elapsed.Seconds(); s > 0 {
-		kill.RunsPerSec = float64(killPhase.runs) / s
-		kill.ElemsPerSec = float64(killPhase.yielded) / s
-	}
-	kill.ReplicaServed, kill.ReplicaSkew, kill.MaxGhostAge = weaknessReplicaFigures(killWeakness, coll)
-	kill.HandoffEvents = int64(len(journal.Events(obs.EventFilter{Type: obs.EvHandoff})))
-	return point, kill, nil
+	killPhase.record(b, "kill", killWeakness, coll)
+	b.add("kill", "runs_completed", "count", float64(killPhase.runs))
+	b.add("kill", "handoff_events", "count", float64(len(journal.Events(obs.EventFilter{Type: obs.EvHandoff}))))
+	return perSec, nil
 }
 
 // replicaPhaseResult is one timed read phase's raw counters.
 type replicaPhaseResult struct {
 	runs    int64
-	failed  int64
 	yielded int64
 	elapsed time.Duration
 	ttfeP50 time.Duration
@@ -474,15 +337,23 @@ func waitReplicaConvergence(ctx context.Context, c *cluster.Cluster, coll string
 	}
 }
 
-// weaknessReplicaFigures folds one registry's replica staleness
-// accounting for coll.
-func weaknessReplicaFigures(reg *obs.Registry, coll string) (served, skew int64, ghostAge time.Duration) {
+// record adds the phase's throughput, time-to-first-element and — read
+// back from reg — the replica staleness it served as rows of workload
+// w, and returns its elements/sec.
+func (p replicaPhaseResult) record(b *bench, w string, reg *obs.Registry, coll string) float64 {
+	perSec := float64(p.yielded) / p.elapsed.Seconds()
+	b.add(w, "runs_per_s", "1/s", float64(p.runs)/p.elapsed.Seconds())
+	b.add(w, "elems_per_s", "1/s", perSec)
+	b.add(w, "ttfe_p50_ms", "ms", ms(p.ttfeP50))
+	b.add(w, "ttfe_p99_ms", "ms", ms(p.ttfeP99))
 	for _, cw := range reg.Snapshot() {
 		if cw.Collection == coll {
-			return cw.ReplicaServed, cw.ReplicaSkew, cw.MaxGhostAge
+			b.add(w, "replica_served", "count", float64(cw.ReplicaServed))
+			b.add(w, "replica_skew", "count", float64(cw.ReplicaSkew))
+			b.add(w, "max_ghost_age_ms", "ms", ms(cw.MaxGhostAge))
 		}
 	}
-	return 0, 0, 0
+	return perSec
 }
 
 // durQuantiles returns the p50 and p99 of a sample set.

@@ -1,7 +1,7 @@
 package main
 
-// The -scale sweep: listing-path scalability. It grows one collection
-// from 10k to 1M+ members and times a full Elements run at each size,
+// The scale sweep: listing-path scalability. It grows one collection
+// from 10k to 1M members and times a full Elements run at each size,
 // on a zero-latency logical-time cluster so the numbers are pure CPU
 // cost of the listing, stepping and fetch machinery. Two modes.
 // "partitioned" is the streaming ListParts path under Immutable
@@ -16,55 +16,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
 	"weaksets/internal/core"
-	"weaksets/internal/metrics"
 	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
 	"weaksets/internal/rpc"
 	"weaksets/internal/sim"
 	"weaksets/internal/store"
 )
-
-// scaleResult is one row of the -scale sweep: the best-of-rounds
-// Elements run at one size.
-type scaleResult struct {
-	Mode          string        `json:"mode"` // a scaleModes name
-	Elements      int           `json:"elements"`
-	Partitions    int           `json:"partitions"`
-	Yielded       int           `json:"yielded"`
-	Setup         time.Duration `json:"setupNs"` // Elements(): open the run, first partition folded
-	FirstElement  time.Duration `json:"firstElementNs"`
-	Total         time.Duration `json:"totalNs"`
-	PerElementNs  float64       `json:"perElementNs"`
-	ListRPCs      int64         `json:"listRPCs"`
-	ListPartsRPCs int64         `json:"listPartsRPCs"`
-	BatchRPCs     int64         `json:"getBatchRPCs"`
-}
-
-// scaleReport is the BENCH_scale.json document. The ratio maps hold the
-// sweep's acceptance figures, keyed by mode: PerElementRatio is
-// per-element cost at the mode's largest size over its smallest (flat
-// scaling ⇒ ~1.0), FirstElementRatio the same for time-to-first-element
-// (partitioned only).
-type scaleReport struct {
-	Meta              benchMeta          `json:"meta"`
-	GOMAXPROCS        int                `json:"gomaxprocs"`
-	Engine            string             `json:"engine"`
-	StorageNodes      int                `json:"storageNodes"`
-	PayloadBytes      int                `json:"payloadBytes"`
-	Rounds            int                `json:"rounds"`
-	Sizes             []int              `json:"sizes"`
-	SeedSeconds       map[string]float64 `json:"seedSeconds"`
-	Results           []scaleResult      `json:"results"`
-	PerElementRatio   map[string]float64 `json:"perElementRatio"`
-	FirstElementRatio map[string]float64 `json:"firstElementRatio"`
-}
 
 // scaleModes are the sweep's rows per size. maxElements, when non-zero,
 // caps the sizes a mode runs at.
@@ -168,176 +130,120 @@ func newScaleWorld(n, partitions int, seed int64) (*scaleWorld, error) {
 	return w, nil
 }
 
-// runScaleOnce times one full Elements run: time-to-first-element and
-// total wall time, with the membership-read RPC mix from the bus.
-func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scaleResult, error) {
+// scaleRun is one timed Elements run with the membership-read RPC mix
+// it cost, read off the bus.
+type scaleRun struct {
+	yielded                          int
+	setup, first, total              time.Duration // Elements() returned; first element; drained
+	listRPCs, listPartsRPCs, batches int64
+}
+
+func (r scaleRun) perElemNs() float64 { return float64(r.total.Nanoseconds()) / float64(r.yielded) }
+
+// runScaleOnce times one full Elements run.
+func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scaleRun, error) {
 	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: sem})
 	if err != nil {
-		return scaleResult{}, err
+		return scaleRun{}, err
 	}
 	lists0 := w.bus.MethodCalls(repo.MethodList)
 	parts0 := w.bus.MethodCalls(repo.MethodListParts)
 	batches0 := w.bus.MethodCalls(repo.MethodGetBatch)
 
+	var res scaleRun
 	start := time.Now()
 	it, err := set.Elements(ctx)
 	if err != nil {
-		return scaleResult{}, err
+		return scaleRun{}, err
 	}
-	setup := time.Since(start)
-	var first time.Duration
-	yielded := 0
+	res.setup = time.Since(start)
 	for it.Next(ctx) {
-		if yielded == 0 {
-			first = time.Since(start)
+		if res.yielded == 0 {
+			res.first = time.Since(start)
 		}
-		yielded++
+		res.yielded++
 	}
-	total := time.Since(start)
+	res.total = time.Since(start)
 	if err := it.Err(); err != nil {
 		_ = it.Close(context.Background())
-		return scaleResult{}, err
+		return scaleRun{}, err
 	}
 	if err := it.Close(ctx); err != nil {
-		return scaleResult{}, err
+		return scaleRun{}, err
 	}
-
-	res := scaleResult{
-		Yielded:       yielded,
-		Setup:         setup,
-		FirstElement:  first,
-		Total:         total,
-		ListRPCs:      w.bus.MethodCalls(repo.MethodList) - lists0,
-		ListPartsRPCs: w.bus.MethodCalls(repo.MethodListParts) - parts0,
-		BatchRPCs:     w.bus.MethodCalls(repo.MethodGetBatch) - batches0,
-	}
-	if yielded > 0 {
-		res.PerElementNs = float64(total.Nanoseconds()) / float64(yielded)
-	}
+	res.listRPCs = w.bus.MethodCalls(repo.MethodList) - lists0
+	res.listPartsRPCs = w.bus.MethodCalls(repo.MethodListParts) - parts0
+	res.batches = w.bus.MethodCalls(repo.MethodGetBatch) - batches0
 	return res, nil
 }
 
-// runScaleSweep runs the -scale sweep and writes BENCH_scale.json.
-func runScaleSweep(jsonPath string, quick bool, seed int64) error {
-	sizes := []int{10_000, 100_000, 1_000_000}
-	rounds := 3
-	if quick {
-		sizes = []int{10_000, 50_000}
-		rounds = 1
+// scaleSweep times every mode at every size, one world per size and one
+// run per trial. The degradation rows divide each trial's figure by the
+// mode's median at the smallest size (flat scaling is 1.0), so the gate
+// compares a size against the committed report's same size and never a
+// 50k point against a 1M one.
+func scaleSweep(b *bench) error {
+	sizes := []int{10_000, 50_000, 100_000, 1_000_000}
+	if b.quick {
+		sizes = sizes[:2]
 	}
-
-	meta := inprocMeta()
-	meta.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	for _, n := range sizes {
-		meta.Partitions = append(meta.Partitions, scalePartitions(n))
-	}
-	report := scaleReport{
-		Meta:              meta,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		StorageNodes:      scaleStorage,
-		PayloadBytes:      scalePayload,
-		Rounds:            rounds,
-		Sizes:             sizes,
-		SeedSeconds:       map[string]float64{},
-		PerElementRatio:   map[string]float64{},
-		FirstElementRatio: map[string]float64{},
-	}
-	table := metrics.NewTable(
-		fmt.Sprintf("Listing scalability: full Elements run (partitioned: Immutable; current: GrowOnly), %d storage nodes, zero latency (best of %d)",
-			scaleStorage, rounds),
-		"mode", "elements", "parts", "setup", "first elem", "total", "ns/elem", "List", "ListParts", "GetBatch")
+	b.params["storage_nodes"] = scaleStorage
+	b.params["payload_bytes"] = scalePayload
 
 	ctx := context.Background()
-	// base figures at the smallest size, for the ratio maps.
-	basePerElem := map[string]float64{}
-	baseFirst := map[string]time.Duration{}
+	// Per mode, the trials at the smallest size: per-element ns and ms to
+	// the first element.
+	basePerElem, baseFirst := map[string][]float64{}, map[string][]float64{}
 	for _, n := range sizes {
 		partitions := scalePartitions(n)
 		seedStart := time.Now()
-		w, err := newScaleWorld(n, partitions, seed)
+		w, err := newScaleWorld(n, partitions, b.seed)
 		if err != nil {
-			return fmt.Errorf("scale sweep: seed %d: %w", n, err)
+			return fmt.Errorf("seed %d: %w", n, err)
 		}
-		report.SeedSeconds[fmt.Sprintf("%d", n)] = time.Since(seedStart).Seconds()
-		if report.Engine == "" {
-			es, err := w.client.StoreStats(ctx, scaleDir)
-			if err != nil {
-				w.close()
-				return fmt.Errorf("scale sweep: %w", err)
-			}
-			report.Engine = es.Engine
-		}
-
+		seedTime := time.Since(seedStart)
 		for _, mode := range scaleModes {
 			if mode.maxElements != 0 && n > mode.maxElements {
 				continue
 			}
-			var best scaleResult
-			for r := 0; r < rounds; r++ {
+			wl := fmt.Sprintf("%s/%d", mode.name, n)
+			b.add(wl, "partitions", "count", float64(partitions))
+			b.add(wl, "seed_s", "s", seedTime.Seconds())
+			// One discarded run warms the world (first-touch faults, lazily
+			// built listing snapshots), and a collection before each timed
+			// one keeps the previous run's garbage — tens of MB at 1M — from
+			// being swept inside this one's interval.
+			for t := -1; t < b.trials; t++ {
+				runtime.GC()
 				res, err := runScaleOnce(ctx, w, mode.sem)
-				if err != nil {
+				if err != nil || res.yielded != n {
 					w.close()
-					return fmt.Errorf("scale sweep: %s %d: %w", mode.name, n, err)
+					return fmt.Errorf("%s: yielded %d: %v", wl, res.yielded, err)
 				}
-				if res.Yielded != n {
-					w.close()
-					return fmt.Errorf("scale sweep: %s %d yielded %d elements", mode.name, n, res.Yielded)
+				if t < 0 {
+					continue
 				}
-				if r == 0 || res.Total < best.Total {
-					best = res
+				b.add(wl, "setup_ms", "ms", ms(res.setup))
+				b.add(wl, "first_elem_ms", "ms", ms(res.first))
+				b.add(wl, "total_ms", "ms", ms(res.total))
+				b.add(wl, "per_elem_ns", "ns", res.perElemNs())
+				b.add(wl, "list_rpcs", "count", float64(res.listRPCs))
+				b.add(wl, "listparts_rpcs", "count", float64(res.listPartsRPCs))
+				b.add(wl, "getbatch_rpcs", "count", float64(res.batches))
+				if n == sizes[0] {
+					basePerElem[mode.name] = append(basePerElem[mode.name], res.perElemNs())
+					baseFirst[mode.name] = append(baseFirst[mode.name], ms(res.first))
+					continue
+				}
+				small, _ := medianSpread(basePerElem[mode.name])
+				b.add(wl, "per_elem_vs_10k", "x", res.perElemNs()/small)
+				if mode.firstElement {
+					small, _ := medianSpread(baseFirst[mode.name])
+					b.add(wl, "first_elem_vs_10k", "x", ms(res.first)/small)
 				}
 			}
-			best.Mode = mode.name
-			best.Elements = n
-			best.Partitions = partitions
-			report.Results = append(report.Results, best)
-
-			// The last size a mode runs at overwrites its ratios.
-			if n == sizes[0] {
-				basePerElem[mode.name] = best.PerElementNs
-				baseFirst[mode.name] = best.FirstElement
-			} else {
-				if base := basePerElem[mode.name]; base > 0 {
-					report.PerElementRatio[mode.name] = best.PerElementNs / base
-				}
-				if base := baseFirst[mode.name]; base > 0 && mode.firstElement {
-					report.FirstElementRatio[mode.name] = float64(best.FirstElement) / float64(base)
-				}
-			}
-			table.AddRow(
-				mode.name,
-				fmt.Sprintf("%d", n),
-				fmt.Sprintf("%d", partitions),
-				metrics.FmtDur(best.Setup),
-				metrics.FmtDur(best.FirstElement),
-				best.Total.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", best.PerElementNs),
-				fmt.Sprintf("%d", best.ListRPCs),
-				fmt.Sprintf("%d", best.ListPartsRPCs),
-				fmt.Sprintf("%d", best.BatchRPCs),
-			)
 		}
 		w.close()
 	}
-	table.Render(os.Stdout)
-	for _, mode := range scaleModes {
-		fmt.Printf("%s: per-element %.2fx, first-element %.2fx (largest size over %d elements; 0 = not gated)\n",
-			mode.name, report.PerElementRatio[mode.name], report.FirstElementRatio[mode.name], sizes[0])
-	}
-
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return fmt.Errorf("scale sweep: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("scale sweep: encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("scale sweep: %w", err)
-	}
-	fmt.Printf("wrote %s (%d results)\n", jsonPath, len(report.Results))
 	return nil
 }

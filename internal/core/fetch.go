@@ -29,12 +29,6 @@ type FetchOptions struct {
 	Batch int
 	// Inflight bounds concurrent batch RPCs. Defaults to 4.
 	Inflight int
-	// Cache is the shared element cache consulted on the batched path:
-	// fresh entries serve snapshot runs with no RPC, warm entries turn
-	// batches into conditional fetches (version in, NotModified out).
-	// nil falls back to the cache attached to the client via
-	// repo.Client.UseCache, if any.
-	Cache *repo.Cache
 }
 
 // WithDefaults resolves the zero values to the effective defaults.

@@ -270,11 +270,7 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	// The binding reads the held listing each time a fetch is planned, so
 	// it follows the run from an opening stream's unsealed version 0
 	// through every listing it later adopts.
-	cache := s.opts.Fetch.Cache
-	if cache == nil {
-		cache = s.client.ElementCache()
-	}
-	if cache != nil {
+	if cache := s.client.ElementCache(); cache != nil {
 		pinned := s.opts.Semantics.UsesSnapshot()
 		it.pf.cb = cacheBinding{cache: cache, coll: s.name, held: func() (uint64, bool) {
 			_, leased := it.certified()

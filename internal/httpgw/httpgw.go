@@ -519,7 +519,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Semantics = sem
-		fetch := core.FetchOptions{Batch: batch, Cache: g.cache}
+		fetch := core.FetchOptions{Batch: batch}
 		if batch == 1 {
 			// One id per round trip means one round trip at a time too.
 			fetch.Inflight = 1

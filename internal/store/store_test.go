@@ -599,37 +599,3 @@ func TestConcurrentReadersWriters(t *testing.T) {
 		}
 	})
 }
-
-func TestNewEngine(t *testing.T) {
-	if _, err := NewEngine("locked", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEngine("sharded", 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEngine("bogus", 0); err == nil {
-		t.Fatal("bogus engine accepted")
-	}
-}
-
-func TestRunContention(t *testing.T) {
-	for _, engine := range []string{"locked", "sharded"} {
-		res, err := RunContention(ContentionConfig{
-			Engine:       engine,
-			Objects:      64,
-			Members:      32,
-			Workers:      2,
-			OpsPerWorker: 500,
-			WriteEvery:   10,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		if res.TotalOps != 1000 || res.OpsPerSec <= 0 {
-			t.Fatalf("%s: result = %+v", engine, res)
-		}
-		if len(res.PerOp) == 0 {
-			t.Fatalf("%s: no per-op stats", engine)
-		}
-	}
-}

@@ -38,11 +38,6 @@ type Client struct {
 	// DialTimeout bounds connection establishment. Defaults to 5s.
 	// Set before the first Call.
 	DialTimeout time.Duration
-	// MaxInflight bounds how many calls may share the stream at once
-	// (0 = unlimited). 1 degenerates to the serialized one-RPC-per-
-	// round-trip transport — the baseline `weakbench -rpc` sweeps
-	// against. Set before the first Call.
-	MaxInflight int
 	// Tracer, when set, records a wire span per traced call (join-only).
 	// The span's context rides the request envelope, so the server's
 	// spans nest under it. Set before the first Call.
@@ -60,7 +55,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	cc     *clientConn
-	sem    chan struct{}
 	closed bool
 
 	seq atomic.Uint64
@@ -210,28 +204,14 @@ func (c *Client) conn() (*clientConn, error) {
 	return cc, nil
 }
 
-// acquire takes an in-flight slot when MaxInflight bounds the stream.
-// The returned release is non-nil even when no budget is configured.
-func (c *Client) acquire(ctx context.Context) (func(), error) {
+// checkOpen fails a call made after Close.
+func (c *Client) checkOpen() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return ErrClientClosed
 	}
-	if c.MaxInflight > 0 && c.sem == nil {
-		c.sem = make(chan struct{}, c.MaxInflight)
-	}
-	sem := c.sem
-	c.mu.Unlock()
-	if sem == nil {
-		return func() {}, nil
-	}
-	select {
-	case sem <- struct{}{}:
-		return func() { <-sem }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return nil
 }
 
 // Call performs one RPC. Calls may overlap freely on the shared stream;
@@ -241,11 +221,9 @@ func (c *Client) Call(ctx context.Context, method string, req any) (any, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	release, err := c.acquire(ctx)
-	if err != nil {
+	if err := c.checkOpen(); err != nil {
 		return nil, err
 	}
-	defer release()
 
 	ctx, span := c.Tracer.StartSpan(ctx, "tcp."+method)
 	span.SetAttr("addr", c.addr)
@@ -390,10 +368,6 @@ func (c *Client) CallStream(ctx context.Context, method string, req any) (*Clien
 	if err != nil {
 		return nil, err
 	}
-	release, err := c.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
 
 	seq := c.seq.Add(1)
 	q := newStreamQ()
@@ -408,7 +382,6 @@ func (c *Client) CallStream(ctx context.Context, method string, req any) (*Clien
 	st.cleanup = func() {
 		once.Do(func() {
 			c.ins.inflightDown()
-			release()
 		})
 	}
 

@@ -374,48 +374,3 @@ func TestConcurrentCallsSharedClient(t *testing.T) {
 		t.Fatalf("maxInFlight = %d; concurrent calls never overlapped", st.MaxInFlight)
 	}
 }
-
-// TestSerialBudget pins MaxInflight to 1: concurrent callers still all
-// succeed, but the stream carries one call at a time — the serialized
-// baseline the -rpc sweep compares against.
-func TestSerialBudget(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", echoDispatch(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := Dial(srv.Addr(), "tester")
-	client.MaxInflight = 1
-	defer client.Close()
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				id := repo.ObjectID(fmt.Sprintf("s%d-%d", w, j))
-				out, err := client.Call(ctx, "echo", repo.GetReq{ID: id})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := out.(repo.Object).ID; got != id {
-					errs <- fmt.Errorf("call %s got response for %s", id, got)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if st := client.Stats(); st.MaxInFlight != 1 {
-		t.Fatalf("maxInFlight = %d, want 1 under a serial budget", st.MaxInFlight)
-	}
-}
