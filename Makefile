@@ -39,9 +39,13 @@ fuzz-smoke:
 # path. The in-process modes only — the tcp-mux mode is bench-rpc's job.
 # Then the current-state stepper at 32/1k/10k members, whose ns/elem must
 # stay flat in n; the output is kept with the smoke reports for the CI
-# artifacts.
+# artifacts. First the run-state guard: a run that moves no element bytes
+# is held to the bytes-per-element ceilings in BENCH_budget.json, and the
+# run table's own microbenchmark runs once.
 bench-iter:
 	@mkdir -p $(SMOKE)
+	$(GO) test ./internal/core -run TestRunAllocBudget -count 1
+	$(GO) test ./internal/core -run xxx -bench BenchmarkRunTable -benchmem -benchtime 20x
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
 	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > $(SMOKE)/iterlogical.txt; \
 		s=$$?; cat $(SMOKE)/iterlogical.txt; exit $$s

@@ -1,0 +1,92 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"weaksets/internal/obs"
+	"weaksets/internal/repo"
+)
+
+// TestRunAllocBudget is the run-state allocation guard, the whole-run
+// companion of internal/repo's TestAllocBudget: a run served without
+// moving element bytes — a warm 10k snapshot run, a leased 1k
+// current-state run, both on the in-process bus — must allocate no more
+// per element than the ceilings checked in as BENCH_budget.json
+// (bytesPerElem). What is left is bookkeeping, so a change that puts a
+// per-member map or copy back on the path fails here; `make bench-iter`
+// runs it.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are not meaningful under -race instrumentation")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_budget.json"))
+	if err != nil {
+		t.Fatalf("alloc budget file: %v", err)
+	}
+	var budget struct {
+		BytesPerElem map[string]float64 `json:"bytesPerElem"`
+	}
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatalf("alloc budget file: %v", err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		sem     Semantics
+		members int
+		leased  bool
+	}{
+		{"snapWarm10k", Snapshot, 10_000, false},
+		{"curLeased1k", GrowOnly, 1_000, true},
+	} {
+		max, ok := budget.BytesPerElem[tc.name]
+		if !ok {
+			t.Fatalf("no bytesPerElem budget for %q in BENCH_budget.json", tc.name)
+		}
+		w := newTestWorld(t, tc.members)
+		if tc.leased {
+			leaseWorld(t, w)
+		}
+		w.c.Client.UseCache(repo.NewCache(2 * tc.members)) // every member stays cached
+		s := w.set(t, Options{Semantics: tc.sem})
+		run := func() obs.WeaknessReport {
+			it, err := s.Elements(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it.Next(ctx) {
+			}
+			_ = it.Close(ctx)
+			if it.Err() != nil || it.Yielded() != tc.members {
+				t.Fatalf("%s: yielded %d, err %v", tc.name, it.Yielded(), it.Err())
+			}
+			return it.Weakness()
+		}
+		run() // fills the cache, publishes the listing
+		if tc.leased {
+			run()
+			awaitLease(t, w, w.c.Client.Leases())
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			wk := run()
+			if wk.CacheHits != int64(tc.members) || tc.leased && wk.LeaseServed == 0 {
+				t.Fatalf("%s: %d cache hits, %d lease-served invocations: the run moved element bytes", tc.name, wk.CacheHits, wk.LeaseServed)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*tc.members)
+		t.Logf("%s: %.0f B/element (budget %.0f)", tc.name, got, max)
+		if got > max {
+			t.Errorf("%s allocates %.0f B/element, budget is %.0f — BENCH_budget.json is the regression gate; "+
+				"fix the run state or raise the budget deliberately", tc.name, got, max)
+		}
+	}
+}

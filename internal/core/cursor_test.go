@@ -54,15 +54,13 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		net.AddNode(elemNode(id))
 	}
 	it := &Iterator{
-		client:  repo.NewClient(rpc.NewBus(net), "home"),
-		opts:    Options{Semantics: sem},
-		held:    &listing{},
-		yielded: make(map[spec.ElemID]bool),
+		client: repo.NewClient(rpc.NewBus(net), "home"),
+		opts:   Options{Semantics: sem},
 	}
 	var (
-		first   spec.State
-		version uint64
-		blocked int
+		first, held spec.State // held: the table's membership, as the kernel would be handed it
+		version     uint64
+		blocked     int
 	)
 	for step := 0; step < 150; step++ {
 		pre := env.State()
@@ -76,25 +74,27 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		switch {
 		case step == 0 && sem.UsesSnapshot():
 			first = pre
-			it.held = newListing(0, nil)
-			it.ing = newPartIngest(&it.rep)
-			it.fold(repo.PartListing{Partitions: 1, Version: 1, Members: refsOf(pre.Members)})
-		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, it.held.members)):
+			if err := it.fold(repo.PartListing{Partitions: 1, Version: 1, Members: refsOf(pre.Members)}); err != nil {
+				t.Fatal(err)
+			}
+		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, held.Members)):
 			version++
 			it.adopt(newListing(version, refsOf(pre.Members)))
 		}
 
-		d := Step(sem, first, pre, it.yielded)
-		if fd, ok := it.fastNext(); ok {
+		var yielded map[spec.ElemID]bool
+		held, yielded = it.tab.kernelArgs(it.client.NodeReachable)
+		d := Step(sem, first, pre, yielded)
+		if fd, _, ok := it.fastNext(); ok {
 			fast++
 			if fd != d {
 				t.Fatalf("seed %d step %d: cursor decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
-					seed, step, fd, d, pre.Members, pre.Reach, it.yielded)
+					seed, step, fd, d, pre.Members, pre.Reach, yielded)
 			}
 		}
 		switch d.Kind {
 		case DecideYield:
-			it.yielded[d.Elem] = true
+			it.tab.yield(repo.ObjectID(d.Elem))
 			blocked = 0
 		case DecideReturn, DecideFail:
 			return fast

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -50,47 +49,31 @@ type Iterator struct {
 	growToken int64
 	released  bool
 
-	// held is the one listing the run steps over — members, where each
-	// lives, the distinct nodes holding them (the fast path's reachability
-	// sample domain) — and its version, which anchors the cache's
-	// freshness check.
-	//
-	// A snapshot run grows a private one, s_first, partition by partition
-	// on its own goroutine (fold) until the opening stream completes; the
-	// kernel legally runs against the partial view meanwhile — members it
-	// yields are genuine members of the snapshot — but terminal decisions
-	// wait for completeness. Its version stays 0 while an unpinned stream
-	// is still arriving (no cache serves against a version still being
-	// assembled) and is sealed to the highest partition version observed,
-	// which is sound: any object fetched after that point is at least
-	// that fresh.
-	//
-	// A current-state run aliases the shared immutable listing its last
-	// observation delivered (adopt); a lease or a version-gated List
-	// revalidates it in no or one member-free round trip while the
-	// membership hasn't changed.
-	held *listing
+	// tab is the run's membership state — members, cursor and yielded in
+	// one table of sorted refs — with the version that anchors the cache's
+	// freshness check. A snapshot run grows it into s_first, partition by
+	// partition (fold), until the opening stream completes; the kernel
+	// legally runs against the partial view meanwhile — members it yields
+	// are genuine members of the snapshot — but terminal decisions wait
+	// for completeness. A current-state run re-bases it on the shared
+	// immutable listing its last observation delivered (adopt); a lease or
+	// a version-gated List revalidates that in no or one member-free round
+	// trip while the membership hasn't changed, and the cursor stands
+	// meanwhile.
+	tab runTable
 
 	// ing buffers the streamed opening listing; nil for the current-state
 	// semantics, which have no opening listing. ingDone flips once the
-	// completed stream has been folded and held.version sealed.
+	// completed stream has been folded and tab.version sealed. partitions
+	// is the stream's partition count, from its first frame, and folded the
+	// partitions already in the table: a frame is checked against both.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
 	maxPartVer uint64
+	partitions int
+	folded     map[int]bool
 
-	// cursor is the one stepper's yield order, for every semantics: the
-	// sorted ids of the governing membership not yet yielded. Snapshot
-	// runs merge it partition-by-partition as s_first streams in;
-	// current-state runs key it on the listing they hold: it stands while
-	// each invocation's observation (lease or NotModified) certifies that
-	// listing and is rebuilt, O(n log n), only when the version moves.
-	// Unless fastNext stands down, cursor[0] IS the kernel's decision, so
-	// a yield costs O(distinct nodes), not an O(members) scan.
-	cursor []spec.ElemID
-	// yieldedGone counts yielded ids the held listing no longer lists
-	// (current-state runs only; yielded ⊆ s_first otherwise).
-	yieldedGone int
 	// kernelSteps counts Step calls: what the complexity guard reads.
 	kernelSteps int
 
@@ -103,7 +86,6 @@ type Iterator struct {
 	// RPC: a version move against the cross-run seed is not within-run skew.
 	observed bool
 
-	yielded    map[spec.ElemID]bool
 	blockedFor time.Duration
 	fetchFails int
 	listFails  int
@@ -136,8 +118,6 @@ type partIngest struct {
 	parts  []repo.PartListing
 	done   bool
 	err    error
-	hinted bool
-	sized  *sizedMaps    // pre-sized membership maps, once built
 	notify chan struct{} // buffered(1); signaled on push and finish
 	// tally is the run's replica accounting, which the (possibly several)
 	// stream goroutines note replica-served frames in.
@@ -158,18 +138,7 @@ func (g *partIngest) signal() {
 func (g *partIngest) push(pl repo.PartListing) {
 	g.mu.Lock()
 	g.parts = append(g.parts, pl)
-	hint := 0
-	if !g.hinted && len(pl.Members) > 0 {
-		// Estimate the whole listing from the first non-empty frame
-		// (uniform partition hash) and build pre-sized membership maps
-		// concurrently with consumption.
-		g.hinted = true
-		hint = len(pl.Members) * max(pl.Partitions, 1)
-	}
 	g.mu.Unlock()
-	if hint >= sizedMapsMin {
-		go g.buildSized(hint)
-	}
 	g.signal()
 }
 
@@ -192,43 +161,6 @@ func (g *partIngest) takeOne() (pl repo.PartListing, ok, done bool, err error) {
 		return pl, true, false, nil
 	}
 	return repo.PartListing{}, false, g.done, g.err
-}
-
-// sizedMaps is a set of membership maps pre-sized for the whole
-// listing, built in the background while the first partitions are
-// already being consumed.
-type sizedMaps struct {
-	members map[spec.ElemID]bool
-	refs    map[spec.ElemID]repo.Ref
-	yielded map[spec.ElemID]bool
-}
-
-// sizedMapsMin gates the background build: below this estimated
-// membership the incremental rehashes are cheaper than the handoff.
-const sizedMapsMin = 1 << 16
-
-// buildSized allocates membership maps with capacity for the whole
-// estimated listing. It runs on its own goroutine: zeroing that much
-// map capacity takes tens of milliseconds at a million members, which
-// must not sit on the time-to-first-element path.
-func (g *partIngest) buildSized(hint int) {
-	m := &sizedMaps{
-		members: make(map[spec.ElemID]bool, hint),
-		refs:    make(map[spec.ElemID]repo.Ref, hint),
-		yielded: make(map[spec.ElemID]bool, hint),
-	}
-	g.mu.Lock()
-	g.sized = m
-	g.mu.Unlock()
-}
-
-// takeSized hands the pre-sized maps to the iterator exactly once.
-func (g *partIngest) takeSized() *sizedMaps {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m := g.sized
-	g.sized = nil
-	return m
 }
 
 // setup acquires the per-run resources and, for snapshot-based semantics,
@@ -257,7 +189,6 @@ func (it *Iterator) setup(ctx context.Context) error {
 	}
 
 	if it.opts.Semantics.UsesSnapshot() {
-		it.held = newListing(0, nil)
 		if err := it.startIngest(ctx); err != nil {
 			return fmt.Errorf("read s_first: %w", err)
 		}
@@ -294,79 +225,42 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 }
 
 // fold merges one partition's listing into s_first on the iterator
-// goroutine.
-func (it *Iterator) fold(pl repo.PartListing) {
+// goroutine. The frame came from outside the program, so it is checked
+// here, where it is used: a partition the table already holds is dropped
+// (a retried stream re-served it; yielding its members twice would break
+// the no-duplicates obligation), and a partition index the stream's
+// layout does not have fails the run.
+func (it *Iterator) fold(pl repo.PartListing) error {
+	if it.partitions == 0 {
+		it.partitions = pl.Partitions
+	}
+	if pl.Partitions < 1 || pl.Partitions != it.partitions || pl.Part < 0 || pl.Part >= pl.Partitions {
+		return fmt.Errorf("listing frame for partition %d of %d in a stream of %d", pl.Part, pl.Partitions, it.partitions)
+	}
+	if it.folded[pl.Part] {
+		return nil
+	}
+	if it.folded == nil {
+		it.folded = make(map[int]bool)
+	}
+	it.folded[pl.Part] = true
 	if pl.Skewed {
 		it.wk.PartitionSkew++
 	}
 	if pl.Version > it.maxPartVer {
 		it.maxPartVer = pl.Version
 	}
-	l := it.held
-	if it.pin != 0 && pl.Version > l.version {
+	if it.pin != 0 && pl.Version > it.tab.version {
 		// A pinned stream's frames all carry the pin's own listing version
 		// (the pin is one immutable snapshot, partitioned on the fly), so
 		// the run's governing version is known from the first frame — the
 		// cache can serve and stamp against it while the rest of the
 		// stream is still arriving, instead of revalidating every element
 		// planned before the final seal in drainIngest.
-		l.version = pl.Version
+		it.tab.version = pl.Version
 	}
-	if len(pl.Members) == 0 {
-		return
-	}
-	// Adopt the pre-sized maps once the background build finishes.
-	// Allocating ~n map capacity takes tens of milliseconds at a million
-	// members, so it happens off the yield path; adoption only copies what
-	// little has folded so far.
-	if m := it.ing.takeSized(); m != nil {
-		for id := range l.members {
-			m.members[id] = true
-		}
-		for id, ref := range l.refs {
-			m.refs[id] = ref
-		}
-		for id := range it.yielded {
-			m.yielded[id] = true
-		}
-		l.members, l.refs, it.yielded = m.members, m.refs, m.yielded
-	}
-	fresh := make([]spec.ElemID, 0, len(pl.Members))
-	for _, ref := range pl.Members {
-		id := spec.ElemID(ref.ID)
-		if l.members[id] {
-			continue
-		}
-		l.members[id] = true
-		l.refs[id] = ref
-		l.nodes[ref.Node] = true
-		fresh = append(fresh, id)
-	}
-	slices.Sort(fresh)
-	it.cursor = mergeSorted(it.cursor, fresh)
-}
-
-// mergeSorted merges two ascending id slices into one.
-func mergeSorted(a, b []spec.ElemID) []spec.ElemID {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]spec.ElemID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	it.tab.fold(pl.Members)
+	return nil
 }
 
 // drainIngest folds arrived partitions, without blocking — at most
@@ -374,15 +268,17 @@ func mergeSorted(a, b []spec.ElemID) []spec.ElemID {
 // cursor (everything, under a recorder), so the fold cost is paid
 // incrementally across yields rather than all before the first element
 // (the in-process stream can outrun the iterator arbitrarily). When the
-// stream has completed and the queue is drained it seals held.version
-// (the highest partition version observed — sound, because every object
-// fetch from here on is at least that fresh) and reports the stream's
-// error, if any.
+// stream has completed and the queue is drained it seals tab.version —
+// 0 until then on an unpinned stream, so no cache serves against a
+// version still being assembled — to the highest partition version
+// observed (sound, because every object fetch from here on is at least
+// that fresh) and reports the stream's error, if any, as it does a frame
+// that fails fold's checks.
 func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
 	}
-	for it.opts.Recorder != nil || len(it.cursor) < it.prefetchWindow() {
+	for it.opts.Recorder != nil || it.tab.unyielded() < it.prefetchWindow() {
 		pl, ok, done, err := it.ing.takeOne()
 		if !ok {
 			if !done {
@@ -392,10 +288,12 @@ func (it *Iterator) drainIngest() error {
 			if err != nil {
 				return err
 			}
-			it.held.version = it.maxPartVer
+			it.tab.version = it.maxPartVer
 			return nil
 		}
-		it.fold(pl)
+		if err := it.fold(pl); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -445,17 +343,17 @@ func (it *Iterator) release(ctx context.Context) {
 	}
 }
 
-// certified reports whether a held lease certifies the held listing
+// certified reports whether a held lease certifies the run's listing
 // current — the server promised to push any listing change, and the
 // certified version is still the one the run holds — and how old that
 // certificate is.
 func (it *Iterator) certified() (age time.Duration, ok bool) {
 	ls := it.set.leaseState()
-	if ls == nil || it.held.version == 0 {
+	if ls == nil || it.tab.version == 0 {
 		return 0, false
 	}
 	v, age, ok := ls.Serveable(it.set.name)
-	return age, ok && v <= it.held.version
+	return age, ok && v <= it.tab.version
 }
 
 // leaseServe tries to serve a current-state membership read from the
@@ -475,7 +373,7 @@ func (it *Iterator) leaseServe() bool {
 	return true
 }
 
-// observe is the invocation's membership observation, after which held is
+// observe is the invocation's membership observation, after which tab is
 // what the invocation steps over: s_first as folded so far for snapshot
 // semantics, otherwise a fresh read — the lease's certificate, or a
 // conditional List through the router that certifies the held listing
@@ -490,21 +388,21 @@ func (it *Iterator) observe(ctx context.Context) error {
 	}
 	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
 	defer lsp.End()
-	refs, version, notModified, from, err := it.set.router.listIfNew(ctx, it.held.version)
+	refs, version, notModified, from, err := it.set.router.listIfNew(ctx, it.tab.version)
 	if err != nil {
 		return err
 	}
 	var skew uint64
-	if !from.home && !notModified && version < it.held.version {
+	if !from.home && !notModified && version < it.tab.version {
 		// The serving replica lags what the run has already observed (the
 		// home's answer is authoritative, whatever its version): the reply
 		// is demoted to not-modified — the run keeps its fresher listing,
 		// staying monotonic — and the regression is accounted.
-		skew, notModified = it.held.version-version, true
+		skew, notModified = it.tab.version-version, true
 	}
 	it.rep.note(from, skew)
 	if !notModified {
-		if it.observed && version != it.held.version {
+		if it.observed && version != it.tab.version {
 			// The listing changed under the run: membership skew the
 			// caller can never distinguish from a slow iteration.
 			it.wk.ListingSkew++
@@ -517,46 +415,11 @@ func (it *Iterator) observe(ctx context.Context) error {
 	return nil
 }
 
-// adopt makes l the listing the run holds and rebuilds the cursor for it:
-// l's yield order minus what the run already yielded (re-listed yielded
-// members are suppressed — the "no duplicates" obligation).
+// adopt makes l the listing the run holds: the cursor becomes l's yield
+// order minus what the run already yielded (re-listed yielded members are
+// suppressed — the "no duplicates" obligation).
 func (it *Iterator) adopt(l *listing) {
-	it.held = l
-	it.cursor, it.yieldedGone = l.order, 0
-	if len(it.yielded) == 0 {
-		return
-	}
-	for id := range it.yielded {
-		if !l.members[id] {
-			it.yieldedGone++
-		}
-	}
-	it.wk.DuplicatesSuppressed += int64(len(it.yielded) - it.yieldedGone)
-	it.cursor = slices.DeleteFunc(slices.Clone(l.order), func(id spec.ElemID) bool { return it.yielded[id] })
-}
-
-// assembleState turns the held listing into the kernel's pre-state. A
-// state only aliases the membership map for the length of one invocation
-// — the Recorder clones on record — so a snapshot run's later folds are
-// safe. Reachability is sampled fresh, once per distinct node: it is a
-// link property, so members sharing a node share the answer within one
-// sample.
-func (it *Iterator) assembleState() spec.State {
-	members := it.held.members
-	sample := make(map[netsim.NodeID]bool, 8)
-	reach := make(map[spec.ElemID]bool, len(members))
-	for id := range members {
-		node := it.held.refs[id].Node
-		up, ok := sample[node]
-		if !ok {
-			up = it.client.NodeReachable(node)
-			sample[node] = up
-		}
-		if up {
-			reach[id] = true
-		}
-	}
-	return spec.State{Members: members, Reach: reach}
+	it.wk.DuplicatesSuppressed += int64(it.tab.adopt(l))
 }
 
 // Next advances the iterator: it either yields the next element (true) or
@@ -599,10 +462,10 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			return false
 		}
 		it.listFails = 0
-		pre := spec.State{Members: it.held.members}
-		d, fast := it.fastNext()
+		var pre spec.State // the kernel's; a cursor decision assembles none
+		d, chosen, fast := it.fastNext()
 		if !fast {
-			if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && len(it.cursor) == 0 {
+			if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && it.tab.unyielded() == 0 {
 				if it.ingestActive() {
 					// Every folded member is yielded but the opening listing is
 					// still streaming: the kernel could only reach a terminal
@@ -614,25 +477,22 @@ func (it *Iterator) Next(ctx context.Context) bool {
 					}
 					continue
 				}
-				if len(it.yielded) >= len(it.held.members) {
-					// The listing is complete and every snapshot member is
-					// yielded (yielded ⊆ s_first always holds under snapshot
-					// semantics, so equal sizes mean equal sets), which forces
-					// stepSnapshot to Returned no matter what reachability this
-					// invocation would sample. Conclude directly rather than
-					// paying four O(members) scans to prove it.
-					it.wk.Invocations++
-					it.done = true
-					return false
-				}
+				// The listing is complete and every snapshot member is
+				// yielded (yielded ⊆ s_first always holds under snapshot
+				// semantics), which forces stepSnapshot to Returned no matter
+				// what reachability this invocation would sample. Conclude
+				// directly rather than paying four O(members) scans to prove
+				// it.
+				it.wk.Invocations++
+				it.done = true
+				return false
 			}
-			// The fast path stood down: the kernel decides. The held
-			// membership doubles as s_first, which Step reads under the
-			// snapshot semantics only; it is read here, not hoisted above the
-			// loop: the first non-empty fold may swap in a pre-sized map.
-			pre = it.assembleState()
-			it.kernelSteps++
-			d = Step(it.opts.Semantics, spec.State{Members: pre.Members}, pre, it.yielded)
+			// The fast path stood down: the kernel decides.
+			pre, d = it.kernelStep()
+			if d.Kind == DecideYield {
+				run, i := it.tab.find(repo.ObjectID(d.Elem)) // a member: Step chose it from the table's own
+				chosen = run.refs[i]
+			}
 		}
 		it.wk.Invocations++
 		if (d.Kind == DecideReturn || d.Kind == DecideFail) && it.ingestActive() {
@@ -646,7 +506,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 		}
 		switch d.Kind {
 		case DecideYield:
-			if it.fetch(ctx, pre, d.Elem) {
+			if it.fetch(ctx, pre, chosen) {
 				return true
 			}
 			if it.done {
@@ -658,13 +518,13 @@ func (it *Iterator) Next(ctx context.Context) bool {
 
 		case DecideReturn:
 			it.record(pre, spec.Returned, "", false)
-			it.countSkipped(pre)
+			it.countSkipped()
 			it.done = true
 			return false
 
 		case DecideFail:
 			it.record(pre, spec.Failed, "", false)
-			it.countSkipped(pre)
+			it.countSkipped()
 			it.terminate(fmt.Errorf("%w: %s: unreachable members remain", ErrFailure, it.opts.Semantics))
 			return false
 
@@ -677,33 +537,42 @@ func (it *Iterator) Next(ctx context.Context) bool {
 	}
 }
 
+// kernelStep hands the invocation to the kernel, over the table in the
+// figures' shapes. The membership doubles as s_first, which Step reads
+// under the snapshot semantics only.
+func (it *Iterator) kernelStep() (spec.State, Decision) {
+	pre, yielded := it.tab.kernelArgs(it.client.NodeReachable)
+	it.kernelSteps++
+	return pre, Step(it.opts.Semantics, spec.State{Members: pre.Members}, pre, yielded)
+}
+
 // fastNext is the one stepper in front of Step, for every semantics: it
-// produces the kernel's decision without the O(members) state assembly
-// and scans, where that decision is provable cheaply (fastDecide, which
-// ExhaustiveConformance checks against Step). It stands down, leaving
-// the invocation to assembleState + Step, when a conformance Recorder is
-// attached (recorded pre-states are full ones); when some member-holding
-// node is unreachable in this invocation's sample; when the cursor is
-// empty (every terminal decision stays with the kernel); and, except
-// under the optimistic Fig. 6, when a yielded id has left the listing
-// (the pessimistic Fig. 5 kernel must fail that run).
-func (it *Iterator) fastNext() (Decision, bool) {
-	for len(it.cursor) > 0 && it.yielded[it.cursor[0]] {
-		it.cursor = it.cursor[1:]
-	}
-	if it.opts.Recorder != nil || len(it.cursor) == 0 {
-		return Decision{}, false
+// produces the kernel's decision, and the ref it chose, without the
+// O(members) state assembly and scans, where that decision is provable
+// cheaply (fastDecide, which ExhaustiveConformance checks against Step).
+// It stands down, leaving the invocation to kernelArgs + Step, when a
+// conformance Recorder is attached (recorded pre-states are full ones);
+// when some member-holding node is unreachable in this invocation's
+// sample; when the cursor is empty (every terminal decision stays with
+// the kernel); and, except under the optimistic Fig. 6, when a yielded id
+// has left the listing (the pessimistic Fig. 5 kernel must fail that run).
+func (it *Iterator) fastNext() (Decision, repo.Ref, bool) {
+	head, ok := it.tab.head()
+	if it.opts.Recorder != nil || !ok {
+		return Decision{}, repo.Ref{}, false
 	}
 	// Reachability is still sampled fresh on every invocation, as the
 	// spec demands — but per distinct node, not per member.
 	allReachable := true
-	for node := range it.held.nodes {
+	for node := range it.tab.nodes {
 		if !it.client.NodeReachable(node) {
 			allReachable = false
 			break
 		}
 	}
-	return fastDecide(it.opts.Semantics, it.cursor, allReachable, it.yieldedGone)
+	// fastDecide reads its cursor's length and first id only.
+	d, ok := fastDecide(it.opts.Semantics, []spec.ElemID{spec.ElemID(head.ID)}, allReachable, len(it.tab.gone))
+	return d, head, ok
 }
 
 // prefetchWindow bounds how many candidates one prefetch replan hands
@@ -715,34 +584,24 @@ func (it *Iterator) prefetchWindow() int {
 	return it.opts.Fetch.Batch * it.opts.Fetch.Inflight * 4
 }
 
-// cursorCandidates lists what the run could yield after elem: the next
-// prefetch window of unyielded members in yield order, elem first, less
-// those the kernel's sample (reach, nil on the fast path) found
+// cursorCandidates lists what the run could yield from chosen on: the
+// next prefetch window of unyielded members in yield order, chosen first,
+// less those the kernel's sample (pre.Reach, nil on the fast path) found
 // unreachable. The prefetcher batches them by node for later Next calls.
-func (it *Iterator) cursorCandidates(elem spec.ElemID, reach map[spec.ElemID]bool) []repo.Ref {
-	limit := it.prefetchWindow()
-	out := make([]repo.Ref, 0, limit)
-	refs := it.held.refs
-	out = append(out, refs[elem])
-	for _, id := range it.cursor {
-		if len(out) >= limit {
-			break
-		}
-		if id == elem || it.yielded[id] || (reach != nil && !reach[id]) {
-			continue
-		}
-		out = append(out, refs[id])
-	}
-	return out
+func (it *Iterator) cursorCandidates(chosen repo.Ref, pre spec.State) []repo.Ref {
+	limit := min(it.prefetchWindow(), 1+it.tab.unyielded())
+	out := append(make([]repo.Ref, 0, limit), chosen)
+	return it.tab.window(out, limit, func(ref repo.Ref) bool {
+		return ref.ID != chosen.ID && (pre.Reach == nil || pre.Reach[spec.ElemID(ref.ID)])
+	})
 }
 
 // fetch retrieves the chosen element's object. It returns true when the
 // iterator yielded; false means the caller should re-observe (or the
 // iterator terminated — check it.done). The prefetch candidates are
 // planned lazily, on a miss.
-func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID) bool {
-	ref := it.held.refs[elem]
-	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, func() []repo.Ref { return it.cursorCandidates(elem, pre.Reach) })
+func (it *Iterator) fetch(ctx context.Context, pre spec.State, ref repo.Ref) bool {
+	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, func() []repo.Ref { return it.cursorCandidates(ref, pre) })
 	switch {
 	case err == nil:
 		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -763,7 +622,7 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID)
 			// Grow-only: a member's data vanished, so the grow-only
 			// discipline was broken under us. Pessimistic failure.
 			it.record(pre, spec.Failed, "", false)
-			it.terminate(fmt.Errorf("%w: member %q data missing: %v", ErrFailure, elem, err))
+			it.terminate(fmt.Errorf("%w: member %q data missing: %v", ErrFailure, ref.ID, err))
 			return false
 		}
 
@@ -775,7 +634,7 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID)
 		it.wk.FetchFailures++
 		if it.fetchFails >= maxConsecutiveFetchFailures && it.opts.Semantics != Optimistic {
 			it.record(pre, spec.Failed, "", false)
-			it.terminate(fmt.Errorf("%w: fetching %q kept failing: %v", ErrFailure, elem, err))
+			it.terminate(fmt.Errorf("%w: fetching %q kept failing: %v", ErrFailure, ref.ID, err))
 		}
 		return false
 	}
@@ -783,7 +642,7 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, elem spec.ElemID)
 
 func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 	it.record(pre, spec.Suspended, spec.ElemID(ref.ID), true)
-	it.yielded[spec.ElemID(ref.ID)] = true
+	it.tab.yield(ref.ID)
 	it.wk.Yielded++
 	if e.Stale {
 		it.wk.GhostsServed++
@@ -797,9 +656,8 @@ func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 // governing membership that were never yielded: existent but unreachable
 // (or ghost-degraded) — the paper's central weakness, observable only
 // here because a weak `elements` run gives the caller no other signal.
-func (it *Iterator) countSkipped(pre spec.State) {
-	// Every yielded id is a member, bar the yieldedGone that left.
-	it.wk.UnreachableSkipped += int64(len(pre.Members) - len(it.yielded) + it.yieldedGone)
+func (it *Iterator) countSkipped() {
+	it.wk.UnreachableSkipped += int64(it.tab.unyielded())
 }
 
 // blockPause sleeps one optimistic retry interval. It returns false when
@@ -842,7 +700,7 @@ func (it *Iterator) Element() Element { return it.elem }
 func (it *Iterator) Err() error { return it.err }
 
 // Yielded reports how many elements the run has yielded.
-func (it *Iterator) Yielded() int { return len(it.yielded) }
+func (it *Iterator) Yielded() int { return it.tab.yieldedCount() }
 
 // TraceID reports the run's trace id, or zero when the run was untraced
 // or sampled out.

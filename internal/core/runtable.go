@@ -1,0 +1,260 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+
+	"weaksets/internal/netsim"
+	"weaksets/internal/repo"
+	"weaksets/internal/spec"
+)
+
+// runTable is the membership state of one run of the elements iterator —
+// the paper's s_first (or s_pre) and its history object yielded, Figs.
+// 3–6 — held as what the wire delivered: sorted runs of refs. The store
+// ships every listing and partition ascending by id, so members stay as
+// decoded, the cursor is a position per run merged through a heap, and
+// yielded is a bit per position. Nothing is keyed by id; the maps the
+// kernel is specified over are assembled by kernelArgs, on the
+// invocations the kernel decides. A snapshot run grows its table a
+// partition at a time (fold), a current-state run re-bases it on each
+// whole listing it observes (adopt); a table is one or the other, since
+// adopt shares the listing's node set, which fold writes.
+type runTable struct {
+	// version is the membership's listing version, which anchors the
+	// cache's freshness check.
+	version uint64
+	// runs is a min-heap on the id under each run's cursor, exhausted runs
+	// last: runs[0] holds the run's cursor.
+	runs    []refRun
+	members int // refs across runs
+	yielded int // of those, yielded
+	// gone holds the yielded ids a current-state listing no longer lists
+	// (yielded ⊆ s_first otherwise).
+	gone []repo.ObjectID
+	// nodes is the distinct nodes holding members: the domain of one
+	// reachability sample.
+	nodes map[netsim.NodeID]bool
+}
+
+// refRun is one sorted run of members. refs ascend by id and are never
+// written — they may be a shared listing's or, on the in-process bus, the
+// store's own; bit i of taken says refs[i] is yielded; pos is the first
+// index not taken, the run's cursor.
+type refRun struct {
+	refs  []repo.Ref
+	taken []uint64
+	pos   int
+}
+
+func newRefRun(refs []repo.Ref) refRun {
+	return refRun{refs: refs, taken: make([]uint64, (len(refs)+63)/64)}
+}
+
+func (r *refRun) isTaken(i int) bool { return r.taken[i>>6]>>(i&63)&1 != 0 }
+
+// take marks refs[i] yielded and keeps pos off taken refs.
+func (r *refRun) take(i int) {
+	r.taken[i>>6] |= 1 << (i & 63)
+	r.skip()
+}
+
+func (r *refRun) skip() {
+	for r.pos < len(r.refs) && r.isTaken(r.pos) {
+		r.pos++
+	}
+}
+
+// admit notes the nodes holding refs and returns refs strictly ascending
+// by id: as given when they already are — every listing the store ships —
+// otherwise a sorted, de-duplicated copy, because the order comes from
+// outside the program and the slice may not be ours to write.
+func admit(nodes map[netsim.NodeID]bool, refs []repo.Ref) []repo.Ref {
+	sorted := true
+	for i := range refs {
+		sorted = sorted && (i == 0 || refs[i-1].ID < refs[i].ID)
+		if i == 0 || refs[i-1].Node != refs[i].Node {
+			nodes[refs[i].Node] = true
+		}
+	}
+	if sorted {
+		return refs
+	}
+	refs = slices.Clone(refs)
+	slices.SortFunc(refs, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.CompactFunc(refs, func(a, b repo.Ref) bool { return a.ID == b.ID })
+}
+
+// fold adds one partition's members as one more run under the cursor.
+// Partitions are disjoint — ids hash to one, pinned ranges do not
+// overlap — so no ref is looked up.
+func (t *runTable) fold(refs []repo.Ref) {
+	if t.nodes == nil {
+		t.nodes = make(map[netsim.NodeID]bool, 8)
+	}
+	if refs = admit(t.nodes, refs); len(refs) > 0 {
+		t.runs = append(t.runs, newRefRun(refs))
+		t.members += len(refs)
+		t.reheap()
+	}
+}
+
+// adopt re-bases the table on l: l's refs in yield order less what the
+// run already yielded, found by walking the two ascending sequences
+// together. It reports how many yielded ids l lists again — the
+// duplicates the run suppresses.
+func (t *runTable) adopt(l *listing) (suppressed int) {
+	was := t.yieldedIDs()
+	slices.Sort(was)
+	*t = runTable{version: l.version, runs: append(t.runs[:0], newRefRun(l.sorted)), members: len(l.sorted), nodes: l.nodes}
+	run, i := &t.runs[0], 0
+	for _, id := range was {
+		for i < len(run.refs) && run.refs[i].ID < id {
+			i++
+		}
+		if i < len(run.refs) && run.refs[i].ID == id {
+			run.take(i)
+			t.yielded++
+		} else {
+			t.gone = append(t.gone, id)
+		}
+	}
+	return t.yielded
+}
+
+// yieldedIDs lists the history object yielded, in no order.
+func (t *runTable) yieldedIDs() []repo.ObjectID {
+	out := append(make([]repo.ObjectID, 0, t.yieldedCount()), t.gone...)
+	for r := range t.runs {
+		for i, ref := range t.runs[r].refs {
+			if t.runs[r].isTaken(i) {
+				out = append(out, ref.ID)
+			}
+		}
+	}
+	return out
+}
+
+func (t *runTable) yieldedCount() int { return t.yielded + len(t.gone) }
+
+// unyielded is the cursor's length.
+func (t *runTable) unyielded() int { return t.members - t.yielded }
+
+// head is the cursor: the smallest unyielded member.
+func (t *runTable) head() (repo.Ref, bool) {
+	if len(t.runs) == 0 || t.runs[0].pos == len(t.runs[0].refs) {
+		return repo.Ref{}, false
+	}
+	return t.runs[0].refs[t.runs[0].pos], true
+}
+
+// find locates member id — the cursor's head at no cost, any other by
+// binary search: the by-id lookup a yield the kernel chose needs.
+func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
+	if head, ok := t.head(); ok && head.ID == id {
+		return &t.runs[0], t.runs[0].pos
+	}
+	for r := range t.runs {
+		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, func(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) }); ok {
+			return &t.runs[r], i
+		}
+	}
+	return nil, 0
+}
+
+// yield records member id as yielded and moves the cursor off it.
+func (t *runTable) yield(id repo.ObjectID) {
+	run, i := t.find(id)
+	if run == nil || run.isTaken(i) {
+		return
+	}
+	t.yielded++
+	was := run.pos
+	run.take(i)
+	switch {
+	case run.pos == was: // ahead of its run's cursor, which will step over it
+	case run == &t.runs[0]:
+		t.siftDown(0)
+	default:
+		t.reheap()
+	}
+}
+
+// window appends to out, in yield order from the cursor on, the unyielded
+// members keep admits, until out holds limit. It walks the merge itself
+// and then puts the runs back as they were: the cursor does not move.
+func (t *runTable) window(out []repo.Ref, limit int, keep func(repo.Ref) bool) []repo.Ref {
+	var few [16]refRun
+	saved := append(few[:0], t.runs...)
+	for ref, ok := t.head(); ok && len(out) < limit; ref, ok = t.head() {
+		if keep(ref) {
+			out = append(out, ref)
+		}
+		t.runs[0].pos++
+		t.runs[0].skip()
+		t.siftDown(0)
+	}
+	copy(t.runs, saved)
+	return out
+}
+
+// before orders runs by the id under their cursor, exhausted runs last.
+func (t *runTable) before(a, b int) bool {
+	ra, rb := &t.runs[a], &t.runs[b]
+	return ra.pos < len(ra.refs) && (rb.pos == len(rb.refs) || ra.refs[ra.pos].ID < rb.refs[rb.pos].ID)
+}
+
+func (t *runTable) siftDown(h int) {
+	for c := 2*h + 1; c < len(t.runs); h, c = c, 2*c+1 {
+		if c+1 < len(t.runs) && t.before(c+1, c) {
+			c++
+		}
+		if !t.before(c, h) {
+			return
+		}
+		t.runs[h], t.runs[c] = t.runs[c], t.runs[h]
+	}
+}
+
+func (t *runTable) reheap() {
+	for h := len(t.runs)/2 - 1; h >= 0; h-- {
+		t.siftDown(h)
+	}
+}
+
+// kernelArgs assembles what core.Step takes — the pre-state (membership
+// plus a fresh reachability sample) and the yielded history — in the map
+// shapes the figures are written over: the one place the table is turned
+// into maps, paid only by the invocations the kernel decides. Step and
+// the Recorder only read them (the Recorder clones), so where two of the
+// sets are equal — all members reachable, all yielded — they are one map.
+// Reachability is a link property, so it is sampled once per distinct
+// node: members sharing a node share the answer within one sample.
+func (t *runTable) kernelArgs(reachable func(netsim.NodeID) bool) (pre spec.State, yielded map[spec.ElemID]bool) {
+	up, allUp := make(map[netsim.NodeID]bool, len(t.nodes)), true
+	for node := range t.nodes {
+		up[node] = reachable(node)
+		allUp = allUp && up[node]
+	}
+	members := make(map[spec.ElemID]bool, t.members)
+	reach := members
+	if !allUp {
+		reach = make(map[spec.ElemID]bool, t.members)
+	}
+	for r := range t.runs {
+		for _, ref := range t.runs[r].refs {
+			members[spec.ElemID(ref.ID)] = true
+			if !allUp && up[ref.Node] {
+				reach[spec.ElemID(ref.ID)] = true
+			}
+		}
+	}
+	yielded = members
+	if t.yielded < t.members || len(t.gone) > 0 {
+		yielded = make(map[spec.ElemID]bool, t.yieldedCount())
+		for _, id := range t.yieldedIDs() {
+			yielded[spec.ElemID(id)] = true
+		}
+	}
+	return spec.State{Members: members, Reach: reach}, yielded
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -84,37 +83,19 @@ func (o Options) withDefaults() Options {
 
 var iterSeq atomic.Int64
 
-// listing is one observed membership of the collection, in the shapes a
-// run steps over: the member set, each member's location, the distinct
-// nodes holding members and, for a current-state run, the ids in yield
-// order. One built from a whole membership read is immutable — runs and
-// Set.lastListing alias it freely; a snapshot run instead grows its own
-// from empty as the opening stream arrives (Iterator.fold), merging its
-// cursor as it goes rather than keeping order.
+// listing is one whole observed membership of the collection: its refs
+// ascending by id, exactly as the listing RPC delivered them, and the
+// distinct nodes holding them. It is immutable — runs (runTable.adopt) and
+// Set.lastListing alias it freely, each run keeping its own cursor over it.
 type listing struct {
 	version uint64
-	members map[spec.ElemID]bool
-	refs    map[spec.ElemID]repo.Ref
-	order   []spec.ElemID // member ids ascending: the cursor of a run that has yielded nothing
+	sorted  []repo.Ref
 	nodes   map[netsim.NodeID]bool
 }
 
 func newListing(version uint64, refs []repo.Ref) *listing {
-	l := &listing{
-		version: version,
-		members: make(map[spec.ElemID]bool, len(refs)),
-		refs:    make(map[spec.ElemID]repo.Ref, len(refs)),
-		order:   make([]spec.ElemID, 0, len(refs)),
-		nodes:   make(map[netsim.NodeID]bool, 8),
-	}
-	for _, ref := range refs {
-		id := spec.ElemID(ref.ID)
-		l.members[id] = true
-		l.refs[id] = ref
-		l.order = append(l.order, id)
-		l.nodes[ref.Node] = true
-	}
-	slices.Sort(l.order)
+	l := &listing{version: version, nodes: make(map[netsim.NodeID]bool, 8)}
+	l.sorted = admit(l.nodes, refs)
 	return l
 }
 
@@ -230,13 +211,11 @@ func (s *Set) Size(ctx context.Context) (int, error) {
 // Closed to release those resources.
 func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it := &Iterator{
-		set:     s,
-		client:  s.client,
-		held:    &listing{},
-		opts:    s.opts,
-		scale:   s.client.Bus().Network().Scale(),
-		yielded: make(map[spec.ElemID]bool),
-		owner:   fmt.Sprintf("%s-iter-%d", s.client.Node(), iterSeq.Add(1)),
+		set:    s,
+		client: s.client,
+		opts:   s.opts,
+		scale:  s.client.Bus().Network().Scale(),
+		owner:  fmt.Sprintf("%s-iter-%d", s.client.Node(), iterSeq.Add(1)),
 	}
 	it.wk.Collection = s.name
 	it.wk.Semantics = s.opts.Semantics.String()
@@ -251,6 +230,9 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, &it.rep, s.opts.Fetch, s.opts.Tracer)
 	if err := it.setup(it.traceCtx(ctx)); err != nil {
 		werr := fmt.Errorf("%w: open %s elements on %q: %v", ErrFailure, s.opts.Semantics, s.name, err)
+		if it.ingCancel != nil {
+			it.ingCancel()
+		}
 		it.release(context.Background())
 		it.terminate(werr)
 		it.finishObs()
@@ -267,14 +249,14 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		// revalidate conditionally until the (asynchronous) grant lands.
 		ls.Track(s.name)
 	}
-	// The binding reads the held listing each time a fetch is planned, so
+	// The binding reads the table's version each time a fetch is planned, so
 	// it follows the run from an opening stream's unsealed version 0
 	// through every listing it later adopts.
 	if cache := s.client.ElementCache(); cache != nil {
 		pinned := s.opts.Semantics.UsesSnapshot()
 		it.pf.cb = cacheBinding{cache: cache, coll: s.name, held: func() (uint64, bool) {
 			_, leased := it.certified()
-			return it.held.version, pinned || leased
+			return it.tab.version, pinned || leased
 		}}
 	}
 	return it, nil

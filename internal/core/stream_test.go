@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
+	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
+	"weaksets/internal/rpc"
 	"weaksets/internal/spec"
 )
 
@@ -74,34 +78,124 @@ func TestStreamedListingWithRecorder(t *testing.T) {
 }
 
 // TestFoldCountsPartitionSkew unit-tests the ingest fold: Skewed frames
-// feed the weakness counter, members merge dedup'd into the cursor in
-// id order, and the sealed snapshot version is the max partition
-// version.
+// feed the weakness counter, members merge into the cursor in id order —
+// a frame that arrives unsorted included — and the sealed snapshot
+// version is the max partition version.
 func TestFoldCountsPartitionSkew(t *testing.T) {
-	it := &Iterator{held: newListing(0, nil), yielded: make(map[spec.ElemID]bool)}
-	it.ing = newPartIngest(&it.rep)
-	it.fold(repo.PartListing{Part: 1, Partitions: 2, Version: 7, Members: []repo.Ref{
-		{ID: "b", Node: "n1"}, {ID: "d", Node: "n2"},
-	}})
-	it.fold(repo.PartListing{Part: 0, Partitions: 2, Version: 9, Skewed: true, Members: []repo.Ref{
-		{ID: "a", Node: "n1"}, {ID: "c", Node: "n1"}, {ID: "b", Node: "n1"},
-	}})
+	it := &Iterator{}
+	for _, pl := range []repo.PartListing{
+		{Part: 1, Partitions: 2, Version: 7, Members: []repo.Ref{{ID: "b", Node: "n1"}, {ID: "d", Node: "n2"}}},
+		{Part: 0, Partitions: 2, Version: 9, Skewed: true, Members: []repo.Ref{{ID: "e", Node: "n1"}, {ID: "c", Node: "n1"}, {ID: "a", Node: "n1"}}},
+	} {
+		if err := it.fold(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if it.wk.PartitionSkew != 1 {
 		t.Fatalf("PartitionSkew = %d, want 1", it.wk.PartitionSkew)
 	}
 	if it.maxPartVer != 9 {
 		t.Fatalf("maxPartVer = %d, want 9", it.maxPartVer)
 	}
-	want := []spec.ElemID{"a", "b", "c", "d"}
-	if len(it.cursor) != len(want) {
-		t.Fatalf("cursor = %v, want %v", it.cursor, want)
+	want := []repo.ObjectID{"a", "b", "c", "d", "e"}
+	if got := cursorIDs(&it.tab); !slices.Equal(got, want) {
+		t.Fatalf("cursor = %v, want %v", got, want)
 	}
-	for i, id := range want {
-		if it.cursor[i] != id {
-			t.Fatalf("cursor = %v, want %v", it.cursor, want)
-		}
+	if it.tab.members != 5 || !it.tab.nodes["n1"] || !it.tab.nodes["n2"] {
+		t.Fatalf("members=%d nodes=%v", it.tab.members, it.tab.nodes)
 	}
-	if len(it.held.members) != 4 || !it.held.nodes["n1"] || !it.held.nodes["n2"] {
-		t.Fatalf("members=%v nodes=%v", it.held.members, it.held.nodes)
+}
+
+// frameStream replays scripted listing frames as a streamed response.
+type frameStream struct{ frames []repo.PartListing }
+
+func (fs *frameStream) Next() (any, bool) {
+	if len(fs.frames) == 0 {
+		return nil, false
+	}
+	pl := fs.frames[0]
+	fs.frames = fs.frames[1:]
+	return pl, true
+}
+
+func (fs *frameStream) Err() error { return nil }
+
+// TestFoldValidatesFrames feeds a run opening listings no honest directory
+// would send, from a scripted directory node on the in-process bus: the
+// frames arrive from outside the program, and the fold no longer looks
+// each id up, so it must hold them to the stream's shape itself. A
+// partition served twice is folded once, an unsorted one is yielded in
+// order, and an index the layout does not have fails the run — no
+// duplicate yield, no panic.
+func TestFoldValidatesFrames(t *testing.T) {
+	w := newTestWorld(t, 6)
+	ctx := context.Background()
+	low, high := w.refs[:3], w.refs[3:]
+	unsorted := []repo.Ref{w.refs[2], w.refs[0], w.refs[1], w.refs[0]}
+	for _, tc := range []struct {
+		name   string
+		frames []repo.PartListing
+		fails  bool
+	}{
+		{name: "partition served twice", frames: []repo.PartListing{
+			{Part: 0, Partitions: 2, Version: 3, Members: low},
+			{Part: 1, Partitions: 2, Version: 3, Members: high},
+			{Part: 0, Partitions: 2, Version: 3, Members: low},
+		}},
+		{name: "members out of order", frames: []repo.PartListing{
+			{Part: 1, Partitions: 2, Version: 3, Members: high},
+			{Part: 0, Partitions: 2, Version: 3, Members: unsorted},
+		}},
+		{name: "partition index past the layout", fails: true, frames: []repo.PartListing{
+			{Part: 0, Partitions: 2, Version: 3, Members: low},
+			{Part: 2, Partitions: 2, Version: 3, Members: high},
+		}},
+		{name: "negative partition index", fails: true, frames: []repo.PartListing{
+			{Part: -1, Partitions: 2, Version: 3, Members: low},
+		}},
+		{name: "no partitions", fails: true, frames: []repo.PartListing{
+			{Part: 0, Partitions: 0, Version: 3, Members: low},
+		}},
+		{name: "layout changes mid-stream", fails: true, frames: []repo.PartListing{
+			{Part: 0, Partitions: 2, Version: 3, Members: low},
+			{Part: 1, Partitions: 1 << 40, Version: 3, Members: high},
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			dir := netsim.NodeID("scripted-" + tc.name)
+			w.c.Net.AddNode(dir)
+			srv := rpc.NewServer(dir)
+			srv.Handle(repo.MethodListParts, func(context.Context, netsim.NodeID, any) (any, error) {
+				return &frameStream{frames: slices.Clone(tc.frames)}, nil
+			})
+			if err := w.c.Bus.Register(srv); err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSet(w.c.Client, dir, "set", Options{Semantics: Immutable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Collect(ctx)
+			if tc.fails {
+				if !errors.Is(err, ErrFailure) {
+					t.Fatalf("yielded %v, err %v; want ErrFailure", elementIDs(got), err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, len(got)) // in yield order: elementIDs would sort
+			for i, e := range got {
+				ids[i] = string(e.Ref.ID)
+			}
+			if want := []string{"e000", "e001", "e002", "e003", "e004", "e005"}; !slices.Equal(ids, want) {
+				t.Fatalf("yielded %v, want %v, each once and in order", ids, want)
+			}
+			if !slices.Equal(unsorted, []repo.Ref{w.refs[2], w.refs[0], w.refs[1], w.refs[0]}) {
+				t.Fatal("the frame's members were sorted in place: on this bus they are the sender's")
+			}
+		})
 	}
 }
