@@ -16,10 +16,10 @@ import (
 // companion of internal/repo's TestAllocBudget: a run served without
 // moving element bytes — a warm 10k snapshot run, a leased 1k
 // current-state run, both on the in-process bus — must allocate no more
-// per element than the ceilings checked in as BENCH_budget.json
-// (bytesPerElem). What is left is bookkeeping, so a change that puts a
-// per-member map or copy back on the path fails here; `make bench-iter`
-// runs it.
+// bytes and no more objects per element than the ceilings checked in as
+// BENCH_budget.json (bytesPerElem, allocsPerElem). What is left is
+// bookkeeping, so a change that puts a per-member map, copy or small
+// allocation back on the path fails here; `make bench-iter` runs it.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under -race instrumentation")
@@ -29,7 +29,8 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Fatalf("alloc budget file: %v", err)
 	}
 	var budget struct {
-		BytesPerElem map[string]float64 `json:"bytesPerElem"`
+		BytesPerElem  map[string]float64 `json:"bytesPerElem"`
+		AllocsPerElem map[string]float64 `json:"allocsPerElem"`
 	}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("alloc budget file: %v", err)
@@ -44,9 +45,10 @@ func TestRunAllocBudget(t *testing.T) {
 		{"snapWarm10k", Snapshot, 10_000, false},
 		{"curLeased1k", GrowOnly, 1_000, true},
 	} {
-		max, ok := budget.BytesPerElem[tc.name]
-		if !ok {
-			t.Fatalf("no bytesPerElem budget for %q in BENCH_budget.json", tc.name)
+		maxBytes, ok := budget.BytesPerElem[tc.name]
+		maxAllocs, ok2 := budget.AllocsPerElem[tc.name]
+		if !ok || !ok2 {
+			t.Fatalf("no bytesPerElem or allocsPerElem budget for %q in BENCH_budget.json", tc.name)
 		}
 		w := newTestWorld(t, tc.members)
 		if tc.leased {
@@ -82,11 +84,12 @@ func TestRunAllocBudget(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*tc.members)
-		t.Logf("%s: %.0f B/element (budget %.0f)", tc.name, got, max)
-		if got > max {
-			t.Errorf("%s allocates %.0f B/element, budget is %.0f — BENCH_budget.json is the regression gate; "+
-				"fix the run state or raise the budget deliberately", tc.name, got, max)
+		elems := float64(runs * tc.members)
+		gotBytes, gotAllocs := float64(after.TotalAlloc-before.TotalAlloc)/elems, float64(after.Mallocs-before.Mallocs)/elems
+		t.Logf("%s: %.0f B/element (budget %.0f), %.3f allocations/element (budget %.3f)", tc.name, gotBytes, maxBytes, gotAllocs, maxAllocs)
+		if gotBytes > maxBytes || gotAllocs > maxAllocs {
+			t.Errorf("%s allocates %.0f B and %.3f objects per element, budget is %.0f and %.3f — BENCH_budget.json is the "+
+				"regression gate; fix the run state or raise the budget deliberately", tc.name, gotBytes, gotAllocs, maxBytes, maxAllocs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -60,6 +61,19 @@ func TestSnapshotWarmRunServesWithoutRPC(t *testing.T) {
 	rep, ok := reg.Last("set")
 	if !ok || rep.CacheHits != 12 {
 		t.Fatalf("weakness report: ok=%v cacheHits=%d, want 12", ok, rep.CacheHits)
+	}
+
+	// What a warm run yields is the cache's own, not a copy per serve: a
+	// second warm run's Data is the same bytes in the same array. That
+	// sharing is why Element.Data and Attrs are read-only.
+	again, err := s.Collect(ctx)
+	if err != nil || len(again) != 12 {
+		t.Fatalf("second warm run: %d elems, %v", len(again), err)
+	}
+	for i, e := range warm {
+		if again[i].Ref != e.Ref || !bytes.Equal(again[i].Data, e.Data) || &again[i].Data[0] != &e.Data[0] {
+			t.Fatalf("%s: two warm runs yielded %q and %q, in different arrays or not the same bytes", e.Ref.ID, e.Data, again[i].Data)
+		}
 	}
 }
 

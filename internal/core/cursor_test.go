@@ -44,8 +44,13 @@ func refsOf(members map[spec.ElemID]bool) []repo.Ref {
 // servers behind it: each element lives on its own netsim node, crashed
 // and restarted to mirror the Env's reachability, and the test plays
 // observe's part by handing the production fold/adopt each new listing.
-// It returns how many invocations the cursor decided.
-func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, seed int64) (fast int) {
+// The fault script touches only the nodes whose reachability flipped — by
+// crash or by isolation, undone by restart or rejoin — so the network's
+// generation stands still across the quiet invocations, and at every
+// invocation the gated reachability sample must equal a fresh one. It
+// returns how many invocations the cursor decided and how many the gate
+// answered from its last sample.
+func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, seed int64) (fast, gated int) {
 	t.Helper()
 	env := spec.NewEnv(sim.NewRand(seed), 8, discipline)
 	net := netsim.New(netsim.Config{Seed: seed})
@@ -64,11 +69,18 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 	)
 	for step := 0; step < 150; step++ {
 		pre := env.State()
-		for _, id := range env.Universe() {
-			if pre.Reach[id] {
-				net.Restart(elemNode(id))
-			} else {
-				net.Crash(elemNode(id))
+		for i, id := range env.Universe() {
+			node := elemNode(id)
+			switch crash := i%2 == 0; {
+			case pre.Reach[id] == net.Reachable("home", node):
+			case pre.Reach[id] && crash:
+				net.Restart(node)
+			case pre.Reach[id]:
+				net.Rejoin(node)
+			case crash:
+				net.Crash(node)
+			default:
+				net.Isolate(node)
 			}
 		}
 		switch {
@@ -85,6 +97,16 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		var yielded map[spec.ElemID]bool
 		held, yielded = it.tab.kernelArgs(it.client.NodeReachable)
 		d := Step(sem, first, pre, yielded)
+		fresh := true
+		for node := range it.tab.nodes {
+			fresh = fresh && net.Reachable("home", node)
+		}
+		if it.tab.sampled && it.tab.reachGen == net.Generation() {
+			gated++
+		}
+		if got := it.tab.allReachable(net.Generation(), it.client.NodeReachable); got != fresh {
+			t.Fatalf("seed %d step %d: gated sample says all reachable = %v, a fresh one %v\nreach=%v", seed, step, got, fresh, pre.Reach)
+		}
 		if fd, _, ok := it.fastNext(); ok {
 			fast++
 			if fd != d {
@@ -97,7 +119,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 			it.tab.yield(repo.ObjectID(d.Elem))
 			blocked = 0
 		case DecideReturn, DecideFail:
-			return fast
+			return fast, gated
 		case DecideBlock:
 			if blocked++; blocked > 3 {
 				env.HealAll()
@@ -107,7 +129,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 			env.Step()
 		}
 	}
-	return fast
+	return fast, gated
 }
 
 func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
@@ -124,14 +146,15 @@ func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
 		for _, discipline := range disciplines {
 			sem, discipline := sem, discipline
 			t.Run(sem.String()+"/env="+discipline.String(), func(t *testing.T) {
-				fast := 0
+				fast, gated := 0, 0
 				for seed := int64(0); seed < seeds; seed++ {
-					fast += cursorVsKernel(t, sem, discipline, seed)
+					f, g := cursorVsKernel(t, sem, discipline, seed)
+					fast, gated = fast+f, gated+g
 				}
-				if fast == 0 {
-					t.Fatal("the cursor never decided an invocation: the comparison is vacuous")
+				if fast == 0 || gated == 0 {
+					t.Fatalf("the cursor decided %d invocations and the gate answered %d from its last sample: the comparison is vacuous", fast, gated)
 				}
-				t.Logf("%d invocations decided by the cursor, each equal to Step's", fast)
+				t.Logf("%d invocations decided by the cursor, each equal to Step's; %d reachability samples reused, each equal to a fresh one", fast, gated)
 			})
 		}
 	}

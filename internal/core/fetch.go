@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,6 +161,9 @@ type prefetcher struct {
 	mu      sync.Mutex
 	ready   map[repo.ObjectID]fetchResult
 	pending map[repo.ObjectID]bool
+	// need is planLocked's scratch: the candidates one replan must fetch,
+	// copied into their chunks (chunkByNode) before the next overwrites it.
+	need []repo.Ref
 	// want/wantCh is the single waiter: Iterator is a single-caller
 	// control abstraction, so at most one fetch blocks at a time.
 	want   repo.ObjectID
@@ -266,7 +270,10 @@ func (p *prefetcher) planLocked(candidates []repo.Ref) {
 	if p.cb.cache != nil {
 		listVer, direct = p.cb.held()
 	}
-	need := make([]repo.Ref, 0, len(candidates))
+	if cap(p.need) < len(candidates) {
+		p.need = make([]repo.Ref, 0, len(candidates))
+	}
+	need := p.need[:0]
 	for _, ref := range candidates {
 		if p.pending[ref.ID] {
 			continue
@@ -425,7 +432,7 @@ func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint
 // answer per chunk.
 func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []repo.ObjectID) (map[repo.ObjectID]repo.Object, error) {
 	node := ch.refs[0].Node
-	v, shared := p.cb.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
+	v, _ := p.cb.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
 		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, ids, ch.known)
 		if err != nil {
 			return &batchFlight{err: err}
@@ -443,14 +450,9 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []re
 		return nil, res.err
 	}
 	out := make(map[repo.ObjectID]repo.Object, len(res.objs)+len(res.notModified))
-	for id, obj := range res.objs {
-		if shared {
-			// Joiners deep-copy: the flight's objects are shared across
-			// iterators, and yielded elements hand Data to callers.
-			obj = obj.Clone()
-		}
-		out[id] = obj
-	}
+	// The flight's objects are shared by every iterator that joined it:
+	// yielded Data and Attrs are read-only views (Element).
+	maps.Copy(out, res.objs)
 	var evicted []repo.ObjectID
 	for _, id := range res.notModified {
 		if obj, ok := p.cb.cache.MarkValidated(p.cb.coll, ch.listVer, id); ok {

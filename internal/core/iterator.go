@@ -77,8 +77,10 @@ type Iterator struct {
 	// kernelSteps counts Step calls: what the complexity guard reads.
 	kernelSteps int
 
-	// pf is the batched prefetch pipeline every element fetch goes through.
-	pf *prefetcher
+	// pf is the batched prefetch pipeline every element fetch goes through;
+	// cands is the candidate window one replan hands it, reused by the next.
+	pf    *prefetcher
+	cands []repo.Ref
 	// rep tallies the reads a replica answered for this run, whichever of
 	// the listing streams, the membership reads or the batches they were.
 	rep replicaTally
@@ -561,15 +563,10 @@ func (it *Iterator) fastNext() (Decision, repo.Ref, bool) {
 	if it.opts.Recorder != nil || !ok {
 		return Decision{}, repo.Ref{}, false
 	}
-	// Reachability is still sampled fresh on every invocation, as the
-	// spec demands — but per distinct node, not per member.
-	allReachable := true
-	for node := range it.tab.nodes {
-		if !it.client.NodeReachable(node) {
-			allReachable = false
-			break
-		}
-	}
+	// Every invocation decides against the current reachability, as the
+	// spec demands: the generation is read first, so a sample is never
+	// kept for a topology newer than the one it saw.
+	allReachable := it.tab.allReachable(it.client.Bus().Network().Generation(), it.client.NodeReachable)
 	// fastDecide reads its cursor's length and first id only.
 	d, ok := fastDecide(it.opts.Semantics, []spec.ElemID{spec.ElemID(head.ID)}, allReachable, len(it.tab.gone))
 	return d, head, ok
@@ -587,13 +584,18 @@ func (it *Iterator) prefetchWindow() int {
 // cursorCandidates lists what the run could yield from chosen on: the
 // next prefetch window of unyielded members in yield order, chosen first,
 // less those the kernel's sample (pre.Reach, nil on the fast path) found
-// unreachable. The prefetcher batches them by node for later Next calls.
+// unreachable. The prefetcher batches them by node for later Next calls,
+// copying what it keeps: the window is one buffer, rewritten by the next
+// replan.
 func (it *Iterator) cursorCandidates(chosen repo.Ref, pre spec.State) []repo.Ref {
 	limit := min(it.prefetchWindow(), 1+it.tab.unyielded())
-	out := append(make([]repo.Ref, 0, limit), chosen)
-	return it.tab.window(out, limit, func(ref repo.Ref) bool {
+	if cap(it.cands) < limit {
+		it.cands = make([]repo.Ref, 0, limit)
+	}
+	it.cands = it.tab.window(append(it.cands[:0], chosen), limit, func(ref repo.Ref) bool {
 		return ref.ID != chosen.ID && (pre.Reach == nil || pre.Reach[spec.ElemID(ref.ID)])
 	})
+	return it.cands
 }
 
 // fetch retrieves the chosen element's object. It returns true when the

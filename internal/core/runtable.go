@@ -35,6 +35,14 @@ type runTable struct {
 	// nodes is the distinct nodes holding members: the domain of one
 	// reachability sample.
 	nodes map[netsim.NodeID]bool
+	// reachAll is the last sample's answer — every node in nodes was
+	// reachable — and reachGen the network generation read before it was
+	// taken. sampled is false until the first sample and again whenever
+	// nodes changes: a fold that admits a node, and adopt, which replaces
+	// the table (a listing of as many nodes need not list the same ones).
+	reachAll bool
+	reachGen uint64
+	sampled  bool
 }
 
 // refRun is one sorted run of members. refs ascend by id and are never
@@ -92,7 +100,10 @@ func (t *runTable) fold(refs []repo.Ref) {
 	if t.nodes == nil {
 		t.nodes = make(map[netsim.NodeID]bool, 8)
 	}
-	if refs = admit(t.nodes, refs); len(refs) > 0 {
+	held := len(t.nodes)
+	refs = admit(t.nodes, refs)
+	t.sampled = t.sampled && len(t.nodes) == held
+	if len(refs) > 0 {
 		t.runs = append(t.runs, newRefRun(refs))
 		t.members += len(refs)
 		t.reheap()
@@ -220,6 +231,26 @@ func (t *runTable) reheap() {
 	for h := len(t.runs)/2 - 1; h >= 0; h-- {
 		t.siftDown(h)
 	}
+}
+
+// allReachable reports whether every member-holding node is reachable
+// from the client, given the network generation gen read just before the
+// call. Reachability is a function of the topology and the node set, so
+// while neither has moved since the last sample its answer is the one a
+// fresh sample would give, and only a move pays for one — per distinct
+// node, not per member.
+func (t *runTable) allReachable(gen uint64, reachable func(netsim.NodeID) bool) bool {
+	if t.sampled && t.reachGen == gen {
+		return t.reachAll
+	}
+	t.reachAll, t.reachGen, t.sampled = true, gen, true
+	for node := range t.nodes {
+		if !reachable(node) {
+			t.reachAll = false
+			break
+		}
+	}
+	return t.reachAll
 }
 
 // kernelArgs assembles what core.Step takes — the pre-state (membership

@@ -359,6 +359,47 @@ func TestRunTableMatchesMapOracleAdopting(t *testing.T) {
 // worth of membership bookkeeping and nothing else — an opening listing
 // folded as 16 hash partitions of 625 refs, 10 000 yields off the cursor,
 // and one adopt of the whole listing when half are yielded.
+// TestReachabilitySampleFollowsTheNodeSet holds the half of the gate the
+// network's generation cannot see: the node set a sample ranges over. With
+// the topology standing still, a listing adopted over as many nodes but
+// not the same ones, and a partition folded in from a node not yet held,
+// must each be sampled afresh; a fold over nodes already held must not.
+func TestReachabilitySampleFollowsTheNodeSet(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	for _, n := range []netsim.NodeID{"n1", "n2", "n3"} {
+		net.AddNode(n)
+	}
+	net.Crash("n3")
+	gen, samples := net.Generation(), 0
+	reachable := func(n netsim.NodeID) bool { samples++; return net.Reachable("n1", n) }
+	on := func(id string, n netsim.NodeID) repo.Ref { return repo.Ref{ID: repo.ObjectID(id), Node: n} }
+
+	var cur runTable
+	cur.adopt(newListing(1, []repo.Ref{on("a", "n1"), on("b", "n2")}))
+	if !cur.allReachable(gen, reachable) {
+		t.Fatal("n1 and n2 are up")
+	}
+	cur.adopt(newListing(2, []repo.Ref{on("a", "n1"), on("c", "n3")}))
+	if cur.allReachable(gen, reachable) {
+		t.Fatal("adopted a listing over {n1, n3} with n3 down: the sample over {n1, n2} was kept")
+	}
+
+	var snap runTable
+	snap.fold([]repo.Ref{on("a", "n1"), on("b", "n2")})
+	if !snap.allReachable(gen, reachable) {
+		t.Fatal("n1 and n2 are up")
+	}
+	samples = 0
+	snap.fold([]repo.Ref{on("d", "n2")})
+	if !snap.allReachable(gen, reachable) || samples != 0 {
+		t.Fatalf("a fold that admitted no node cost %d reachability probes", samples)
+	}
+	snap.fold([]repo.Ref{on("c", "n3")})
+	if snap.allReachable(gen, reachable) {
+		t.Fatal("folded in a partition on n3, which is down: the sample over {n1, n2} was kept")
+	}
+}
+
 func BenchmarkRunTable(b *testing.B) {
 	const n, partitions = 10_000, 16
 	refs := testRefs(n)

@@ -15,7 +15,10 @@ import (
 )
 
 // Element is one yielded member of a weak set: its repository location and
-// the object state fetched for it.
+// the object state fetched for it. Data and Attrs are read-only views: a
+// yield served from the element cache hands out the cache entry's own
+// bytes and map, shared with the cache and with every other run served
+// from it. A caller that wants to modify them copies first.
 type Element struct {
 	Ref   repo.Ref
 	Data  []byte
@@ -208,7 +211,9 @@ func (s *Set) Size(ctx context.Context) (int, error) {
 // iterator). Per-semantics setup happens here: ImmutablePerRun acquires the
 // run's read lock, Snapshot pins an atomic membership snapshot,
 // GrowOnlyPerRun opens the ghost window. The returned iterator must be
-// Closed to release those resources.
+// Closed to release those resources. What it yields is read-only: an
+// Element's Data and Attrs may be shared with the cache and with other
+// runs.
 func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it := &Iterator{
 		set:    s,

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weaksets/internal/sim"
@@ -92,6 +93,10 @@ type Network struct {
 	partition map[NodeID]int // partition group; absent => group 0
 	links     map[linkKey]sim.Dist
 	severed   map[linkKey]bool
+
+	// gen counts topology mutations; every mutator of what Reachable
+	// reads bumps it while holding mu.
+	gen atomic.Uint64
 }
 
 // New builds an empty network.
@@ -108,6 +113,13 @@ func New(cfg Config) *Network {
 	}
 }
 
+// Generation counts the topology mutations so far — node additions,
+// crashes, restarts, partitions, severed and repaired links. While it has
+// not moved, every Reachable answer is the one it was: a caller may keep
+// an answer together with the generation read before asking, and ask
+// again only once the generation differs.
+func (n *Network) Generation() uint64 { return n.gen.Load() }
+
 // Scale reports the network's virtual-to-real time scale.
 func (n *Network) Scale() sim.TimeScale { return n.cfg.Scale }
 
@@ -119,6 +131,7 @@ func (n *Network) Rand() *sim.Rand { return n.rng }
 func (n *Network) AddNode(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	n.nodes[id] = true
 }
 
@@ -127,6 +140,7 @@ func (n *Network) AddNodes(prefix string, count int) []NodeID {
 	ids := make([]NodeID, 0, count)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	for i := 0; i < count; i++ {
 		id := NodeID(fmt.Sprintf("%s%d", prefix, i))
 		n.nodes[id] = true
@@ -158,6 +172,7 @@ func (n *Network) HasNode(id NodeID) bool {
 func (n *Network) Crash(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	n.crashed[id] = true
 }
 
@@ -165,6 +180,7 @@ func (n *Network) Crash(id NodeID) {
 func (n *Network) Restart(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	delete(n.crashed, id)
 }
 
@@ -182,6 +198,7 @@ func (n *Network) Crashed(id NodeID) bool {
 func (n *Network) Partition(groups ...[]NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	n.partition = make(map[NodeID]int)
 	for gi, group := range groups {
 		for _, id := range group {
@@ -195,6 +212,7 @@ func (n *Network) Partition(groups ...[]NodeID) {
 func (n *Network) Isolate(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	max := 0
 	for _, g := range n.partition {
 		if g > max {
@@ -208,6 +226,7 @@ func (n *Network) Isolate(id NodeID) {
 func (n *Network) Rejoin(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	delete(n.partition, id)
 }
 
@@ -215,6 +234,7 @@ func (n *Network) Rejoin(id NodeID) {
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	n.partition = make(map[NodeID]int)
 	n.severed = make(map[linkKey]bool)
 }
@@ -224,6 +244,7 @@ func (n *Network) Heal() {
 func (n *Network) SeverLink(a, b NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	n.severed[normLink(a, b)] = true
 }
 
@@ -231,6 +252,7 @@ func (n *Network) SeverLink(a, b NodeID) {
 func (n *Network) RepairLink(a, b NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.gen.Add(1)
 	delete(n.severed, normLink(a, b))
 }
 

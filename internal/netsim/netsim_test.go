@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -295,4 +296,51 @@ func TestPartitionFormsMidFlight(t *testing.T) {
 		}
 	}
 	t.Fatal("transmit never observed the partition")
+}
+
+// TestEveryMutatorMovesGeneration holds the contract a cached Reachable
+// answer rests on: whatever can change an answer moves Generation. Every
+// exported method of Network is either called here as a mutator or listed
+// as leaving reachability alone, so one added later cannot be forgotten.
+func TestEveryMutatorMovesGeneration(t *testing.T) {
+	mutators := map[string]func(n *Network){
+		"AddNode":    func(n *Network) { n.AddNode("d") },
+		"AddNodes":   func(n *Network) { n.AddNodes("x", 2) },
+		"Crash":      func(n *Network) { n.Crash("a") },
+		"Restart":    func(n *Network) { n.Restart("a") },
+		"Partition":  func(n *Network) { n.Partition([]NodeID{"a"}, []NodeID{"b", "c"}) },
+		"Isolate":    func(n *Network) { n.Isolate("b") },
+		"Rejoin":     func(n *Network) { n.Rejoin("b") },
+		"Heal":       func(n *Network) { n.Heal() },
+		"SeverLink":  func(n *Network) { n.SeverLink("a", "b") },
+		"RepairLink": func(n *Network) { n.RepairLink("a", "b") },
+	}
+	// Reads, and SetLinkLatency, which moves delays but no Reachable answer.
+	inert := map[string]bool{
+		"Generation": true, "Scale": true, "Rand": true, "Nodes": true, "HasNode": true, "Crashed": true,
+		"Reachable": true, "EstimateRTT": true, "Transmit": true, "SetLinkLatency": true,
+	}
+	n := testNet(t, Config{})
+	typ := reflect.TypeOf(n)
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		mutate, ok := mutators[name]
+		if !ok {
+			if !inert[name] {
+				t.Errorf("Network.%s is neither exercised as a mutator nor listed as leaving reachability alone", name)
+			}
+			continue
+		}
+		before := n.Generation()
+		mutate(n)
+		if n.Generation() == before {
+			t.Errorf("Network.%s did not move Generation", name)
+		}
+	}
+	before := n.Generation()
+	n.Reachable("a", "b")
+	n.SetLinkLatency("a", "b", sim.Fixed(time.Millisecond))
+	if n.Generation() != before {
+		t.Errorf("a read or a latency change moved Generation")
+	}
 }

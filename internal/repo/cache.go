@@ -2,6 +2,7 @@ package repo
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 )
 
@@ -123,14 +124,19 @@ func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
 			return
 		}
 		e.obj = obj.Clone()
+		e.obj.ID = e.id
 		e.negative = false
 		c.stampLocked(e, coll, listVer)
 		c.order.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{id: obj.ID, obj: obj.Clone()}
+	// The entry outlives the message obj came in, and a decoded id may be
+	// cut from a copy of its whole frame (wirebin.Reader.Text): the cache
+	// keeps its own copy of the id, as it does of the data.
+	e := &cacheEntry{id: ObjectID(strings.Clone(string(obj.ID))), obj: obj.Clone()}
+	e.obj.ID = e.id
 	c.stampLocked(e, coll, listVer)
-	c.entries[obj.ID] = c.order.PushFront(e)
+	c.entries[e.id] = c.order.PushFront(e)
 	c.stats.Stores++
 	c.evictLocked()
 }
@@ -198,7 +204,10 @@ func (c *Cache) PutNegative(coll string, listVer uint64, id ObjectID) {
 // by listing version atVer, with no RPC: it succeeds only when the entry
 // was fetched or validated under that listing image (stamp >= atVer).
 // negative reports a fresh missing member. ok=false means the caller
-// must go to the owner.
+// must go to the owner. The object served is the entry's own: its Data
+// and Attrs are shared with the cache and with every other run it serves,
+// and are read-only (an entry is copied on Put and replaced whole, never
+// written in place).
 func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, negative, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -217,7 +226,7 @@ func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, 
 	}
 	c.stats.Hits++
 	c.stats.BytesSaved += int64(len(e.obj.Data))
-	return e.obj.Clone(), false, true
+	return e.obj, false, true
 }
 
 // Version reports the cached version of id, used to build a conditional
@@ -241,7 +250,7 @@ func (c *Cache) Version(id ObjectID) (uint64, bool) {
 // cached version is current under coll's listing version listVer, so the
 // stamp advances and the cached copy serves. ok=false means the entry
 // was evicted while the request was in flight and the caller must
-// refetch.
+// refetch. Like ServeFresh it serves the entry's own, read-only, object.
 func (c *Cache) MarkValidated(coll string, listVer uint64, id ObjectID) (Object, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,7 +266,7 @@ func (c *Cache) MarkValidated(coll string, listVer uint64, id ObjectID) (Object,
 	c.order.MoveToFront(el)
 	c.stats.ValidatedHits++
 	c.stats.BytesSaved += int64(len(e.obj.Data))
-	return e.obj.Clone(), true
+	return e.obj, true
 }
 
 // Drop invalidates id (the attached client deleted the object).

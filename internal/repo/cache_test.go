@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCachePutGetLRU(t *testing.T) {
@@ -58,6 +59,40 @@ func TestCacheClonesEntries(t *testing.T) {
 	again, _ := c.Get("a")
 	if string(again.Data) != "abc" {
 		t.Fatal("cache aliased the returned object")
+	}
+}
+
+// TestCacheServesItsOwnCopy is the other half of the contract
+// TestCacheClonesEntries holds Get to: the serves on the elements path
+// hand out the entry itself — one array, however many runs it serves —
+// so what goes in must be the cache's own copy, of the data, of the
+// attributes and of the id (a decoded id may be a substring of a copy of
+// its whole frame, which an entry must not keep alive).
+func TestCacheServesItsOwnCopy(t *testing.T) {
+	c := NewCache(4)
+	frame := "....a...."
+	data, attrs := []byte("abc"), map[string]string{"k": "v"}
+	c.PutValidated("coll", 1, Object{ID: ObjectID(frame[4:5]), Version: 1, Data: data, Attrs: attrs})
+	data[0], attrs["k"] = 'X', "changed"
+	first, _, ok := c.ServeFresh("coll", 1, "a")
+	if !ok || string(first.Data) != "abc" || first.Attrs["k"] != "v" {
+		t.Fatalf("served %q %v after the caller rewrote its buffers", first.Data, first.Attrs)
+	}
+	if unsafe.StringData(string(first.ID)) == unsafe.StringData(frame[4:5]) {
+		t.Fatal("the entry's id is a substring of the caller's frame")
+	}
+	again, ok := c.MarkValidated("coll", 2, "a")
+	if !ok || &again.Data[0] != &first.Data[0] {
+		t.Fatal("two serves of one entry did not share its array")
+	}
+
+	// A newer version replaces the entry's object whole: what was served
+	// before is not written.
+	data = []byte("def")
+	c.Put(Object{ID: "a", Version: 2, Data: data})
+	data[0] = 'X'
+	if got, _, _ := c.ServeFresh("coll", 2, "a"); string(got.Data) != "def" || string(first.Data) != "abc" {
+		t.Fatalf("after an update the cache serves %q and the earlier serve reads %q", got.Data, first.Data)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // wire structs — the messages the elements hot path ships on every run:
 // ListReq/ListResp (membership), GetReq/Object (single fetch),
 // GetBatchReq/GetBatchResp (the pipelined batch fetch, including the
-// Known-versions and NotModified vectors). Everything else stays on gob
-// inside the transport's envelope; see DESIGN.md §11 for the frame
-// layout.
+// Known-versions and NotModified vectors) — and for the small bodies of
+// Put, Add, Remove, Pin and Unpin. The rest (stats, full sync, grow
+// windows) stays on gob inside the transport's envelope; see DESIGN.md
+// §11 for the frame layout.
 //
 // Conventions (held to gob's observable round-trip semantics, which the
 // conformance tests in wirebin_test.go enforce):
@@ -22,8 +23,11 @@ import (
 //     exactly as a gob round trip leaves them; maps carry a presence
 //     sentinel (0 = nil, n+1 = n entries) because gob preserves empty
 //     non-nil maps;
-//   - strings decode through the reader's intern table, so the ids and
-//     node names that repeat across batches allocate once per connection;
+//   - node, collection and method names decode through the reader's
+//     intern table, so they allocate once per connection; the member ids
+//     of a listing and the object ids of a batch answer are cut out of one
+//     copy of their frame (Reader.Text), so a frame of ids never seen
+//     before still decodes with O(1) allocations;
 //   - Object.Data decodes as a view into the frame buffer (the transport
 //     keeps aliased frames out of its buffer pool), so a wide GetBatchResp
 //     decodes with O(1) allocations, not O(objects).
@@ -49,77 +53,93 @@ const (
 	wbSyncPartResp = 15
 	wbDigestReq    = 16
 	wbDigestResp   = 17
+	wbPutReq       = 18
+	wbPutResp      = 19
+	wbAddReq       = 20
+	wbRemoveReq    = 21
+	wbRemoveResp   = 22
+	wbMutateResp   = 23
+	wbPinReq       = 24
+	wbPinResp      = 25
+	wbUnpinReq     = 26
+	wbEmpty        = 27 // struct{}{}, the reply of the calls that return nothing
 )
 
+// register binds T to a stable wire id with its typed encode/decode pair.
+func register[T any](id uint16, enc func([]byte, T) []byte, dec func(*wirebin.Reader) T) {
+	var sample T
+	wirebin.Register(id, sample,
+		func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
+		func(r *wirebin.Reader) any { return dec(r) })
+}
+
 func init() {
-	wirebin.Register(wbGetReq, GetReq{},
-		func(buf []byte, v any) []byte { return appendGetReq(buf, v.(GetReq)) },
-		func(r *wirebin.Reader) any { return decodeGetReq(r) },
-	)
-	wirebin.Register(wbObject, Object{},
-		func(buf []byte, v any) []byte { return appendObject(buf, v.(Object)) },
-		func(r *wirebin.Reader) any { return decodeObject(r) },
-	)
-	wirebin.Register(wbGetBatchReq, GetBatchReq{},
-		func(buf []byte, v any) []byte { return appendGetBatchReq(buf, v.(GetBatchReq)) },
-		func(r *wirebin.Reader) any { return decodeGetBatchReq(r) },
-	)
-	wirebin.Register(wbGetBatchResp, GetBatchResp{},
-		func(buf []byte, v any) []byte { return appendGetBatchResp(buf, v.(GetBatchResp)) },
-		func(r *wirebin.Reader) any { return decodeGetBatchResp(r) },
-	)
-	wirebin.Register(wbListReq, ListReq{},
-		func(buf []byte, v any) []byte { return appendListReq(buf, v.(ListReq)) },
-		func(r *wirebin.Reader) any { return decodeListReq(r) },
-	)
-	wirebin.Register(wbListResp, ListResp{},
-		func(buf []byte, v any) []byte { return appendListResp(buf, v.(ListResp)) },
-		func(r *wirebin.Reader) any { return decodeListResp(r) },
-	)
-	wirebin.Register(wbListPartsReq, ListPartsReq{},
-		func(buf []byte, v any) []byte { return appendListPartsReq(buf, v.(ListPartsReq)) },
-		func(r *wirebin.Reader) any { return decodeListPartsReq(r) },
-	)
-	wirebin.Register(wbPartListing, PartListing{},
-		func(buf []byte, v any) []byte { return appendPartListing(buf, v.(PartListing)) },
-		func(r *wirebin.Reader) any { return decodePartListing(r) },
-	)
-	wirebin.Register(wbListPartsRsp, ListPartsResp{},
-		func(buf []byte, v any) []byte { return appendListPartsResp(buf, v.(ListPartsResp)) },
-		func(r *wirebin.Reader) any { return decodeListPartsResp(r) },
-	)
-	wirebin.Register(wbLeaseReq, LeaseReq{},
-		func(buf []byte, v any) []byte { return appendLeaseReq(buf, v.(LeaseReq)) },
-		func(r *wirebin.Reader) any { return decodeLeaseReq(r) },
-	)
-	wirebin.Register(wbLeaseGrant, LeaseGrant{},
-		func(buf []byte, v any) []byte { return appendLeaseGrant(buf, v.(LeaseGrant)) },
-		func(r *wirebin.Reader) any { return decodeLeaseGrant(r) },
-	)
-	wirebin.Register(wbWatchReq, WatchReq{},
-		func(buf []byte, v any) []byte { return buf },
-		func(r *wirebin.Reader) any { return WatchReq{} },
-	)
-	wirebin.Register(wbInvalidation, Invalidation{},
-		func(buf []byte, v any) []byte { return appendInvalidation(buf, v.(Invalidation)) },
-		func(r *wirebin.Reader) any { return decodeInvalidation(r) },
-	)
-	wirebin.Register(wbSyncPartReq, SyncPartReq{},
-		func(buf []byte, v any) []byte { return appendSyncPartReq(buf, v.(SyncPartReq)) },
-		func(r *wirebin.Reader) any { return decodeSyncPartReq(r) },
-	)
-	wirebin.Register(wbSyncPartResp, SyncPartResp{},
-		func(buf []byte, v any) []byte { return wirebin.AppendBool(buf, v.(SyncPartResp).Applied) },
-		func(r *wirebin.Reader) any { return SyncPartResp{Applied: r.Bool()} },
-	)
-	wirebin.Register(wbDigestReq, DigestReq{},
-		func(buf []byte, v any) []byte { return wirebin.AppendString(buf, v.(DigestReq).Name) },
-		func(r *wirebin.Reader) any { return DigestReq{Name: r.String()} },
-	)
-	wirebin.Register(wbDigestResp, DigestResp{},
-		func(buf []byte, v any) []byte { return appendDigestResp(buf, v.(DigestResp)) },
-		func(r *wirebin.Reader) any { return decodeDigestResp(r) },
-	)
+	register(wbGetReq, appendGetReq, decodeGetReq)
+	register(wbObject, appendObject, decodeObject)
+	register(wbGetBatchReq, appendGetBatchReq, decodeGetBatchReq)
+	register(wbGetBatchResp, appendGetBatchResp, decodeGetBatchResp)
+	register(wbListReq, appendListReq, decodeListReq)
+	register(wbListResp, appendListResp, decodeListResp)
+	register(wbListPartsReq, appendListPartsReq, decodeListPartsReq)
+	register(wbPartListing, appendPartListing, decodePartListing)
+	register(wbListPartsRsp, appendListPartsResp, decodeListPartsResp)
+	register(wbLeaseReq, appendLeaseReq, decodeLeaseReq)
+	register(wbLeaseGrant, appendLeaseGrant, decodeLeaseGrant)
+	register(wbWatchReq,
+		func(buf []byte, _ WatchReq) []byte { return buf },
+		func(*wirebin.Reader) WatchReq { return WatchReq{} })
+	register(wbInvalidation, appendInvalidation, decodeInvalidation)
+	register(wbSyncPartReq, appendSyncPartReq, decodeSyncPartReq)
+	register(wbSyncPartResp,
+		func(buf []byte, v SyncPartResp) []byte { return wirebin.AppendBool(buf, v.Applied) },
+		func(r *wirebin.Reader) SyncPartResp { return SyncPartResp{Applied: r.Bool()} })
+	register(wbDigestReq,
+		func(buf []byte, v DigestReq) []byte { return wirebin.AppendString(buf, v.Name) },
+		func(r *wirebin.Reader) DigestReq { return DigestReq{Name: r.String()} })
+	register(wbDigestResp, appendDigestResp, decodeDigestResp)
+	// The write and pin bodies: one to three fields each, but a gob blob
+	// compiles its encoder and decoder per message, which made them most of
+	// what a set-up, a churning writer and a run's Pin/Unpin allocate.
+	register(wbPutReq,
+		func(buf []byte, v PutReq) []byte { return appendObject(buf, v.Obj) },
+		func(r *wirebin.Reader) PutReq { return PutReq{Obj: decodeObject(r)} })
+	register(wbPutResp,
+		func(buf []byte, v PutResp) []byte { return wirebin.AppendUvarint(buf, v.Version) },
+		func(r *wirebin.Reader) PutResp { return PutResp{Version: r.Uvarint()} })
+	register(wbAddReq,
+		func(buf []byte, v AddReq) []byte {
+			return wirebin.AppendString(wirebin.AppendString(wirebin.AppendString(buf, v.Name), string(v.Ref.ID)), string(v.Ref.Node))
+		},
+		func(r *wirebin.Reader) AddReq {
+			return AddReq{Name: r.String(), Ref: Ref{ID: ObjectID(r.String()), Node: netsim.NodeID(r.String())}}
+		})
+	register(wbRemoveReq,
+		func(buf []byte, v RemoveReq) []byte {
+			return wirebin.AppendString(wirebin.AppendString(buf, v.Name), string(v.ID))
+		},
+		func(r *wirebin.Reader) RemoveReq { return RemoveReq{Name: r.String(), ID: ObjectID(r.String())} })
+	register(wbRemoveResp,
+		func(buf []byte, v RemoveResp) []byte {
+			return wirebin.AppendUvarint(wirebin.AppendBool(buf, v.Deferred), v.Version)
+		},
+		func(r *wirebin.Reader) RemoveResp { return RemoveResp{Deferred: r.Bool(), Version: r.Uvarint()} })
+	register(wbMutateResp,
+		func(buf []byte, v MutateResp) []byte { return wirebin.AppendUvarint(buf, v.Version) },
+		func(r *wirebin.Reader) MutateResp { return MutateResp{Version: r.Uvarint()} })
+	register(wbPinReq,
+		func(buf []byte, v PinReq) []byte { return wirebin.AppendString(buf, v.Name) },
+		func(r *wirebin.Reader) PinReq { return PinReq{Name: r.String()} })
+	register(wbPinResp,
+		func(buf []byte, v PinResp) []byte { return wirebin.AppendVarint(buf, v.Pin) },
+		func(r *wirebin.Reader) PinResp { return PinResp{Pin: r.Varint()} })
+	register(wbUnpinReq,
+		func(buf []byte, v UnpinReq) []byte {
+			return wirebin.AppendVarint(wirebin.AppendString(buf, v.Name), v.Pin)
+		},
+		func(r *wirebin.Reader) UnpinReq { return UnpinReq{Name: r.String(), Pin: r.Varint()} })
+	register(wbEmpty,
+		func(buf []byte, _ struct{}) []byte { return buf },
+		func(*wirebin.Reader) struct{} { return struct{}{} })
 }
 
 func appendGetReq(buf []byte, v GetReq) []byte {
@@ -155,12 +175,16 @@ func appendObject(buf []byte, o Object) []byte {
 
 func decodeObject(r *wirebin.Reader) Object {
 	var o Object
-	decodeObjectInto(r, &o)
+	decodeObjectInto(r, &o, r.String())
 	return o
 }
 
-func decodeObjectInto(r *wirebin.Reader, o *Object) {
-	o.ID = ObjectID(r.String())
+// decodeObjectInto decodes what follows an object's id, which the caller
+// has read the way its message wants it: interned where the object is
+// kept (a server stores what it decodes), cut from the frame's copy where
+// a client receives a batch of them.
+func decodeObjectInto(r *wirebin.Reader, o *Object, id string) {
+	o.ID = ObjectID(id)
 	o.Data = r.Bytes()
 	o.Version = r.Uvarint()
 	o.Tombstone = r.Bool()
@@ -253,7 +277,7 @@ func decodeGetBatchResp(r *wirebin.Reader) GetBatchResp {
 	if n > 0 {
 		objs := make([]Object, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			decodeObjectInto(r, &objs[i])
+			decodeObjectInto(r, &objs[i], r.Text())
 		}
 		v.Objects = objs
 	}
@@ -295,7 +319,7 @@ func decodeListResp(r *wirebin.Reader) ListResp {
 	if n > 0 {
 		members := make([]Ref, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			id := ObjectID(r.String())
+			id := ObjectID(r.Text())
 			node := netsim.NodeID(r.String())
 			members = append(members, Ref{ID: id, Node: node})
 		}
@@ -376,7 +400,7 @@ func decodePartListingInto(r *wirebin.Reader, v *PartListing) {
 	if n > 0 {
 		members := make([]Ref, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			id := ObjectID(r.String())
+			id := ObjectID(r.Text())
 			node := netsim.NodeID(r.String())
 			members = append(members, Ref{ID: id, Node: node})
 		}
@@ -524,7 +548,7 @@ func decodeSyncPartReq(r *wirebin.Reader) SyncPartReq {
 	if n > 0 {
 		objs := make([]Object, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			decodeObjectInto(r, &objs[i])
+			decodeObjectInto(r, &objs[i], r.String())
 		}
 		v.Objects = objs
 	}

@@ -32,6 +32,16 @@ func roundGob(t testing.TB, v any) any {
 	gob.Register(LeaseGrant{})
 	gob.Register(WatchReq{})
 	gob.Register(Invalidation{})
+	gob.Register(PutReq{})
+	gob.Register(PutResp{})
+	gob.Register(AddReq{})
+	gob.Register(RemoveReq{})
+	gob.Register(RemoveResp{})
+	gob.Register(MutateResp{})
+	gob.Register(PinReq{})
+	gob.Register(PinResp{})
+	gob.Register(UnpinReq{})
+	gob.Register(struct{}{})
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		t.Fatalf("gob encode: %v", err)
@@ -123,6 +133,27 @@ func TestWirebinGobConformance(t *testing.T) {
 		Invalidation{},
 		Invalidation{Coll: "c", Part: -1, Version: 9},
 		Invalidation{Coll: "c", Part: 15, Version: 1<<64 - 1},
+		PutReq{},
+		PutReq{Obj: obj},
+		PutReq{Obj: Object{ID: "empties", Data: []byte{}, Attrs: map[string]string{}}},
+		PutResp{},
+		PutResp{Version: 1<<64 - 1},
+		AddReq{},
+		AddReq{Name: "c", Ref: Ref{ID: "unicode-идентификатор-🦉", Node: "n1"}},
+		RemoveReq{},
+		RemoveReq{Name: "c", ID: "a"},
+		RemoveResp{},
+		RemoveResp{Deferred: true, Version: 1 << 40},
+		MutateResp{},
+		MutateResp{Version: 9},
+		PinReq{},
+		PinReq{Name: "unicode-коллекция-🦉"},
+		PinResp{},
+		PinResp{Pin: -42},
+		PinResp{Pin: 1 << 40},
+		UnpinReq{},
+		UnpinReq{Name: "c", Pin: 1 << 40},
+		struct{}{},
 	}
 	for _, in := range cases {
 		in := in
@@ -155,6 +186,11 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 		LeaseReq{Colls: []string{"c1", "c2"}},
 		LeaseGrant{TTL: 30000000000, Versions: map[string]uint64{"c1": 4, "c2": 9}},
 		Invalidation{Coll: "c1", Part: 3, Version: 12},
+		PutReq{Obj: Object{ID: "a", Data: []byte("dddd"), Version: 2, Attrs: map[string]string{"k": "v"}}},
+		AddReq{Name: "c", Ref: Ref{ID: "a", Node: "n1"}},
+		RemoveReq{Name: "c", ID: "a"},
+		RemoveResp{Deferred: true, Version: 300},
+		UnpinReq{Name: "c", Pin: 300},
 	}
 	for _, msg := range msgs {
 		msg := msg
@@ -197,6 +233,15 @@ func FuzzWirebinDecode(f *testing.F) {
 		LeaseReq{Colls: []string{"c1", "c2"}},
 		LeaseGrant{TTL: 30000000000, Versions: map[string]uint64{"c1": 4}},
 		Invalidation{Coll: "c1", Part: 3, Version: 12},
+		PutReq{Obj: Object{ID: "o", Data: []byte("data"), Attrs: map[string]string{"a": "b"}, Version: 1}},
+		PutResp{Version: 2},
+		AddReq{Name: "c", Ref: Ref{ID: "a", Node: "n"}},
+		RemoveReq{Name: "c", ID: "a"},
+		RemoveResp{Deferred: true, Version: 3},
+		MutateResp{Version: 4},
+		PinReq{Name: "c"},
+		PinResp{Pin: -5},
+		UnpinReq{Name: "c", Pin: 5},
 	}
 	for _, v := range seedVals {
 		_, enc, _ := wirebin.Lookup(v)
@@ -204,7 +249,8 @@ func FuzzWirebinDecode(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	ids := []uint16{wbGetReq, wbObject, wbGetBatchReq, wbGetBatchResp, wbListReq, wbListResp, wbListPartsReq, wbPartListing, wbListPartsRsp,
-		wbLeaseReq, wbLeaseGrant, wbWatchReq, wbInvalidation}
+		wbLeaseReq, wbLeaseGrant, wbWatchReq, wbInvalidation,
+		wbPutReq, wbPutResp, wbAddReq, wbRemoveReq, wbRemoveResp, wbMutateResp, wbPinReq, wbPinResp, wbUnpinReq, wbEmpty}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, id := range ids {
 			dec, _ := wirebin.ByID(id)
@@ -292,9 +338,22 @@ func TestAllocBudget(t *testing.T) {
 	partFrame := appendPartListing(nil, partListing)
 	inv := Invalidation{Coll: "set", Part: 3, Version: 42}
 	invFrame := appendInvalidation(nil, inv)
+	// A 10 000-member listing streams 625 refs a partition, and every
+	// frame here carries ids no frame before it did: more distinct ids than
+	// any table of seen strings holds, as a large set's always are.
+	const coldRefs = 625
+	coldFrames := make([][]byte, 202) // one per AllocsPerRun call, warm-up included
+	for f := range coldFrames {
+		members := make([]Ref, coldRefs)
+		for i := range members {
+			members[i] = Ref{ID: ObjectID(fmt.Sprintf("f%03de%04d", f, i)), Node: netsim.NodeID(fmt.Sprintf("storage%d", i%4))}
+		}
+		coldFrames[f] = appendPartListing(nil, PartListing{Part: f % 16, Partitions: 16, Members: members, Version: 42})
+	}
+	nextCold := 0
 	var r wirebin.Reader
 	// Warm the intern table so the measurement sees the steady state a
-	// long-lived connection sees (ids repeat run after run).
+	// long-lived connection sees (node and collection names repeat).
 	r.Reset(listFrame)
 	_ = decodeListResp(&r)
 	r.Reset(batchFrame)
@@ -330,6 +389,13 @@ func TestAllocBudget(t *testing.T) {
 		"decodePartListing": func() {
 			r.Reset(partFrame)
 			if v := decodePartListing(&r); len(v.Members) != len(partListing.Members) || r.Err() != nil {
+				t.Fatalf("bad decode: %d members, err %v", len(v.Members), r.Err())
+			}
+		},
+		"decodePartListingColdIDs": func() {
+			r.Reset(coldFrames[nextCold%len(coldFrames)])
+			nextCold++
+			if v := decodePartListing(&r); len(v.Members) != coldRefs || r.Err() != nil {
 				t.Fatalf("bad decode: %d members, err %v", len(v.Members), r.Err())
 			}
 		},

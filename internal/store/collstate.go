@@ -185,9 +185,11 @@ func (c *collState) remove(id ObjectID) (Ref, bool, uint64, error) {
 	return ref, deferred, c.version, nil
 }
 
-func (c *collState) pin() int64 {
+// pin records snap — the live membership sorted by ID, never written
+// again — under a new handle.
+func (c *collState) pin(snap []Ref) int64 {
 	c.nextPin++
-	c.pins[c.nextPin] = c.memberSnapshot()
+	c.pins[c.nextPin] = snap
 	return c.nextPin
 }
 

@@ -280,7 +280,7 @@ func (s *Locked) Pin(name string) (pin int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.pin(), nil
+	return c.pin(c.memberSnapshot()), nil
 }
 
 // Unpin implements Store.

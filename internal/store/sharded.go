@@ -430,16 +430,24 @@ func (s *Sharded) Remove(name string, id ObjectID) (ref Ref, deferred bool, vers
 	return ref, deferred, version, nil
 }
 
-// Pin implements Store.
+// Pin implements Store. A pin is the live membership sorted by ID, and
+// while the published listing is still current and lists no ghost that
+// is exactly the image List hands out — immutable already — so the pin
+// shares it: O(1) under the write lock, where re-sorting the members
+// would hold every writer off for O(n log n).
 func (s *Sharded) Pin(name string) (pin int64, err error) {
 	defer s.ins.observe(OpPin, time.Now(), &err)
 	c, err := s.coll(name)
 	if err != nil {
 		return 0, err
 	}
+	l := c.snapshot() // before the write lock: a rebuild takes the read lock
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.pin(), nil
+	if l.version == c.st.version && c.st.ghostCount() == 0 {
+		return c.st.pin(l.members), nil
+	}
+	return c.st.pin(c.st.memberSnapshot()), nil
 }
 
 // Unpin implements Store.

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -362,6 +363,97 @@ func TestPins(t *testing.T) {
 			t.Fatalf("double unpin = %v", err)
 		}
 	})
+}
+
+// TestPinIsTheLiveMembership holds both engines to one answer for what a
+// pin captures and keeps — the live members, sorted, unchanged by anything
+// that happens to the collection afterwards — in the states where the
+// sharded engine shares its published listing as the pin and in those
+// where it must not (a listed ghost, a published listing gone stale).
+func TestPinIsTheLiveMembership(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before func(t *testing.T, st Store) // up to the pin
+		want   []ObjectID
+	}{
+		{"published listing current", func(t *testing.T, st Store) {
+			st.List("c")
+		}, []ObjectID{"a", "b", "c"}},
+		{"grow window holds a ghost", func(t *testing.T, st Store) {
+			st.BeginGrow("c")
+			st.Remove("c", "b")
+			if members, _, _ := st.List("c"); len(members) != 3 {
+				t.Fatalf("listing = %v (the ghost is listed)", memberIDs(members))
+			}
+		}, []ObjectID{"a", "c"}},
+		{"published listing stale", func(t *testing.T, st Store) {
+			st.List("c")
+			st.Add("c", mustPut(t, st, "d"))
+			st.Remove("c", "a")
+		}, []ObjectID{"b", "c", "d"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines(t, func(t *testing.T, st Store) {
+				mustColl(t, st, "c")
+				for _, id := range []ObjectID{"c", "a", "b"} {
+					st.Add("c", mustPut(t, st, id))
+				}
+				tc.before(t, st)
+				pin, err := st.Pin("c")
+				if err != nil {
+					t.Fatal(err)
+				}
+				pinned := func() []ObjectID {
+					snap, _, err := st.ListPinned("c", pin)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return memberIDs(snap)
+				}
+				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("pinned = %v, want %v", got, tc.want)
+				}
+				// Nothing later moves it: an add, a removal, a ghost and its
+				// collection, each followed by a listing that republishes.
+				st.Add("c", mustPut(t, st, "e"))
+				st.Remove("c", "c")
+				tok, _ := st.BeginGrow("c")
+				st.Remove("c", "e")
+				st.List("c")
+				if _, err := st.EndGrow("c", tok); err != nil {
+					t.Fatal(err)
+				}
+				st.List("c")
+				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("pinned after mutations = %v, want %v", got, tc.want)
+				}
+			})
+		})
+	}
+}
+
+// TestShardedPinSharesTheListing guards the O(1) pin: on a quiescent
+// collection a pin is the published listing, so taking one costs the same
+// at 10 000 members as at one — no sort and no copy under the collection's
+// write lock.
+func TestShardedPinSharesTheListing(t *testing.T) {
+	st := NewSharded(Config{})
+	mustColl(t, st, "c")
+	for i := 0; i < 10_000; i++ {
+		st.Add("c", Ref{ID: ObjectID(fmt.Sprintf("e%05d", i)), Node: "n1"})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		pin, err := st.Pin("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Unpin("c", pin); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("pin + unpin of a quiescent 10k collection allocates %.0f times, want <= 2: the pin is rebuilding the membership", allocs)
+	}
 }
 
 func TestGrowWindowGhosts(t *testing.T) {

@@ -43,8 +43,11 @@ const (
 )
 
 // preambleMagic opens every connection: three magic bytes and the
-// protocol version. There is one version; anything else is not a peer.
-var preambleMagic = [4]byte{'w', 's', 'r', 1}
+// protocol version, which stands for the table of wirebin type ids. There
+// is one version; anything else is not a peer. (2: the Put, Add, Remove,
+// Pin and Unpin bodies are registered types, ids 18–27 — a version 1 peer
+// would answer them "unknown wirebin type id".)
+var preambleMagic = [4]byte{'w', 's', 'r', 2}
 
 // pfCompress is the preamble flag bit declaring per-frame compression.
 const pfCompress = 1 << 0

@@ -14,8 +14,8 @@ import (
 )
 
 // codecEchoDispatch serves "echo" (returns an Object echoing the
-// requested ID with a fixed payload) and "put" (accepts a PutReq — a
-// type with no wirebin marshaler, so it rides the gob-blob path inside
+// requested ID with a fixed payload) and "grow" (accepts an EndGrowReq —
+// a type with no wirebin marshaler, so it rides the gob-blob path inside
 // wirebin frames).
 func codecEchoDispatch(payload []byte) *rpc.Server {
 	srv := rpc.NewServer("remote")
@@ -26,12 +26,12 @@ func codecEchoDispatch(payload []byte) *rpc.Server {
 		}
 		return repo.Object{ID: in.ID, Data: payload, Version: 7}, nil
 	})
-	srv.Handle("put", func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-		in, ok := req.(repo.PutReq)
+	srv.Handle("grow", func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
+		in, ok := req.(repo.EndGrowReq)
 		if !ok {
-			return nil, fmt.Errorf("put: bad body %T", req)
+			return nil, fmt.Errorf("grow: bad body %T", req)
 		}
-		return repo.PutResp{Version: in.Obj.Version + 1}, nil
+		return repo.EndGrowResp{Reclaimed: int(in.Token) + 1}, nil
 	})
 	return srv
 }
@@ -71,14 +71,12 @@ func TestNegotiatesWirebin(t *testing.T) {
 
 	// An unregistered body must still cross a wirebin connection (as a
 	// self-contained gob blob inside the frame).
-	out, err := client.Call(context.Background(), "put", repo.PutReq{
-		Obj: repo.Object{ID: "blob", Data: []byte("x"), Version: 3},
-	})
+	out, err := client.Call(context.Background(), "grow", repo.EndGrowReq{Name: "blob", Token: 3})
 	if err != nil {
-		t.Fatalf("put over wirebin: %v", err)
+		t.Fatalf("gob body over wirebin: %v", err)
 	}
-	if v := out.(repo.PutResp).Version; v != 4 {
-		t.Fatalf("put returned version %d, want 4", v)
+	if n := out.(repo.EndGrowResp).Reclaimed; n != 4 {
+		t.Fatalf("grow returned %d, want 4", n)
 	}
 
 	st := client.Stats()

@@ -8,11 +8,12 @@
 //   - message types are registered once with stable numeric ids
 //     (internal/repo registers its hot wire structs at init), so a frame
 //     names its body type in one varint instead of a gob descriptor;
-//   - decoding is allocation-frugal: a Reader interns repeated strings
-//     (object ids, node names, method names stabilize immediately on the
-//     elements hot path) and hands out byte payloads aliasing the frame
-//     buffer, so a steady-state decode performs O(1) allocations
-//     regardless of batch width.
+//   - decoding is allocation-frugal: a Reader interns the few strings
+//     that repeat on every frame (node, collection and method names),
+//     cuts the many that do not (a listing's member ids) out of one
+//     string copy of the frame, and hands out byte payloads aliasing the
+//     frame buffer, so a decode performs O(1) allocations regardless of
+//     batch width and of whether its ids were ever seen before.
 //
 // The package is deliberately paranoid about malformed input: every
 // length prefix is bounds-checked against the remaining frame before any
@@ -94,9 +95,13 @@ type Reader struct {
 	aliased bool
 
 	// intern maps previously seen small strings to their canonical copy,
-	// so repeated ids/node names/method names cost zero allocations in
-	// steady state.
+	// so repeated node, collection and method names cost zero allocations
+	// in steady state.
 	intern map[string]string
+
+	// text is one string copy of buf, made by the frame's first Text call;
+	// every Text of the frame is a substring of it.
+	text string
 }
 
 // Reset points the reader at a new frame, clearing position, error, and
@@ -106,6 +111,7 @@ func (r *Reader) Reset(buf []byte) {
 	r.pos = 0
 	r.err = nil
 	r.aliased = false
+	r.text = ""
 }
 
 // Err reports the first decoding failure, if any.
@@ -232,6 +238,25 @@ func (r *Reader) String() string {
 		return s
 	}
 	return string(b)
+}
+
+// Text decodes a length-prefixed string as a substring of one string copy
+// of the whole frame, made on the frame's first Text call: however many
+// strings a frame carries, and whether or not any was seen before, they
+// cost one allocation between them. It is for the strings that make up
+// most of their frame and do not repeat across frames — the member ids of
+// a listing, which would churn the intern table String keeps. Every value
+// decoded this way keeps the frame's copy alive, so a holder that outlives
+// the message by far should clone what it keeps.
+func (r *Reader) Text() string {
+	b := r.span()
+	if len(b) == 0 {
+		return ""
+	}
+	if r.text == "" {
+		r.text = string(r.buf)
+	}
+	return r.text[r.pos-len(b) : r.pos]
 }
 
 // Bytes decodes a length-prefixed blob as a view into the frame buffer

@@ -120,6 +120,58 @@ func TestInterningReusesStrings(t *testing.T) {
 	}
 }
 
+// TestTextSharesOneCopyOfTheFrame: every Text of a frame is cut from one
+// string copy of it, so a frame of strings never seen before costs one
+// allocation, not one each; the copy is the frame's, not the reader's — a
+// Reset starts the next frame's own — and does not alias the buffer, which
+// goes back to the pool.
+func TestTextSharesOneCopyOfTheFrame(t *testing.T) {
+	var frame []byte
+	for i := 0; i < 100; i++ {
+		frame = AppendString(frame, "id-"+strings.Repeat("x", i%7)+string(rune('a'+i%26)))
+	}
+	frame = AppendString(frame, "")
+	var r Reader
+	var got []string
+	if n := testing.AllocsPerRun(50, func() {
+		got = got[:0]
+		r.Reset(frame)
+		for i := 0; i < 101; i++ {
+			got = append(got, r.Text())
+		}
+	}); n > 1 {
+		t.Fatalf("101 strings of one frame cost %.1f allocations, want 1", n)
+	}
+	if r.Err() != nil || r.Len() != 0 || r.Aliased() {
+		t.Fatalf("err %v, %d bytes left, aliased %v", r.Err(), r.Len(), r.Aliased())
+	}
+	for i, s := range got[:100] {
+		if want := "id-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)); s != want {
+			t.Fatalf("text %d = %q, want %q", i, s, want)
+		}
+	}
+	if got[100] != "" {
+		t.Fatalf("empty text = %q", got[100])
+	}
+	first := got[0]
+	for i := range frame {
+		frame[i] = 0xff // the pooled buffer is reused: decoded text must not change
+	}
+	if first != "id-a" {
+		t.Fatalf("text aliases the frame buffer: %q", first)
+	}
+
+	// Truncated and oversized prefixes fail through the same bounds check
+	// as String, before any copy is made.
+	full := AppendString(nil, "weak sets")
+	for cut := 1; cut < len(full); cut++ {
+		r.Reset(full[:cut])
+		if s := r.Text(); s != "" || r.Err() == nil {
+			t.Fatalf("cut=%d: text %q, err %v", cut, s, r.Err())
+		}
+	}
+}
+
 func TestInternTableBounded(t *testing.T) {
 	var r Reader
 	// Push well past the cap; the table must stay bounded instead of
@@ -192,7 +244,7 @@ func FuzzReader(f *testing.F) {
 		var r Reader
 		r.Reset(data)
 		for r.Err() == nil && r.Len() > 0 {
-			switch r.Byte() % 5 {
+			switch r.Byte() % 6 {
 			case 0:
 				_ = r.Uvarint()
 			case 1:
@@ -207,6 +259,10 @@ func FuzzReader(f *testing.F) {
 				}
 			case 4:
 				_ = r.Bool()
+			case 5:
+				if s := r.Text(); len(s) > len(data) {
+					t.Fatalf("text longer than input: %d > %d", len(s), len(data))
+				}
 			}
 		}
 	})

@@ -43,7 +43,8 @@ type (
 	Iterator = core.Iterator
 	// DynSet is a dynamic set: parallel, closest-first prefetching.
 	DynSet = core.DynSet
-	// Element is one yielded member.
+	// Element is one yielded member. Its Data and Attrs are read-only and
+	// may be shared with the element cache and with other runs.
 	Element = core.Element
 	// Options configures a weak set.
 	Options = core.Options
