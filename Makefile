@@ -8,13 +8,18 @@ GO ?= go
 # them back (CI collects the directory as an artifact).
 SMOKE := /tmp/weakbench-smoke
 
-.PHONY: check vet build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+.PHONY: check vet no-gob build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
-check: vet build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
+check: vet no-gob build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
 	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
 
 vet:
 	$(GO) vet ./...
+
+# wirebin is the one wire codec: no production Go file may import gob
+# (tests keep it as the reference the codecs are held to).
+no-gob:
+	! grep -rl 'encoding/gob' --include='*.go' . | grep -v _test
 
 build:
 	$(GO) build ./...

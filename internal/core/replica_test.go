@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
 	"weaksets/internal/sim"
+	"weaksets/internal/store"
 )
 
 // The replica-routing tests run under -race via `make race`: the router is
@@ -134,9 +137,8 @@ func newReplicaWorld(t *testing.T, elements, replicas int, scale sim.TimeScale) 
 }
 
 // waitForReplicaVersions blocks until every replica's digest has caught
-// up with the home's per-partition version vector — anti-entropy
-// convergence. A full push stamps the replica's whole vector with the
-// collection version, so "caught up" is >= per partition, not equality.
+// up with the home's per-partition version vector, in the home's
+// partition layout — anti-entropy convergence.
 func waitForReplicaVersions(t *testing.T, w *testWorld, nodes []netsim.NodeID) {
 	t.Helper()
 	ctx := context.Background()
@@ -345,6 +347,65 @@ func newDirReplicaWorld(t *testing.T, elements int) (*testWorld, []netsim.NodeID
 	}
 	waitForReplicaVersions(t, w, nodes)
 	return w, nodes
+}
+
+// TestReplicaAdoptsHomeLayout puts a replica whose engine lays
+// collections out in 4 partitions, already holding the collection in
+// that layout, under a 16-partition home. Per-partition pushes alone must
+// bring it to the home's layout and membership, and a scattered read must
+// then take partitions from it and yield exactly the home's members.
+func TestReplicaAdoptsHomeLayout(t *testing.T) {
+	w := newTestWorld(t, 0)
+	c, ctx := w.c, context.Background()
+	for i := 0; i < 24; i++ {
+		addHomeElement(t, w, i)
+	}
+	c.Net.AddNode("r4")
+	replica, err := repo.NewServerWithStore(c.Bus, "r4", store.NewSharded(store.Config{Partitions: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replica.Close)
+	if err := replica.Store().CreateCollection("set"); err != nil {
+		t.Fatal(err)
+	}
+	nodes := []netsim.NodeID{cluster.DirNode, "r4"}
+	pushes := c.Bus.MethodCalls(repo.MethodSyncPart)
+	if err := c.Servers[cluster.DirNode].ReplicateCollection("set", nodes[1:]); err != nil {
+		t.Fatal(err)
+	}
+	waitForReplicaVersions(t, w, nodes)
+	if total, _ := replica.Store().Partitions("set"); total != store.DefaultPartitions {
+		t.Fatalf("replica holds %d partitions, want the home's %d", total, store.DefaultPartitions)
+	}
+	if got := c.Bus.MethodCalls(repo.MethodSyncPart) - pushes; got < store.DefaultPartitions {
+		t.Fatalf("converged after %d partition pushes, want one per partition at least", got)
+	}
+
+	// An Immutable opening scatters: partitions are dealt to both nodes.
+	it, err := w.set(t, Options{Semantics: Immutable, Replicas: ReplicaConfig{Nodes: nodes}}).Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	var got []string
+	for it.Next(ctx) {
+		got = append(got, string(it.Element().Ref.ID))
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	sort.Strings(got)
+	want := make([]string, len(w.refs))
+	for i, ref := range w.refs {
+		want[i] = string(ref.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scattered read yielded %v, want the home's %v", got, want)
+	}
+	if it.Weakness().ReplicaServed == 0 {
+		t.Fatal("the re-laid out replica served nothing")
+	}
 }
 
 // TestGrowOnlyReplicasToleratePrimaryOutage crashes the home directory:

@@ -12,13 +12,30 @@ func quickCfg() Config {
 	return Config{Seed: 1, Scale: 0.01, Quick: true}
 }
 
+// raceCfg is quickCfg at 10x compression, for experiments whose verdict
+// is a wall-clock race with a margin of a few simulated round trips (a
+// producer against an iterator, near fetches against far ones). At 100x
+// that margin is a millisecond or two of wall time, which one scheduler
+// stall on a loaded host swallows; at 10x it is ten times wider, and the
+// race itself is unchanged.
+func raceCfg() Config {
+	cfg := quickCfg()
+	cfg.Scale = 0.1
+	return cfg
+}
+
 func runExperiment(t *testing.T, id string) [][]string {
+	t.Helper()
+	return runExperimentCfg(t, id, quickCfg())
+}
+
+func runExperimentCfg(t *testing.T, id string, cfg Config) [][]string {
 	t.Helper()
 	exp, ok := Find(id)
 	if !ok {
 		t.Fatalf("experiment %s not found", id)
 	}
-	table, err := exp.Run(quickCfg())
+	table, err := exp.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -190,7 +207,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	rows := runExperiment(t, "E7")
+	rows := runExperimentCfg(t, "E7", raceCfg())
 	// Ratio 0.5 terminates; ratio 2.0 does not.
 	for _, row := range rows {
 		switch row[0] {
@@ -244,7 +261,7 @@ func TestAblationsRegistered(t *testing.T) {
 }
 
 func TestA1Shape(t *testing.T) {
-	rows := runExperiment(t, "A1")
+	rows := runExperimentCfg(t, "A1", raceCfg())
 	// At width 1, closest-first reaches the 8th element far sooner than
 	// listing order, while totals are comparable.
 	var cfFirst8, listFirst8 float64

@@ -16,6 +16,7 @@ import (
 
 	"weaksets/internal/netsim"
 	"weaksets/internal/rpc"
+	"weaksets/internal/wirebin"
 )
 
 // Mode selects shared (read) or exclusive (write) acquisition.
@@ -67,6 +68,35 @@ type (
 	}
 )
 
+// Stable wirebin type ids, continuing internal/repo's table (DESIGN.md
+// §11): part of the protocol, never renumbered.
+const (
+	wbAcquireReq  = 38
+	wbAcquireResp = 39
+	wbReleaseReq  = 40
+)
+
+func init() {
+	wirebin.Register(wbAcquireReq,
+		func(buf []byte, v AcquireReq) []byte {
+			buf = wirebin.AppendString(buf, v.Name)
+			buf = wirebin.AppendVarint(buf, int64(v.Mode))
+			buf = wirebin.AppendString(buf, v.Owner)
+			return wirebin.AppendVarint(buf, int64(v.TTL))
+		},
+		func(r *wirebin.Reader) AcquireReq {
+			return AcquireReq{Name: r.String(), Mode: Mode(r.Varint()), Owner: r.String(), TTL: time.Duration(r.Varint())}
+		})
+	wirebin.Register(wbAcquireResp,
+		func(buf []byte, v AcquireResp) []byte { return wirebin.AppendBool(buf, v.Granted) },
+		func(r *wirebin.Reader) AcquireResp { return AcquireResp{Granted: r.Bool()} })
+	wirebin.Register(wbReleaseReq,
+		func(buf []byte, v ReleaseReq) []byte {
+			return wirebin.AppendString(wirebin.AppendString(buf, v.Name), v.Owner)
+		},
+		func(r *wirebin.Reader) ReleaseReq { return ReleaseReq{Name: r.String(), Owner: r.String()} })
+}
+
 type lease struct {
 	mode   Mode
 	expiry time.Time // wall-clock deadline (already scaled)
@@ -96,8 +126,8 @@ func NewServer(bus *rpc.Bus, node netsim.NodeID) (*Server, error) {
 		locks: make(map[string]*lockState),
 	}
 	srv := rpc.NewServer(node)
-	srv.Handle(MethodAcquire, s.handleAcquire)
-	srv.Handle(MethodRelease, s.handleRelease)
+	srv.Handle(MethodAcquire, rpc.Typed(s.handleAcquire))
+	srv.Handle(MethodRelease, rpc.Typed(s.handleRelease))
 	if err := bus.Register(srv); err != nil {
 		return nil, fmt.Errorf("lock server %s: %w", node, err)
 	}
@@ -125,11 +155,7 @@ func (s *Server) expireLocked(st *lockState) {
 	}
 }
 
-func (s *Server) handleAcquire(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(AcquireReq)
-	if !ok {
-		return nil, fmt.Errorf("locksvc: bad request type %T", req)
-	}
+func (s *Server) handleAcquire(_ context.Context, _ netsim.NodeID, r AcquireReq) (any, error) {
 	if r.Mode != Read && r.Mode != Write {
 		return nil, fmt.Errorf("locksvc: invalid mode %d", r.Mode)
 	}
@@ -174,11 +200,7 @@ func (s *Server) handleAcquire(_ context.Context, _ netsim.NodeID, req any) (any
 	return AcquireResp{Granted: true}, nil
 }
 
-func (s *Server) handleRelease(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(ReleaseReq)
-	if !ok {
-		return nil, fmt.Errorf("locksvc: bad request type %T", req)
-	}
+func (s *Server) handleRelease(_ context.Context, _ netsim.NodeID, r ReleaseReq) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state(r.Name)

@@ -3,11 +3,13 @@ package locksvc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"weaksets/internal/netsim"
 	"weaksets/internal/rpc"
+	"weaksets/internal/wirebin"
 )
 
 func newLockWorld(t *testing.T) (*Bus, *Server) {
@@ -215,5 +217,43 @@ func TestInvalidMode(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" || Mode(0).String() != "invalid" {
 		t.Fatal("Mode.String wrong")
+	}
+}
+
+// TestWirebinRoundTrip carries every lock body through its registered
+// codec, the only way it crosses a TCP connection: the decode must give
+// back exactly what was encoded, and every strict prefix of a frame must
+// fail to decode rather than yield a short message.
+func TestWirebinRoundTrip(t *testing.T) {
+	for _, msg := range []any{
+		AcquireReq{},
+		AcquireReq{Name: "L", Mode: Write, Owner: "unicode-владелец-🦉", TTL: 30 * time.Second},
+		AcquireReq{Name: "L", Mode: Mode(-1), TTL: -time.Millisecond},
+		AcquireResp{},
+		AcquireResp{Granted: true},
+		ReleaseReq{},
+		ReleaseReq{Name: "L", Owner: "w1"},
+	} {
+		id, enc, ok := wirebin.Lookup(msg)
+		if !ok {
+			t.Fatalf("no wirebin codec for %T", msg)
+		}
+		dec, ok := wirebin.ByID(id)
+		if !ok {
+			t.Fatalf("no wirebin decoder for id %d", id)
+		}
+		frame := enc(nil, msg)
+		var r wirebin.Reader
+		r.Reset(frame)
+		if got := dec(&r); r.Err() != nil || r.Len() != 0 || !reflect.DeepEqual(got, msg) {
+			t.Fatalf("%T round trip = %#v (err %v, %d bytes left), want %#v", msg, got, r.Err(), r.Len(), msg)
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			r.Reset(frame[:cut])
+			_ = dec(&r)
+			if r.Err() == nil && r.Len() == 0 {
+				t.Fatalf("%T: %d-byte prefix of a %d-byte frame decoded cleanly", msg, cut, len(frame))
+			}
+		}
 	}
 }

@@ -3,7 +3,7 @@ package repo
 import (
 	"context"
 	"errors"
-	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,12 +15,12 @@ import (
 // This file is the home side of replication anti-entropy. Writes commit
 // on the home node only; the syncer then reconciles each replica against
 // the home's per-partition version vector: digest the replica
-// (MethodSyncDigest), push only the partitions it is behind on
-// (MethodSyncPart), fall back to a full MethodSync push when the replica
-// has never seen the collection or disagrees on its partition layout. A
-// replica lost to a partition or crash is marked
-// pending (the hinted-handoff bookkeeping, journaled as EvHandoff) and
-// repaired by the next kick or background tick that reaches it
+// (MethodSyncDigest), then push only the partitions it is behind on
+// (MethodSyncPart) — or every partition, when the replica has never seen
+// the collection or holds it in another partition layout, which the
+// first push makes it adopt. A replica lost to a partition or crash is
+// marked pending (the hinted-handoff bookkeeping, journaled as EvHandoff)
+// and repaired by the next kick or background tick that reaches it
 // (EvRepair) — divergence is legal under the paper's weak semantics and
 // is surfaced, never hidden, through the digest ages the read path
 // reports as GhostAge.
@@ -61,27 +61,6 @@ func (sy *syncer) setReplicas(name string, replicas []netsim.NodeID) {
 	cs.replicas = append([]netsim.NodeID(nil), replicas...)
 }
 
-// state returns (creating from the store's persisted replica set if
-// needed) the collection's sync state. A collection restored by Import
-// carries its replicas in the engine but was never ReplicateCollection'd
-// this process; the first kick adopts them here.
-func (sy *syncer) state(name string) *collSync {
-	sy.mu.Lock()
-	cs := sy.colls[name]
-	sy.mu.Unlock()
-	if cs != nil {
-		return cs
-	}
-	_, _, replicas, _ := sy.s.store.SyncState(name)
-	sy.mu.Lock()
-	defer sy.mu.Unlock()
-	if cs = sy.colls[name]; cs == nil {
-		cs = &collSync{replicas: replicas, pending: make(map[netsim.NodeID]bool)}
-		sy.colls[name] = cs
-	}
-	return cs
-}
-
 // names lists the collections with at least one replica (ticker input).
 func (sy *syncer) names() []string {
 	sy.mu.Lock()
@@ -99,9 +78,9 @@ func (sy *syncer) names() []string {
 // coalesce: at most one runs per collection, and kicks landing mid-round
 // make it loop once more.
 func (sy *syncer) kick(name string) {
-	cs := sy.state(name)
 	sy.mu.Lock()
-	if len(cs.replicas) == 0 {
+	cs := sy.colls[name]
+	if cs == nil || len(cs.replicas) == 0 {
 		sy.mu.Unlock()
 		return
 	}
@@ -211,10 +190,15 @@ func (sy *syncer) round(name string, cs *collSync, replicas []netsim.NodeID) {
 }
 
 // syncReplica brings one replica up to date with the home's current
-// per-partition versions: digest, then push only the stale partitions.
-// A replica that has never seen the collection, or holds it under a
-// different partition layout, gets one full-membership push instead. Any
-// other error is returned — the caller's handoff bookkeeping owns it.
+// per-partition versions: digest, then push the partitions the replica
+// is behind on. A replica that has never seen the collection, or holds it
+// in another partition layout, is behind on every partition: all of them
+// are pushed in this round, and the first creates (or re-lays out) the
+// replica's copy in the home's layout. Pushes go in ascending version
+// order, so the replica's collection version steps through the home's
+// own and ends equal to it. A push the replica declines was stale against
+// a newer one, so there is nothing to fall back to. Any other error is
+// returned — the caller's handoff bookkeeping owns it.
 func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.NodeID) error {
 	st := sy.s.store
 	homeVers, err := st.PartVersions(name)
@@ -222,27 +206,21 @@ func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.N
 		return nil // collection gone; nothing to sync
 	}
 	digest, err := rpc.Invoke[DigestResp](ctx, sy.s.bus, sy.s.node, replica, MethodSyncDigest, DigestReq{Name: name})
-	if errors.Is(err, ErrNoCollection) {
-		// The replica has never seen the collection: one full push
-		// creates it.
-		return sy.pushFull(ctx, name, replica)
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrNoCollection) {
 		return err
 	}
-	if digest.Partitions != len(homeVers) {
-		// Layout disagreement: a full push rebuilds the replica's copy at
-		// the home's partition count.
-		return sy.pushFull(ctx, name, replica)
+	var replicaVers []uint64
+	if err == nil && digest.Partitions == len(homeVers) {
+		replicaVers = digest.Versions
 	}
+	stale := make([]int, 0, len(homeVers))
 	for part, homeVer := range homeVers {
-		var replicaVer uint64
-		if part < len(digest.Versions) {
-			replicaVer = digest.Versions[part]
+		if part >= len(replicaVers) || homeVer > replicaVers[part] {
+			stale = append(stale, part)
 		}
-		if homeVer <= replicaVer {
-			continue
-		}
+	}
+	sort.Slice(stale, func(i, j int) bool { return homeVers[stale[i]] < homeVers[stale[j]] })
+	for _, part := range stale {
 		members, version, _, lerr := st.ListPart(name, part, 0)
 		if lerr != nil {
 			return nil // collection gone mid-round
@@ -263,51 +241,15 @@ func (sy *syncer) syncReplica(ctx context.Context, name string, replica netsim.N
 			objs = append(objs, obj)
 		}
 		req := SyncPartReq{Name: name, Partitions: len(homeVers), Part: part, Members: members, Version: version, Objects: objs}
-		resp, perr := rpc.Invoke[SyncPartResp](ctx, sy.s.bus, sy.s.node, replica, MethodSyncPart, req)
-		if perr != nil {
+		if _, perr := rpc.Invoke[SyncPartResp](ctx, sy.s.bus, sy.s.node, replica, MethodSyncPart, req); perr != nil {
 			return perr
-		}
-		if !resp.Applied {
-			// The replica declined (layout raced or the push was stale
-			// against a newer one): one full push settles it.
-			return sy.pushFull(ctx, name, replica)
 		}
 	}
 	return nil
 }
 
-// pushFull is the whole-membership push — the fallback for layout
-// disagreements and replicas seeing the collection for the first time.
-// It ships home-resident member data along with the listing: after a
-// full push the replica's versions match the home's, so no per-partition
-// round would ever carry the objects later.
-func (sy *syncer) pushFull(ctx context.Context, name string, replica netsim.NodeID) error {
-	members, version, _, ok := sy.s.store.SyncState(name)
-	if !ok {
-		return nil
-	}
-	var objs []Object
-	for _, ref := range members {
-		if ref.Node != sy.s.node {
-			continue
-		}
-		obj, gerr := sy.s.store.GetObject(ref.ID)
-		if gerr != nil {
-			continue // deleted since listing; a later round settles it
-		}
-		objs = append(objs, obj)
-	}
-	req := SyncReq{Name: name, Members: members, Version: version, Objects: objs}
-	_, _, err := sy.s.bus.Call(ctx, sy.s.node, replica, MethodSync, req)
-	return err
-}
-
 // handleSyncPart applies a per-partition replication push on a replica.
-func (s *Server) handleSyncPart(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(SyncPartReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleSyncPart(_ context.Context, _ netsim.NodeID, r SyncPartReq) (any, error) {
 	// Install replicated object data before exposing the membership that
 	// lists it, so a reader landing between the two finds the data.
 	for i := range r.Objects {
@@ -324,11 +266,7 @@ func (s *Server) handleSyncPart(ctx context.Context, _ netsim.NodeID, req any) (
 // collection: the per-partition version vector plus how long ago the
 // home last pushed here (AgeMs; -1 when it never has — on the home
 // itself, or a replica that has never been synced).
-func (s *Server) handleSyncDigest(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(DigestReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleSyncDigest(_ context.Context, _ netsim.NodeID, r DigestReq) (any, error) {
 	vers, err := s.store.PartVersions(r.Name)
 	if err != nil {
 		return nil, err

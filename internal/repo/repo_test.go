@@ -514,7 +514,8 @@ func TestReplicationPropagatesAndLags(t *testing.T) {
 		t.Fatalf("replica should be stale, got %v", members)
 	}
 
-	// The next mutation re-pushes the full membership and catches it up.
+	// The next mutation pushes every partition the replica is behind on
+	// and catches it up.
 	r3 := w.mustPut(t, "s1", "m3", "c")
 	if err := w.client.Add(ctx, "dir", "c", r3); err != nil {
 		t.Fatal(err)
@@ -525,10 +526,45 @@ func TestReplicationPropagatesAndLags(t *testing.T) {
 	})
 }
 
-// TestSyncReplicaReturnsDigestErrors pins the anti-entropy fallback to its
-// two real triggers: a replica whose digest fails for any reason other
-// than "no such collection" is an error for the handoff bookkeeping, not
-// an invitation to blindly push the whole membership at it.
+// TestReplicaIgnoresStaleSync drives the replica's side of the push over
+// the wire: a partition push at a version below the one the replica
+// already holds is declined, and the replica keeps what it had.
+func TestReplicaIgnoresStaleSync(t *testing.T) {
+	w := newWorld(t)
+	ctx := context.Background()
+	// Push version 5 then version 3 directly; replica must keep 5.
+	push := func(id ObjectID, version uint64) bool {
+		t.Helper()
+		resp, err := rpc.Invoke[SyncPartResp](ctx, w.bus, "home", "s1", MethodSyncPart, SyncPartReq{
+			Name:       "r",
+			Partitions: 1,
+			Members:    []Ref{{ID: id, Node: "s2"}},
+			Version:    version,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Applied
+	}
+	if !push("new", 5) {
+		t.Fatal("first push declined")
+	}
+	if push("old", 3) {
+		t.Fatal("stale push reported applied")
+	}
+	members, version, err := w.client.List(ctx, "s1", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != 5 || len(members) != 1 || members[0].ID != "new" {
+		t.Fatalf("replica applied stale sync: v%d %v", version, members)
+	}
+}
+
+// TestSyncReplicaReturnsDigestErrors pins the anti-entropy push to its
+// real trigger: a replica whose digest fails for any reason other than
+// "no such collection" is an error for the handoff bookkeeping, not an
+// invitation to blindly push every partition at it.
 func TestSyncReplicaReturnsDigestErrors(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
@@ -543,48 +579,29 @@ func TestSyncReplicaReturnsDigestErrors(t *testing.T) {
 	if err := w.bus.Register(sick); err != nil {
 		t.Fatal(err)
 	}
-	pushes := w.bus.MethodCalls(MethodSync)
+	pushes := w.bus.MethodCalls(MethodSyncPart)
 	if err := w.dirSrv.ae.syncReplica(ctx, "c", "sick"); !errors.Is(err, digestErr) {
 		t.Fatalf("syncReplica = %v, want the digest error", err)
 	}
-	if got := w.bus.MethodCalls(MethodSync) - pushes; got != 0 {
-		t.Fatalf("digest error triggered %d full pushes", got)
+	if got := w.bus.MethodCalls(MethodSyncPart) - pushes; got != 0 {
+		t.Fatalf("digest error triggered %d partition pushes", got)
 	}
 
-	// A replica that has never seen the collection still gets its one
-	// full push.
+	// A replica that has never seen the collection gets every partition
+	// pushed, once, in the same round — and then holds it in the home's
+	// layout.
 	if err := w.dirSrv.ae.syncReplica(ctx, "c", "s2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.bus.MethodCalls(MethodSync) - pushes; got != 1 {
-		t.Fatalf("first contact issued %d full pushes, want 1", got)
-	}
-}
-
-func TestReplicaIgnoresStaleSync(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-	// Push version 5 then version 3 directly; replica must keep 5.
-	if _, err := rpc.Invoke[struct{}](ctx, w.bus, "home", "s1", MethodSync, SyncReq{
-		Name:    "r",
-		Members: []Ref{{ID: "new", Node: "s2"}},
-		Version: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rpc.Invoke[struct{}](ctx, w.bus, "home", "s1", MethodSync, SyncReq{
-		Name:    "r",
-		Members: []Ref{{ID: "old", Node: "s2"}},
-		Version: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	members, version, err := w.client.List(ctx, "s1", "r")
+	parts, err := w.dirSrv.Store().Partitions("c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 5 || len(members) != 1 || members[0].ID != "new" {
-		t.Fatalf("replica applied stale sync: v%d %v", version, members)
+	if got := w.bus.MethodCalls(MethodSyncPart) - pushes; got != int64(parts) {
+		t.Fatalf("first contact issued %d partition pushes, want one per partition (%d)", got, parts)
+	}
+	if got, err := w.s2Srv.Store().Partitions("c"); err != nil || got != parts {
+		t.Fatalf("replica holds %d partitions (%v), want the home's %d", got, err, parts)
 	}
 }
 
@@ -624,12 +641,5 @@ func TestClientAccessors(t *testing.T) {
 	}
 	if w.s1Srv.ObjectCount() != 0 {
 		t.Fatalf("object count = %d", w.s1Srv.ObjectCount())
-	}
-}
-
-func TestSaveFileFailures(t *testing.T) {
-	w := newWorld(t)
-	if err := w.dirSrv.SaveFile("/nonexistent-dir/snap"); err == nil {
-		t.Fatal("save into missing directory succeeded")
 	}
 }

@@ -103,26 +103,25 @@ func (s *Server) Close() {
 }
 
 func (s *Server) register() {
-	s.rpc.Handle(MethodGet, s.renewing(s.handleGet))
-	s.rpc.Handle(MethodGetBatch, s.renewing(s.handleGetBatch))
-	s.rpc.Handle(MethodPut, s.renewing(s.handlePut))
-	s.rpc.Handle(MethodDelete, s.renewing(s.handleDelete))
-	s.rpc.Handle(MethodCreate, s.renewing(s.handleCreate))
-	s.rpc.Handle(MethodList, s.renewing(s.handleList))
-	s.rpc.Handle(MethodListParts, s.renewing(s.handleListParts))
-	s.rpc.Handle(MethodAdd, s.renewing(s.handleAdd))
-	s.rpc.Handle(MethodRemove, s.renewing(s.handleRemove))
-	s.rpc.Handle(MethodPin, s.renewing(s.handlePin))
-	s.rpc.Handle(MethodUnpin, s.renewing(s.handleUnpin))
-	s.rpc.Handle(MethodBeginGrow, s.renewing(s.handleBeginGrow))
-	s.rpc.Handle(MethodEndGrow, s.renewing(s.handleEndGrow))
-	s.rpc.Handle(MethodStats, s.renewing(s.handleStats))
-	s.rpc.Handle(MethodStoreStats, s.renewing(s.handleStoreStats))
-	s.rpc.Handle(MethodSync, s.renewing(s.handleSync))
-	s.rpc.Handle(MethodSyncPart, s.renewing(s.handleSyncPart))
-	s.rpc.Handle(MethodSyncDigest, s.renewing(s.handleSyncDigest))
-	s.rpc.Handle(MethodLease, s.handleLease)
-	s.rpc.Handle(MethodWatch, s.handleWatch)
+	s.rpc.Handle(MethodGet, s.renewing(rpc.Typed(s.handleGet)))
+	s.rpc.Handle(MethodGetBatch, s.renewing(rpc.Typed(s.handleGetBatch)))
+	s.rpc.Handle(MethodPut, s.renewing(rpc.Typed(s.handlePut)))
+	s.rpc.Handle(MethodDelete, s.renewing(rpc.Typed(s.handleDelete)))
+	s.rpc.Handle(MethodCreate, s.renewing(rpc.Typed(s.handleCreate)))
+	s.rpc.Handle(MethodList, s.renewing(rpc.Typed(s.handleList)))
+	s.rpc.Handle(MethodListParts, s.renewing(rpc.Typed(s.handleListParts)))
+	s.rpc.Handle(MethodAdd, s.renewing(rpc.Typed(s.handleAdd)))
+	s.rpc.Handle(MethodRemove, s.renewing(rpc.Typed(s.handleRemove)))
+	s.rpc.Handle(MethodPin, s.renewing(rpc.Typed(s.handlePin)))
+	s.rpc.Handle(MethodUnpin, s.renewing(rpc.Typed(s.handleUnpin)))
+	s.rpc.Handle(MethodBeginGrow, s.renewing(rpc.Typed(s.handleBeginGrow)))
+	s.rpc.Handle(MethodEndGrow, s.renewing(rpc.Typed(s.handleEndGrow)))
+	s.rpc.Handle(MethodStats, s.renewing(rpc.Typed(s.handleStats)))
+	s.rpc.Handle(MethodStoreStats, s.renewing(rpc.Typed(s.handleStoreStats)))
+	s.rpc.Handle(MethodSyncPart, s.renewing(rpc.Typed(s.handleSyncPart)))
+	s.rpc.Handle(MethodSyncDigest, s.renewing(rpc.Typed(s.handleSyncDigest)))
+	s.rpc.Handle(MethodLease, rpc.Typed(s.handleLease))
+	s.rpc.Handle(MethodWatch, rpc.Typed(s.handleWatch))
 }
 
 // renewing wraps a handler with the piggyback lease renewal: any call a
@@ -134,11 +133,7 @@ func (s *Server) renewing(h rpc.Handler) rpc.Handler {
 	}
 }
 
-func (s *Server) handleLease(ctx context.Context, from netsim.NodeID, req any) (any, error) {
-	r, ok := req.(LeaseReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleLease(ctx context.Context, from netsim.NodeID, r LeaseReq) (any, error) {
 	grant := s.leases.grant(from, r.Colls, s.store)
 	for _, coll := range r.Colls {
 		s.journal.Record(obs.Event{
@@ -153,18 +148,11 @@ func (s *Server) handleLease(ctx context.Context, from netsim.NodeID, req any) (
 // Streamer lives until the handler context is cancelled (connection
 // teardown on a real transport, caller cancellation in process), the
 // server closes, or a newer Watch from the same caller supersedes it.
-func (s *Server) handleWatch(ctx context.Context, from netsim.NodeID, req any) (any, error) {
-	if _, ok := req.(WatchReq); !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleWatch(ctx context.Context, from netsim.NodeID, _ WatchReq) (any, error) {
 	return s.leases.watch(ctx, from), nil
 }
 
-func (s *Server) handleGet(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(GetReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleGet(ctx context.Context, _ netsim.NodeID, r GetReq) (any, error) {
 	sp := s.startOp(ctx, "store.get")
 	obj, err := s.store.GetObject(r.ID)
 	sp.End()
@@ -174,11 +162,7 @@ func (s *Server) handleGet(ctx context.Context, _ netsim.NodeID, req any) (any, 
 	return obj, nil
 }
 
-func (s *Server) handleGetBatch(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(GetBatchReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleGetBatch(ctx context.Context, _ netsim.NodeID, r GetBatchReq) (any, error) {
 	sp := s.startOp(ctx, "store.getBatch")
 	sp.SetInt("ids", int64(len(r.IDs)))
 	sp.SetInt("known", int64(len(r.Known)))
@@ -188,11 +172,7 @@ func (s *Server) handleGetBatch(ctx context.Context, _ netsim.NodeID, req any) (
 	return GetBatchResp{Objects: objs, NotModified: notModified, Missing: missing}, nil
 }
 
-func (s *Server) handlePut(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(PutReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handlePut(ctx context.Context, _ netsim.NodeID, r PutReq) (any, error) {
 	sp := s.startOp(ctx, "store.put")
 	v, err := s.store.PutObject(r.Obj)
 	sp.End()
@@ -202,33 +182,21 @@ func (s *Server) handlePut(ctx context.Context, _ netsim.NodeID, req any) (any, 
 	return PutResp{Version: v}, nil
 }
 
-func (s *Server) handleDelete(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(DeleteReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleDelete(ctx context.Context, _ netsim.NodeID, r DeleteReq) (any, error) {
 	if err := s.store.DeleteObject(r.ID); err != nil {
 		return nil, err
 	}
 	return struct{}{}, nil
 }
 
-func (s *Server) handleCreate(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(CreateReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleCreate(ctx context.Context, _ netsim.NodeID, r CreateReq) (any, error) {
 	if err := s.store.CreateCollection(r.Name); err != nil {
 		return nil, err
 	}
 	return struct{}{}, nil
 }
 
-func (s *Server) handleList(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(ListReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleList(ctx context.Context, _ netsim.NodeID, r ListReq) (any, error) {
 	sp := s.startOp(ctx, "store.list")
 	defer sp.End()
 	var (
@@ -344,11 +312,7 @@ func materializeParts(st rpc.Streamer) (any, error) {
 	return resp, nil
 }
 
-func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(ListPartsReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, r ListPartsReq) (any, error) {
 	sp := s.startOp(ctx, "store.listParts")
 	defer sp.End()
 	total, err := s.store.Partitions(r.Name)
@@ -399,11 +363,7 @@ func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, req any) 
 	return st, nil
 }
 
-func (s *Server) handleAdd(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(AddReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleAdd(ctx context.Context, _ netsim.NodeID, r AddReq) (any, error) {
 	sp := s.startOp(ctx, "store.add")
 	v, err := s.store.Add(r.Name, r.Ref)
 	sp.End()
@@ -414,11 +374,7 @@ func (s *Server) handleAdd(ctx context.Context, _ netsim.NodeID, req any) (any, 
 	return MutateResp{Version: v}, nil
 }
 
-func (s *Server) handleRemove(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(RemoveReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleRemove(ctx context.Context, _ netsim.NodeID, r RemoveReq) (any, error) {
 	sp := s.startOp(ctx, "store.remove")
 	_, deferred, v, err := s.store.Remove(r.Name, r.ID)
 	sp.End()
@@ -429,11 +385,7 @@ func (s *Server) handleRemove(ctx context.Context, _ netsim.NodeID, req any) (an
 	return RemoveResp{Deferred: deferred, Version: v}, nil
 }
 
-func (s *Server) handlePin(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(PinReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handlePin(ctx context.Context, _ netsim.NodeID, r PinReq) (any, error) {
 	sp := s.startOp(ctx, "store.pin")
 	pin, err := s.store.Pin(r.Name)
 	sp.End()
@@ -443,22 +395,14 @@ func (s *Server) handlePin(ctx context.Context, _ netsim.NodeID, req any) (any, 
 	return PinResp{Pin: pin}, nil
 }
 
-func (s *Server) handleUnpin(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(UnpinReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleUnpin(ctx context.Context, _ netsim.NodeID, r UnpinReq) (any, error) {
 	if err := s.store.Unpin(r.Name, r.Pin); err != nil {
 		return nil, err
 	}
 	return struct{}{}, nil
 }
 
-func (s *Server) handleBeginGrow(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(BeginGrowReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleBeginGrow(ctx context.Context, _ netsim.NodeID, r BeginGrowReq) (any, error) {
 	token, err := s.store.BeginGrow(r.Name)
 	if err != nil {
 		return nil, err
@@ -466,11 +410,7 @@ func (s *Server) handleBeginGrow(ctx context.Context, _ netsim.NodeID, req any) 
 	return BeginGrowResp{Token: token}, nil
 }
 
-func (s *Server) handleEndGrow(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(EndGrowReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleEndGrow(ctx context.Context, _ netsim.NodeID, r EndGrowReq) (any, error) {
 	reclaim, err := s.store.EndGrow(r.Name, r.Token)
 	if err != nil {
 		return nil, err
@@ -488,11 +428,7 @@ func (s *Server) handleEndGrow(ctx context.Context, _ netsim.NodeID, req any) (a
 	return EndGrowResp{Reclaimed: len(reclaim)}, nil
 }
 
-func (s *Server) handleStats(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(StatsReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleStats(ctx context.Context, _ netsim.NodeID, r StatsReq) (any, error) {
 	c, err := s.store.CollStats(r.Name)
 	if err != nil {
 		return nil, err
@@ -507,35 +443,15 @@ func (s *Server) handleStats(ctx context.Context, _ netsim.NodeID, req any) (any
 	}, nil
 }
 
-func (s *Server) handleStoreStats(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	if _, ok := req.(StoreStatsReq); !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
+func (s *Server) handleStoreStats(ctx context.Context, _ netsim.NodeID, _ StoreStatsReq) (any, error) {
 	return StoreStatsResp{Stats: s.store.Stats()}, nil
-}
-
-// handleSync applies a replication push. Stale pushes (version <= last
-// applied) are ignored, which is what makes replicas observably lag.
-func (s *Server) handleSync(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
-	r, ok := req.(SyncReq)
-	if !ok {
-		return nil, fmt.Errorf("repo: bad request type %T", req)
-	}
-	// Install replicated object data before exposing the membership that
-	// lists it, so a reader landing between the two finds the data.
-	for i := range r.Objects {
-		s.store.InstallObject(r.Objects[i])
-	}
-	s.store.ApplySync(r.Name, r.Members, r.Version)
-	s.lastSync.Store(r.Name, time.Now())
-	return struct{}{}, nil
 }
 
 // ReplicateCollection registers replica nodes for a collection and
 // brings them up to date immediately; from then on every committed
 // mutation kicks an asynchronous anti-entropy round (see antientropy.go).
 func (s *Server) ReplicateCollection(name string, replicas []netsim.NodeID) error {
-	if err := s.store.SetReplicas(name, replicas); err != nil {
+	if _, err := s.store.ListVersion(name); err != nil {
 		return err
 	}
 	s.ae.setReplicas(name, replicas)

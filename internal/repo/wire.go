@@ -8,9 +8,9 @@ import (
 
 // This file is the repository's wire surface: the RPC method names and
 // the request/response structs copied at every RPC boundary. The structs
-// are deliberately codec-agnostic — the TCP transport carries the cold
-// ones as gob blobs inside its frames, and wirebin.go registers
-// hand-rolled binary marshalers for the hot ones (DESIGN.md §11).
+// are deliberately codec-agnostic; wirebin.go registers the hand-rolled
+// binary marshaler each one crosses the TCP transport with (DESIGN.md
+// §11).
 
 // RPC method names served by every repository server.
 const (
@@ -29,7 +29,6 @@ const (
 	MethodEndGrow    = "repo.EndGrow"
 	MethodStats      = "repo.CollStats"
 	MethodStoreStats = "repo.StoreStats"
-	MethodSync       = "repo.Sync"
 	MethodSyncPart   = "repo.SyncPart"
 	MethodSyncDigest = "repo.SyncDigest"
 	MethodLease      = "repo.Lease"
@@ -185,20 +184,10 @@ type (
 	// StoreStatsResp carries the engine's per-operation counters and
 	// latency quantiles.
 	StoreStatsResp struct{ Stats store.EngineStats }
-	// SyncReq is the replication push: full membership at a version,
-	// plus the data of home-resident members so a fresh replica can
-	// serve batch reads immediately (per-partition rounds keep it
-	// current afterwards).
-	SyncReq struct {
-		Name    string
-		Members []Ref
-		Version uint64
-		Objects []Object
-	}
-	// SyncPartReq is the per-partition replication push: one partition's
-	// listed membership at a version, out of Partitions total. It carries
-	// the sender's partition count so a layout disagreement is detected
-	// and declined rather than misapplied.
+	// SyncPartReq is the replication push: one partition's listed
+	// membership at a version, out of Partitions total. It carries the
+	// sender's partition count, which a replica holding the collection in
+	// another layout adopts rather than misapplying the push.
 	SyncPartReq struct {
 		Name       string
 		Partitions int
@@ -212,7 +201,8 @@ type (
 		Objects []Object
 	}
 	// SyncPartResp reports whether the push was applied; Applied=false
-	// asks the sender to fall back to a full SyncReq.
+	// means the replica already held the partition at or above the
+	// pushed version, or the push named a partition out of range.
 	SyncPartResp struct {
 		Applied bool
 	}

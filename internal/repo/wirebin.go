@@ -4,17 +4,19 @@ import (
 	"time"
 
 	"weaksets/internal/netsim"
+	"weaksets/internal/store"
 	"weaksets/internal/wirebin"
 )
 
-// This file registers hand-rolled wirebin marshalers for the hot-path
-// wire structs — the messages the elements hot path ships on every run:
-// ListReq/ListResp (membership), GetReq/Object (single fetch),
-// GetBatchReq/GetBatchResp (the pipelined batch fetch, including the
-// Known-versions and NotModified vectors) — and for the small bodies of
-// Put, Add, Remove, Pin and Unpin. The rest (stats, full sync, grow
-// windows) stays on gob inside the transport's envelope; see DESIGN.md
-// §11 for the frame layout.
+// This file registers a hand-rolled wirebin marshaler for every repository
+// wire struct — wirebin is the only codec the TCP transport speaks, so a
+// body without one cannot cross it. The hot ones carry the elements path
+// on every run: ListReq/ListResp and ListPartsReq/PartListing
+// (membership), GetBatchReq/GetBatchResp (the pipelined batch fetch,
+// including the Known-versions and NotModified vectors), the lease and
+// anti-entropy messages; the rest are the one-to-six-field bodies of the
+// write, pin, grow-window and stats calls. See DESIGN.md §11 for the frame
+// layout.
 //
 // Conventions (held to gob's observable round-trip semantics, which the
 // conformance tests in wirebin_test.go enforce):
@@ -34,112 +36,142 @@ import (
 
 // Stable wirebin type ids. These are part of the protocol: both ends of
 // a connection run the same table, which is what the preamble's version
-// byte stands for. Never renumber — add.
+// byte stands for. Never renumber — add (internal/locksvc continues the
+// table at 38).
 const (
-	wbGetReq       = 1
-	wbObject       = 2
-	wbGetBatchReq  = 3
-	wbGetBatchResp = 4
-	wbListReq      = 5
-	wbListResp     = 6
-	wbListPartsReq = 7
-	wbPartListing  = 8
-	wbListPartsRsp = 9
-	wbLeaseReq     = 10
-	wbLeaseGrant   = 11
-	wbWatchReq     = 12
-	wbInvalidation = 13
-	wbSyncPartReq  = 14
-	wbSyncPartResp = 15
-	wbDigestReq    = 16
-	wbDigestResp   = 17
-	wbPutReq       = 18
-	wbPutResp      = 19
-	wbAddReq       = 20
-	wbRemoveReq    = 21
-	wbRemoveResp   = 22
-	wbMutateResp   = 23
-	wbPinReq       = 24
-	wbPinResp      = 25
-	wbUnpinReq     = 26
-	wbEmpty        = 27 // struct{}{}, the reply of the calls that return nothing
+	wbGetReq         = 1
+	wbObject         = 2
+	wbGetBatchReq    = 3
+	wbGetBatchResp   = 4
+	wbListReq        = 5
+	wbListResp       = 6
+	wbListPartsReq   = 7
+	wbPartListing    = 8
+	wbListPartsRsp   = 9
+	wbLeaseReq       = 10
+	wbLeaseGrant     = 11
+	wbWatchReq       = 12
+	wbInvalidation   = 13
+	wbSyncPartReq    = 14
+	wbSyncPartResp   = 15
+	wbDigestReq      = 16
+	wbDigestResp     = 17
+	wbPutReq         = 18
+	wbPutResp        = 19
+	wbAddReq         = 20
+	wbRemoveReq      = 21
+	wbRemoveResp     = 22
+	wbMutateResp     = 23
+	wbPinReq         = 24
+	wbPinResp        = 25
+	wbUnpinReq       = 26
+	wbEmpty          = 27 // struct{}{}, the reply of the calls that return nothing
+	wbDeleteReq      = 28
+	wbCreateReq      = 29
+	wbBeginGrowReq   = 30
+	wbBeginGrowResp  = 31
+	wbEndGrowReq     = 32
+	wbEndGrowResp    = 33
+	wbStatsReq       = 34
+	wbStatsResp      = 35
+	wbStoreStatsReq  = 36
+	wbStoreStatsResp = 37
 )
 
-// register binds T to a stable wire id with its typed encode/decode pair.
-func register[T any](id uint16, enc func([]byte, T) []byte, dec func(*wirebin.Reader) T) {
-	var sample T
-	wirebin.Register(id, sample,
-		func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
-		func(r *wirebin.Reader) any { return dec(r) })
-}
-
 func init() {
-	register(wbGetReq, appendGetReq, decodeGetReq)
-	register(wbObject, appendObject, decodeObject)
-	register(wbGetBatchReq, appendGetBatchReq, decodeGetBatchReq)
-	register(wbGetBatchResp, appendGetBatchResp, decodeGetBatchResp)
-	register(wbListReq, appendListReq, decodeListReq)
-	register(wbListResp, appendListResp, decodeListResp)
-	register(wbListPartsReq, appendListPartsReq, decodeListPartsReq)
-	register(wbPartListing, appendPartListing, decodePartListing)
-	register(wbListPartsRsp, appendListPartsResp, decodeListPartsResp)
-	register(wbLeaseReq, appendLeaseReq, decodeLeaseReq)
-	register(wbLeaseGrant, appendLeaseGrant, decodeLeaseGrant)
-	register(wbWatchReq,
+	wirebin.Register(wbGetReq, appendGetReq, decodeGetReq)
+	wirebin.Register(wbObject, appendObject, decodeObject)
+	wirebin.Register(wbGetBatchReq, appendGetBatchReq, decodeGetBatchReq)
+	wirebin.Register(wbGetBatchResp, appendGetBatchResp, decodeGetBatchResp)
+	wirebin.Register(wbListReq, appendListReq, decodeListReq)
+	wirebin.Register(wbListResp, appendListResp, decodeListResp)
+	wirebin.Register(wbListPartsReq, appendListPartsReq, decodeListPartsReq)
+	wirebin.Register(wbPartListing, appendPartListing, decodePartListing)
+	wirebin.Register(wbListPartsRsp, appendListPartsResp, decodeListPartsResp)
+	wirebin.Register(wbLeaseReq, appendLeaseReq, decodeLeaseReq)
+	wirebin.Register(wbLeaseGrant, appendLeaseGrant, decodeLeaseGrant)
+	wirebin.Register(wbWatchReq,
 		func(buf []byte, _ WatchReq) []byte { return buf },
 		func(*wirebin.Reader) WatchReq { return WatchReq{} })
-	register(wbInvalidation, appendInvalidation, decodeInvalidation)
-	register(wbSyncPartReq, appendSyncPartReq, decodeSyncPartReq)
-	register(wbSyncPartResp,
+	wirebin.Register(wbInvalidation, appendInvalidation, decodeInvalidation)
+	wirebin.Register(wbSyncPartReq, appendSyncPartReq, decodeSyncPartReq)
+	wirebin.Register(wbSyncPartResp,
 		func(buf []byte, v SyncPartResp) []byte { return wirebin.AppendBool(buf, v.Applied) },
 		func(r *wirebin.Reader) SyncPartResp { return SyncPartResp{Applied: r.Bool()} })
-	register(wbDigestReq,
+	wirebin.Register(wbDigestReq,
 		func(buf []byte, v DigestReq) []byte { return wirebin.AppendString(buf, v.Name) },
 		func(r *wirebin.Reader) DigestReq { return DigestReq{Name: r.String()} })
-	register(wbDigestResp, appendDigestResp, decodeDigestResp)
-	// The write and pin bodies: one to three fields each, but a gob blob
-	// compiles its encoder and decoder per message, which made them most of
-	// what a set-up, a churning writer and a run's Pin/Unpin allocate.
-	register(wbPutReq,
+	wirebin.Register(wbDigestResp, appendDigestResp, decodeDigestResp)
+	wirebin.Register(wbPutReq,
 		func(buf []byte, v PutReq) []byte { return appendObject(buf, v.Obj) },
 		func(r *wirebin.Reader) PutReq { return PutReq{Obj: decodeObject(r)} })
-	register(wbPutResp,
+	wirebin.Register(wbPutResp,
 		func(buf []byte, v PutResp) []byte { return wirebin.AppendUvarint(buf, v.Version) },
 		func(r *wirebin.Reader) PutResp { return PutResp{Version: r.Uvarint()} })
-	register(wbAddReq,
+	wirebin.Register(wbAddReq,
 		func(buf []byte, v AddReq) []byte {
 			return wirebin.AppendString(wirebin.AppendString(wirebin.AppendString(buf, v.Name), string(v.Ref.ID)), string(v.Ref.Node))
 		},
 		func(r *wirebin.Reader) AddReq {
 			return AddReq{Name: r.String(), Ref: Ref{ID: ObjectID(r.String()), Node: netsim.NodeID(r.String())}}
 		})
-	register(wbRemoveReq,
+	wirebin.Register(wbRemoveReq,
 		func(buf []byte, v RemoveReq) []byte {
 			return wirebin.AppendString(wirebin.AppendString(buf, v.Name), string(v.ID))
 		},
 		func(r *wirebin.Reader) RemoveReq { return RemoveReq{Name: r.String(), ID: ObjectID(r.String())} })
-	register(wbRemoveResp,
+	wirebin.Register(wbRemoveResp,
 		func(buf []byte, v RemoveResp) []byte {
 			return wirebin.AppendUvarint(wirebin.AppendBool(buf, v.Deferred), v.Version)
 		},
 		func(r *wirebin.Reader) RemoveResp { return RemoveResp{Deferred: r.Bool(), Version: r.Uvarint()} })
-	register(wbMutateResp,
+	wirebin.Register(wbMutateResp,
 		func(buf []byte, v MutateResp) []byte { return wirebin.AppendUvarint(buf, v.Version) },
 		func(r *wirebin.Reader) MutateResp { return MutateResp{Version: r.Uvarint()} })
-	register(wbPinReq,
+	wirebin.Register(wbPinReq,
 		func(buf []byte, v PinReq) []byte { return wirebin.AppendString(buf, v.Name) },
 		func(r *wirebin.Reader) PinReq { return PinReq{Name: r.String()} })
-	register(wbPinResp,
+	wirebin.Register(wbPinResp,
 		func(buf []byte, v PinResp) []byte { return wirebin.AppendVarint(buf, v.Pin) },
 		func(r *wirebin.Reader) PinResp { return PinResp{Pin: r.Varint()} })
-	register(wbUnpinReq,
+	wirebin.Register(wbUnpinReq,
 		func(buf []byte, v UnpinReq) []byte {
 			return wirebin.AppendVarint(wirebin.AppendString(buf, v.Name), v.Pin)
 		},
 		func(r *wirebin.Reader) UnpinReq { return UnpinReq{Name: r.String(), Pin: r.Varint()} })
-	register(wbEmpty,
+	wirebin.Register(wbEmpty,
 		func(buf []byte, _ struct{}) []byte { return buf },
 		func(*wirebin.Reader) struct{} { return struct{}{} })
+	wirebin.Register(wbDeleteReq,
+		func(buf []byte, v DeleteReq) []byte { return wirebin.AppendString(buf, string(v.ID)) },
+		func(r *wirebin.Reader) DeleteReq { return DeleteReq{ID: ObjectID(r.String())} })
+	wirebin.Register(wbCreateReq,
+		func(buf []byte, v CreateReq) []byte { return wirebin.AppendString(buf, v.Name) },
+		func(r *wirebin.Reader) CreateReq { return CreateReq{Name: r.String()} })
+	wirebin.Register(wbBeginGrowReq,
+		func(buf []byte, v BeginGrowReq) []byte { return wirebin.AppendString(buf, v.Name) },
+		func(r *wirebin.Reader) BeginGrowReq { return BeginGrowReq{Name: r.String()} })
+	wirebin.Register(wbBeginGrowResp,
+		func(buf []byte, v BeginGrowResp) []byte { return wirebin.AppendVarint(buf, v.Token) },
+		func(r *wirebin.Reader) BeginGrowResp { return BeginGrowResp{Token: r.Varint()} })
+	wirebin.Register(wbEndGrowReq,
+		func(buf []byte, v EndGrowReq) []byte {
+			return wirebin.AppendVarint(wirebin.AppendString(buf, v.Name), v.Token)
+		},
+		func(r *wirebin.Reader) EndGrowReq { return EndGrowReq{Name: r.String(), Token: r.Varint()} })
+	wirebin.Register(wbEndGrowResp,
+		func(buf []byte, v EndGrowResp) []byte { return wirebin.AppendVarint(buf, int64(v.Reclaimed)) },
+		func(r *wirebin.Reader) EndGrowResp { return EndGrowResp{Reclaimed: int(r.Varint())} })
+	wirebin.Register(wbStatsReq,
+		func(buf []byte, v StatsReq) []byte { return wirebin.AppendString(buf, v.Name) },
+		func(r *wirebin.Reader) StatsReq { return StatsReq{Name: r.String()} })
+	wirebin.Register(wbStatsResp, appendStatsResp, decodeStatsResp)
+	wirebin.Register(wbStoreStatsReq,
+		func(buf []byte, _ StoreStatsReq) []byte { return buf },
+		func(*wirebin.Reader) StoreStatsReq { return StoreStatsReq{} })
+	wirebin.Register(wbStoreStatsResp,
+		func(buf []byte, v StoreStatsResp) []byte { return appendEngineStats(buf, v.Stats) },
+		func(r *wirebin.Reader) StoreStatsResp { return StoreStatsResp{Stats: decodeEngineStats(r)} })
 }
 
 func appendGetReq(buf []byte, v GetReq) []byte {
@@ -579,5 +611,80 @@ func decodeDigestResp(r *wirebin.Reader) DigestResp {
 		v.Versions = versions
 	}
 	v.AgeMs = r.Varint()
+	return v
+}
+
+func appendStatsResp(buf []byte, v StatsResp) []byte {
+	for _, n := range [...]int{v.Members, v.Ghosts, v.Pins, v.Tokens} {
+		buf = wirebin.AppendVarint(buf, int64(n))
+	}
+	buf = wirebin.AppendUvarint(buf, v.Version)
+	return wirebin.AppendVarint(buf, int64(v.Partitions))
+}
+
+func decodeStatsResp(r *wirebin.Reader) StatsResp {
+	return StatsResp{
+		Members:    int(r.Varint()),
+		Ghosts:     int(r.Varint()),
+		Pins:       int(r.Varint()),
+		Tokens:     int(r.Varint()),
+		Version:    r.Uvarint(),
+		Partitions: int(r.Varint()),
+	}
+}
+
+func appendEngineStats(buf []byte, v store.EngineStats) []byte {
+	buf = wirebin.AppendString(buf, v.Engine)
+	b := v.Batch
+	for _, n := range [...]int64{
+		int64(v.Shards), int64(v.Objects), int64(v.Collections),
+		b.Batches, b.BatchedGets, b.MaxBatch, b.RTTSaved, b.NotModified, b.BytesShipped, b.BytesSaved,
+	} {
+		buf = wirebin.AppendVarint(buf, n)
+	}
+	buf = wirebin.AppendUvarint(buf, uint64(len(v.Ops)))
+	for _, op := range v.Ops {
+		buf = wirebin.AppendString(buf, op.Op)
+		for _, n := range [...]int64{op.Count, op.Errors, int64(op.Mean), int64(op.P50), int64(op.P99)} {
+			buf = wirebin.AppendVarint(buf, n)
+		}
+	}
+	return buf
+}
+
+func decodeEngineStats(r *wirebin.Reader) store.EngineStats {
+	v := store.EngineStats{
+		Engine:      r.String(),
+		Shards:      int(r.Varint()),
+		Objects:     int(r.Varint()),
+		Collections: int(r.Varint()),
+		Batch: store.BatchStats{
+			Batches:      r.Varint(),
+			BatchedGets:  r.Varint(),
+			MaxBatch:     r.Varint(),
+			RTTSaved:     r.Varint(),
+			NotModified:  r.Varint(),
+			BytesShipped: r.Varint(),
+			BytesSaved:   r.Varint(),
+		},
+	}
+	// Each operation costs at least 6 bytes (a name prefix and five
+	// varints); bound the slice by that.
+	n := r.Count(6)
+	if n == 0 || r.Err() != nil {
+		return v
+	}
+	ops := make([]store.OpStats, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ops[i] = store.OpStats{
+			Op:     r.String(),
+			Count:  r.Varint(),
+			Errors: r.Varint(),
+			Mean:   time.Duration(r.Varint()),
+			P50:    time.Duration(r.Varint()),
+			P99:    time.Duration(r.Varint()),
+		}
+	}
+	v.Ops = ops
 	return v
 }

@@ -11,12 +11,13 @@ import (
 	"testing"
 
 	"weaksets/internal/netsim"
+	"weaksets/internal/store"
 	"weaksets/internal/wirebin"
 )
 
-// roundGob round-trips v through a fresh gob stream, the way the
-// transport's fallback envelope carries it: encoded as an interface so
-// the concrete type name rides along.
+// roundGob round-trips v through a fresh gob stream, encoded as an
+// interface so the concrete type name rides along: the reference every
+// wirebin codec is held to.
 func roundGob(t testing.TB, v any) any {
 	t.Helper()
 	gob.Register(GetReq{})
@@ -42,6 +43,20 @@ func roundGob(t testing.TB, v any) any {
 	gob.Register(PinResp{})
 	gob.Register(UnpinReq{})
 	gob.Register(struct{}{})
+	gob.Register(DeleteReq{})
+	gob.Register(CreateReq{})
+	gob.Register(BeginGrowReq{})
+	gob.Register(BeginGrowResp{})
+	gob.Register(EndGrowReq{})
+	gob.Register(EndGrowResp{})
+	gob.Register(StatsReq{})
+	gob.Register(StatsResp{})
+	gob.Register(StoreStatsReq{})
+	gob.Register(StoreStatsResp{})
+	gob.Register(SyncPartReq{})
+	gob.Register(SyncPartResp{})
+	gob.Register(DigestReq{})
+	gob.Register(DigestResp{})
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		t.Fatalf("gob encode: %v", err)
@@ -51,6 +66,17 @@ func roundGob(t testing.TB, v any) any {
 		t.Fatalf("gob decode: %v", err)
 	}
 	return out
+}
+
+// engineStats is a StoreStatsResp body with every field set, nested
+// slice included.
+var engineStats = store.EngineStats{
+	Engine: "sharded", Shards: 16, Objects: 10, Collections: 2,
+	Batch: store.BatchStats{Batches: 4, BatchedGets: 64, MaxBatch: 16, RTTSaved: 60, NotModified: 3, BytesShipped: 1 << 20, BytesSaved: 512},
+	Ops: []store.OpStats{
+		{Op: "getBatch", Count: 4, Errors: 1, Mean: 1500, P50: 1200, P99: 9000},
+		{Op: "list"},
+	},
 }
 
 // roundWirebin round-trips v through the registered wirebin codec.
@@ -77,12 +103,11 @@ func roundWirebin(t testing.TB, v any) any {
 	return out
 }
 
-// TestWirebinGobConformance is the byte-level equivalence proof the
-// negotiation relies on: for every hot message type and every tricky
-// shape (nil vs empty slices and maps, zero versions, tombstones,
+// TestWirebinGobConformance holds every hand-rolled codec to gob's
+// round-trip semantics: for every registered message type and every
+// tricky shape (nil vs empty slices and maps, zero versions, tombstones,
 // unicode ids, big varints), decoding the wirebin form must yield
-// exactly what decoding the gob form yields — so a wirebin connection
-// and a gob connection are observationally identical.
+// exactly what decoding the gob form yields.
 func TestWirebinGobConformance(t *testing.T) {
 	attrs := map[string]string{"cuisine": "chinese", "città": "米兰"}
 	obj := Object{ID: "obj-1", Data: []byte("payload"), Attrs: attrs, Version: 7, Tombstone: true}
@@ -154,6 +179,38 @@ func TestWirebinGobConformance(t *testing.T) {
 		UnpinReq{},
 		UnpinReq{Name: "c", Pin: 1 << 40},
 		struct{}{},
+		DeleteReq{},
+		DeleteReq{ID: "unicode-идентификатор-🦉"},
+		CreateReq{},
+		CreateReq{Name: "c"},
+		BeginGrowReq{},
+		BeginGrowReq{Name: "c"},
+		BeginGrowResp{},
+		BeginGrowResp{Token: -3},
+		BeginGrowResp{Token: 1 << 40},
+		EndGrowReq{},
+		EndGrowReq{Name: "c", Token: 1 << 40},
+		EndGrowResp{},
+		EndGrowResp{Reclaimed: 7},
+		StatsReq{},
+		StatsReq{Name: "unicode-коллекция-🦉"},
+		StatsResp{},
+		StatsResp{Members: 3, Ghosts: 1, Pins: 2, Tokens: 1, Version: 1<<64 - 1, Partitions: 16},
+		StoreStatsReq{},
+		StoreStatsResp{},
+		StoreStatsResp{Stats: engineStats},
+		StoreStatsResp{Stats: store.EngineStats{Engine: "locked", Ops: []store.OpStats{}}},
+		SyncPartReq{},
+		SyncPartReq{Name: "c", Partitions: 16, Part: 15, Version: 1<<64 - 1,
+			Members: []Ref{{ID: "a", Node: "n1"}}, Objects: []Object{obj, {ID: "two"}}},
+		SyncPartReq{Members: []Ref{}, Objects: []Object{}},
+		SyncPartResp{},
+		SyncPartResp{Applied: true},
+		DigestReq{},
+		DigestReq{Name: "c"},
+		DigestResp{},
+		DigestResp{Partitions: 3, Versions: []uint64{0, 9, 1 << 40}, AgeMs: -1},
+		DigestResp{Versions: []uint64{}},
 	}
 	for _, in := range cases {
 		in := in
@@ -191,6 +248,18 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 		RemoveReq{Name: "c", ID: "a"},
 		RemoveResp{Deferred: true, Version: 300},
 		UnpinReq{Name: "c", Pin: 300},
+		DeleteReq{ID: "a"},
+		CreateReq{Name: "c"},
+		BeginGrowReq{Name: "c"},
+		BeginGrowResp{Token: 300},
+		EndGrowReq{Name: "c", Token: 300},
+		EndGrowResp{Reclaimed: 300},
+		StatsReq{Name: "c"},
+		StatsResp{Members: 3, Ghosts: 1, Pins: 2, Tokens: 1, Version: 300, Partitions: 16},
+		StoreStatsResp{Stats: engineStats},
+		SyncPartReq{Name: "c", Partitions: 4, Part: 1, Version: 7, Members: []Ref{{ID: "a", Node: "n1"}},
+			Objects: []Object{{ID: "a", Data: []byte("dddd"), Version: 2}}},
+		DigestResp{Partitions: 2, Versions: []uint64{3, 300}, AgeMs: 12},
 	}
 	for _, msg := range msgs {
 		msg := msg
@@ -215,7 +284,7 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 	}
 }
 
-// FuzzWirebinDecode throws arbitrary bytes at every registered hot-type
+// FuzzWirebinDecode throws arbitrary bytes at every registered repository
 // decoder. The server feeds these decoders straight from the socket, so
 // they must never panic and never allocate proportionally to a lying
 // length prefix (the reader bounds every count by the remaining frame).
@@ -242,17 +311,24 @@ func FuzzWirebinDecode(f *testing.F) {
 		PinReq{Name: "c"},
 		PinResp{Pin: -5},
 		UnpinReq{Name: "c", Pin: 5},
+		DeleteReq{ID: "o"},
+		CreateReq{Name: "c"},
+		BeginGrowReq{Name: "c"},
+		BeginGrowResp{Token: 4},
+		EndGrowReq{Name: "c", Token: 4},
+		EndGrowResp{Reclaimed: 2},
+		StatsReq{Name: "c"},
+		StatsResp{Members: 3, Ghosts: 1, Pins: 2, Tokens: 1, Version: 9, Partitions: 16},
+		StoreStatsResp{Stats: engineStats},
 	}
 	for _, v := range seedVals {
 		_, enc, _ := wirebin.Lookup(v)
 		f.Add(enc(nil, v))
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	ids := []uint16{wbGetReq, wbObject, wbGetBatchReq, wbGetBatchResp, wbListReq, wbListResp, wbListPartsReq, wbPartListing, wbListPartsRsp,
-		wbLeaseReq, wbLeaseGrant, wbWatchReq, wbInvalidation,
-		wbPutReq, wbPutResp, wbAddReq, wbRemoveReq, wbRemoveResp, wbMutateResp, wbPinReq, wbPinResp, wbUnpinReq, wbEmpty}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, id := range ids {
+		// Every id the repository registers, 1 through the last.
+		for id := uint16(wbGetReq); id <= wbStoreStatsResp; id++ {
 			dec, _ := wirebin.ByID(id)
 			var r wirebin.Reader
 			r.Reset(data)

@@ -53,6 +53,18 @@ type Streamer interface {
 // handler that issues further calls should pass it along.
 type Handler func(ctx context.Context, from netsim.NodeID, req any) (any, error)
 
+// Typed adapts a handler that takes its request already typed: a request
+// of any other type fails the call without reaching h.
+func Typed[Req any](h func(ctx context.Context, from netsim.NodeID, req Req) (any, error)) Handler {
+	return func(ctx context.Context, from netsim.NodeID, req any) (any, error) {
+		r, ok := req.(Req)
+		if !ok {
+			return nil, fmt.Errorf("rpc: bad request type %T", req)
+		}
+		return h(ctx, from, r)
+	}
+}
+
 // Server is the per-node dispatch table.
 type Server struct {
 	node netsim.NodeID

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,13 +25,9 @@ func testBus(t *testing.T) *Bus {
 	n.AddNode("server")
 	b := NewBus(n)
 	srv := NewServer("server")
-	srv.Handle("echo", func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-		r, ok := req.(echoReq)
-		if !ok {
-			return nil, errors.New("bad type")
-		}
+	srv.Handle("echo", Typed(func(_ context.Context, _ netsim.NodeID, r echoReq) (any, error) {
 		return echoResp{Msg: r.Msg}, nil
-	})
+	}))
 	srv.Handle("fail", func(context.Context, netsim.NodeID, any) (any, error) {
 		return nil, errBoom
 	})
@@ -70,6 +67,14 @@ func TestInvokeWrongType(t *testing.T) {
 	_, err := Invoke[int](context.Background(), b, "client", "server", "echo", echoReq{Msg: "x"})
 	if err == nil {
 		t.Fatal("expected type error")
+	}
+}
+
+func TestTypedRejectsOtherRequestTypes(t *testing.T) {
+	b := testBus(t)
+	_, _, err := b.Call(context.Background(), "client", "server", "echo", echoResp{Msg: "x"})
+	if err == nil || !strings.Contains(err.Error(), "bad request type rpc.echoResp") {
+		t.Fatalf("err = %v, want the bad request type naming rpc.echoResp", err)
 	}
 }
 

@@ -3,15 +3,12 @@ package store
 import (
 	"fmt"
 	"sort"
-
-	"weaksets/internal/netsim"
 )
 
 // DefaultPartitions is the listing partition count used when an engine's
 // configuration leaves it 0. Partition membership is by FNV-1a hash of
-// the object ID, so a collection's partition layout is stable across
-// restarts as long as the count is (the count is persisted with the
-// collection).
+// the object ID, so two nodes holding a collection in the same count
+// agree on its layout (a replica adopts its home's count).
 const DefaultPartitions = 16
 
 // collPart is one listing partition: an independent slice of the
@@ -49,11 +46,6 @@ type collState struct {
 	nextPin       int64
 	tokens        map[int64]bool
 	nextToken     int64
-	// replicas are nodes receiving lazy pushes of this collection.
-	replicas []netsim.NodeID
-	// replicaVersion, on a replica, is the version of the last applied
-	// sync; pushes with older versions are ignored.
-	replicaVersion uint64
 }
 
 func newCollState(name string, partitions int) *collState {
@@ -267,26 +259,6 @@ func (c *collState) stats() CollStats {
 	}
 }
 
-// applySync applies a replication push and reports whether it changed
-// the collection (stale pushes are ignored). A push replaces the whole
-// membership, so every partition is rebuilt and stamped with the push's
-// version.
-func (c *collState) applySync(members []Ref, version uint64) bool {
-	if version <= c.replicaVersion {
-		return false
-	}
-	c.replicaVersion = version
-	c.version = version
-	for pi := range c.parts {
-		c.parts[pi].members = make(map[ObjectID]Ref)
-		c.parts[pi].version = version
-	}
-	for _, ref := range members {
-		c.parts[c.partOf(ref.ID)].members[ref.ID] = ref
-	}
-	return true
-}
-
 // partVersions copies the per-partition version vector.
 func (c *collState) partVersions() []uint64 {
 	out := make([]uint64, len(c.parts))
@@ -296,17 +268,28 @@ func (c *collState) partVersions() []uint64 {
 	return out
 }
 
-// applySyncPart applies a per-partition replication push and reports
-// whether it was accepted. The push carries the sender's partition count
-// so a layout disagreement is detected and declined (the caller falls
-// back to a full sync) instead of scattering members into the wrong
-// partitions; a push at or below the partition's own version is stale
-// and also declined. Accepted pushes replace only that partition's
-// listed membership and advance the collection version monotonically.
-func (c *collState) applySyncPart(partitions, part int, members []Ref, version uint64) bool {
-	if partitions != len(c.parts) || part < 0 || part >= len(c.parts) {
-		return false
-	}
+// maxSyncPartitions bounds the partition count a replication push may lay
+// a replica's collection out in: the count arrives off the wire, and the
+// replica sizes its partition table by it.
+const maxSyncPartitions = 1 << 12
+
+// syncLayoutOK reports whether a push's partition count and index are in
+// range — checked before an engine creates or re-lays out a collection
+// for it.
+func syncLayoutOK(partitions, part int) bool {
+	return partitions > 0 && partitions <= maxSyncPartitions && part >= 0 && part < partitions
+}
+
+// applySyncPart applies a per-partition replication push to a collection
+// the engine has already laid out in the sender's partition count, and
+// reports whether it was accepted: a push at or below the partition's own
+// version is stale and declined. Accepted pushes replace only that
+// partition's listed membership and move the collection version, as
+// every listing change must: to the pushed version when that is ahead,
+// one step otherwise — a push landing after a newer one for another
+// partition still changes the listing, and a listing cached at the old
+// version must not outlive it.
+func (c *collState) applySyncPart(part int, members []Ref, version uint64) bool {
 	p := &c.parts[part]
 	if version <= p.version {
 		return false
@@ -319,44 +302,8 @@ func (c *collState) applySyncPart(partitions, part int, members []Ref, version u
 	p.version = version
 	if version > c.version {
 		c.version = version
-	}
-	if version > c.replicaVersion {
-		c.replicaVersion = version
+	} else {
+		c.version++
 	}
 	return true
-}
-
-// exportState captures the durable image of the collection.
-func (c *collState) exportState() CollectionState {
-	return CollectionState{
-		Name:           c.name,
-		Version:        c.version,
-		ReplicaVersion: c.replicaVersion,
-		Partitions:     len(c.parts),
-		Members:        c.memberSnapshot(),
-		Replicas:       append([]netsim.NodeID(nil), c.replicas...),
-	}
-}
-
-// collFromState rebuilds a collection from its durable image.
-// defaultPartitions covers images persisted before listings were
-// partitioned (Partitions == 0); every partition starts at the image's
-// version, so version-gated reads against a restored collection are
-// conservative rather than falsely NotModified.
-func collFromState(cs CollectionState, defaultPartitions int) *collState {
-	partitions := cs.Partitions
-	if partitions <= 0 {
-		partitions = defaultPartitions
-	}
-	c := newCollState(cs.Name, partitions)
-	c.version = cs.Version
-	c.replicaVersion = cs.ReplicaVersion
-	c.replicas = append([]netsim.NodeID(nil), cs.Replicas...)
-	for _, ref := range cs.Members {
-		c.parts[c.partOf(ref.ID)].members[ref.ID] = ref
-	}
-	for pi := range c.parts {
-		c.parts[pi].version = cs.Version
-	}
-	return c
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"weaksets/internal/netsim"
 )
 
 // Locked is the original storage engine: one mutex in front of the
@@ -346,49 +344,6 @@ func (s *Locked) CollStats(name string) (CollStats, error) {
 	return c.stats(), nil
 }
 
-// SetReplicas implements Store.
-func (s *Locked) SetReplicas(name string, replicas []netsim.NodeID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, err := s.coll(name)
-	if err != nil {
-		return err
-	}
-	c.replicas = append([]netsim.NodeID(nil), replicas...)
-	return nil
-}
-
-// SyncState implements Store.
-func (s *Locked) SyncState(name string) (members []Ref, version uint64, replicas []netsim.NodeID, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, found := s.colls[name]
-	if !found {
-		return nil, 0, nil, false
-	}
-	return c.listedMembers(), c.version, append([]netsim.NodeID(nil), c.replicas...), true
-}
-
-// ApplySync implements Store.
-func (s *Locked) ApplySync(name string, members []Ref, version uint64) {
-	var err error
-	defer s.ins.observe(OpSync, time.Now(), &err)
-	var applied bool
-	defer func() {
-		if applied {
-			s.watch.fire(ChangeEvent{Coll: name, Part: PartAll, Version: version})
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, found := s.colls[name]
-	if !found {
-		c = newCollState(name, s.partitions)
-		s.colls[name] = c
-	}
-	applied = c.applySync(members, version)
-}
-
 // PartVersions implements Store.
 func (s *Locked) PartVersions(name string) ([]uint64, error) {
 	s.mu.Lock()
@@ -404,6 +359,9 @@ func (s *Locked) PartVersions(name string) ([]uint64, error) {
 func (s *Locked) ApplySyncPart(name string, partitions, part int, members []Ref, version uint64) bool {
 	var err error
 	defer s.ins.observe(OpSyncPart, time.Now(), &err)
+	if !syncLayoutOK(partitions, part) {
+		return false
+	}
 	var applied bool
 	defer func() {
 		if applied {
@@ -413,41 +371,12 @@ func (s *Locked) ApplySyncPart(name string, partitions, part int, members []Ref,
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, found := s.colls[name]
-	if !found {
-		c = newCollState(name, s.partitions)
+	if !found || c.partitions() != partitions {
+		c = newCollState(name, partitions)
 		s.colls[name] = c
 	}
-	applied = c.applySyncPart(partitions, part, members, version)
+	applied = c.applySyncPart(part, members, version)
 	return applied
-}
-
-// Export implements Store.
-func (s *Locked) Export() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := State{Objects: make([]Object, 0, len(s.objects))}
-	for _, obj := range s.objects {
-		st.Objects = append(st.Objects, obj.Clone())
-	}
-	for _, c := range s.colls {
-		st.Collections = append(st.Collections, c.exportState())
-	}
-	return st
-}
-
-// Import implements Store.
-func (s *Locked) Import(st State) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.objects = make(map[ObjectID]Object, len(st.Objects))
-	s.floors = make(map[ObjectID]uint64)
-	for _, obj := range st.Objects {
-		s.objects[obj.ID] = obj.Clone()
-	}
-	s.colls = make(map[string]*collState, len(st.Collections))
-	for _, cs := range st.Collections {
-		s.colls[cs.Name] = collFromState(cs, s.partitions)
-	}
 }
 
 // Stats implements Store.

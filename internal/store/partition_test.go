@@ -226,10 +226,4 @@ func TestPartitionCountConfigured(t *testing.T) {
 	if total, err := st.Partitions("c"); err != nil || total != 5 {
 		t.Fatalf("partitions = %d, %v (want 5)", total, err)
 	}
-	// The count is part of the durable image: a restore keeps the layout.
-	st2 := NewSharded(Config{Shards: 2})
-	st2.Import(st.Export())
-	if total, err := st2.Partitions("c"); err != nil || total != 5 {
-		t.Fatalf("restored partitions = %d, %v (want 5)", total, err)
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"weaksets/internal/netsim"
 )
 
 // Config sizes a sharded engine.
@@ -57,7 +55,7 @@ type objShard struct {
 	// Per-id version monotonicity is what makes conditional GetBatch's
 	// equality check sound: without it a delete/re-put cycle could land
 	// back on a version a client already cached (ABA) and validate a
-	// stale copy. Floors are soft state — Import starts them fresh.
+	// stale copy.
 	floors map[ObjectID]uint64
 }
 
@@ -510,56 +508,6 @@ func (s *Sharded) CollStats(name string) (CollStats, error) {
 	return c.st.stats(), nil
 }
 
-// SetReplicas implements Store.
-func (s *Sharded) SetReplicas(name string, replicas []netsim.NodeID) error {
-	c, err := s.coll(name)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.st.replicas = append([]netsim.NodeID(nil), replicas...)
-	return nil
-}
-
-// SyncState implements Store. The membership and version come from the
-// listed snapshot, so a push always carries a consistent image.
-func (s *Sharded) SyncState(name string) (members []Ref, version uint64, replicas []netsim.NodeID, ok bool) {
-	s.collMu.RLock()
-	c, found := s.colls[name]
-	s.collMu.RUnlock()
-	if !found {
-		return nil, 0, nil, false
-	}
-	l := c.snapshot()
-	c.mu.RLock()
-	replicas = append([]netsim.NodeID(nil), c.st.replicas...)
-	c.mu.RUnlock()
-	return append([]Ref(nil), l.members...), l.version, replicas, true
-}
-
-// ApplySync implements Store.
-func (s *Sharded) ApplySync(name string, members []Ref, version uint64) {
-	var err error
-	defer s.ins.observe(OpSync, time.Now(), &err)
-	s.collMu.Lock()
-	c, found := s.colls[name]
-	if !found {
-		c = newShardedColl(newCollState(name, s.partitions))
-		s.colls[name] = c
-	}
-	s.collMu.Unlock()
-	c.mu.Lock()
-	applied := c.st.applySync(members, version)
-	if applied {
-		c.syncVersions()
-	}
-	c.mu.Unlock()
-	if applied {
-		s.watch.fire(ChangeEvent{Coll: name, Part: PartAll, Version: version})
-	}
-}
-
 // PartVersions implements Store. It is lock-free: the vector rides the
 // atomic per-partition mirrors maintained by writers.
 func (s *Sharded) PartVersions(name string) ([]uint64, error) {
@@ -574,19 +522,25 @@ func (s *Sharded) PartVersions(name string) ([]uint64, error) {
 	return out, nil
 }
 
-// ApplySyncPart implements Store.
+// ApplySyncPart implements Store. A collection in another layout is
+// replaced rather than re-laid out in place: readers size their
+// partition reads by the lock-free version mirrors, so the count of a
+// published shardedColl never changes.
 func (s *Sharded) ApplySyncPart(name string, partitions, part int, members []Ref, version uint64) bool {
 	var err error
 	defer s.ins.observe(OpSyncPart, time.Now(), &err)
+	if !syncLayoutOK(partitions, part) {
+		return false
+	}
 	s.collMu.Lock()
 	c, found := s.colls[name]
-	if !found {
-		c = newShardedColl(newCollState(name, s.partitions))
+	if !found || len(c.pver) != partitions {
+		c = newShardedColl(newCollState(name, partitions))
 		s.colls[name] = c
 	}
 	s.collMu.Unlock()
 	c.mu.Lock()
-	applied := c.st.applySyncPart(partitions, part, members, version)
+	applied := c.st.applySyncPart(part, members, version)
 	if applied {
 		c.syncVersions()
 	}
@@ -595,48 +549,6 @@ func (s *Sharded) ApplySyncPart(name string, partitions, part int, members []Ref
 		s.watch.fire(ChangeEvent{Coll: name, Part: part, Version: version})
 	}
 	return applied
-}
-
-// Export implements Store.
-func (s *Sharded) Export() State {
-	var st State
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, obj := range sh.objects {
-			st.Objects = append(st.Objects, obj.Clone())
-		}
-		sh.mu.RUnlock()
-	}
-	s.collMu.RLock()
-	defer s.collMu.RUnlock()
-	for _, c := range s.colls {
-		c.mu.RLock()
-		st.Collections = append(st.Collections, c.st.exportState())
-		c.mu.RUnlock()
-	}
-	return st
-}
-
-// Import implements Store.
-func (s *Sharded) Import(st State) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.objects = make(map[ObjectID]Object)
-		sh.floors = make(map[ObjectID]uint64)
-		sh.mu.Unlock()
-	}
-	for _, obj := range st.Objects {
-		sh := s.shardFor(obj.ID)
-		sh.mu.Lock()
-		sh.objects[obj.ID] = obj.Clone()
-		sh.mu.Unlock()
-	}
-	s.collMu.Lock()
-	defer s.collMu.Unlock()
-	s.colls = make(map[string]*shardedColl, len(st.Collections))
-	for _, cs := range st.Collections {
-		s.colls[cs.Name] = newShardedColl(collFromState(cs, s.partitions))
-	}
 }
 
 // Stats implements Store.

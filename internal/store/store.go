@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"weaksets/internal/metrics"
-	"weaksets/internal/netsim"
 )
 
 // Store is the storage engine behind one repository node. All methods
@@ -81,28 +80,21 @@ type Store interface {
 	// CollStats reports one collection's counters.
 	CollStats(name string) (CollStats, error)
 
-	// Replication bookkeeping (the push itself is the adapter's job).
+	// Replication (the push itself, and the replica set, are the
+	// adapter's).
 
-	// SetReplicas records the nodes receiving lazy pushes of the
-	// collection.
-	SetReplicas(name string, replicas []netsim.NodeID) error
-	// SyncState reads what a replication push needs: the current
-	// listing, its version, and the replica set. ok is false for an
-	// unknown collection.
-	SyncState(name string) (members []Ref, version uint64, replicas []netsim.NodeID, ok bool)
-	// ApplySync applies a replication push, creating the collection if
-	// needed and ignoring stale pushes (version <= last applied) — which
-	// is what makes replicas observably lag.
-	ApplySync(name string, members []Ref, version uint64)
 	// PartVersions reads the per-partition version vector — what an
 	// anti-entropy digest ships so the home can push only the partitions
 	// a replica is actually behind on.
 	PartVersions(name string) ([]uint64, error)
 	// ApplySyncPart applies a per-partition replication push: partition
 	// part's listed membership at the given version, out of `partitions`
-	// total. It reports false (declining the push) when the partition
-	// layouts disagree or the push is stale — the caller then falls back
-	// to a full ApplySync. The collection is created if needed.
+	// total. The collection is created if needed, laid out in the
+	// sender's partition count; a collection laid out differently starts
+	// over empty in the sender's layout, so the home's pushes of every
+	// partition rebuild it. A push at or below the partition's version is
+	// stale and declined (applied=false) — which is what makes replicas
+	// observably lag — as is a partition index or count out of range.
 	ApplySyncPart(name string, partitions, part int, members []Ref, version uint64) (applied bool)
 
 	// InstallObject installs a replicated object at the version it
@@ -125,20 +117,12 @@ type Store interface {
 	// out of version order, so consumers must fold by max version.
 	OnListingChange(fn func(ChangeEvent))
 
-	// Persistence.
-
-	// Export returns the durable image of the engine.
-	Export() State
-	// Import replaces the engine's state with a durable image.
-	Import(State)
-
 	// Stats reports the engine's instrumentation snapshot.
 	Stats() EngineStats
 }
 
 // PartAll marks a ChangeEvent that moved more than one partition (ghost
-// GC, replication sync) — consumers should treat the whole listing as
-// changed.
+// GC) — consumers should treat the whole listing as changed.
 const PartAll = -1
 
 // ChangeEvent is one committed listing change, as delivered to
@@ -196,7 +180,6 @@ const (
 	OpUnpin
 	OpBeginGrow
 	OpEndGrow
-	OpSync
 	OpSyncPart
 	OpInstall
 	opCount
@@ -204,8 +187,8 @@ const (
 
 var opNames = [opCount]string{
 	"get", "getBatch", "put", "delete", "list", "listPart", "listPinned",
-	"add", "remove", "pin", "unpin", "beginGrow", "endGrow", "sync",
-	"syncPart", "install",
+	"add", "remove", "pin", "unpin", "beginGrow", "endGrow", "syncPart",
+	"install",
 }
 
 func (o Op) String() string {

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"weaksets/internal/netsim"
 )
 
 // engines runs a subtest against both Store implementations so the
@@ -536,53 +534,101 @@ func TestNestedGrowWindows(t *testing.T) {
 	})
 }
 
+// TestApplySyncStaleIgnored is the replica's side of the one push path: a
+// per-partition push at or below the partition's version is declined and
+// leaves the replica as it was, which is what makes replicas observably
+// lag instead of regress.
 func TestApplySyncStaleIgnored(t *testing.T) {
 	engines(t, func(t *testing.T, st Store) {
-		st.ApplySync("c", []Ref{{ID: "x", Node: "n1"}}, 5)
+		if !st.ApplySyncPart("c", 1, 0, []Ref{{ID: "new", Node: "n1"}}, 5) {
+			t.Fatal("first push declined")
+		}
 		members, v, err := st.List("c")
 		if err != nil || v != 5 || len(members) != 1 {
 			t.Fatalf("sync created: %v v=%d %v", memberIDs(members), v, err)
 		}
-		// Stale push ignored.
-		st.ApplySync("c", []Ref{{ID: "y", Node: "n1"}}, 3)
+		for _, stale := range []uint64{3, 5} {
+			if st.ApplySyncPart("c", 1, 0, []Ref{{ID: "old", Node: "n1"}}, stale) {
+				t.Fatalf("push at v%d over v5 applied", stale)
+			}
+		}
 		members, v, _ = st.List("c")
-		if v != 5 || members[0].ID != "x" {
+		if v != 5 || len(members) != 1 || members[0].ID != "new" {
 			t.Fatalf("stale push applied: %v v=%d", memberIDs(members), v)
 		}
-		// Newer push applied.
-		st.ApplySync("c", []Ref{{ID: "y", Node: "n1"}}, 9)
+		if !st.ApplySyncPart("c", 1, 0, []Ref{{ID: "newer", Node: "n1"}}, 9) {
+			t.Fatal("fresh push declined")
+		}
 		members, v, _ = st.List("c")
-		if v != 9 || members[0].ID != "y" {
+		if v != 9 || len(members) != 1 || members[0].ID != "newer" {
 			t.Fatalf("fresh push dropped: %v v=%d", memberIDs(members), v)
 		}
 	})
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
+// TestApplySyncPartMovesTheListing pushes two partitions newest first, as
+// a round over partitions in index order can: the older push still
+// changes the listing, so it must move the list version and show in the
+// next List, whatever was read (and cached) in between.
+func TestApplySyncPartMovesTheListing(t *testing.T) {
+	engines(t, func(t *testing.T, st Store) {
+		st.ApplySyncPart("c", 2, 1, []Ref{{ID: "newer", Node: "n1"}}, 9)
+		before, v9, _ := st.List("c")
+		if len(before) != 1 || v9 != 9 {
+			t.Fatalf("after the v9 push: %v v=%d", memberIDs(before), v9)
+		}
+		if !st.ApplySyncPart("c", 2, 0, []Ref{{ID: "older", Node: "n1"}}, 5) {
+			t.Fatal("a v5 push to a partition at v0 was declined")
+		}
+		after, v, _ := st.List("c")
+		if len(after) != 2 || v <= v9 {
+			t.Fatalf("after the v5 push: %v v=%d, want both members at a version past %d", memberIDs(after), v, v9)
+		}
+		if lv, _ := st.ListVersion("c"); lv != v {
+			t.Fatalf("ListVersion = %d, List says %d", lv, v)
+		}
+	})
+}
+
+// TestApplySyncPartAdoptsSenderLayout holds both engines to the layout
+// rule: a push creates the collection in the sender's partition count,
+// a collection in another count starts over in the sender's, and a count
+// or index out of range is declined without touching the collection.
+func TestApplySyncPartAdoptsSenderLayout(t *testing.T) {
 	engines(t, func(t *testing.T, st Store) {
 		mustColl(t, st, "c")
-		st.Add("c", mustPut(t, st, "a"))
-		st.Add("c", mustPut(t, st, "b"))
-		st.Remove("c", "b")
-		st.SetReplicas("c", []netsim.NodeID{"r1", "r2"})
+		st.Add("c", mustPut(t, st, "local"))
+		if total, _ := st.Partitions("c"); total != DefaultPartitions {
+			t.Fatalf("created with %d partitions, want %d", total, DefaultPartitions)
+		}
+		for _, bad := range [][2]int{{0, 0}, {4, 4}, {4, -1}, {maxSyncPartitions + 1, 0}} {
+			if st.ApplySyncPart("c", bad[0], bad[1], []Ref{{ID: "x", Node: "n1"}}, 7) {
+				t.Fatalf("push to partition %d of %d applied", bad[1], bad[0])
+			}
+		}
+		if total, _ := st.Partitions("c"); total != DefaultPartitions {
+			t.Fatalf("an out-of-range push re-laid the collection out in %d partitions", total)
+		}
 
-		img := st.Export()
+		if !st.ApplySyncPart("c", 4, 2, []Ref{{ID: "x", Node: "n1"}}, 7) {
+			t.Fatal("push in the sender's layout declined")
+		}
+		if total, _ := st.Partitions("c"); total != 4 {
+			t.Fatalf("partitions = %d after a 4-partition push, want 4", total)
+		}
+		members, _, _ := st.List("c")
+		if len(members) != 1 || members[0].ID != "x" {
+			t.Fatalf("re-laid out collection lists %v, want just the pushed member", memberIDs(members))
+		}
+		if vers, _ := st.PartVersions("c"); !reflect.DeepEqual(vers, []uint64{0, 0, 7, 0}) {
+			t.Fatalf("part versions = %v", vers)
+		}
 
-		fresh := NewSharded(Config{Shards: 2})
-		fresh.Import(img)
-		members, v, err := fresh.List("c")
-		if err != nil || v != 3 {
-			t.Fatalf("imported list = v%d %v", v, err)
+		if !st.ApplySyncPart("fresh", 3, 0, nil, 1) {
+			t.Fatal("first push to an unknown collection declined")
 		}
-		if len(members) != 1 || members[0].ID != "a" {
-			t.Fatalf("imported members = %v", memberIDs(members))
-		}
-		if fresh.ObjectCount() != 2 {
-			t.Fatalf("imported objects = %d", fresh.ObjectCount())
-		}
-		_, _, replicas, ok := fresh.SyncState("c")
-		if !ok || len(replicas) != 2 {
-			t.Fatalf("imported replicas = %v ok=%v", replicas, ok)
+		if total, _ := st.Partitions("fresh"); total != 3 {
+			t.Fatalf("created by a push with %d partitions, want the sender's 3", total)
 		}
 	})
 }

@@ -98,25 +98,3 @@ type CollStats struct {
 	Version    uint64
 	Partitions int
 }
-
-// CollectionState is the durable image of one collection. Run-scoped
-// soft state — pins, grow windows, ghosts — is deliberately absent: it
-// belongs to iterator runs, and a restarted node correctly forgets runs
-// that died with it.
-type CollectionState struct {
-	Name           string
-	Version        uint64
-	ReplicaVersion uint64
-	// Partitions is the listing partition count the collection was
-	// created with; 0 (images persisted before listings were
-	// partitioned) restores with the engine's default.
-	Partitions int
-	Members    []Ref
-	Replicas   []netsim.NodeID
-}
-
-// State is the durable image of a whole engine, used by persistence.
-type State struct {
-	Objects     []Object
-	Collections []CollectionState
-}

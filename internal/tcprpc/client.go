@@ -135,7 +135,6 @@ type clientConn struct {
 // caller to handlers (the node name handlers see). The connection is
 // established lazily on first call.
 func Dial(addr, from string) *Client {
-	registerWireTypes()
 	return &Client{addr: addr, from: from, DialTimeout: 5 * time.Second}
 }
 
@@ -241,6 +240,11 @@ func (c *Client) Call(ctx context.Context, method string, req any) (any, error) 
 }
 
 func (c *Client) do(ctx context.Context, method string, req any) (any, error) {
+	// A body the connection cannot carry fails this call here, before it
+	// is queued: the write loop fails the whole connection on an error.
+	if err := encodable(req); err != nil {
+		return nil, fmt.Errorf("tcprpc: %s: %w", method, err)
+	}
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
@@ -363,6 +367,9 @@ func (s *ClientStream) abandon() {
 func (c *Client) CallStream(ctx context.Context, method string, req any) (*ClientStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err := encodable(req); err != nil {
+		return nil, fmt.Errorf("tcprpc: %s: %w", method, err)
 	}
 	cc, err := c.conn()
 	if err != nil {

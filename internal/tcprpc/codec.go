@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ const (
 
 // Envelope flag bits (inside the frame).
 const (
-	bfGobBody = 1 << 0 // body is a self-contained gob blob, not a registered type
+	bfRetired = 1 << 0 // once a gob-blob body; set on a frame, it is a protocol violation
 	bfTraced  = 1 << 1 // request: envelope carries a span context
 	bfIsErr   = 1 << 1 // response: envelope carries an error, not a body
 	bfNilBody = 1 << 2 // body is absent
@@ -44,23 +43,21 @@ const (
 
 // preambleMagic opens every connection: three magic bytes and the
 // protocol version, which stands for the table of wirebin type ids. There
-// is one version; anything else is not a peer. (2: the Put, Add, Remove,
-// Pin and Unpin bodies are registered types, ids 18–27 — a version 1 peer
-// would answer them "unknown wirebin type id".)
-var preambleMagic = [4]byte{'w', 's', 'r', 2}
+// is one version; anything else is not a peer. (3: every body is a
+// registered type — the ids through 40 — and there is no gob-blob body.)
+var preambleMagic = [4]byte{'w', 's', 'r', 3}
 
 // pfCompress is the preamble flag bit declaring per-frame compression.
 const pfCompress = 1 << 0
 
 // wirebinCodec frames hand-rolled binary envelopes on one connection: a
 // varint length prefix, a flags byte, then the (optionally
-// deflate-compressed) raw envelope. Registered hot types encode through
-// their wirebin marshalers; everything else rides as a self-contained
-// gob blob inside the frame, so the whole RPC surface works. See
-// DESIGN.md §11 for the byte diagram. It is not safe for concurrent use
-// per direction; the transport guarantees a single writer (the client's
-// write loop, the server's write lock) and a single reader per
-// connection.
+// deflate-compressed) raw envelope. Every body encodes through its
+// registered wirebin marshaler; a body with none is refused before a
+// byte of its frame is written. See DESIGN.md §11 for the byte diagram.
+// It is not safe for concurrent use per direction; the transport
+// guarantees a single writer (the client's write loop, the server's
+// write lock) and a single reader per connection.
 type wirebinCodec struct {
 	br *bufio.Reader
 	bw *bufio.Writer
@@ -257,13 +254,9 @@ func (c *wirebinCodec) writeRequest(req *request) (int, error) {
 	defer func() { wirebin.PutBuf(raw) }()
 	raw = wirebin.AppendUvarint(raw, req.Seq)
 	traced := req.Trace != (obs.SpanContext{})
-	id, encFn, typed := wirebin.Lookup(req.Body)
 	var bflags byte
-	switch {
-	case req.Body == nil:
+	if req.Body == nil {
 		bflags |= bfNilBody
-	case !typed:
-		bflags |= bfGobBody
 	}
 	if traced {
 		bflags |= bfTraced
@@ -273,17 +266,9 @@ func (c *wirebinCodec) writeRequest(req *request) (int, error) {
 		raw = req.Trace.AppendBinary(raw)
 	}
 	raw = wirebin.AppendString(raw, req.Method)
-	switch {
-	case req.Body == nil:
-	case typed:
-		raw = wirebin.AppendUvarint(raw, uint64(id))
-		raw = encFn(raw, req.Body)
-	default:
-		blob, err := gobBlob(req.Body)
-		if err != nil {
-			return 0, fmt.Errorf("tcprpc: encode %s body: %w", req.Method, err)
-		}
-		raw = append(raw, blob...)
+	raw, err := appendBody(raw, req.Body)
+	if err != nil {
+		return 0, fmt.Errorf("tcprpc: %s: %w", req.Method, err)
 	}
 	return c.writeFrame(raw)
 }
@@ -297,6 +282,10 @@ func (c *wirebinCodec) readRequest(req *request) (int, error) {
 	r.Reset(raw)
 	req.Seq = r.Uvarint()
 	bflags := r.Byte()
+	if bflags&bfRetired != 0 {
+		wirebin.PutBuf(raw)
+		return 0, errRetiredFlag
+	}
 	req.Trace = obs.SpanContext{}
 	if bflags&bfTraced != 0 && r.Err() == nil {
 		sc, n, derr := obs.DecodeSpanContext(r.Remaining())
@@ -326,38 +315,24 @@ func (c *wirebinCodec) writeResponse(resp *response) (int, error) {
 	defer func() { wirebin.PutBuf(raw) }()
 	raw = wirebin.AppendUvarint(raw, resp.Seq)
 	var bflags byte
-	var id uint16
-	var encFn wirebin.EncodeFunc
-	var typed bool
 	if resp.More {
 		bflags |= bfMore
 	}
-	if resp.IsErr {
-		bflags |= bfIsErr
-	} else {
-		id, encFn, typed = wirebin.Lookup(resp.Body)
-		switch {
-		case resp.Body == nil:
-			bflags |= bfNilBody
-		case !typed:
-			bflags |= bfGobBody
-		}
-	}
-	raw = append(raw, bflags)
 	switch {
 	case resp.IsErr:
+		bflags |= bfIsErr
+	case resp.Body == nil:
+		bflags |= bfNilBody
+	}
+	raw = append(raw, bflags)
+	if resp.IsErr {
 		raw = wirebin.AppendString(raw, resp.ErrText)
 		raw = wirebin.AppendString(raw, resp.ErrCode)
-	case resp.Body == nil:
-	case typed:
-		raw = wirebin.AppendUvarint(raw, uint64(id))
-		raw = encFn(raw, resp.Body)
-	default:
-		blob, err := gobBlob(resp.Body)
-		if err != nil {
-			return 0, fmt.Errorf("tcprpc: encode response body: %w", err)
-		}
-		raw = append(raw, blob...)
+		return c.writeFrame(raw)
+	}
+	raw, err := appendBody(raw, resp.Body)
+	if err != nil {
+		return 0, fmt.Errorf("tcprpc: response: %w", err)
 	}
 	return c.writeFrame(raw)
 }
@@ -373,12 +348,15 @@ func (c *wirebinCodec) readResponse(resp *response) (int, error) {
 	resp.Seq = r.Uvarint()
 	bflags := r.Byte()
 	resp.More = bflags&bfMore != 0
-	if bflags&bfIsErr != 0 {
+	switch {
+	case bflags&bfRetired != 0:
+		err = errRetiredFlag
+	case bflags&bfIsErr != 0:
 		resp.IsErr = true
 		resp.ErrText = r.String()
 		resp.ErrCode = r.String()
 		err = r.Err()
-	} else {
+	default:
 		resp.Body, err = decodeBody(r, bflags)
 	}
 	if err != nil {
@@ -391,51 +369,53 @@ func (c *wirebinCodec) readResponse(resp *response) (int, error) {
 	return wire, nil
 }
 
-// decodeBody decodes an envelope body per its flags: absent, a registered
-// wirebin type, or a self-contained gob blob filling the rest of the
-// frame.
-func decodeBody(r *wirebin.Reader, bflags byte) (any, error) {
-	switch {
-	case bflags&bfNilBody != 0:
-		return nil, r.Err()
-	case bflags&bfGobBody != 0:
-		rest := r.Remaining()
-		r.Skip(len(rest))
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return gobUnblob(rest)
-	default:
-		id := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		dec, ok := wirebin.ByID(uint16(id))
-		if !ok {
-			return nil, fmt.Errorf("tcprpc: unknown wirebin type id %d", id)
-		}
-		body := dec(r)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return body, nil
+// errRetiredFlag reports an envelope with bfRetired set: no body
+// encoding answers to it any more, so the frame cannot be carried.
+var errRetiredFlag = errors.New("tcprpc: envelope flag bit 0 (the retired gob-blob body) set")
+
+// encodable reports a body that cannot cross the wire because no wirebin
+// codec is registered for its type. A nil body always can.
+func encodable(body any) error {
+	if body == nil {
+		return nil
 	}
+	if _, _, ok := wirebin.Lookup(body); !ok {
+		return fmt.Errorf("no wirebin codec for %T", body)
+	}
+	return nil
 }
 
-// gobBlob encodes a body as a self-contained gob stream (descriptors
-// included), the carrier for non-hot types inside wirebin frames.
-func gobBlob(body any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(&body); err != nil {
+// appendBody appends a body's registered type id and encoding; a nil body
+// appends nothing (bfNilBody says so).
+func appendBody(raw []byte, body any) ([]byte, error) {
+	if body == nil {
+		return raw, nil
+	}
+	id, enc, ok := wirebin.Lookup(body)
+	if !ok {
+		return raw, encodable(body)
+	}
+	raw = wirebin.AppendUvarint(raw, uint64(id))
+	return enc(raw, body), nil
+}
+
+// decodeBody decodes an envelope body per its flags: absent, or a
+// registered wirebin type.
+func decodeBody(r *wirebin.Reader, bflags byte) (any, error) {
+	if bflags&bfNilBody != 0 {
+		return nil, r.Err()
+	}
+	id := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return b.Bytes(), nil
-}
-
-func gobUnblob(b []byte) (any, error) {
-	var body any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&body); err != nil {
-		return nil, fmt.Errorf("tcprpc: decode gob body: %w", err)
+	dec, ok := wirebin.ByID(uint16(id))
+	if !ok {
+		return nil, fmt.Errorf("tcprpc: unknown wirebin type id %d", id)
+	}
+	body := dec(r)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return body, nil
 }

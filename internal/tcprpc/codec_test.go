@@ -3,8 +3,8 @@ package tcprpc
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,26 +13,13 @@ import (
 	"weaksets/internal/rpc"
 )
 
-// codecEchoDispatch serves "echo" (returns an Object echoing the
-// requested ID with a fixed payload) and "grow" (accepts an EndGrowReq —
-// a type with no wirebin marshaler, so it rides the gob-blob path inside
-// wirebin frames).
+// codecEchoDispatch serves "echo": it returns an Object echoing the
+// requested ID with a fixed payload.
 func codecEchoDispatch(payload []byte) *rpc.Server {
 	srv := rpc.NewServer("remote")
-	srv.Handle("echo", func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-		in, ok := req.(repo.GetReq)
-		if !ok {
-			return nil, fmt.Errorf("echo: bad body %T", req)
-		}
+	srv.Handle("echo", rpc.Typed(func(_ context.Context, _ netsim.NodeID, in repo.GetReq) (any, error) {
 		return repo.Object{ID: in.ID, Data: payload, Version: 7}, nil
-	})
-	srv.Handle("grow", func(_ context.Context, _ netsim.NodeID, req any) (any, error) {
-		in, ok := req.(repo.EndGrowReq)
-		if !ok {
-			return nil, fmt.Errorf("grow: bad body %T", req)
-		}
-		return repo.EndGrowResp{Reclaimed: int(in.Token) + 1}, nil
-	})
+	}))
 	return srv
 }
 
@@ -53,9 +40,9 @@ func callEcho(t *testing.T, client *Client, id repo.ObjectID, want []byte) {
 }
 
 // TestNegotiatesWirebin pairs a client with a server: the connection must
-// come up on wirebin, round-trip registered and unregistered (gob-blob)
-// bodies, and account wire bytes per method with the preamble in the
-// totals only.
+// come up on wirebin, round-trip its bodies, and account wire bytes per
+// method with the preamble in the totals only. (That every method's
+// bodies cross is TestWholeSurfaceOverTCP's job.)
 func TestNegotiatesWirebin(t *testing.T) {
 	payload := bytes.Repeat([]byte("weak"), 64)
 	srv, err := Serve("127.0.0.1:0", codecEchoDispatch(payload))
@@ -68,16 +55,6 @@ func TestNegotiatesWirebin(t *testing.T) {
 
 	callEcho(t, client, "a", payload)
 	callEcho(t, client, "b", payload)
-
-	// An unregistered body must still cross a wirebin connection (as a
-	// self-contained gob blob inside the frame).
-	out, err := client.Call(context.Background(), "grow", repo.EndGrowReq{Name: "blob", Token: 3})
-	if err != nil {
-		t.Fatalf("gob body over wirebin: %v", err)
-	}
-	if n := out.(repo.EndGrowResp).Reclaimed; n != 4 {
-		t.Fatalf("grow returned %d, want 4", n)
-	}
 
 	st := client.Stats()
 	if st.Codec != CodecWirebin {
@@ -108,6 +85,114 @@ func TestNegotiatesWirebin(t *testing.T) {
 	if st.BytesSent <= methodSent || st.BytesReceived != methodRecv {
 		t.Fatalf("totals sent=%d recv=%d vs per-method sent=%d recv=%d: want the preamble on top of sent only",
 			st.BytesSent, st.BytesReceived, methodSent, methodRecv)
+	}
+}
+
+// unregistered is a body type no codec is registered for.
+type unregistered struct{ X int }
+
+// TestUnencodableRequestFailsOnlyItsCall sends a body the wire cannot
+// carry while another call is in flight on the same connection: the bad
+// call must fail alone, naming its type, and the call in flight and the
+// connection must carry on.
+func TestUnencodableRequestFailsOnlyItsCall(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	dispatch := rpc.NewServer("remote")
+	dispatch.Handle("hold", func(ctx context.Context, _ netsim.NodeID, _ any) (any, error) {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done(): // the connection died under the call
+		}
+		return repo.Object{ID: "held"}, nil
+	})
+	srv, err := Serve("127.0.0.1:0", dispatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := Dial(srv.Addr(), "tester")
+	defer client.Close()
+	ctx := context.Background()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := client.Call(ctx, "hold", repo.GetReq{ID: "x"})
+		held <- err
+	}()
+	<-started
+	if _, err := client.Call(ctx, "hold", unregistered{X: 1}); err == nil || !strings.Contains(err.Error(), "tcprpc.unregistered") {
+		t.Fatalf("unencodable request: err = %v, want a failure naming tcprpc.unregistered", err)
+	}
+	if _, err := client.CallStream(ctx, "hold", unregistered{X: 2}); err == nil || !strings.Contains(err.Error(), "tcprpc.unregistered") {
+		t.Fatalf("unencodable stream request: err = %v, want a failure naming tcprpc.unregistered", err)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("the call in flight failed with it: %v", err)
+	}
+	if st := client.Stats(); st.Dials != 1 {
+		t.Fatalf("dials = %d, want the one connection kept", st.Dials)
+	}
+}
+
+// sliceStreamer streams a fixed list of chunks.
+type sliceStreamer struct{ chunks []any }
+
+func (s *sliceStreamer) Next() (any, bool) {
+	if len(s.chunks) == 0 {
+		return nil, false
+	}
+	c := s.chunks[0]
+	s.chunks = s.chunks[1:]
+	return c, true
+}
+
+func (s *sliceStreamer) Err() error { return nil }
+
+// TestUnencodableResponseFailsOnlyItsCall has handlers answer with a body
+// the wire cannot carry, as a reply and as a stream chunk: each call must
+// fail with an error naming the type, and the connection must stay up
+// for the calls after it.
+func TestUnencodableResponseFailsOnlyItsCall(t *testing.T) {
+	dispatch := codecEchoDispatch([]byte("still here"))
+	dispatch.Handle("bad", func(context.Context, netsim.NodeID, any) (any, error) {
+		return unregistered{X: 1}, nil
+	})
+	dispatch.Handle("badStream", func(context.Context, netsim.NodeID, any) (any, error) {
+		return &sliceStreamer{chunks: []any{repo.Object{ID: "ok"}, unregistered{X: 2}, repo.Object{ID: "never"}}}, nil
+	})
+	srv, err := Serve("127.0.0.1:0", dispatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := Dial(srv.Addr(), "tester")
+	defer client.Close()
+	ctx := context.Background()
+
+	if _, err := client.Call(ctx, "bad", repo.GetReq{}); err == nil || !strings.Contains(err.Error(), "tcprpc.unregistered") {
+		t.Fatalf("unencodable reply: err = %v, want a failure naming tcprpc.unregistered", err)
+	}
+	callEcho(t, client, "after-reply", []byte("still here"))
+
+	st, err := client.CallStream(ctx, "badStream", repo.GetReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk, ok := st.Next(); !ok || chunk.(repo.Object).ID != "ok" {
+		t.Fatalf("first chunk = %v, %v", chunk, ok)
+	}
+	if chunk, ok := st.Next(); ok {
+		t.Fatalf("stream went on past the unencodable chunk: %v", chunk)
+	}
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "tcprpc.unregistered") {
+		t.Fatalf("stream ended with %v, want a failure naming tcprpc.unregistered", err)
+	}
+	callEcho(t, client, "after-stream", []byte("still here"))
+
+	if st := client.Stats(); st.Dials != 1 {
+		t.Fatalf("dials = %d, want the one connection kept", st.Dials)
 	}
 }
 

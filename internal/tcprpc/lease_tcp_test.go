@@ -192,7 +192,7 @@ func TestLeaseConnDropBreaksAndDegrades(t *testing.T) {
 		t.Fatalf("stats after conn drop = %+v, want inactive with breaks", st)
 	}
 
-	srv2, err := Serve(addr, busBackedDispatch(w.remote.bus, "archive"))
+	srv2, err := Serve(addr, busBackedDispatch(w.remote.bus, "archive", RepoMethods()))
 	if err != nil {
 		t.Fatal(err)
 	}

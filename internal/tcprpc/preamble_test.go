@@ -28,7 +28,7 @@ func frame(flags byte, payload []byte) []byte {
 // preamblePayload is the byte layout DESIGN.md §11 documents, built
 // without the package's encoder so the two cannot drift together.
 func preamblePayload(from string, pflags byte, compressMin uint64) []byte {
-	out := []byte{'w', 's', 'r', 2}
+	out := []byte{'w', 's', 'r', 3}
 	out = binary.AppendUvarint(out, uint64(len(from)))
 	out = append(out, from...)
 	out = append(out, pflags)
@@ -54,7 +54,6 @@ func readRawFrame(br *bufio.Reader) (flags byte, payload []byte, err error) {
 // anything, and after the connection is dropped the redial must carry
 // the same preamble — identity and compression settings intact.
 func TestFirstCallSendsOnePreamble(t *testing.T) {
-	registerWireTypes()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -166,14 +165,17 @@ func TestMalformedFirstFramesCloseTheConnection(t *testing.T) {
 		closeWrite bool
 	}{
 		{name: "bad-magic", send: frame(0, append([]byte("gob!"), preamblePayload("raw", 0, 0)[4:]...))},
-		{name: "bad-version", send: frame(0, append([]byte{'w', 's', 'r', 1}, preamblePayload("raw", 0, 0)[4:]...))}, // the version before Put/Add/Remove/Pin left gob
-		{name: "truncated-fields", send: frame(0, []byte{'w', 's', 'r', 2, 40, 'x'})},
+		{name: "bad-version", send: frame(0, append([]byte{'w', 's', 'r', 2}, preamblePayload("raw", 0, 0)[4:]...))}, // the version that still carried gob-blob bodies
+		{name: "truncated-fields", send: frame(0, []byte{'w', 's', 'r', 3, 40, 'x'})},
 		{name: "trailing-bytes", send: frame(0, append(preamblePayload("raw", 0, 0), 0))},
 		{name: "truncated-frame", send: good[:len(good)-3], closeWrite: true},
 		{name: "compressed-preamble", send: frame(frCompressed, preamblePayload("raw", 0, 0))},
 		{name: "length-over-maxFrame", send: binary.AppendUvarint(nil, maxFrame+1)},
 		{name: "length-absurd", send: binary.AppendUvarint(nil, 1<<62)},
 		{name: "undeclared-compressed-frame", send: append(append([]byte(nil), good...), frame(frCompressed, []byte{8, 1, 2, 3})...)},
+		// A request whose envelope sets the retired gob-blob bit: seq 1,
+		// bflags bit 0, method "echo", then what was once a gob stream.
+		{name: "retired-body-flag", send: append(append([]byte(nil), good...), frame(0, []byte{1, bfRetired, 4, 'e', 'c', 'h', 'o', 0x0c})...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", srv.Addr())
@@ -220,13 +222,13 @@ func TestMalformedFirstFramesCloseTheConnection(t *testing.T) {
 // client: a server that answers with a frame the connection cannot carry
 // fails the call in flight, and the next call redials and succeeds.
 func TestClientSurvivesMalformedResponse(t *testing.T) {
-	registerWireTypes()
 	for _, tc := range []struct {
 		name  string
 		reply []byte
 	}{
 		{name: "length-over-maxFrame", reply: binary.AppendUvarint(nil, 1<<62)},
 		{name: "undeclared-compressed-frame", reply: frame(frCompressed, []byte{8, 1, 2, 3})},
+		{name: "retired-body-flag", reply: frame(0, []byte{1, bfRetired, 0x0c})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -55,7 +55,6 @@ func Serve(addr string, dispatch *rpc.Server) (*Server, error) {
 
 // ServeConfig is Serve with explicit tuning.
 func ServeConfig(addr string, dispatch *rpc.Server, cfg ServerConfig) (*Server, error) {
-	registerWireTypes()
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcprpc: listen %s: %w", addr, err)
@@ -171,6 +170,13 @@ func (s *Server) serveConn(conn net.Conn) {
 					continue
 				}
 				resp := response{Seq: req.Seq, Body: body}
+				if err == nil {
+					// A body with no codec is this call's failure, answered
+					// as such, not the connection's.
+					if cerr := encodable(body); cerr != nil {
+						err = fmt.Errorf("tcprpc: %s response: %w", req.Method, cerr)
+					}
+				}
 				if err != nil {
 					resp.IsErr = true
 					resp.ErrText, resp.ErrCode = encodeErr(err)
@@ -214,9 +220,16 @@ func (s *Server) serveConn(conn net.Conn) {
 // partition snapshot, say) overlaps the previous chunk's transmission.
 // It reports whether the connection is still usable.
 func writeStream(cdc *wirebinCodec, wmu *sync.Mutex, seq uint64, st rpc.Streamer) bool {
+	var err error
 	for {
 		chunk, ok := st.Next()
 		if !ok {
+			err = st.Err()
+			break
+		}
+		if err = encodable(chunk); err != nil {
+			// The stream ends here, failed; the connection carries on.
+			err = fmt.Errorf("tcprpc: stream chunk: %w", err)
 			break
 		}
 		resp := response{Seq: seq, Body: chunk, More: true}
@@ -228,7 +241,7 @@ func writeStream(cdc *wirebinCodec, wmu *sync.Mutex, seq uint64, st rpc.Streamer
 		}
 	}
 	final := response{Seq: seq}
-	if err := st.Err(); err != nil {
+	if err != nil {
 		final.IsErr = true
 		final.ErrText, final.ErrCode = encodeErr(err)
 	}

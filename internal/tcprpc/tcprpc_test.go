@@ -32,7 +32,7 @@ func startRemote(t *testing.T, node netsim.NodeID) *remoteProcess {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpSrv, err := Serve("127.0.0.1:0", busBackedDispatch(bus, node))
+	tcpSrv, err := Serve("127.0.0.1:0", busBackedDispatch(bus, node, RepoMethods()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func startRemote(t *testing.T, node netsim.NodeID) *remoteProcess {
 	return &remoteProcess{srv: tcpSrv, repoSrv: repoSrv, bus: bus}
 }
 
-// busBackedDispatch builds an rpc.Server whose handlers forward to the
-// node's bus-registered servers with zero simulated latency (the remote
-// bus has no configured delays).
-func busBackedDispatch(bus *rpc.Bus, node netsim.NodeID) *rpc.Server {
+// busBackedDispatch builds an rpc.Server whose handlers forward methods
+// to the node's bus-registered servers with zero simulated latency (the
+// remote bus has no configured delays).
+func busBackedDispatch(bus *rpc.Bus, node netsim.NodeID, methods []string) *rpc.Server {
 	srv := rpc.NewServer(node)
-	for _, method := range RepoMethods() {
+	for _, method := range methods {
 		method := method
 		srv.Handle(method, func(ctx context.Context, from netsim.NodeID, req any) (any, error) {
 			// The TCP server's per-connection context flows through: a

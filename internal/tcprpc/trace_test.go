@@ -28,7 +28,7 @@ func startTracedRemote(t *testing.T, node netsim.NodeID, tracer *obs.Tracer) *re
 		t.Fatal(err)
 	}
 	repoSrv.UseTracer(tracer)
-	tcpSrv, err := ServeConfig("127.0.0.1:0", busBackedDispatch(bus, node), ServerConfig{Tracer: tracer})
+	tcpSrv, err := ServeConfig("127.0.0.1:0", busBackedDispatch(bus, node, RepoMethods()), ServerConfig{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

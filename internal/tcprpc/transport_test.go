@@ -58,7 +58,6 @@ func acceptRaw(lis net.Listener) (net.Conn, *wirebinCodec, error) {
 // requests and answers them in reverse order: each caller must still
 // receive its own response via the seq-keyed pending map.
 func TestOutOfOrderResponses(t *testing.T) {
-	registerWireTypes()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +116,6 @@ func TestOutOfOrderResponses(t *testing.T) {
 // return promptly with context.Canceled (the old transport only checked
 // ctx.Err() at entry and then hung in Decode).
 func TestCancelInFlightCall(t *testing.T) {
-	registerWireTypes()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +187,6 @@ func TestDeadlineDoesNotClobberOtherCalls(t *testing.T) {
 // many calls in flight: every caller must get a transport error (none
 // may hang), and the next call must redial and succeed.
 func TestConnDropFailsAllInFlight(t *testing.T) {
-	registerWireTypes()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +264,6 @@ func TestConnDropFailsAllInFlight(t *testing.T) {
 // socket instead of buffering responses unboundedly, and every response
 // must still arrive once the reader drains.
 func TestSlowReaderBackpressure(t *testing.T) {
-	registerWireTypes()
 	payload := make([]byte, 64<<10)
 	srv, err := ServeConfig("127.0.0.1:0", func() *rpc.Server {
 		s := rpc.NewServer("remote")

@@ -18,7 +18,6 @@
 package tcprpc
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -93,56 +92,6 @@ func decodeErr(text, code string) error {
 	return errors.New(text)
 }
 
-// registerWireTypes registers every concrete type that can ride in a
-// request or response body as a gob blob (a body with no wirebin
-// marshaler). gob requires this once per process; Dial and ServeConfig
-// call it.
-func registerWireTypes() {
-	gob.Register(struct{}{})
-	// Repository wire types.
-	gob.Register(repo.GetReq{})
-	gob.Register(repo.GetBatchReq{})
-	gob.Register(repo.GetBatchResp{})
-	gob.Register(repo.PutReq{})
-	gob.Register(repo.PutResp{})
-	gob.Register(repo.DeleteReq{})
-	gob.Register(repo.CreateReq{})
-	gob.Register(repo.ListReq{})
-	gob.Register(repo.ListResp{})
-	gob.Register(repo.ListPartsReq{})
-	gob.Register(repo.PartListing{})
-	gob.Register(repo.ListPartsResp{})
-	gob.Register(repo.AddReq{})
-	gob.Register(repo.RemoveReq{})
-	gob.Register(repo.RemoveResp{})
-	gob.Register(repo.MutateResp{})
-	gob.Register(repo.PinReq{})
-	gob.Register(repo.PinResp{})
-	gob.Register(repo.UnpinReq{})
-	gob.Register(repo.BeginGrowReq{})
-	gob.Register(repo.BeginGrowResp{})
-	gob.Register(repo.EndGrowReq{})
-	gob.Register(repo.EndGrowResp{})
-	gob.Register(repo.StatsReq{})
-	gob.Register(repo.StatsResp{})
-	gob.Register(repo.StoreStatsReq{})
-	gob.Register(repo.StoreStatsResp{})
-	gob.Register(repo.SyncReq{})
-	gob.Register(repo.SyncPartReq{})
-	gob.Register(repo.SyncPartResp{})
-	gob.Register(repo.DigestReq{})
-	gob.Register(repo.DigestResp{})
-	gob.Register(repo.LeaseReq{})
-	gob.Register(repo.LeaseGrant{})
-	gob.Register(repo.WatchReq{})
-	gob.Register(repo.Invalidation{})
-	gob.Register(repo.Object{})
-	// Lock service wire types.
-	gob.Register(locksvc.AcquireReq{})
-	gob.Register(locksvc.AcquireResp{})
-	gob.Register(locksvc.ReleaseReq{})
-}
-
 // RepoMethods is the full repository method surface, for gateways that
 // proxy a remote repository server.
 func RepoMethods() []string {
@@ -162,7 +111,6 @@ func RepoMethods() []string {
 		repo.MethodEndGrow,
 		repo.MethodStats,
 		repo.MethodStoreStats,
-		repo.MethodSync,
 		repo.MethodSyncPart,
 		repo.MethodSyncDigest,
 		repo.MethodLease,

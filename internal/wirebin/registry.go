@@ -21,25 +21,24 @@ type entry struct {
 }
 
 // The registry maps concrete message types to stable numeric ids. It is
-// written only from init functions (internal/repo registers its hot wire
-// structs) and read on every frame, so a plain map under a RWMutex is
-// uncontended in practice.
+// written only from init functions (internal/repo and internal/locksvc
+// register their wire structs) and read on every frame, so a plain map
+// under a RWMutex is uncontended in practice.
 var (
-	regMu    sync.RWMutex
-	regType  = map[reflect.Type]entry{}
-	regByID  = map[uint16]entry{}
-	regNames = map[uint16]string{}
+	regMu   sync.RWMutex
+	regType = map[reflect.Type]entry{}
+	regByID = map[uint16]entry{}
 )
 
-// Register binds a message type (given by sample's concrete type) to a
-// stable wire id with its encode/decode pair. Ids must be unique and
-// non-zero; both sides of a connection must agree on the numbering, which
-// the version byte in the connection preamble stands for.
-func Register(id uint16, sample any, enc EncodeFunc, dec DecodeFunc) {
+// Register binds message type T to a stable wire id with its typed
+// encode/decode pair. Ids must be unique and non-zero; both sides of a
+// connection must agree on the numbering, which the version byte in the
+// connection preamble stands for.
+func Register[T any](id uint16, enc func([]byte, T) []byte, dec func(*Reader) T) {
 	if id == 0 {
 		panic("wirebin: id 0 is reserved")
 	}
-	t := reflect.TypeOf(sample)
+	t := reflect.TypeOf((*T)(nil)).Elem()
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := regByID[id]; dup {
@@ -48,10 +47,13 @@ func Register(id uint16, sample any, enc EncodeFunc, dec DecodeFunc) {
 	if _, dup := regType[t]; dup {
 		panic(fmt.Sprintf("wirebin: duplicate type %v", t))
 	}
-	e := entry{id: id, enc: enc, dec: dec}
+	e := entry{
+		id:  id,
+		enc: func(buf []byte, v any) []byte { return enc(buf, v.(T)) },
+		dec: func(r *Reader) any { return dec(r) },
+	}
 	regType[t] = e
 	regByID[id] = e
-	regNames[id] = t.String()
 }
 
 // Lookup finds the registered codec for v's concrete type.
@@ -68,11 +70,4 @@ func ByID(id uint16) (DecodeFunc, bool) {
 	e, ok := regByID[id]
 	regMu.RUnlock()
 	return e.dec, ok
-}
-
-// TypeName reports the registered type name for an id (diagnostics).
-func TypeName(id uint16) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return regNames[id]
 }

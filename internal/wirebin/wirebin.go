@@ -1,13 +1,13 @@
-// Package wirebin is the compact binary wire codec the TCP transport
-// speaks (DESIGN.md §11). For the hot-path message types it replaces
-// gob's reflection, type descriptors, and per-message allocations with
-// hand-rolled length-prefixed encoding over pooled buffers:
+// Package wirebin is the one wire codec the TCP transport speaks
+// (DESIGN.md §11): every message body is hand-rolled length-prefixed
+// encoding over pooled buffers, with no reflection, type descriptors or
+// per-message codec set-up:
 //
 //   - integers are unsigned varints (versions, sequence numbers, counts);
 //   - strings and byte blobs are varint-length-prefixed;
 //   - message types are registered once with stable numeric ids
-//     (internal/repo registers its hot wire structs at init), so a frame
-//     names its body type in one varint instead of a gob descriptor;
+//     (internal/repo and internal/locksvc register their wire structs at
+//     init), so a frame names its body type in one varint;
 //   - decoding is allocation-frugal: a Reader interns the few strings
 //     that repeat on every frame (node, collection and method names),
 //     cuts the many that do not (a listing's member ids) out of one

@@ -199,9 +199,9 @@ func TestBufPoolRoundTrip(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	type probe struct{ X uint64 }
-	Register(0x7f01, probe{},
-		func(buf []byte, v any) []byte { return AppendUvarint(buf, v.(probe).X) },
-		func(r *Reader) any { return probe{X: r.Uvarint()} },
+	Register(0x7f01,
+		func(buf []byte, v probe) []byte { return AppendUvarint(buf, v.X) },
+		func(r *Reader) probe { return probe{X: r.Uvarint()} },
 	)
 	id, enc, ok := Lookup(probe{})
 	if !ok || id != 0x7f01 {
@@ -220,8 +220,8 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByID(0x7fff); ok {
 		t.Fatal("unknown id resolved")
 	}
-	if TypeName(id) == "" {
-		t.Fatal("no type name recorded")
+	if _, _, ok := Lookup(struct{ Y int }{}); ok {
+		t.Fatal("unregistered type resolved")
 	}
 }
 
