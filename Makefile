@@ -45,11 +45,13 @@ fuzz-smoke:
 # Then the current-state stepper at 32/1k/10k members, whose ns/elem must
 # stay flat in n; the output is kept with the smoke reports for the CI
 # artifacts. First the run-state guard: a run that moves no element bytes
-# is held to the bytes-per-element ceilings in BENCH_budget.json, and the
-# run table's own microbenchmark runs once.
+# is held to the bytes- and objects-per-element ceilings in
+# BENCH_budget.json (its figures are kept in budget.txt, which CI puts on
+# the job summary), and the run table's own microbenchmark runs once.
 bench-iter:
 	@mkdir -p $(SMOKE)
-	$(GO) test ./internal/core -run TestRunAllocBudget -count 1
+	$(GO) test ./internal/core -run TestRunAllocBudget -count 1 -v > $(SMOKE)/budget.txt; \
+		s=$$?; cat $(SMOKE)/budget.txt; exit $$s
 	$(GO) test ./internal/core -run xxx -bench BenchmarkRunTable -benchmem -benchtime 20x
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
 	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > $(SMOKE)/iterlogical.txt; \

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,6 +21,10 @@ import (
 // BENCH_budget.json (bytesPerElem, allocsPerElem). What is left is
 // bookkeeping, so a change that puts a per-member map, copy or small
 // allocation back on the path fails here; `make bench-iter` runs it.
+// The counters are the whole process's, so each figure is the least of
+// three windows of ten runs: what a background goroutine allocates (a
+// lease renewal, say) only ever adds, and is a few KB, while the runs'
+// own cost is the same in every window.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under -race instrumentation")
@@ -75,18 +80,22 @@ func TestRunAllocBudget(t *testing.T) {
 			awaitLease(t, w, w.c.Client.Leases())
 		}
 		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			wk := run()
-			if wk.CacheHits != int64(tc.members) || tc.leased && wk.LeaseServed == 0 {
-				t.Fatalf("%s: %d cache hits, %d lease-served invocations: the run moved element bytes", tc.name, wk.CacheHits, wk.LeaseServed)
-			}
-		}
-		runtime.ReadMemStats(&after)
 		elems := float64(runs * tc.members)
-		gotBytes, gotAllocs := float64(after.TotalAlloc-before.TotalAlloc)/elems, float64(after.Mallocs-before.Mallocs)/elems
-		t.Logf("%s: %.0f B/element (budget %.0f), %.3f allocations/element (budget %.3f)", tc.name, gotBytes, maxBytes, gotAllocs, maxAllocs)
+		gotBytes, gotAllocs := math.Inf(1), math.Inf(1)
+		for window := 0; window < 3; window++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				wk := run()
+				if wk.CacheHits != int64(tc.members) || tc.leased && wk.LeaseServed == 0 {
+					t.Fatalf("%s: %d cache hits, %d lease-served invocations: the run moved element bytes", tc.name, wk.CacheHits, wk.LeaseServed)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			gotBytes = min(gotBytes, float64(after.TotalAlloc-before.TotalAlloc)/elems)
+			gotAllocs = min(gotAllocs, float64(after.Mallocs-before.Mallocs)/elems)
+		}
+		t.Logf("%s: %.2f B/element (budget %.2f), %.4f allocations/element (budget %.4f)", tc.name, gotBytes, maxBytes, gotAllocs, maxAllocs)
 		if gotBytes > maxBytes || gotAllocs > maxAllocs {
 			t.Errorf("%s allocates %.0f B and %.3f objects per element, budget is %.0f and %.3f — BENCH_budget.json is the "+
 				"regression gate; fix the run state or raise the budget deliberately", tc.name, gotBytes, gotAllocs, maxBytes, maxAllocs)

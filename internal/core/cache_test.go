@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +21,7 @@ func batchTotals(c *cluster.Cluster) store.BatchStats {
 	var tot store.BatchStats
 	for _, srv := range c.Servers {
 		b := srv.Store().Stats().Batch
+		tot.BatchedGets += b.BatchedGets
 		tot.NotModified += b.NotModified
 		tot.BytesShipped += b.BytesShipped
 		tot.BytesSaved += b.BytesSaved
@@ -74,6 +78,157 @@ func TestSnapshotWarmRunServesWithoutRPC(t *testing.T) {
 		if again[i].Ref != e.Ref || !bytes.Equal(again[i].Data, e.Data) || &again[i].Data[0] != &e.Data[0] {
 			t.Fatalf("%s: two warm runs yielded %q and %q, in different arrays or not the same bytes", e.Ref.ID, e.Data, again[i].Data)
 		}
+	}
+}
+
+// TestWarmRunsServeAtYield holds the warm read path to serve-at-yield: a
+// warm snapshot run and a lease-served current-state run hand out every
+// element from the cache when Next asks for it — never a replan, nothing
+// parked in ready, nothing in flight. On the in-process bus the snapshot
+// run's table aliases the store's shared pin, which the run must leave
+// exactly as the store holds it.
+func TestWarmRunsServeAtYield(t *testing.T) {
+	ctx := context.Background()
+	const n = 300
+	for _, tc := range []struct {
+		sem    Semantics
+		leased bool
+	}{{Snapshot, false}, {GrowOnly, true}} {
+		w := newTestWorld(t, n)
+		var ls *repo.LeaseState
+		if tc.leased {
+			ls = leaseWorld(t, w)
+		}
+		w.c.Client.UseCache(repo.NewCache(2 * n))
+		s := w.set(t, Options{Semantics: tc.sem})
+		for i := 0; i < 2; i++ { // fill the cache, publish the listing, land the grant
+			if _, err := s.Collect(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.leased {
+			awaitLease(t, w, ls)
+		}
+
+		it, err := s.Elements(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := w.c.Servers[cluster.DirNode].Store()
+		var pin, pinCopy []repo.Ref
+		if it.pin != 0 {
+			if pin, _, err = st.ListPinned("set", it.pin); err != nil {
+				t.Fatal(err)
+			}
+			pinCopy = slices.Clone(pin)
+		}
+		yielded := 0
+		for it.Next(ctx) {
+			if len(it.Element().Data) == 0 {
+				t.Fatalf("%s: %s yielded without data", tc.sem, it.Element().ID())
+			}
+			yielded++
+		}
+		wk := it.Weakness()
+		it.pf.mu.Lock()
+		plans, ready, pending := it.pf.plans, len(it.pf.ready), len(it.pf.pending)
+		it.pf.mu.Unlock()
+		if it.Err() != nil || yielded != n || wk.CacheHits != n || tc.leased && wk.LeaseServed != n+1 {
+			t.Fatalf("%s: yielded %d, %d cache hits, %d lease-served invocations, err %v", tc.sem, yielded, wk.CacheHits, wk.LeaseServed, it.Err())
+		}
+		if plans != 0 || ready != 0 || pending != 0 {
+			t.Fatalf("%s: a warm run planned %d times and left %d ready, %d in flight; want 0, 0, 0", tc.sem, plans, ready, pending)
+		}
+		if pin != nil {
+			after, _, err := st.ListPinned("set", it.pin)
+			if err != nil || &after[0] != &pin[0] || !slices.Equal(after, pinCopy) {
+				t.Fatalf("the run moved or wrote the store's pin (err %v)", err)
+			}
+			for _, run := range it.tab.runs {
+				if i, ok := slices.BinarySearchFunc(pin, run.refs[0].ID, func(r repo.Ref, id repo.ObjectID) int { return cmp.Compare(r.ID, id) }); !ok || &pin[i] != &run.refs[0] {
+					t.Fatalf("run table holds a copy of the pin from %s on", run.refs[0].ID)
+				}
+			}
+		}
+		_ = it.Close(ctx)
+	}
+}
+
+// TestPartlyEvictedWarmRunFetchesOnlyTheEvicted: a snapshot run over a
+// warm cache that lost k entries serves the other n−k at yield and plans
+// once, fetching exactly the k evicted ids — all held on one node — in
+// ⌈k/64⌉ GetBatch calls.
+func TestPartlyEvictedWarmRunFetchesOnlyTheEvicted(t *testing.T) {
+	ctx := context.Background()
+	const n, k = 600, 70
+	w := newTestWorld(t, n)
+	cache := repo.NewCache(2 * n)
+	w.c.Client.UseCache(cache)
+	s := w.set(t, Options{Semantics: Snapshot})
+	if _, err := s.Collect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var evictedBytes int64
+	for i := 0; i < k*len(w.c.Storage); i += len(w.c.Storage) { // members 0, 4, 8, … live on s0
+		cache.Drop(w.refs[i].ID)
+		evictedBytes += int64(len(fmt.Sprintf("data-%d", i)))
+	}
+
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	// Fold the whole opening listing first, so one plan sees every member.
+	for !it.ingDone {
+		if err := it.drainIngest(); err != nil {
+			t.Fatal(err)
+		}
+		if !it.ingDone {
+			<-it.ing.notify
+		}
+	}
+	before, batches := batchTotals(w.c), w.c.Bus.MethodCalls(repo.MethodGetBatch)
+	yielded := 0
+	for it.Next(ctx) {
+		yielded++
+	}
+	after, wk := batchTotals(w.c), it.Weakness()
+	if it.Err() != nil || yielded != n || wk.CacheHits != n-k {
+		t.Fatalf("yielded %d, %d cache hits, err %v; want %d, %d, nil", yielded, wk.CacheHits, it.Err(), n, n-k)
+	}
+	if got, want := w.c.Bus.MethodCalls(repo.MethodGetBatch)-batches, int64((k+63)/64); got != want || it.pf.plans != 1 {
+		t.Fatalf("%d GetBatch calls from %d plans, want %d from 1", got, it.pf.plans, want)
+	}
+	if ids, shipped := after.BatchedGets-before.BatchedGets, after.BytesShipped-before.BytesShipped; ids != k || shipped != evictedBytes {
+		t.Fatalf("fetched %d ids and %d payload bytes, want the %d evicted ones' %d", ids, shipped, k, evictedBytes)
+	}
+}
+
+// TestFreshBetweenServeAndPlanYieldsData: a ref that turns fresh in the
+// shared cache after fetch's serve check — another run's batch landed —
+// is left out of the plan, and must then be served with its data, not
+// reported as an empty object with a nil error as if the pipeline had
+// closed.
+func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 1)
+	cache := repo.NewCache(8)
+	w.c.Client.UseCache(cache)
+	s := w.set(t, Options{Semantics: Snapshot})
+	p := newPrefetcher(ctx, w.c.Client, "set", s.router, &replicaTally{}, s.opts.Fetch, nil)
+	defer p.close()
+	ref, batches := w.refs[0], w.c.Bus.MethodCalls(repo.MethodGetBatch)
+	obj, err := p.fetch(ctx, ref, 5, true, func() []repo.Ref {
+		// Called between the serve check and the plan.
+		cache.PutValidated("set", 5, repo.Object{ID: ref.ID, Version: 1, Data: []byte("landed")})
+		return []repo.Ref{ref}
+	})
+	if err != nil || string(obj.Data) != "landed" {
+		t.Fatalf("fetched %q, %v; want the landed entry", obj.Data, err)
+	}
+	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 0 || p.plans != 1 || p.cacheHits.Load() != 1 {
+		t.Fatalf("%d GetBatch calls, %d plans, %d cache hits; want 0, 1, 1", d, p.plans, p.cacheHits.Load())
 	}
 }
 

@@ -444,10 +444,11 @@ func TestCursorAndKernelRunsAgree(t *testing.T) {
 }
 
 // TestQuiescentRunStepsKernelOnce is the complexity guard, by count rather
-// than by clock: a quiescent all-reachable current-state run observes its
-// membership n+1 times and hands the kernel the terminal invocation only,
-// with or without a lease; a run with a member node partitioned throughout
-// is the kernel's, every invocation of it.
+// than by clock: a quiescent all-reachable run — current-state, with or
+// without a lease, or snapshot — observes its membership n+1 times and
+// never hands the kernel an invocation, the terminal one included (the
+// empty cursor decides it); a run with a member node partitioned
+// throughout is the kernel's, every invocation of it.
 func TestQuiescentRunStepsKernelOnce(t *testing.T) {
 	ctx := context.Background()
 	const n = 2000
@@ -457,13 +458,15 @@ func TestQuiescentRunStepsKernelOnce(t *testing.T) {
 		if leased {
 			ls = leaseWorld(t, w)
 		}
-		for _, sem := range []Semantics{GrowOnly, Optimistic} {
+		for _, sem := range []Semantics{GrowOnly, Optimistic, Snapshot} {
 			s := w.set(t, Options{Semantics: sem})
-			if leased {
+			var wantServed int64 // a snapshot run reads no lease
+			if leased && !sem.UsesSnapshot() {
 				if _, err := s.Collect(ctx); err != nil {
 					t.Fatal(err)
 				}
 				awaitLease(t, w, ls)
+				wantServed = n + 1
 			}
 			it, err := s.Elements(ctx)
 			if err != nil {
@@ -473,12 +476,12 @@ func TestQuiescentRunStepsKernelOnce(t *testing.T) {
 			}
 			_ = it.Close(ctx)
 			wk := it.Weakness()
-			if it.Err() != nil || wk.Yielded != n || wk.Invocations != n+1 || it.kernelSteps > 1 {
-				t.Fatalf("%s leased=%v: yielded %d, %d invocations, %d kernel steps, err %v; want %d, %d, at most 1, nil",
+			if it.Err() != nil || wk.Yielded != n || wk.Invocations != n+1 || it.kernelSteps != 0 {
+				t.Fatalf("%s leased=%v: yielded %d, %d invocations, %d kernel steps, err %v; want %d, %d, 0, nil",
 					sem, leased, wk.Yielded, wk.Invocations, it.kernelSteps, it.Err(), n, n+1)
 			}
-			if served := wk.LeaseServed; leased && served != n+1 || !leased && served != 0 {
-				t.Fatalf("%s leased=%v: %d lease-served invocations", sem, leased, served)
+			if wk.LeaseServed != wantServed {
+				t.Fatalf("%s leased=%v: %d lease-served invocations, want %d", sem, leased, wk.LeaseServed, wantServed)
 			}
 		}
 	}

@@ -88,21 +88,6 @@ type fetchResult struct {
 	epoch   uint64
 }
 
-// cacheBinding wires one run to the shared element cache. held reports
-// the version of the listing the run holds and whether entries stamped at
-// or above it may serve with no round trip: always for a snapshot-
-// governed run (Fig. 3/4), whose membership image is fixed at that
-// version; for a current-state run only while a lease certifies the held
-// listing current, so the cached entries are exactly what the owner would
-// ship — otherwise it revalidates every serve, still saving the payload
-// via conditional fetches but never the round trip. held is called on the
-// iterator goroutine only.
-type cacheBinding struct {
-	cache *repo.Cache
-	coll  string
-	held  func() (listVer uint64, direct bool)
-}
-
 // fetchChunk is one per-node batch plus the cache context it was planned
 // under: the known versions to validate and the listing version that
 // stamps installed results.
@@ -115,7 +100,9 @@ type fetchChunk struct {
 // prefetcher overlaps an Iterator's element fetches: the candidates the
 // kernel could yield are grouped into per-node batches, issued
 // closest-first under a bounded in-flight budget, and parked in a ready
-// map until the kernel actually asks for them.
+// map until the kernel actually asks for them. What the shared element
+// cache may serve with no round trip is never planned or parked: it is
+// served when the kernel asks for it (fetch).
 //
 // Two properties keep it semantics-preserving:
 //
@@ -126,7 +113,8 @@ type fetchChunk struct {
 //     this client's own later mutation is discarded and refetched,
 //     preserving read-your-writes (a member the client itself deleted
 //     still surfaces as the Fig. 4 stale-yield anomaly, never as live
-//     cached data).
+//     cached data). A cache serve needs no epoch: it happens at yield, and
+//     the client keeps the cache coherent with its own writes.
 type prefetcher struct {
 	client *repo.Client
 	batch  int
@@ -138,10 +126,11 @@ type prefetcher struct {
 	router *replicaRouter
 	tally  *replicaTally
 
-	// cb wires the run to the shared element cache, set once before the
-	// first fetch by the goroutine that owns the iterator; cb.cache == nil
-	// means the cache is off and every batch ships full payloads.
-	cb cacheBinding
+	// cache is the client's shared element cache, read through as
+	// collection coll; nil means the cache is off and every batch ships
+	// full payloads.
+	cache *repo.Cache
+	coll  string
 
 	// epochRetries counts results discarded for read-your-writes: the
 	// iterator folds it into the run's weakness report on close.
@@ -164,16 +153,19 @@ type prefetcher struct {
 	// need is planLocked's scratch: the candidates one replan must fetch,
 	// copied into their chunks (chunkByNode) before the next overwrites it.
 	need []repo.Ref
+	// plans counts replans: what the warm-path guard reads.
+	plans int
 	// want/wantCh is the single waiter: Iterator is a single-caller
 	// control abstraction, so at most one fetch blocks at a time.
 	want   repo.ObjectID
 	wantCh chan fetchResult
 }
 
-// newPrefetcher builds the pipeline. base carries the run's trace
-// context (or is plain Background for an untraced run), so batches
-// issued between Next calls still belong to the run's trace.
-func newPrefetcher(base context.Context, client *repo.Client, router *replicaRouter, tally *replicaTally, o FetchOptions, tracer *obs.Tracer) *prefetcher {
+// newPrefetcher builds the pipeline for a run over collection coll. base
+// carries the run's trace context (or is plain Background for an untraced
+// run), so batches issued between Next calls still belong to the run's
+// trace.
+func newPrefetcher(base context.Context, client *repo.Client, coll string, router *replicaRouter, tally *replicaTally, o FetchOptions, tracer *obs.Tracer) *prefetcher {
 	ctx, cancel := context.WithCancel(base)
 	return &prefetcher{
 		client:  client,
@@ -181,6 +173,8 @@ func newPrefetcher(base context.Context, client *repo.Client, router *replicaRou
 		tracer:  tracer,
 		router:  router,
 		tally:   tally,
+		cache:   client.ElementCache(),
+		coll:    coll,
 		ctx:     ctx,
 		cancel:  cancel,
 		sem:     make(chan struct{}, o.Inflight),
@@ -195,15 +189,17 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns ref's object, batching it together with the other
-// candidates the kernel could yield next. It blocks until ref's batch
-// lands; other batches keep filling the ready map meanwhile. A transport
-// error is returned once per failed round trip, not once per batched id.
-//
-// candidates is consulted lazily, only when ref is not already ready: on
-// the steady-state hit path a Next costs one map lookup here, not an O(n)
-// replan.
-func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, candidates func() []repo.Ref) (repo.Object, error) {
+// fetch returns ref's object. It looks in three places, in order: a
+// result a batch already parked in ready; the cache, when direct — the
+// invocation's certificate (Iterator.observe) that an entry fresh under
+// the held listing's version listVer is exactly what the owner would
+// ship; otherwise it replans, batching ref with the other candidates the
+// kernel could yield next, and blocks until ref's batch lands while other
+// batches keep filling ready. A transport error is returned once per
+// failed round trip, not once per batched id. candidates is consulted
+// only on a replan, so a warm run builds no window at all.
+func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref) (repo.Object, error) {
+	direct = direct && p.cache != nil
 	for {
 		p.mu.Lock()
 		res, ok := p.ready[ref.ID]
@@ -212,21 +208,30 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, candidates func() 
 			p.mu.Unlock()
 		} else {
 			if !p.pending[ref.ID] {
+				if direct {
+					if obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID); ok {
+						p.mu.Unlock()
+						p.cacheHits.Add(1)
+						if negative {
+							return repo.Object{}, errMissing(ref.ID)
+						}
+						return obj, nil
+					}
+				}
 				// Replan only when ref's batch is not already in flight:
 				// replanning on an in-flight miss would launch fragmentary
 				// top-up batches for the few candidates the advancing window
 				// has newly exposed.
-				p.planLocked(candidates())
-				if _, ok := p.ready[ref.ID]; ok {
-					// The plan served ref straight from the cache; loop back to
-					// the ready-hit path.
-					p.mu.Unlock()
-					continue
-				}
+				p.planLocked(candidates(), listVer, direct)
 				if !p.pending[ref.ID] {
-					// Nothing was launched: the pipeline is closed.
+					// Nothing was launched for ref: the pipeline is closed, or
+					// ref turned fresh in the cache since the serve above
+					// (another run's batch landed) and the next pass serves it.
 					p.mu.Unlock()
-					return repo.Object{}, p.ctx.Err()
+					if err := p.ctx.Err(); err != nil {
+						return repo.Object{}, err
+					}
+					continue
 				}
 			}
 			ch := make(chan fetchResult, 1)
@@ -256,20 +261,17 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, candidates func() 
 }
 
 // planLocked launches batches for every candidate that is neither ready
-// nor already in flight. With a cache bound it first tries to serve
-// candidates directly (snapshot runs over fresh entries cost no RPC at
-// all), then arms the remaining chunks with the known versions for a
-// conditional fetch. Caller holds p.mu; it runs on the iterator
-// goroutine, so reading the binding's listing version is race-free.
-func (p *prefetcher) planLocked(candidates []repo.Ref) {
+// nor already in flight nor, when direct (which fetch leaves set only
+// with a cache bound), fresh in the cache: fetch serves that one when the
+// kernel asks for it, and the probe that leaves it out counts no hit, so
+// a partly evicted warm run fetches exactly its evicted ids. With a cache
+// bound the chunks carry the known versions for a conditional fetch, and
+// listVer stamps what they install. Caller holds p.mu.
+func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bool) {
 	if p.ctx.Err() != nil {
 		return
 	}
-	var listVer uint64
-	direct := false
-	if p.cb.cache != nil {
-		listVer, direct = p.cb.held()
-	}
+	p.plans++
 	if cap(p.need) < len(candidates) {
 		p.need = make([]repo.Ref, 0, len(candidates))
 	}
@@ -281,16 +283,8 @@ func (p *prefetcher) planLocked(candidates []repo.Ref) {
 		if _, ok := p.ready[ref.ID]; ok {
 			continue
 		}
-		if direct {
-			// A pinned run's membership image is frozen at listVer, and a
-			// lease-held current-state run's is certified current at it;
-			// either way an entry fetched or validated under it is exactly
-			// what the owner would ship, so it serves with no round trip.
-			if obj, negative, ok := p.cb.cache.ServeFresh(p.cb.coll, listVer, ref.ID); ok {
-				p.ready[ref.ID] = fetchResult{obj: obj, missing: negative, epoch: p.client.Mutations()}
-				p.cacheHits.Add(1)
-				continue
-			}
+		if direct && p.cache.Fresh(p.coll, listVer, ref.ID) {
+			continue
 		}
 		need = append(need, ref)
 	}
@@ -300,9 +294,9 @@ func (p *prefetcher) planLocked(candidates []repo.Ref) {
 	sortForFetch(p.client, need, OrderClosestFirst)
 	for _, refs := range chunkByNode(need, p.batch) {
 		ch := fetchChunk{refs: refs, listVer: listVer}
-		if p.cb.cache != nil {
+		if p.cache != nil {
 			for _, ref := range refs {
-				if v, ok := p.cb.cache.Version(ref.ID); ok {
+				if v, ok := p.cache.Version(ref.ID); ok {
 					if ch.known == nil {
 						ch.known = make(map[repo.ObjectID]uint64, len(refs))
 					}
@@ -347,7 +341,7 @@ func (p *prefetcher) run(ch fetchChunk) {
 		objs map[repo.ObjectID]repo.Object
 		err  error
 	)
-	if p.cb.cache != nil {
+	if p.cache != nil {
 		// Conditional batches stay owner-routed: a replica's object
 		// versions can lag the client's known versions, and a conditional
 		// answer is only meaningful against the version authority.
@@ -432,16 +426,16 @@ func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint
 // answer per chunk.
 func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []repo.ObjectID) (map[repo.ObjectID]repo.Object, error) {
 	node := ch.refs[0].Node
-	v, _ := p.cb.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
+	v, _ := p.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
 		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, ids, ch.known)
 		if err != nil {
 			return &batchFlight{err: err}
 		}
 		for _, obj := range objs {
-			p.cb.cache.PutValidated(p.cb.coll, ch.listVer, obj)
+			p.cache.PutValidated(p.coll, ch.listVer, obj)
 		}
 		for _, id := range missing {
-			p.cb.cache.PutNegative(p.cb.coll, ch.listVer, id)
+			p.cache.PutNegative(p.coll, ch.listVer, id)
 		}
 		return &batchFlight{objs: objs, notModified: notModified}
 	})
@@ -455,7 +449,7 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []re
 	maps.Copy(out, res.objs)
 	var evicted []repo.ObjectID
 	for _, id := range res.notModified {
-		if obj, ok := p.cb.cache.MarkValidated(p.cb.coll, ch.listVer, id); ok {
+		if obj, ok := p.cache.MarkValidated(p.coll, ch.listVer, id); ok {
 			out[id] = obj
 			p.cacheValidated.Add(1)
 		} else {
@@ -470,7 +464,7 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []re
 			return nil, err
 		}
 		for id, obj := range objs {
-			p.cb.cache.PutValidated(p.cb.coll, ch.listVer, obj)
+			p.cache.PutValidated(p.coll, ch.listVer, obj)
 			out[id] = obj
 		}
 	}

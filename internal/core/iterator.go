@@ -87,6 +87,9 @@ type Iterator struct {
 	// observed flips once this run has observed a listing, by lease or by
 	// RPC: a version move against the cross-run seed is not within-run skew.
 	observed bool
+	// direct is the invocation's certificate for serving fresh cache
+	// entries with no round trip (prefetcher.fetch), set by observe.
+	direct bool
 
 	blockedFor time.Duration
 	fetchFails int
@@ -345,27 +348,20 @@ func (it *Iterator) release(ctx context.Context) {
 	}
 }
 
-// certified reports whether a held lease certifies the run's listing
-// current — the server promised to push any listing change, and the
-// certified version is still the one the run holds — and how old that
-// certificate is.
-func (it *Iterator) certified() (age time.Duration, ok bool) {
+// leaseServe tries to serve a current-state membership read from the
+// held listing under the lease: while a held lease certifies it current —
+// the server promised to push any listing change, and the certified
+// version is still the one the run holds — the conditional revalidation
+// RPC is provably redundant. A pushed bump makes the version comparison
+// fail and the caller falls back to a conditional List — the degradation
+// ladder's middle rung.
+func (it *Iterator) leaseServe() bool {
 	ls := it.set.leaseState()
 	if ls == nil || it.tab.version == 0 {
-		return 0, false
+		return false
 	}
 	v, age, ok := ls.Serveable(it.set.name)
-	return age, ok && v <= it.tab.version
-}
-
-// leaseServe tries to serve a current-state membership read from the
-// held listing under the lease: while it is certified the conditional
-// revalidation RPC is provably redundant. A pushed bump makes the version
-// comparison fail and the caller falls back to a conditional List — the
-// degradation ladder's middle rung.
-func (it *Iterator) leaseServe() bool {
-	age, ok := it.certified()
-	if !ok {
+	if !ok || v > it.tab.version {
 		return false
 	}
 	it.wk.LeaseServed++
@@ -379,12 +375,16 @@ func (it *Iterator) leaseServe() bool {
 // what the invocation steps over: s_first as folded so far for snapshot
 // semantics, otherwise a fresh read — the lease's certificate, or a
 // conditional List through the router that certifies the held listing
-// (NotModified) or replaces it. Every invocation pays it, on either path.
+// (NotModified) or replaces it. Every invocation pays it, on either path,
+// and leaves its certificate in it.direct — set under a snapshot
+// semantics, otherwise whether the read was lease-served — so the lease
+// is read once per invocation, never per element served.
 func (it *Iterator) observe(ctx context.Context) error {
 	if it.opts.Semantics.UsesSnapshot() {
+		it.direct = true
 		return nil
 	}
-	if it.leaseServe() {
+	if it.direct = it.leaseServe(); it.direct {
 		it.observed = true
 		return nil
 	}
@@ -467,28 +467,6 @@ func (it *Iterator) Next(ctx context.Context) bool {
 		var pre spec.State // the kernel's; a cursor decision assembles none
 		d, chosen, fast := it.fastNext()
 		if !fast {
-			if it.opts.Recorder == nil && it.opts.Semantics.UsesSnapshot() && it.tab.unyielded() == 0 {
-				if it.ingestActive() {
-					// Every folded member is yielded but the opening listing is
-					// still streaming: the kernel could only reach a terminal
-					// decision about a prefix, which the terminal cases below wait
-					// out anyway. Wait for the next partition directly instead of
-					// paying a full kernel pass per arriving partition.
-					if !it.waitIngest(ctx) {
-						return false
-					}
-					continue
-				}
-				// The listing is complete and every snapshot member is
-				// yielded (yielded ⊆ s_first always holds under snapshot
-				// semantics), which forces stepSnapshot to Returned no matter
-				// what reachability this invocation would sample. Conclude
-				// directly rather than paying four O(members) scans to prove
-				// it.
-				it.wk.Invocations++
-				it.done = true
-				return false
-			}
 			// The fast path stood down: the kernel decides.
 			pre, d = it.kernelStep()
 			if d.Kind == DecideYield {
@@ -496,16 +474,16 @@ func (it *Iterator) Next(ctx context.Context) bool {
 				chosen = run.refs[i]
 			}
 		}
-		it.wk.Invocations++
 		if (d.Kind == DecideReturn || d.Kind == DecideFail) && it.ingestActive() {
 			// The drained partitions are exhausted but the opening listing
 			// is still streaming in: a terminal decision is about a prefix,
-			// not the snapshot. Wait for more.
+			// not the snapshot, so it decides nothing. Wait for more.
 			if !it.waitIngest(ctx) {
 				return false
 			}
 			continue
 		}
+		it.wk.Invocations++
 		switch d.Kind {
 		case DecideYield:
 			if it.fetch(ctx, pre, chosen) {
@@ -554,21 +532,29 @@ func (it *Iterator) kernelStep() (spec.State, Decision) {
 // cheaply (fastDecide, which ExhaustiveConformance checks against Step).
 // It stands down, leaving the invocation to kernelArgs + Step, when a
 // conformance Recorder is attached (recorded pre-states are full ones);
-// when some member-holding node is unreachable in this invocation's
-// sample; when the cursor is empty (every terminal decision stays with
-// the kernel); and, except under the optimistic Fig. 6, when a yielded id
-// has left the listing (the pessimistic Fig. 5 kernel must fail that run).
+// when the cursor is not empty and some member-holding node is
+// unreachable in this invocation's sample; and, except under the
+// optimistic Fig. 6, when a yielded id has left the listing (the
+// pessimistic Fig. 5 kernel must fail that run). An empty cursor is the
+// terminal Return, decided without a sample, so a quiescent run never
+// steps the kernel (Next holds a snapshot run's Return until its opening
+// listing is complete).
 func (it *Iterator) fastNext() (Decision, repo.Ref, bool) {
-	head, ok := it.tab.head()
-	if it.opts.Recorder != nil || !ok {
+	if it.opts.Recorder != nil {
 		return Decision{}, repo.Ref{}, false
 	}
-	// Every invocation decides against the current reachability, as the
-	// spec demands: the generation is read first, so a sample is never
-	// kept for a topology newer than the one it saw.
-	allReachable := it.tab.allReachable(it.client.Bus().Network().Generation(), it.client.NodeReachable)
 	// fastDecide reads its cursor's length and first id only.
-	d, ok := fastDecide(it.opts.Semantics, []spec.ElemID{spec.ElemID(head.ID)}, allReachable, len(it.tab.gone))
+	var cursor []spec.ElemID
+	allReachable := false
+	head, ok := it.tab.head()
+	if ok {
+		cursor = []spec.ElemID{spec.ElemID(head.ID)}
+		// Every invocation decides against the current reachability, as
+		// the spec demands: the generation is read first, so a sample is
+		// never kept for a topology newer than the one it saw.
+		allReachable = it.tab.allReachable(it.client.Bus().Network().Generation(), it.client.NodeReachable)
+	}
+	d, ok := fastDecide(it.opts.Semantics, cursor, allReachable, len(it.tab.gone))
 	return d, head, ok
 }
 
@@ -603,7 +589,7 @@ func (it *Iterator) cursorCandidates(chosen repo.Ref, pre spec.State) []repo.Ref
 // iterator terminated — check it.done). The prefetch candidates are
 // planned lazily, on a miss.
 func (it *Iterator) fetch(ctx context.Context, pre spec.State, ref repo.Ref) bool {
-	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, func() []repo.Ref { return it.cursorCandidates(ref, pre) })
+	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, it.tab.version, it.direct, func() []repo.Ref { return it.cursorCandidates(ref, pre) })
 	switch {
 	case err == nil:
 		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})

@@ -256,36 +256,27 @@ func (t *runTable) allReachable(gen uint64, reachable func(netsim.NodeID) bool) 
 // kernelArgs assembles what core.Step takes — the pre-state (membership
 // plus a fresh reachability sample) and the yielded history — in the map
 // shapes the figures are written over: the one place the table is turned
-// into maps, paid only by the invocations the kernel decides. Step and
-// the Recorder only read them (the Recorder clones), so where two of the
-// sets are equal — all members reachable, all yielded — they are one map.
-// Reachability is a link property, so it is sampled once per distinct
-// node: members sharing a node share the answer within one sample.
+// into maps, paid only by the invocations the kernel decides, which no
+// quiescent run has (fastDecide). Reachability is a link property, so it
+// is sampled once per distinct node: members sharing a node share the
+// answer within one sample.
 func (t *runTable) kernelArgs(reachable func(netsim.NodeID) bool) (pre spec.State, yielded map[spec.ElemID]bool) {
-	up, allUp := make(map[netsim.NodeID]bool, len(t.nodes)), true
+	up := make(map[netsim.NodeID]bool, len(t.nodes))
 	for node := range t.nodes {
 		up[node] = reachable(node)
-		allUp = allUp && up[node]
 	}
-	members := make(map[spec.ElemID]bool, t.members)
-	reach := members
-	if !allUp {
-		reach = make(map[spec.ElemID]bool, t.members)
-	}
+	pre = spec.State{Members: make(map[spec.ElemID]bool, t.members), Reach: make(map[spec.ElemID]bool, t.members)}
 	for r := range t.runs {
 		for _, ref := range t.runs[r].refs {
-			members[spec.ElemID(ref.ID)] = true
-			if !allUp && up[ref.Node] {
-				reach[spec.ElemID(ref.ID)] = true
+			pre.Members[spec.ElemID(ref.ID)] = true
+			if up[ref.Node] {
+				pre.Reach[spec.ElemID(ref.ID)] = true
 			}
 		}
 	}
-	yielded = members
-	if t.yielded < t.members || len(t.gone) > 0 {
-		yielded = make(map[spec.ElemID]bool, t.yieldedCount())
-		for _, id := range t.yieldedIDs() {
-			yielded[spec.ElemID(id)] = true
-		}
+	yielded = make(map[spec.ElemID]bool, t.yieldedCount())
+	for _, id := range t.yieldedIDs() {
+		yielded[spec.ElemID(id)] = true
 	}
-	return spec.State{Members: members, Reach: reach}, yielded
+	return pre, yielded
 }

@@ -232,7 +232,7 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 	it.wk.Trace = it.span.TraceID()
 	// The prefetcher's background context carries the run's trace, so
 	// batches issued between Next calls still join it.
-	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.router, &it.rep, s.opts.Fetch, s.opts.Tracer)
+	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.name, s.router, &it.rep, s.opts.Fetch, s.opts.Tracer)
 	if err := it.setup(it.traceCtx(ctx)); err != nil {
 		werr := fmt.Errorf("%w: open %s elements on %q: %v", ErrFailure, s.opts.Semantics, s.name, err)
 		if it.ingCancel != nil {
@@ -253,16 +253,6 @@ func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
 		// Queue the collection for lease acquisition; the first runs still
 		// revalidate conditionally until the (asynchronous) grant lands.
 		ls.Track(s.name)
-	}
-	// The binding reads the table's version each time a fetch is planned, so
-	// it follows the run from an opening stream's unsealed version 0
-	// through every listing it later adopts.
-	if cache := s.client.ElementCache(); cache != nil {
-		pinned := s.opts.Semantics.UsesSnapshot()
-		it.pf.cb = cacheBinding{cache: cache, coll: s.name, held: func() (uint64, bool) {
-			_, leased := it.certified()
-			return it.tab.version, pinned || leased
-		}}
 	}
 	return it, nil
 }

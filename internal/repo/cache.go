@@ -81,12 +81,30 @@ type cacheEntry struct {
 	// negative marks a member the owner reported missing (ghost or
 	// tombstone); it answers "missing" without a round trip while fresh.
 	negative bool
-	// seen maps collection name → the listing version this entry was
-	// last fetched or validated under through that collection's elements
-	// path. A run governed by listing version v may serve the entry
-	// without revalidation iff seen[coll] >= v: the entry is at least as
-	// new as the membership image driving the run.
-	seen map[string]uint64
+	// seen holds, per collection, the listing version this entry was last
+	// fetched or validated under through that collection's elements path
+	// — usually one stamp, so a slice scan, not a map. A run governed by
+	// listing version v may serve the entry without revalidation iff its
+	// collection's stamp is >= v: the entry is at least as new as the
+	// membership image driving the run.
+	seen []stamp
+}
+
+// stamp is one collection's listing version on a cache entry.
+type stamp struct {
+	coll string
+	ver  uint64
+}
+
+// seenUnder reports the listing version the entry was last fetched or
+// validated under through coll, 0 for never.
+func (e *cacheEntry) seenUnder(coll string) uint64 {
+	for _, s := range e.seen {
+		if s.coll == coll {
+			return s.ver
+		}
+	}
+	return 0
 }
 
 // NewCache creates a cache bounded to capacity entries (minimum 1).
@@ -142,15 +160,16 @@ func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
 }
 
 func (c *Cache) stampLocked(e *cacheEntry, coll string, listVer uint64) {
-	if coll == "" {
+	if coll == "" || listVer == 0 {
 		return
 	}
-	if e.seen == nil {
-		e.seen = make(map[string]uint64, 1)
+	for i := range e.seen {
+		if e.seen[i].coll == coll {
+			e.seen[i].ver = max(e.seen[i].ver, listVer)
+			return
+		}
 	}
-	if listVer > e.seen[coll] {
-		e.seen[coll] = listVer
-	}
+	e.seen = append(e.seen, stamp{coll, listVer})
 }
 
 func (c *Cache) evictLocked() {
@@ -182,7 +201,7 @@ func (c *Cache) PutNegative(coll string, listVer uint64, id ObjectID) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[id]; ok {
 		e := el.Value.(*cacheEntry)
-		if !e.negative && e.seen[coll] >= listVer {
+		if !e.negative && e.seenUnder(coll) >= listVer {
 			// The positive copy was observed at least as recently; the
 			// missing report is the older observation.
 			return
@@ -216,7 +235,7 @@ func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, 
 		return Object{}, false, false
 	}
 	e := el.Value.(*cacheEntry)
-	if e.seen[coll] < atVer {
+	if e.seenUnder(coll) < atVer {
 		return Object{}, false, false
 	}
 	c.order.MoveToFront(el)
@@ -227,6 +246,17 @@ func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, 
 	c.stats.Hits++
 	c.stats.BytesSaved += int64(len(e.obj.Data))
 	return e.obj, false, true
+}
+
+// Fresh reports whether ServeFresh would serve id for a run over coll
+// governed by listing version atVer, without serving it: no hit is
+// counted and the LRU order is left alone. A fetch planner uses it to
+// leave out what the run will be served at yield.
+func (c *Cache) Fresh(coll string, atVer uint64, id ObjectID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, found := c.entries[id]
+	return found && atVer != 0 && el.Value.(*cacheEntry).seenUnder(coll) >= atVer
 }
 
 // Version reports the cached version of id, used to build a conditional

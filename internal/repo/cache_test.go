@@ -157,11 +157,26 @@ func TestCacheServeFreshStamps(t *testing.T) {
 		t.Fatal("stamp did not advance after validation")
 	}
 
+	// Validated under a second collection, the entry keeps both stamps.
+	if _, ok := c.MarkValidated("other", 2, "a"); !ok {
+		t.Fatal("MarkValidated refused a live entry")
+	}
+	_, _, underColl := c.ServeFresh("coll", 6, "a")
+	_, _, underOther := c.ServeFresh("other", 2, "a")
+	if !underColl || !underOther {
+		t.Fatalf("serves under coll %v, under other %v: a second collection's stamp displaced the first", underColl, underOther)
+	}
+
+	// Fresh answers as ServeFresh would and counts nothing.
+	if !c.Fresh("coll", 6, "a") || c.Fresh("coll", 7, "a") || c.Fresh("coll", 0, "a") || c.Fresh("coll", 1, "never-cached") {
+		t.Fatal("Fresh disagrees with ServeFresh")
+	}
+
 	st := c.Stats()
-	if st.Hits != 3 || st.ValidatedHits != 1 {
+	if st.Hits != 5 || st.ValidatedHits != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if want := int64(4 * len(obj.Data)); st.BytesSaved != want {
+	if want := int64(7 * len(obj.Data)); st.BytesSaved != want {
 		t.Fatalf("bytesSaved = %d, want %d", st.BytesSaved, want)
 	}
 	if _, ok := c.MarkValidated("coll", 6, "never-cached"); ok {

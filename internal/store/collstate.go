@@ -185,12 +185,14 @@ func (c *collState) pin(snap []Ref) int64 {
 	return c.nextPin
 }
 
+// listPinned hands out the pin itself: it is never written, so every
+// reader shares it (Store.ListPinned).
 func (c *collState) listPinned(pin int64) ([]Ref, error) {
 	snap, found := c.pins[pin]
 	if !found {
 		return nil, fmt.Errorf("list %q pin %d: %w", c.name, pin, ErrBadPin)
 	}
-	return append([]Ref(nil), snap...), nil
+	return snap, nil
 }
 
 func (c *collState) unpin(pin int64) error {

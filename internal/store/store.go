@@ -46,7 +46,9 @@ type Store interface {
 	// Engines must bump the version on every change to the listing,
 	// including ghost garbage collection.
 	ListVersion(name string) (version uint64, err error)
-	// ListPinned reads a pinned snapshot.
+	// ListPinned reads a pinned snapshot, sorted by ID. members is the pin
+	// itself, shared with the engine and every other reader of it, and is
+	// read-only: a caller that wants to modify it copies first.
 	ListPinned(name string, pin int64) (members []Ref, version uint64, err error)
 	// Partitions reports the collection's listing partition count.
 	// Partition indices are stable for the life of the collection

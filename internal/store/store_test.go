@@ -411,6 +411,11 @@ func TestPinIsTheLiveMembership(t *testing.T) {
 				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("pinned = %v, want %v", got, tc.want)
 				}
+				// Each read hands out the pin itself, never a copy of it.
+				first, _, _ := st.ListPinned("c", pin)
+				if again, _, _ := st.ListPinned("c", pin); &again[0] != &first[0] {
+					t.Fatal("two reads of one pin returned different arrays")
+				}
 				// Nothing later moves it: an add, a removal, a ghost and its
 				// collection, each followed by a listing that republishes.
 				st.Add("c", mustPut(t, st, "e"))
@@ -425,6 +430,9 @@ func TestPinIsTheLiveMembership(t *testing.T) {
 				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("pinned after mutations = %v, want %v", got, tc.want)
 				}
+				if later, _, _ := st.ListPinned("c", pin); &later[0] != &first[0] {
+					t.Fatal("the mutations moved the pin to another array")
+				}
 			})
 		})
 	}
@@ -433,12 +441,23 @@ func TestPinIsTheLiveMembership(t *testing.T) {
 // TestShardedPinSharesTheListing guards the O(1) pin: on a quiescent
 // collection a pin is the published listing, so taking one costs the same
 // at 10 000 members as at one — no sort and no copy under the collection's
-// write lock.
+// write lock — and reading it back copies nothing either. (That a run over
+// the bus leaves the shared pin as it was is core's
+// TestWarmRunsServeAtYield.)
 func TestShardedPinSharesTheListing(t *testing.T) {
 	st := NewSharded(Config{})
 	mustColl(t, st, "c")
 	for i := 0; i < 10_000; i++ {
 		st.Add("c", Ref{ID: ObjectID(fmt.Sprintf("e%05d", i)), Node: "n1"})
+	}
+	pin, err := st.Pin("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, _, err := st.ListPinned("c", pin)
+	c, _ := st.coll("c")
+	if err != nil || &pinned[0] != &c.snapshot().members[0] {
+		t.Fatalf("a quiescent pin read back is not the published listing (err %v)", err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		pin, err := st.Pin("c")
