@@ -8,9 +8,9 @@ GO ?= go
 # them back (CI collects the directory as an artifact).
 SMOKE := /tmp/weakbench-smoke
 
-.PHONY: check vet no-gob build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+.PHONY: check vet no-gob no-unsafe build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
-check: vet no-gob build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
+check: vet no-gob no-unsafe build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
 	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
 
 vet:
@@ -20,6 +20,12 @@ vet:
 # (tests keep it as the reference the codecs are held to).
 no-gob:
 	! grep -rl 'encoding/gob' --include='*.go' . | grep -v _test
+
+# A decoded id is a view into its frame (wirebin.Reader.Text), the one
+# unsafe conversion in the tree: it stays inside the codec that states the
+# frame's lifetime rule, so no other production Go file imports unsafe.
+no-unsafe:
+	! grep -rl '"unsafe"' --include='*.go' . | grep -v _test | grep -v '^\./internal/wirebin/'
 
 build:
 	$(GO) build ./...

@@ -14,13 +14,16 @@ import (
 )
 
 // TestRunAllocBudget is the run-state allocation guard, the whole-run
-// companion of internal/repo's TestAllocBudget: a run served without
-// moving element bytes — a warm 10k snapshot run, a leased 1k
-// current-state run, both on the in-process bus — must allocate no more
+// companion of internal/repo's TestAllocBudget: a warm 10k snapshot run
+// and a leased 1k current-state run, served without moving element
+// bytes, and a cold 10k snapshot run with the cache off, every element
+// fetched in a batch, all on the in-process bus, must allocate no more
 // bytes and no more objects per element than the ceilings checked in as
 // BENCH_budget.json (bytesPerElem, allocsPerElem). What is left is
-// bookkeeping, so a change that puts a per-member map, copy or small
-// allocation back on the path fails here; `make bench-iter` runs it.
+// bookkeeping — on the cold run, per batch, not per element, since the
+// store hands out the objects it holds — so a change that puts a
+// per-member map, copy or small allocation back on the path fails here;
+// `make bench-iter` runs it.
 // The counters are the whole process's, so each figure is the least of
 // three windows of ten runs: what a background goroutine allocates (a
 // lease renewal, say) only ever adds, and is a few KB, while the runs'
@@ -46,9 +49,11 @@ func TestRunAllocBudget(t *testing.T) {
 		sem     Semantics
 		members int
 		leased  bool
+		cold    bool // the cache is off: every element is fetched
 	}{
-		{"snapWarm10k", Snapshot, 10_000, false},
-		{"curLeased1k", GrowOnly, 1_000, true},
+		{"snapWarm10k", Snapshot, 10_000, false, false},
+		{"curLeased1k", GrowOnly, 1_000, true, false},
+		{"snapCold10k", Snapshot, 10_000, false, true},
 	} {
 		maxBytes, ok := budget.BytesPerElem[tc.name]
 		maxAllocs, ok2 := budget.AllocsPerElem[tc.name]
@@ -59,7 +64,9 @@ func TestRunAllocBudget(t *testing.T) {
 		if tc.leased {
 			leaseWorld(t, w)
 		}
-		w.c.Client.UseCache(repo.NewCache(2 * tc.members)) // every member stays cached
+		if !tc.cold {
+			w.c.Client.UseCache(repo.NewCache(2 * tc.members)) // every member stays cached
+		}
 		s := w.set(t, Options{Semantics: tc.sem})
 		run := func() obs.WeaknessReport {
 			it, err := s.Elements(ctx)
@@ -74,7 +81,7 @@ func TestRunAllocBudget(t *testing.T) {
 			}
 			return it.Weakness()
 		}
-		run() // fills the cache, publishes the listing
+		run() // fills the cache, if any, and publishes the listing
 		if tc.leased {
 			run()
 			awaitLease(t, w, w.c.Client.Leases())
@@ -87,7 +94,7 @@ func TestRunAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
 				wk := run()
-				if wk.CacheHits != int64(tc.members) || tc.leased && wk.LeaseServed == 0 {
+				if !tc.cold && wk.CacheHits != int64(tc.members) || tc.leased && wk.LeaseServed == 0 {
 					t.Fatalf("%s: %d cache hits, %d lease-served invocations: the run moved element bytes", tc.name, wk.CacheHits, wk.LeaseServed)
 				}
 			}

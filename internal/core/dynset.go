@@ -248,7 +248,10 @@ func (d *DynSet) fetchBatch(ctx context.Context, refs []repo.Ref) {
 	cache := d.opts.FallbackCache
 	var unserved []repo.Ref // deleted if the node answered, unreachable if not
 	for _, ref := range refs {
-		obj, ok := objs[ref.ID]
+		obj, ok := repo.Object{}, len(objs) > 0 && objs[0].ID == ref.ID
+		if ok { // the answer follows the request
+			obj, objs = objs[0], objs[1:]
+		}
 		switch {
 		case err != nil && cache != nil:
 			obj, ok = cache.Fallback(ref.ID)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,18 +62,25 @@ func sortForFetch(client *repo.Client, refs []repo.Ref, order FetchOrder) {
 
 // chunkByNode splits fetch-ordered refs into per-node batches of at most
 // size ids, in first-appearance order — so the closest node's batch is
-// first and launches first.
+// first and launches first. Each chunk is allocated once, at size or the
+// refs left when it opens; a node's open chunk is found by a scan, as
+// nodes are few.
 func chunkByNode(refs []repo.Ref, size int) [][]repo.Ref {
 	var chunks [][]repo.Ref
-	idx := make(map[netsim.NodeID]int)
-	for _, ref := range refs {
-		i, ok := idx[ref.Node]
-		if !ok || len(chunks[i]) >= size {
-			chunks = append(chunks, nil)
-			i = len(chunks) - 1
-			idx[ref.Node] = i
+	var open []int // the chunk each node is filling, in chunks
+	for k, ref := range refs {
+		o := 0
+		for o < len(open) && chunks[open[o]][0].Node != ref.Node {
+			o++
 		}
-		chunks[i] = append(chunks[i], ref)
+		if o == len(open) {
+			open = append(open, 0)
+		} else if len(chunks[open[o]]) < size {
+			chunks[open[o]] = append(chunks[open[o]], ref)
+			continue
+		}
+		open[o] = len(chunks)
+		chunks = append(chunks, append(make([]repo.Ref, 0, min(size, len(refs)-k)), ref))
 	}
 	return chunks
 }
@@ -88,11 +94,12 @@ type fetchResult struct {
 	epoch   uint64
 }
 
-// fetchChunk is one per-node batch plus the cache context it was planned
-// under: the known versions to validate and the listing version that
-// stamps installed results.
+// fetchChunk is one per-node batch, its refs and their ids, plus the cache
+// context it was planned under: the known versions to validate and the
+// listing version that stamps installed results.
 type fetchChunk struct {
 	refs    []repo.Ref
+	ids     []repo.ObjectID
 	known   map[repo.ObjectID]uint64
 	listVer uint64
 }
@@ -147,7 +154,9 @@ type prefetcher struct {
 	sem    chan struct{}
 	wg     sync.WaitGroup
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// ready is made by the first plan, sized for Inflight batches: a run
+	// that never plans (a warm one) never pays for it.
 	ready   map[repo.ObjectID]fetchResult
 	pending map[repo.ObjectID]bool
 	// need is planLocked's scratch: the candidates one replan must fetch,
@@ -178,7 +187,6 @@ func newPrefetcher(base context.Context, client *repo.Client, coll string, route
 		ctx:     ctx,
 		cancel:  cancel,
 		sem:     make(chan struct{}, o.Inflight),
-		ready:   make(map[repo.ObjectID]fetchResult),
 		pending: make(map[repo.ObjectID]bool),
 	}
 }
@@ -291,9 +299,14 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 	if len(need) == 0 {
 		return
 	}
+	if p.ready == nil {
+		p.ready = make(map[repo.ObjectID]fetchResult, p.batch*cap(p.sem))
+	}
 	sortForFetch(p.client, need, OrderClosestFirst)
+	ids := make([]repo.ObjectID, len(need)) // every chunk's ids, cut from one slice
 	for _, refs := range chunkByNode(need, p.batch) {
-		ch := fetchChunk{refs: refs, listVer: listVer}
+		ch := fetchChunk{refs: refs, ids: ids[:len(refs):len(refs)], listVer: listVer}
+		ids = ids[len(refs):]
 		if p.cache != nil {
 			for _, ref := range refs {
 				if v, ok := p.cache.Version(ref.ID); ok {
@@ -304,7 +317,8 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 				}
 			}
 		}
-		for _, ref := range refs {
+		for i, ref := range refs {
+			ch.ids[i] = ref.ID
 			p.pending[ref.ID] = true
 		}
 		p.wg.Add(1)
@@ -320,34 +334,29 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 // accounting.
 func (p *prefetcher) run(ch fetchChunk) {
 	defer p.wg.Done()
-	chunk := ch.refs
 	select {
 	case p.sem <- struct{}{}:
 		defer func() { <-p.sem }()
 	case <-p.ctx.Done():
-		p.deliver(chunk, nil, p.ctx.Err(), p.client.Mutations())
+		p.deliver(ch.refs, nil, p.ctx.Err(), p.client.Mutations())
 		return
 	}
 	epoch := p.client.Mutations()
-	ids := make([]repo.ObjectID, len(chunk))
-	for i, ref := range chunk {
-		ids[i] = ref.ID
-	}
 	bctx, span := p.tracer.StartSpan(p.ctx, "fetch.batch")
-	span.SetAttr("node", string(chunk[0].Node))
-	span.SetInt("ids", int64(len(ids)))
+	span.SetAttr("node", string(ch.refs[0].Node))
+	span.SetInt("ids", int64(len(ch.ids)))
 	span.SetInt("known", int64(len(ch.known)))
 	var (
-		objs map[repo.ObjectID]repo.Object
+		objs []repo.Object
 		err  error
 	)
 	if p.cache != nil {
 		// Conditional batches stay owner-routed: a replica's object
 		// versions can lag the client's known versions, and a conditional
 		// answer is only meaningful against the version authority.
-		objs, err = p.fetchValidated(bctx, ch, ids)
+		objs, err = p.fetchValidated(bctx, ch)
 	} else {
-		objs, err = p.fetchPlain(bctx, chunk[0].Node, ids)
+		objs, err = p.fetchPlain(bctx, ch.refs[0].Node, ch.ids)
 	}
 	if span != nil {
 		if err != nil {
@@ -355,7 +364,7 @@ func (p *prefetcher) run(ch fetchChunk) {
 		}
 		span.End()
 	}
-	p.deliver(chunk, objs, err, epoch)
+	p.deliver(ch.refs, objs, err, epoch)
 }
 
 // fetchPlain issues one unconditional batch, routed to the closest live
@@ -363,7 +372,7 @@ func (p *prefetcher) run(ch fetchChunk) {
 // legally lack some of the objects (anti-entropy lag) or die mid-flight;
 // both hedge back to the owner, so replica routing never loses data,
 // only freshness — which is accounted as ReplicaServed/GhostAge.
-func (p *prefetcher) fetchPlain(ctx context.Context, owner netsim.NodeID, ids []repo.ObjectID) (map[repo.ObjectID]repo.Object, error) {
+func (p *prefetcher) fetchPlain(ctx context.Context, owner netsim.NodeID, ids []repo.ObjectID) ([]repo.Object, error) {
 	if target, ok := p.router.routeBatch(ctx, owner); ok && target.node != owner {
 		hctx, cancel := context.WithTimeout(ctx, p.router.cfg.HedgeTimeout)
 		objs, missing, err := p.client.GetBatch(hctx, target.node, ids)
@@ -378,9 +387,7 @@ func (p *prefetcher) fetchPlain(ctx context.Context, owner netsim.NodeID, ids []
 				if merr != nil {
 					return nil, merr
 				}
-				for id, obj := range more {
-					objs[id] = obj
-				}
+				objs = mergeByPosition(ids, objs, more)
 			}
 			return objs, nil
 		}
@@ -392,9 +399,24 @@ func (p *prefetcher) fetchPlain(ctx context.Context, owner netsim.NodeID, ids []
 	return objs, err
 }
 
+// mergeByPosition merges two answers to disjoint parts of the request
+// ids, each in request order, into one answer in request order.
+func mergeByPosition(ids []repo.ObjectID, a, b []repo.Object) []repo.Object {
+	out := make([]repo.Object, 0, len(a)+len(b))
+	for _, id := range ids {
+		switch {
+		case len(a) > 0 && a[0].ID == id:
+			out, a = append(out, a[0]), a[1:]
+		case len(b) > 0 && b[0].ID == id:
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return out
+}
+
 // batchFlight is the shared result of one coalesced conditional batch.
 type batchFlight struct {
-	objs        map[repo.ObjectID]repo.Object
+	objs        []repo.Object
 	notModified []repo.ObjectID
 	err         error
 }
@@ -422,12 +444,12 @@ func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint
 // singleflight group: full objects ship only for ids whose version
 // moved, NotModified ids serve from cache, and missing ids are cached
 // negatively. The leader installs results; every caller (leader and
-// joiners) assembles its own object map so deliver sees one coherent
-// answer per chunk.
-func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []repo.ObjectID) (map[repo.ObjectID]repo.Object, error) {
+// joiners) assembles its own answer, in request order, so deliver sees
+// one coherent answer per chunk.
+func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk) ([]repo.Object, error) {
 	node := ch.refs[0].Node
 	v, _ := p.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
-		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, ids, ch.known)
+		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, ch.ids, ch.known)
 		if err != nil {
 			return &batchFlight{err: err}
 		}
@@ -443,19 +465,22 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []re
 	if res.err != nil {
 		return nil, res.err
 	}
-	out := make(map[repo.ObjectID]repo.Object, len(res.objs)+len(res.notModified))
 	// The flight's objects are shared by every iterator that joined it:
 	// yielded Data and Attrs are read-only views (Element).
-	maps.Copy(out, res.objs)
+	if len(res.notModified) == 0 {
+		return res.objs, nil
+	}
+	var validated []repo.Object
 	var evicted []repo.ObjectID
 	for _, id := range res.notModified {
 		if obj, ok := p.cache.MarkValidated(p.coll, ch.listVer, id); ok {
-			out[id] = obj
+			validated = append(validated, obj)
 			p.cacheValidated.Add(1)
 		} else {
 			evicted = append(evicted, id)
 		}
 	}
+	out := mergeByPosition(ch.ids, res.objs, validated)
 	if len(evicted) > 0 {
 		// The entry vanished between planning and the NotModified answer
 		// (eviction race): refetch those ids unconditionally.
@@ -463,23 +488,25 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk, ids []re
 		if err != nil {
 			return nil, err
 		}
-		for id, obj := range objs {
+		for _, obj := range objs {
 			p.cache.PutValidated(p.coll, ch.listVer, obj)
-			out[id] = obj
 		}
+		out = mergeByPosition(ch.ids, out, objs)
 	}
 	return out, nil
 }
 
-func (p *prefetcher) deliver(chunk []repo.Ref, objs map[repo.ObjectID]repo.Object, err error, epoch uint64) {
+// deliver routes one batch's answer, objs in the order of chunk's refs,
+// matching the two by position.
+func (p *prefetcher) deliver(chunk []repo.Ref, objs []repo.Object, err error, epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ref := range chunk {
 		delete(p.pending, ref.ID)
 		res := fetchResult{err: err, epoch: epoch}
 		if err == nil {
-			if obj, ok := objs[ref.ID]; ok {
-				res = fetchResult{obj: obj, epoch: epoch}
+			if len(objs) > 0 && objs[0].ID == ref.ID {
+				res, objs = fetchResult{obj: objs[0], epoch: epoch}, objs[1:]
 			} else {
 				res = fetchResult{missing: true, epoch: epoch}
 			}

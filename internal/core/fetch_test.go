@@ -8,8 +8,69 @@ import (
 	"time"
 
 	"weaksets/internal/cluster"
+	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
 )
+
+// TestChunkByNode: refs split into per-node batches of at most size, in
+// first-appearance order, each ref once and in its fetch order, and no
+// chunk allocated for more refs than it could be given — size, or the
+// refs left when it opened.
+func TestChunkByNode(t *testing.T) {
+	refs := make([]repo.Ref, 23)
+	for i := range refs {
+		refs[i] = repo.Ref{ID: repo.ObjectID(fmt.Sprintf("e%02d", i)), Node: netsim.NodeID(fmt.Sprintf("n%d", i%3))}
+	}
+	for _, tc := range []struct {
+		size int
+		want [][]int
+	}{
+		{4, [][]int{{0, 3, 6, 9}, {1, 4, 7, 10}, {2, 5, 8, 11}, {12, 15, 18, 21}, {13, 16, 19, 22}, {14, 17, 20}}},
+		{64, [][]int{{0, 3, 6, 9, 12, 15, 18, 21}, {1, 4, 7, 10, 13, 16, 19, 22}, {2, 5, 8, 11, 14, 17, 20}}},
+	} {
+		chunks := chunkByNode(refs, tc.size)
+		if len(chunks) != len(tc.want) {
+			t.Fatalf("size %d: %d chunks, want %d", tc.size, len(chunks), len(tc.want))
+		}
+		for c, idx := range tc.want {
+			got := chunks[c]
+			if len(got) != len(idx) || cap(got) > min(tc.size, len(refs)-idx[0]) {
+				t.Fatalf("size %d chunk %d: len %d cap %d, want len %d", tc.size, c, len(got), cap(got), len(idx))
+			}
+			for j, i := range idx {
+				if got[j] != refs[i] {
+					t.Fatalf("size %d chunk %d[%d] = %v, want %v", tc.size, c, j, got[j], refs[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMergeByPosition: two answers to disjoint parts of one request, each
+// in request order — a replica's and the owner's for the replica's gap,
+// or the shipped and the revalidated objects of a conditional batch —
+// merge into one answer in request order, ids answered by neither left
+// out, so deliver can match it to the chunk by position.
+func TestMergeByPosition(t *testing.T) {
+	ids := []repo.ObjectID{"a", "b", "c", "d", "e"}
+	objs := func(ids ...repo.ObjectID) []repo.Object {
+		out := make([]repo.Object, len(ids))
+		for i, id := range ids {
+			out[i] = repo.Object{ID: id}
+		}
+		return out
+	}
+	for _, tc := range []struct{ a, b, want []repo.Object }{
+		{objs("a", "d"), objs("b", "e"), objs("a", "b", "d", "e")},
+		{objs("c"), nil, objs("c")},
+		{nil, objs("a", "e"), objs("a", "e")},
+		{nil, nil, objs()},
+	} {
+		if got := mergeByPosition(ids, tc.a, tc.b); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("merge %v + %v = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
 
 // TestBatchedIteratorUsesBatchRPC pins the transport win: a batched
 // iterator over a populated set issues GetBatch RPCs and far fewer

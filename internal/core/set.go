@@ -18,7 +18,9 @@ import (
 // the object state fetched for it. Data and Attrs are read-only views: a
 // yield served from the element cache hands out the cache entry's own
 // bytes and map, shared with the cache and with every other run served
-// from it. A caller that wants to modify them copies first.
+// from it, and a fetched one the batch answer's, which is the store's own
+// object on the in-process bus. A caller that wants to modify them copies
+// first.
 type Element struct {
 	Ref   repo.Ref
 	Data  []byte

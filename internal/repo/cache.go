@@ -149,8 +149,8 @@ func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
 		return
 	}
 	// The entry outlives the message obj came in, and a decoded id may be
-	// cut from a copy of its whole frame (wirebin.Reader.Text): the cache
-	// keeps its own copy of the id, as it does of the data.
+	// a view into its whole frame (wirebin.Reader.Text): the cache keeps
+	// its own copy of the id, as it does of the data.
 	e := &cacheEntry{id: ObjectID(strings.Clone(string(obj.ID))), obj: obj.Clone()}
 	e.obj.ID = e.id
 	c.stampLocked(e, coll, listVer)

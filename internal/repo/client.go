@@ -93,9 +93,10 @@ func (c *Client) Get(ctx context.Context, ref Ref) (Object, error) {
 }
 
 // GetBatch fetches several objects from one node in a single round trip.
-// It returns the found objects keyed by ID plus the ids the node had no
-// data for; only a transport failure errors the whole batch.
-func (c *Client) GetBatch(ctx context.Context, node netsim.NodeID, ids []ObjectID) (map[ObjectID]Object, []ObjectID, error) {
+// It returns the found objects in request order plus the ids the node had
+// no data for; only a transport failure or a malformed answer errors the
+// whole batch.
+func (c *Client) GetBatch(ctx context.Context, node netsim.NodeID, ids []ObjectID) ([]Object, []ObjectID, error) {
 	objs, _, missing, err := c.GetBatchValidated(ctx, node, ids, nil)
 	return objs, missing, err
 }
@@ -104,16 +105,32 @@ func (c *Client) GetBatch(ctx context.Context, node netsim.NodeID, ids []ObjectI
 // ids to versions the caller already holds, and the node ships full
 // objects only for ids whose version moved, answering the rest in
 // notModified. Payload bytes for validated ids never cross the wire.
-func (c *Client) GetBatchValidated(ctx context.Context, node netsim.NodeID, ids []ObjectID, known map[ObjectID]uint64) (objs map[ObjectID]Object, notModified []ObjectID, missing []ObjectID, err error) {
+// objs, notModified and missing each follow the order of ids, which is
+// what lets a caller match answers to requests by position: an answer
+// that does not is an error, never an id silently lost.
+func (c *Client) GetBatchValidated(ctx context.Context, node netsim.NodeID, ids []ObjectID, known map[ObjectID]uint64) (objs []Object, notModified []ObjectID, missing []ObjectID, err error) {
 	resp, err := rpc.Invoke[GetBatchResp](ctx, c.bus, c.node, node, MethodGetBatch, GetBatchReq{IDs: ids, Known: known})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	objs = make(map[ObjectID]Object, len(resp.Objects))
-	for _, obj := range resp.Objects {
-		objs[obj.ID] = obj
+	if !inRequestOrder(ids, len(resp.Objects), func(i int) ObjectID { return resp.Objects[i].ID }) ||
+		!inRequestOrder(ids, len(resp.NotModified), func(i int) ObjectID { return resp.NotModified[i] }) ||
+		!inRequestOrder(ids, len(resp.Missing), func(i int) ObjectID { return resp.Missing[i] }) {
+		return nil, nil, nil, fmt.Errorf("rpc %s: answer from %s is not in request order", MethodGetBatch, node)
 	}
-	return objs, resp.NotModified, resp.Missing, nil
+	return resp.Objects, resp.NotModified, resp.Missing, nil
+}
+
+// inRequestOrder reports whether n answers, the i-th naming id(i), are an
+// in-order subsequence of the requested ids.
+func inRequestOrder(ids []ObjectID, n int, id func(int) ObjectID) bool {
+	i := 0
+	for _, want := range ids {
+		if i < n && id(i) == want {
+			i++
+		}
+	}
+	return i == n
 }
 
 // Put stores an object on the given node and returns its ref. With a

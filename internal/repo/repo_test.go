@@ -109,8 +109,8 @@ func TestGetBatchRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 2 || string(objs["a"].Data) != "A" || string(objs["b"].Data) != "B" {
-		t.Fatalf("objs = %v", objs)
+	if len(objs) != 2 || objs[0].ID != "a" || string(objs[0].Data) != "A" || objs[1].ID != "b" || string(objs[1].Data) != "B" {
+		t.Fatalf("objs = %v (want a, b in request order)", objs)
 	}
 	if len(missing) != 1 || missing[0] != "nope" {
 		t.Fatalf("missing = %v", missing)
@@ -125,6 +125,49 @@ func TestGetBatchRPC(t *testing.T) {
 	}
 	if got := w.bus.MethodCalls(MethodGetBatch) - calls; got != 1 {
 		t.Fatalf("partitioned batch issued %d calls, want 1", got)
+	}
+}
+
+// TestGetBatchAnswerOutOfOrderIsAnError: callers match a batch answer to
+// its request by position, so an answer whose objects, not-modified or
+// missing ids are not an in-order subsequence of the request must fail
+// the call — never come back as ids silently missing.
+func TestGetBatchAnswerOutOfOrderIsAnError(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	n.AddNode("home")
+	n.AddNode("odd")
+	b := rpc.NewBus(n)
+	var answer GetBatchResp
+	srv := rpc.NewServer("odd")
+	srv.Handle(MethodGetBatch, rpc.Typed(func(context.Context, netsim.NodeID, GetBatchReq) (any, error) {
+		return answer, nil
+	}))
+	if err := b.Register(srv); err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(b, "home")
+	ctx := context.Background()
+	ids := []ObjectID{"a", "b", "c"}
+	for _, tc := range []struct {
+		name   string
+		answer GetBatchResp
+		ok     bool
+	}{
+		{"in order", GetBatchResp{Objects: []Object{{ID: "a"}, {ID: "c"}}, NotModified: []ObjectID{"b"}}, true},
+		{"objects swapped", GetBatchResp{Objects: []Object{{ID: "c"}, {ID: "a"}}}, false},
+		{"object not asked for", GetBatchResp{Objects: []Object{{ID: "a"}, {ID: "z"}}}, false},
+		{"object twice", GetBatchResp{Objects: []Object{{ID: "a"}, {ID: "a"}}}, false},
+		{"notModified swapped", GetBatchResp{NotModified: []ObjectID{"b", "a"}}, false},
+		{"missing swapped", GetBatchResp{Missing: []ObjectID{"c", "b"}}, false},
+	} {
+		answer = tc.answer
+		objs, notMod, missing, err := client.GetBatchValidated(ctx, "odd", ids, nil)
+		if tc.ok && (err != nil || len(objs) != 2 || len(notMod) != 1) {
+			t.Errorf("%s: objs %v, notModified %v, err %v", tc.name, objs, notMod, err)
+		}
+		if !tc.ok && (err == nil || objs != nil || missing != nil) {
+			t.Errorf("%s: answered %v / %v, err %v; want an error", tc.name, objs, missing, err)
+		}
 	}
 }
 

@@ -27,12 +27,16 @@ import (
 //     non-nil maps;
 //   - node, collection and method names decode through the reader's
 //     intern table, so they allocate once per connection; the member ids
-//     of a listing and the object ids of a batch answer are cut out of one
-//     copy of their frame (Reader.Text), so a frame of ids never seen
-//     before still decodes with O(1) allocations;
-//   - Object.Data decodes as a view into the frame buffer (the transport
-//     keeps aliased frames out of its buffer pool), so a wide GetBatchResp
-//     decodes with O(1) allocations, not O(objects).
+//     of a listing and the object ids of a batch answer are views into
+//     their frame (Reader.Text), so a frame of ids never seen before
+//     decodes with one allocation, its result slice;
+//   - Object.Data decodes as a view into the frame buffer too (the
+//     transport hands an aliased frame to the decoded body and reads the
+//     next into a new buffer), so a wide GetBatchResp decodes with O(1)
+//     allocations, not O(objects);
+//   - a string a server keeps — the ids of Add, Remove, SyncPart and Put —
+//     decodes through String, never Text: a view would pin its whole frame
+//     for as long as the store holds the id.
 
 // Stable wirebin type ids. These are part of the protocol: both ends of
 // a connection run the same table, which is what the preamble's version
@@ -213,8 +217,8 @@ func decodeObject(r *wirebin.Reader) Object {
 
 // decodeObjectInto decodes what follows an object's id, which the caller
 // has read the way its message wants it: interned where the object is
-// kept (a server stores what it decodes), cut from the frame's copy where
-// a client receives a batch of them.
+// kept (a server stores what it decodes), a view into the frame where a
+// client receives a batch of them.
 func decodeObjectInto(r *wirebin.Reader, o *Object, id string) {
 	o.ID = ObjectID(id)
 	o.Data = r.Bytes()

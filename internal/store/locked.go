@@ -58,36 +58,16 @@ func (s *Locked) GetObject(id ObjectID) (obj Object, err error) {
 	return obj.Clone(), nil
 }
 
-// GetBatch implements Store: one lock trip for the whole batch. IDs
-// whose known version still matches skip the clone entirely.
+// GetBatch implements Store: one lock trip for the whole batch.
 func (s *Locked) GetBatch(ids []ObjectID, known map[ObjectID]uint64) (objs []Object, notModified []ObjectID, missing []ObjectID) {
 	var err error
 	defer s.ins.observe(OpGetBatch, time.Now(), &err)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var shipped, saved int64
-	objs = make([]Object, 0, len(ids))
-	seen := make(map[ObjectID]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] { // duplicate ids in the request resolve once
-			continue
-		}
-		seen[id] = true
+	return getBatch(&s.ins, ids, known, func(id ObjectID, _ uint32) (Object, bool) {
 		obj, ok := s.objects[id]
-		v, has := known[id]
-		switch {
-		case !ok:
-			missing = append(missing, id)
-		case has && v == obj.Version:
-			notModified = append(notModified, id)
-			saved += int64(len(obj.Data))
-		default:
-			objs = append(objs, obj.Clone())
-			shipped += int64(len(obj.Data))
-		}
-	}
-	s.ins.observeBatch(len(ids), len(notModified), shipped, saved)
-	return objs, notModified, missing
+		return obj, ok
+	})
 }
 
 // PutObject implements Store.

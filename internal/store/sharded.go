@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,9 +161,7 @@ func NewSharded(cfg Config) *Sharded {
 }
 
 func (s *Sharded) shardFor(id ObjectID) *objShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return s.shards[h.Sum32()&s.mask]
+	return s.shards[hashID(id)&s.mask]
 }
 
 func (s *Sharded) coll(name string) (*shardedColl, error) {
@@ -190,64 +187,18 @@ func (s *Sharded) GetObject(id ObjectID) (obj Object, err error) {
 	return obj.Clone(), nil
 }
 
-// GetBatch implements Store. IDs are grouped by shard so each shard is
-// visited — and its lock taken — exactly once per batch, no matter how
-// many of the batch's objects it holds. IDs whose known version still
-// matches skip the clone entirely: validation costs a map lookup and a
-// version compare, never a payload copy.
+// GetBatch implements Store, taking each id's shard lock just for its
+// lookup.
 func (s *Sharded) GetBatch(ids []ObjectID, known map[ObjectID]uint64) (objs []Object, notModified []ObjectID, missing []ObjectID) {
 	var err error
 	defer s.ins.observe(OpGetBatch, time.Now(), &err)
-
-	byShard := make(map[*objShard][]ObjectID)
-	for _, id := range ids {
-		sh := s.shardFor(id)
-		byShard[sh] = append(byShard[sh], id)
-	}
-	var shipped, saved int64
-	found := make(map[ObjectID]Object, len(ids))
-	fresh := make(map[ObjectID]bool)
-	for sh, shardIDs := range byShard {
+	return getBatch(&s.ins, ids, known, func(id ObjectID, h uint32) (Object, bool) {
+		sh := s.shards[h&s.mask]
 		sh.mu.RLock()
-		for _, id := range shardIDs {
-			obj, ok := sh.objects[id]
-			if !ok {
-				continue
-			}
-			if v, has := known[id]; has && v == obj.Version {
-				if !fresh[id] {
-					fresh[id] = true
-					saved += int64(len(obj.Data))
-				}
-				continue
-			}
-			if _, dup := found[id]; !dup {
-				found[id] = obj.Clone()
-				shipped += int64(len(obj.Data))
-			}
-		}
+		obj, ok := sh.objects[id]
 		sh.mu.RUnlock()
-	}
-	objs = make([]Object, 0, len(found))
-	seen := make(map[ObjectID]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] { // duplicate ids in the request resolve once
-			continue
-		}
-		seen[id] = true
-		switch {
-		case fresh[id]:
-			notModified = append(notModified, id)
-		default:
-			if obj, ok := found[id]; ok {
-				objs = append(objs, obj)
-			} else {
-				missing = append(missing, id)
-			}
-		}
-	}
-	s.ins.observeBatch(len(ids), len(notModified), shipped, saved)
-	return objs, notModified, missing
+		return obj, ok
+	})
 }
 
 // PutObject implements Store.

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +19,11 @@ type Store interface {
 
 	// GetObject returns a deep copy of the object, or ErrNotFound.
 	GetObject(id ObjectID) (Object, error)
-	// GetBatch returns deep copies of the requested objects in one trip,
-	// in request order. IDs with no stored object come back in missing
+	// GetBatch returns the requested objects in one trip, in request
+	// order: the stored objects themselves, read-only. An engine never
+	// writes one in place (a put or install replaces the entry with a
+	// fresh copy), so a later write leaves what a batch handed out
+	// unchanged. IDs with no stored object come back in missing
 	// instead of failing the batch. known optionally maps ids to versions
 	// the caller already holds: an id whose stored version equals its
 	// known version is reported in notModified instead of shipping the
@@ -274,6 +279,44 @@ func (in *instruments) observeBatch(n, notMod int, shipped, saved int64) {
 			return
 		}
 	}
+}
+
+// getBatch is both engines' GetBatch: one pass in request order, get
+// looking an id up (h is its hashID) under the engine's locking. It hands
+// out the stored objects themselves, which are never written in place.
+func getBatch(in *instruments, ids []ObjectID, known map[ObjectID]uint64, get func(id ObjectID, h uint32) (Object, bool)) (objs []Object, notModified []ObjectID, missing []ObjectID) {
+	var shipped, saved int64
+	var seen [8]uint64 // a 512-bit filter over the ids' hashes (the top nine bits)
+	objs = make([]Object, 0, len(ids))
+	for i, id := range ids {
+		h := hashID(id)
+		w, m := h>>29, uint64(1)<<(h>>23&63)
+		if seen[w]&m != 0 && slices.Contains(ids[:i], id) {
+			continue // duplicate ids in the request resolve once
+		}
+		seen[w] |= m
+		obj, ok := get(id, h)
+		v, has := known[id]
+		switch {
+		case !ok:
+			missing = append(missing, id)
+		case has && v == obj.Version:
+			notModified = append(notModified, id)
+			saved += int64(len(obj.Data))
+		default:
+			objs = append(objs, obj)
+			shipped += int64(len(obj.Data))
+		}
+	}
+	in.observeBatch(len(ids), len(notModified), shipped, saved)
+	return objs, notModified, missing
+}
+
+// hashID is the FNV-1a hash of an id: its low bits pick a Sharded shard.
+func hashID(id ObjectID) uint32 {
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(id))
+	return h.Sum32()
 }
 
 // batchStats snapshots the batch counters.

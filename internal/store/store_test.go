@@ -121,13 +121,32 @@ func TestGetBatch(t *testing.T) {
 		if len(objs) != 1 || objs[0].ID != "a" || len(missing) != 1 || missing[0] != "x" {
 			t.Fatalf("dup batch = %v missing %v", objs, missing)
 		}
+		// More distinct ids than the engine's duplicate filter has bits:
+		// ids that share a filter bit are still each answered once.
+		wide := make([]ObjectID, 600)
+		for i := range wide {
+			wide[i] = ObjectID(fmt.Sprintf("w%d", i))
+		}
+		if _, _, missing = st.GetBatch(wide, nil); !reflect.DeepEqual(missing, wide) {
+			t.Fatalf("wide batch: %d of %d ids missing", len(missing), len(wide))
+		}
 
-		// Batches return deep copies.
+		// Batches hand out the stored object: two batches share its Data.
+		// It is immutable, so a later overwrite or delete replaces the
+		// entry and leaves the bytes already handed out as they were.
 		objs, _, _ = st.GetBatch([]ObjectID{"b"}, nil)
-		objs[0].Data[0] = 'X'
-		again, err := st.GetObject("b")
-		if err != nil || string(again.Data) != "data-b" {
-			t.Fatalf("batch aliased stored data: %q, %v", again.Data, err)
+		again, _, _ := st.GetBatch([]ObjectID{"b"}, nil)
+		if len(objs) != 1 || len(again) != 1 || &objs[0].Data[0] != &again[0].Data[0] {
+			t.Fatal("two batches of b do not share the stored Data")
+		}
+		if _, err := st.PutObject(Object{ID: "b", Data: []byte("newer-b")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.DeleteObject("b"); err != nil {
+			t.Fatal(err)
+		}
+		if string(objs[0].Data) != "data-b" || objs[0].Version != 1 {
+			t.Fatalf("a write changed a handed-out object: %q v%d", objs[0].Data, objs[0].Version)
 		}
 
 		// Empty batch is a no-op, not an error.
@@ -137,10 +156,10 @@ func TestGetBatch(t *testing.T) {
 		}
 
 		stats := st.Stats()
-		if stats.Batch.Batches != 4 || stats.Batch.BatchedGets != 5+4+1 {
+		if stats.Batch.Batches != 6 || stats.Batch.BatchedGets != 5+4+600+1+1 {
 			t.Fatalf("batch stats = %+v", stats.Batch)
 		}
-		if stats.Batch.MaxBatch != 5 || stats.Batch.RTTSaved != 10-4 {
+		if stats.Batch.MaxBatch != 600 || stats.Batch.RTTSaved != 611-6 {
 			t.Fatalf("batch stats = %+v", stats.Batch)
 		}
 	})

@@ -25,6 +25,9 @@ const (
 	// defaultCompressMin is the per-frame compression threshold used when
 	// a client asks for compression without naming one.
 	defaultCompressMin = 1024
+	// maxKeptBuf bounds the buffers a connection keeps between frames, so
+	// one outsized frame is not held for the connection's lifetime.
+	maxKeptBuf = 1 << 20
 )
 
 // Frame flag bits (the byte after the length prefix).
@@ -57,7 +60,8 @@ const pfCompress = 1 << 0
 // byte of its frame is written. See DESIGN.md §11 for the byte diagram.
 // It is not safe for concurrent use per direction; the transport
 // guarantees a single writer (the client's write loop, the server's
-// write lock) and a single reader per connection.
+// write lock) and a single reader per connection, which is what lets the
+// codec own one buffer per direction.
 type wirebinCodec struct {
 	br *bufio.Reader
 	bw *bufio.Writer
@@ -74,7 +78,13 @@ type wirebinCodec struct {
 	compressOK  bool
 	compressMin int
 
-	r    wirebin.Reader
+	r wirebin.Reader
+	// wbuf is the encode buffer, reused: a frame is on the socket before
+	// its encode returns. rbuf is the read buffer: a frame a decoded body
+	// aliases (Reader.Aliased) goes to that body and the next read
+	// allocates. zin holds compressed wire bytes inflating into rbuf.
+	wbuf, rbuf, zin []byte
+
 	fw   *flate.Writer
 	fr   io.ReadCloser
 	zbuf bytes.Buffer
@@ -98,8 +108,7 @@ func (c *wirebinCodec) setCompression(compress bool, compressMin int) {
 // frames may be compressed. Nothing comes back; the client's requests
 // follow immediately.
 func (c *wirebinCodec) writePreamble() (int, error) {
-	raw := append(wirebin.GetBuf(), preambleMagic[:]...)
-	defer func() { wirebin.PutBuf(raw) }()
+	raw := append(c.wbuf[:0], preambleMagic[:]...)
 	raw = wirebin.AppendString(raw, c.from)
 	var pflags byte
 	if c.compressOK {
@@ -119,7 +128,6 @@ func (c *wirebinCodec) readPreamble() error {
 	if err != nil {
 		return fmt.Errorf("tcprpc: preamble: %w", err)
 	}
-	defer wirebin.PutBuf(raw)
 	if len(raw) < len(preambleMagic) || !bytes.Equal(raw[:len(preambleMagic)], preambleMagic[:]) {
 		return errors.New("tcprpc: preamble: bad magic or version")
 	}
@@ -150,8 +158,13 @@ func uvarintLen(v uint64) int {
 
 // writeFrame ships one raw envelope, compressing it when the connection
 // declared compression, the envelope clears the threshold, and deflate
-// actually wins (incompressible payloads go out raw).
+// actually wins (incompressible payloads go out raw). raw was encoded
+// into the connection's write buffer, which keeps it for the next frame
+// unless it grew past maxKeptBuf.
 func (c *wirebinCodec) writeFrame(raw []byte) (int, error) {
+	if cap(raw) <= maxKeptBuf {
+		c.wbuf = raw
+	}
 	if c.compressOK && len(raw) >= c.compressMin {
 		c.zbuf.Reset()
 		var rl [binary.MaxVarintLen64]byte
@@ -192,9 +205,8 @@ func (c *wirebinCodec) writeRaw(payload []byte, flags byte) (int, error) {
 	return hn + len(payload), nil
 }
 
-// readFrame returns one raw envelope in a pooled buffer (the caller
-// decides whether it may be pooled again — decoded bodies can alias it)
-// and the wire bytes the frame cost.
+// readFrame returns one raw envelope in the connection's read buffer and
+// the wire bytes the frame cost.
 func (c *wirebinCodec) readFrame() ([]byte, int, error) {
 	ln, err := binary.ReadUvarint(c.br)
 	if err != nil {
@@ -204,55 +216,53 @@ func (c *wirebinCodec) readFrame() ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("tcprpc: frame length %d out of range", ln)
 	}
 	wire := uvarintLen(ln) + int(ln)
-	buf := growBuf(wirebin.GetBuf(), int(ln))
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		wirebin.PutBuf(buf)
+	flags, err := c.br.ReadByte()
+	if err != nil {
 		return nil, 0, err
 	}
-	flags := buf[0]
-	raw := buf[1:]
 	if flags&frCompressed == 0 {
-		return raw, wire, nil
+		c.rbuf = growBuf(c.rbuf, int(ln)-1)
+		if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
+			return nil, 0, err
+		}
+		return c.rbuf, wire, nil
 	}
 	if !c.compressOK {
-		wirebin.PutBuf(buf)
 		return nil, 0, errors.New("tcprpc: compressed frame on a connection that did not declare compression")
 	}
-	rawLen, n := binary.Uvarint(raw)
+	c.zin = growBuf(c.zin, int(ln)-1)
+	if _, err := io.ReadFull(c.br, c.zin); err != nil {
+		return nil, 0, err
+	}
+	rawLen, n := binary.Uvarint(c.zin)
 	if n <= 0 || rawLen == 0 || rawLen > maxFrame {
-		wirebin.PutBuf(buf)
 		return nil, 0, fmt.Errorf("tcprpc: compressed frame raw length %d out of range", rawLen)
 	}
-	zr := bytes.NewReader(raw[n:])
+	zr := bytes.NewReader(c.zin[n:])
 	if c.fr == nil {
 		c.fr = flate.NewReader(zr)
 	} else if err := c.fr.(flate.Resetter).Reset(zr, nil); err != nil {
-		wirebin.PutBuf(buf)
 		return nil, 0, err
 	}
-	out := growBuf(wirebin.GetBuf(), int(rawLen))
-	if _, err := io.ReadFull(c.fr, out); err != nil {
-		wirebin.PutBuf(buf)
-		wirebin.PutBuf(out)
+	c.rbuf = growBuf(c.rbuf, int(rawLen))
+	if _, err := io.ReadFull(c.fr, c.rbuf); err != nil {
 		return nil, 0, fmt.Errorf("tcprpc: inflate: %w", err)
 	}
-	wirebin.PutBuf(buf)
-	return out, wire, nil
+	return c.rbuf, wire, nil
 }
 
-// growBuf sizes a pooled buffer to n bytes, reallocating only when the
-// pooled capacity is short.
+// growBuf sizes a kept buffer to n bytes, allocating when it is short —
+// or outsized for this frame, so one huge frame is not kept for the
+// connection's lifetime.
 func growBuf(buf []byte, n int) []byte {
-	if cap(buf) < n {
+	if cap(buf) < n || cap(buf) > maxKeptBuf && n <= maxKeptBuf {
 		return make([]byte, n)
 	}
 	return buf[:n]
 }
 
 func (c *wirebinCodec) writeRequest(req *request) (int, error) {
-	raw := wirebin.GetBuf()
-	defer func() { wirebin.PutBuf(raw) }()
-	raw = wirebin.AppendUvarint(raw, req.Seq)
+	raw := wirebin.AppendUvarint(c.wbuf[:0], req.Seq)
 	traced := req.Trace != (obs.SpanContext{})
 	var bflags byte
 	if req.Body == nil {
@@ -283,14 +293,12 @@ func (c *wirebinCodec) readRequest(req *request) (int, error) {
 	req.Seq = r.Uvarint()
 	bflags := r.Byte()
 	if bflags&bfRetired != 0 {
-		wirebin.PutBuf(raw)
 		return 0, errRetiredFlag
 	}
 	req.Trace = obs.SpanContext{}
 	if bflags&bfTraced != 0 && r.Err() == nil {
 		sc, n, derr := obs.DecodeSpanContext(r.Remaining())
 		if derr != nil {
-			wirebin.PutBuf(raw)
 			return 0, derr
 		}
 		r.Skip(n)
@@ -300,20 +308,17 @@ func (c *wirebinCodec) readRequest(req *request) (int, error) {
 	req.From = c.from
 	body, err := decodeBody(r, bflags)
 	if err != nil {
-		wirebin.PutBuf(raw)
 		return 0, err
 	}
 	req.Body = body
-	if !r.Aliased() {
-		wirebin.PutBuf(raw)
+	if r.Aliased() {
+		c.rbuf = nil
 	}
 	return wire, nil
 }
 
 func (c *wirebinCodec) writeResponse(resp *response) (int, error) {
-	raw := wirebin.GetBuf()
-	defer func() { wirebin.PutBuf(raw) }()
-	raw = wirebin.AppendUvarint(raw, resp.Seq)
+	raw := wirebin.AppendUvarint(c.wbuf[:0], resp.Seq)
 	var bflags byte
 	if resp.More {
 		bflags |= bfMore
@@ -360,11 +365,10 @@ func (c *wirebinCodec) readResponse(resp *response) (int, error) {
 		resp.Body, err = decodeBody(r, bflags)
 	}
 	if err != nil {
-		wirebin.PutBuf(raw)
 		return 0, err
 	}
-	if !r.Aliased() {
-		wirebin.PutBuf(raw)
+	if r.Aliased() {
+		c.rbuf = nil
 	}
 	return wire, nil
 }

@@ -3,6 +3,8 @@ package tcprpc
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -304,6 +306,46 @@ func TestCompressionThreshold(t *testing.T) {
 	cSmall.CompressMin = 512
 	defer cSmall.Close()
 	callEcho(t, cSmall, "raw", small)
+}
+
+// TestOutsizedFrames: a frame past the size a connection keeps its
+// buffers at — raw, or compressed with its wire bytes alone past it —
+// crosses intact both ways, and the connection carries small frames
+// after it.
+func TestOutsizedFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	big := make([]byte, 3*maxKeptBuf)
+	for i := range big {
+		big[i] = 'a' + byte(rng.Intn(16)) // compresses, but only to about half
+	}
+	small := []byte("tiny")
+	srv := rpc.NewServer("remote")
+	srv.Handle("echo", rpc.Typed(func(_ context.Context, _ netsim.NodeID, in repo.PutReq) (any, error) {
+		return repo.Object{ID: in.Obj.ID, Data: in.Obj.Data, Version: 7}, nil
+	}))
+	tcp, err := Serve("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	for _, compress := range []bool{false, true} {
+		client := Dial(tcp.Addr(), "tester")
+		client.Compress = compress
+		for i, data := range [][]byte{big, small, big, small} {
+			id := repo.ObjectID(fmt.Sprintf("o%d", i))
+			out, err := client.Call(context.Background(), "echo", repo.PutReq{Obj: repo.Object{ID: id, Data: data}})
+			if err != nil {
+				t.Fatalf("compress %v, call %d: %v", compress, i, err)
+			}
+			if obj := out.(repo.Object); obj.ID != id || !bytes.Equal(obj.Data, data) {
+				t.Fatalf("compress %v, call %d: echoed %d bytes as %s", compress, i, len(obj.Data), obj.ID)
+			}
+		}
+		if got := echoBytesReceived(client); compress && (got <= 2*maxKeptBuf || got >= 2*int64(len(big))) {
+			t.Fatalf("compressed echoes cost %d wire bytes: not compressed, or not past the kept size", got)
+		}
+		client.Close()
+	}
 }
 
 // TestCompressionExactBoundary drives the writer straight at the

@@ -1,6 +1,7 @@
 package tcprpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -181,6 +182,73 @@ func TestConditionalGetBatchOverTCP(t *testing.T) {
 	if len(resp.Missing) != 1 || resp.Missing[0] != "nope" {
 		t.Fatalf("missing = %v", resp.Missing)
 	}
+}
+
+// TestDecodedBodiesOutliveLaterFrames: the ids and Data of a decoded
+// batch answer and of a streamed partition listing are views into the
+// frames they arrived in, so the connection must never read into those
+// frames again. Both are held while 100 more frames cross the same
+// connection, and must read exactly as they did when decoded.
+func TestDecodedBodiesOutliveLaterFrames(t *testing.T) {
+	remote := startRemote(t, "archive")
+	client := Dial(remote.srv.Addr(), "tester")
+	defer client.Close()
+	ctx := context.Background()
+	members := seedCollection(t, client, "c", 40)
+	for _, id := range []repo.ObjectID{"p", "q"} {
+		obj := repo.Object{ID: id, Data: bytes.Repeat([]byte(id), 300)}
+		if _, err := client.Call(ctx, repo.MethodPut, repo.PutReq{Obj: obj}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batchOf := func(id repo.ObjectID) repo.GetBatchResp {
+		out, err := client.Call(ctx, repo.MethodGetBatch, repo.GetBatchReq{IDs: []repo.ObjectID{id}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.(repo.GetBatchResp)
+	}
+	batch := batchOf("p")
+	st, err := client.CallStream(ctx, repo.MethodListParts, repo.ListPartsReq{Name: "c", Stream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []repo.PartListing
+	for {
+		chunk, ok := st.Next()
+		if !ok {
+			break
+		}
+		parts = append(parts, chunk.(repo.PartListing))
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(batch.Objects) != 1 || batch.Objects[0].ID != "p" || !bytes.Equal(batch.Objects[0].Data, bytes.Repeat([]byte("p"), 300)) {
+			t.Fatalf("%s: batch answer reads %+v", when, batch.Objects)
+		}
+		n := 0
+		for _, pl := range parts {
+			for _, m := range pl.Members {
+				if !members[m.ID] || m.Node != "archive" {
+					t.Fatalf("%s: listing member reads %q on %q", when, m.ID, m.Node)
+				}
+				n++
+			}
+		}
+		if n != len(members) {
+			t.Fatalf("%s: listing holds %d members, want %d", when, n, len(members))
+		}
+	}
+	check("as decoded")
+	for i := 0; i < 100; i++ {
+		if b := batchOf("q"); len(b.Objects) != 1 || b.Objects[0].Data[0] != 'q' {
+			t.Fatalf("batch %d: %+v", i, b.Objects)
+		}
+	}
+	check("after 100 more frames")
 }
 
 func TestSentinelErrorsCrossTheWire(t *testing.T) {

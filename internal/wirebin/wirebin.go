@@ -1,7 +1,7 @@
 // Package wirebin is the one wire codec the TCP transport speaks
 // (DESIGN.md §11): every message body is hand-rolled length-prefixed
-// encoding over pooled buffers, with no reflection, type descriptors or
-// per-message codec set-up:
+// encoding into caller-owned buffers, with no reflection, type descriptors
+// or per-message codec set-up:
 //
 //   - integers are unsigned varints (versions, sequence numbers, counts);
 //   - strings and byte blobs are varint-length-prefixed;
@@ -9,11 +9,12 @@
 //     (internal/repo and internal/locksvc register their wire structs at
 //     init), so a frame names its body type in one varint;
 //   - decoding is allocation-frugal: a Reader interns the few strings
-//     that repeat on every frame (node, collection and method names),
-//     cuts the many that do not (a listing's member ids) out of one
-//     string copy of the frame, and hands out byte payloads aliasing the
-//     frame buffer, so a decode performs O(1) allocations regardless of
-//     batch width and of whether its ids were ever seen before.
+//     that repeat on every frame (node, collection and method names) and
+//     hands out the many that do not (a listing's member ids) and byte
+//     payloads as views into the frame buffer, so a decode performs O(1)
+//     allocations regardless of batch width and of whether its ids were
+//     ever seen before. A frame a view was cut from belongs to the
+//     decoded message from then on (Aliased).
 //
 // The package is deliberately paranoid about malformed input: every
 // length prefix is bounds-checked against the remaining frame before any
@@ -26,7 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"unsafe"
 )
 
 // ErrTruncated reports a frame that ended before its announced contents.
@@ -44,9 +45,6 @@ const (
 	// workload overflows it the table is dropped and rebuilt, trading a
 	// burst of allocations for a hard memory bound.
 	maxInternEntries = 4096
-	// maxPooledBuf keeps the shared buffer pool from retaining giant
-	// one-off frames.
-	maxPooledBuf = 1 << 20
 )
 
 // AppendUvarint appends v as an unsigned varint.
@@ -89,19 +87,15 @@ type Reader struct {
 	pos int
 	err error
 
-	// aliased is set when Bytes handed out a view into buf; the frame
-	// buffer must then outlive the decoded message (the transport skips
-	// returning it to the pool).
+	// aliased is set when Bytes or Text handed out a view into buf; the
+	// frame buffer then belongs to the decoded message and must never be
+	// written again (the transport reads its next frame into a new one).
 	aliased bool
 
 	// intern maps previously seen small strings to their canonical copy,
 	// so repeated node, collection and method names cost zero allocations
 	// in steady state.
 	intern map[string]string
-
-	// text is one string copy of buf, made by the frame's first Text call;
-	// every Text of the frame is a substring of it.
-	text string
 }
 
 // Reset points the reader at a new frame, clearing position, error, and
@@ -111,7 +105,6 @@ func (r *Reader) Reset(buf []byte) {
 	r.pos = 0
 	r.err = nil
 	r.aliased = false
-	r.text = ""
 }
 
 // Err reports the first decoding failure, if any.
@@ -240,23 +233,21 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
-// Text decodes a length-prefixed string as a substring of one string copy
-// of the whole frame, made on the frame's first Text call: however many
-// strings a frame carries, and whether or not any was seen before, they
-// cost one allocation between them. It is for the strings that make up
-// most of their frame and do not repeat across frames — the member ids of
-// a listing, which would churn the intern table String keeps. Every value
-// decoded this way keeps the frame's copy alive, so a holder that outlives
-// the message by far should clone what it keeps.
+// Text decodes a length-prefixed string as a view into the frame buffer
+// (zero copy; marks the frame aliased), under the same lifetime rule as
+// Bytes: however many strings a frame carries, and whether or not any was
+// seen before, they cost no allocation. It is for the strings that make
+// up most of their frame and do not repeat across frames — the member ids
+// of a listing, which would churn the intern table String keeps. Every
+// value decoded this way keeps the whole frame alive, so it is never the
+// decoder for a string a long-lived holder (a store) keeps.
 func (r *Reader) Text() string {
 	b := r.span()
 	if len(b) == 0 {
 		return ""
 	}
-	if r.text == "" {
-		r.text = string(r.buf)
-	}
-	return r.text[r.pos-len(b) : r.pos]
+	r.aliased = true
+	return unsafe.String(&b[0], len(b))
 }
 
 // Bytes decodes a length-prefixed blob as a view into the frame buffer
@@ -291,26 +282,4 @@ func (r *Reader) Skip(n int) {
 		return
 	}
 	r.pos += n
-}
-
-// bufPool recycles frame and scratch buffers across encodes and reads.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// GetBuf returns a zero-length pooled buffer.
-func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
-}
-
-// PutBuf returns a buffer to the pool. Buffers that grew past the pool
-// bound are dropped, and callers must not retain views into b afterwards.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	bufPool.Put(&b)
 }

@@ -7,8 +7,7 @@ import (
 )
 
 func TestRoundTripPrimitives(t *testing.T) {
-	buf := GetBuf()
-	buf = AppendUvarint(buf, 0)
+	buf := AppendUvarint(nil, 0)
 	buf = AppendUvarint(buf, 1<<40)
 	buf = AppendVarint(buf, -9001)
 	buf = AppendString(buf, "hello")
@@ -120,12 +119,12 @@ func TestInterningReusesStrings(t *testing.T) {
 	}
 }
 
-// TestTextSharesOneCopyOfTheFrame: every Text of a frame is cut from one
-// string copy of it, so a frame of strings never seen before costs one
-// allocation, not one each; the copy is the frame's, not the reader's — a
-// Reset starts the next frame's own — and does not alias the buffer, which
-// goes back to the pool.
-func TestTextSharesOneCopyOfTheFrame(t *testing.T) {
+// TestTextMarksTheFrameAliased: every Text of a frame is a view into it,
+// so a frame of strings never seen before decodes with no allocation at
+// all, and the frame then belongs to the decoded message — the reader
+// says so, exactly as for Bytes, and a transport must read its next frame
+// into another buffer. An empty string is no view and marks nothing.
+func TestTextMarksTheFrameAliased(t *testing.T) {
 	var frame []byte
 	for i := 0; i < 100; i++ {
 		frame = AppendString(frame, "id-"+strings.Repeat("x", i%7)+string(rune('a'+i%26)))
@@ -139,10 +138,10 @@ func TestTextSharesOneCopyOfTheFrame(t *testing.T) {
 		for i := 0; i < 101; i++ {
 			got = append(got, r.Text())
 		}
-	}); n > 1 {
-		t.Fatalf("101 strings of one frame cost %.1f allocations, want 1", n)
+	}); n > 0 {
+		t.Fatalf("101 strings of one frame cost %.1f allocations, want 0", n)
 	}
-	if r.Err() != nil || r.Len() != 0 || r.Aliased() {
+	if r.Err() != nil || r.Len() != 0 || !r.Aliased() {
 		t.Fatalf("err %v, %d bytes left, aliased %v", r.Err(), r.Len(), r.Aliased())
 	}
 	for i, s := range got[:100] {
@@ -153,16 +152,17 @@ func TestTextSharesOneCopyOfTheFrame(t *testing.T) {
 	if got[100] != "" {
 		t.Fatalf("empty text = %q", got[100])
 	}
-	first := got[0]
-	for i := range frame {
-		frame[i] = 0xff // the pooled buffer is reused: decoded text must not change
+	frame[1] = 'I' // the view is the frame: writing it would change the message
+	if got[0] != "Id-a" {
+		t.Fatalf("text is a copy, not a view: %q", got[0])
 	}
-	if first != "id-a" {
-		t.Fatalf("text aliases the frame buffer: %q", first)
+	r.Reset(AppendString(nil, ""))
+	if r.Text() != "" || r.Aliased() {
+		t.Fatal("an empty text marked the frame aliased")
 	}
 
 	// Truncated and oversized prefixes fail through the same bounds check
-	// as String, before any copy is made.
+	// as String, before any view is cut.
 	full := AppendString(nil, "weak sets")
 	for cut := 1; cut < len(full); cut++ {
 		r.Reset(full[:cut])
@@ -184,17 +184,6 @@ func TestInternTableBounded(t *testing.T) {
 	if len(r.intern) > maxInternEntries {
 		t.Fatalf("intern table grew to %d entries", len(r.intern))
 	}
-}
-
-func TestBufPoolRoundTrip(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatalf("pooled buf len = %d", len(b))
-	}
-	b = append(b, make([]byte, 100)...)
-	PutBuf(b)
-	// Oversized buffers are dropped, not pooled.
-	PutBuf(make([]byte, 0, maxPooledBuf+1))
 }
 
 func TestRegistry(t *testing.T) {
