@@ -19,11 +19,12 @@ import (
 // bytes, and a cold 10k snapshot run with the cache off, every element
 // fetched in a batch, all on the in-process bus, must allocate no more
 // bytes and no more objects per element than the ceilings checked in as
-// BENCH_budget.json (bytesPerElem, allocsPerElem). What is left is
+// BENCH_budget.json (bytesPerElem, allocsPerElem), nor make more GetBatch
+// calls in a run than getBatchPerRun, an exact count. What is left is
 // bookkeeping — on the cold run, per batch, not per element, since the
 // store hands out the objects it holds — so a change that puts a
-// per-member map, copy or small allocation back on the path fails here;
-// `make bench-iter` runs it.
+// per-member map, copy or small allocation back on the path, or narrows
+// the batches, fails here; `make bench-iter` runs it.
 // The counters are the whole process's, so each figure is the least of
 // three windows of ten runs: what a background goroutine allocates (a
 // lease renewal, say) only ever adds, and is a few KB, while the runs'
@@ -37,8 +38,9 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Fatalf("alloc budget file: %v", err)
 	}
 	var budget struct {
-		BytesPerElem  map[string]float64 `json:"bytesPerElem"`
-		AllocsPerElem map[string]float64 `json:"allocsPerElem"`
+		BytesPerElem   map[string]float64 `json:"bytesPerElem"`
+		AllocsPerElem  map[string]float64 `json:"allocsPerElem"`
+		GetBatchPerRun map[string]int64   `json:"getBatchPerRun"`
 	}
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatalf("alloc budget file: %v", err)
@@ -57,8 +59,9 @@ func TestRunAllocBudget(t *testing.T) {
 	} {
 		maxBytes, ok := budget.BytesPerElem[tc.name]
 		maxAllocs, ok2 := budget.AllocsPerElem[tc.name]
-		if !ok || !ok2 {
-			t.Fatalf("no bytesPerElem or allocsPerElem budget for %q in BENCH_budget.json", tc.name)
+		maxBatches, ok3 := budget.GetBatchPerRun[tc.name]
+		if !ok || !ok2 || !ok3 {
+			t.Fatalf("no bytesPerElem, allocsPerElem or getBatchPerRun budget for %q in BENCH_budget.json", tc.name)
 		}
 		w := newTestWorld(t, tc.members)
 		if tc.leased {
@@ -68,7 +71,9 @@ func TestRunAllocBudget(t *testing.T) {
 			w.c.Client.UseCache(repo.NewCache(2 * tc.members)) // every member stays cached
 		}
 		s := w.set(t, Options{Semantics: tc.sem})
+		var gotBatches int64 // the most GetBatch calls one measured run made
 		run := func() obs.WeaknessReport {
+			batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
 			it, err := s.Elements(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -76,6 +81,7 @@ func TestRunAllocBudget(t *testing.T) {
 			for it.Next(ctx) {
 			}
 			_ = it.Close(ctx)
+			gotBatches = max(gotBatches, w.c.Bus.MethodCalls(repo.MethodGetBatch)-batches)
 			if it.Err() != nil || it.Yielded() != tc.members {
 				t.Fatalf("%s: yielded %d, err %v", tc.name, it.Yielded(), it.Err())
 			}
@@ -86,6 +92,7 @@ func TestRunAllocBudget(t *testing.T) {
 			run()
 			awaitLease(t, w, w.c.Client.Leases())
 		}
+		gotBatches = 0
 		const runs = 10
 		elems := float64(runs * tc.members)
 		gotBytes, gotAllocs := math.Inf(1), math.Inf(1)
@@ -102,10 +109,12 @@ func TestRunAllocBudget(t *testing.T) {
 			gotBytes = min(gotBytes, float64(after.TotalAlloc-before.TotalAlloc)/elems)
 			gotAllocs = min(gotAllocs, float64(after.Mallocs-before.Mallocs)/elems)
 		}
-		t.Logf("%s: %.2f B/element (budget %.2f), %.4f allocations/element (budget %.4f)", tc.name, gotBytes, maxBytes, gotAllocs, maxAllocs)
-		if gotBytes > maxBytes || gotAllocs > maxAllocs {
-			t.Errorf("%s allocates %.0f B and %.3f objects per element, budget is %.0f and %.3f — BENCH_budget.json is the "+
-				"regression gate; fix the run state or raise the budget deliberately", tc.name, gotBytes, gotAllocs, maxBytes, maxAllocs)
+		t.Logf("%s: %.2f B/element (budget %.2f), %.4f allocations/element (budget %.4f), %d GetBatch/run (budget %d)",
+			tc.name, gotBytes, maxBytes, gotAllocs, maxAllocs, gotBatches, maxBatches)
+		if gotBytes > maxBytes || gotAllocs > maxAllocs || gotBatches > maxBatches {
+			t.Errorf("%s allocates %.0f B and %.3f objects per element in up to %d GetBatch calls a run, budget is %.0f, %.3f and %d — "+
+				"BENCH_budget.json is the regression gate; fix the run state or raise the budget deliberately",
+				tc.name, gotBytes, gotAllocs, gotBatches, maxBytes, maxAllocs, maxBatches)
 		}
 	}
 }

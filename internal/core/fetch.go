@@ -1,8 +1,10 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +27,10 @@ import (
 
 // FetchOptions tunes the Iterator's batched fetch path.
 type FetchOptions struct {
-	// Batch caps how many ids ride in one GetBatch RPC. Defaults to 64.
+	// Batch caps how many ids ride in one GetBatch RPC of a run's first
+	// prefetch window. Defaults to 64. A run that outlives a window
+	// fetches wider, up to 4 × Batch (slow start, prefetcher.size);
+	// Batch: 1 stays one id per round trip.
 	Batch int
 	// Inflight bounds concurrent batch RPCs. Defaults to 4.
 	Inflight int
@@ -85,31 +90,76 @@ func chunkByNode(refs []repo.Ref, size int) [][]repo.Ref {
 	return chunks
 }
 
-// fetchResult is one prefetched object, stamped with the client's mutation
-// epoch at the moment the batch was issued.
-type fetchResult struct {
-	obj     repo.Object
-	missing bool
-	err     error
-	epoch   uint64
-}
-
-// fetchChunk is one per-node batch, its refs and their ids, plus the cache
-// context it was planned under: the known versions to validate and the
-// listing version that stamps installed results.
+// fetchChunk is one per-node batch, the unit of the prefetcher's
+// bookkeeping: its refs (one node, ascending id, as sortForFetch orders a
+// node's refs) and their ids, the cache context it was planned under (the
+// known versions to validate, the listing version that stamps installed
+// results) and, once landed, the answer parked by position. One epoch and
+// one error cover the whole batch.
 type fetchChunk struct {
 	refs    []repo.Ref
 	ids     []repo.ObjectID
 	known   map[repo.ObjectID]uint64
 	listVer uint64
+
+	// Under the prefetcher's mu. done is made by a fetch that waits for
+	// the batch, and closed by deliver.
+	landed bool
+	done   chan struct{}
+	objs   []repo.Object // as GetBatch returned them, in request order
+	at     []int32       // per slot: an index into objs, slotMissing or slotTaken
+	taken  int
+	// next is the first slot not taken. The run asks for members in
+	// ascending id order, so a chunk's next slot is almost always the one
+	// a fetch wants, and every chunk's lies at or above the cursor.
+	next  int
+	slot  int // c's index in the live heap, −1 once retired
+	epoch uint64
+	err   error
+}
+
+// liveHeap orders the live chunks on their next slot's id
+// (container/heap). Every chunk's next slot lies at or above the cursor's
+// head, so the chunk holding the head, which the run asks for, is the top.
+type liveHeap []*fetchChunk
+
+func (h liveHeap) Len() int           { return len(h) }
+func (h liveHeap) Less(a, b int) bool { return h[a].refs[h[a].next].ID < h[b].refs[h[b].next].ID }
+func (h liveHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].slot, h[b].slot = a, b
+}
+func (h *liveHeap) Push(x any) {
+	x.(*fetchChunk).slot = len(*h)
+	*h = append(*h, x.(*fetchChunk))
+}
+func (h *liveHeap) Pop() any {
+	c := (*h)[len(*h)-1]
+	(*h)[len(*h)-1], *h, c.slot = nil, (*h)[:len(*h)-1], -1
+	return c
+}
+
+const (
+	slotMissing int32 = -1 // the answer lacks the slot's id
+	slotTaken   int32 = -2 // fetch has handed the slot out, or a plan dropped it (sweep)
+)
+
+// take marks c's slot i taken and moves c.next past the taken slots.
+func (p *prefetcher) take(c *fetchChunk, i int) {
+	c.at[i] = slotTaken
+	c.taken++
+	p.parked.Add(-1)
+	for c.next < len(c.refs) && c.at[c.next] == slotTaken {
+		c.next++
+	}
 }
 
 // prefetcher overlaps an Iterator's element fetches: the candidates the
 // kernel could yield are grouped into per-node batches, issued
-// closest-first under a bounded in-flight budget, and parked in a ready
-// map until the kernel actually asks for them. What the shared element
-// cache may serve with no round trip is never planned or parked: it is
-// served when the kernel asks for it (fetch).
+// closest-first under a bounded in-flight budget, and parked by position
+// in the chunk that fetched them until the kernel actually asks for them.
+// What the shared element cache may serve with no round trip is never
+// planned or parked: it is served when the kernel asks for it (fetch).
 //
 // Two properties keep it semantics-preserving:
 //
@@ -124,8 +174,12 @@ type fetchChunk struct {
 //     the client keeps the cache coherent with its own writes.
 type prefetcher struct {
 	client *repo.Client
-	batch  int
-	tracer *obs.Tracer
+	// size is the chunk size the next plan cuts at (slow start): Batch
+	// for the first window, then doubled each time the run has launched a
+	// window of ids, up to 4 × Batch; Batch: 1 stays 1. Only planLocked
+	// writes it, on the iterator's goroutine, window's one caller.
+	batch, size, launched int
+	tracer                *obs.Tracer
 	// router redirects batches aimed at a replicated node to the closest
 	// live replica (anti-entropy copies its objects there), hedging back
 	// to the owner on failure or a replica miss; tally accounts those
@@ -155,19 +209,19 @@ type prefetcher struct {
 	wg     sync.WaitGroup
 
 	mu sync.Mutex
-	// ready is made by the first plan, sized for Inflight batches: a run
-	// that never plans (a warm one) never pays for it.
-	ready   map[repo.ObjectID]fetchResult
-	pending map[repo.ObjectID]bool
-	// need is planLocked's scratch: the candidates one replan must fetch,
-	// copied into their chunks (chunkByNode) before the next overwrites it.
+	// live holds the chunks launched and not yet retired: in flight, or
+	// landed with a slot left to take.
+	live liveHeap
+	// parked counts the untaken slots across live, which window reads
+	// without the lock.
+	parked atomic.Int64
+	// need and held are planLocked's scratch: the candidates one replan
+	// must fetch, copied into their chunks (chunkByNode) before the next
+	// overwrites it, and which candidates a live chunk holds (sweep).
 	need []repo.Ref
+	held []bool
 	// plans counts replans: what the warm-path guard reads.
 	plans int
-	// want/wantCh is the single waiter: Iterator is a single-caller
-	// control abstraction, so at most one fetch blocks at a time.
-	want   repo.ObjectID
-	wantCh chan fetchResult
 }
 
 // newPrefetcher builds the pipeline for a run over collection coll. base
@@ -177,18 +231,30 @@ type prefetcher struct {
 func newPrefetcher(base context.Context, client *repo.Client, coll string, router *replicaRouter, tally *replicaTally, o FetchOptions, tracer *obs.Tracer) *prefetcher {
 	ctx, cancel := context.WithCancel(base)
 	return &prefetcher{
-		client:  client,
-		batch:   o.Batch,
-		tracer:  tracer,
-		router:  router,
-		tally:   tally,
-		cache:   client.ElementCache(),
-		coll:    coll,
-		ctx:     ctx,
-		cancel:  cancel,
-		sem:     make(chan struct{}, o.Inflight),
-		pending: make(map[repo.ObjectID]bool),
+		client: client,
+		batch:  o.Batch,
+		size:   o.Batch,
+		tracer: tracer,
+		router: router,
+		tally:  tally,
+		cache:  client.ElementCache(),
+		coll:   coll,
+		ctx:    ctx,
+		cancel: cancel,
+		sem:    make(chan struct{}, o.Inflight),
 	}
+}
+
+// window is how many candidates one replan hands the pipeline: enough to
+// keep Inflight batches of the current size full several times over. A
+// replan while the live chunks still hold a first window's slots is a
+// top-up — a fold landed members below the cursor — and a first window
+// does.
+func (p *prefetcher) window() int {
+	if first := p.batch * cap(p.sem) * 4; p.parked.Load() >= int64(first) {
+		return first
+	}
+	return p.size * cap(p.sem) * 4
 }
 
 // errMissing marks an id the holding node had no data for; it unwraps to
@@ -197,101 +263,146 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns ref's object. It looks in three places, in order: a
-// result a batch already parked in ready; the cache, when direct — the
-// invocation's certificate (Iterator.observe) that an entry fresh under
-// the held listing's version listVer is exactly what the owner would
-// ship; otherwise it replans, batching ref with the other candidates the
-// kernel could yield next, and blocks until ref's batch lands while other
-// batches keep filling ready. A transport error is returned once per
-// failed round trip, not once per batched id. candidates is consulted
-// only on a replan, so a warm run builds no window at all.
+// fetch returns ref's object. It looks in three places, in order: the
+// live chunk holding ref, whose batch is in flight or has landed; the
+// cache, when direct — the invocation's certificate (Iterator.observe)
+// that an entry fresh under the held listing's version listVer is
+// exactly what the owner would ship; otherwise it replans, batching ref
+// with the other candidates the kernel could yield next. It blocks until
+// ref's batch lands while other batches keep landing in their chunks. A
+// transport error is returned once per failed round trip, not once per
+// batched id. candidates is consulted only on a replan, so a warm run
+// builds no window at all; it lists ref first, then the cursor's next
+// members ascending by id, which sweep relies on.
 func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref) (repo.Object, error) {
 	direct = direct && p.cache != nil
 	for {
 		p.mu.Lock()
-		res, ok := p.ready[ref.ID]
-		if ok {
-			delete(p.ready, ref.ID)
-			p.mu.Unlock()
-		} else {
-			if !p.pending[ref.ID] {
-				if direct {
-					if obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID); ok {
-						p.mu.Unlock()
-						p.cacheHits.Add(1)
-						if negative {
-							return repo.Object{}, errMissing(ref.ID)
-						}
-						return obj, nil
-					}
-				}
-				// Replan only when ref's batch is not already in flight:
-				// replanning on an in-flight miss would launch fragmentary
-				// top-up batches for the few candidates the advancing window
-				// has newly exposed.
-				p.planLocked(candidates(), listVer, direct)
-				if !p.pending[ref.ID] {
-					// Nothing was launched for ref: the pipeline is closed, or
-					// ref turned fresh in the cache since the serve above
-					// (another run's batch landed) and the next pass serves it.
+		c, i := p.find(ref)
+		if c == nil {
+			if direct {
+				if obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID); ok {
 					p.mu.Unlock()
-					if err := p.ctx.Err(); err != nil {
-						return repo.Object{}, err
+					p.cacheHits.Add(1)
+					if negative {
+						return repo.Object{}, errMissing(ref.ID)
 					}
-					continue
+					return obj, nil
 				}
 			}
-			ch := make(chan fetchResult, 1)
-			p.want, p.wantCh = ref.ID, ch
-			p.mu.Unlock()
-
-			select {
-			case res = <-ch:
-			case <-ctx.Done():
-				p.mu.Lock()
-				p.want, p.wantCh = "", nil
+			// Replan only when ref's batch is not already in flight:
+			// replanning on an in-flight miss would launch fragmentary
+			// top-up batches for the few candidates the advancing window
+			// has newly exposed.
+			p.planLocked(candidates(), listVer, direct)
+			if c, i = p.find(ref); c == nil {
+				// Nothing was launched for ref: the pipeline is closed, or
+				// ref turned fresh in the cache since the serve above
+				// (another run's batch landed) and the next pass serves it.
 				p.mu.Unlock()
+				if err := p.ctx.Err(); err != nil {
+					return repo.Object{}, err
+				}
+				continue
+			}
+		}
+		if !c.landed {
+			if c.done == nil {
+				c.done = make(chan struct{})
+			}
+			p.mu.Unlock()
+			select {
+			case <-c.done:
+			case <-ctx.Done():
 				return repo.Object{}, ctx.Err()
 			}
+			p.mu.Lock()
 		}
+		// One epoch covers the batch: fetched before this client's own
+		// later mutation, every slot is stale, so the chunk retires and the
+		// next plan re-batches what it still held together. Otherwise take
+		// the slot; the chunk retires with its last one. A failed chunk is
+		// retired already, and nothing is taken from it.
+		if c.epoch != p.client.Mutations() {
+			p.retire(c)
+			p.mu.Unlock()
+			p.epochRetries.Add(1)
+			continue
+		}
+		err, k := c.err, slotMissing
+		if err == nil {
+			k = c.at[i]
+			if p.take(c, i); c.taken == len(c.refs) {
+				p.retire(c)
+			} else {
+				heap.Fix(&p.live, c.slot)
+			}
+		}
+		p.mu.Unlock()
 		switch {
-		case res.epoch != p.client.Mutations():
-			p.epochRetries.Add(1) // fetched before our own mutation: refetch
-		case res.err != nil:
-			return repo.Object{}, res.err
-		case res.missing:
+		case err != nil:
+			return repo.Object{}, err
+		case k == slotMissing:
 			return repo.Object{}, errMissing(ref.ID)
-		default:
-			return res.obj, nil
 		}
+		return c.objs[k], nil
 	}
 }
 
-// planLocked launches batches for every candidate that is neither ready
-// nor already in flight nor, when direct (which fetch leaves set only
-// with a cache bound), fresh in the cache: fetch serves that one when the
-// kernel asks for it, and the probe that leaves it out counts no hit, so
-// a partly evicted warm run fetches exactly its evicted ids. With a cache
-// bound the chunks carry the known versions for a conditional fetch, and
-// listVer stamps what they install. Caller holds p.mu.
+// find returns the live chunk holding ref in a slot not yet taken, and
+// the slot: the top chunk's next slot when ref is the cursor's head, as
+// it almost always is; otherwise a chunk matches on node and the id range
+// from its next slot on, and a binary search finds the slot. Caller holds
+// p.mu.
+func (p *prefetcher) find(ref repo.Ref) (*fetchChunk, int) {
+	if len(p.live) > 0 && p.live[0].refs[p.live[0].next] == ref {
+		return p.live[0], p.live[0].next
+	}
+	for _, c := range p.live {
+		refs := c.refs[c.next:]
+		if refs[0].Node != ref.Node || ref.ID < refs[0].ID || ref.ID > refs[len(refs)-1].ID {
+			continue
+		}
+		i, ok := 0, refs[0].ID == ref.ID
+		if !ok {
+			i, ok = slices.BinarySearchFunc(refs, ref.ID, cmpRefID)
+		}
+		if ok && c.at[c.next+i] != slotTaken {
+			return c, c.next + i
+		}
+	}
+	return nil, 0
+}
+
+// retire drops c from live, if it is still there. Caller holds p.mu.
+func (p *prefetcher) retire(c *fetchChunk) {
+	if c.slot >= 0 {
+		p.parked.Add(int64(c.taken - len(c.refs)))
+		heap.Remove(&p.live, c.slot)
+	}
+}
+
+// planLocked launches batches for every candidate that is neither in a
+// live chunk (sweep) nor, when direct (which fetch leaves set only with a
+// cache bound), fresh in the cache: fetch serves that one when the kernel
+// asks for it, and the probe that leaves it out counts no hit, so a partly
+// evicted warm run fetches exactly its evicted ids. With a cache bound
+// the chunks carry the known versions for a conditional fetch, and
+// listVer stamps what they install. Once the run has launched a window
+// at the current chunk size, the next plan cuts chunks twice as wide.
+// Caller holds p.mu.
 func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bool) {
 	if p.ctx.Err() != nil {
 		return
 	}
 	p.plans++
+	held := p.sweep(candidates)
 	if cap(p.need) < len(candidates) {
 		p.need = make([]repo.Ref, 0, len(candidates))
 	}
 	need := p.need[:0]
-	for _, ref := range candidates {
-		if p.pending[ref.ID] {
-			continue
-		}
-		if _, ok := p.ready[ref.ID]; ok {
-			continue
-		}
-		if direct && p.cache.Fresh(p.coll, listVer, ref.ID) {
+	for k, ref := range candidates {
+		if held[k] || direct && p.cache.Fresh(p.coll, listVer, ref.ID) {
 			continue
 		}
 		need = append(need, ref)
@@ -299,53 +410,114 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 	if len(need) == 0 {
 		return
 	}
-	if p.ready == nil {
-		p.ready = make(map[repo.ObjectID]fetchResult, p.batch*cap(p.sem))
-	}
 	sortForFetch(p.client, need, OrderClosestFirst)
-	ids := make([]repo.ObjectID, len(need)) // every chunk's ids, cut from one slice
-	for _, refs := range chunkByNode(need, p.batch) {
-		ch := fetchChunk{refs: refs, ids: ids[:len(refs):len(refs)], listVer: listVer}
-		ids = ids[len(refs):]
-		if p.cache != nil {
-			for _, ref := range refs {
-				if v, ok := p.cache.Version(ref.ID); ok {
-					if ch.known == nil {
-						ch.known = make(map[repo.ObjectID]uint64, len(refs))
-					}
-					ch.known[ref.ID] = v
+	// Every chunk's ids and slots are cut from one slice each.
+	ids, at := make([]repo.ObjectID, len(need)), make([]int32, len(need))
+	for _, refs := range chunkByNode(need, p.size) {
+		n := len(refs)
+		c := &fetchChunk{refs: refs, ids: ids[:n:n], at: at[:n:n], listVer: listVer}
+		ids, at = ids[n:], at[n:]
+		for i, ref := range refs {
+			c.ids[i] = ref.ID
+			if p.cache == nil {
+				continue
+			}
+			if v, ok := p.cache.Version(ref.ID); ok {
+				if c.known == nil {
+					c.known = make(map[repo.ObjectID]uint64, n)
 				}
+				c.known[ref.ID] = v
 			}
 		}
-		for i, ref := range refs {
-			ch.ids[i] = ref.ID
-			p.pending[ref.ID] = true
-		}
+		heap.Push(&p.live, c)
 		p.wg.Add(1)
-		go p.run(ch)
+		go p.run(c)
+	}
+	p.parked.Add(int64(len(need)))
+	if p.launched += len(need); p.launched >= p.size*cap(p.sem)*4 && 1 < p.size && p.size < 4*p.batch {
+		p.size, p.launched = 2*p.size, 0
 	}
 }
 
-// run issues one per-node batch and routes the results: the single waiter
-// gets its result directly, everything else parks in ready. A transport
-// failure is delivered only to the waiter — the ids are simply cleared
-// from pending so a later fetch re-batches them — which is what makes a
-// failed batch count once per round trip in the iterator's liveness
-// accounting.
-func (p *prefetcher) run(ch fetchChunk) {
+// sweep reports which candidates a live chunk holds in an untaken slot,
+// and drops the landed slots the candidates show the run will not ask
+// for. candidates are the kernel's choice — in no live chunk, or fetch
+// would not be planning — then the cursor's next members ascending by id;
+// a chunk's refs ascend too, so each chunk is merged against them, a step
+// per ref instead of a scan of the chunks per candidate. A landed slot the
+// merge passes unlisted — below the candidates, or among them but not
+// listed — is no member the cursor still holds: a current-state listing
+// dropped it, or the kernel's sample found its node down, and a refetch
+// serves it if it is asked for again. Dropping it lets its chunk retire
+// instead of holding the answer, and lengthening every find, to the end of
+// the run. Fewer candidates than a window reached the cursor's end, so
+// then nothing above them is listed either. Caller holds p.mu.
+func (p *prefetcher) sweep(candidates []repo.Ref) []bool {
+	if cap(p.held) < len(candidates) {
+		p.held = make([]bool, len(candidates))
+	}
+	held := p.held[:len(candidates)]
+	clear(held)
+	chosen, rest, whole := candidates[0], candidates[1:], len(candidates) < p.window()
+	live := p.live[:0]
+	for _, c := range p.live {
+		j, _ := slices.BinarySearchFunc(rest, c.refs[c.next].ID, cmpRefID)
+		for i := c.next; i < len(c.refs); i++ {
+			ref := c.refs[i]
+			if j < len(rest) && rest[j].ID < ref.ID {
+				j = seek(rest, j, ref.ID)
+			}
+			if j == len(rest) && !whole {
+				break // the chunk's other refs lie past the candidates
+			}
+			switch {
+			case c.landed && c.at[i] == slotTaken:
+			case j < len(rest) && rest[j] == ref:
+				held[1+j] = true
+			case c.landed && ref != chosen:
+				p.take(c, i)
+			}
+		}
+		if c.taken < len(c.refs) {
+			c.slot, live = len(live), append(live, c)
+		} else {
+			c.slot = -1
+		}
+	}
+	clear(p.live[len(live):])
+	p.live = live
+	heap.Init(&p.live) // a drop moves its chunk's next slot
+	return held
+}
+
+// seek returns the first k > j with refs[k].ID >= id, given refs[j].ID <
+// id: it gallops from j, then binary-searches the last stride, so a
+// chunk sparse among the candidates costs a logarithm of each gap it
+// skips, not the gap.
+func seek(refs []repo.Ref, j int, id repo.ObjectID) int {
+	step := 1
+	for j+step < len(refs) && refs[j+step].ID < id {
+		j, step = j+step, 2*step
+	}
+	k, _ := slices.BinarySearchFunc(refs[j+1:min(j+step, len(refs))], id, cmpRefID)
+	return j + 1 + k
+}
+
+// run issues one per-node batch and hands its answer to deliver.
+func (p *prefetcher) run(c *fetchChunk) {
 	defer p.wg.Done()
 	select {
 	case p.sem <- struct{}{}:
 		defer func() { <-p.sem }()
 	case <-p.ctx.Done():
-		p.deliver(ch.refs, nil, p.ctx.Err(), p.client.Mutations())
+		p.deliver(c, nil, p.ctx.Err(), p.client.Mutations())
 		return
 	}
 	epoch := p.client.Mutations()
 	bctx, span := p.tracer.StartSpan(p.ctx, "fetch.batch")
-	span.SetAttr("node", string(ch.refs[0].Node))
-	span.SetInt("ids", int64(len(ch.ids)))
-	span.SetInt("known", int64(len(ch.known)))
+	span.SetAttr("node", string(c.refs[0].Node))
+	span.SetInt("ids", int64(len(c.ids)))
+	span.SetInt("known", int64(len(c.known)))
 	var (
 		objs []repo.Object
 		err  error
@@ -354,9 +526,9 @@ func (p *prefetcher) run(ch fetchChunk) {
 		// Conditional batches stay owner-routed: a replica's object
 		// versions can lag the client's known versions, and a conditional
 		// answer is only meaningful against the version authority.
-		objs, err = p.fetchValidated(bctx, ch)
+		objs, err = p.fetchValidated(bctx, c)
 	} else {
-		objs, err = p.fetchPlain(bctx, ch.refs[0].Node, ch.ids)
+		objs, err = p.fetchPlain(bctx, c.refs[0].Node, c.ids)
 	}
 	if span != nil {
 		if err != nil {
@@ -364,7 +536,7 @@ func (p *prefetcher) run(ch fetchChunk) {
 		}
 		span.End()
 	}
-	p.deliver(ch.refs, objs, err, epoch)
+	p.deliver(c, objs, err, epoch)
 }
 
 // fetchPlain issues one unconditional batch, routed to the closest live
@@ -446,18 +618,18 @@ func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint
 // negatively. The leader installs results; every caller (leader and
 // joiners) assembles its own answer, in request order, so deliver sees
 // one coherent answer per chunk.
-func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk) ([]repo.Object, error) {
-	node := ch.refs[0].Node
-	v, _ := p.cache.Do(flightKey(node, ch.refs, ch.known), func() any {
-		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, ch.ids, ch.known)
+func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.Object, error) {
+	node := c.refs[0].Node
+	v, _ := p.cache.Do(flightKey(node, c.refs, c.known), func() any {
+		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, c.ids, c.known)
 		if err != nil {
 			return &batchFlight{err: err}
 		}
 		for _, obj := range objs {
-			p.cache.PutValidated(p.coll, ch.listVer, obj)
+			p.cache.PutValidated(p.coll, c.listVer, obj)
 		}
 		for _, id := range missing {
-			p.cache.PutNegative(p.coll, ch.listVer, id)
+			p.cache.PutNegative(p.coll, c.listVer, id)
 		}
 		return &batchFlight{objs: objs, notModified: notModified}
 	})
@@ -473,14 +645,14 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk) ([]repo.
 	var validated []repo.Object
 	var evicted []repo.ObjectID
 	for _, id := range res.notModified {
-		if obj, ok := p.cache.MarkValidated(p.coll, ch.listVer, id); ok {
+		if obj, ok := p.cache.MarkValidated(p.coll, c.listVer, id); ok {
 			validated = append(validated, obj)
 			p.cacheValidated.Add(1)
 		} else {
 			evicted = append(evicted, id)
 		}
 	}
-	out := mergeByPosition(ch.ids, res.objs, validated)
+	out := mergeByPosition(c.ids, res.objs, validated)
 	if len(evicted) > 0 {
 		// The entry vanished between planning and the NotModified answer
 		// (eviction race): refetch those ids unconditionally.
@@ -489,36 +661,37 @@ func (p *prefetcher) fetchValidated(ctx context.Context, ch fetchChunk) ([]repo.
 			return nil, err
 		}
 		for _, obj := range objs {
-			p.cache.PutValidated(p.coll, ch.listVer, obj)
+			p.cache.PutValidated(p.coll, c.listVer, obj)
 		}
-		out = mergeByPosition(ch.ids, out, objs)
+		out = mergeByPosition(c.ids, out, objs)
 	}
 	return out, nil
 }
 
-// deliver routes one batch's answer, objs in the order of chunk's refs,
-// matching the two by position.
-func (p *prefetcher) deliver(chunk []repo.Ref, objs []repo.Object, err error, epoch uint64) {
+// deliver parks one batch's answer in its chunk — objs in the order of
+// the chunk's refs, matched to them by position — and wakes the fetch
+// waiting on it, if any. A failed batch retires at once: its error
+// reaches that waiter only, and a later fetch re-batches the chunk's other
+// refs, which is what makes a failed batch count once per round trip in
+// the iterator's liveness accounting.
+func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, ref := range chunk {
-		delete(p.pending, ref.ID)
-		res := fetchResult{err: err, epoch: epoch}
-		if err == nil {
-			if len(objs) > 0 && objs[0].ID == ref.ID {
-				res, objs = fetchResult{obj: objs[0], epoch: epoch}, objs[1:]
+	c.landed, c.objs, c.epoch, c.err = true, objs, epoch, err
+	if err != nil {
+		p.retire(c)
+	} else {
+		k := 0
+		for i, ref := range c.refs {
+			if k < len(objs) && objs[k].ID == ref.ID {
+				c.at[i], k = int32(k), k+1
 			} else {
-				res = fetchResult{missing: true, epoch: epoch}
+				c.at[i] = slotMissing
 			}
 		}
-		if p.wantCh != nil && p.want == ref.ID {
-			p.wantCh <- res
-			p.want, p.wantCh = "", nil
-			continue
-		}
-		if err == nil {
-			p.ready[ref.ID] = res
-		}
+	}
+	if c.done != nil {
+		close(c.done)
 	}
 }
 

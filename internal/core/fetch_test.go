@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"weaksets/internal/cluster"
 	"weaksets/internal/netsim"
+	"weaksets/internal/obs"
 	"weaksets/internal/repo"
 )
 
@@ -410,5 +413,218 @@ func TestPrefetcherReadYourWrites(t *testing.T) {
 	}
 	if last.ID() != victim.ID || !last.Stale || last.Data != nil {
 		t.Fatalf("deleted member yielded as %+v, want stale identity-only yield", last)
+	}
+}
+
+// batchSpans runs one cold snapshot run of every member of w under a
+// tracer, a whole first window of the opening listing folded before the
+// first plan, and returns its fetch.batch spans' id counts in the order
+// the batches were issued. The prefetcher must be left with no live chunk.
+func batchSpans(t *testing.T, w *testWorld) (ids []int) {
+	t.Helper()
+	ctx := context.Background()
+	tr := obs.NewTracer("test", obs.Config{Capacity: 1 << 12})
+	s := w.set(t, Options{Semantics: Snapshot, Tracer: tr})
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	for !it.ingDone && it.tab.unyielded() < it.prefetchWindow() {
+		if err := it.drainIngest(); err != nil {
+			t.Fatal(err)
+		}
+		if !it.ingDone && it.tab.unyielded() < it.prefetchWindow() {
+			<-it.ing.notify
+		}
+	}
+	yielded := 0
+	for it.Next(ctx) {
+		yielded++
+	}
+	if it.Err() != nil || yielded != len(w.refs) {
+		t.Fatalf("yielded %d of %d, err %v", yielded, len(w.refs), it.Err())
+	}
+	it.pf.mu.Lock()
+	live := len(it.pf.live)
+	it.pf.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d chunks still live after a full run, want every one retired", live)
+	}
+	spans := tr.Spans()
+	slices.SortStableFunc(spans, func(a, b obs.SpanRecord) int { return a.Start.Compare(b.Start) })
+	for _, sp := range spans {
+		for _, a := range sp.Attrs {
+			if sp.Name == "fetch.batch" && a.Key == "ids" {
+				n, _ := strconv.Atoi(a.Value)
+				ids = append(ids, n)
+			}
+		}
+	}
+	return ids
+}
+
+// TestSlowStartWidensLaterPlans: a cold 10 000-member run fetches its
+// first window (1 024 ids) in batches of at most Batch, the next (2 048)
+// at up to 2 × Batch, and the rest at up to — and, with members to spare,
+// exactly — 4 × Batch, and the batches add up to the set; a 1 000-member
+// run fits in its first window and issues exactly the batches a fixed
+// Batch does: per node, ⌈250/64⌉ batches of 64, 64, 64 and 58 ids.
+func TestSlowStartWidensLaterPlans(t *testing.T) {
+	ids := batchSpans(t, newTestWorld(t, 10_000))
+	issued, widest := 0, 0
+	for _, n := range ids {
+		limit := 256
+		switch {
+		case issued < 1024:
+			limit = 64
+		case issued < 1024+2048:
+			limit = 128
+		}
+		if n > limit {
+			t.Fatalf("a %d-id batch after %d ids, want at most %d", n, issued, limit)
+		}
+		issued, widest = issued+n, max(widest, n)
+	}
+	if issued != 10_000 || widest != 256 || len(ids) > 75 {
+		t.Fatalf("%d GetBatch calls fetched %d ids, the widest %d; want at most 75, 10000 and 256", len(ids), issued, widest)
+	}
+
+	ids = batchSpans(t, newTestWorld(t, 1000))
+	sizes := map[int]int{}
+	for _, n := range ids {
+		sizes[n]++
+	}
+	if len(ids) != 16 || sizes[64] != 12 || sizes[58] != 4 {
+		t.Fatalf("a 1 000-member run issued %d batches sized %v, want 12 × 64 and 4 × 58", len(ids), sizes)
+	}
+}
+
+// sameNode returns the test world's members held on the first storage
+// node (members 0, 4, 8, …): the refs one chunk batches together.
+func sameNode(w *testWorld) []repo.Ref {
+	var refs []repo.Ref
+	for i := 0; i < len(w.refs); i += len(w.c.Storage) {
+		refs = append(refs, w.refs[i])
+	}
+	return refs
+}
+
+// TestParkedChunkMissingSlot: an id missing from the middle of a batch
+// answer is reported missing for that slot alone; its neighbours in the
+// same chunk serve their data, with no second round trip.
+func TestParkedChunkMissingSlot(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 12)
+	refs := sameNode(w) // e000, e004, e008
+	if err := w.c.ClientAt(refs[1].Node).Delete(ctx, refs[1]); err != nil {
+		t.Fatal(err)
+	}
+	p := newPrefetcher(ctx, w.c.Client, "set", w.set(t, Options{Semantics: Snapshot}).router, &replicaTally{}, FetchOptions{}.WithDefaults(), nil)
+	defer p.close()
+	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
+	for k, ref := range refs {
+		obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[k:] })
+		switch {
+		case k == 1 && !errors.Is(err, repo.ErrNotFound):
+			t.Fatalf("%s: fetched %q, %v; want ErrNotFound", ref.ID, obj.Data, err)
+		case k != 1 && (err != nil || string(obj.Data) != fmt.Sprintf("data-%d", 4*k)):
+			t.Fatalf("%s: fetched %q, %v", ref.ID, obj.Data, err)
+		}
+	}
+	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 1 || len(p.live) != 0 {
+		t.Fatalf("%d GetBatch calls, %d live chunks; want 1, 0", d, len(p.live))
+	}
+}
+
+// TestParkedChunkFailureErrorsOnce: a batch that fails in transport
+// errors the one fetch waiting on it and is retired; the chunk's other
+// refs are refetched, together, when they are asked for.
+func TestParkedChunkFailureErrorsOnce(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 12)
+	refs := sameNode(w)
+	p := newPrefetcher(ctx, w.c.Client, "set", w.set(t, Options{Semantics: Snapshot}).router, &replicaTally{}, FetchOptions{}.WithDefaults(), nil)
+	defer p.close()
+	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
+	w.c.Net.Isolate(refs[0].Node)
+	if _, err := p.fetch(ctx, refs[0], 0, false, func() []repo.Ref { return refs }); err == nil || errors.Is(err, repo.ErrNotFound) {
+		t.Fatalf("fetch behind a partition: %v, want a transport error", err)
+	}
+	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 1 || len(p.live) != 0 {
+		t.Fatalf("%d GetBatch calls, %d live chunks after the failure; want 1, 0", d, len(p.live))
+	}
+	w.c.Net.Rejoin(refs[0].Node)
+	for k, ref := range refs[1:] {
+		if obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[1+k:] }); err != nil || len(obj.Data) == 0 {
+			t.Fatalf("%s after rejoin: %q, %v", ref.ID, obj.Data, err)
+		}
+	}
+	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 2 {
+		t.Fatalf("%d GetBatch calls, want the failed one and one refetch of the other two", d)
+	}
+}
+
+// TestParkedChunkEpochRetryRebatchesTheChunk: after the client's own
+// mutation every landed slot of a chunk is stale — one epoch covers the
+// batch — so asking for one retires the chunk, and the refs it still held
+// are refetched together, in one batch.
+func TestParkedChunkEpochRetryRebatchesTheChunk(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 12)
+	refs := sameNode(w)
+	p := newPrefetcher(ctx, w.c.Client, "set", w.set(t, Options{Semantics: Snapshot}).router, &replicaTally{}, FetchOptions{}.WithDefaults(), nil)
+	defer p.close()
+	if _, err := p.fetch(ctx, refs[0], 0, false, func() []repo.Ref { return refs }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.c.Client.Put(ctx, w.c.Storage[1], repo.Object{ID: "unrelated", Data: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	batches, before := w.c.Bus.MethodCalls(repo.MethodGetBatch), batchTotals(w.c).BatchedGets
+	for k, ref := range refs[1:] {
+		if obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[1+k:] }); err != nil || len(obj.Data) == 0 {
+			t.Fatalf("%s after the write: %q, %v", ref.ID, obj.Data, err)
+		}
+	}
+	b, ids := w.c.Bus.MethodCalls(repo.MethodGetBatch)-batches, batchTotals(w.c).BatchedGets-before
+	if got := p.epochRetries.Load(); b != 1 || ids != 2 || got != 1 || len(p.live) != 0 {
+		t.Fatalf("%d batches of %d ids in all, %d epoch retries, %d live chunks; want 1, 2, 1, 0", b, ids, got, len(p.live))
+	}
+}
+
+// TestRemovedPlannedMemberRetiresItsChunk: a member removed after its
+// batch was planned is never asked for by a current-state run, so its slot
+// is never taken; a later plan, whose candidates no longer list it, drops
+// the slot, and the run still ends with every chunk retired.
+func TestRemovedPlannedMemberRetiresItsChunk(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 200)
+	s := w.set(t, Options{Semantics: Optimistic, Fetch: FetchOptions{Batch: 4, Inflight: 1}})
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	if !it.Next(ctx) { // plans the first window, e000–e015, the victim with it
+		t.Fatalf("first next: %v", it.Err())
+	}
+	victim := w.refs[5]
+	// Another client's write: the run's own epoch, and its landed slots, stay good.
+	if err := w.c.ClientAt(w.c.Storage[0]).DeleteMember(ctx, cluster.DirNode, "set", victim); err != nil {
+		t.Fatal(err)
+	}
+	yielded := 1
+	for it.Next(ctx) {
+		if it.Element().ID() == victim.ID {
+			t.Fatalf("%s yielded after its removal", victim.ID)
+		}
+		yielded++
+	}
+	it.pf.mu.Lock()
+	live := len(it.pf.live)
+	it.pf.mu.Unlock()
+	if it.Err() != nil || yielded != len(w.refs)-1 || live != 0 {
+		t.Fatalf("yielded %d of %d, err %v, %d chunks live; want every chunk retired", yielded, len(w.refs)-1, it.Err(), live)
 	}
 }

@@ -559,13 +559,12 @@ func (it *Iterator) fastNext() (Decision, repo.Ref, bool) {
 }
 
 // prefetchWindow bounds how many candidates one prefetch replan hands
-// the pipeline: enough to keep Inflight batches full several times
-// over, small enough that building and sorting a plan never scales with
-// the set — which is what keeps time-to-first-element (and the cost of
-// each replan) independent of membership size.
-func (it *Iterator) prefetchWindow() int {
-	return it.opts.Fetch.Batch * it.opts.Fetch.Inflight * 4
-}
+// the pipeline: enough to keep Inflight batches of the prefetcher's
+// current size full several times over, small enough that building and
+// sorting a plan never scales with the set — which is what keeps
+// time-to-first-element (and the cost of each replan) independent of
+// membership size.
+func (it *Iterator) prefetchWindow() int { return it.pf.window() }
 
 // cursorCandidates lists what the run could yield from chosen on: the
 // next prefetch window of unyielded members in yield order, chosen first,

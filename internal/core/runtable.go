@@ -166,12 +166,16 @@ func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
 		return &t.runs[0], t.runs[0].pos
 	}
 	for r := range t.runs {
-		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, func(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) }); ok {
+		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, cmpRefID); ok {
 			return &t.runs[r], i
 		}
 	}
 	return nil, 0
 }
+
+// cmpRefID orders a ref against an id: the binary search over refs sorted
+// by id that the run table and the prefetcher's chunks both do.
+func cmpRefID(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) }
 
 // yield records member id as yielded and moves the cursor off it.
 func (t *runTable) yield(id repo.ObjectID) {

@@ -199,13 +199,16 @@ func stalenessTrial(ctx context.Context, w *world, sem core.Semantics, period ti
 	mctx, cancelMut := context.WithTimeout(ctx, w.scale.Real(16*period))
 	defer cancelMut()
 	mut.Start(mctx)
-	elapsed := w.scale.Stopwatch()
 
 	it, err := s.Elements(ctx)
 	if err != nil {
 		mut.Stop()
 		return nil, err
 	}
+	// Elements has taken the snapshot pin by now: an add that took effect
+	// before this instant may be in the snapshot, and the run yields it.
+	// The run is timed on the mutator's clock, the one its events carry.
+	runStart := mut.Elapsed()
 	type yieldAt struct {
 		id repo.ObjectID
 		at time.Duration
@@ -214,9 +217,9 @@ func stalenessTrial(ctx context.Context, w *world, sem core.Semantics, period ti
 	var yields []yieldAt
 	for it.Next(ctx) {
 		e := it.Element()
-		yields = append(yields, yieldAt{id: e.Ref.ID, at: elapsed(), st: e.Stale})
+		yields = append(yields, yieldAt{id: e.Ref.ID, at: mut.Elapsed(), st: e.Stale})
 	}
-	runEnd := elapsed()
+	runEnd := mut.Elapsed()
 	iterErr := it.Err()
 	_ = it.Close(context.Background())
 	mut.Stop()
@@ -227,11 +230,11 @@ func stalenessTrial(ctx context.Context, w *world, sem core.Semantics, period ti
 		yieldedSet[y.id] = spec.Suspended
 	}
 
-	// Additions made during the run (with enough margin for the iterator
-	// to observe them) that were never yielded.
+	// Additions made during the run — taking effect once the run had
+	// opened and before it ended — that were never yielded.
 	addsDuring, missedAdds := 0, 0
 	for _, ev := range added {
-		if ev.At >= runEnd {
+		if ev.At < runStart || ev.At >= runEnd {
 			continue
 		}
 		addsDuring++

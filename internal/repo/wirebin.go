@@ -34,6 +34,8 @@ import (
 //     transport hands an aliased frame to the decoded body and reads the
 //     next into a new buffer), so a wide GetBatchResp decodes with O(1)
 //     allocations, not O(objects);
+//   - the ids of a GetBatch request are views too: the server answers
+//     from them and keeps none;
 //   - a string a server keeps — the ids of Add, Remove, SyncPart and Put —
 //     decodes through String, never Text: a view would pin its whole frame
 //     for as long as the store holds the id.
@@ -251,14 +253,17 @@ func appendIDs(buf []byte, ids []ObjectID) []byte {
 	return buf
 }
 
-func decodeIDs(r *wirebin.Reader) []ObjectID {
+// decodeIDs decodes a vector of ids, each through str: r.String for the
+// ids of an answer (the client's cache keeps the missing ones), r.Text
+// for a request's, which the server keeps none of.
+func decodeIDs(r *wirebin.Reader, str func() string) []ObjectID {
 	n := r.Count(1)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
 	ids := make([]ObjectID, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		ids = append(ids, ObjectID(r.String()))
+		ids = append(ids, ObjectID(str()))
 	}
 	return ids
 }
@@ -273,9 +278,12 @@ func appendGetBatchReq(buf []byte, v GetBatchReq) []byte {
 	return buf
 }
 
+// decodeGetBatchReq decodes the ids and the Known keys as views into the
+// frame: a cold run's ids never repeat, and through String each would be
+// a copy and an insert into an intern table they overflow.
 func decodeGetBatchReq(r *wirebin.Reader) GetBatchReq {
 	var v GetBatchReq
-	v.IDs = decodeIDs(r)
+	v.IDs = decodeIDs(r, r.Text)
 	sentinel := r.Uvarint()
 	if sentinel == 0 || r.Err() != nil {
 		return v
@@ -286,7 +294,7 @@ func decodeGetBatchReq(r *wirebin.Reader) GetBatchReq {
 	}
 	known := make(map[ObjectID]uint64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		id := ObjectID(r.String())
+		id := ObjectID(r.Text())
 		known[id] = r.Uvarint()
 	}
 	v.Known = known
@@ -317,8 +325,8 @@ func decodeGetBatchResp(r *wirebin.Reader) GetBatchResp {
 		}
 		v.Objects = objs
 	}
-	v.NotModified = decodeIDs(r)
-	v.Missing = decodeIDs(r)
+	v.NotModified = decodeIDs(r, r.String)
+	v.Missing = decodeIDs(r, r.String)
 	return v
 }
 

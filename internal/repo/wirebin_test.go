@@ -426,7 +426,17 @@ func TestAllocBudget(t *testing.T) {
 		}
 		coldFrames[f] = appendPartListing(nil, PartListing{Part: f % 16, Partitions: 16, Members: members, Version: 42})
 	}
-	nextCold := 0
+	// A cold run's batch requests are made of such ids too: 64 a request,
+	// none seen before, and no known versions with the cache off.
+	coldReqs := make([][]byte, 202)
+	for f := range coldReqs {
+		ids := make([]ObjectID, 64)
+		for i := range ids {
+			ids[i] = ObjectID(fmt.Sprintf("f%03de%04d", f, i))
+		}
+		coldReqs[f] = appendGetBatchReq(nil, GetBatchReq{IDs: ids})
+	}
+	nextCold, nextReq := 0, 0
 	var r wirebin.Reader
 	// Warm the intern table so the measurement sees the steady state a
 	// long-lived connection sees (node and collection names repeat).
@@ -473,6 +483,13 @@ func TestAllocBudget(t *testing.T) {
 			nextCold++
 			if v := decodePartListing(&r); len(v.Members) != coldRefs || r.Err() != nil {
 				t.Fatalf("bad decode: %d members, err %v", len(v.Members), r.Err())
+			}
+		},
+		"decodeGetBatchReqColdIDs": func() {
+			r.Reset(coldReqs[nextReq%len(coldReqs)])
+			nextReq++
+			if v := decodeGetBatchReq(&r); len(v.IDs) != 64 || r.Err() != nil {
+				t.Fatalf("bad decode: %d ids, err %v", len(v.IDs), r.Err())
 			}
 		},
 		// The invalidation push fires once per listing change on every

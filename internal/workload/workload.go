@@ -17,8 +17,9 @@ import (
 	"weaksets/internal/sim"
 )
 
-// Event is one recorded mutation, stamped with virtual time since the
-// mutator started.
+// Event is one recorded mutation, stamped with the virtual time since the
+// mutator started at which it had taken effect (its RPCs had returned) —
+// later than its scheduled time whenever the mutator runs behind.
 type Event struct {
 	Ref repo.Ref
 	At  time.Duration
@@ -55,12 +56,15 @@ type Mutator struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
+	// elapsed is the virtual time since Start: the clock events are
+	// stamped on (Elapsed).
+	elapsed func() time.Duration
+
 	mu      sync.Mutex
 	pool    []repo.Ref
 	added   []Event
 	removed []Event
 	seq     int
-	start   time.Time
 }
 
 // NewMutator builds a mutator; call Start to run it.
@@ -73,13 +77,19 @@ func NewMutator(cfg MutatorConfig) *Mutator {
 	}
 }
 
-// Start launches the mutation loop.
+// Start launches the mutation loop and starts the clock its events are
+// stamped on.
 func (m *Mutator) Start(ctx context.Context) {
 	ictx, cancel := context.WithCancel(ctx)
 	m.cancel = cancel
-	m.start = time.Now()
+	m.elapsed = m.scale.Stopwatch()
 	go m.run(ictx)
 }
+
+// Elapsed reads the clock Event.At is stamped on — the virtual time since
+// Start — so a caller can time its own activity against the mutator's
+// events. Call it only after Start.
+func (m *Mutator) Elapsed() time.Duration { return m.elapsed() }
 
 // Stop halts the mutator and waits for it to exit.
 func (m *Mutator) Stop() {
@@ -97,7 +107,7 @@ func (m *Mutator) run(ctx context.Context) {
 	// Schedule against absolute virtual time so the mutator's own RPC
 	// latency does not stretch its period (a slow op makes the next one
 	// fire immediately rather than drifting the schedule).
-	elapsed := m.scale.Stopwatch()
+	elapsed := m.elapsed
 	var nextAdd, nextRemove time.Duration
 	if m.cfg.AddEvery > 0 {
 		nextAdd = m.cfg.AddEvery
@@ -128,16 +138,16 @@ func (m *Mutator) run(ctx context.Context) {
 		// Mutations run under a fresh context so a Stop between RPCs cannot
 		// leave a half-applied, unrecorded mutation behind.
 		if isAdd {
-			m.addOne(context.Background(), at)
+			m.addOne(context.Background(), elapsed)
 			nextAdd = at + m.cfg.AddEvery
 		} else {
-			m.removeOne(context.Background(), at)
+			m.removeOne(context.Background(), elapsed)
 			nextRemove = at + m.cfg.RemoveEvery
 		}
 	}
 }
 
-func (m *Mutator) addOne(ctx context.Context, at time.Duration) {
+func (m *Mutator) addOne(ctx context.Context, elapsed func() time.Duration) {
 	m.mu.Lock()
 	m.seq++
 	id := repo.ObjectID(fmt.Sprintf("%s-m%04d", m.cfg.IDPrefix, m.seq))
@@ -154,11 +164,11 @@ func (m *Mutator) addOne(ctx context.Context, at time.Duration) {
 	}
 	m.mu.Lock()
 	m.pool = append(m.pool, ref)
-	m.added = append(m.added, Event{Ref: ref, At: at})
+	m.added = append(m.added, Event{Ref: ref, At: elapsed()})
 	m.mu.Unlock()
 }
 
-func (m *Mutator) removeOne(ctx context.Context, at time.Duration) {
+func (m *Mutator) removeOne(ctx context.Context, elapsed func() time.Duration) {
 	m.mu.Lock()
 	if len(m.pool) == 0 {
 		m.mu.Unlock()
@@ -173,7 +183,7 @@ func (m *Mutator) removeOne(ctx context.Context, at time.Duration) {
 		return
 	}
 	m.mu.Lock()
-	m.removed = append(m.removed, Event{Ref: victim, At: at})
+	m.removed = append(m.removed, Event{Ref: victim, At: elapsed()})
 	m.mu.Unlock()
 }
 
