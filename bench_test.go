@@ -227,7 +227,7 @@ func BenchmarkDynSetLogical(b *testing.B) {
 		for ds.Next(ctx) {
 			n++
 		}
-		_ = ds.Close()
+		_ = ds.Close(ctx)
 		if n != 32 {
 			b.Fatalf("yielded %d", n)
 		}

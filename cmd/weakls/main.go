@@ -117,7 +117,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = ds.Close() }()
+	defer func() { _ = ds.Close(ctx) }()
 	n := 0
 	for ds.Next(ctx) {
 		e := fsim.EntryFromElement(ds.Element())
@@ -136,7 +136,7 @@ func run(args []string) error {
 	fmt.Println()
 
 	if *trace {
-		_ = ds.Close()
+		_ = ds.Close(ctx)
 		fmt.Println()
 		obs.RenderWeakness(os.Stdout, ds.Weakness())
 		fmt.Println()

@@ -76,7 +76,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = ds.Close() }()
+	defer func() { _ = ds.Close(ctx) }()
 	byWing := 0
 	total := 0
 	for ds.Next(ctx) {

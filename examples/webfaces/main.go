@@ -74,7 +74,7 @@ func run() error {
 		}
 		total := elapsed()
 		skipped := len(ds.Skipped())
-		_ = ds.Close()
+		_ = ds.Close(ctx)
 		fmt.Printf("width %2d: first face %7s, tenth %7s, all %d rendered in %7s (%d unreachable)\n",
 			width, metrics.FmtDur(first), metrics.FmtDur(tenth), n, metrics.FmtDur(total), skipped)
 	}

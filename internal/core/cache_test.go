@@ -219,12 +219,12 @@ func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
 	p := newPrefetcher(ctx, w.c.Client, "set", s.router, &replicaTally{}, s.opts.Fetch, nil)
 	defer p.close()
 	ref, batches := w.refs[0], w.c.Bus.MethodCalls(repo.MethodGetBatch)
-	obj, err := p.fetch(ctx, ref, 5, true, func() []repo.Ref {
+	got, obj, err := p.fetch(ctx, ref, 5, true, func() []repo.Ref {
 		// Called between the serve check and the plan.
 		cache.PutValidated("set", 5, repo.Object{ID: ref.ID, Version: 1, Data: []byte("landed")})
 		return []repo.Ref{ref}
-	})
-	if err != nil || string(obj.Data) != "landed" {
+	}, func(repo.Ref) bool { return false })
+	if err != nil || got != ref || string(obj.Data) != "landed" {
 		t.Fatalf("fetched %q, %v; want the landed entry", obj.Data, err)
 	}
 	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 0 || p.plans != 1 || p.cacheHits.Load() != 1 {

@@ -144,7 +144,7 @@ func TestChaosSoak(t *testing.T) {
 				// washover is fine to skip.
 				return
 			}
-			defer ds.Close()
+			defer ds.Close(ctx)
 			seen := make(map[repo.ObjectID]bool)
 			for ds.Next(ctx) {
 				id := ds.Element().Ref.ID

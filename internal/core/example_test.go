@@ -78,7 +78,9 @@ func ExampleNewSet() {
 	}
 	fmt.Println("err:", it.Err())
 
-	// Output:
+	// Elements arrive in completion order.
+
+	// Unordered output:
 	// elem-0
 	// elem-1
 	// elem-2
@@ -113,7 +115,7 @@ func ExampleOpenDyn() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ds.Close()
+	defer ds.Close(ctx)
 	n := 0
 	for ds.Next(ctx) {
 		n++

@@ -16,14 +16,14 @@ import (
 	"weaksets/internal/repo"
 )
 
-// This file is the one element path behind both iterator flavours: the
-// closest-first ordering heuristic (§1.1, "fetching 'closer' files
-// first") and per-node batch grouping, which the Iterator's
-// bounded-concurrency prefetcher and DynSet's fetchers both plan with —
-// an element only ever crosses the wire in a GetBatch. Batching is a
-// transport optimisation only — every yield is still decided by the spec
-// kernel against a freshly observed pre-state, so the Fig. 3–6 semantics
-// are untouched.
+// This file is the one element path behind every run, dynamic sets
+// included: closest-first ordering (§1.1, "fetching 'closer' files
+// first"), per-node batches issued in that order, answers handed out in
+// completion order — an element only ever crosses the wire in a
+// GetBatch. These are transport choices only: every yield is still
+// decided by the spec kernel against a freshly observed pre-state, and a
+// ref yielded in place of the kernel's choice is one the figures' Yield
+// allows, so the Fig. 3–6 semantics are untouched.
 
 // FetchOptions tunes the Iterator's batched fetch path.
 type FetchOptions struct {
@@ -45,24 +45,6 @@ func (o FetchOptions) WithDefaults() FetchOptions {
 		o.Inflight = 4
 	}
 	return o
-}
-
-// sortForFetch orders refs for fetching: ascending estimated round-trip
-// time (closest first) or listing (ID) order. Ties break on ID so the
-// order is deterministic for a fixed network.
-func sortForFetch(client *repo.Client, refs []repo.Ref, order FetchOrder) {
-	switch order {
-	case OrderListing:
-		sort.Slice(refs, func(i, j int) bool { return refs[i].ID < refs[j].ID })
-	default:
-		sort.Slice(refs, func(i, j int) bool {
-			ri, rj := client.EstimateRTT(refs[i]), client.EstimateRTT(refs[j])
-			if ri != rj {
-				return ri < rj
-			}
-			return refs[i].ID < refs[j].ID
-		})
-	}
 }
 
 // chunkByNode splits fetch-ordered refs into per-node batches of at most
@@ -91,7 +73,7 @@ func chunkByNode(refs []repo.Ref, size int) [][]repo.Ref {
 }
 
 // fetchChunk is one per-node batch, the unit of the prefetcher's
-// bookkeeping: its refs (one node, ascending id, as sortForFetch orders a
+// bookkeeping: its refs (one node, ascending id, as planLocked orders a
 // node's refs) and their ids, the cache context it was planned under (the
 // known versions to validate, the listing version that stamps installed
 // results) and, once landed, the answer parked by position. One epoch and
@@ -102,10 +84,8 @@ type fetchChunk struct {
 	known   map[repo.ObjectID]uint64
 	listVer uint64
 
-	// Under the prefetcher's mu. done is made by a fetch that waits for
-	// the batch, and closed by deliver.
+	// Under the prefetcher's mu.
 	landed bool
-	done   chan struct{}
 	objs   []repo.Object // as GetBatch returned them, in request order
 	at     []int32       // per slot: an index into objs, slotMissing or slotTaken
 	taken  int
@@ -156,16 +136,20 @@ func (p *prefetcher) take(c *fetchChunk, i int) {
 
 // prefetcher overlaps an Iterator's element fetches: the candidates the
 // kernel could yield are grouped into per-node batches, issued
-// closest-first under a bounded in-flight budget, and parked by position
-// in the chunk that fetched them until the kernel actually asks for them.
-// What the shared element cache may serve with no round trip is never
-// planned or parked: it is served when the kernel asks for it (fetch).
+// closest-first and in that order under a bounded in-flight budget, and
+// parked by position in the chunk that fetched them until the run takes
+// them: the slot the kernel asked for or, while its batch is in flight,
+// a landed one the run accepts instead (completion order). What the
+// shared element cache may serve with no round trip is never planned or
+// parked: it is served when the kernel asks for it (fetch).
 //
 // Two properties keep it semantics-preserving:
 //
 //   - every yield is still re-validated by Step against a fresh pre-state,
-//     so a prefetched object whose node has since partitioned is never
-//     yielded under pessimistic semantics;
+//     and a landed slot stands in for the kernel's choice only when the
+//     run accepts its ref under that pre-state, so a prefetched object
+//     whose node has since partitioned is never yielded under pessimistic
+//     semantics;
 //   - results carry the client's mutation epoch; a result fetched before
 //     this client's own later mutation is discarded and refetched,
 //     preserving read-your-writes (a member the client itself deleted
@@ -203,12 +187,21 @@ type prefetcher struct {
 
 	// ctx outlives individual Next calls so batches pipeline across
 	// yields; close cancels it and waits out the workers.
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    chan struct{}
-	wg     sync.WaitGroup
+	ctx      context.Context
+	cancel   context.CancelFunc
+	inflight int
+	wg       sync.WaitGroup
 
 	mu sync.Mutex
+	// queue holds the chunks not yet issued, in the order planLocked cut
+	// them, which at most inflight workers take from its head — so the
+	// closest node's batch is issued first at any Inflight.
+	queue   []*fetchChunk
+	workers int
+	// wake is made by a fetch waiting for any batch to land and closed by
+	// the next deliver; woke is the chunk that deliver landed.
+	wake chan struct{}
+	woke *fetchChunk
 	// live holds the chunks launched and not yet retired: in flight, or
 	// landed with a slot left to take.
 	live liveHeap
@@ -231,17 +224,17 @@ type prefetcher struct {
 func newPrefetcher(base context.Context, client *repo.Client, coll string, router *replicaRouter, tally *replicaTally, o FetchOptions, tracer *obs.Tracer) *prefetcher {
 	ctx, cancel := context.WithCancel(base)
 	return &prefetcher{
-		client: client,
-		batch:  o.Batch,
-		size:   o.Batch,
-		tracer: tracer,
-		router: router,
-		tally:  tally,
-		cache:  client.ElementCache(),
-		coll:   coll,
-		ctx:    ctx,
-		cancel: cancel,
-		sem:    make(chan struct{}, o.Inflight),
+		client:   client,
+		batch:    o.Batch,
+		size:     o.Batch,
+		tracer:   tracer,
+		router:   router,
+		tally:    tally,
+		cache:    client.ElementCache(),
+		coll:     coll,
+		ctx:      ctx,
+		cancel:   cancel,
+		inflight: o.Inflight,
 	}
 }
 
@@ -251,10 +244,10 @@ func newPrefetcher(base context.Context, client *repo.Client, coll string, route
 // top-up — a fold landed members below the cursor — and a first window
 // does.
 func (p *prefetcher) window() int {
-	if first := p.batch * cap(p.sem) * 4; p.parked.Load() >= int64(first) {
+	if first := p.batch * p.inflight * 4; p.parked.Load() >= int64(first) {
 		return first
 	}
-	return p.size * cap(p.sem) * 4
+	return p.size * p.inflight * 4
 }
 
 // errMissing marks an id the holding node had no data for; it unwraps to
@@ -263,18 +256,21 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns ref's object. It looks in three places, in order: the
-// live chunk holding ref, whose batch is in flight or has landed; the
-// cache, when direct — the invocation's certificate (Iterator.observe)
-// that an entry fresh under the held listing's version listVer is
-// exactly what the owner would ship; otherwise it replans, batching ref
-// with the other candidates the kernel could yield next. It blocks until
-// ref's batch lands while other batches keep landing in their chunks. A
-// transport error is returned once per failed round trip, not once per
-// batched id. candidates is consulted only on a replan, so a warm run
+// fetch returns ref's object, or the object of a ref the run accepts in
+// its place, with the ref it returns it for. It looks in three places, in
+// order: the live chunk holding ref, whose batch is in flight or has
+// landed; the cache, when direct — the invocation's certificate
+// (Iterator.observe) that an entry fresh under the held listing's version
+// listVer is exactly what the owner would ship; otherwise it replans,
+// batching ref with the other candidates the kernel could yield next.
+// While ref's batch is in flight it hands out a landed slot whose ref
+// accept admits, waiting for the next landing only when there is none:
+// a slow node never holds up what faster ones delivered. A transport
+// error is returned for ref only, once per failed round trip, not once
+// per batched id. candidates is consulted only on a replan, so a warm run
 // builds no window at all; it lists ref first, then the cursor's next
 // members ascending by id, which sweep relies on.
-func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref) (repo.Object, error) {
+func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref, accept func(repo.Ref) bool) (repo.Ref, repo.Object, error) {
 	direct = direct && p.cache != nil
 	for {
 		p.mu.Lock()
@@ -285,9 +281,9 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 					p.mu.Unlock()
 					p.cacheHits.Add(1)
 					if negative {
-						return repo.Object{}, errMissing(ref.ID)
+						return ref, repo.Object{}, errMissing(ref.ID)
 					}
-					return obj, nil
+					return ref, obj, nil
 				}
 			}
 			// Replan only when ref's batch is not already in flight:
@@ -301,22 +297,35 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 				// (another run's batch landed) and the next pass serves it.
 				p.mu.Unlock()
 				if err := p.ctx.Err(); err != nil {
-					return repo.Object{}, err
+					return ref, repo.Object{}, err
 				}
 				continue
 			}
 		}
-		if !c.landed {
-			if c.done == nil {
-				c.done = make(chan struct{})
+		for !c.landed {
+			if s, j := p.substitute(accept); s != nil {
+				c, i = s, j
+				break
 			}
+			if p.wake == nil {
+				p.wake = make(chan struct{})
+			}
+			wake := p.wake
 			p.mu.Unlock()
 			select {
-			case <-c.done:
+			case <-wake:
 			case <-ctx.Done():
-				return repo.Object{}, ctx.Err()
+				return ref, repo.Object{}, ctx.Err()
 			}
 			p.mu.Lock()
+			// Whatever landed first while this fetch waited goes first,
+			// though ref's own batch may have landed since — unless that
+			// batch failed, whose error is ref's to report.
+			if w := p.woke; w != c && w.slot >= 0 && c.err == nil {
+				if j := accepted(w, accept); j >= 0 {
+					c, i = w, j
+				}
+			}
 		}
 		// One epoch covers the batch: fetched before this client's own
 		// later mutation, every slot is stale, so the chunk retires and the
@@ -329,9 +338,9 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 			p.epochRetries.Add(1)
 			continue
 		}
-		err, k := c.err, slotMissing
+		err, k, got := c.err, slotMissing, ref
 		if err == nil {
-			k = c.at[i]
+			k, got = c.at[i], c.refs[i]
 			if p.take(c, i); c.taken == len(c.refs) {
 				p.retire(c)
 			} else {
@@ -341,12 +350,38 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 		p.mu.Unlock()
 		switch {
 		case err != nil:
-			return repo.Object{}, err
+			return ref, repo.Object{}, err
 		case k == slotMissing:
-			return repo.Object{}, errMissing(ref.ID)
+			return ref, repo.Object{}, errMissing(ref.ID)
 		}
-		return c.objs[k], nil
+		return got, c.objs[k], nil
 	}
+}
+
+// substitute returns a landed slot holding an object whose ref accept
+// admits, and its chunk; nil when no landed chunk has one. Caller holds
+// p.mu.
+func (p *prefetcher) substitute(accept func(repo.Ref) bool) (*fetchChunk, int) {
+	for _, c := range p.live {
+		if i := accepted(c, accept); i >= 0 {
+			return c, i
+		}
+	}
+	return nil, 0
+}
+
+// accepted returns the first untaken slot of landed chunk c holding an
+// object whose ref accept admits, or −1. Only slots with an object stand
+// in for the ref the kernel chose, so what fetch returns for another ref
+// is always a yield; a missing one waits for the kernel to ask for it.
+// Caller holds p.mu.
+func accepted(c *fetchChunk, accept func(repo.Ref) bool) int {
+	for i := c.next; c.landed && i < len(c.refs); i++ {
+		if c.at[i] >= 0 && accept(c.refs[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // find returns the live chunk holding ref in a slot not yet taken, and
@@ -410,7 +445,12 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 	if len(need) == 0 {
 		return
 	}
-	sortForFetch(p.client, need, OrderClosestFirst)
+	// Closest first, by estimated round-trip time; ties break on ID, so the
+	// order is deterministic for a fixed network.
+	sort.Slice(need, func(i, j int) bool {
+		ri, rj := p.client.EstimateRTT(need[i]), p.client.EstimateRTT(need[j])
+		return ri < rj || ri == rj && need[i].ID < need[j].ID
+	})
 	// Every chunk's ids and slots are cut from one slice each.
 	ids, at := make([]repo.ObjectID, len(need)), make([]int32, len(need))
 	for _, refs := range chunkByNode(need, p.size) {
@@ -430,11 +470,15 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 			}
 		}
 		heap.Push(&p.live, c)
+		p.queue = append(p.queue, c)
+	}
+	for n := min(p.inflight-p.workers, len(p.queue)); n > 0; n-- {
+		p.workers++
 		p.wg.Add(1)
-		go p.run(c)
+		go p.work()
 	}
 	p.parked.Add(int64(len(need)))
-	if p.launched += len(need); p.launched >= p.size*cap(p.sem)*4 && 1 < p.size && p.size < 4*p.batch {
+	if p.launched += len(need); p.launched >= p.size*p.inflight*4 && 1 < p.size && p.size < 4*p.batch {
 		p.size, p.launched = 2*p.size, 0
 	}
 }
@@ -503,14 +547,28 @@ func seek(refs []repo.Ref, j int, id repo.ObjectID) int {
 	return j + 1 + k
 }
 
+// work issues the queued batches, the queue's head each time, until the
+// queue is empty.
+func (p *prefetcher) work() {
+	defer p.wg.Done()
+	for {
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.workers--
+			p.mu.Unlock()
+			return
+		}
+		c := p.queue[0]
+		p.queue[0], p.queue = nil, p.queue[1:]
+		p.mu.Unlock()
+		p.run(c)
+	}
+}
+
 // run issues one per-node batch and hands its answer to deliver.
 func (p *prefetcher) run(c *fetchChunk) {
-	defer p.wg.Done()
-	select {
-	case p.sem <- struct{}{}:
-		defer func() { <-p.sem }()
-	case <-p.ctx.Done():
-		p.deliver(c, nil, p.ctx.Err(), p.client.Mutations())
+	if err := p.ctx.Err(); err != nil {
+		p.deliver(c, nil, err, p.client.Mutations())
 		return
 	}
 	epoch := p.client.Mutations()
@@ -670,10 +728,10 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 
 // deliver parks one batch's answer in its chunk — objs in the order of
 // the chunk's refs, matched to them by position — and wakes the fetch
-// waiting on it, if any. A failed batch retires at once: its error
-// reaches that waiter only, and a later fetch re-batches the chunk's other
-// refs, which is what makes a failed batch count once per round trip in
-// the iterator's liveness accounting.
+// waiting for a landing, if any. A failed batch retires at once: its
+// error reaches the fetch that asked for one of its refs only, and a later
+// fetch re-batches the chunk's other refs, which is what makes a failed
+// batch count once per round trip in the iterator's liveness accounting.
 func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -690,8 +748,9 @@ func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch
 			}
 		}
 	}
-	if c.done != nil {
-		close(c.done)
+	if p.wake != nil {
+		close(p.wake)
+		p.wake, p.woke = nil, c
 	}
 }
 

@@ -286,8 +286,9 @@ func TestVersionGatedListSkipsMembershipShipping(t *testing.T) {
 }
 
 // TestDynSetBatchSkipsMissingMember exercises a batch whose node reports
-// some ids missing: the vanished member is silently dropped (Fig. 6
-// permits missing a concurrent deletion), never surfaced as skipped.
+// some ids missing: the vanished member is yielded as its stale identity
+// (Fig. 4's tolerated anomaly, the rule every snapshot-governed run
+// follows), never surfaced as skipped.
 func TestDynSetBatchSkipsMissingMember(t *testing.T) {
 	c, err := cluster.New(cluster.Config{StorageNodes: 2, Seed: 11})
 	if err != nil {
@@ -320,22 +321,22 @@ func TestDynSetBatchSkipsMissingMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	got := map[repo.ObjectID]bool{}
+	defer ds.Close(ctx)
+	stale := map[repo.ObjectID]bool{}
 	for ds.Next(ctx) {
-		got[ds.Element().ID()] = true
+		stale[ds.Element().ID()] = ds.Element().Stale
 	}
-	if len(got) != 2 || !got["m0"] || !got["m2"] {
-		t.Fatalf("yielded %v, want m0 and m2", got)
+	if len(stale) != 3 || stale["m0"] || !stale["m1"] || stale["m2"] {
+		t.Fatalf("yielded %v (id: stale), want m0 and m2 and m1's stale identity", stale)
 	}
 	if sk := ds.Skipped(); len(sk) != 0 {
 		t.Fatalf("missing member reported as skipped: %v", sk)
 	}
 }
 
-// TestDynSetBatchPartitionSkipsChunk partitions the batch's node so the
-// whole chunk fails in one round trip; without RetryUnreachable every
-// member lands in Skipped, preserving the partial-result report.
+// TestDynSetBatchPartitionSkipsChunk partitions a node holding a whole
+// chunk's members: none is yielded, and every one lands in Skipped,
+// preserving the partial-result report.
 func TestDynSetBatchPartitionSkipsChunk(t *testing.T) {
 	c, err := cluster.New(cluster.Config{StorageNodes: 3, Seed: 13})
 	if err != nil {
@@ -366,7 +367,7 @@ func TestDynSetBatchPartitionSkipsChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
+	defer ds.Close(ctx)
 	n := 0
 	for ds.Next(ctx) {
 		if ds.Element().Ref.Node == c.Storage[1] {
@@ -500,6 +501,13 @@ func TestSlowStartWidensLaterPlans(t *testing.T) {
 	}
 }
 
+// fetchChosen fetches ref, planning candidates on a miss, with no other
+// landed slot standing in for it.
+func fetchChosen(ctx context.Context, p *prefetcher, ref repo.Ref, candidates []repo.Ref) (repo.Object, error) {
+	_, obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return candidates }, func(repo.Ref) bool { return false })
+	return obj, err
+}
+
 // sameNode returns the test world's members held on the first storage
 // node (members 0, 4, 8, …): the refs one chunk batches together.
 func sameNode(w *testWorld) []repo.Ref {
@@ -524,7 +532,7 @@ func TestParkedChunkMissingSlot(t *testing.T) {
 	defer p.close()
 	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
 	for k, ref := range refs {
-		obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[k:] })
+		obj, err := fetchChosen(ctx, p, ref, refs[k:])
 		switch {
 		case k == 1 && !errors.Is(err, repo.ErrNotFound):
 			t.Fatalf("%s: fetched %q, %v; want ErrNotFound", ref.ID, obj.Data, err)
@@ -548,7 +556,7 @@ func TestParkedChunkFailureErrorsOnce(t *testing.T) {
 	defer p.close()
 	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
 	w.c.Net.Isolate(refs[0].Node)
-	if _, err := p.fetch(ctx, refs[0], 0, false, func() []repo.Ref { return refs }); err == nil || errors.Is(err, repo.ErrNotFound) {
+	if _, err := fetchChosen(ctx, p, refs[0], refs); err == nil || errors.Is(err, repo.ErrNotFound) {
 		t.Fatalf("fetch behind a partition: %v, want a transport error", err)
 	}
 	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 1 || len(p.live) != 0 {
@@ -556,7 +564,7 @@ func TestParkedChunkFailureErrorsOnce(t *testing.T) {
 	}
 	w.c.Net.Rejoin(refs[0].Node)
 	for k, ref := range refs[1:] {
-		if obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[1+k:] }); err != nil || len(obj.Data) == 0 {
+		if obj, err := fetchChosen(ctx, p, ref, refs[1+k:]); err != nil || len(obj.Data) == 0 {
 			t.Fatalf("%s after rejoin: %q, %v", ref.ID, obj.Data, err)
 		}
 	}
@@ -575,7 +583,7 @@ func TestParkedChunkEpochRetryRebatchesTheChunk(t *testing.T) {
 	refs := sameNode(w)
 	p := newPrefetcher(ctx, w.c.Client, "set", w.set(t, Options{Semantics: Snapshot}).router, &replicaTally{}, FetchOptions{}.WithDefaults(), nil)
 	defer p.close()
-	if _, err := p.fetch(ctx, refs[0], 0, false, func() []repo.Ref { return refs }); err != nil {
+	if _, err := fetchChosen(ctx, p, refs[0], refs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.c.Client.Put(ctx, w.c.Storage[1], repo.Object{ID: "unrelated", Data: []byte("x")}); err != nil {
@@ -583,7 +591,7 @@ func TestParkedChunkEpochRetryRebatchesTheChunk(t *testing.T) {
 	}
 	batches, before := w.c.Bus.MethodCalls(repo.MethodGetBatch), batchTotals(w.c).BatchedGets
 	for k, ref := range refs[1:] {
-		if obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return refs[1+k:] }); err != nil || len(obj.Data) == 0 {
+		if obj, err := fetchChosen(ctx, p, ref, refs[1+k:]); err != nil || len(obj.Data) == 0 {
 			t.Fatalf("%s after the write: %q, %v", ref.ID, obj.Data, err)
 		}
 	}

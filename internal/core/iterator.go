@@ -77,6 +77,12 @@ type Iterator struct {
 	// kernelSteps counts Step calls: what the complexity guard reads.
 	kernelSteps int
 
+	// dyn marks a dynamic set's run (OpenDyn), which folds its whole
+	// opening listing first and settles where the kernel would fail; rest
+	// is what settle has still to try.
+	dyn, settling bool
+	rest          []repo.Ref
+
 	// pf is the batched prefetch pipeline every element fetch goes through;
 	// cands is the candidate window one replan hands it, reused by the next.
 	pf    *prefetcher
@@ -222,8 +228,10 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 		}
 		// A recorded run is checked against the figures invocation by
 		// invocation, so every recorded pre-state must hold the whole
-		// s_first: it waits the stream out before its first invocation.
-		if err := it.drainIngest(); err != nil || it.opts.Recorder == nil || it.ingDone {
+		// s_first, and a dynamic run plans its first window closest-first
+		// over the whole membership: both wait the stream out before their
+		// first invocation.
+		if err := it.drainIngest(); err != nil || it.opts.Recorder == nil && !it.dyn || it.ingDone {
 			return err
 		}
 	}
@@ -270,10 +278,11 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 
 // drainIngest folds arrived partitions, without blocking — at most
 // enough to keep a full prefetch window of unyielded members in the
-// cursor (everything, under a recorder), so the fold cost is paid
-// incrementally across yields rather than all before the first element
-// (the in-process stream can outrun the iterator arbitrarily). When the
-// stream has completed and the queue is drained it seals tab.version —
+// cursor (everything, under a recorder or in a dynamic run), so the fold
+// cost is paid incrementally across yields rather than all before the
+// first element (the in-process stream can outrun the iterator
+// arbitrarily). When the stream has completed and the queue is drained it
+// seals tab.version —
 // 0 until then on an unpinned stream, so no cache serves against a
 // version still being assembled — to the highest partition version
 // observed (sound, because every object fetch from here on is at least
@@ -283,7 +292,7 @@ func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
 	}
-	for it.opts.Recorder != nil || it.tab.unyielded() < it.prefetchWindow() {
+	for it.opts.Recorder != nil || it.dyn || it.tab.unyielded() < it.prefetchWindow() {
 		pl, ok, done, err := it.ing.takeOne()
 		if !ok {
 			if !done {
@@ -432,6 +441,9 @@ func (it *Iterator) Next(ctx context.Context) bool {
 	if it.done || it.closed {
 		return false
 	}
+	if it.settling {
+		return it.settle()
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			it.terminate(err)
@@ -503,6 +515,9 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			return false
 
 		case DecideFail:
+			if it.dyn {
+				return it.settle()
+			}
 			it.record(pre, spec.Failed, "", false)
 			it.countSkipped()
 			it.terminate(fmt.Errorf("%w: %s: unreachable members remain", ErrFailure, it.opts.Semantics))
@@ -583,12 +598,24 @@ func (it *Iterator) cursorCandidates(chosen repo.Ref, pre spec.State) []repo.Ref
 	return it.cands
 }
 
-// fetch retrieves the chosen element's object. It returns true when the
-// iterator yielded; false means the caller should re-observe (or the
-// iterator terminated — check it.done). The prefetch candidates are
+// accepts reports whether the invocation may yield ref in place of the
+// member the kernel chose — exactly the refs the figures' Yield may pick
+// from: an unyielded member the invocation's sample found reachable
+// (pre.Reach; nil on the fast path, which yields only when all are).
+func (it *Iterator) accepts(pre spec.State, ref repo.Ref) bool {
+	run, i := it.tab.find(ref.ID)
+	return run != nil && run.refs[i] == ref && !run.isTaken(i) && (pre.Reach == nil || pre.Reach[spec.ElemID(ref.ID)])
+}
+
+// fetch retrieves the chosen element's object, or one the run accepts in
+// its place whose batch landed first (completion order). It returns true
+// when the iterator yielded; false means the caller should re-observe (or
+// the iterator terminated — check it.done). The prefetch candidates are
 // planned lazily, on a miss.
-func (it *Iterator) fetch(ctx context.Context, pre spec.State, ref repo.Ref) bool {
-	obj, err := it.pf.fetch(it.traceCtx(ctx), ref, it.tab.version, it.direct, func() []repo.Ref { return it.cursorCandidates(ref, pre) })
+func (it *Iterator) fetch(ctx context.Context, pre spec.State, chosen repo.Ref) bool {
+	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, it.tab.version, it.direct,
+		func() []repo.Ref { return it.cursorCandidates(chosen, pre) },
+		func(r repo.Ref) bool { return it.accepts(pre, r) })
 	switch {
 	case err == nil:
 		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -637,6 +664,13 @@ func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 	it.elem = e
 	it.blockedFor = 0
 	it.fetchFails = 0
+}
+
+// Skipped lists, ascending by id, the members the run has not yielded:
+// once Next has returned false, those it left at termination — for a
+// dynamic run, the unreachable ones it had no fallback copy of.
+func (it *Iterator) Skipped() []repo.Ref {
+	return it.tab.window(nil, it.tab.unyielded(), func(repo.Ref) bool { return true })
 }
 
 // countSkipped records, at a terminal decision, the members of the

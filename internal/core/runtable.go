@@ -43,6 +43,10 @@ type runTable struct {
 	reachAll bool
 	reachGen uint64
 	sampled  bool
+	// lastRun and lastAt are find's last by-search hit, checked by
+	// content before reuse: ids are unique across runs, so a match is the
+	// member whatever reordered the runs since.
+	lastRun, lastAt int
 }
 
 // refRun is one sorted run of members. refs ascend by id and are never
@@ -159,14 +163,24 @@ func (t *runTable) head() (repo.Ref, bool) {
 	return t.runs[0].refs[t.runs[0].pos], true
 }
 
-// find locates member id — the cursor's head at no cost, any other by
-// binary search: the by-id lookup a yield the kernel chose needs.
+// find locates member id: the cursor's head, or the last id found (a
+// yield in place of the kernel's choice is looked up to accept it, then
+// to mark it), at no cost; any other by binary search of the runs whose
+// id range holds it — one, when they are a pin's contiguous ranges.
 func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
 	if head, ok := t.head(); ok && head.ID == id {
 		return &t.runs[0], t.runs[0].pos
 	}
+	if r, i := t.lastRun, t.lastAt; r < len(t.runs) && i < len(t.runs[r].refs) && t.runs[r].refs[i].ID == id {
+		return &t.runs[r], i
+	}
 	for r := range t.runs {
-		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, cmpRefID); ok {
+		refs := t.runs[r].refs
+		if len(refs) == 0 || id < refs[0].ID || id > refs[len(refs)-1].ID {
+			continue
+		}
+		if i, ok := slices.BinarySearchFunc(refs, id, cmpRefID); ok {
+			t.lastRun, t.lastAt = r, i
 			return &t.runs[r], i
 		}
 	}

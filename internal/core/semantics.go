@@ -13,9 +13,11 @@
 //     during a run deletions are deferred as ghost copies.
 //   - Optimistic (Fig. 6): the set grows and shrinks; the iterator never
 //     fails, blocking until unreachable elements become reachable again.
-//     This is the semantics the authors implemented as *dynamic sets*,
-//     which this package also provides (see DynSet) with the parallel,
-//     closest-first prefetching of §1.1.
+//
+// Every run yields in completion order, fetching in parallel, closest
+// first (§1.1). A *dynamic set* (OpenDyn), the abstraction the authors
+// built, is one such run: Immutable, over one membership read, that
+// returns what is reachable where Fig. 3 would fail.
 //
 // The semantic decision logic is factored into pure kernels (Step) shared
 // by the distributed iterators and the model-level conformance tests, so

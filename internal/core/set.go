@@ -216,20 +216,27 @@ func (s *Set) Size(ctx context.Context) (int, error) {
 // Closed to release those resources. What it yields is read-only: an
 // Element's Data and Attrs may be shared with the cache and with other
 // runs.
-func (s *Set) Elements(ctx context.Context) (*Iterator, error) {
+func (s *Set) Elements(ctx context.Context) (*Iterator, error) { return s.elements(ctx, false) }
+
+// elements begins a run; dyn marks a dynamic set's (OpenDyn).
+func (s *Set) elements(ctx context.Context, dyn bool) (*Iterator, error) {
 	it := &Iterator{
 		set:    s,
 		client: s.client,
 		opts:   s.opts,
 		scale:  s.client.Bus().Network().Scale(),
 		owner:  fmt.Sprintf("%s-iter-%d", s.client.Node(), iterSeq.Add(1)),
+		dyn:    dyn,
 	}
 	it.wk.Collection = s.name
 	it.wk.Semantics = s.opts.Semantics.String()
+	if dyn {
+		it.wk.Semantics = "dynamic"
+	}
 	it.startedAt = time.Now()
 	_, it.span = s.opts.Tracer.StartRoot(ctx, "elements")
 	it.span.SetAttr("collection", s.name)
-	it.span.SetAttr("semantics", s.opts.Semantics.String())
+	it.span.SetAttr("semantics", it.wk.Semantics)
 	it.span.SetAttr("node", string(s.client.Node()))
 	it.wk.Trace = it.span.TraceID()
 	// The prefetcher's background context carries the run's trace, so

@@ -172,7 +172,9 @@ func TestFoldValidatesFrames(t *testing.T) {
 			if err := w.c.Bus.Register(srv); err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewSet(w.c.Client, dir, "set", Options{Semantics: Immutable})
+			// One id per batch, one batch at a time: batches land in the
+			// order they were cut, so the run yields in its cursor's order.
+			s, err := NewSet(w.c.Client, dir, "set", Options{Semantics: Immutable, Fetch: FetchOptions{Batch: 1, Inflight: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}

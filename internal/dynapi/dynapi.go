@@ -15,9 +15,10 @@
 //	}
 //	api.SetClose(sd)
 //
-// SetOpen returns immediately after the membership read; contents stream
-// in behind the descriptor in parallel, closest first — so the first
-// SetIterate typically completes after a single near-server round trip.
+// SetOpen returns once the membership is read; contents stream in behind
+// the descriptor in parallel, closest first, and SetIterate hands them out
+// in completion order — so the first typically completes after a single
+// near-server round trip. Unreachable entries are skipped, not awaited.
 package dynapi
 
 import (
@@ -49,8 +50,9 @@ var (
 )
 
 // API is a per-client dynamic-sets session table. It is safe for
-// concurrent use; each descriptor's iterate calls are serialized by the
-// caller as usual for iterators.
+// concurrent use across descriptors; one descriptor is one iterator run,
+// whose calls the caller serializes — SetClose must not overlap a
+// SetIterate on the same descriptor.
 type API struct {
 	client *repo.Client
 	fs     *fsim.FS
@@ -62,7 +64,7 @@ type API struct {
 }
 
 type session struct {
-	ds      *core.DynSet
+	ds      *core.Iterator
 	pattern string
 	base    string // glob applied to entry names
 }
@@ -192,8 +194,8 @@ func (a *API) SetDigest(ctx context.Context, sd SD) ([]string, error) {
 	return out, nil
 }
 
-// Skipped reports the unreachable entries the descriptor's prefetcher gave
-// up on (skip mode only).
+// Skipped reports the entries the descriptor's run has not yielded: once
+// the set is exhausted, the unreachable ones.
 func (a *API) Skipped(sd SD) ([]repo.Ref, error) {
 	s, err := a.session(sd)
 	if err != nil {
@@ -202,7 +204,8 @@ func (a *API) Skipped(sd SD) ([]repo.Ref, error) {
 	return s.ds.Skipped(), nil
 }
 
-// SetClose releases the descriptor and stops its prefetching.
+// SetClose releases the descriptor and stops its prefetching. It must not
+// overlap a SetIterate on the same descriptor.
 func (a *API) SetClose(sd SD) error {
 	a.mu.Lock()
 	s, ok := a.open[sd]
@@ -211,7 +214,7 @@ func (a *API) SetClose(sd SD) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadDescriptor, int(sd))
 	}
-	return s.ds.Close()
+	return s.ds.Close(context.Background())
 }
 
 // OpenCount reports the number of live descriptors (leak checks).
@@ -231,6 +234,6 @@ func (a *API) CloseAll() {
 	a.open = make(map[SD]*session)
 	a.mu.Unlock()
 	for _, s := range sessions {
-		_ = s.ds.Close()
+		_ = s.ds.Close(context.Background())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -229,9 +230,25 @@ func TestMountLongestPrefixWins(t *testing.T) {
 	}
 }
 
+// settlesAt polls until the process is back at no more than baseline
+// goroutines: each descriptor's run owns an opening listing stream and a
+// fetch pipeline, and closing the descriptor is what stops them.
+func settlesAt(t *testing.T, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the descriptors opened\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestCloseAll opens three descriptors, iterates none to its end, and
+// closes them all: no descriptor and no goroutine of theirs is left.
 func TestCloseAll(t *testing.T) {
 	w := newAPIWorld(t)
 	ctx := context.Background()
+	baseline := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		if _, err := w.api.SetOpen(ctx, "/pub/*", core.DynOptions{Width: 1}); err != nil {
 			t.Fatal(err)
@@ -244,4 +261,5 @@ func TestCloseAll(t *testing.T) {
 	if w.api.OpenCount() != 0 {
 		t.Fatalf("open after CloseAll = %d", w.api.OpenCount())
 	}
+	settlesAt(t, baseline)
 }

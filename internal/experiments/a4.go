@@ -19,7 +19,9 @@ import (
 //
 // Expected shape: without a cache, coverage is the reachable fraction;
 // with a warm cache it returns to 100%, the difference delivered as stale
-// elements; a cold cache changes nothing.
+// elements; a cold cache changes nothing. Each arm binds its cache to the
+// client (repo.Client.UseCache), which is where a dynamic set's fallback
+// copies come from.
 func A4CacheFallback(cfg Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
 	cuts := []int{1, 2, 4}
@@ -46,7 +48,8 @@ func A4CacheFallback(cfg Config) (*metrics.Table, error) {
 
 		warm := repo.NewCache(elements * 2)
 		// Browse once while healthy to warm the cache.
-		warmup := w.runDynWithCache(ctx, core.DynOptions{Width: 8, FallbackCache: warm})
+		w.c.Client.UseCache(warm)
+		warmup := w.runDyn(ctx, core.DynOptions{Width: 8})
 		if warmup.err != nil || warmup.yielded != elements {
 			w.close()
 			return nil, warmup.err
@@ -65,7 +68,8 @@ func A4CacheFallback(cfg Config) (*metrics.Table, error) {
 			{name: "cold cache", cache: repo.NewCache(elements * 2)},
 			{name: "warm cache", cache: warm},
 		} {
-			res := w.runDynWithCache(ctx, core.DynOptions{Width: 8, FallbackCache: m.cache})
+			w.c.Client.UseCache(m.cache)
+			res := w.runDyn(ctx, core.DynOptions{Width: 8})
 			table.AddRow(itoa(cut), m.name, itoa(res.yielded), itoa(res.stale),
 				metrics.FmtPct(float64(res.yielded)/elements))
 		}
@@ -73,30 +77,4 @@ func A4CacheFallback(cfg Config) (*metrics.Table, error) {
 		w.close()
 	}
 	return table, nil
-}
-
-// dynResult extends queryResult with the stale count.
-type dynResult struct {
-	queryResult
-	stale int
-}
-
-// runDynWithCache drains a dynamic set counting stale (cache-served)
-// elements.
-func (w *world) runDynWithCache(ctx context.Context, opts core.DynOptions) dynResult {
-	var res dynResult
-	ds, err := core.OpenDyn(ctx, w.c.Client, w.corpus.Dir, w.corpus.Coll, opts)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	defer func() { _ = ds.Close() }()
-	for ds.Next(ctx) {
-		res.yielded++
-		if ds.Element().Stale {
-			res.stale++
-		}
-	}
-	res.err = ds.Err()
-	return res
 }

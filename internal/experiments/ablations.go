@@ -27,9 +27,11 @@ func Ablations() []Experiment {
 	}
 }
 
-// A1Ordering isolates the closest-first design choice: same dynamic set,
-// same width, ordering flipped. The paper folds parallelism and ordering
-// into one mechanism; this separates their contributions.
+// A1Ordering isolates the closest-first design choice: the dynamic set
+// (OpenDyn, closest first) against a naive fetcher of the same width and
+// batch size that issues its batches in listing order (listingFetch, the
+// harness's baseline). The paper folds parallelism and ordering into one
+// mechanism; this separates their contributions.
 //
 // Expected shape: total completion is ordering-independent (the same
 // fetches happen), but time-to-first-k is far lower with closest-first at
@@ -79,26 +81,12 @@ func A1Ordering(cfg Config) (*metrics.Table, error) {
 		"A1: fetch-ordering ablation (listing order visits far nodes first)",
 		"width", "order", "first", "first 8", "total",
 	)
-	orders := []struct {
-		name  string
-		order core.FetchOrder
-	}{
-		{name: "closest-first", order: core.OrderClosestFirst},
-		{name: "listing", order: core.OrderListing},
-	}
 	for _, width := range widths {
-		for _, o := range orders {
+		for _, order := range []string{"closest-first", "listing"} {
 			elapsed := cfg.Scale.Stopwatch()
-			ds, err := core.OpenDyn(ctx, c.Client, cluster.DirNode, "a1", core.DynOptions{
-				Width: width,
-				Order: o.order,
-			})
-			if err != nil {
-				return nil, err
-			}
 			var first, firstEight time.Duration
 			n := 0
-			for ds.Next(ctx) {
+			arrived := func() {
 				n++
 				switch n {
 				case 1:
@@ -107,25 +95,90 @@ func A1Ordering(cfg Config) (*metrics.Table, error) {
 					firstEight = elapsed()
 				}
 			}
-			total := elapsed()
-			_ = ds.Close()
-			table.AddRow(itoa(width), o.name,
-				metrics.FmtDur(first), metrics.FmtDur(firstEight), metrics.FmtDur(total))
+			if order == "listing" {
+				if err := listingFetch(ctx, c.Client, cluster.DirNode, "a1", width, arrived); err != nil {
+					return nil, err
+				}
+			} else {
+				ds, err := core.OpenDyn(ctx, c.Client, cluster.DirNode, "a1", core.DynOptions{Width: width})
+				if err != nil {
+					return nil, err
+				}
+				for ds.Next(ctx) {
+					arrived()
+				}
+				_ = ds.Close(ctx)
+				if err := ds.Err(); err != nil {
+					return nil, err
+				}
+			}
+			table.AddRow(itoa(width), order,
+				metrics.FmtDur(first), metrics.FmtDur(firstEight), metrics.FmtDur(elapsed()))
 		}
 	}
 	return table, nil
+}
+
+// listingFetch is A1's baseline, a naive dynamic set: it reads the
+// membership, cuts it in listing (id) order into per-node batches of up
+// to the dynamic set's default batch size, and issues them in that order,
+// width at a time, over Client.GetBatch, calling arrived for each object
+// as its batch lands. It knows nothing of distance: the closest-first
+// heuristic is what OpenDyn adds.
+func listingFetch(ctx context.Context, c *repo.Client, dir netsim.NodeID, coll string, width int, arrived func()) error {
+	refs, _, err := c.List(ctx, dir, coll)
+	if err != nil {
+		return err
+	}
+	batch := core.FetchOptions{}.WithDefaults().Batch
+	var chunks [][]repo.Ref
+	open := make(map[netsim.NodeID]int) // the chunk each node is filling
+	for _, ref := range refs {
+		if k, ok := open[ref.Node]; ok && len(chunks[k]) < batch {
+			chunks[k] = append(chunks[k], ref)
+			continue
+		}
+		open[ref.Node] = len(chunks)
+		chunks = append(chunks, []repo.Ref{ref})
+	}
+	var mu sync.Mutex // serializes arrived and firstErr
+	var wg sync.WaitGroup
+	var firstErr error
+	sem := make(chan struct{}, width)
+	for _, chunk := range chunks {
+		sem <- struct{}{} // taken in listing order
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]repo.ObjectID, len(chunk))
+			for i, ref := range chunk {
+				ids[i] = ref.ID
+			}
+			objs, _, err := c.GetBatch(ctx, chunk[0].Node, ids)
+			<-sem
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			for range objs {
+				arrived()
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // A2DetectTimeout sweeps the failure-detection timeout the whole model
 // leans on (§2.1: "we assume we can detect failures, e.g., those signaled
 // from the lower network and transport layers").
 //
-// Expected shape: the pessimistic iterator consults the local failure
-// detector (free) and so fails after draining the reachable elements,
-// independent of the timeout; the dynamic set discovers unreachability by
-// *attempting* each fetch and pays one detection timeout per unreachable
-// member, amortized over its width — its completion time scales with the
-// timeout.
+// Expected shape: both runs consult the local failure detector (free)
+// before fetching, so neither attempts an isolated node and neither pays
+// the timeout: the pessimistic iterator fails after draining the
+// reachable elements, the dynamic set returns them and skips the rest,
+// both in a time flat across the timeout.
 func A2DetectTimeout(cfg Config) (*metrics.Table, error) {
 	cfg = cfg.withDefaults()
 	timeouts := []time.Duration{50 * time.Millisecond, 200 * time.Millisecond, 800 * time.Millisecond}
@@ -138,7 +191,7 @@ func A2DetectTimeout(cfg Config) (*metrics.Table, error) {
 
 	table := metrics.NewTable(
 		"A2: failure-detection timeout ablation (2 of 8 nodes partitioned)",
-		"detect timeout", "grow-only time-to-fail", "dynamic total (skip)", "dynamic yielded",
+		"detect timeout", "grow-only time-to-fail", "dynamic total (skip)", "dynamic yielded", "dynamic skipped",
 	)
 	ctx := context.Background()
 	for _, timeout := range timeouts {
@@ -197,9 +250,9 @@ func A2DetectTimeout(cfg Config) (*metrics.Table, error) {
 			n++
 		}
 		dynTotal := elapsed()
-		_ = ds.Close()
+		_ = ds.Close(ctx)
 
-		table.AddRow(metrics.FmtDur(timeout), metrics.FmtDur(failTime), metrics.FmtDur(dynTotal), itoa(n))
+		table.AddRow(metrics.FmtDur(timeout), metrics.FmtDur(failTime), metrics.FmtDur(dynTotal), itoa(n), itoa(len(ds.Skipped())))
 		c.Close()
 	}
 	return table, nil

@@ -90,7 +90,7 @@ func E5Prefetch(cfg Config) (*metrics.Table, error) {
 			}
 		}
 		total := elapsed()
-		_ = ds.Close()
+		_ = ds.Close(ctx)
 		table.AddRow(fmt.Sprintf("ls-dynamic w=%d", width), itoa(n), metrics.FmtDur(first), metrics.FmtDur(total))
 	}
 	return table, nil

@@ -133,6 +133,7 @@ type queryResult struct {
 	first   time.Duration // virtual time to first element
 	total   time.Duration // virtual time to termination
 	yielded int
+	stale   int
 	err     error
 }
 
@@ -142,41 +143,35 @@ func (w *world) runSet(ctx context.Context, sem core.Semantics, opts core.Option
 	if err != nil {
 		return queryResult{err: err}
 	}
+	return w.timed(ctx, s.Elements)
+}
+
+// runDyn times a full drain of a dynamic set.
+func (w *world) runDyn(ctx context.Context, opts core.DynOptions) queryResult {
+	return w.timed(ctx, func(ctx context.Context) (*core.Iterator, error) {
+		return core.OpenDyn(ctx, w.c.Client, w.corpus.Dir, w.corpus.Coll, opts)
+	})
+}
+
+// timed opens a run and drains it, timing from the open.
+func (w *world) timed(ctx context.Context, open func(context.Context) (*core.Iterator, error)) queryResult {
 	elapsed := w.scale.Stopwatch()
-	it, err := s.Elements(ctx)
+	it, err := open(ctx)
 	if err != nil {
 		return queryResult{err: err, total: elapsed()}
 	}
 	defer func() { _ = it.Close(context.Background()) }()
 	var res queryResult
 	for it.Next(ctx) {
-		res.yielded++
-		if res.yielded == 1 {
+		if res.yielded++; res.yielded == 1 {
 			res.first = elapsed()
+		}
+		if it.Element().Stale {
+			res.stale++
 		}
 	}
 	res.total = elapsed()
 	res.err = it.Err()
-	return res
-}
-
-// runDyn times a full drain of a dynamic set.
-func (w *world) runDyn(ctx context.Context, opts core.DynOptions) queryResult {
-	elapsed := w.scale.Stopwatch()
-	ds, err := core.OpenDyn(ctx, w.c.Client, w.corpus.Dir, w.corpus.Coll, opts)
-	if err != nil {
-		return queryResult{err: err, total: elapsed()}
-	}
-	defer func() { _ = ds.Close() }()
-	var res queryResult
-	for ds.Next(ctx) {
-		res.yielded++
-		if res.yielded == 1 {
-			res.first = elapsed()
-		}
-	}
-	res.total = elapsed()
-	res.err = ds.Err()
 	return res
 }
 

@@ -182,9 +182,9 @@ func (fs *FS) Names(ctx context.Context, dirNode netsim.NodeID, p string) ([]str
 
 // LsDyn is the dynamic-set ls: entries are fetched in parallel, closest
 // first, and returned in completion order; unreachable entries are
-// reported via the dynamic set's Skipped instead of blocking the listing.
-// The caller must Close the returned set.
-func (fs *FS) LsDyn(ctx context.Context, dirNode netsim.NodeID, p string, opts core.DynOptions) (*core.DynSet, error) {
+// reported via the run's Skipped instead of failing the listing. The
+// caller must Close the returned run.
+func (fs *FS) LsDyn(ctx context.Context, dirNode netsim.NodeID, p string, opts core.DynOptions) (*core.Iterator, error) {
 	ds, err := core.OpenDyn(ctx, fs.client, dirNode, collName(p), opts)
 	if err != nil {
 		return nil, fmt.Errorf("fsim: dynamic ls %q: %w", p, err)

@@ -118,7 +118,7 @@ func TestLsDynSkipsPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
+	defer ds.Close(ctx)
 	var names []string
 	for ds.Next(ctx) {
 		e := EntryFromElement(ds.Element())

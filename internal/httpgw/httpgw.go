@@ -492,6 +492,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Queries the gateway runs are themselves observable: they trace
+	// through the gateway's own tracer and feed the weakness registry.
 	opts := query.Options{}
 	// batch tunes the fetch pipeline: ids per batch RPC; 1 is one element
 	// per round trip, 0 (or absent) keeps the default.
@@ -511,7 +513,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			jsonError(w, http.StatusBadRequest, "width: %v", err)
 			return
 		}
-		opts.DynOptions = core.DynOptions{Width: width, Batch: batch}
+		opts.DynOptions = core.DynOptions{Width: width, Batch: batch, Tracer: g.localTracer(), Weakness: g.weakness}
 	} else {
 		sem, ok := core.SemanticsByName(semName)
 		if !ok {
@@ -529,17 +531,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			MaxBlock:   10 * time.Second,
 			Fetch:      fetch,
 			Replicas:   g.replicaConfig(coll),
+			Tracer:     g.localTracer(),
+			Weakness:   g.weakness,
 		}
-	}
-
-	// Queries the gateway runs are themselves observable: they trace
-	// through the gateway's own tracer and feed the weakness registry.
-	if opts.Dynamic {
-		opts.DynOptions.Tracer = g.localTracer()
-		opts.DynOptions.Weakness = g.weakness
-	} else {
-		opts.SetOptions.Tracer = g.localTracer()
-		opts.SetOptions.Weakness = g.weakness
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), g.QueryTimeout)

@@ -22,8 +22,8 @@ type Options struct {
 	// SetOptions are passed to the underlying weak set when Semantics is
 	// used.
 	SetOptions core.Options
-	// Dynamic, when true, runs the query on a dynamic set (optimistic
-	// semantics with parallel, closest-first prefetch).
+	// Dynamic, when true, runs the query on a dynamic set (OpenDyn: one
+	// membership read, completion order, unreachable members skipped).
 	Dynamic bool
 	// DynOptions are passed to the dynamic set when Dynamic is set.
 	DynOptions core.DynOptions
@@ -55,19 +55,7 @@ func (q *Query) Predicate() *Predicate { return q.pred }
 // iterator's terminal error (nil, ErrFailure, ErrBlocked, or a context
 // error). fn returning false stops the query early.
 func (q *Query) Stream(ctx context.Context, opts Options, fn func(Result) bool) (examined int, err error) {
-	if opts.Dynamic {
-		return q.streamDyn(ctx, opts, fn)
-	}
-	if !opts.Semantics.Valid() {
-		return 0, fmt.Errorf("query: invalid semantics %d", int(opts.Semantics))
-	}
-	setOpts := opts.SetOptions
-	setOpts.Semantics = opts.Semantics
-	set, err := core.NewSet(q.client, q.dir, q.coll, setOpts)
-	if err != nil {
-		return 0, err
-	}
-	it, err := set.Elements(ctx)
+	it, err := q.open(ctx, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -84,22 +72,22 @@ func (q *Query) Stream(ctx context.Context, opts Options, fn func(Result) bool) 
 	return examined, it.Err()
 }
 
-func (q *Query) streamDyn(ctx context.Context, opts Options, fn func(Result) bool) (examined int, err error) {
-	ds, err := core.OpenDyn(ctx, q.client, q.dir, q.coll, opts.DynOptions)
+// open begins the run the query streams: a dynamic set's, or a weak
+// set's under opts.Semantics.
+func (q *Query) open(ctx context.Context, opts Options) (*core.Iterator, error) {
+	if opts.Dynamic {
+		return core.OpenDyn(ctx, q.client, q.dir, q.coll, opts.DynOptions)
+	}
+	if !opts.Semantics.Valid() {
+		return nil, fmt.Errorf("query: invalid semantics %d", int(opts.Semantics))
+	}
+	setOpts := opts.SetOptions
+	setOpts.Semantics = opts.Semantics
+	set, err := core.NewSet(q.client, q.dir, q.coll, setOpts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer func() { _ = ds.Close() }()
-	for ds.Next(ctx) {
-		examined++
-		e := ds.Element()
-		if q.pred.Eval(e.Attrs) {
-			if !fn(Result{Element: e}) {
-				return examined, nil
-			}
-		}
-	}
-	return examined, ds.Err()
+	return set.Elements(ctx)
 }
 
 // Collect runs the query to completion and returns every match.

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,6 +83,35 @@ func TestQueryFirstStopsEarly(t *testing.T) {
 	}
 	if !found || res.Element.Attrs["cuisine"] == "" {
 		t.Fatalf("first = %+v found=%v", res, found)
+	}
+}
+
+// TestDynamicQueryReturnsGoroutines stops dynamic queries early and runs
+// one to the end: each run's opening listing stream and fetch pipeline
+// stop when the query returns, so the process is back at its goroutine
+// baseline.
+func TestDynamicQueryReturnsGoroutines(t *testing.T) {
+	c, corpus := buildQueryWorld(t)
+	q, err := New(c.Client, corpus.Dir, corpus.Coll, `cuisine != ""`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := Options{Dynamic: true, DynOptions: core.DynOptions{Width: 2, Batch: 1}}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, found, err := q.First(ctx, opts); err != nil || !found {
+			t.Fatalf("first: found %v, err %v", found, err)
+		}
+	}
+	if n, err := q.Count(ctx, opts); err != nil || n != 20 {
+		t.Fatalf("count = %d, err %v; want 20", n, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the queries\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

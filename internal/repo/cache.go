@@ -24,14 +24,13 @@ import (
 //     disconnected-operation move of the Coda work this paper grew out
 //     of. Serving a cached copy of an unreachable element is *weaker than
 //     Fig. 6* (which only yields reachable elements), so the weak-set
-//     iterators never use it implicitly; dynamic sets offer it as an
-//     explicit opt-in (DynOptions.FallbackCache), delivering such
-//     elements marked Stale.
+//     iterators never use it; a dynamic set (core.OpenDyn) over a client
+//     with a cache bound does, delivering such elements marked Stale.
 //
 // The coherent role owns a singleflight group, so N concurrent iterators
 // missing on the same data produce one upstream round trip. The fallback
-// role rides the dynamic set's one batch path: a chunk that lands is Put,
-// a chunk whose owner cannot be reached asks Fallback per member.
+// role needs no path of its own: a dynamic run fills the cache like any
+// run, and asks Fallback once per member it could not reach.
 
 // CacheStats counts cache activity.
 type CacheStats struct {

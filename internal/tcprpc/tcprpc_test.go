@@ -448,7 +448,7 @@ func TestDynSetOverTCPGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
+	defer ds.Close(ctx)
 	n := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && ds.Next(ctx) {

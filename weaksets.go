@@ -41,8 +41,6 @@ type (
 	Set = core.Set
 	// Iterator is one run of the elements iterator.
 	Iterator = core.Iterator
-	// DynSet is a dynamic set: parallel, closest-first prefetching.
-	DynSet = core.DynSet
 	// Element is one yielded member. Its Data and Attrs are read-only and
 	// may be shared with the element cache and with other runs.
 	Element = core.Element
@@ -52,8 +50,6 @@ type (
 	DynOptions = core.DynOptions
 	// Semantics selects a point in the design space.
 	Semantics = core.Semantics
-	// FetchOrder selects dynamic-set prefetch ordering.
-	FetchOrder = core.FetchOrder
 )
 
 // Repository and deployment types.
@@ -88,12 +84,6 @@ const (
 	Optimistic      = core.Optimistic
 )
 
-// Dynamic-set fetch orders.
-const (
-	OrderClosestFirst = core.OrderClosestFirst
-	OrderListing      = core.OrderListing
-)
-
 // Errors surfaced by iterators.
 var (
 	// ErrFailure is the paper's failure exception at set level.
@@ -115,8 +105,9 @@ func NewSet(client *Client, dir NodeID, name string, opts Options) (*Set, error)
 	return core.NewSet(client, dir, name, opts)
 }
 
-// OpenDyn opens a dynamic set over the collection and starts prefetching.
-func OpenDyn(ctx context.Context, client *Client, dir NodeID, name string, opts DynOptions) (*DynSet, error) {
+// OpenDyn opens a dynamic set over the collection: an Immutable run that
+// yields in completion order and skips what it cannot reach.
+func OpenDyn(ctx context.Context, client *Client, dir NodeID, name string, opts DynOptions) (*Iterator, error) {
 	return core.OpenDyn(ctx, client, dir, name, opts)
 }
 

@@ -51,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("collected %d", len(elems))
 	}
 
-	ds, err := OpenDyn(ctx, c.Client, DirNode, "menus", DynOptions{Width: 3, Order: OrderClosestFirst})
+	ds, err := OpenDyn(ctx, c.Client, DirNode, "menus", DynOptions{Width: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	for ds.Next(ctx) {
 		n++
 	}
-	_ = ds.Close()
+	_ = ds.Close(ctx)
 	if n != 6 {
 		t.Fatalf("dynamic yielded %d", n)
 	}
