@@ -68,9 +68,12 @@ bench-iter:
 # per-connection worker pool, and the frame codec. The
 # alloc-budget test holds the wirebin hot path to the allocations-per-op
 # ceilings checked in as BENCH_budget.json — a codec change that starts
-# allocating fails here, not in production profiles.
+# allocating fails here, not in production profiles. Then the per-serve
+# cost of a warm element (a ServeFresh over 10 000 entries) and of a
+# lease check, once each, so the logs carry their ns/op.
 bench-rpc:
 	$(GO) test ./internal/repo -run TestAllocBudget -count 1
+	$(GO) test ./internal/repo -run xxx -bench 'BenchmarkCacheServeFresh|BenchmarkLeaseServeable' -benchtime 200000x
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
 
 # Every layer sweep once, trimmed, through the one harness: store

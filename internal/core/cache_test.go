@@ -227,8 +227,8 @@ func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
 	if err != nil || got != ref || string(obj.Data) != "landed" {
 		t.Fatalf("fetched %q, %v; want the landed entry", obj.Data, err)
 	}
-	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 0 || p.plans != 1 || p.cacheHits.Load() != 1 {
-		t.Fatalf("%d GetBatch calls, %d plans, %d cache hits; want 0, 1, 1", d, p.plans, p.cacheHits.Load())
+	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 0 || p.plans != 1 || p.cacheHits != 1 {
+		t.Fatalf("%d GetBatch calls, %d plans, %d cache hits; want 0, 1, 1", d, p.plans, p.cacheHits)
 	}
 }
 

@@ -181,8 +181,9 @@ type prefetcher struct {
 	// iterator folds it into the run's weakness report on close.
 	epochRetries atomic.Int64
 	// cacheHits / cacheValidated count this run's no-RPC serves and
-	// NotModified serves for the weakness report.
-	cacheHits      atomic.Int64
+	// NotModified serves for the weakness report; only the iterator's
+	// goroutine serves, workers validate.
+	cacheHits      int64
 	cacheValidated atomic.Int64
 
 	// ctx outlives individual Next calls so batches pipeline across
@@ -213,7 +214,7 @@ type prefetcher struct {
 	// overwrites it, and which candidates a live chunk holds (sweep).
 	need []repo.Ref
 	held []bool
-	// plans counts replans: what the warm-path guard reads.
+	// plans counts replans, on the iterator's goroutine: the warm guard.
 	plans int
 }
 
@@ -269,21 +270,24 @@ func errMissing(id repo.ObjectID) error {
 // error is returned for ref only, once per failed round trip, not once
 // per batched id. candidates is consulted only on a replan, so a warm run
 // builds no window at all; it lists ref first, then the cursor's next
-// members ascending by id, which sweep relies on.
+// members ascending by id, which sweep relies on. Until the first plan no
+// chunk exists to hold ref, so the cache serves without mu.
 func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref, accept func(repo.Ref) bool) (repo.Ref, repo.Object, error) {
 	direct = direct && p.cache != nil
 	for {
+		unlocked := direct && p.plans == 0
+		if unlocked {
+			if obj, ok, err := p.serve(ref, listVer); ok {
+				return ref, obj, err
+			}
+		}
 		p.mu.Lock()
 		c, i := p.find(ref)
 		if c == nil {
-			if direct {
-				if obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID); ok {
+			if direct && !unlocked {
+				if obj, ok, err := p.serve(ref, listVer); ok {
 					p.mu.Unlock()
-					p.cacheHits.Add(1)
-					if negative {
-						return ref, repo.Object{}, errMissing(ref.ID)
-					}
-					return ref, obj, nil
+					return ref, obj, err
 				}
 			}
 			// Replan only when ref's batch is not already in flight:
@@ -356,6 +360,20 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 		}
 		return got, c.objs[k], nil
 	}
+}
+
+// serve hands out ref's cache entry if it is fresh under listVer: its
+// object, or a negative entry's missing error.
+func (p *prefetcher) serve(ref repo.Ref, listVer uint64) (obj repo.Object, ok bool, err error) {
+	obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID)
+	if !ok {
+		return repo.Object{}, false, nil
+	}
+	p.cacheHits++
+	if negative {
+		return repo.Object{}, true, errMissing(ref.ID)
+	}
+	return obj, true, nil
 }
 
 // substitute returns a landed slot holding an object whose ref accept

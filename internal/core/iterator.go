@@ -738,7 +738,7 @@ func (it *Iterator) Weakness() obs.WeaknessReport {
 // listing streams count on their own goroutines.
 func (it *Iterator) foldCounters() {
 	it.wk.EpochRetries = it.pf.epochRetries.Load()
-	it.wk.CacheHits = it.pf.cacheHits.Load()
+	it.wk.CacheHits = it.pf.cacheHits
 	it.wk.CacheValidatedHits = it.pf.cacheValidated.Load()
 	it.wk.ReplicaSkew = it.rep.skew.Load()
 	it.wk.ReplicaServed = it.rep.served.Load()

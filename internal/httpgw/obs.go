@@ -261,7 +261,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("weaksets_cache_coalesces_total", "Callers that joined another caller's in-flight fetch.", float64(cs.Coalesces))
 		p.Counter("weaksets_cache_stale_serves_total", "Stale cached copies served because the owner was unreachable.", float64(cs.StaleServes))
 		p.Counter("weaksets_cache_misses_total", "Lookups the cache could not answer.", float64(cs.Misses))
-		p.Counter("weaksets_cache_evictions_total", "Entries evicted by the LRU capacity bound.", float64(cs.Evictions))
+		p.Counter("weaksets_cache_evictions_total", "Entries evicted by the capacity bound (CLOCK).", float64(cs.Evictions))
 		p.Counter("weaksets_cache_drops_total", "Entries dropped by local deletes.", float64(cs.Drops))
 	}
 

@@ -1,7 +1,6 @@
 package repo
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 )
@@ -20,7 +19,7 @@ import (
 //     version (GetBatchReq.Known) and get a compact NotModified back.
 //     Ghosts and tombstones are cached negatively, so a missing member
 //     stops costing a round trip until the listing moves.
-//   - An LRU fallback that can answer when the owner is unreachable — the
+//   - A fallback that can answer when the owner is unreachable — the
 //     disconnected-operation move of the Coda work this paper grew out
 //     of. Serving a cached copy of an unreachable element is *weaker than
 //     Fig. 6* (which only yields reachable elements), so the weak-set
@@ -31,6 +30,10 @@ import (
 // missing on the same data produce one upstream round trip. The fallback
 // role needs no path of its own: a dynamic run fills the cache like any
 // run, and asks Fallback once per member it could not reach.
+//
+// Eviction is CLOCK (second chance): a use sets an entry's used bit, and a
+// full cache's hand sweeps a ring of the entries clearing bits, evicting
+// the first entry found clear. A serve is one map probe and a bit write.
 
 // CacheStats counts cache activity.
 type CacheStats struct {
@@ -62,13 +65,16 @@ type CacheStats struct {
 	Drops int64 `json:"drops"`
 }
 
-// Cache is a bounded LRU of fetched objects, safe for concurrent use.
+// Cache is a bounded cache of fetched objects with CLOCK eviction, safe
+// for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[ObjectID]*list.Element
-	order   *list.List // front = most recently used
-	stats   CacheStats
+	entries map[ObjectID]*cacheEntry
+	// ring holds every entry once; hand is the slot the sweep looks at next.
+	ring  []*cacheEntry
+	hand  int
+	stats CacheStats
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -80,13 +86,15 @@ type cacheEntry struct {
 	// negative marks a member the owner reported missing (ghost or
 	// tombstone); it answers "missing" without a round trip while fresh.
 	negative bool
-	// seen holds, per collection, the listing version this entry was last
-	// fetched or validated under through that collection's elements path
-	// — usually one stamp, so a slice scan, not a map. A run governed by
-	// listing version v may serve the entry without revalidation iff its
-	// collection's stamp is >= v: the entry is at least as new as the
-	// membership image driving the run.
-	seen []stamp
+	used     bool // the second-chance bit
+	slot     int  // the entry's index in ring
+	// first (inline) and seen (almost always empty) hold, per collection,
+	// the listing version the entry was last fetched or validated under
+	// through its elements path. A run governed by listing version v may
+	// serve the entry without revalidation iff its collection's stamp is
+	// >= v: the entry is at least as new as the run's membership image.
+	first stamp
+	seen  []stamp
 }
 
 // stamp is one collection's listing version on a cache entry.
@@ -98,6 +106,9 @@ type stamp struct {
 // seenUnder reports the listing version the entry was last fetched or
 // validated under through coll, 0 for never.
 func (e *cacheEntry) seenUnder(coll string) uint64 {
+	if e.first.coll == coll {
+		return e.first.ver
+	}
 	for _, s := range e.seen {
 		if s.coll == coll {
 			return s.ver
@@ -113,14 +124,13 @@ func NewCache(capacity int) *Cache {
 	}
 	return &Cache{
 		cap:     capacity,
-		entries: make(map[ObjectID]*list.Element, capacity),
-		order:   list.New(),
+		entries: make(map[ObjectID]*cacheEntry, capacity),
 		flights: make(map[string]*flight),
 	}
 }
 
-// Put stores a fetched object, evicting the least recently used entry when
-// over capacity. It is version-aware: an older object never overwrites a
+// Put stores a fetched object, evicting an entry not used since the last
+// sweep when full. It is version-aware: an older object never overwrites a
 // newer cached one, so a slow fetch completing after a faster refetch
 // cannot write back stale data.
 func (c *Cache) Put(obj Object) {
@@ -132,8 +142,7 @@ func (c *Cache) Put(obj Object) {
 // putLocked is the shared insert/update path. A non-empty coll stamps the
 // entry as observed under that collection's listing version listVer.
 func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
-	if el, ok := c.entries[obj.ID]; ok {
-		e := el.Value.(*cacheEntry)
+	if e, ok := c.entries[obj.ID]; ok {
 		if !e.negative && obj.Version < e.obj.Version {
 			// A newer copy is already cached; the incoming object is a
 			// stale read completing late. Keep the newer data and leave
@@ -142,9 +151,8 @@ func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
 		}
 		e.obj = obj.Clone()
 		e.obj.ID = e.id
-		e.negative = false
+		e.negative, e.used = false, true
 		c.stampLocked(e, coll, listVer)
-		c.order.MoveToFront(el)
 		return
 	}
 	// The entry outlives the message obj came in, and a decoded id may be
@@ -153,13 +161,15 @@ func (c *Cache) putLocked(obj Object, coll string, listVer uint64) {
 	e := &cacheEntry{id: ObjectID(strings.Clone(string(obj.ID))), obj: obj.Clone()}
 	e.obj.ID = e.id
 	c.stampLocked(e, coll, listVer)
-	c.entries[e.id] = c.order.PushFront(e)
-	c.stats.Stores++
-	c.evictLocked()
+	c.insertLocked(e)
 }
 
 func (c *Cache) stampLocked(e *cacheEntry, coll string, listVer uint64) {
 	if coll == "" || listVer == 0 {
+		return
+	}
+	if e.first.coll == coll || e.first.coll == "" {
+		e.first = stamp{coll, max(e.first.ver, listVer)}
 		return
 	}
 	for i := range e.seen {
@@ -171,15 +181,24 @@ func (c *Cache) stampLocked(e *cacheEntry, coll string, listVer uint64) {
 	e.seen = append(e.seen, stamp{coll, listVer})
 }
 
-func (c *Cache) evictLocked() {
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		if e, ok := oldest.Value.(*cacheEntry); ok {
-			delete(c.entries, e.id)
-		}
-		c.stats.Evictions++
+// insertLocked adds a new entry, used bit clear, at the ring's end or, at
+// capacity, in the slot of the entry the hand evicts, the hand moving on.
+func (c *Cache) insertLocked(e *cacheEntry) {
+	c.entries[e.id] = e
+	c.stats.Stores++
+	if len(c.ring) < c.cap {
+		e.slot = len(c.ring)
+		c.ring = append(c.ring, e)
+		return
 	}
+	for c.ring[c.hand].used {
+		c.ring[c.hand].used = false
+		c.hand = (c.hand + 1) % len(c.ring)
+	}
+	delete(c.entries, c.ring[c.hand].id)
+	c.stats.Evictions++
+	e.slot, c.ring[c.hand] = c.hand, e
+	c.hand = (c.hand + 1) % len(c.ring)
 }
 
 // PutValidated stores an object the server just shipped for a run over
@@ -198,24 +217,20 @@ func (c *Cache) PutValidated(coll string, listVer uint64, obj Object) {
 func (c *Cache) PutNegative(coll string, listVer uint64, id ObjectID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
+	if e, ok := c.entries[id]; ok {
 		if !e.negative && e.seenUnder(coll) >= listVer {
 			// The positive copy was observed at least as recently; the
 			// missing report is the older observation.
 			return
 		}
-		e.negative = true
-		e.obj = Object{ID: id}
+		e.negative, e.used = true, true
+		e.obj = Object{ID: e.id}
 		c.stampLocked(e, coll, listVer)
-		c.order.MoveToFront(el)
 		return
 	}
 	e := &cacheEntry{id: id, obj: Object{ID: id}, negative: true}
 	c.stampLocked(e, coll, listVer)
-	c.entries[id] = c.order.PushFront(e)
-	c.stats.Stores++
-	c.evictLocked()
+	c.insertLocked(e)
 }
 
 // ServeFresh serves id directly from cache for a run over coll governed
@@ -229,15 +244,11 @@ func (c *Cache) PutNegative(coll string, listVer uint64, id ObjectID) {
 func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, negative, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[id]
-	if !found || atVer == 0 {
+	e, found := c.entries[id]
+	if !found || atVer == 0 || e.seenUnder(coll) < atVer {
 		return Object{}, false, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.seenUnder(coll) < atVer {
-		return Object{}, false, false
-	}
-	c.order.MoveToFront(el)
+	e.used = true
 	if e.negative {
 		c.stats.NegativeHits++
 		return Object{}, true, true
@@ -249,13 +260,13 @@ func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, 
 
 // Fresh reports whether ServeFresh would serve id for a run over coll
 // governed by listing version atVer, without serving it: no hit is
-// counted and the LRU order is left alone. A fetch planner uses it to
+// counted and the used bit is left alone. A fetch planner uses it to
 // leave out what the run will be served at yield.
 func (c *Cache) Fresh(coll string, atVer uint64, id ObjectID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[id]
-	return found && atVer != 0 && el.Value.(*cacheEntry).seenUnder(coll) >= atVer
+	e, found := c.entries[id]
+	return found && atVer != 0 && e.seenUnder(coll) >= atVer
 }
 
 // Version reports the cached version of id, used to build a conditional
@@ -263,15 +274,11 @@ func (c *Cache) Fresh(coll string, atVer uint64, id ObjectID) bool {
 func (c *Cache) Version(id ObjectID) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[id]
-	if !ok {
+	e, ok := c.entries[id]
+	if !ok || e.negative || e.obj.Version == 0 {
 		return 0, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.negative || e.obj.Version == 0 {
-		return 0, false
-	}
-	c.order.MoveToFront(el)
+	e.used = true
 	return e.obj.Version, true
 }
 
@@ -283,16 +290,12 @@ func (c *Cache) Version(id ObjectID) (uint64, bool) {
 func (c *Cache) MarkValidated(coll string, listVer uint64, id ObjectID) (Object, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[id]
-	if !found {
-		return Object{}, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.negative {
+	e, found := c.entries[id]
+	if !found || e.negative {
 		return Object{}, false
 	}
 	c.stampLocked(e, coll, listVer)
-	c.order.MoveToFront(el)
+	e.used = true
 	c.stats.ValidatedHits++
 	c.stats.BytesSaved += int64(len(e.obj.Data))
 	return e.obj, true
@@ -302,16 +305,21 @@ func (c *Cache) MarkValidated(coll string, listVer uint64, id ObjectID) (Object,
 func (c *Cache) Drop(id ObjectID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[id]
+	e, ok := c.entries[id]
 	if !ok {
 		return
 	}
-	c.order.Remove(el)
+	last := c.ring[len(c.ring)-1]
+	last.slot, c.ring[e.slot] = e.slot, last
+	c.ring[len(c.ring)-1], c.ring = nil, c.ring[:len(c.ring)-1]
+	if c.hand >= len(c.ring) {
+		c.hand = 0
+	}
 	delete(c.entries, id)
 	c.stats.Drops++
 }
 
-// Get returns the cached copy of id, if any, marking it recently used.
+// Get returns the cached copy of id, if any, marking it used.
 // Negative entries don't answer: a plain Get wants data, not a
 // membership verdict.
 func (c *Cache) Get(id ObjectID) (Object, bool) {
@@ -321,15 +329,11 @@ func (c *Cache) Get(id ObjectID) (Object, bool) {
 }
 
 func (c *Cache) getLocked(id ObjectID) (Object, bool) {
-	el, ok := c.entries[id]
-	if !ok {
+	e, ok := c.entries[id]
+	if !ok || e.negative {
 		return Object{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.negative {
-		return Object{}, false
-	}
-	c.order.MoveToFront(el)
+	e.used = true
 	return e.obj.Clone(), true
 }
 

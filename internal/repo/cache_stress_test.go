@@ -11,7 +11,7 @@ import (
 
 // TestCacheStressRaw hammers a small-capacity cache from many goroutines
 // mixing Put, Get, Len, and Stats, then checks the counter algebra. Run
-// with -race this doubles as the data-race check for the LRU internals.
+// with -race this doubles as the data-race check for the eviction ring.
 func TestCacheStressRaw(t *testing.T) {
 	const (
 		capacity = 32

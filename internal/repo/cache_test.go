@@ -319,3 +319,166 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("len = %d exceeds capacity", c.Len())
 	}
 }
+
+// checkRing holds the CLOCK ring to its invariants: every entry sits in
+// it once, at the slot it records, and the hand points into it.
+func checkRing(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.ring) != len(c.entries) || len(c.ring) > c.cap {
+		t.Fatalf("ring holds %d entries, the map %d, capacity %d", len(c.ring), len(c.entries), c.cap)
+	}
+	if c.hand != 0 && c.hand >= len(c.ring) {
+		t.Fatalf("hand %d outside a ring of %d", c.hand, len(c.ring))
+	}
+	for i, e := range c.ring {
+		if e.slot != i || c.entries[e.id] != e {
+			t.Fatalf("ring slot %d holds %q recorded at slot %d", i, e.id, e.slot)
+		}
+	}
+}
+
+// cached reports which of ids the cache holds, touching no used bit.
+func cached(c *Cache, ids ...ObjectID) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var b []byte
+	for _, id := range ids {
+		if _, ok := c.entries[id]; ok {
+			b = append(b, id...)
+		}
+	}
+	return string(b)
+}
+
+// TestCacheSecondChance walks the CLOCK eviction through a scripted
+// sequence: an entry used since the hand last passed survives one sweep,
+// an untouched one goes first, the hand wraps, a mid-ring Drop refills
+// without an eviction, and Fresh protects nothing.
+func TestCacheSecondChance(t *testing.T) {
+	c := NewCache(3)
+	for _, id := range []ObjectID{"a", "b", "c"} {
+		c.PutValidated("coll", 1, Object{ID: id, Version: 1, Data: []byte(id)})
+	}
+	checkRing(t, c)
+	if _, _, ok := c.ServeFresh("coll", 1, "a"); !ok {
+		t.Fatal("a not served")
+	}
+	// The hand clears a's bit and takes b, the oldest untouched entry.
+	c.Put(Object{ID: "d"})
+	if got := cached(c, "a", "b", "c", "d"); got != "acd" {
+		t.Fatalf("after d the cache holds %q, want acd", got)
+	}
+	// Then c, untouched; the hand wraps to a's slot.
+	c.Put(Object{ID: "e"})
+	if got := cached(c, "a", "c", "d", "e"); got != "ade" || c.hand != 0 {
+		t.Fatalf("after e the cache holds %q, hand %d; want ade, 0", got, c.hand)
+	}
+	checkRing(t, c)
+	// a's second chance is spent: with d used, f takes a's slot.
+	if _, ok := c.Get("d"); !ok {
+		t.Fatal("d missing")
+	}
+	c.Put(Object{ID: "f"})
+	if got := cached(c, "a", "d", "e", "f"); got != "def" {
+		t.Fatalf("after f the cache holds %q, want def", got)
+	}
+	// The hand passes d, whose bit it clears, and takes e.
+	c.Put(Object{ID: "g"})
+	if got := cached(c, "d", "e", "f", "g"); got != "dfg" {
+		t.Fatalf("after g the cache holds %q, want dfg", got)
+	}
+	checkRing(t, c)
+
+	// A mid-ring Drop moves the last entry into its slot; the next insert
+	// takes a new slot, no eviction.
+	c.Drop("d")
+	checkRing(t, c)
+	c.Put(Object{ID: "h"})
+	if got := cached(c, "f", "g", "h"); got != "fgh" || c.Stats().Evictions != 4 {
+		t.Fatalf("after a drop and h the cache holds %q, %d evictions; want fgh, 4", got, c.Stats().Evictions)
+	}
+	checkRing(t, c)
+	// Dropping the slot the hand points at leaves the hand inside the ring.
+	c.mu.Lock()
+	c.hand = len(c.ring) - 1
+	last := c.ring[c.hand].id
+	c.mu.Unlock()
+	c.Drop(last)
+	checkRing(t, c)
+
+	// Fresh answers without using the entry: it is the next victim all the
+	// same.
+	c = NewCache(2)
+	c.PutValidated("coll", 1, Object{ID: "p", Version: 1})
+	c.PutValidated("coll", 1, Object{ID: "q", Version: 1})
+	if !c.Fresh("coll", 1, "p") {
+		t.Fatal("p not fresh")
+	}
+	c.Put(Object{ID: "r"})
+	if got := cached(c, "p", "q", "r"); got != "qr" {
+		t.Fatalf("after a Fresh probe of p the cache holds %q, want qr", got)
+	}
+
+	// Capacity 1: a used entry gets its chance, the hand wraps onto it
+	// and takes it.
+	c = NewCache(1)
+	c.Put(Object{ID: "x"})
+	c.Get("x")
+	c.Put(Object{ID: "y"})
+	if got := cached(c, "x", "y"); got != "y" || c.Stats().Evictions != 1 {
+		t.Fatalf("capacity 1 holds %q after %d evictions; want y, 1", got, c.Stats().Evictions)
+	}
+	checkRing(t, c)
+
+	// Negative entries take part like any other: a served one survives,
+	// a new one starts with its bit clear.
+	c = NewCache(2)
+	c.PutNegative("coll", 1, "ghost")
+	c.PutValidated("coll", 1, Object{ID: "live", Version: 1})
+	if _, neg, ok := c.ServeFresh("coll", 1, "ghost"); !ok || !neg {
+		t.Fatal("ghost not served negative")
+	}
+	c.PutNegative("coll", 1, "ghost2")
+	if got := cached(c, "ghost", "live", "ghost2"); got != "ghostghost2" {
+		t.Fatalf("after ghost2 the cache holds %q, want ghost and ghost2", got)
+	}
+	// Served again, ghost outlives ghost2, which was never served.
+	c.ServeFresh("coll", 1, "ghost")
+	c.Put(Object{ID: "z"})
+	if got := cached(c, "ghost", "ghost2", "z"); got != "ghostz" {
+		t.Fatalf("after z the cache holds %q, want ghost and z", got)
+	}
+	checkRing(t, c)
+	if st := c.Stats(); st.Stores-st.Evictions-st.Drops != int64(c.Len()) {
+		t.Fatalf("ledger: %+v, len %d", st, c.Len())
+	}
+}
+
+// benchCache fills a cache with n entries fresh under ("set", 1), each
+// with a 256-byte payload, and returns their ids.
+func benchCache(n int) (*Cache, []ObjectID) {
+	c := NewCache(n)
+	ids := make([]ObjectID, n)
+	for i := range ids {
+		ids[i] = ObjectID(fmt.Sprintf("e%05d", i))
+		c.PutValidated("set", 1, Object{ID: ids[i], Version: 1, Data: make([]byte, 256)})
+	}
+	return c, ids
+}
+
+// BenchmarkCacheServeFresh is the per-element cost of a warm run's serve
+// over a 10 000-entry cache, ids in listing order: a set large enough
+// that the entries do not all sit in the core's cache, so the probe's
+// misses show.
+func BenchmarkCacheServeFresh(b *testing.B) {
+	c, ids := benchCache(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := c.ServeFresh("set", 1, ids[i%len(ids)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}

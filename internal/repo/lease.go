@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,8 +298,8 @@ type leaseEntry struct {
 
 // LeaseState holds a client's leases against one directory node and owns
 // the Watch stream they are invalidated on. Attach it with
-// Client.UseLeases; the iterator hot path consults it through Serveable
-// and never blocks on it.
+// Client.UseLeases; the iterator hot path consults it through Serveable,
+// which takes no lock.
 //
 // Degradation is the design: if the node does not serve Watch
 // (ErrNoMethod) or the stream ends, the state simply stops reporting
@@ -314,11 +315,12 @@ type LeaseState struct {
 	wake   chan struct{}
 
 	mu      sync.Mutex
-	active  bool
 	started bool
 	ttl     time.Duration
-	leases  map[string]leaseEntry
 	want    map[string]struct{}
+	// leases is published copy-on-write (writers hold mu, clone, modify,
+	// Store) for Serveable to read with no lock; nil while inactive.
+	leases atomic.Pointer[map[string]leaseEntry]
 
 	grants   atomic.Int64
 	renewals atomic.Int64
@@ -340,7 +342,6 @@ func NewLeaseState(client *Client, dir netsim.NodeID, colls ...string) *LeaseSta
 		client: client,
 		dir:    dir,
 		wake:   make(chan struct{}, 1),
-		leases: make(map[string]leaseEntry),
 		want:   make(map[string]struct{}, len(colls)),
 	}
 	for _, coll := range colls {
@@ -385,17 +386,17 @@ func (ls *LeaseState) Start(ctx context.Context) error {
 	}
 
 	ls.mu.Lock()
-	ls.active = true
+	ls.leases.Store(&map[string]leaseEntry{})
 	ls.mu.Unlock()
 
 	ls.wg.Add(1)
 	go ls.consume(st)
+
+	// First acquisition is synchronous, so callers observe held leases
+	// when Start returns and the renewal loop arms for the granted TTL.
+	ls.acquire()
 	ls.wg.Add(1)
 	go ls.renewLoop()
-
-	// First acquisition is synchronous so callers observe held leases
-	// when Start returns.
-	ls.acquire()
 	return nil
 }
 
@@ -442,16 +443,34 @@ func (ls *LeaseState) consume(st rpc.Streamer) {
 	ls.breakAll()
 }
 
+// held returns the published lease map (read-only), nil while inactive.
+func (ls *LeaseState) held() map[string]leaseEntry {
+	if m := ls.leases.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// publish stores a copy of the held leases with fn applied; an inactive
+// state publishes nothing. Caller holds ls.mu.
+func (ls *LeaseState) publish(fn func(map[string]leaseEntry)) {
+	if cur := ls.held(); cur != nil {
+		m := maps.Clone(cur)
+		fn(m)
+		ls.leases.Store(&m)
+	}
+}
+
 // apply folds one pushed invalidation: the lease survives, its certified
 // version advances, and the next read that consults it revalidates
 // conditionally (one RPC) before lease-serving resumes.
 func (ls *LeaseState) apply(inv Invalidation) {
 	now := time.Now()
 	ls.mu.Lock()
-	if e, ok := ls.leases[inv.Coll]; ok && inv.Version > e.version {
+	if e, ok := ls.held()[inv.Coll]; ok && inv.Version > e.version {
 		e.version = inv.Version
 		e.confirmed = now
-		ls.leases[inv.Coll] = e
+		ls.publish(func(m map[string]leaseEntry) { m[inv.Coll] = e })
 	}
 	ls.mu.Unlock()
 	ls.invals.Add(1)
@@ -461,16 +480,15 @@ func (ls *LeaseState) apply(inv Invalidation) {
 // queues the collections for re-acquisition on a future Start.
 func (ls *LeaseState) breakAll() {
 	ls.mu.Lock()
-	n := len(ls.leases)
-	colls := make([]string, 0, n)
-	for coll := range ls.leases {
+	held := ls.held()
+	colls := make([]string, 0, len(held))
+	for coll := range held {
 		ls.want[coll] = struct{}{}
-		delete(ls.leases, coll)
 		colls = append(colls, coll)
 	}
-	ls.active = false
+	ls.leases.Store(nil)
 	ls.mu.Unlock()
-	ls.breaks.Add(int64(n))
+	ls.breaks.Add(int64(len(colls)))
 	for _, coll := range colls {
 		ls.journal.Record(obs.Event{
 			Type: obs.EvLeaseBreak, Node: string(ls.dir), Collection: coll,
@@ -510,15 +528,16 @@ func (ls *LeaseState) renewLoop() {
 // serve Lease deactivates leasing outright.
 func (ls *LeaseState) acquire() {
 	ls.mu.Lock()
-	if !ls.active {
+	held := ls.held()
+	if held == nil {
 		ls.mu.Unlock()
 		return
 	}
-	colls := make([]string, 0, len(ls.want)+len(ls.leases))
+	colls := make([]string, 0, len(ls.want)+len(held))
 	for coll := range ls.want {
 		colls = append(colls, coll)
 	}
-	for coll := range ls.leases {
+	for coll := range held {
 		if _, ok := ls.want[coll]; !ok {
 			colls = append(colls, coll)
 		}
@@ -544,31 +563,35 @@ func (ls *LeaseState) acquire() {
 	now := asked
 	expiry := asked.Add(grant.TTL)
 	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	ls.ttl = grant.TTL
-	for _, coll := range colls {
-		v, granted := grant.Versions[coll]
-		if !granted {
-			// Unknown collection: drop it rather than re-asking every
-			// tick; a later Track re-queues it.
+	// After a break while the grant was in flight nothing is published,
+	// and want keeps the collections for the next Start.
+	ls.publish(func(leases map[string]leaseEntry) {
+		for _, coll := range colls {
+			v, granted := grant.Versions[coll]
+			if !granted {
+				// Unknown collection: drop it rather than re-asking every
+				// tick; a later Track re-queues it.
+				delete(ls.want, coll)
+				continue
+			}
+			e, held := leases[coll]
+			if !held {
+				ls.grants.Add(1)
+				e = leaseEntry{version: v, confirmed: now}
+			} else {
+				ls.renewals.Add(1)
+			}
+			if v > e.version {
+				e.version = v
+				e.confirmed = now
+			}
+			e.expiry = expiry
+			leases[coll] = e
 			delete(ls.want, coll)
-			continue
 		}
-		e, held := ls.leases[coll]
-		if !held {
-			ls.grants.Add(1)
-			e = leaseEntry{version: v, confirmed: now}
-		} else {
-			ls.renewals.Add(1)
-		}
-		if v > e.version {
-			e.version = v
-			e.confirmed = now
-		}
-		e.expiry = expiry
-		ls.leases[coll] = e
-		delete(ls.want, coll)
-	}
-	ls.mu.Unlock()
+	})
 }
 
 // Track queues a collection for lease acquisition. It is cheap and
@@ -576,7 +599,7 @@ func (ls *LeaseState) acquire() {
 // collections already leased or queued.
 func (ls *LeaseState) Track(coll string) {
 	ls.mu.Lock()
-	_, held := ls.leases[coll]
+	_, held := ls.held()[coll]
 	_, queued := ls.want[coll]
 	if held || queued {
 		ls.mu.Unlock()
@@ -598,31 +621,26 @@ func (ls *LeaseState) Track(coll string) {
 // version against its own cached listing version; a pushed bump makes
 // that comparison fail, which is exactly the conditional-revalidate
 // fallback.
+// It takes no lock and reads the monotonic clock once, after loading the
+// map, whose stamps were all taken before it was published: the age is
+// never negative. A lease expires when its age reaches expiry − confirmed.
 func (ls *LeaseState) Serveable(coll string) (version uint64, age time.Duration, ok bool) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	// Clock the read under the lock: confirmed/expiry are stamped under
-	// this same lock, so the age can never come out negative even when a
-	// push lands between a caller's clock read and its lock acquisition.
-	now := time.Now()
-	if !ls.active {
+	e, held := ls.held()[coll]
+	if !held {
 		return 0, 0, false
 	}
-	e, held := ls.leases[coll]
-	if !held || !e.expiry.After(now) {
+	if age = time.Since(e.confirmed); age >= e.expiry.Sub(e.confirmed) {
 		return 0, 0, false
 	}
-	return e.version, now.Sub(e.confirmed), true
+	return e.version, age, true
 }
 
 // Stats snapshots the lease counters.
 func (ls *LeaseState) Stats() LeaseStats {
-	ls.mu.Lock()
-	active, held := ls.active, len(ls.leases)
-	ls.mu.Unlock()
+	held := ls.held()
 	return LeaseStats{
-		Active:        active,
-		Held:          held,
+		Active:        held != nil,
+		Held:          len(held),
 		Grants:        ls.grants.Load(),
 		Renewals:      ls.renewals.Load(),
 		Invalidations: ls.invals.Load(),

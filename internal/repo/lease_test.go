@@ -248,3 +248,78 @@ func TestLeaseWatchSupersede(t *testing.T) {
 		t.Fatalf("invalidation = %+v", inv)
 	}
 }
+
+// heldLease returns a lease state holding one lease on coll, confirmed
+// now for term, as a grant installs it: no server and no stream.
+func heldLease(coll string, term time.Duration) *LeaseState {
+	ls := NewLeaseState(nil, "dir")
+	now := time.Now()
+	ls.leases.Store(&map[string]leaseEntry{coll: {version: 7, confirmed: now, expiry: now.Add(term)}})
+	return ls
+}
+
+// TestServeableTakesNoLock holds the writers' lock across a Serveable:
+// the hot-path read must not wait for a grant or a push in progress.
+func TestServeableTakesNoLock(t *testing.T) {
+	ls := heldLease("c", time.Minute)
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	done := make(chan bool, 1)
+	go func() {
+		_, _, ok := ls.Serveable("c")
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("a held lease was not serveable")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serveable waited on the writers' lock")
+	}
+}
+
+// TestServeableExpiresOnTheClientClock holds the one-clock-read expiry
+// test to the rule it replaces: serveable while the age is inside the
+// term, with 0 <= age < term, and not once the term has run out; an entry
+// whose expiry precedes its confirmation (a push confirmed a version
+// after the lease had lapsed) is never serveable; an inactive state
+// serves nothing.
+func TestServeableExpiresOnTheClientClock(t *testing.T) {
+	const term = 5 * time.Millisecond
+	ls := heldLease("c", term)
+	start := time.Now()
+	v, age, ok := ls.Serveable("c")
+	if elapsed := time.Since(start); !ok && elapsed < term/2 {
+		t.Fatalf("not serveable %v into a %v term", elapsed, term)
+	}
+	if ok && (v != 7 || age < 0 || age >= term) {
+		t.Fatalf("served version %d at age %v, want 7 within [0, %v)", v, age, term)
+	}
+	time.Sleep(2 * term)
+	if _, age, ok := ls.Serveable("c"); ok {
+		t.Fatalf("served at age %v past a %v term", age, term)
+	}
+
+	now := time.Now()
+	ls.leases.Store(&map[string]leaseEntry{"c": {version: 7, confirmed: now, expiry: now.Add(-time.Nanosecond)}})
+	if _, _, ok := ls.Serveable("c"); ok {
+		t.Fatal("served an entry that expired before its confirmation")
+	}
+	ls.leases.Store(nil)
+	if _, _, ok := ls.Serveable("c"); ok || ls.Stats().Active {
+		t.Fatal("an inactive state served a lease")
+	}
+}
+
+// BenchmarkLeaseServeable is the per-invocation cost of the lease check
+// a current-state run makes.
+func BenchmarkLeaseServeable(b *testing.B) {
+	ls := heldLease("set", time.Hour)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := ls.Serveable("set"); !ok {
+			b.Fatal("not serveable")
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"weaksets/internal/netsim"
 	"weaksets/internal/store"
@@ -449,8 +450,25 @@ func TestAllocBudget(t *testing.T) {
 	r.Reset(invFrame)
 	_ = decodeInvalidation(&r)
 
+	// The two serves every cache- or lease-served element makes: neither
+	// may allocate.
+	cache, cacheIDs := benchCache(1_000)
+	lease := heldLease("set", time.Hour)
+	nextServe := 0
+
 	scratch := make([]byte, 0, len(batchFrame)+len(listFrame))
 	paths := map[string]func(){
+		"cacheServeFresh": func() {
+			if _, _, ok := cache.ServeFresh("set", 1, cacheIDs[nextServe%len(cacheIDs)]); !ok {
+				t.Fatal("cache miss")
+			}
+			nextServe++
+		},
+		"leaseServeable": func() {
+			if _, _, ok := lease.Serveable("set"); !ok {
+				t.Fatal("lease not serveable")
+			}
+		},
 		"encodeListResp": func() {
 			scratch = appendListResp(scratch[:0], listResp)
 		},
