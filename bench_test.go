@@ -146,7 +146,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 
 // BenchmarkIteratorLogical measures a full optimistic iteration with the
 // clock disabled, at 32, 1k and 10k members: the per-element protocol
-// overhead (one conditional List per invocation plus the cursor step),
+// overhead (one gated ListParts per invocation plus the cursor step),
 // reported as ns/elem, which must stay flat in n.
 func BenchmarkIteratorLogical(b *testing.B) {
 	for _, n := range []int{32, 1_000, 10_000} {

@@ -90,7 +90,7 @@ func iterSize(b *bench, size int) error {
 					return err
 				}
 				batches := c.Bus.MethodCalls(repo.MethodGetBatch)
-				lists := c.Bus.MethodCalls(repo.MethodList)
+				lists := c.Bus.MethodCalls(repo.MethodListParts)
 				elapsed := iterScale.Stopwatch()
 				elems, err := set.Collect(ctx)
 				virtual := elapsed()
@@ -102,7 +102,7 @@ func iterSize(b *bench, size int) error {
 				b.add(w, "virtual_ms", "ms", ms(virtual))
 				b.add(w, "elems_per_s", "1/s", perSec)
 				b.add(w, "getbatch_rpcs", "count", float64(c.Bus.MethodCalls(repo.MethodGetBatch)-batches))
-				b.add(w, "list_rpcs", "count", float64(c.Bus.MethodCalls(repo.MethodList)-lists))
+				b.add(w, "list_rpcs", "count", float64(c.Bus.MethodCalls(repo.MethodListParts)-lists))
 				if mode == "per-object" {
 					base = perSec
 				} else {

@@ -237,7 +237,7 @@ func runReplicaPhase(ctx context.Context, c *cluster.Cluster, coll string, nodes
 			defer wg.Done()
 			// GrowOnly (Fig. 5) matches the add-only churn exactly: every
 			// invocation consults current membership, so each yield is one
-			// listIfNew against the closest live replica plus its share of
+			// gated ListParts against the closest live replica plus its share of
 			// routed element batches — the per-read load replication spreads.
 			set, err := core.NewSet(c.ClientAt(cluster.HomeNode), cluster.DirNode, coll, core.Options{
 				Semantics: core.GrowOnly,

@@ -29,15 +29,16 @@ import (
 const rpcServiceTime = 2 * time.Millisecond
 
 // startRPCRemote boots the sweep's "remote process": its own network,
-// bus, and repository server, reachable only over loopback TCP.
-func startRPCRemote(workers int) (*tcprpc.Server, func(), error) {
+// bus, and repository server, reachable only over loopback TCP, plus a
+// client on that bus for setup reads the sweep does not time.
+func startRPCRemote(workers int) (*tcprpc.Server, *repo.Client, func(), error) {
 	const node = netsim.NodeID("archive")
 	net := netsim.New(netsim.Config{})
 	net.AddNode(node)
 	bus := rpc.NewBus(net)
 	repoSrv, err := repo.NewServer(bus, node)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	dispatch := rpc.NewServer(node)
 	for _, method := range tcprpc.RepoMethods() {
@@ -51,13 +52,13 @@ func startRPCRemote(workers int) (*tcprpc.Server, func(), error) {
 	srv, err := tcprpc.ServeConfig("127.0.0.1:0", dispatch, tcprpc.ServerConfig{Workers: workers})
 	if err != nil {
 		repoSrv.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cleanup := func() {
 		srv.Close()
 		repoSrv.Close()
 	}
-	return srv, cleanup, nil
+	return srv, repo.NewClient(bus, node), cleanup, nil
 }
 
 func rpcSweep(b *bench) error {
@@ -85,7 +86,7 @@ func rpcSweep(b *bench) error {
 // every trial, budget and arm against it.
 func rpcPayload(b *bench, payload int, budgets []int, batch, elements int) error {
 	ctx := context.Background()
-	srv, stop, err := startRPCRemote(budgets[len(budgets)-1])
+	srv, lister, stop, err := startRPCRemote(budgets[len(budgets)-1])
 	if err != nil {
 		return err
 	}
@@ -93,12 +94,19 @@ func rpcPayload(b *bench, payload int, budgets []int, batch, elements int) error
 	if err := seedSnapshot(ctx, srv.Addr(), elements, payload); err != nil {
 		return err
 	}
+	members, _, err := lister.List(ctx, "archive", "snap")
+	if err != nil {
+		return err
+	}
+	if len(members) != elements {
+		return fmt.Errorf("snapshot lists %d members, want %d", len(members), elements)
+	}
 	for t := 0; t < b.trials; t++ {
 		for _, budget := range budgets {
 			var base float64
 			for _, mode := range []string{"serial", "multiplexed"} {
 				w := fmt.Sprintf("%s/payload=%d/budget=%d", mode, payload, budget)
-				perSec, err := rpcFetch(ctx, b, w, srv.Addr(), mode == "serial", budget, batch, elements)
+				perSec, err := rpcFetch(ctx, b, w, srv.Addr(), members, mode == "serial", budget, batch)
 				if err != nil {
 					return fmt.Errorf("%s: %w", w, err)
 				}
@@ -135,20 +143,12 @@ func seedSnapshot(ctx context.Context, addr string, elements, payload int) error
 	return nil
 }
 
-// drainSnapshot performs one timed snapshot fetch over client: list the
-// membership, split it into GetBatch calls of `batch` ids, and drain
-// them with `budget` workers sharing the one client. With serial set
+// drainSnapshot performs one timed snapshot fetch over client: split the
+// membership into GetBatch calls of `batch` ids, and drain them with
+// `budget` workers sharing the one client. With serial set
 // the workers take turns on a one-slot semaphore, so the wire carries
 // one RPC at a time no matter how many of them queue behind it.
-func drainSnapshot(ctx context.Context, client *tcprpc.Client, serial bool, budget, batch, elements int) (time.Duration, error) {
-	out, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "snap"})
-	if err != nil {
-		return 0, err
-	}
-	members := out.(repo.ListResp).Members
-	if len(members) != elements {
-		return 0, fmt.Errorf("snapshot lists %d members, want %d", len(members), elements)
-	}
+func drainSnapshot(ctx context.Context, client *tcprpc.Client, members []repo.Ref, serial bool, budget, batch int) (time.Duration, error) {
 	batches := make(chan []repo.ObjectID, (len(members)+batch-1)/batch)
 	for lo := 0; lo < len(members); lo += batch {
 		ids := make([]repo.ObjectID, 0, batch)
@@ -196,23 +196,23 @@ func drainSnapshot(ctx context.Context, client *tcprpc.Client, serial bool, budg
 	if callErr != nil {
 		return 0, callErr
 	}
-	if got := fetched.Load(); got != int64(elements) {
-		return 0, fmt.Errorf("fetched %d elements, want %d", got, elements)
+	if got := fetched.Load(); got != int64(len(members)) {
+		return 0, fmt.Errorf("fetched %d elements, want %d", got, len(members))
 	}
 	return elapsed, nil
 }
 
 // rpcFetch runs drainSnapshot on a fresh client and records the trial's
 // rows under workload w, returning its elements/sec.
-func rpcFetch(ctx context.Context, b *bench, w, addr string, serial bool, budget, batch, elements int) (float64, error) {
+func rpcFetch(ctx context.Context, b *bench, w, addr string, members []repo.Ref, serial bool, budget, batch int) (float64, error) {
 	client := tcprpc.Dial(addr, "bench")
 	defer client.Close()
-	elapsed, err := drainSnapshot(ctx, client, serial, budget, batch, elements)
+	elapsed, err := drainSnapshot(ctx, client, members, serial, budget, batch)
 	if err != nil {
 		return 0, err
 	}
 	st := client.Stats()
-	perSec := float64(elements) / elapsed.Seconds()
+	perSec := float64(len(members)) / elapsed.Seconds()
 	b.add(w, "elapsed_ms", "ms", ms(elapsed))
 	b.add(w, "elems_per_s", "1/s", perSec)
 	for _, m := range st.Methods {

@@ -10,7 +10,7 @@ package main
 // would mask the listing path's scaling. Per-element cost should stay
 // flat as the set grows, and time-to-first-element should track the
 // first partition, not the set. "current" is a GrowOnly run up to 100k
-// members — one conditional List per invocation, stepped by the
+// members — one gated ListParts per invocation, stepped by the
 // version-keyed cursor — gated on per-element cost alone: its first
 // element waits for the whole first listing by construction.
 
@@ -133,9 +133,9 @@ func newScaleWorld(n, partitions int, seed int64) (*scaleWorld, error) {
 // scaleRun is one timed Elements run with the membership-read RPC mix
 // it cost, read off the bus.
 type scaleRun struct {
-	yielded                          int
-	setup, first, total              time.Duration // Elements() returned; first element; drained
-	listRPCs, listPartsRPCs, batches int64
+	yielded                int
+	setup, first, total    time.Duration // Elements() returned; first element; drained
+	listPartsRPCs, batches int64
 }
 
 func (r scaleRun) perElemNs() float64 { return float64(r.total.Nanoseconds()) / float64(r.yielded) }
@@ -146,7 +146,6 @@ func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scale
 	if err != nil {
 		return scaleRun{}, err
 	}
-	lists0 := w.bus.MethodCalls(repo.MethodList)
 	parts0 := w.bus.MethodCalls(repo.MethodListParts)
 	batches0 := w.bus.MethodCalls(repo.MethodGetBatch)
 
@@ -171,7 +170,6 @@ func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scale
 	if err := it.Close(ctx); err != nil {
 		return scaleRun{}, err
 	}
-	res.listRPCs = w.bus.MethodCalls(repo.MethodList) - lists0
 	res.listPartsRPCs = w.bus.MethodCalls(repo.MethodListParts) - parts0
 	res.batches = w.bus.MethodCalls(repo.MethodGetBatch) - batches0
 	return res, nil
@@ -227,7 +225,6 @@ func scaleSweep(b *bench) error {
 				b.add(wl, "first_elem_ms", "ms", ms(res.first))
 				b.add(wl, "total_ms", "ms", ms(res.total))
 				b.add(wl, "per_elem_ns", "ns", res.perElemNs())
-				b.add(wl, "list_rpcs", "count", float64(res.listRPCs))
 				b.add(wl, "listparts_rpcs", "count", float64(res.listPartsRPCs))
 				b.add(wl, "getbatch_rpcs", "count", float64(res.batches))
 				if n == sizes[0] {

@@ -6,12 +6,15 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"weaksets/internal/cluster"
+	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
+	"weaksets/internal/rpc"
 	"weaksets/internal/store"
 )
 
@@ -276,15 +279,14 @@ func TestCurrentStateRunValidatesWithoutPayload(t *testing.T) {
 // readRPCs sums every RPC a membership-or-element read could cost: the
 // lease acceptance bar is that a warm current-state run issues none.
 func readRPCs(c *cluster.Cluster) int64 {
-	return c.Bus.MethodCalls(repo.MethodList) +
-		c.Bus.MethodCalls(repo.MethodListParts) +
+	return c.Bus.MethodCalls(repo.MethodListParts) +
 		c.Bus.MethodCalls(repo.MethodGet) +
 		c.Bus.MethodCalls(repo.MethodGetBatch)
 }
 
 // TestLeaseHeldCurrentStateRunZeroRPC is the lease tentpole's headline
 // property: with a lease held and the caches warm, a current-state
-// (grow-only) run over a quiescent set costs zero RPCs — no List, no
+// (grow-only) run over a quiescent set costs zero RPCs — no ListParts, no
 // GetBatch, nothing — because the server promised to push any change.
 // Losing the lease degrades the same run back to conditional
 // revalidation, never to silent staleness.
@@ -328,7 +330,7 @@ func TestLeaseHeldCurrentStateRunZeroRPC(t *testing.T) {
 	}
 
 	// A write invalidates by push: once the bump lands, the next run
-	// falls back to one conditional List (the degradation ladder's middle
+	// falls back to one gated ListParts (the degradation ladder's middle
 	// rung), fetches only the new member, and then resumes serving
 	// RPC-free.
 	v0, _, ok := ls.Serveable("set")
@@ -346,12 +348,12 @@ func TestLeaseHeldCurrentStateRunZeroRPC(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	lists := w.c.Bus.MethodCalls(repo.MethodList)
+	lists := w.c.Bus.MethodCalls(repo.MethodListParts)
 	if moved, err := s.Collect(ctx); err != nil || len(moved) != 13 {
 		t.Fatalf("post-write run: %d elems, %v", len(moved), err)
 	}
-	if d := w.c.Bus.MethodCalls(repo.MethodList) - lists; d != 1 {
-		t.Fatalf("post-write run issued %d List RPCs, want exactly 1", d)
+	if d := w.c.Bus.MethodCalls(repo.MethodListParts) - lists; d != 1 {
+		t.Fatalf("post-write run issued %d ListParts RPCs, want exactly 1", d)
 	}
 	before = readRPCs(w.c)
 	if again, err := s.Collect(ctx); err != nil || len(again) != 13 {
@@ -362,16 +364,16 @@ func TestLeaseHeldCurrentStateRunZeroRPC(t *testing.T) {
 	}
 
 	// Lease loss: the same warm run degrades to conditional revalidation
-	// — a version-gated List plus NotModified batch validation, the PR 5
-	// numbers — not to serving unverified cache entries.
+	// — a version-gated ListParts plus NotModified batch validation, the
+	// leaseless path's numbers — not to serving unverified cache entries.
 	ls.Stop()
 	before = batchTotals(w.c).NotModified
-	lists = w.c.Bus.MethodCalls(repo.MethodList)
+	lists = w.c.Bus.MethodCalls(repo.MethodListParts)
 	batches := w.c.Bus.MethodCalls(repo.MethodGetBatch)
 	if lost, err := s.Collect(ctx); err != nil || len(lost) != 13 {
 		t.Fatalf("leaseless run: %d elems, %v", len(lost), err)
 	}
-	if d := w.c.Bus.MethodCalls(repo.MethodList) - lists; d == 0 {
+	if d := w.c.Bus.MethodCalls(repo.MethodListParts) - lists; d == 0 {
 		t.Fatal("leaseless run never revalidated the listing")
 	}
 	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d == 0 {
@@ -379,6 +381,119 @@ func TestLeaseHeldCurrentStateRunZeroRPC(t *testing.T) {
 	}
 	if d := batchTotals(w.c).NotModified - before; d != 13 {
 		t.Fatalf("NotModified delta = %d, want 13", d)
+	}
+}
+
+// listingTap is node "dir-tap", a relay in front of the directory for the
+// listing and lease methods, which notes every ListParts frame it relays.
+type listingTap struct {
+	mu     sync.Mutex
+	frames []repo.PartListing
+}
+
+func (tap *listingTap) take() []repo.PartListing {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	out := tap.frames
+	tap.frames = nil
+	return out
+}
+
+// tappedStream relays a stream, noting its listing frames.
+type tappedStream struct {
+	rpc.Streamer
+	tap *listingTap
+}
+
+func (s tappedStream) Next() (any, bool) {
+	chunk, ok := s.Streamer.Next()
+	if pl, isFrame := chunk.(repo.PartListing); ok && isFrame {
+		s.tap.mu.Lock()
+		s.tap.frames = append(s.tap.frames, pl)
+		s.tap.mu.Unlock()
+	}
+	return chunk, ok
+}
+
+func newListingTap(t *testing.T, c *cluster.Cluster) (netsim.NodeID, *listingTap) {
+	t.Helper()
+	const node = netsim.NodeID("dir-tap")
+	c.Net.AddNode(node)
+	tap := &listingTap{}
+	srv := rpc.NewServer(node)
+	for _, method := range []string{repo.MethodListParts, repo.MethodLease, repo.MethodWatch} {
+		srv.Handle(method, func(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
+			out, _, err := c.Bus.Call(ctx, node, cluster.DirNode, method, req)
+			if st, ok := out.(rpc.Streamer); ok && method == repo.MethodListParts {
+				out = tappedStream{Streamer: st, tap: tap}
+			}
+			return out, err
+		})
+	}
+	if err := c.Bus.Register(srv); err != nil {
+		t.Fatal(err)
+	}
+	return node, tap
+}
+
+// TestCurrentStateRelistShipsMovedPartition holds what a write costs a
+// leased current-state reader: after one Add to a 512-member collection,
+// the run's one relist carries exactly the partition the Add moved — its
+// members, no other partition's — and the run yields the new member.
+func TestCurrentStateRelistShipsMovedPartition(t *testing.T) {
+	w := newTestWorld(t, 512)
+	ctx := context.Background()
+	dir, tap := newListingTap(t, w.c)
+	w.c.Client.UseCache(repo.NewCache(1024))
+	ls := repo.NewLeaseState(w.c.Client, dir, "set")
+	if err := ls.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ls.Stop)
+	w.c.Client.UseLeases(ls)
+	s, err := NewSet(w.c.Client, dir, "set", Options{Semantics: GrowOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ { // cold, then lease-served
+		if elems, err := s.Collect(ctx); err != nil || len(elems) != 512 {
+			t.Fatalf("run %d: %d elems, %v", run, len(elems), err)
+		}
+	}
+	if frames := tap.take(); len(frames) != store.DefaultPartitions {
+		t.Fatalf("cold and warm runs relayed %d frames, want one listing of %d partitions", len(frames), store.DefaultPartitions)
+	}
+
+	v0, _, _ := ls.Serveable("set")
+	added := w.addElement(t, 512)
+	deadline := time.Now().Add(5 * time.Second)
+	for v, _, ok := ls.Serveable("set"); !ok || v <= v0; v, _, ok = ls.Serveable("set") {
+		if time.Now().After(deadline) {
+			t.Fatal("pushed invalidation never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	elems, err := s.Collect(ctx)
+	if err != nil || len(elems) != 513 {
+		t.Fatalf("post-write run: %d elems, %v", len(elems), err)
+	}
+	frames := tap.take()
+	if len(frames) != 1 {
+		t.Fatalf("post-write relist shipped %d frames, want the one moved partition", len(frames))
+	}
+	var want []repo.Ref
+	if err := w.c.Client.ListPartsSubset(ctx, cluster.DirNode, "set", 0, nil, []int{frames[0].Part}, func(pl repo.PartListing) error {
+		want = pl.Members
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(frames[0].Members, want) || !slices.Contains(want, added) {
+		t.Fatalf("relist carried %d refs of partition %d; the partition holds %d, the added member among them: %v",
+			len(frames[0].Members), frames[0].Part, len(want), slices.Contains(want, added))
+	}
+	if len(want) >= 513/4 {
+		t.Fatalf("partition %d holds %d of 513 members: not a partition-sized relist", frames[0].Part, len(want))
 	}
 }
 

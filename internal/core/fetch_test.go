@@ -187,9 +187,16 @@ func TestPartitionMidBatchNeverYieldsUnreachable(t *testing.T) {
 	for it.Next(ctx) {
 		yielded = append(yielded, it.Element())
 		if len(yielded) == 1 {
-			// e000 is out and the first fetch prefetched every member in
-			// per-node batches — e001 and e005 sit in the ready queue.
-			// Partition their node before the kernel reaches them.
+			// One element is out and the first fetch prefetched every
+			// member in per-node batches — e001 and e005 sit in the ready
+			// queue. Partition their node before the kernel reaches them;
+			// when the first batch to land was theirs (runs yield in
+			// completion order), partition e002 and e006's instead: a
+			// yielded element gone unreachable makes Fig. 3 return, which
+			// is not the case under test.
+			if it.Element().Ref.Node == victim {
+				victim = w.c.Storage[2]
+			}
 			w.c.Net.Isolate(victim)
 		}
 		if len(yielded) > 1 {

@@ -56,11 +56,12 @@ type Iterator struct {
 	// legally runs against the partial view meanwhile — members it yields
 	// are genuine members of the snapshot — but terminal decisions wait
 	// for completeness. A current-state run re-bases it on the shared
-	// immutable listing its last observation delivered (adopt); a lease or
-	// a version-gated List revalidates that in no or one member-free round
-	// trip while the membership hasn't changed, and the cursor stands
-	// meanwhile.
-	tab runTable
+	// immutable listing its last observation delivered (adopt), which it
+	// keeps as held; a lease or a ListParts gated on held's version vector
+	// revalidates that in no round trip or one that ships no frame while
+	// the membership hasn't changed, and the cursor stands meanwhile.
+	tab  runTable
+	held *listing
 
 	// ing buffers the streamed opening listing; nil for the current-state
 	// semantics, which have no opening listing. ingDone flips once the
@@ -360,10 +361,10 @@ func (it *Iterator) release(ctx context.Context) {
 // leaseServe tries to serve a current-state membership read from the
 // held listing under the lease: while a held lease certifies it current —
 // the server promised to push any listing change, and the certified
-// version is still the one the run holds — the conditional revalidation
-// RPC is provably redundant. A pushed bump makes the version comparison
-// fail and the caller falls back to a conditional List — the degradation
-// ladder's middle rung.
+// version is still the one the run holds — the gated revalidation RPC is
+// provably redundant. A pushed bump makes the version comparison fail and
+// the caller falls back to a gated ListParts — the degradation ladder's
+// middle rung.
 func (it *Iterator) leaseServe() bool {
 	ls := it.set.leaseState()
 	if ls == nil || it.tab.version == 0 {
@@ -383,11 +384,12 @@ func (it *Iterator) leaseServe() bool {
 // observe is the invocation's membership observation, after which tab is
 // what the invocation steps over: s_first as folded so far for snapshot
 // semantics, otherwise a fresh read — the lease's certificate, or a
-// conditional List through the router that certifies the held listing
-// (NotModified) or replaces it. Every invocation pays it, on either path,
-// and leaves its certificate in it.direct — set under a snapshot
-// semantics, otherwise whether the read was lease-served — so the lease
-// is read once per invocation, never per element served.
+// ListParts through the router gated on the held listing's version
+// vector, which certifies it (no frame) or ships the moved partitions
+// for a new listing. Every invocation pays it, on either path, and
+// leaves its certificate in it.direct — set under a snapshot semantics,
+// otherwise whether the read was lease-served — so the lease is read
+// once per invocation, never per element served.
 func (it *Iterator) observe(ctx context.Context) error {
 	if it.opts.Semantics.UsesSnapshot() {
 		it.direct = true
@@ -399,26 +401,16 @@ func (it *Iterator) observe(ctx context.Context) error {
 	}
 	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
 	defer lsp.End()
-	refs, version, notModified, from, err := it.set.router.listIfNew(ctx, it.tab.version)
+	l, err := it.set.router.relist(ctx, it.held, &it.rep)
 	if err != nil {
 		return err
 	}
-	var skew uint64
-	if !from.home && !notModified && version < it.tab.version {
-		// The serving replica lags what the run has already observed (the
-		// home's answer is authoritative, whatever its version): the reply
-		// is demoted to not-modified — the run keeps its fresher listing,
-		// staying monotonic — and the regression is accounted.
-		skew, notModified = it.tab.version-version, true
-	}
-	it.rep.note(from, skew)
-	if !notModified {
-		if it.observed && version != it.tab.version {
+	if l != it.held {
+		if it.observed && l.version != it.tab.version {
 			// The listing changed under the run: membership skew the
 			// caller can never distinguish from a slow iteration.
 			it.wk.ListingSkew++
 		}
-		l := newListing(version, refs)
 		it.adopt(l)
 		it.set.publishListing(l)
 	}
@@ -430,6 +422,7 @@ func (it *Iterator) observe(ctx context.Context) error {
 // order minus what the run already yielded (re-listed yielded members are
 // suppressed — the "no duplicates" obligation).
 func (it *Iterator) adopt(l *listing) {
+	it.held = l
 	it.wk.DuplicatesSuppressed += int64(it.tab.adopt(l))
 }
 

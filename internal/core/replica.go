@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,9 +26,10 @@ import (
 //   - scatters a snapshot-opening partitioned listing across the live
 //     replicas, closest first, so the frames stream from N nodes
 //     concurrently into one iterator fold;
-//   - routes current-state membership reads and element batches to the
-//     closest live replica, hedging back to the next (ultimately the
-//     home) on failure or timeout.
+//   - routes current-state membership reads — the same partitioned
+//     listing, gated on the partitions the run holds — and element
+//     batches to the closest live replica, hedging back to the next
+//     (ultimately the home) on failure or timeout.
 //
 // Staleness is quantified against the probe's baseline — the elementwise
 // max of every live replica's version vector — and surfaced per run as
@@ -284,29 +286,61 @@ func (rt *replicaRouter) nearTieRotate(live []replicaProbe) []replicaProbe {
 	return append(out, live[ties:]...)
 }
 
-// listIfNew serves one current-state membership read from the closest
-// live replica, hedging to the next on failure and to the home as the
-// last resort. from reports which replica answered, for the caller's
-// staleness accounting.
-func (rt *replicaRouter) listIfNew(ctx context.Context, lastVersion uint64) (members []repo.Ref, version uint64, notModified bool, from replicaProbe, err error) {
-	// The home closes the order whether or not it probed live: it is the
-	// final hedge, and its error is the read's.
-	order := append(rt.nearTieRotate(liveByRTT(rt.probe(ctx))), replicaProbe{node: rt.home(), home: true})
-	for _, from = range order {
-		if from.home {
-			// No hedge past the home: its answer is authoritative.
-			members, version, notModified, err = rt.client.ListIfNew(ctx, from.node, rt.name, lastVersion)
-			break
-		}
-		hctx, cancel := context.WithTimeout(ctx, rt.cfg.HedgeTimeout)
-		members, version, notModified, err = rt.client.ListIfNew(hctx, from.node, rt.name, lastVersion)
-		cancel()
-		if err == nil {
-			break
-		}
-		rt.markDead(from.node)
+// relist serves one current-state membership read, a ListParts gated on
+// held's version vector, from the closest live replica in held's layout
+// (which ships only partitions newer than held's, never moving one
+// backwards), hedging to the next and to the home as the last resort. It
+// returns held itself when nothing moved. Each served frame is noted in
+// tally against the probe's baseline, as scatter does; an empty answer
+// is noted as the certification its replica served.
+func (rt *replicaRouter) relist(ctx context.Context, held *listing, tally *replicaTally) (*listing, error) {
+	var gates []uint64
+	if held != nil {
+		gates = held.vers
 	}
-	return members, version, notModified, from, err
+	// The home closes the order, probed live or not: the final hedge, with
+	// no timeout, whose answer is the read's (alone, it is never probed).
+	order := []replicaProbe{{node: rt.home(), home: true}}
+	var probes []replicaProbe
+	if len(rt.cfg.Nodes) > 1 {
+		probes = rt.probe(ctx)
+		live := slices.DeleteFunc(liveByRTT(probes), func(p replicaProbe) bool { return held != nil && p.partitions != len(held.vers) })
+		order = append(rt.nearTieRotate(live), order[0])
+	}
+	var frames []repo.PartListing
+	for i := 0; ; i++ {
+		from := order[i]
+		rctx, cancel := ctx, context.CancelFunc(func() {})
+		if !from.home {
+			rctx, cancel = context.WithTimeout(ctx, rt.cfg.HedgeTimeout)
+		}
+		frames = frames[:0] // a failed attempt's frames are not the answer
+		err := rt.client.ListPartsSubset(rctx, from.node, rt.name, 0, gates, nil, func(pl repo.PartListing) error {
+			frames = append(frames, pl)
+			return nil
+		})
+		cancel()
+		if err != nil && !from.home {
+			rt.markDead(from.node)
+			continue
+		}
+		l := held
+		if err == nil {
+			l, err = held.with(frames)
+		}
+		if err != nil {
+			return l, err
+		}
+		if len(frames) == 0 {
+			tally.note(from, 0)
+			return l, nil
+		}
+		base := baselineVec(probes, len(l.vers))
+		for _, pl := range frames {
+			tally.note(from, base[pl.Part]-min(base[pl.Part], pl.Version))
+		}
+		return l, nil
+	}
 }
 
 // routeBatch picks the node to serve a GetBatch aimed at owner: the

@@ -222,6 +222,185 @@ func TestClosestReplicaSelection(t *testing.T) {
 	}
 }
 
+// TestRelistNeverMovesAPartitionBackwards routes a current-state read to
+// a replica lagging the home on one partition: the gated read ships
+// nothing the run does not already hold newer, so the held listing stands
+// — the lagging partition is not rolled back to the replica's — and the
+// read still counts as replica-served. A replica in another layout is
+// never asked, since it would ship its whole listing unchecked. A held
+// listing in another partition layout is replaced whole by the served one.
+func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
+	w := newTestWorld(t, 0)
+	c, ctx := w.c, context.Background()
+	for i := 0; i < 24; i++ {
+		addHomeElement(t, w, i)
+	}
+	readHome := func() []repo.PartListing {
+		var frames []repo.PartListing
+		if err := c.Client.ListPartsSubset(ctx, cluster.DirNode, "set", 0, nil, nil, func(pl repo.PartListing) error {
+			frames = append(frames, pl)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return frames
+	}
+	// The replica is pushed the home's listing by hand, then the home
+	// moves on by one Add the replica never hears of.
+	c.Net.AddNode("lag")
+	replica, err := repo.NewServer(c.Bus, "lag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replica.Close)
+	for _, pl := range readHome() {
+		if _, _, err := c.Bus.Call(ctx, cluster.DirNode, "lag", repo.MethodSyncPart,
+			repo.SyncPartReq{Name: "set", Partitions: pl.Partitions, Part: pl.Part, Members: pl.Members, Version: pl.Version}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addHomeElement(t, w, 24)
+	held, err := (*listing)(nil).with(readHome())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lagging := 0
+	if d, err := c.Client.Digest(ctx, "lag", "set"); err != nil {
+		t.Fatal(err)
+	} else {
+		for part, v := range d.Versions {
+			if v < held.vers[part] {
+				lagging++
+			}
+		}
+	}
+	if lagging != 1 {
+		t.Fatalf("replica lags the home on %d partitions, want 1", lagging)
+	}
+
+	// The replica is the closest live one by far: the read goes there.
+	rt := newReplicaRouter(c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: []netsim.NodeID{cluster.DirNode, "lag"}, ProbeTTL: time.Hour})
+	rt.probes = []replicaProbe{
+		{node: cluster.DirNode, home: true, live: true, rtt: time.Second, partitions: len(held.vers)},
+		{node: "lag", live: true, rtt: time.Millisecond, partitions: len(held.vers)},
+	}
+	rt.probedAt = time.Now()
+	c.Net.Crash(cluster.DirNode) // so only the replica can answer
+	var tally replicaTally
+	l, err := rt.relist(ctx, held, &tally)
+	c.Net.Restart(cluster.DirNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tally.served.Load() != 1 {
+		t.Fatalf("the lagging replica's certification counted as %d replica reads, want 1", tally.served.Load())
+	}
+	if l != held {
+		t.Fatalf("relist from a lagging replica replaced the listing: versions %v, held %v", l.vers, held.vers)
+	}
+
+	// A closer replica in another layout (one partition, a member the
+	// collection never had, at a higher version) sits the read out: the
+	// home certifies the held listing.
+	c.Net.AddNode("odd")
+	odd, err := repo.NewServer(c.Bus, "odd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(odd.Close)
+	if _, _, err := c.Bus.Call(ctx, cluster.DirNode, "odd", repo.MethodSyncPart,
+		repo.SyncPartReq{Name: "set", Partitions: 1, Members: []repo.Ref{{ID: "zz-stale", Node: cluster.DirNode}}, Version: held.version + 5}); err != nil {
+		t.Fatal(err)
+	}
+	rt = newReplicaRouter(c.Client, cluster.DirNode, "set", ReplicaConfig{Nodes: []netsim.NodeID{cluster.DirNode, "odd"}, ProbeTTL: time.Hour})
+	rt.probes = []replicaProbe{
+		{node: cluster.DirNode, home: true, live: true, rtt: time.Second, partitions: len(held.vers)},
+		{node: "odd", live: true, rtt: time.Millisecond, partitions: 1},
+	}
+	rt.probedAt = time.Now()
+	tally = replicaTally{}
+	if l, err = rt.relist(ctx, held, &tally); err != nil {
+		t.Fatal(err)
+	}
+	if l != held || tally.served.Load() != 0 {
+		t.Fatalf("a replica in another layout answered (%d replica reads): %d partitions, %d members", tally.served.Load(), len(l.vers), len(l.sorted))
+	}
+
+	// A listing in another layout (one partition, members the collection
+	// never had) is replaced whole by the home's 16-partition one.
+	other := newListing(held.version, []repo.Ref{{ID: "zz-stale", Node: cluster.DirNode}})
+	l, err = newReplicaRouter(c.Client, cluster.DirNode, "set", ReplicaConfig{}).relist(ctx, other, &tally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.vers) != len(held.vers) || !reflect.DeepEqual(l.sorted, held.sorted) {
+		t.Fatalf("layout change kept %d partitions and %d members, want the home's %d and %d", len(l.vers), len(l.sorted), len(held.vers), len(held.sorted))
+	}
+}
+
+// TestReplicaCertifiedRelistIsReported runs a replicated current-state
+// run whose first listing comes from the home and whose later
+// invocations are certified by a replica with empty gated answers: those
+// reads are the replica's, so the run's report must count them and carry
+// the replica's sync age, not read as if the home served it all.
+func TestReplicaCertifiedRelistIsReported(t *testing.T) {
+	w := newTestWorld(t, 12) // elements on storage nodes: batches never replica-routed
+	c, ctx := w.c, context.Background()
+	c.Net.AddNode("r1")
+	r1, err := repo.NewServer(c.Bus, "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r1.Close)
+	partitions := 0
+	if err := c.Client.ListPartsSubset(ctx, cluster.DirNode, "set", 0, nil, nil, func(pl repo.PartListing) error {
+		partitions = pl.Partitions
+		_, _, err := c.Bus.Call(ctx, cluster.DirNode, "r1", repo.MethodSyncPart,
+			repo.SyncPartReq{Name: "set", Partitions: pl.Partitions, Part: pl.Part, Members: pl.Members, Version: pl.Version})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s := w.set(t, Options{Semantics: GrowOnly, Fetch: FetchOptions{Batch: 1, Inflight: 1}, Replicas: ReplicaConfig{Nodes: []netsim.NodeID{cluster.DirNode, "r1"}, ProbeTTL: time.Hour}})
+	route := func(replicaLive bool) {
+		s.router.mu.Lock()
+		s.router.probes = []replicaProbe{
+			{node: cluster.DirNode, home: true, live: true, rtt: time.Second, partitions: partitions},
+			{node: "r1", live: replicaLive, rtt: time.Millisecond, partitions: partitions, ageMs: 40},
+		}
+		s.router.probedAt = time.Now()
+		s.router.mu.Unlock()
+	}
+	route(false)
+	it, err := s.Elements(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	if !it.Next(ctx) {
+		t.Fatal(it.Err())
+	}
+	if served := it.Weakness().ReplicaServed; served != 0 {
+		t.Fatalf("the home's opening listing counted %d replica reads", served)
+	}
+	route(true)
+	n := 1
+	for it.Next(ctx) {
+		n++
+	}
+	if it.Err() != nil || n != 12 {
+		t.Fatalf("yielded %d of 12, err %v", n, it.Err())
+	}
+	wk := it.Weakness()
+	if wk.ReplicaServed < int64(n-1) {
+		t.Fatalf("ReplicaServed %d after %d replica-certified invocations", wk.ReplicaServed, n-1)
+	}
+	if wk.GhostAge != 40*time.Millisecond {
+		t.Fatalf("GhostAge %v, want the certifying replica's 40ms", wk.GhostAge)
+	}
+}
+
 // TestMarkDeadExcludesUntilReprobe kills a replica after it was probed
 // live: the first read that hits it marks it dead for the rest of the
 // probe interval, and a fresh probe restores it after restart.
@@ -241,10 +420,11 @@ func TestMarkDeadExcludesUntilReprobe(t *testing.T) {
 	}
 
 	// Reads keep completing from the home while the replica is dead.
-	if members, _, _, from, err := rt.listIfNew(ctx, 0); err != nil || len(members) != 8 {
-		t.Fatalf("listIfNew with dead replica: %d members, err %v", len(members), err)
-	} else if from.node != nodes[0] {
-		t.Fatalf("read served from %s, want home %s", from.node, nodes[0])
+	var tally replicaTally
+	if l, err := rt.relist(ctx, nil, &tally); err != nil || len(l.sorted) != 8 {
+		t.Fatalf("relist with dead replica: %v, err %v", l, err)
+	} else if served := tally.served.Load(); served != 0 {
+		t.Fatalf("%d frames served by a replica, want all from home %s", served, nodes[0])
 	}
 
 	// Restart and force a fresh probe: the replica must rejoin routing.
@@ -548,8 +728,8 @@ func TestReplicaRouterConcurrentProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, _, _, _, err := rt.listIfNew(ctx, 0); err != nil {
-					t.Errorf("listIfNew with home up: %v", err)
+				if _, err := rt.relist(ctx, nil, new(replicaTally)); err != nil {
+					t.Errorf("relist with home up: %v", err)
 					return
 				}
 				rt.routeBatch(ctx, nodes[0])
@@ -564,7 +744,7 @@ func TestReplicaRouterConcurrentProbes(t *testing.T) {
 // readMethods are the repository methods a run can reach for membership
 // or element data.
 var readMethods = []string{
-	repo.MethodList, repo.MethodListParts, repo.MethodGet, repo.MethodGetBatch,
+	repo.MethodListParts, repo.MethodGet, repo.MethodGetBatch,
 	repo.MethodPin, repo.MethodStats, repo.MethodSyncDigest,
 }
 
@@ -573,15 +753,15 @@ var readMethods = []string{
 // through the router, so the figures are the router's over the one-node
 // replica set — and they are the plain path's figures from before every
 // set had a router: the home alone is never probed, a snapshot opening is
-// one streamed ListParts, a current-state run pays one conditional List
+// one streamed ListParts, a current-state run pays one gated ListParts
 // per invocation (n yields plus the terminal one), and 12 elements spread
 // over 4 nodes are 4 GetBatch.
 func TestUnreplicatedSetReadsThroughRouterAtNoCost(t *testing.T) {
 	const n = 12
 	want := map[Semantics]map[string]int64{
 		Snapshot:   {repo.MethodListParts: 1, repo.MethodGetBatch: 4, repo.MethodPin: 1},
-		GrowOnly:   {repo.MethodList: n + 1, repo.MethodGetBatch: 4},
-		Optimistic: {repo.MethodList: n + 1, repo.MethodGetBatch: 4},
+		GrowOnly:   {repo.MethodListParts: n + 1, repo.MethodGetBatch: 4},
+		Optimistic: {repo.MethodListParts: n + 1, repo.MethodGetBatch: 4},
 	}
 	for sem, calls := range want {
 		t.Run(sem.String(), func(t *testing.T) {
@@ -668,8 +848,8 @@ func TestProbeRefreshIsSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if members, _, _, _, err := rt.listIfNew(ctx, 0); err != nil || len(members) != 8 {
-				t.Errorf("listIfNew: %d members, err %v", len(members), err)
+			if l, err := rt.relist(ctx, nil, new(replicaTally)); err != nil || len(l.sorted) != 8 {
+				t.Errorf("relist: %v, err %v", l, err)
 			}
 		}()
 	}

@@ -11,6 +11,15 @@ import (
 	"weaksets/internal/spec"
 )
 
+// newListing is a one-partition listing of refs at version.
+func newListing(version uint64, refs []repo.Ref) *listing {
+	l, err := (*listing)(nil).with([]repo.PartListing{{Partitions: 1, Members: refs, Version: version}})
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
 // cursorIDs lists the table's cursor — every unyielded member in yield
 // order — without moving it.
 func cursorIDs(t *runTable) []repo.ObjectID {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,20 +89,48 @@ func (o Options) withDefaults() Options {
 
 var iterSeq atomic.Int64
 
-// listing is one whole observed membership of the collection: its refs
-// ascending by id, exactly as the listing RPC delivered them, and the
-// distinct nodes holding them. It is immutable — runs (runTable.adopt) and
-// Set.lastListing alias it freely, each run keeping its own cursor over it.
+// listing is one whole observed membership of the collection: the
+// partitions the listing RPC delivered with their version vector (the
+// next read's gate), their merge ascending by id, and the distinct nodes
+// holding them. version is the vector's max, the collection version. It is
+// immutable — runs (runTable.adopt) and Set.lastListing alias it freely,
+// each run keeping its own cursor over it.
 type listing struct {
 	version uint64
+	parts   [][]repo.Ref
+	vers    []uint64
 	sorted  []repo.Ref
 	nodes   map[netsim.NodeID]bool
 }
 
-func newListing(version uint64, refs []repo.Ref) *listing {
-	l := &listing{version: version, nodes: make(map[netsim.NodeID]bool, 8)}
-	l.sorted = admit(l.nodes, refs)
-	return l
+// with returns the listing a gated read's frames make of l: l itself
+// when no partition moved, else l with the moved partitions replaced — or
+// the frames alone when their layout is not l's, since a gate vector of
+// another length ships every partition. The frames come from outside the
+// program, so they are checked here, as fold checks a snapshot's.
+func (l *listing) with(frames []repo.PartListing) (*listing, error) {
+	if len(frames) == 0 {
+		return l, nil
+	}
+	total := frames[0].Partitions
+	same := l != nil && len(l.vers) == total
+	if !same && len(frames) != total {
+		return nil, fmt.Errorf("listing of %d partitions in %d frames: another layout ships every partition", total, len(frames))
+	}
+	parts, vers := make([][]repo.Ref, total), make([]uint64, total)
+	if same {
+		copy(parts, l.parts)
+		copy(vers, l.vers)
+	}
+	for _, pl := range frames {
+		if pl.Partitions != total || pl.Part < 0 || pl.Part >= total {
+			return nil, fmt.Errorf("listing frame for partition %d of %d in a stream of %d", pl.Part, pl.Partitions, total)
+		}
+		parts[pl.Part], vers[pl.Part] = pl.Members, pl.Version
+	}
+	next := &listing{version: slices.Max(vers), parts: parts, vers: vers, nodes: make(map[netsim.NodeID]bool, 8)}
+	next.sorted = admit(next.nodes, repo.MergeParts(parts))
+	return next, nil
 }
 
 // Set is a weak set bound to a collection in the distributed repository.
@@ -121,7 +150,7 @@ type Set struct {
 	router *replicaRouter
 
 	// lastListing carries the last full membership read across runs. A fresh
-	// iterator seeded from it opens with a conditional List at worst;
+	// iterator seeded from it opens with a gated ListParts at worst;
 	// under a held lease even that round trip is provably redundant, so
 	// the run's opening membership costs no RPC at all — and, the listing
 	// being immutable, no copy either. Published only when a lease state
@@ -254,7 +283,7 @@ func (s *Set) elements(ctx context.Context, dyn bool) (*Iterator, error) {
 	}
 	if ls := s.leaseState(); ls != nil && !s.opts.Semantics.UsesSnapshot() {
 		// Seed the run from the set's last published listing: the opening
-		// membership read becomes a conditional List at worst, and no RPC
+		// membership read becomes a gated ListParts at worst, and no RPC
 		// at all while the lease certifies the seeded version.
 		if l := s.lastListing.Load(); l != nil {
 			it.adopt(l)

@@ -165,8 +165,8 @@ func TestSizeCountsWithoutListing(t *testing.T) {
 		if err != nil || n != len(listed) {
 			t.Fatalf("%s: size = %d, %v; the listing holds %d", when, n, err, len(listed))
 		}
-		if calls := w.c.Bus.MethodCalls(repo.MethodList); calls != 0 {
-			t.Fatalf("%s: Size issued %d List calls", when, calls)
+		if calls := w.c.Bus.MethodCalls(repo.MethodListParts); calls != 0 {
+			t.Fatalf("%s: Size issued %d ListParts calls", when, calls)
 		}
 	}
 	check("live")

@@ -282,9 +282,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.Engine != "sharded" || out.Shards < 1 {
 		t.Fatalf("engine = %q shards = %d", out.Engine, out.Shards)
 	}
+	// The listing reads membership a partition at a time (ListParts).
 	lists := int64(0)
 	for _, op := range out.Ops {
-		if op.Op == "list" {
+		if op.Op == "listPart" {
 			lists = op.Count
 		}
 	}

@@ -169,24 +169,21 @@ func (c *Client) CreateCollection(ctx context.Context, dir netsim.NodeID, name s
 	return err
 }
 
-// List reads a collection's current membership from dir.
+// List reads a collection's current membership from dir: one ListParts
+// stream of every partition, merged ascending by id, at the highest
+// partition version — which is the collection's.
 func (c *Client) List(ctx context.Context, dir netsim.NodeID, name string) ([]Ref, uint64, error) {
-	resp, err := rpc.Invoke[ListResp](ctx, c.bus, c.node, dir, MethodList, ListReq{Name: name})
+	var parts [][]Ref
+	var version uint64
+	err := c.ListPartsSubset(ctx, dir, name, 0, nil, nil, func(pl PartListing) error {
+		parts = append(parts, pl.Members)
+		version = max(version, pl.Version)
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp.Members, resp.Version, nil
-}
-
-// ListIfNew reads a collection's membership only if it changed since
-// lastVersion (0 forces a full read). On the not-modified path no member
-// list crosses the wire; the caller keeps using its cached listing.
-func (c *Client) ListIfNew(ctx context.Context, dir netsim.NodeID, name string, lastVersion uint64) (members []Ref, version uint64, notModified bool, err error) {
-	resp, err := rpc.Invoke[ListResp](ctx, c.bus, c.node, dir, MethodList, ListReq{Name: name, IfVersion: lastVersion})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return resp.Members, resp.Version, resp.NotModified, nil
+	return MergeParts(parts), version, nil
 }
 
 // ListPartsSubset reads a collection's membership one listing partition
@@ -195,10 +192,11 @@ func (c *Client) ListIfNew(ctx context.Context, dir netsim.NodeID, name string, 
 // arrives, which can be while later partitions are still in flight. parts
 // names the partitions wanted (nil/empty requests them all). gates is an
 // optional per-partition version vector: a partition still at or below
-// its gate answers NotModified with no members (a short or empty vector
-// gates nothing). A non-zero pin serves that snapshot partitioned on the
-// fly instead of the live membership. A non-nil error from fn abandons
-// the stream and is returned as-is.
+// its gate is left out, so fn sees only the partitions that moved (a
+// vector of any length but the collection's partition count gates
+// nothing). A non-zero pin serves that snapshot partitioned on the fly
+// instead of the live membership. A non-nil error from fn abandons the
+// stream and is returned as-is.
 func (c *Client) ListPartsSubset(ctx context.Context, node netsim.NodeID, name string, pin int64, gates []uint64, parts []int, fn func(PartListing) error) error {
 	out, _, err := c.bus.Call(ctx, c.node, node, MethodListParts, ListPartsReq{Name: name, Pin: pin, IfVersions: gates, Stream: true, Parts: parts})
 	if err != nil {

@@ -79,11 +79,9 @@ func TestListPartsVersionVectorGating(t *testing.T) {
 	for _, pl := range first {
 		gates[pl.Part] = pl.Version
 	}
-	// Gated at the current vector every partition answers NotModified.
-	for _, pl := range collectParts(t, w, gates) {
-		if !pl.NotModified || len(pl.Members) != 0 {
-			t.Fatalf("part %d: notMod=%v members=%d under current gate", pl.Part, pl.NotModified, len(pl.Members))
-		}
+	// Gated at the current vector no partition has moved: nothing ships.
+	if moved := collectParts(t, w, gates); len(moved) != 0 {
+		t.Fatalf("%d partitions shipped under the current gate", len(moved))
 	}
 	// One add invalidates exactly that member's partition.
 	ref := w.mustPut(t, "s1", "fresh-member", "x")
@@ -91,14 +89,12 @@ func TestListPartsVersionVectorGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := partFor(ref.ID, len(first))
-	for _, pl := range collectParts(t, w, gates) {
-		if pl.Part == target {
-			if pl.NotModified {
-				t.Fatalf("mutated partition %d still NotModified", pl.Part)
-			}
-		} else if !pl.NotModified {
-			t.Fatalf("untouched partition %d shipped members", pl.Part)
-		}
+	moved := collectParts(t, w, gates)
+	if len(moved) != 1 || moved[0].Part != target {
+		t.Fatalf("shipped %d partitions (first %+v), want only the mutated partition %d", len(moved), moved, target)
+	}
+	if moved[0].Version <= gates[target] {
+		t.Fatalf("mutated partition %d shipped at version %d, gate %d", target, moved[0].Version, gates[target])
 	}
 }
 

@@ -3,6 +3,7 @@ package repo
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,7 +172,12 @@ func TestGetBatchAnswerOutOfOrderIsAnError(t *testing.T) {
 	}
 }
 
-func TestListIfNew(t *testing.T) {
+// TestListPartsGated holds the gated listing read a current-state run
+// observes through: the first read (no vector) ships every partition, a
+// read gated on the vector it returned ships nothing while the collection
+// is unchanged, an Add ships only the partition it moved, and a vector of
+// another length gates nothing.
+func TestListPartsGated(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
 	w.mustColl(t, "c")
@@ -179,29 +185,58 @@ func TestListIfNew(t *testing.T) {
 	if err := w.client.Add(ctx, "dir", "c", ra); err != nil {
 		t.Fatal(err)
 	}
-
-	members, v, nm, err := w.client.ListIfNew(ctx, "dir", "c", 0)
-	if err != nil || nm {
-		t.Fatalf("initial list: nm=%v err=%v", nm, err)
+	read := func(gates []uint64) []PartListing {
+		t.Helper()
+		var out []PartListing
+		if err := w.client.ListPartsSubset(ctx, "dir", "c", 0, gates, nil, func(pl PartListing) error {
+			out = append(out, pl)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if len(members) != 1 || members[0].ID != "a" {
-		t.Fatalf("members = %v", members)
+	members := func(frames []PartListing) []Ref {
+		var parts [][]Ref
+		for _, pl := range frames {
+			parts = append(parts, pl.Members)
+		}
+		return MergeParts(parts)
 	}
 
-	// Unchanged listing: not-modified, no members shipped.
-	members, v2, nm, err := w.client.ListIfNew(ctx, "dir", "c", v)
-	if err != nil || !nm || v2 != v || len(members) != 0 {
-		t.Fatalf("gated list: members=%v v=%d nm=%v err=%v", members, v2, nm, err)
+	first := read(nil)
+	if len(first) == 0 || len(first) != first[0].Partitions {
+		t.Fatalf("initial read shipped %d frames, want every partition", len(first))
+	}
+	if got := members(first); len(got) != 1 || got[0].ID != "a" {
+		t.Fatalf("members = %v", got)
+	}
+	gates := make([]uint64, len(first))
+	for _, pl := range first {
+		gates[pl.Part] = pl.Version
 	}
 
-	// A mutation invalidates the gate.
+	// Unchanged listing: no partition moved, no frame shipped.
+	if again := read(gates); len(again) != 0 {
+		t.Fatalf("gated read shipped %d frames", len(again))
+	}
+
+	// A mutation moves exactly the partition holding it.
 	rb := w.mustPut(t, "s1", "b", "B")
 	if err := w.client.Add(ctx, "dir", "c", rb); err != nil {
 		t.Fatal(err)
 	}
-	members, v3, nm, err := w.client.ListIfNew(ctx, "dir", "c", v)
-	if err != nil || nm || v3 <= v || len(members) != 2 {
-		t.Fatalf("post-add gated list: members=%v v=%d nm=%v err=%v", members, v3, nm, err)
+	moved := read(gates)
+	if len(moved) != 1 || moved[0].Part != partFor("b", len(gates)) || moved[0].Version <= gates[moved[0].Part] {
+		t.Fatalf("post-add gated read shipped %+v, want b's partition at a newer version", moved)
+	}
+	if !slices.Contains(moved[0].Members, rb) {
+		t.Fatalf("moved partition %v does not list b", moved[0].Members)
+	}
+
+	// A vector of another length is another layout's: every partition ships.
+	if all := read(gates[:len(gates)-1]); len(all) != len(gates) || len(members(all)) != 2 {
+		t.Fatalf("short vector shipped %d frames, %d members; want %d frames, 2 members", len(all), len(members(all)), len(gates))
 	}
 }
 
@@ -325,12 +360,15 @@ func TestCollectionErrors(t *testing.T) {
 	}
 }
 
-// listPinned reads collection "c" at pin through the unstreamed List
-// handler, which no client method wraps any more: runs read pins through
-// the streamed partitioned listing.
+// listPinned reads collection "c" at pin through the streamed partitioned
+// listing, as runs read pins, merged back into one listing.
 func (w *world) listPinned(ctx context.Context, pin int64) ([]Ref, error) {
-	resp, err := rpc.Invoke[ListResp](ctx, w.client.bus, w.client.node, "dir", MethodList, ListReq{Name: "c", Pin: pin})
-	return resp.Members, err
+	var parts [][]Ref
+	err := w.client.ListPartsSubset(ctx, "dir", "c", pin, nil, nil, func(pl PartListing) error {
+		parts = append(parts, pl.Members)
+		return nil
+	})
+	return MergeParts(parts), err
 }
 
 func TestPinSnapshotIsolation(t *testing.T) {

@@ -3,6 +3,7 @@ package repo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,7 +109,6 @@ func (s *Server) register() {
 	s.rpc.Handle(MethodPut, s.renewing(rpc.Typed(s.handlePut)))
 	s.rpc.Handle(MethodDelete, s.renewing(rpc.Typed(s.handleDelete)))
 	s.rpc.Handle(MethodCreate, s.renewing(rpc.Typed(s.handleCreate)))
-	s.rpc.Handle(MethodList, s.renewing(rpc.Typed(s.handleList)))
 	s.rpc.Handle(MethodListParts, s.renewing(rpc.Typed(s.handleListParts)))
 	s.rpc.Handle(MethodAdd, s.renewing(rpc.Typed(s.handleAdd)))
 	s.rpc.Handle(MethodRemove, s.renewing(rpc.Typed(s.handleRemove)))
@@ -196,36 +196,6 @@ func (s *Server) handleCreate(ctx context.Context, _ netsim.NodeID, r CreateReq)
 	return struct{}{}, nil
 }
 
-func (s *Server) handleList(ctx context.Context, _ netsim.NodeID, r ListReq) (any, error) {
-	sp := s.startOp(ctx, "store.list")
-	defer sp.End()
-	var (
-		members []Ref
-		version uint64
-		err     error
-	)
-	if r.Pin != 0 {
-		members, version, err = s.store.ListPinned(r.Name, r.Pin)
-	} else {
-		if r.IfVersion != 0 {
-			// Version-gated read: skip copying and shipping the listing
-			// when the client already holds the current version.
-			v, verr := s.store.ListVersion(r.Name)
-			if verr != nil {
-				return nil, verr
-			}
-			if v == r.IfVersion {
-				return ListResp{Version: v, NotModified: true}, nil
-			}
-		}
-		members, version, err = s.store.List(r.Name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ListResp{Members: members, Version: version}, nil
-}
-
 // partStream serves a partitioned listing one partition at a time. Each
 // Next takes the next partition's copy-on-write snapshot only when
 // asked, so a streaming transport ships partition 0 while partition 1's
@@ -236,10 +206,9 @@ type partStream struct {
 	store store.Store
 	name  string
 	total int
-	// parts are the partition indices to serve, in order — all of them
-	// for a whole-listing read, a subset for a replica-scattered one.
+	// parts are the partition indices to serve, in order: all of them, a
+	// replica-scattered read's subset, or a gated read's moved ones.
 	parts []int
-	gates []uint64
 	// openVer is the collection version when the stream opened; a
 	// partition whose version exceeds it was snapshotted after a write
 	// landed mid-stream, and its frame is stamped Skewed so the client
@@ -255,22 +224,17 @@ func (ps *partStream) Next() (any, bool) {
 	}
 	part := ps.parts[ps.next]
 	ps.next++
-	var gate uint64
-	if part < len(ps.gates) {
-		gate = ps.gates[part]
-	}
-	members, version, notMod, err := ps.store.ListPart(ps.name, part, gate)
+	members, version, _, err := ps.store.ListPart(ps.name, part, 0)
 	if err != nil {
 		ps.err = err
 		return nil, false
 	}
 	return PartListing{
-		Part:        part,
-		Partitions:  ps.total,
-		Members:     members,
-		Version:     version,
-		NotModified: notMod,
-		Skewed:      version > ps.openVer,
+		Part:       part,
+		Partitions: ps.total,
+		Members:    members,
+		Version:    version,
+		Skewed:     version > ps.openVer,
 	}, true
 }
 
@@ -320,17 +284,30 @@ func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, r ListPar
 		return nil, err
 	}
 	sp.SetInt("partitions", int64(total))
+	for _, p := range r.Parts {
+		if p < 0 || p >= total {
+			return nil, fmt.Errorf("list %q partition %d of %d: %w", r.Name, p, total, store.ErrBadPartition)
+		}
+	}
 	want := r.Parts
-	if len(want) == 0 {
+	if r.Pin == 0 && len(r.IfVersions) == total {
+		// Gated: one look at the version vector picks the partitions that
+		// moved since the caller read them. A vector of another length
+		// (another layout's, or none) gates nothing.
+		vers, verr := s.store.PartVersions(r.Name)
+		if verr != nil {
+			return nil, verr
+		}
+		want = nil
+		for p := 0; p < total && p < len(vers); p++ {
+			if vers[p] > r.IfVersions[p] && (len(r.Parts) == 0 || slices.Contains(r.Parts, p)) {
+				want = append(want, p)
+			}
+		}
+	} else if len(want) == 0 {
 		want = make([]int, total)
 		for i := range want {
 			want[i] = i
-		}
-	} else {
-		for _, p := range want {
-			if p < 0 || p >= total {
-				return nil, fmt.Errorf("list %q partition %d of %d: %w", r.Name, p, total, store.ErrBadPartition)
-			}
 		}
 	}
 
@@ -355,7 +332,7 @@ func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, r ListPar
 		if verr != nil {
 			return nil, verr
 		}
-		st = &partStream{store: s.store, name: r.Name, total: total, parts: want, gates: r.IfVersions, openVer: openVer}
+		st = &partStream{store: s.store, name: r.Name, total: total, parts: want, openVer: openVer}
 	}
 	if !r.Stream {
 		return materializeParts(st)

@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the repository's wire surface: the RPC method names and
-// the request/response structs copied at every RPC boundary. The structs
-// are deliberately codec-agnostic; wirebin.go registers the hand-rolled
-// binary marshaler each one crosses the TCP transport with (DESIGN.md
-// §11).
+// the request/response structs copied at every RPC boundary (membership
+// has one read, ListParts, gated per partition). The structs are
+// codec-agnostic; wirebin.go registers the binary marshaler each one
+// crosses the TCP transport with (DESIGN.md §11).
 
 // RPC method names served by every repository server.
 const (
@@ -19,7 +19,6 @@ const (
 	MethodPut        = "repo.Put"
 	MethodDelete     = "repo.Delete"
 	MethodCreate     = "repo.CreateCollection"
-	MethodList       = "repo.List"
 	MethodListParts  = "repo.ListParts"
 	MethodAdd        = "repo.Add"
 	MethodRemove     = "repo.Remove"
@@ -44,7 +43,7 @@ type (
 	// trip. Known optionally maps ids to versions the caller already
 	// holds: the server ships full objects only for ids whose stored
 	// version differs, answering the rest with a compact NotModified
-	// list — the batch analogue of ListReq.IfVersion.
+	// list — the batch analogue of ListPartsReq.IfVersions.
 	GetBatchReq struct {
 		IDs   []ObjectID
 		Known map[ObjectID]uint64
@@ -66,34 +65,18 @@ type (
 	DeleteReq struct{ ID ObjectID }
 	// CreateReq creates an empty collection.
 	CreateReq struct{ Name string }
-	// ListReq reads a collection's membership; Pin selects a snapshot
-	// (0 means the live membership). A non-zero IfVersion makes the read
-	// version-gated: if the live listing is still at that version the
-	// server answers NotModified without shipping the members.
-	ListReq struct {
-		Name      string
-		Pin       int64
-		IfVersion uint64
-	}
-	// ListResp carries the membership and the collection version it
-	// reflects. When NotModified is true the listing is unchanged since
-	// the requested IfVersion and Members is empty.
-	ListResp struct {
-		Members     []Ref
-		Version     uint64
-		NotModified bool
-	}
 	// ListPartsReq reads a collection's membership a listing partition
-	// at a time. IfVersions is the per-partition form of
-	// ListReq.IfVersion: a version vector indexed by partition, where a
-	// partition whose version is still at or below its gate answers
-	// NotModified instead of shipping members (a short or empty vector
-	// gates nothing). Pin selects a pinned snapshot, partitioned on the
-	// fly (pins are immutable, so its listings carry no version and
-	// ignore IfVersions). Stream asks the server to deliver each
-	// PartListing as its own chunk as that partition's snapshot is
-	// taken, which is what repo.Client always asks for; without it the
-	// handler answers one materialized ListPartsResp.
+	// at a time: the one membership read, snapshot or current-state.
+	// IfVersions gates it: a version vector indexed by partition, where a
+	// partition still at or below its gate is left out, so a read finding
+	// nothing moved ships no frame; a vector whose length is not the
+	// partition count gates nothing, which is how a client holding
+	// another layout, or none, learns the current one. Pin selects a
+	// pinned snapshot, partitioned on the fly (immutable, so IfVersions
+	// does not apply). Stream asks the server to deliver each PartListing
+	// as its own chunk as that partition's snapshot is taken, which is
+	// what repo.Client always asks for; without it the handler answers
+	// one materialized ListPartsResp.
 	ListPartsReq struct {
 		Name       string
 		Pin        int64
@@ -108,19 +91,19 @@ type (
 	// can start fetching this partition's elements while later ones are
 	// still in flight. Partitions is the collection's total partition
 	// count, stamped on every frame so each is interpretable alone (and
-	// so a client gating with a stale vector length notices). Skewed
+	// so a client gating with a stale vector length notices). Version is
+	// the partition's, the gate a later read sends for it. Skewed
 	// marks a partition whose snapshot was taken after a write landed
 	// mid-stream — earlier partitions in the same response may not
 	// reflect that write. That is legal under every weak semantics here
 	// (the paper's membership skew, now per partition); the flag exists
 	// so clients can measure it.
 	PartListing struct {
-		Part        int
-		Partitions  int
-		Members     []Ref
-		Version     uint64
-		NotModified bool
-		Skewed      bool
+		Part       int
+		Partitions int
+		Members    []Ref
+		Version    uint64
+		Skewed     bool
 	}
 	// ListPartsResp is the materialized (non-streamed) form: every
 	// partition's listing in partition order.
@@ -253,3 +236,39 @@ type (
 		Version uint64
 	}
 )
+
+// MergeParts merges partition listings, each ascending by id as the
+// store ships them, into one listing ascending by id: a P-way merge over
+// the partitions' heads. Partitions are disjoint, so nothing is dropped.
+func MergeParts(parts [][]Ref) []Ref {
+	heads, n := make([][]Ref, 0, len(parts)), 0
+	for _, p := range parts {
+		if len(p) > 0 {
+			heads, n = append(heads, p), n+len(p)
+		}
+	}
+	// heads is a min-heap on each partition's first id.
+	down := func(h int) {
+		for c := 2*h + 1; c < len(heads); h, c = c, 2*c+1 {
+			if c+1 < len(heads) && heads[c+1][0].ID < heads[c][0].ID {
+				c++
+			}
+			if heads[h][0].ID <= heads[c][0].ID {
+				return
+			}
+			heads[h], heads[c] = heads[c], heads[h]
+		}
+	}
+	for h := len(heads)/2 - 1; h >= 0; h-- {
+		down(h)
+	}
+	out := make([]Ref, 0, n)
+	for len(heads) > 0 {
+		out = append(out, heads[0][0])
+		if heads[0] = heads[0][1:]; len(heads[0]) == 0 {
+			heads[0], heads = heads[len(heads)-1], heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return out
+}

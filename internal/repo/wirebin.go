@@ -11,8 +11,8 @@ import (
 // This file registers a hand-rolled wirebin marshaler for every repository
 // wire struct — wirebin is the only codec the TCP transport speaks, so a
 // body without one cannot cross it. The hot ones carry the elements path
-// on every run: ListReq/ListResp and ListPartsReq/PartListing
-// (membership), GetBatchReq/GetBatchResp (the pipelined batch fetch,
+// on every run: ListPartsReq/PartListing (membership, snapshot or
+// current-state), GetBatchReq/GetBatchResp (the pipelined batch fetch,
 // including the Known-versions and NotModified vectors), the lease and
 // anti-entropy messages; the rest are the one-to-six-field bodies of the
 // write, pin, grow-window and stats calls. See DESIGN.md §11 for the frame
@@ -42,15 +42,14 @@ import (
 
 // Stable wirebin type ids. These are part of the protocol: both ends of
 // a connection run the same table, which is what the preamble's version
-// byte stands for. Never renumber — add (internal/locksvc continues the
-// table at 38).
+// byte stands for. Never renumber or reuse — add (internal/locksvc
+// continues the table at 38). 5 and 6 are retired: they were the
+// whole-listing List's request and response, which ListParts replaced.
 const (
 	wbGetReq         = 1
 	wbObject         = 2
 	wbGetBatchReq    = 3
 	wbGetBatchResp   = 4
-	wbListReq        = 5
-	wbListResp       = 6
 	wbListPartsReq   = 7
 	wbPartListing    = 8
 	wbListPartsRsp   = 9
@@ -89,8 +88,6 @@ func init() {
 	wirebin.Register(wbObject, appendObject, decodeObject)
 	wirebin.Register(wbGetBatchReq, appendGetBatchReq, decodeGetBatchReq)
 	wirebin.Register(wbGetBatchResp, appendGetBatchResp, decodeGetBatchResp)
-	wirebin.Register(wbListReq, appendListReq, decodeListReq)
-	wirebin.Register(wbListResp, appendListResp, decodeListResp)
 	wirebin.Register(wbListPartsReq, appendListPartsReq, decodeListPartsReq)
 	wirebin.Register(wbPartListing, appendPartListing, decodePartListing)
 	wirebin.Register(wbListPartsRsp, appendListPartsResp, decodeListPartsResp)
@@ -330,50 +327,6 @@ func decodeGetBatchResp(r *wirebin.Reader) GetBatchResp {
 	return v
 }
 
-func appendListReq(buf []byte, v ListReq) []byte {
-	buf = wirebin.AppendString(buf, v.Name)
-	buf = wirebin.AppendVarint(buf, v.Pin)
-	return wirebin.AppendUvarint(buf, v.IfVersion)
-}
-
-func decodeListReq(r *wirebin.Reader) ListReq {
-	return ListReq{
-		Name:      r.String(),
-		Pin:       r.Varint(),
-		IfVersion: r.Uvarint(),
-	}
-}
-
-func appendListResp(buf []byte, v ListResp) []byte {
-	buf = wirebin.AppendUvarint(buf, uint64(len(v.Members)))
-	for _, ref := range v.Members {
-		buf = wirebin.AppendString(buf, string(ref.ID))
-		buf = wirebin.AppendString(buf, string(ref.Node))
-	}
-	buf = wirebin.AppendUvarint(buf, v.Version)
-	return wirebin.AppendBool(buf, v.NotModified)
-}
-
-func decodeListResp(r *wirebin.Reader) ListResp {
-	var v ListResp
-	n := r.Count(2)
-	if r.Err() != nil {
-		return v
-	}
-	if n > 0 {
-		members := make([]Ref, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			id := ObjectID(r.Text())
-			node := netsim.NodeID(r.String())
-			members = append(members, Ref{ID: id, Node: node})
-		}
-		v.Members = members
-	}
-	v.Version = r.Uvarint()
-	v.NotModified = r.Bool()
-	return v
-}
-
 func appendListPartsReq(buf []byte, v ListPartsReq) []byte {
 	buf = wirebin.AppendString(buf, v.Name)
 	buf = wirebin.AppendVarint(buf, v.Pin)
@@ -424,7 +377,6 @@ func appendPartListing(buf []byte, v PartListing) []byte {
 		buf = wirebin.AppendString(buf, string(ref.Node))
 	}
 	buf = wirebin.AppendUvarint(buf, v.Version)
-	buf = wirebin.AppendBool(buf, v.NotModified)
 	return wirebin.AppendBool(buf, v.Skewed)
 }
 
@@ -451,7 +403,6 @@ func decodePartListingInto(r *wirebin.Reader, v *PartListing) {
 		v.Members = members
 	}
 	v.Version = r.Uvarint()
-	v.NotModified = r.Bool()
 	v.Skewed = r.Bool()
 }
 

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -25,8 +26,6 @@ func roundGob(t testing.TB, v any) any {
 	gob.Register(Object{})
 	gob.Register(GetBatchReq{})
 	gob.Register(GetBatchResp{})
-	gob.Register(ListReq{})
-	gob.Register(ListResp{})
 	gob.Register(ListPartsReq{})
 	gob.Register(PartListing{})
 	gob.Register(ListPartsResp{})
@@ -128,24 +127,18 @@ func TestWirebinGobConformance(t *testing.T) {
 		GetBatchResp{},
 		GetBatchResp{Objects: []Object{obj, {ID: "two"}}, NotModified: []ObjectID{"nm"}, Missing: []ObjectID{"gone", "gone2"}},
 		GetBatchResp{Objects: []Object{}, NotModified: []ObjectID{}, Missing: []ObjectID{}},
-		ListReq{},
-		ListReq{Name: "snap", Pin: -42, IfVersion: 9},
-		ListReq{Name: "snap", Pin: 1 << 40},
-		ListResp{},
-		ListResp{Members: []Ref{{ID: "a", Node: "n1"}, {ID: "b", Node: "n2"}}, Version: 12},
-		ListResp{Members: []Ref{}, Version: 3, NotModified: true},
 		ListPartsReq{},
 		ListPartsReq{Name: "c", Pin: -7, Stream: true},
 		ListPartsReq{Name: "c", IfVersions: []uint64{0, 9, 1 << 40}},
 		ListPartsReq{Name: "c", IfVersions: []uint64{}},
 		PartListing{},
 		PartListing{Part: 3, Partitions: 16, Members: []Ref{{ID: "a", Node: "n1"}}, Version: 8},
-		PartListing{Part: 15, Partitions: 16, Version: 1<<64 - 1, NotModified: true, Skewed: true},
+		PartListing{Part: 15, Partitions: 16, Version: 1<<64 - 1, Skewed: true},
 		PartListing{Members: []Ref{}},
 		ListPartsResp{},
 		ListPartsResp{Parts: []PartListing{
 			{Part: 0, Partitions: 2, Members: []Ref{{ID: "a", Node: "n1"}, {ID: "c", Node: "n2"}}, Version: 4},
-			{Part: 1, Partitions: 2, Version: 3, NotModified: true},
+			{Part: 1, Partitions: 2, Version: 3},
 		}},
 		ListPartsResp{Parts: []PartListing{}},
 		LeaseReq{},
@@ -239,7 +232,7 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 		PartListing{Part: 2, Partitions: 4, Members: []Ref{{ID: "a", Node: "n1"}, {ID: "b", Node: "n2"}}, Version: 9, Skewed: true},
 		ListPartsResp{Parts: []PartListing{
 			{Part: 0, Partitions: 2, Members: []Ref{{ID: "a", Node: "n1"}}, Version: 2},
-			{Part: 1, Partitions: 2, Version: 1, NotModified: true},
+			{Part: 1, Partitions: 2, Version: 1},
 		}},
 		LeaseReq{Colls: []string{"c1", "c2"}},
 		LeaseGrant{TTL: 30000000000, Versions: map[string]uint64{"c1": 4, "c2": 9}},
@@ -285,6 +278,18 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 	}
 }
 
+// TestRetiredTypeIDsStayRetired holds the table's promise never to reuse
+// an id: 5 and 6, the whole-listing List's bodies, decode as nothing, and
+// every other id through the last is registered.
+func TestRetiredTypeIDsStayRetired(t *testing.T) {
+	for id := uint16(wbGetReq); id <= wbStoreStatsResp; id++ {
+		_, ok := wirebin.ByID(id)
+		if retired := id == 5 || id == 6; ok == retired {
+			t.Errorf("type id %d: registered=%v, retired=%v", id, ok, retired)
+		}
+	}
+}
+
 // FuzzWirebinDecode throws arbitrary bytes at every registered repository
 // decoder. The server feeds these decoders straight from the socket, so
 // they must never panic and never allocate proportionally to a lying
@@ -295,8 +300,6 @@ func FuzzWirebinDecode(f *testing.F) {
 		Object{ID: "o", Data: []byte("data"), Attrs: map[string]string{"a": "b"}, Version: 1},
 		GetBatchReq{IDs: []ObjectID{"x", "y"}, Known: map[ObjectID]uint64{"x": 1}},
 		GetBatchResp{Objects: []Object{{ID: "o"}}, Missing: []ObjectID{"m"}},
-		ListReq{Name: "c", Pin: -1, IfVersion: 2},
-		ListResp{Members: []Ref{{ID: "a", Node: "n"}}, Version: 5},
 		ListPartsReq{Name: "c", IfVersions: []uint64{1, 2}, Stream: true},
 		PartListing{Part: 1, Partitions: 4, Members: []Ref{{ID: "a", Node: "n"}}, Version: 3, Skewed: true},
 		ListPartsResp{Parts: []PartListing{{Part: 0, Partitions: 1, Members: []Ref{{ID: "a", Node: "n"}}}}},
@@ -321,6 +324,8 @@ func FuzzWirebinDecode(f *testing.F) {
 		StatsReq{Name: "c"},
 		StatsResp{Members: 3, Ghosts: 1, Pins: 2, Tokens: 1, Version: 9, Partitions: 16},
 		StoreStatsResp{Stats: engineStats},
+		SyncPartReq{Name: "c", Partitions: 4, Part: 1, Version: 7, Members: []Ref{{ID: "a", Node: "n"}}, Objects: []Object{{ID: "a", Data: []byte("d")}}},
+		DigestResp{Partitions: 2, Versions: []uint64{3, 300}, AgeMs: 12},
 	}
 	for _, v := range seedVals {
 		_, enc, _ := wirebin.Lookup(v)
@@ -328,9 +333,13 @@ func FuzzWirebinDecode(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Every id the repository registers, 1 through the last.
+		// Every id the repository registers, 1 through the last, less the
+		// retired ones.
 		for id := uint16(wbGetReq); id <= wbStoreStatsResp; id++ {
-			dec, _ := wirebin.ByID(id)
+			dec, ok := wirebin.ByID(id)
+			if !ok {
+				continue
+			}
 			var r wirebin.Reader
 			r.Reset(data)
 			_ = dec(&r) // must not panic, any error is fine
@@ -354,19 +363,6 @@ func loadAllocBudget(t *testing.T) map[string]float64 {
 		t.Fatalf("alloc budget file: %v", err)
 	}
 	return doc.AllocsPerOp
-}
-
-// benchListResp builds the 64-member listing the budget paths measure,
-// ids spread over four node names like the bench cluster's.
-func benchListResp() ListResp {
-	members := make([]Ref, 64)
-	for i := range members {
-		members[i] = Ref{
-			ID:   ObjectID(fmt.Sprintf("e%04d", i)),
-			Node: netsim.NodeID(fmt.Sprintf("storage%d", i%4)),
-		}
-	}
-	return ListResp{Members: members, Version: 42}
 }
 
 // benchPartListing builds one streamed partition frame of 64 members —
@@ -407,8 +403,6 @@ func TestAllocBudget(t *testing.T) {
 	}
 	budget := loadAllocBudget(t)
 
-	listResp := benchListResp()
-	listFrame := appendListResp(nil, listResp)
 	batchResp := benchGetBatchResp()
 	batchFrame := appendGetBatchResp(nil, batchResp)
 	partListing := benchPartListing()
@@ -441,8 +435,6 @@ func TestAllocBudget(t *testing.T) {
 	var r wirebin.Reader
 	// Warm the intern table so the measurement sees the steady state a
 	// long-lived connection sees (node and collection names repeat).
-	r.Reset(listFrame)
-	_ = decodeListResp(&r)
 	r.Reset(batchFrame)
 	_ = decodeGetBatchResp(&r)
 	r.Reset(partFrame)
@@ -456,7 +448,22 @@ func TestAllocBudget(t *testing.T) {
 	lease := heldLease("set", time.Hour)
 	nextServe := 0
 
-	scratch := make([]byte, 0, len(batchFrame)+len(listFrame))
+	// A gated listing read that finds no partition moved: the request,
+	// the server's stream and nothing shipped — what a non-leased
+	// current-state run pays per invocation on a quiescent set.
+	w := newWorld(t)
+	seedParts(t, w, 64)
+	gates := make([]uint64, 0, store.DefaultPartitions)
+	for _, pl := range collectParts(t, w, nil) {
+		gates = append(gates, pl.Version)
+	}
+	unmoved := func(pl PartListing) error {
+		t.Fatalf("partition %d shipped under the current gate", pl.Part)
+		return nil
+	}
+	ctx := context.Background()
+
+	scratch := make([]byte, 0, 2*len(batchFrame))
 	paths := map[string]func(){
 		"cacheServeFresh": func() {
 			if _, _, ok := cache.ServeFresh("set", 1, cacheIDs[nextServe%len(cacheIDs)]); !ok {
@@ -469,13 +476,9 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatal("lease not serveable")
 			}
 		},
-		"encodeListResp": func() {
-			scratch = appendListResp(scratch[:0], listResp)
-		},
-		"decodeListResp": func() {
-			r.Reset(listFrame)
-			if v := decodeListResp(&r); len(v.Members) != len(listResp.Members) || r.Err() != nil {
-				t.Fatalf("bad decode: %d members, err %v", len(v.Members), r.Err())
+		"listPartsUnchanged": func() {
+			if err := w.client.ListPartsSubset(ctx, "dir", "c", 0, gates, nil, unmoved); err != nil {
+				t.Fatal(err)
 			}
 		},
 		"encodeGetBatchResp": func() {
@@ -541,44 +544,44 @@ func TestAllocBudget(t *testing.T) {
 // response types against their gob equivalents; ReportAllocs makes the
 // near-zero-alloc claim visible in `go test -bench`.
 func BenchmarkWirebinCodec(b *testing.B) {
-	listResp := benchListResp()
+	partListing := benchPartListing()
 	batchResp := benchGetBatchResp()
 
-	b.Run("encodeListResp/wirebin", func(b *testing.B) {
+	b.Run("encodePartListing/wirebin", func(b *testing.B) {
 		buf := make([]byte, 0, 4096)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = appendListResp(buf[:0], listResp)
+			buf = appendPartListing(buf[:0], partListing)
 		}
 	})
-	b.Run("encodeListResp/gob", func(b *testing.B) {
+	b.Run("encodePartListing/gob", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(listResp); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(partListing); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	listFrame := appendListResp(nil, listResp)
-	b.Run("decodeListResp/wirebin", func(b *testing.B) {
+	partFrame := appendPartListing(nil, partListing)
+	b.Run("decodePartListing/wirebin", func(b *testing.B) {
 		var r wirebin.Reader
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.Reset(listFrame)
-			if v := decodeListResp(&r); len(v.Members) != 64 {
+			r.Reset(partFrame)
+			if v := decodePartListing(&r); len(v.Members) != 64 {
 				b.Fatal("bad decode")
 			}
 		}
 	})
 	var gobList bytes.Buffer
-	if err := gob.NewEncoder(&gobList).Encode(listResp); err != nil {
+	if err := gob.NewEncoder(&gobList).Encode(partListing); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("decodeListResp/gob", func(b *testing.B) {
+	b.Run("decodePartListing/gob", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var v ListResp
+			var v PartListing
 			if err := gob.NewDecoder(bytes.NewReader(gobList.Bytes())).Decode(&v); err != nil {
 				b.Fatal(err)
 			}

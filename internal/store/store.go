@@ -65,8 +65,8 @@ type Store interface {
 	// version. Partition versions are drawn from the same counter as the
 	// collection version, so they are mutually comparable. A non-zero
 	// ifVersion at or above the partition's version answers
-	// notModified=true with no members, the per-partition form of the
-	// version-gated List.
+	// notModified=true with no members: the gate of a version-gated
+	// ListParts.
 	ListPart(name string, part int, ifVersion uint64) (members []Ref, version uint64, notModified bool, err error)
 	// Add inserts a member, reviving any ghost with the same ID.
 	Add(name string, ref Ref) (version uint64, err error)

@@ -46,9 +46,11 @@ const (
 
 // preambleMagic opens every connection: three magic bytes and the
 // protocol version, which stands for the table of wirebin type ids. There
-// is one version; anything else is not a peer. (3: every body is a
-// registered type — the ids through 40 — and there is no gob-blob body.)
-var preambleMagic = [4]byte{'w', 's', 'r', 3}
+// is one version; anything else is not a peer. (4: every body is a
+// registered type — the ids through 40 less the retired 5 and 6 — and a
+// partition listing frame carries no NotModified flag; 3 still had the
+// whole-listing List.)
+var preambleMagic = [4]byte{'w', 's', 'r', 4}
 
 // pfCompress is the preamble flag bit declaring per-frame compression.
 const pfCompress = 1 << 0

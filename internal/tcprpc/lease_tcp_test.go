@@ -59,8 +59,7 @@ func newLeaseWorld(t *testing.T, n int) *leaseWorld {
 // remoteReadRPCs counts the membership and element reads that actually
 // crossed the socket — the quantity leases exist to eliminate.
 func (w *leaseWorld) remoteReadRPCs() int64 {
-	return w.remote.bus.MethodCalls(repo.MethodList) +
-		w.remote.bus.MethodCalls(repo.MethodListParts) +
+	return w.remote.bus.MethodCalls(repo.MethodListParts) +
 		w.remote.bus.MethodCalls(repo.MethodGet) +
 		w.remote.bus.MethodCalls(repo.MethodGetBatch)
 }
@@ -79,7 +78,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // TestLeaseZeroRPCOverTCP drives the whole lease protocol across a real
 // socket: grant and Watch ride the multiplexed stream, a warm run under
 // the lease costs zero remote read RPCs, a remote write's pushed
-// invalidation degrades the next run to exactly one conditional List,
+// invalidation degrades the next run to exactly one gated ListParts,
 // and serving resumes RPC-free after it.
 func TestLeaseZeroRPCOverTCP(t *testing.T) {
 	w := newLeaseWorld(t, 8)
@@ -119,7 +118,7 @@ func TestLeaseZeroRPCOverTCP(t *testing.T) {
 	}
 
 	// A write on the remote pushes an invalidation back down the watch
-	// stream; the next run revalidates with one conditional List.
+	// stream; the next run revalidates with one gated ListParts.
 	v0, _, ok := ls.Serveable("papers")
 	if !ok {
 		t.Fatal("lease not serveable after warm run")
@@ -136,12 +135,12 @@ func TestLeaseZeroRPCOverTCP(t *testing.T) {
 		v, _, ok := ls.Serveable("papers")
 		return ok && v > v0
 	})
-	lists := w.remote.bus.MethodCalls(repo.MethodList)
+	lists := w.remote.bus.MethodCalls(repo.MethodListParts)
 	if moved, err := set.Collect(ctx); err != nil || len(moved) != 9 {
 		t.Fatalf("post-write run: %d elems, %v", len(moved), err)
 	}
-	if d := w.remote.bus.MethodCalls(repo.MethodList) - lists; d != 1 {
-		t.Fatalf("post-write run issued %d List RPCs, want exactly 1", d)
+	if d := w.remote.bus.MethodCalls(repo.MethodListParts) - lists; d != 1 {
+		t.Fatalf("post-write run issued %d ListParts RPCs, want exactly 1", d)
 	}
 	before = w.remoteReadRPCs()
 	if again, err := set.Collect(ctx); err != nil || len(again) != 9 {
@@ -199,12 +198,12 @@ func TestLeaseConnDropBreaksAndDegrades(t *testing.T) {
 	t.Cleanup(srv2.Close)
 
 	// Leaseless degradation: the run still answers, by revalidating.
-	lists := w.remote.bus.MethodCalls(repo.MethodList)
+	lists := w.remote.bus.MethodCalls(repo.MethodListParts)
 	lost, err := set.Collect(ctx)
 	if err != nil || len(lost) != 6 {
 		t.Fatalf("post-drop run: %d elems, %v", len(lost), err)
 	}
-	if d := w.remote.bus.MethodCalls(repo.MethodList) - lists; d == 0 {
+	if d := w.remote.bus.MethodCalls(repo.MethodListParts) - lists; d == 0 {
 		t.Fatal("post-drop run never revalidated the listing")
 	}
 

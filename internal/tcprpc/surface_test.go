@@ -68,8 +68,10 @@ func TestWholeSurfaceOverTCP(t *testing.T) {
 		{repo.MethodGet, repo.GetReq{ID: "a"}},
 		{repo.MethodGetBatch, repo.GetBatchReq{IDs: []repo.ObjectID{"a", "b", "nope"}, Known: map[repo.ObjectID]uint64{"b": 1}}},
 		{repo.MethodAdd, repo.AddReq{Name: "c", Ref: repo.Ref{ID: "a", Node: "archive"}}},
-		{repo.MethodList, repo.ListReq{Name: "c"}},
 		{repo.MethodListParts, repo.ListPartsReq{Name: "c", Stream: true}},
+		// Gated at an all-zero vector of the collection's layout: only the
+		// partition the Add moved ships.
+		{repo.MethodListParts, repo.ListPartsReq{Name: "c", IfVersions: make([]uint64, store.DefaultPartitions), Stream: true}},
 		{repo.MethodPin, repo.PinReq{Name: "c"}},
 		{repo.MethodUnpin, repo.UnpinReq{Name: "c", Pin: 1}},
 		{repo.MethodBeginGrow, repo.BeginGrowReq{Name: "c"}},

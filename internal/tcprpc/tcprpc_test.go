@@ -117,27 +117,39 @@ func TestGetBatchOverTCP(t *testing.T) {
 		t.Fatalf("missing = %v", resp.Missing)
 	}
 
-	// Version-gated List over the wire: NotModified survives the codec.
+	// Version-gated ListParts over the wire: the gate survives the codec,
+	// and a vector nothing moved past ships no frame.
 	if _, err := client.Call(ctx, repo.MethodCreate, repo.CreateReq{Name: "c"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Call(ctx, repo.MethodAdd, repo.AddReq{Name: "c", Ref: repo.Ref{ID: "a", Node: "archive"}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err = client.Call(ctx, repo.MethodList, repo.ListReq{Name: "c"})
-	if err != nil {
-		t.Fatal(err)
+	listParts := func(gates []uint64) []repo.PartListing {
+		t.Helper()
+		st, err := client.CallStream(ctx, repo.MethodListParts, repo.ListPartsReq{Name: "c", IfVersions: gates, Stream: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []repo.PartListing
+		for chunk, ok := st.Next(); ok; chunk, ok = st.Next() {
+			out = append(out, chunk.(repo.PartListing))
+		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	full := out.(repo.ListResp)
-	if full.NotModified || len(full.Members) != 1 {
+	full := listParts(nil)
+	gates, members := make([]uint64, len(full)), 0
+	for _, pl := range full {
+		gates[pl.Part] = pl.Version
+		members += len(pl.Members)
+	}
+	if len(full) == 0 || len(full) != full[0].Partitions || members != 1 {
 		t.Fatalf("full list = %+v", full)
 	}
-	out, err = client.Call(ctx, repo.MethodList, repo.ListReq{Name: "c", IfVersion: full.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := out.(repo.ListResp)
-	if !gated.NotModified || len(gated.Members) != 0 || gated.Version != full.Version {
+	if gated := listParts(gates); len(gated) != 0 {
 		t.Fatalf("gated list = %+v", gated)
 	}
 }
@@ -260,7 +272,7 @@ func TestSentinelErrorsCrossTheWire(t *testing.T) {
 	if _, err := client.Call(ctx, repo.MethodGet, repo.GetReq{ID: "missing"}); !errors.Is(err, repo.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound across the wire", err)
 	}
-	if _, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "nope"}); !errors.Is(err, repo.ErrNoCollection) {
+	if _, err := client.Call(ctx, repo.MethodStats, repo.StatsReq{Name: "nope"}); !errors.Is(err, repo.ErrNoCollection) {
 		t.Fatalf("err = %v, want ErrNoCollection across the wire", err)
 	}
 	if _, err := client.Call(ctx, "bogus.method", repo.GetReq{}); !errors.Is(err, rpc.ErrNoMethod) {
@@ -304,11 +316,11 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	out, err := seed.Call(ctx, repo.MethodList, repo.ListReq{Name: "c"})
+	out, err := seed.Call(ctx, repo.MethodStats, repo.StatsReq{Name: "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(out.(repo.ListResp).Members); got != 160 {
+	if got := out.(repo.StatsResp).Members; got != 160 {
 		t.Fatalf("members = %d, want 160", got)
 	}
 }
@@ -324,7 +336,7 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 	// Kill the connection server-side; next call fails, the one after
 	// redials... but the listener is gone too, so both fail.
 	remote.srv.Close()
-	if _, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "c"}); err == nil {
+	if _, err := client.Call(ctx, repo.MethodStats, repo.StatsReq{Name: "c"}); err == nil {
 		t.Fatal("call succeeded against closed server")
 	}
 }
@@ -333,7 +345,7 @@ func TestClientClosed(t *testing.T) {
 	remote := startRemote(t, "archive")
 	client := Dial(remote.srv.Addr(), "tester")
 	client.Close()
-	if _, err := client.Call(context.Background(), repo.MethodList, repo.ListReq{Name: "c"}); !errors.Is(err, ErrClientClosed) {
+	if _, err := client.Call(context.Background(), repo.MethodStats, repo.StatsReq{Name: "c"}); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("err = %v, want ErrClientClosed", err)
 	}
 }
@@ -344,7 +356,7 @@ func TestCallContextDeadline(t *testing.T) {
 	defer client.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := client.Call(ctx, repo.MethodList, repo.ListReq{Name: "c"}); !errors.Is(err, context.Canceled) {
+	if _, err := client.Call(ctx, repo.MethodStats, repo.StatsReq{Name: "c"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 }

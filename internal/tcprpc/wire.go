@@ -101,7 +101,6 @@ func RepoMethods() []string {
 		repo.MethodPut,
 		repo.MethodDelete,
 		repo.MethodCreate,
-		repo.MethodList,
 		repo.MethodListParts,
 		repo.MethodAdd,
 		repo.MethodRemove,
