@@ -41,6 +41,9 @@ var gateRules = []gateRule{
 	// (or suspiciously fewer) round trips on the same set is a change in
 	// behaviour, not noise.
 	{"iter", "getbatch_rpcs", band, 0.1},
+	// So are membership reads: one stream, or none on a Snapshot rerun,
+	// per snapshot run, one per invocation on an unleased grow-only run.
+	{"iter", "list_rpcs", band, 0.1},
 	{"rpc", "mux_speedup", floor, 0.5},
 	// The same healthy build reads 0.7–1.4 from one quiet run to the next
 	// on a shared 2-core host — runs at 10k last 25 ms, and the trials

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -87,9 +86,10 @@ func TestSnapshotWarmRunServesWithoutRPC(t *testing.T) {
 // TestWarmRunsServeAtYield holds the warm read path to serve-at-yield: a
 // warm snapshot run and a lease-served current-state run hand out every
 // element from the cache when Next asks for it — never a replan, never a
-// chunk created. On the in-process bus the snapshot
-// run's table aliases the store's shared pin, which the run must leave
-// exactly as the store holds it.
+// chunk created. The snapshot run opens on the set's held pinned
+// listing, which its table aliases rather than copies, and on the
+// in-process bus it must leave the store's shared pin exactly as the
+// store holds it.
 func TestWarmRunsServeAtYield(t *testing.T) {
 	ctx := context.Background()
 	const n = 300
@@ -118,12 +118,14 @@ func TestWarmRunsServeAtYield(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := w.c.Servers[cluster.DirNode].Store()
-		var pin, pinCopy []repo.Ref
+		var pin, pinCopy [][]repo.Ref
 		if it.pin != 0 {
 			if pin, _, err = st.ListPinned("set", it.pin); err != nil {
 				t.Fatal(err)
 			}
-			pinCopy = slices.Clone(pin)
+			for _, part := range pin {
+				pinCopy = append(pinCopy, slices.Clone(part))
+			}
 		}
 		yielded := 0
 		for it.Next(ctx) {
@@ -144,13 +146,12 @@ func TestWarmRunsServeAtYield(t *testing.T) {
 		}
 		if pin != nil {
 			after, _, err := st.ListPinned("set", it.pin)
-			if err != nil || &after[0] != &pin[0] || !slices.Equal(after, pinCopy) {
+			if err != nil || &after[0] != &pin[0] || !slices.EqualFunc(after, pinCopy, slices.Equal) {
 				t.Fatalf("the run moved or wrote the store's pin (err %v)", err)
 			}
-			for _, run := range it.tab.runs {
-				if i, ok := slices.BinarySearchFunc(pin, run.refs[0].ID, func(r repo.Ref, id repo.ObjectID) int { return cmp.Compare(r.ID, id) }); !ok || &pin[i] != &run.refs[0] {
-					t.Fatalf("run table holds a copy of the pin from %s on", run.refs[0].ID)
-				}
+			held := s.lastPinned.Load()
+			if len(it.tab.runs) != 1 || held == nil || &it.tab.runs[0].refs[0] != &held.sorted[0] {
+				t.Fatal("the run table is not the set's held pinned listing")
 			}
 		}
 		_ = it.Close(ctx)
@@ -182,8 +183,9 @@ func TestPartlyEvictedWarmRunFetchesOnlyTheEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close(ctx)
-	// Fold the whole opening listing first, so one plan sees every member.
-	for !it.ingDone {
+	// The run opens on the set's held pinned listing; were it streaming,
+	// fold the whole opening listing first, so one plan sees every member.
+	for it.ingestActive() {
 		if err := it.drainIngest(); err != nil {
 			t.Fatal(err)
 		}
@@ -385,10 +387,13 @@ func TestLeaseHeldCurrentStateRunZeroRPC(t *testing.T) {
 }
 
 // listingTap is node "dir-tap", a relay in front of the directory for the
-// listing and lease methods, which notes every ListParts frame it relays.
+// listing, pin and lease methods, which notes every ListParts frame it
+// relays. afterPin, when set, runs once after a pin has been taken and
+// before its answer is relayed.
 type listingTap struct {
-	mu     sync.Mutex
-	frames []repo.PartListing
+	mu       sync.Mutex
+	frames   []repo.PartListing
+	afterPin func()
 }
 
 func (tap *listingTap) take() []repo.PartListing {
@@ -421,11 +426,20 @@ func newListingTap(t *testing.T, c *cluster.Cluster) (netsim.NodeID, *listingTap
 	c.Net.AddNode(node)
 	tap := &listingTap{}
 	srv := rpc.NewServer(node)
-	for _, method := range []string{repo.MethodListParts, repo.MethodLease, repo.MethodWatch} {
+	for _, method := range []string{repo.MethodListParts, repo.MethodPin, repo.MethodUnpin, repo.MethodLease, repo.MethodWatch} {
 		srv.Handle(method, func(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
 			out, _, err := c.Bus.Call(ctx, node, cluster.DirNode, method, req)
 			if st, ok := out.(rpc.Streamer); ok && method == repo.MethodListParts {
 				out = tappedStream{Streamer: st, tap: tap}
+			}
+			if method == repo.MethodPin {
+				tap.mu.Lock()
+				hook := tap.afterPin
+				tap.afterPin = nil
+				tap.mu.Unlock()
+				if hook != nil {
+					hook()
+				}
 			}
 			return out, err
 		})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,17 +43,19 @@ type Iterator struct {
 	scale  sim.TimeScale
 	owner  string
 
-	// Resources held for the run.
+	// Resources held for the run, and the pin's version vector.
 	lock      *locksvc.Client
 	hasLock   bool
 	pin       int64
+	pinVers   []uint64
 	growToken int64
 	released  bool
 
 	// tab is the run's membership state — members, cursor and yielded in
 	// one table of sorted refs — with the version that anchors the cache's
 	// freshness check. A snapshot run grows it into s_first, partition by
-	// partition (fold), until the opening stream completes; the kernel
+	// partition (fold), until the opening stream completes — unless it
+	// opens on its set's held pinned listing (openPinned); the kernel
 	// legally runs against the partial view meanwhile — members it yields
 	// are genuine members of the snapshot — but terminal decisions wait
 	// for completeness. A current-state run re-bases it on the shared
@@ -68,12 +71,15 @@ type Iterator struct {
 	// completed stream has been folded and tab.version sealed. partitions
 	// is the stream's partition count, from its first frame, and folded the
 	// partitions already in the table: a frame is checked against both.
+	// frames keeps a pinned stream's folded frames, which make the set's
+	// pinned listing once the stream completes.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
 	maxPartVer uint64
 	partitions int
 	folded     map[int]bool
+	frames     []repo.PartListing
 
 	// kernelSteps counts Step calls: what the complexity guard reads.
 	kernelSteps int
@@ -187,11 +193,15 @@ func (it *Iterator) setup(ctx context.Context) error {
 		}
 		it.hasLock = true
 	case Snapshot:
-		pin, err := it.client.Pin(ctx, s.dir, s.name)
+		pin, vers, err := it.client.Pin(ctx, s.dir, s.name)
 		if err != nil {
 			return fmt.Errorf("pin snapshot: %w", err)
 		}
-		it.pin = pin
+		it.pin, it.pinVers = pin, vers
+		if len(vers) == 0 {
+			return fmt.Errorf("pin snapshot: a pin of no partitions")
+		}
+		it.tab.version = slices.Max(vers) // the pin's governs before any frame arrives
 	case GrowOnlyPerRun:
 		token, err := it.client.BeginGrow(ctx, s.dir, s.name)
 		if err != nil {
@@ -201,12 +211,59 @@ func (it *Iterator) setup(ctx context.Context) error {
 	}
 
 	if it.opts.Semantics.UsesSnapshot() {
-		if err := it.startIngest(ctx); err != nil {
+		if err := it.openPinned(ctx); err != nil {
 			return fmt.Errorf("read s_first: %w", err)
 		}
 		it.openedAt = time.Now()
 	}
 	return nil
+}
+
+// openPinned reads s_first. A pinned run whose set holds a pinned listing
+// in the pin's layout opens on it: it reads only the partitions the pin
+// holds at another version than the held listing — none, when nothing
+// moved — and adopts the held listing with those replaced. Any other run
+// streams its listing (startIngest).
+func (it *Iterator) openPinned(ctx context.Context) error {
+	held := it.set.lastPinned.Load()
+	if it.pin == 0 || held == nil || len(held.vers) != len(it.pinVers) {
+		return it.startIngest(ctx)
+	}
+	var moved []int
+	for p, v := range it.pinVers {
+		if held.vers[p] != v {
+			moved = append(moved, p)
+		}
+	}
+	l := held
+	if len(moved) > 0 {
+		var frames []repo.PartListing
+		err := it.client.ListPartsSubset(ctx, it.set.dir, it.set.name, it.pin, nil, moved, func(pl repo.PartListing) error {
+			frames = append(frames, pl)
+			return nil
+		})
+		if err == nil {
+			l, err = it.pinnedListing(held, frames)
+		}
+		if err != nil {
+			return err
+		}
+		publish(&it.set.lastPinned, l)
+	}
+	it.adopt(l)
+	return nil
+}
+
+// pinnedListing is what frames of the pin make of held (nil: the frames
+// alone). The frames come from outside the program, so the result is
+// checked against the pin's vector: every partition, each at its pinned
+// version.
+func (it *Iterator) pinnedListing(held *listing, frames []repo.PartListing) (*listing, error) {
+	l, err := held.with(frames)
+	if err == nil && (l == nil || !slices.Equal(l.vers, it.pinVers)) {
+		err = fmt.Errorf("pinned listing frames do not make the pin's %d partitions at its versions", len(it.pinVers))
+	}
+	return l, err
 }
 
 // startIngest opens the streamed partitioned listing and waits for its
@@ -264,14 +321,8 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 	if pl.Version > it.maxPartVer {
 		it.maxPartVer = pl.Version
 	}
-	if it.pin != 0 && pl.Version > it.tab.version {
-		// A pinned stream's frames all carry the pin's own listing version
-		// (the pin is one immutable snapshot, partitioned on the fly), so
-		// the run's governing version is known from the first frame — the
-		// cache can serve and stamp against it while the rest of the
-		// stream is still arriving, instead of revalidating every element
-		// planned before the final seal in drainIngest.
-		it.tab.version = pl.Version
+	if it.pin != 0 {
+		it.frames = append(it.frames, pl)
 	}
 	it.tab.fold(pl.Members)
 	return nil
@@ -283,12 +334,13 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 // cost is paid incrementally across yields rather than all before the
 // first element (the in-process stream can outrun the iterator
 // arbitrarily). When the stream has completed and the queue is drained it
-// seals tab.version —
-// 0 until then on an unpinned stream, so no cache serves against a
-// version still being assembled — to the highest partition version
-// observed (sound, because every object fetch from here on is at least
-// that fresh) and reports the stream's error, if any, as it does a frame
-// that fails fold's checks.
+// seals tab.version — 0 until then on an unpinned stream, so no cache
+// serves against a version still being assembled; a pinned one has its
+// pin's from the start — to the highest partition version observed
+// (sound, because every object fetch from here on is at least that
+// fresh), publishes a pinned stream's listing for the set's next
+// snapshot run, and reports the stream's error, if any, as it does a
+// frame that fails fold's checks.
 func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
@@ -304,6 +356,14 @@ func (it *Iterator) drainIngest() error {
 				return err
 			}
 			it.tab.version = it.maxPartVer
+			if it.pin != 0 {
+				l, err := it.pinnedListing(nil, it.frames)
+				if err != nil {
+					return err
+				}
+				publish(&it.set.lastPinned, l)
+				it.frames = nil
+			}
 			return nil
 		}
 		if err := it.fold(pl); err != nil {

@@ -98,8 +98,8 @@ func admit(nodes map[netsim.NodeID]bool, refs []repo.Ref) []repo.Ref {
 }
 
 // fold adds one partition's members as one more run under the cursor.
-// Partitions are disjoint — ids hash to one, pinned ranges do not
-// overlap — so no ref is looked up.
+// Partitions are disjoint — an id hashes to one, live or pinned — so no
+// ref is looked up.
 func (t *runTable) fold(refs []repo.Ref) {
 	if t.nodes == nil {
 		t.nodes = make(map[netsim.NodeID]bool, 8)
@@ -165,8 +165,9 @@ func (t *runTable) head() (repo.Ref, bool) {
 
 // find locates member id: the cursor's head, or the last id found (a
 // yield in place of the kernel's choice is looked up to accept it, then
-// to mark it), at no cost; any other by binary search of the runs whose
-// id range holds it — one, when they are a pin's contiguous ranges.
+// to mark it), at no cost; any other by binary search of the runs — one
+// on a table opened on a whole listing, a partition's each while a
+// stream folds.
 func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
 	if head, ok := t.head(); ok && head.ID == id {
 		return &t.runs[0], t.runs[0].pos
@@ -175,11 +176,7 @@ func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
 		return &t.runs[r], i
 	}
 	for r := range t.runs {
-		refs := t.runs[r].refs
-		if len(refs) == 0 || id < refs[0].ID || id > refs[len(refs)-1].ID {
-			continue
-		}
-		if i, ok := slices.BinarySearchFunc(refs, id, cmpRefID); ok {
+		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, cmpRefID); ok {
 			t.lastRun, t.lastAt = r, i
 			return &t.runs[r], i
 		}

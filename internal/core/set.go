@@ -158,6 +158,13 @@ type Set struct {
 	// would silently widen the staleness window, so the leaseless paths
 	// keep their per-run read behaviour untouched.
 	lastListing atomic.Pointer[listing]
+	// lastPinned is the last pinned listing a snapshot run completed: a
+	// pin's partitions, their pinned versions and their merge. A snapshot
+	// run opens from it, reading only the partitions whose pinned version
+	// it does not hold — none, while no one writes. It is kept apart from
+	// lastListing because a listing lists the ghosts of an open grow
+	// window, which a pin does not hold, at the same partition versions.
+	lastPinned atomic.Pointer[listing]
 }
 
 // leaseState returns the client's lease state when it watches this set's
@@ -171,14 +178,20 @@ func (s *Set) leaseState() *repo.LeaseState {
 }
 
 // publishListing retains a freshly read membership for the next run's
-// lease-served opening, unless a newer one is already there.
+// lease-served opening.
 func (s *Set) publishListing(l *listing) {
 	if s.leaseState() == nil || l.version == 0 {
 		return
 	}
+	publish(&s.lastListing, l)
+}
+
+// publish retains l in slot for the next run, unless a newer listing is
+// already there.
+func publish(slot *atomic.Pointer[listing], l *listing) {
 	for {
-		cur := s.lastListing.Load()
-		if cur != nil && cur.version > l.version || s.lastListing.CompareAndSwap(cur, l) {
+		cur := slot.Load()
+		if cur != nil && cur.version > l.version || slot.CompareAndSwap(cur, l) {
 			return
 		}
 	}

@@ -194,8 +194,8 @@ func (c *Client) List(ctx context.Context, dir netsim.NodeID, name string) ([]Re
 // optional per-partition version vector: a partition still at or below
 // its gate is left out, so fn sees only the partitions that moved (a
 // vector of any length but the collection's partition count gates
-// nothing). A non-zero pin serves that snapshot partitioned on the fly
-// instead of the live membership. A non-nil error from fn abandons the
+// nothing). A non-zero pin serves that snapshot instead of the live
+// membership, each frame at its partition's pinned version. A non-nil error from fn abandons the
 // stream and is returned as-is.
 func (c *Client) ListPartsSubset(ctx context.Context, node netsim.NodeID, name string, pin int64, gates []uint64, parts []int, fn func(PartListing) error) error {
 	out, _, err := c.bus.Call(ctx, c.node, node, MethodListParts, ListPartsReq{Name: name, Pin: pin, IfVersions: gates, Stream: true, Parts: parts})
@@ -270,13 +270,13 @@ func (c *Client) DeleteMember(ctx context.Context, dir netsim.NodeID, name strin
 }
 
 // Pin takes an atomic snapshot of the collection's membership and returns
-// its handle.
-func (c *Client) Pin(ctx context.Context, dir netsim.NodeID, name string) (int64, error) {
+// its handle and each listing partition's version at the pin, read-only.
+func (c *Client) Pin(ctx context.Context, dir netsim.NodeID, name string) (int64, []uint64, error) {
 	resp, err := rpc.Invoke[PinResp](ctx, c.bus, c.node, dir, MethodPin, PinReq{Name: name})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return resp.Pin, nil
+	return resp.Pin, resp.Versions, nil
 }
 
 // Unpin releases a snapshot.

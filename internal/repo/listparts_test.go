@@ -3,7 +3,10 @@ package repo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+
+	"weaksets/internal/store"
 )
 
 // partFor mirrors the store's FNV-1a partition map so tests can aim
@@ -156,14 +159,23 @@ func TestListPartsSkewStamping(t *testing.T) {
 	}
 }
 
+// TestListPartsPinnedSnapshot reads a pin after a write landed between
+// the pin and the read: the frames list the membership at the pin, in
+// the collection's layout, each stamped with its partition's version as
+// PinResp reported it — not the live version the write moved — and a
+// gate at that vector ships nothing.
 func TestListPartsPinnedSnapshot(t *testing.T) {
 	w := newWorld(t)
 	want := seedParts(t, w, 40)
 	ctx := context.Background()
-	pin, err := w.client.Pin(ctx, "dir", "c")
+	pin, vers, err := w.client.Pin(ctx, "dir", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(vers) != store.DefaultPartitions {
+		t.Fatalf("pin reported %d partition versions, want %d", len(vers), store.DefaultPartitions)
+	}
+	atPin := slices.Clone(vers)
 	defer func() { _ = w.client.Unpin(ctx, "dir", "c", pin) }()
 	// Mutations after the pin must not show in the pinned listing.
 	ref := w.mustPut(t, "s1", "post-pin", "x")
@@ -171,10 +183,15 @@ func TestListPartsPinnedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(map[ObjectID]bool)
+	frameVers := make([]uint64, store.DefaultPartitions)
 	err = w.client.ListPartsSubset(ctx, "dir", "c", pin, nil, nil, func(pl PartListing) error {
 		for _, m := range pl.Members {
 			got[m.ID] = true
 		}
+		if pl.Partitions != len(atPin) || pl.Skewed {
+			t.Errorf("pinned frame %d of %d, skewed %v", pl.Part, pl.Partitions, pl.Skewed)
+		}
+		frameVers[pl.Part] = pl.Version
 		return nil
 	})
 	if err != nil {
@@ -185,5 +202,15 @@ func TestListPartsPinnedSnapshot(t *testing.T) {
 	}
 	if got["post-pin"] {
 		t.Fatal("pinned listing leaked a post-pin add")
+	}
+	if !slices.Equal(frameVers, atPin) {
+		t.Fatalf("pinned frames carry versions %v, the pin reported %v", frameVers, atPin)
+	}
+	err = w.client.ListPartsSubset(ctx, "dir", "c", pin, atPin, nil, func(pl PartListing) error {
+		t.Fatalf("partition %d shipped under the pin's own vector", pl.Part)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

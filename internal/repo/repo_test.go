@@ -380,7 +380,7 @@ func TestPinSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pin, err := w.client.Pin(ctx, "dir", "c")
+	pin, _, err := w.client.Pin(ctx, "dir", "c")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,8 @@ func (s *Server) handleCreate(ctx context.Context, _ netsim.NodeID, r CreateReq)
 // asked, so a streaming transport ships partition 0 while partition 1's
 // snapshot has not been taken yet — writers that land in between are
 // simply the per-partition skew the weak semantics already tolerate
-// (and the WeaknessReport measures).
+// (and the WeaknessReport measures). A pinned stream serves the pin's
+// own partitions, each at its pinned version, and is never skewed.
 type partStream struct {
 	store store.Store
 	name  string
@@ -209,6 +210,9 @@ type partStream struct {
 	// parts are the partition indices to serve, in order: all of them, a
 	// replica-scattered read's subset, or a gated read's moved ones.
 	parts []int
+	// pinned and pinVers are the pin being read, nil for a live read.
+	pinned  [][]store.Ref
+	pinVers []uint64
 	// openVer is the collection version when the stream opened; a
 	// partition whose version exceeds it was snapshotted after a write
 	// landed mid-stream, and its frame is stamped Skewed so the client
@@ -224,6 +228,9 @@ func (ps *partStream) Next() (any, bool) {
 	}
 	part := ps.parts[ps.next]
 	ps.next++
+	if ps.pinVers != nil {
+		return PartListing{Part: part, Partitions: ps.total, Members: ps.pinned[part], Version: ps.pinVers[part]}, true
+	}
 	members, version, _, err := ps.store.ListPart(ps.name, part, 0)
 	if err != nil {
 		ps.err = err
@@ -239,25 +246,6 @@ func (ps *partStream) Next() (any, bool) {
 }
 
 func (ps *partStream) Err() error { return ps.err }
-
-// sliceStream streams an already-materialized set of partition listings
-// (the pinned path: the pin is one immutable snapshot, partitioned on
-// the fly).
-type sliceStream struct {
-	parts []PartListing
-	next  int
-}
-
-func (ss *sliceStream) Next() (any, bool) {
-	if ss.next >= len(ss.parts) {
-		return nil, false
-	}
-	p := ss.parts[ss.next]
-	ss.next++
-	return p, true
-}
-
-func (ss *sliceStream) Err() error { return nil }
 
 // materializeParts drains a listing stream into the single-message form,
 // for a request that did not ask for a stream.
@@ -276,68 +264,63 @@ func materializeParts(st rpc.Streamer) (any, error) {
 	return resp, nil
 }
 
+// handleListParts serves the one membership read, live or pinned, in the
+// collection's partition layout: the requested partitions (all, when
+// none are named) or, gated by a version vector of the layout's length,
+// those whose version — live, or the pin's — is above the gate.
 func (s *Server) handleListParts(ctx context.Context, _ netsim.NodeID, r ListPartsReq) (any, error) {
 	sp := s.startOp(ctx, "store.listParts")
 	defer sp.End()
-	total, err := s.store.Partitions(r.Name)
+	ps := &partStream{store: s.store, name: r.Name}
+	var err error
+	if r.Pin != 0 {
+		ps.pinned, ps.pinVers, err = s.store.ListPinned(r.Name, r.Pin)
+		ps.total = len(ps.pinVers)
+	} else {
+		ps.total, err = s.store.Partitions(r.Name)
+	}
 	if err != nil {
 		return nil, err
 	}
+	total := ps.total
 	sp.SetInt("partitions", int64(total))
 	for _, p := range r.Parts {
 		if p < 0 || p >= total {
 			return nil, fmt.Errorf("list %q partition %d of %d: %w", r.Name, p, total, store.ErrBadPartition)
 		}
 	}
-	want := r.Parts
-	if r.Pin == 0 && len(r.IfVersions) == total {
+	ps.parts = r.Parts
+	if len(r.IfVersions) == total {
 		// Gated: one look at the version vector picks the partitions that
 		// moved since the caller read them. A vector of another length
 		// (another layout's, or none) gates nothing.
-		vers, verr := s.store.PartVersions(r.Name)
-		if verr != nil {
-			return nil, verr
-		}
-		want = nil
-		for p := 0; p < total && p < len(vers); p++ {
-			if vers[p] > r.IfVersions[p] && (len(r.Parts) == 0 || slices.Contains(r.Parts, p)) {
-				want = append(want, p)
+		vers := ps.pinVers
+		if vers == nil {
+			if vers, err = s.store.PartVersions(r.Name); err != nil {
+				return nil, err
 			}
 		}
-	} else if len(want) == 0 {
-		want = make([]int, total)
-		for i := range want {
-			want[i] = i
+		ps.parts = nil
+		for p := 0; p < total && p < len(vers); p++ {
+			if vers[p] > r.IfVersions[p] && (len(r.Parts) == 0 || slices.Contains(r.Parts, p)) {
+				ps.parts = append(ps.parts, p)
+			}
+		}
+	} else if len(ps.parts) == 0 {
+		ps.parts = make([]int, total)
+		for i := range ps.parts {
+			ps.parts[i] = i
 		}
 	}
-
-	var st rpc.Streamer
-	if r.Pin != 0 {
-		// A pin is one immutable snapshot; split it into `total`
-		// contiguous ranges so the client's incremental machinery works
-		// the same way it does on live partitions. Pins carry no
-		// per-partition versions, so IfVersions does not apply.
-		members, version, lerr := s.store.ListPinned(r.Name, r.Pin)
-		if lerr != nil {
-			return nil, lerr
+	if r.Pin == 0 {
+		if ps.openVer, err = s.store.ListVersion(r.Name); err != nil {
+			return nil, err
 		}
-		parts := make([]PartListing, 0, len(want))
-		for _, i := range want {
-			lo, hi := i*len(members)/total, (i+1)*len(members)/total
-			parts = append(parts, PartListing{Part: i, Partitions: total, Members: members[lo:hi], Version: version})
-		}
-		st = &sliceStream{parts: parts}
-	} else {
-		openVer, verr := s.store.ListVersion(r.Name)
-		if verr != nil {
-			return nil, verr
-		}
-		st = &partStream{store: s.store, name: r.Name, total: total, parts: want, openVer: openVer}
 	}
 	if !r.Stream {
-		return materializeParts(st)
+		return materializeParts(ps)
 	}
-	return st, nil
+	return ps, nil
 }
 
 func (s *Server) handleAdd(ctx context.Context, _ netsim.NodeID, r AddReq) (any, error) {
@@ -364,12 +347,12 @@ func (s *Server) handleRemove(ctx context.Context, _ netsim.NodeID, r RemoveReq)
 
 func (s *Server) handlePin(ctx context.Context, _ netsim.NodeID, r PinReq) (any, error) {
 	sp := s.startOp(ctx, "store.pin")
-	pin, err := s.store.Pin(r.Name)
+	pin, vers, err := s.store.Pin(r.Name)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return PinResp{Pin: pin}, nil
+	return PinResp{Pin: pin, Versions: vers}, nil
 }
 
 func (s *Server) handleUnpin(ctx context.Context, _ netsim.NodeID, r UnpinReq) (any, error) {

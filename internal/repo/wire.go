@@ -72,8 +72,9 @@ type (
 	// nothing moved ships no frame; a vector whose length is not the
 	// partition count gates nothing, which is how a client holding
 	// another layout, or none, learns the current one. Pin selects a
-	// pinned snapshot, partitioned on the fly (immutable, so IfVersions
-	// does not apply). Stream asks the server to deliver each PartListing
+	// pinned snapshot, read in the collection's layout like the live one:
+	// each frame carries its partition's version at the pin, and
+	// IfVersions gates against those. Stream asks the server to deliver each PartListing
 	// as its own chunk as that partition's snapshot is taken, which is
 	// what repo.Client always asks for; without it the handler answers
 	// one materialized ListPartsResp.
@@ -131,8 +132,15 @@ type (
 	MutateResp struct{ Version uint64 }
 	// PinReq snapshots a collection's membership.
 	PinReq struct{ Name string }
-	// PinResp returns the snapshot handle.
-	PinResp struct{ Pin int64 }
+	// PinResp returns the snapshot handle and the version of each listing
+	// partition at the pin — the pin's vector, which a ListParts of the pin
+	// stamps on its frames. A client holding a partition at its pinned
+	// version holds what the pin holds there, so it need read only the
+	// partitions whose version it does not hold.
+	PinResp struct {
+		Pin      int64
+		Versions []uint64
+	}
 	// UnpinReq releases a snapshot.
 	UnpinReq struct {
 		Name string

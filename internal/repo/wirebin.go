@@ -135,8 +135,10 @@ func init() {
 		func(buf []byte, v PinReq) []byte { return wirebin.AppendString(buf, v.Name) },
 		func(r *wirebin.Reader) PinReq { return PinReq{Name: r.String()} })
 	wirebin.Register(wbPinResp,
-		func(buf []byte, v PinResp) []byte { return wirebin.AppendVarint(buf, v.Pin) },
-		func(r *wirebin.Reader) PinResp { return PinResp{Pin: r.Varint()} })
+		func(buf []byte, v PinResp) []byte {
+			return appendVersions(wirebin.AppendVarint(buf, v.Pin), v.Versions)
+		},
+		func(r *wirebin.Reader) PinResp { return PinResp{Pin: r.Varint(), Versions: decodeVersions(r)} })
 	wirebin.Register(wbUnpinReq,
 		func(buf []byte, v UnpinReq) []byte {
 			return wirebin.AppendVarint(wirebin.AppendString(buf, v.Name), v.Pin)
@@ -330,10 +332,7 @@ func decodeGetBatchResp(r *wirebin.Reader) GetBatchResp {
 func appendListPartsReq(buf []byte, v ListPartsReq) []byte {
 	buf = wirebin.AppendString(buf, v.Name)
 	buf = wirebin.AppendVarint(buf, v.Pin)
-	buf = wirebin.AppendUvarint(buf, uint64(len(v.IfVersions)))
-	for _, gate := range v.IfVersions {
-		buf = wirebin.AppendUvarint(buf, gate)
-	}
+	buf = appendVersions(buf, v.IfVersions)
 	buf = wirebin.AppendBool(buf, v.Stream)
 	buf = wirebin.AppendUvarint(buf, uint64(len(v.Parts)))
 	for _, p := range v.Parts {
@@ -346,17 +345,7 @@ func decodeListPartsReq(r *wirebin.Reader) ListPartsReq {
 	var v ListPartsReq
 	v.Name = r.String()
 	v.Pin = r.Varint()
-	n := r.Count(1)
-	if r.Err() != nil {
-		return v
-	}
-	if n > 0 {
-		gates := make([]uint64, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			gates = append(gates, r.Uvarint())
-		}
-		v.IfVersions = gates
-	}
+	v.IfVersions = decodeVersions(r)
 	v.Stream = r.Bool()
 	if n := r.Count(1); n > 0 && r.Err() == nil {
 		parts := make([]int, 0, n)
@@ -552,29 +541,38 @@ func decodeSyncPartReq(r *wirebin.Reader) SyncPartReq {
 
 func appendDigestResp(buf []byte, v DigestResp) []byte {
 	buf = wirebin.AppendVarint(buf, int64(v.Partitions))
-	buf = wirebin.AppendUvarint(buf, uint64(len(v.Versions)))
-	for _, ver := range v.Versions {
-		buf = wirebin.AppendUvarint(buf, ver)
-	}
+	buf = appendVersions(buf, v.Versions)
 	return wirebin.AppendVarint(buf, v.AgeMs)
 }
 
 func decodeDigestResp(r *wirebin.Reader) DigestResp {
 	var v DigestResp
 	v.Partitions = int(r.Varint())
-	n := r.Count(1)
-	if r.Err() != nil {
-		return v
-	}
-	if n > 0 {
-		versions := make([]uint64, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			versions = append(versions, r.Uvarint())
-		}
-		v.Versions = versions
-	}
+	v.Versions = decodeVersions(r)
 	v.AgeMs = r.Varint()
 	return v
+}
+
+// appendVersions writes a per-partition version vector: a gate, a
+// digest's or a pin's.
+func appendVersions(buf []byte, vers []uint64) []byte {
+	buf = wirebin.AppendUvarint(buf, uint64(len(vers)))
+	for _, ver := range vers {
+		buf = wirebin.AppendUvarint(buf, ver)
+	}
+	return buf
+}
+
+func decodeVersions(r *wirebin.Reader) []uint64 {
+	n := r.Count(1)
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	vers := make([]uint64, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		vers = append(vers, r.Uvarint())
+	}
+	return vers
 }
 
 func appendStatsResp(buf []byte, v StatsResp) []byte {

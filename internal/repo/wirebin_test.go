@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,6 +171,8 @@ func TestWirebinGobConformance(t *testing.T) {
 		PinResp{},
 		PinResp{Pin: -42},
 		PinResp{Pin: 1 << 40},
+		PinResp{Pin: 3, Versions: []uint64{0, 9, 1<<64 - 1}},
+		PinResp{Pin: 4, Versions: []uint64{}},
 		UnpinReq{},
 		UnpinReq{Name: "c", Pin: 1 << 40},
 		struct{}{},
@@ -241,6 +244,7 @@ func TestWirebinDecodePartialFrameErrors(t *testing.T) {
 		AddReq{Name: "c", Ref: Ref{ID: "a", Node: "n1"}},
 		RemoveReq{Name: "c", ID: "a"},
 		RemoveResp{Deferred: true, Version: 300},
+		PinResp{Pin: 300, Versions: []uint64{3, 300}},
 		UnpinReq{Name: "c", Pin: 300},
 		DeleteReq{ID: "a"},
 		CreateReq{Name: "c"},
@@ -326,6 +330,7 @@ func FuzzWirebinDecode(f *testing.F) {
 		StoreStatsResp{Stats: engineStats},
 		SyncPartReq{Name: "c", Partitions: 4, Part: 1, Version: 7, Members: []Ref{{ID: "a", Node: "n"}}, Objects: []Object{{ID: "a", Data: []byte("d")}}},
 		DigestResp{Partitions: 2, Versions: []uint64{3, 300}, AgeMs: 12},
+		PinResp{Pin: 5, Versions: []uint64{3, 300}},
 	}
 	for _, v := range seedVals {
 		_, enc, _ := wirebin.Lookup(v)
@@ -462,6 +467,13 @@ func TestAllocBudget(t *testing.T) {
 		return nil
 	}
 	ctx := context.Background()
+	// A snapshot run's pin around an open from a held pinned listing that
+	// is what the pin holds: the pin's vector matches the held one, so no
+	// partition is read.
+	_, held, err := w.client.Pin(ctx, "dir", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	scratch := make([]byte, 0, 2*len(batchFrame))
 	paths := map[string]func(){
@@ -474,6 +486,15 @@ func TestAllocBudget(t *testing.T) {
 		"leaseServeable": func() {
 			if _, _, ok := lease.Serveable("set"); !ok {
 				t.Fatal("lease not serveable")
+			}
+		},
+		"snapshotOpenUnchanged": func() {
+			pin, vers, err := w.client.Pin(ctx, "dir", "c")
+			if err != nil || !slices.Equal(vers, held) {
+				t.Fatalf("pin at %v, held %v: %v", vers, held, err)
+			}
+			if err := w.client.Unpin(ctx, "dir", "c", pin); err != nil {
+				t.Fatal(err)
 			}
 		},
 		"listPartsUnchanged": func() {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // DefaultPartitions is the listing partition count used when an engine's
@@ -42,7 +43,7 @@ type collState struct {
 	// pendingDelete are object refs whose data must be deleted once the
 	// last grow token drains (unless the member was re-added meanwhile).
 	pendingDelete map[ObjectID]Ref
-	pins          map[int64][]Ref
+	pins          map[int64]pinned
 	nextPin       int64
 	tokens        map[int64]bool
 	nextToken     int64
@@ -56,7 +57,7 @@ func newCollState(name string, partitions int) *collState {
 		name:          name,
 		parts:         make([]collPart, partitions),
 		pendingDelete: make(map[ObjectID]Ref),
-		pins:          make(map[int64][]Ref),
+		pins:          make(map[int64]pinned),
 		tokens:        make(map[int64]bool),
 	}
 	for i := range c.parts {
@@ -99,15 +100,15 @@ func (c *collState) ghostCount() int {
 	return n
 }
 
-// appendListed appends partition pi's listed membership — live members
-// plus ghosts not re-added live — to out.
-func (c *collState) appendListed(out []Ref, pi int) []Ref {
+// appendListed appends partition pi's members to out: its live members
+// and, with ghosts, its ghosts not re-added live — its listed membership.
+func (c *collState) appendListed(out []Ref, pi int, ghosts bool) []Ref {
 	p := &c.parts[pi]
 	for _, r := range p.members {
 		out = append(out, r)
 	}
 	for id, r := range p.ghosts {
-		if _, live := p.members[id]; !live {
+		if _, live := p.members[id]; ghosts && !live {
 			out = append(out, r)
 		}
 	}
@@ -119,31 +120,19 @@ func (c *collState) appendListed(out []Ref, pi int) []Ref {
 func (c *collState) listedMembers() []Ref {
 	out := make([]Ref, 0, c.memberCount()+c.ghostCount())
 	for pi := range c.parts {
-		out = c.appendListed(out, pi)
+		out = c.appendListed(out, pi, true)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// partListed is one partition's listed membership, sorted by ID, with
-// the partition's version.
-func (c *collState) partListed(pi int) ([]Ref, uint64) {
-	out := c.appendListed(make([]Ref, 0, len(c.parts[pi].members)), pi)
+// partSorted is one partition's members sorted by ID: its listed
+// membership, or without ghosts its live members only — what a pin
+// captures of it.
+func (c *collState) partSorted(pi int, ghosts bool) []Ref {
+	out := c.appendListed(make([]Ref, 0, len(c.parts[pi].members)), pi, ghosts)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, c.parts[pi].version
-}
-
-// memberSnapshot is the live membership only, sorted by ID — what a pin
-// captures.
-func (c *collState) memberSnapshot() []Ref {
-	snap := make([]Ref, 0, c.memberCount())
-	for pi := range c.parts {
-		for _, ref := range c.parts[pi].members {
-			snap = append(snap, ref)
-		}
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i].ID < snap[j].ID })
-	return snap
+	return out
 }
 
 func (c *collState) add(ref Ref) uint64 {
@@ -177,22 +166,46 @@ func (c *collState) remove(id ObjectID) (Ref, bool, uint64, error) {
 	return ref, deferred, c.version, nil
 }
 
-// pin records snap — the live membership sorted by ID, never written
-// again — under a new handle.
-func (c *collState) pin(snap []Ref) int64 {
+// pinned is one pin in the collection's own layout: each partition's
+// live members, sorted by ID, and the partition's version when the pin
+// was taken. Neither is written again, so every reader shares them.
+type pinned struct {
+	parts [][]Ref
+	vers  []uint64
+}
+
+// pin captures the live membership, partition by partition, under a new
+// handle, and returns the handle and the pin's version vector. published
+// (nil for none) may hold each partition's published listed snapshot: at
+// the partition's version and with no ghost in the partition it is
+// exactly the live members, sorted and never written, so the pin shares
+// it rather than sort a copy.
+func (c *collState) pin(published []atomic.Pointer[listing]) (int64, []uint64) {
+	pn := pinned{parts: make([][]Ref, len(c.parts)), vers: c.partVersions()}
+	for pi := range c.parts {
+		var l *listing
+		if pi < len(published) {
+			l = published[pi].Load()
+		}
+		if l != nil && l.version == c.parts[pi].version && len(c.parts[pi].ghosts) == 0 {
+			pn.parts[pi] = l.members
+		} else {
+			pn.parts[pi] = c.partSorted(pi, false)
+		}
+	}
 	c.nextPin++
-	c.pins[c.nextPin] = snap
-	return c.nextPin
+	c.pins[c.nextPin] = pn
+	return c.nextPin, pn.vers
 }
 
 // listPinned hands out the pin itself: it is never written, so every
 // reader shares it (Store.ListPinned).
-func (c *collState) listPinned(pin int64) ([]Ref, error) {
-	snap, found := c.pins[pin]
+func (c *collState) listPinned(pin int64) ([][]Ref, []uint64, error) {
+	pn, found := c.pins[pin]
 	if !found {
-		return nil, fmt.Errorf("list %q pin %d: %w", c.name, pin, ErrBadPin)
+		return nil, nil, fmt.Errorf("list %q pin %d: %w", c.name, pin, ErrBadPin)
 	}
-	return snap, nil
+	return pn.parts, pn.vers, nil
 }
 
 func (c *collState) unpin(pin int64) error {

@@ -169,7 +169,7 @@ func (s *Locked) ListPart(name string, part int, ifVersion uint64) (members []Re
 	if part < 0 || part >= c.partitions() {
 		return nil, 0, false, fmt.Errorf("list %q partition %d of %d: %w", name, part, c.partitions(), ErrBadPartition)
 	}
-	members, version = c.partListed(part)
+	members, version = c.partSorted(part, true), c.parts[part].version
 	if ifVersion != 0 && version <= ifVersion {
 		return nil, version, true, nil
 	}
@@ -188,19 +188,15 @@ func (s *Locked) ListVersion(name string) (version uint64, err error) {
 }
 
 // ListPinned implements Store.
-func (s *Locked) ListPinned(name string, pin int64) (members []Ref, version uint64, err error) {
+func (s *Locked) ListPinned(name string, pin int64) (parts [][]Ref, vers []uint64, err error) {
 	defer s.ins.observe(OpListPinned, time.Now(), &err)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, err := s.coll(name)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	snap, err := c.listPinned(pin)
-	if err != nil {
-		return nil, 0, err
-	}
-	return snap, c.version, nil
+	return c.listPinned(pin)
 }
 
 // Add implements Store.
@@ -250,15 +246,16 @@ func (s *Locked) Remove(name string, id ObjectID) (ref Ref, deferred bool, versi
 }
 
 // Pin implements Store.
-func (s *Locked) Pin(name string) (pin int64, err error) {
+func (s *Locked) Pin(name string) (pin int64, vers []uint64, err error) {
 	defer s.ins.observe(OpPin, time.Now(), &err)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, err := s.coll(name)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return c.pin(c.memberSnapshot()), nil
+	pin, vers = c.pin(nil)
+	return pin, vers, nil
 }
 
 // Unpin implements Store.

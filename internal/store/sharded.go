@@ -123,7 +123,7 @@ func (c *shardedColl) partSnapshot(part int) *listing {
 		return l
 	}
 	c.mu.RLock()
-	members, version := c.st.partListed(part)
+	members, version := c.st.partSorted(part, true), c.st.parts[part].version
 	c.mu.RUnlock()
 	l := &listing{members: members, version: version}
 	c.psnap[part].Store(l)
@@ -328,19 +328,15 @@ func (s *Sharded) ListPart(name string, part int, ifVersion uint64) (members []R
 }
 
 // ListPinned implements Store.
-func (s *Sharded) ListPinned(name string, pin int64) (members []Ref, version uint64, err error) {
+func (s *Sharded) ListPinned(name string, pin int64) (parts [][]Ref, vers []uint64, err error) {
 	defer s.ins.observe(OpListPinned, time.Now(), &err)
 	c, err := s.coll(name)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	snap, err := c.st.listPinned(pin)
-	if err != nil {
-		return nil, 0, err
-	}
-	return snap, c.st.version, nil
+	return c.st.listPinned(pin)
 }
 
 // Add implements Store.
@@ -379,24 +375,24 @@ func (s *Sharded) Remove(name string, id ObjectID) (ref Ref, deferred bool, vers
 	return ref, deferred, version, nil
 }
 
-// Pin implements Store. A pin is the live membership sorted by ID, and
-// while the published listing is still current and lists no ghost that
-// is exactly the image List hands out — immutable already — so the pin
-// shares it: O(1) under the write lock, where re-sorting the members
-// would hold every writer off for O(n log n).
-func (s *Sharded) Pin(name string) (pin int64, err error) {
+// Pin implements Store. A partition's pin is its live members sorted by
+// ID, and while its published snapshot is current and lists no ghost
+// that is exactly the image ListPart hands out — immutable already — so
+// the pin shares it: O(partitions) under the write lock, where sorting
+// the members would hold every writer off for O(n log n).
+func (s *Sharded) Pin(name string) (pin int64, vers []uint64, err error) {
 	defer s.ins.observe(OpPin, time.Now(), &err)
 	c, err := s.coll(name)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	l := c.snapshot() // before the write lock: a rebuild takes the read lock
+	for p := range c.psnap {
+		c.partSnapshot(p) // before the write lock: a rebuild takes the read lock
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if l.version == c.st.version && c.st.ghostCount() == 0 {
-		return c.st.pin(l.members), nil
-	}
-	return c.st.pin(c.st.memberSnapshot()), nil
+	pin, vers = c.st.pin(c.psnap)
+	return pin, vers, nil
 }
 
 // Unpin implements Store.

@@ -51,10 +51,12 @@ type Store interface {
 	// Engines must bump the version on every change to the listing,
 	// including ghost garbage collection.
 	ListVersion(name string) (version uint64, err error)
-	// ListPinned reads a pinned snapshot, sorted by ID. members is the pin
-	// itself, shared with the engine and every other reader of it, and is
-	// read-only: a caller that wants to modify it copies first.
-	ListPinned(name string, pin int64) (members []Ref, version uint64, err error)
+	// ListPinned reads a pinned snapshot in the collection's layout: each
+	// partition's live members at the pin, sorted by ID, and the
+	// partition's version when the pin was taken. Both are the pin itself,
+	// shared with the engine and every other reader of it, and read-only: a
+	// caller that wants to modify them copies first.
+	ListPinned(name string, pin int64) (parts [][]Ref, vers []uint64, err error)
 	// Partitions reports the collection's listing partition count.
 	// Partition indices are stable for the life of the collection
 	// (membership is by hash of the object ID), so a partition-addressed
@@ -74,8 +76,12 @@ type Store interface {
 	// deferred: a ghost keeps the member listed and deferred is true,
 	// meaning the engine owns eventual deletion of the object data.
 	Remove(name string, id ObjectID) (ref Ref, deferred bool, version uint64, err error)
-	// Pin snapshots the live membership and returns its handle.
-	Pin(name string) (pin int64, err error)
+	// Pin snapshots the live membership, partition by partition, and
+	// returns its handle and the partitions' versions at the pin (the
+	// pin's own vector, read-only). A partition's live membership moves
+	// only with its version, so a reader holding a partition at its pinned
+	// version holds what the pin holds there.
+	Pin(name string) (pin int64, vers []uint64, err error)
 	// Unpin releases a snapshot.
 	Unpin(name string, pin int64) error
 	// BeginGrow opens a grow-only window and returns its token.

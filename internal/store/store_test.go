@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -358,17 +360,24 @@ func TestPins(t *testing.T) {
 	engines(t, func(t *testing.T, st Store) {
 		mustColl(t, st, "c")
 		st.Add("c", mustPut(t, st, "a"))
-		pin, err := st.Pin("c")
+		pin, vers, err := st.Pin("c")
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := slices.Clone(vers)
 		st.Add("c", mustPut(t, st, "b"))
-		snap, _, err := st.ListPinned("c", pin)
+		parts, pvers, err := st.ListPinned("c", pin)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snap) != 1 || snap[0].ID != "a" {
-			t.Fatalf("pinned = %v (want just a)", memberIDs(snap))
+		if got := pinnedIDs(parts); len(got) != 1 || got[0] != "a" {
+			t.Fatalf("pinned = %v (want just a)", got)
+		}
+		// The write after the pin moved one partition's version; the pin
+		// still reads every partition at the version it was taken at.
+		live, _ := st.PartVersions("c")
+		if !slices.Equal(pvers, want) || len(pvers) != DefaultPartitions || slices.Equal(live, want) {
+			t.Fatalf("pinned versions %v, at the pin %v, live %v", pvers, want, live)
 		}
 		if _, _, err := st.ListPinned("c", 999); !errors.Is(err, ErrBadPin) {
 			t.Fatalf("bad pin = %v", err)
@@ -382,11 +391,25 @@ func TestPins(t *testing.T) {
 	})
 }
 
+// pinnedIDs is a pin's membership, its partitions merged ascending by id.
+func pinnedIDs(parts [][]Ref) []ObjectID {
+	var out []ObjectID
+	for _, part := range parts {
+		if !slices.IsSortedFunc(part, func(a, b Ref) int { return cmp.Compare(a.ID, b.ID) }) {
+			return nil
+		}
+		out = append(out, memberIDs(part)...)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // TestPinIsTheLiveMembership holds both engines to one answer for what a
-// pin captures and keeps — the live members, sorted, unchanged by anything
-// that happens to the collection afterwards — in the states where the
-// sharded engine shares its published listing as the pin and in those
-// where it must not (a listed ghost, a published listing gone stale).
+// pin captures and keeps — the live members, each partition sorted,
+// unchanged by anything that happens to the collection afterwards — in
+// the states where the sharded engine shares a partition's published
+// snapshot as its pin and in those where it must not (a listed ghost, a
+// published snapshot gone stale).
 func TestPinIsTheLiveMembership(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -416,23 +439,24 @@ func TestPinIsTheLiveMembership(t *testing.T) {
 					st.Add("c", mustPut(t, st, id))
 				}
 				tc.before(t, st)
-				pin, err := st.Pin("c")
+				pin, vers, err := st.Pin("c")
 				if err != nil {
 					t.Fatal(err)
 				}
+				atPin := slices.Clone(vers)
 				pinned := func() []ObjectID {
-					snap, _, err := st.ListPinned("c", pin)
+					parts, _, err := st.ListPinned("c", pin)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return memberIDs(snap)
+					return pinnedIDs(parts)
 				}
 				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("pinned = %v, want %v", got, tc.want)
 				}
 				// Each read hands out the pin itself, never a copy of it.
-				first, _, _ := st.ListPinned("c", pin)
-				if again, _, _ := st.ListPinned("c", pin); &again[0] != &first[0] {
+				first, firstVers, _ := st.ListPinned("c", pin)
+				if again, againVers, _ := st.ListPinned("c", pin); &again[0] != &first[0] || &againVers[0] != &firstVers[0] {
 					t.Fatal("two reads of one pin returned different arrays")
 				}
 				// Nothing later moves it: an add, a removal, a ghost and its
@@ -449,19 +473,23 @@ func TestPinIsTheLiveMembership(t *testing.T) {
 				if got := pinned(); !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("pinned after mutations = %v, want %v", got, tc.want)
 				}
-				if later, _, _ := st.ListPinned("c", pin); &later[0] != &first[0] {
-					t.Fatal("the mutations moved the pin to another array")
+				later, laterVers, _ := st.ListPinned("c", pin)
+				if &later[0] != &first[0] || !slices.Equal(laterVers, atPin) {
+					t.Fatalf("the mutations moved the pin to another array, or its versions %v from %v", laterVers, atPin)
 				}
 			})
 		})
 	}
 }
 
-// TestShardedPinSharesTheListing guards the O(1) pin: on a quiescent
-// collection a pin is the published listing, so taking one costs the same
-// at 10 000 members as at one — no sort and no copy under the collection's
-// write lock — and reading it back copies nothing either. (That a run over
-// the bus leaves the shared pin as it was is core's
+// TestShardedPinSharesTheListing guards the O(partitions) pin: on a
+// quiescent collection each partition of a pin is that partition's
+// published snapshot, so taking one costs the same at 10 000 members as
+// at one — no sort and no copy under the collection's write lock — and
+// reading it back copies nothing either. A partition listing a ghost is
+// the exception: its snapshot is not its live membership, so the pin
+// sorts that one partition's live members and shares the rest. (That a
+// run over the bus leaves the shared pin as it was is core's
 // TestWarmRunsServeAtYield.)
 func TestShardedPinSharesTheListing(t *testing.T) {
 	st := NewSharded(Config{})
@@ -469,17 +497,26 @@ func TestShardedPinSharesTheListing(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		st.Add("c", Ref{ID: ObjectID(fmt.Sprintf("e%05d", i)), Node: "n1"})
 	}
-	pin, err := st.Pin("c")
+	c, _ := st.coll("c")
+	shared := func(pin int64) (same []bool) {
+		parts, _, err := st.ListPinned("c", pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, part := range parts {
+			same = append(same, len(part) > 0 && &part[0] == &c.psnap[p].Load().members[0])
+		}
+		return same
+	}
+	pin, _, err := st.Pin("c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, _, err := st.ListPinned("c", pin)
-	c, _ := st.coll("c")
-	if err != nil || &pinned[0] != &c.snapshot().members[0] {
-		t.Fatalf("a quiescent pin read back is not the published listing (err %v)", err)
+	if same := shared(pin); slices.Contains(same, false) {
+		t.Fatalf("a quiescent pin's partitions read back as the published snapshots: %v", same)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		pin, err := st.Pin("c")
+		pin, _, err := st.Pin("c")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,8 +524,31 @@ func TestShardedPinSharesTheListing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("pin + unpin of a quiescent 10k collection allocates %.0f times, want <= 2: the pin is rebuilding the membership", allocs)
+	// Two are the pin's own: its partition table and its version vector.
+	if allocs > 4 {
+		t.Fatalf("pin + unpin of a quiescent 10k collection allocates %.0f times, want <= 4: the pin is rebuilding the membership", allocs)
+	}
+
+	tok, _ := st.BeginGrow("c")
+	if _, _, _, err := st.Remove("c", "e00042"); err != nil {
+		t.Fatal(err)
+	}
+	ghostPart := c.st.partOf("e00042")
+	pin, _, err = st.Pin("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, same := range shared(pin) {
+		if same == (p == ghostPart) {
+			t.Fatalf("partition %d (the ghost's: %v) shared=%v", p, p == ghostPart, same)
+		}
+	}
+	parts, _, _ := st.ListPinned("c", pin)
+	if slices.ContainsFunc(parts[ghostPart], func(r Ref) bool { return r.ID == "e00042" }) {
+		t.Fatal("the pin lists the ghost")
+	}
+	if _, err := st.EndGrow("c", tok); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -46,11 +46,12 @@ const (
 
 // preambleMagic opens every connection: three magic bytes and the
 // protocol version, which stands for the table of wirebin type ids. There
-// is one version; anything else is not a peer. (4: every body is a
-// registered type — the ids through 40 less the retired 5 and 6 — and a
-// partition listing frame carries no NotModified flag; 3 still had the
-// whole-listing List.)
-var preambleMagic = [4]byte{'w', 's', 'r', 4}
+// is one version; anything else is not a peer. (5: every body is a
+// registered type — the ids through 40 less the retired 5 and 6 — a
+// partition listing frame carries no NotModified flag, and a PinResp
+// carries the pin's per-partition version vector; 4 had a bare pin
+// handle, 3 still the whole-listing List.)
+var preambleMagic = [4]byte{'w', 's', 'r', 5}
 
 // pfCompress is the preamble flag bit declaring per-frame compression.
 const pfCompress = 1 << 0

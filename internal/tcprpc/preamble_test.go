@@ -28,7 +28,7 @@ func frame(flags byte, payload []byte) []byte {
 // preamblePayload is the byte layout DESIGN.md §11 documents, built
 // without the package's encoder so the two cannot drift together.
 func preamblePayload(from string, pflags byte, compressMin uint64) []byte {
-	out := []byte{'w', 's', 'r', 4}
+	out := []byte{'w', 's', 'r', 5}
 	out = binary.AppendUvarint(out, uint64(len(from)))
 	out = append(out, from...)
 	out = append(out, pflags)
@@ -165,9 +165,10 @@ func TestMalformedFirstFramesCloseTheConnection(t *testing.T) {
 		closeWrite bool
 	}{
 		{name: "bad-magic", send: frame(0, append([]byte("gob!"), preamblePayload("raw", 0, 0)[4:]...))},
-		{name: "bad-version", send: frame(0, append([]byte{'w', 's', 'r', 2}, preamblePayload("raw", 0, 0)[4:]...))},     // the version that still carried gob-blob bodies
-		{name: "retired-version", send: frame(0, append([]byte{'w', 's', 'r', 3}, preamblePayload("raw", 0, 0)[4:]...))}, // the table that still had the whole-listing List
-		{name: "truncated-fields", send: frame(0, []byte{'w', 's', 'r', 4, 40, 'x'})},
+		{name: "bad-version", send: frame(0, append([]byte{'w', 's', 'r', 2}, preamblePayload("raw", 0, 0)[4:]...))},       // the version that still carried gob-blob bodies
+		{name: "retired-version", send: frame(0, append([]byte{'w', 's', 'r', 3}, preamblePayload("raw", 0, 0)[4:]...))},   // the table that still had the whole-listing List
+		{name: "retired-version-4", send: frame(0, append([]byte{'w', 's', 'r', 4}, preamblePayload("raw", 0, 0)[4:]...))}, // a PinResp without the pin's version vector
+		{name: "truncated-fields", send: frame(0, []byte{'w', 's', 'r', 5, 40, 'x'})},
 		{name: "trailing-bytes", send: frame(0, append(preamblePayload("raw", 0, 0), 0))},
 		{name: "truncated-frame", send: good[:len(good)-3], closeWrite: true},
 		{name: "compressed-preamble", send: frame(frCompressed, preamblePayload("raw", 0, 0))},

@@ -3,6 +3,7 @@ package tcprpc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"weaksets/internal/locksvc"
@@ -100,11 +101,11 @@ func TestWholeSurfaceOverTCP(t *testing.T) {
 	}
 
 	// run plays the script on one world and renders every answer.
-	run := func(overTCP bool) []string {
+	run := func(overTCP bool) ([]string, []any) {
 		bus := surfaceWorld(t, methods, overTCP)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		out := make([]string, len(steps))
+		out, bodies := make([]string, len(steps)), make([]any, len(steps))
 		for i, s := range steps {
 			body, _, err := bus.Call(ctx, "client", "archive", s.method, s.req)
 			if err == nil {
@@ -113,15 +114,35 @@ func TestWholeSurfaceOverTCP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcp=%v %s: %v", overTCP, s.method, err)
 			}
-			out[i] = fmt.Sprintf("%T %+v", body, body)
+			out[i], bodies[i] = fmt.Sprintf("%T %+v", body, body), body
 		}
-		return out
+		return out, bodies
 	}
-	local, remote := run(false), run(true)
+	local, _ := run(false)
+	remote, bodies := run(true)
 	for i, s := range steps {
 		if local[i] != remote[i] {
 			t.Errorf("%s answers differently over TCP:\n in process: %s\n over TCP:   %s", s.method, local[i], remote[i])
 		}
+	}
+	// The pin crosses with its version vector: the gated read's one frame,
+	// the partition the Add moved, at its version, and zero elsewhere.
+	var gated repo.PartListing
+	var pin repo.PinResp
+	for i, s := range steps {
+		switch s.method {
+		case repo.MethodListParts:
+			if chunks := bodies[i].([]any); len(chunks) == 1 {
+				gated = chunks[0].(repo.PartListing)
+			}
+		case repo.MethodPin:
+			pin = bodies[i].(repo.PinResp)
+		}
+	}
+	want := make([]uint64, store.DefaultPartitions)
+	want[gated.Part] = gated.Version
+	if gated.Version == 0 || !slices.Equal(pin.Versions, want) {
+		t.Fatalf("pin over TCP carried versions %v, want %v", pin.Versions, want)
 	}
 }
 
