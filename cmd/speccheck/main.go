@@ -100,7 +100,7 @@ func run(args []string) error {
 		fmt.Println()
 		ex := metrics.NewTable(
 			fmt.Sprintf("exhaustive model check over every world of %d elements", *exhaustive),
-			"semantics", "states", "invocations", "cursor-decided", "verdict")
+			"semantics", "states", "verdict")
 		for _, sem := range core.AllSemantics() {
 			res, err := core.ExhaustiveConformance(sem, *exhaustive)
 			verdict := "conforms (proved within bound)"
@@ -108,7 +108,7 @@ func run(args []string) error {
 				verdict = "VIOLATION: " + err.Error()
 				selfViolations++
 			}
-			ex.AddRow(sem.String(), fmt.Sprintf("%d", res.States), fmt.Sprintf("%d", res.Invocations), fmt.Sprintf("%d", res.FastDecided), verdict)
+			ex.AddRow(sem.String(), fmt.Sprintf("%d", res.States), verdict)
 		}
 		ex.Render(os.Stdout)
 	}

@@ -12,7 +12,10 @@ package main
 // first partition, not the set. "current" is a GrowOnly run up to 100k
 // members — one gated ListParts per invocation, stepped by the
 // version-keyed cursor — gated on per-element cost alone: its first
-// element waits for the whole first listing by construction.
+// element waits for the whole first listing by construction. "one_down"
+// is a dynamic run (core.OpenDyn) up to 100k members with one of the
+// four storage nodes isolated: it yields the three quarters it reaches,
+// and its per-element cost is also reported against "partitioned"'s.
 
 import (
 	"context"
@@ -35,9 +38,11 @@ var scaleModes = []struct {
 	sem          core.Semantics
 	maxElements  int
 	firstElement bool // gate time-to-first-element too
+	oneDown      bool // a dynamic run with scaleStorage's second node isolated
 }{
 	{name: "partitioned", sem: core.Immutable, firstElement: true},
 	{name: "current", sem: core.GrowOnly, maxElements: 100_000},
+	{name: "one_down", maxElements: 100_000, oneDown: true},
 }
 
 const (
@@ -68,6 +73,7 @@ type scaleWorld struct {
 	bus     *rpc.Bus
 	client  *repo.Client
 	servers []*repo.Server
+	cut     netsim.NodeID // the storage node one_down isolates
 }
 
 func (w *scaleWorld) close() {
@@ -91,7 +97,7 @@ func newScaleWorld(n, partitions int, seed int64) (*scaleWorld, error) {
 	storage := net.AddNodes("s", scaleStorage)
 
 	bus := rpc.NewBus(net)
-	w := &scaleWorld{bus: bus, client: repo.NewClient(bus, home)}
+	w := &scaleWorld{bus: bus, client: repo.NewClient(bus, home), cut: storage[1]}
 
 	dirStore := store.NewSharded(store.Config{Partitions: partitions})
 	dirSrv, err := repo.NewServerWithStore(bus, scaleDir, dirStore)
@@ -140,18 +146,24 @@ type scaleRun struct {
 
 func (r scaleRun) perElemNs() float64 { return float64(r.total.Nanoseconds()) / float64(r.yielded) }
 
-// runScaleOnce times one full Elements run.
-func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics) (scaleRun, error) {
-	set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: sem})
-	if err != nil {
-		return scaleRun{}, err
+// runScaleOnce times one full run of sem, or a dynamic one when dyn.
+func runScaleOnce(ctx context.Context, w *scaleWorld, sem core.Semantics, dyn bool) (scaleRun, error) {
+	open := func(ctx context.Context) (*core.Iterator, error) {
+		return core.OpenDyn(ctx, w.client, scaleDir, scaleColl, core.DynOptions{})
+	}
+	if !dyn {
+		set, err := core.NewSet(w.client, scaleDir, scaleColl, core.Options{Semantics: sem})
+		if err != nil {
+			return scaleRun{}, err
+		}
+		open = set.Elements
 	}
 	parts0 := w.bus.MethodCalls(repo.MethodListParts)
 	batches0 := w.bus.MethodCalls(repo.MethodGetBatch)
 
 	var res scaleRun
 	start := time.Now()
-	it, err := set.Elements(ctx)
+	it, err := open(ctx)
 	if err != nil {
 		return scaleRun{}, err
 	}
@@ -193,6 +205,7 @@ func scaleSweep(b *bench) error {
 	// the first element.
 	basePerElem, baseFirst := map[string][]float64{}, map[string][]float64{}
 	for _, n := range sizes {
+		var partitionedPerElem []float64 // this size's, for one_down
 		partitions := scalePartitions(n)
 		seedStart := time.Now()
 		w, err := newScaleWorld(n, partitions, b.seed)
@@ -205,6 +218,11 @@ func scaleSweep(b *bench) error {
 				continue
 			}
 			wl := fmt.Sprintf("%s/%d", mode.name, n)
+			want := n
+			if mode.oneDown {
+				want = n - n/scaleStorage // members are dealt round-robin
+				w.bus.Network().Isolate(w.cut)
+			}
 			b.add(wl, "partitions", "count", float64(partitions))
 			b.add(wl, "seed_s", "s", seedTime.Seconds())
 			// One discarded run warms the world (first-touch faults, lazily
@@ -213,10 +231,10 @@ func scaleSweep(b *bench) error {
 			// being swept inside this one's interval.
 			for t := -1; t < b.trials; t++ {
 				runtime.GC()
-				res, err := runScaleOnce(ctx, w, mode.sem)
-				if err != nil || res.yielded != n {
+				res, err := runScaleOnce(ctx, w, mode.sem, mode.oneDown)
+				if err != nil || res.yielded != want {
 					w.close()
-					return fmt.Errorf("%s: yielded %d: %v", wl, res.yielded, err)
+					return fmt.Errorf("%s: yielded %d of %d: %v", wl, res.yielded, want, err)
 				}
 				if t < 0 {
 					continue
@@ -227,6 +245,12 @@ func scaleSweep(b *bench) error {
 				b.add(wl, "per_elem_ns", "ns", res.perElemNs())
 				b.add(wl, "listparts_rpcs", "count", float64(res.listPartsRPCs))
 				b.add(wl, "getbatch_rpcs", "count", float64(res.batches))
+				if mode.name == "partitioned" {
+					partitionedPerElem = append(partitionedPerElem, res.perElemNs())
+				} else if mode.oneDown {
+					small, _ := medianSpread(partitionedPerElem)
+					b.add(wl, "per_elem_vs_partitioned", "x", res.perElemNs()/small)
+				}
 				if n == sizes[0] {
 					basePerElem[mode.name] = append(basePerElem[mode.name], res.perElemNs())
 					baseFirst[mode.name] = append(baseFirst[mode.name], ms(res.first))
@@ -238,6 +262,9 @@ func scaleSweep(b *bench) error {
 					small, _ := medianSpread(baseFirst[mode.name])
 					b.add(wl, "first_elem_vs_10k", "x", ms(res.first)/small)
 				}
+			}
+			if mode.oneDown {
+				w.bus.Network().Rejoin(w.cut)
 			}
 		}
 		w.close()

@@ -19,11 +19,12 @@ import (
 	"weaksets/internal/spec"
 )
 
-// The proof obligations of the version-keyed cursor (fastNext), beyond
-// the exhaustive agreement check in ExhaustiveConformance: the cursor an
-// Iterator actually maintains — trimmed, merged and rebuilt by the
-// production code — decides what the kernel decides over long seeded
-// worlds, and whole scripted runs come out the same on either path.
+// The proof obligations of the run table's stepper (Iterator.decide),
+// beyond the exhaustive agreement check in ExhaustiveConformance: the
+// table an Iterator actually maintains — folded, adopted, yielded from
+// and sampled by the production code — decides what the kernel decides
+// over long seeded worlds, and whole scripted runs, recorded or not, come
+// out the same and conform to their figures.
 
 func elemNode(id spec.ElemID) netsim.NodeID { return netsim.NodeID("n-" + string(id)) }
 
@@ -37,21 +38,22 @@ func refsOf(members map[spec.ElemID]bool) []repo.Ref {
 	return refs
 }
 
-// cursorVsKernel steps one bare Iterator's cursor and the kernel side by
-// side over a seeded spec.Env world — adds, removes and reachability
-// flips between invocations, healed when blocked and frozen after 60
-// steps like RunModel — and fails on the first invocation where the
-// cursor claims a decision that is not Step's. The Iterator has no
-// servers behind it: each element lives on its own netsim node, crashed
-// and restarted to mirror the Env's reachability, and the test plays
-// observe's part by handing the production fold/adopt each new listing.
-// The fault script touches only the nodes whose reachability flipped — by
-// crash or by isolation, undone by restart or rejoin — so the network's
-// generation stands still across the quiet invocations, and at every
-// invocation the gated reachability sample must equal a fresh one. It
-// returns how many invocations the cursor decided and how many the gate
-// answered from its last sample.
-func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, seed int64) (fast, gated int) {
+// cursorVsKernel steps one bare Iterator's run table and the kernel
+// side by side over a seeded spec.Env world — adds, removes and
+// reachability flips between invocations, healed when blocked and frozen
+// after 60 steps like RunModel — and fails on the first invocation where
+// the table decides another kind of outcome than Step, or yields a member
+// Step could not have. The Iterator has no servers behind it: each
+// element lives on its own netsim node, crashed and restarted to mirror
+// the Env's reachability, and the test plays observe's part by handing
+// the production fold/adopt each new listing. The fault script touches
+// only the nodes whose reachability flipped — by crash or by isolation,
+// undone by restart or rejoin — so the network's generation stands still
+// across the quiet invocations, and at every invocation the gated
+// reachability sample must equal a fresh one. It returns how many
+// invocations the table decided with a member node down and how many
+// samples the gate answered from its last one.
+func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, seed int64) (down, gated int) {
 	t.Helper()
 	env := spec.NewEnv(sim.NewRand(seed), 8, discipline)
 	net := netsim.New(netsim.Config{Seed: seed})
@@ -64,9 +66,10 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		opts:   Options{Semantics: sem},
 	}
 	var (
-		first, held spec.State // held: the table's membership, as the kernel would be handed it
-		version     uint64
-		blocked     int
+		first   spec.State
+		held    map[spec.ElemID]bool // the membership the table was last handed
+		version uint64
+		blocked int
 	)
 	for step := 0; step < 150; step++ {
 		pre := env.State()
@@ -90,14 +93,17 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 			if err := it.fold(repo.PartListing{Partitions: 1, Version: 1, Members: refsOf(pre.Members)}); err != nil {
 				t.Fatal(err)
 			}
-		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, held.Members)):
+		case !sem.UsesSnapshot() && (step == 0 || !sameSet(pre.Members, held)):
 			version++
+			held = pre.Members
 			it.adopt(newListing(version, refsOf(pre.Members)))
 		}
 
-		var yielded map[spec.ElemID]bool
-		held, yielded = it.tab.kernelArgs(it.client.NodeReachable)
-		d := Step(sem, first, pre, yielded)
+		yielded := make(map[spec.ElemID]bool)
+		for _, id := range it.tab.yieldedIDs() {
+			yielded[spec.ElemID(id)] = true
+		}
+		want := Step(sem, first, pre, yielded)
 		fresh := true
 		for node := range it.tab.nodes {
 			fresh = fresh && net.Reachable("home", node)
@@ -108,19 +114,28 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		if got := it.tab.allReachable(net.Generation(), it.client.NodeReachable); got != fresh {
 			t.Fatalf("seed %d step %d: gated sample says all reachable = %v, a fresh one %v\nreach=%v", seed, step, got, fresh, pre.Reach)
 		}
-		if fd, _, ok := it.fastNext(); ok {
-			fast++
-			if fd != d {
-				t.Fatalf("seed %d step %d: cursor decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
-					seed, step, fd, d, pre.Members, pre.Reach, yielded)
-			}
+		if !fresh {
+			down++
 		}
-		switch d.Kind {
+		d := it.tab.decide(sem, net.Generation(), it.client.NodeReachable)
+		chosen, _ := it.tab.head()
+		if d != want.Kind {
+			t.Fatalf("seed %d step %d: run table decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
+				seed, step, d, want, pre.Members, pre.Reach, yielded)
+		}
+		switch governing := pre.Members; d {
 		case DecideYield:
-			it.tab.yield(repo.ObjectID(d.Elem))
+			if sem.UsesSnapshot() {
+				governing = first.Members
+			}
+			if id := spec.ElemID(chosen.ID); !governing[id] || !pre.Reach[id] || yielded[id] {
+				t.Fatalf("seed %d step %d: run table yields %q, not an unyielded reachable member (kernel %v)\nmembers=%v reach=%v yielded=%v",
+					seed, step, id, want, governing, pre.Reach, yielded)
+			}
+			it.tab.yield(chosen.ID)
 			blocked = 0
 		case DecideReturn, DecideFail:
-			return fast, gated
+			return down, gated
 		case DecideBlock:
 			if blocked++; blocked > 3 {
 				env.HealAll()
@@ -130,16 +145,16 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 			env.Step()
 		}
 	}
-	return fast, gated
+	return down, gated
 }
 
 func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
 	const seeds = 250
 	for _, sem := range AllSemantics() {
 		// Each semantics under its own constraint discipline and, where it
-		// has one, with the constraint broken too: the cursor must track
-		// the kernel even when the environment does not keep its promise
-		// (a grow-only set that shrinks is what makes yielded ids vanish).
+		// has one, with the constraint broken too: the table must track the
+		// kernel even when the environment does not keep its promise (a
+		// grow-only set that shrinks is what makes yielded ids vanish).
 		disciplines := []spec.Constraint{sem.Constraint()}
 		if sem.Constraint() != spec.ConstraintTrue {
 			disciplines = append(disciplines, spec.ConstraintTrue)
@@ -147,15 +162,15 @@ func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
 		for _, discipline := range disciplines {
 			sem, discipline := sem, discipline
 			t.Run(sem.String()+"/env="+discipline.String(), func(t *testing.T) {
-				fast, gated := 0, 0
+				down, gated := 0, 0
 				for seed := int64(0); seed < seeds; seed++ {
-					f, g := cursorVsKernel(t, sem, discipline, seed)
-					fast, gated = fast+f, gated+g
+					d, g := cursorVsKernel(t, sem, discipline, seed)
+					down, gated = down+d, gated+g
 				}
-				if fast == 0 || gated == 0 {
-					t.Fatalf("the cursor decided %d invocations and the gate answered %d from its last sample: the comparison is vacuous", fast, gated)
+				if down == 0 || gated == 0 {
+					t.Fatalf("%d invocations had a member node down and the gate answered %d from its last sample: the comparison is vacuous", down, gated)
 				}
-				t.Logf("%d invocations decided by the cursor, each equal to Step's; %d reachability samples reused, each equal to a fresh one", fast, gated)
+				t.Logf("every invocation decided by the run table as Step does, %d of them with a member node down; %d reachability samples reused, each equal to a fresh one", down, gated)
 			})
 		}
 	}
@@ -228,7 +243,7 @@ func (sw *scriptedWorld) unyielded(ref repo.Ref) repo.Ref {
 
 // cursorScenario is one scripted run: script runs on the test goroutine
 // before the k-th Next call (k from 0) and mutates or partitions the
-// world; check, if set, holds the cursor-path run to what the scenario
+// world; check, if set, holds the unrecorded run to what the scenario
 // is about.
 type cursorScenario struct {
 	name   string
@@ -239,13 +254,12 @@ type cursorScenario struct {
 }
 
 type scriptedRun struct {
-	ids         []string // in yield order; "(stale)" marks a Fig. 4 ghost yield
-	refs        []repo.Ref
-	victims     []string
-	cut         netsim.NodeID
-	err         error
-	wk          obs.WeaknessReport
-	kernelSteps int
+	ids     []string // in yield order; "(stale)" marks a Fig. 4 ghost yield
+	refs    []repo.Ref
+	victims []string
+	cut     netsim.NodeID
+	err     error
+	wk      obs.WeaknessReport
 }
 
 // settled is the run's yields in id order, less the members the scenario
@@ -261,9 +275,8 @@ func (run scriptedRun) settled(victims []string) []string {
 
 const scriptedMembers = 10
 
-// runScripted plays sc once on a fresh world. With a Recorder the run
-// takes the kernel path and is checked against its figure; without, the
-// cursor path.
+// runScripted plays sc once on a fresh world. With a Recorder the run —
+// the same stepper as without — is checked against its figure.
 func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recorder) scriptedRun {
 	t.Helper()
 	ctx := context.Background()
@@ -313,13 +326,10 @@ func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recor
 	}
 	sw.bg.Wait()
 	run.refs, run.victims, run.cut = sw.yielded, sw.victims, sw.cut
-	run.err, run.wk, run.kernelSteps = it.Err(), it.Weakness(), it.kernelSteps
+	run.err, run.wk = it.Err(), it.Weakness()
 	if rec != nil {
 		if err := spec.CheckRun(sem.Figure(), spec.Run{Invocations: rec.Run().Invocations[recorded:]}); err != nil {
 			t.Fatalf("recorded run violates %s: %v", sem.Figure(), err)
-		}
-		if int64(run.kernelSteps) != run.wk.Invocations {
-			t.Fatalf("recorded run: %d kernel steps for %d invocations", run.kernelSteps, run.wk.Invocations)
 		}
 	}
 	return run
@@ -394,9 +404,6 @@ var cursorScenarios = []cursorScenario{
 					t.Fatalf("yielded %v while its node %s was cut: %v", ref.ID, run.cut, run.ids)
 				}
 			}
-			if run.kernelSteps < 4 {
-				t.Fatalf("%d kernel steps: the four partitioned invocations belong to the kernel", run.kernelSteps)
-			}
 		},
 	},
 	{
@@ -416,9 +423,6 @@ var cursorScenarios = []cursorScenario{
 			}
 			if run.wk.LeaseServed != 4 || run.wk.ListingSkew != 0 {
 				t.Fatalf("leaseServed %d, listingSkew %d; want 4 lease-served invocations, then NotModified ones", run.wk.LeaseServed, run.wk.ListingSkew)
-			}
-			if run.kernelSteps > 1 {
-				t.Fatalf("%d kernel steps: losing the lease must not cost the cursor", run.kernelSteps)
 			}
 		},
 	},
@@ -458,11 +462,12 @@ var cursorScenarios = []cursorScenario{
 }
 
 // TestCursorAndKernelRunsAgree plays every scenario twice per semantics —
-// once recorded (kernel path, checked against the figure), once not
-// (cursor path) — and demands the same yields and the same end. Both
-// yield in completion order, so the yields are compared as sets, less
-// the members each arm's script took out of the set, and a run that
-// does not return normally by count alone.
+// once recorded, every invocation checked against the figure, and once
+// not — and demands the same yields and the same end: a Recorder watches
+// the shipped stepper and changes nothing it decides. Both yield in
+// completion order, so the yields are compared as sets, less the members
+// each arm's script took out of the set, and a run that does not return
+// normally by count alone.
 func TestCursorAndKernelRunsAgree(t *testing.T) {
 	for _, sc := range cursorScenarios {
 		sems := sc.sems
@@ -472,32 +477,33 @@ func TestCursorAndKernelRunsAgree(t *testing.T) {
 		for _, sem := range sems {
 			sc, sem := sc, sem
 			t.Run(sc.name+"/"+sem.String(), func(t *testing.T) {
-				kernel := runScripted(t, sc, sem, spec.NewRecorder())
-				cursor := runScripted(t, sc, sem, nil)
+				recorded := runScripted(t, sc, sem, spec.NewRecorder())
+				shipped := runScripted(t, sc, sem, nil)
 				// A run cut short yields whichever members landed first.
-				victims := append(slices.Clone(cursor.victims), kernel.victims...)
-				returned := cursor.err == nil && kernel.err == nil
-				if len(cursor.ids) != len(kernel.ids) || returned && !slices.Equal(cursor.settled(victims), kernel.settled(victims)) {
-					t.Fatalf("yields differ:\n cursor %v\n kernel %v", cursor.ids, kernel.ids)
+				victims := append(slices.Clone(shipped.victims), recorded.victims...)
+				returned := shipped.err == nil && recorded.err == nil
+				if len(shipped.ids) != len(recorded.ids) || returned && !slices.Equal(shipped.settled(victims), recorded.settled(victims)) {
+					t.Fatalf("yields differ:\n unrecorded %v\n recorded   %v", shipped.ids, recorded.ids)
 				}
-				if fmt.Sprint(cursor.err) != fmt.Sprint(kernel.err) {
-					t.Fatalf("runs end differently:\n cursor %v\n kernel %v", cursor.err, kernel.err)
+				if fmt.Sprint(shipped.err) != fmt.Sprint(recorded.err) {
+					t.Fatalf("runs end differently:\n unrecorded %v\n recorded   %v", shipped.err, recorded.err)
 				}
 				if sc.check != nil {
-					sc.check(t, sem, cursor)
+					sc.check(t, sem, shipped)
 				}
 			})
 		}
 	}
 }
 
-// TestQuiescentRunStepsKernelOnce is the complexity guard, by count rather
-// than by clock: a quiescent all-reachable run — current-state, with or
-// without a lease, or snapshot — observes its membership n+1 times and
-// never hands the kernel an invocation, the terminal one included (the
-// empty cursor decides it); a run with a member node partitioned
-// throughout is the kernel's, every invocation of it.
-func TestQuiescentRunStepsKernelOnce(t *testing.T) {
+// TestQuiescentRunObservesOncePerInvocation holds the invocation count
+// of whole runs: a quiescent all-reachable run — current-state, with or
+// without a lease, or snapshot — observes its membership n+1 times, the
+// terminal one included, and a run with a member node partitioned
+// throughout yields every member it can reach and ends as its figure
+// says. Their cost is TestRunAllocBudget's: the dynOneDown2k row is a
+// partitioned run's.
+func TestQuiescentRunObservesOncePerInvocation(t *testing.T) {
 	ctx := context.Background()
 	const n = 2000
 	for _, leased := range []bool{false, true} {
@@ -524,9 +530,9 @@ func TestQuiescentRunStepsKernelOnce(t *testing.T) {
 			}
 			_ = it.Close(ctx)
 			wk := it.Weakness()
-			if it.Err() != nil || wk.Yielded != n || wk.Invocations != n+1 || it.kernelSteps != 0 {
-				t.Fatalf("%s leased=%v: yielded %d, %d invocations, %d kernel steps, err %v; want %d, %d, 0, nil",
-					sem, leased, wk.Yielded, wk.Invocations, it.kernelSteps, it.Err(), n, n+1)
+			if it.Err() != nil || wk.Yielded != n || wk.Invocations != n+1 {
+				t.Fatalf("%s leased=%v: yielded %d, %d invocations, err %v; want %d, %d, nil",
+					sem, leased, wk.Yielded, wk.Invocations, it.Err(), n, n+1)
 			}
 			if wk.LeaseServed != wantServed {
 				t.Fatalf("%s leased=%v: %d lease-served invocations, want %d", sem, leased, wk.LeaseServed, wantServed)
@@ -537,19 +543,25 @@ func TestQuiescentRunStepsKernelOnce(t *testing.T) {
 	const m = 200
 	w := newTestWorld(t, m)
 	w.c.Net.Isolate(w.c.Storage[1])
-	for _, sem := range []Semantics{GrowOnly, Optimistic} {
-		s := w.set(t, Options{Semantics: sem, BlockRetry: time.Millisecond, MaxBlock: 2 * time.Millisecond})
+	for _, tc := range []struct {
+		sem     Semantics
+		wantErr error
+	}{{GrowOnly, ErrFailure}, {Optimistic, ErrBlocked}} {
+		s := w.set(t, Options{Semantics: tc.sem, BlockRetry: time.Millisecond, MaxBlock: 2 * time.Millisecond})
 		it, err := s.Elements(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for it.Next(ctx) {
+			if it.Element().Ref.Node == w.c.Storage[1] {
+				t.Fatalf("%s partitioned: yielded %s from the isolated node", tc.sem, it.Element().Ref.ID)
+			}
 		}
 		_ = it.Close(ctx)
 		wk := it.Weakness()
-		if wk.Yielded != m*3/4 || wk.Invocations <= wk.Yielded || int64(it.kernelSteps) != wk.Invocations {
-			t.Fatalf("%s partitioned: yielded %d, %d invocations, %d kernel steps; want %d yields and one kernel step per invocation",
-				sem, wk.Yielded, wk.Invocations, it.kernelSteps, m*3/4)
+		if wk.Yielded != m*3/4 || wk.Invocations <= wk.Yielded || !errors.Is(it.Err(), tc.wantErr) {
+			t.Fatalf("%s partitioned: yielded %d, %d invocations, err %v; want %d yields, then %v",
+				tc.sem, wk.Yielded, wk.Invocations, it.Err(), m*3/4, tc.wantErr)
 		}
 	}
 }

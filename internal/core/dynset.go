@@ -6,7 +6,6 @@ import (
 	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
-	"weaksets/internal/spec"
 )
 
 // DynOptions configures a dynamic set.
@@ -32,7 +31,7 @@ type DynOptions struct {
 // It is an Immutable run of the elements iterator — one membership read,
 // folded whole before the first element (an unreachable directory fails
 // here with ErrFailure), no per-invocation membership RPC — that parts
-// from Fig. 3 in one place: where the kernel would fail (members remain,
+// from Fig. 3 in one place: where Fig. 3 would fail (members remain,
 // none reachable) it returns what was reachable, the `ls` of "all
 // accessible files despite network failures" (§1.1), after yielding,
 // marked Stale, whatever copies of the rest the client's element cache
@@ -52,7 +51,7 @@ func OpenDyn(ctx context.Context, client *repo.Client, dir netsim.NodeID, name s
 	return set.elements(ctx, true)
 }
 
-// settle ends a dynamic run where the Immutable kernel decides Fail: each
+// settle ends a dynamic run where Fig. 3 decides Fail: each
 // call yields the next remaining member the client's element cache holds
 // a fallback copy of, marked Stale, and once none is left the run returns,
 // counting what it never yielded as UnreachableSkipped. Each remaining
@@ -66,7 +65,7 @@ func (it *Iterator) settle() bool {
 			ref := it.rest[0]
 			it.rest = it.rest[1:]
 			if obj, ok := cache.Fallback(ref.ID); ok {
-				it.yield(spec.State{}, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: true})
+				it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: true})
 				return true
 			}
 		}

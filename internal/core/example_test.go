@@ -143,8 +143,9 @@ func ExampleRunModel() {
 	// conforms to Fig6: true
 }
 
-// ExampleExhaustiveConformance proves a kernel conformant over every world
-// of three elements.
+// ExampleExhaustiveConformance proves the stepper every run ships — its run
+// table's decision — conformant, and equal to the kernel Step's, over
+// every world of three elements.
 func ExampleExhaustiveConformance() {
 	res, err := core.ExhaustiveConformance(core.Optimistic, 3)
 	if err != nil {
@@ -153,7 +154,7 @@ func ExampleExhaustiveConformance() {
 	fmt.Printf("proved over %d configurations\n", res.States)
 
 	// Output:
-	// proved over 4096 configurations
+	// proved over 512 configurations
 }
 
 // newExampleRand gives examples a fixed random stream.

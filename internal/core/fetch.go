@@ -21,8 +21,8 @@ import (
 // first"), per-node batches issued in that order, answers handed out in
 // completion order — an element only ever crosses the wire in a
 // GetBatch. These are transport choices only: every yield is still
-// decided by the spec kernel against a freshly observed pre-state, and a
-// ref yielded in place of the kernel's choice is one the figures' Yield
+// decided by the run table against a freshly observed pre-state, and a
+// ref yielded in place of the table's choice is one the figures' Yield
 // allows, so the Fig. 3–6 semantics are untouched.
 
 // FetchOptions tunes the Iterator's batched fetch path.
@@ -135,21 +135,20 @@ func (p *prefetcher) take(c *fetchChunk, i int) {
 }
 
 // prefetcher overlaps an Iterator's element fetches: the candidates the
-// kernel could yield are grouped into per-node batches, issued
+// run could yield are grouped into per-node batches, issued
 // closest-first and in that order under a bounded in-flight budget, and
 // parked by position in the chunk that fetched them until the run takes
-// them: the slot the kernel asked for or, while its batch is in flight,
+// them: the slot the run asked for or, while its batch is in flight,
 // a landed one the run accepts instead (completion order). What the
 // shared element cache may serve with no round trip is never planned or
-// parked: it is served when the kernel asks for it (fetch).
+// parked: it is served when the run asks for it (fetch).
 //
 // Two properties keep it semantics-preserving:
 //
-//   - every yield is still re-validated by Step against a fresh pre-state,
-//     and a landed slot stands in for the kernel's choice only when the
-//     run accepts its ref under that pre-state, so a prefetched object
-//     whose node has since partitioned is never yielded under pessimistic
-//     semantics;
+//   - every yield is still decided by the run table against a fresh
+//     pre-state, and a landed slot stands in for the table's choice only
+//     when the run accepts its ref under that pre-state, so a prefetched
+//     object whose node has since partitioned is never yielded;
 //   - results carry the client's mutation epoch; a result fetched before
 //     this client's own later mutation is discarded and refetched,
 //     preserving read-your-writes (a member the client itself deleted
@@ -263,7 +262,7 @@ func errMissing(id repo.ObjectID) error {
 // landed; the cache, when direct — the invocation's certificate
 // (Iterator.observe) that an entry fresh under the held listing's version
 // listVer is exactly what the owner would ship; otherwise it replans,
-// batching ref with the other candidates the kernel could yield next.
+// batching ref with the other candidates the run could yield next.
 // While ref's batch is in flight it hands out a landed slot whose ref
 // accept admits, waiting for the next landing only when there is none:
 // a slow node never holds up what faster ones delivered. A transport
@@ -390,8 +389,8 @@ func (p *prefetcher) substitute(accept func(repo.Ref) bool) (*fetchChunk, int) {
 
 // accepted returns the first untaken slot of landed chunk c holding an
 // object whose ref accept admits, or −1. Only slots with an object stand
-// in for the ref the kernel chose, so what fetch returns for another ref
-// is always a yield; a missing one waits for the kernel to ask for it.
+// in for the ref the run chose, so what fetch returns for another ref
+// is always a yield; a missing one waits for the run to ask for it.
 // Caller holds p.mu.
 func accepted(c *fetchChunk, accept func(repo.Ref) bool) int {
 	for i := c.next; c.landed && i < len(c.refs); i++ {
@@ -437,7 +436,7 @@ func (p *prefetcher) retire(c *fetchChunk) {
 
 // planLocked launches batches for every candidate that is neither in a
 // live chunk (sweep) nor, when direct (which fetch leaves set only with a
-// cache bound), fresh in the cache: fetch serves that one when the kernel
+// cache bound), fresh in the cache: fetch serves that one when the run
 // asks for it, and the probe that leaves it out counts no hit, so a partly
 // evicted warm run fetches exactly its evicted ids. With a cache bound
 // the chunks carry the known versions for a conditional fetch, and
@@ -503,13 +502,13 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 
 // sweep reports which candidates a live chunk holds in an untaken slot,
 // and drops the landed slots the candidates show the run will not ask
-// for. candidates are the kernel's choice — in no live chunk, or fetch
+// for. candidates are the run's choice — in no live chunk, or fetch
 // would not be planning — then the cursor's next members ascending by id;
 // a chunk's refs ascend too, so each chunk is merged against them, a step
 // per ref instead of a scan of the chunks per candidate. A landed slot the
 // merge passes unlisted — below the candidates, or among them but not
 // listed — is no member the cursor still holds: a current-state listing
-// dropped it, or the kernel's sample found its node down, and a refetch
+// dropped it, or the run's sample found its node down, and a refetch
 // serves it if it is asked for again. Dropping it lets its chunk retire
 // instead of holding the answer, and lengthening every find, to the end of
 // the run. Fewer candidates than a window reached the cursor's end, so

@@ -438,11 +438,11 @@ func batchSpans(t *testing.T, w *testWorld) (ids []int) {
 		t.Fatal(err)
 	}
 	defer it.Close(ctx)
-	for !it.ingDone && it.tab.unyielded() < it.prefetchWindow() {
+	for !it.ingDone && it.tab.unyielded() < it.pf.window() {
 		if err := it.drainIngest(); err != nil {
 			t.Fatal(err)
 		}
-		if !it.ingDone && it.tab.unyielded() < it.prefetchWindow() {
+		if !it.ingDone && it.tab.unyielded() < it.pf.window() {
 			<-it.ing.notify
 		}
 	}

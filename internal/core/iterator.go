@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -55,8 +56,8 @@ type Iterator struct {
 	// one table of sorted refs — with the version that anchors the cache's
 	// freshness check. A snapshot run grows it into s_first, partition by
 	// partition (fold), until the opening stream completes — unless it
-	// opens on its set's held pinned listing (openPinned); the kernel
-	// legally runs against the partial view meanwhile — members it yields
+	// opens on its set's held pinned listing (openPinned); the run
+	// legally steps over the partial view meanwhile — members it yields
 	// are genuine members of the snapshot — but terminal decisions wait
 	// for completeness. A current-state run re-bases it on the shared
 	// immutable listing its last observation delivered (adopt), which it
@@ -81,11 +82,8 @@ type Iterator struct {
 	folded     map[int]bool
 	frames     []repo.PartListing
 
-	// kernelSteps counts Step calls: what the complexity guard reads.
-	kernelSteps int
-
 	// dyn marks a dynamic set's run (OpenDyn), which folds its whole
-	// opening listing first and settles where the kernel would fail; rest
+	// opening listing first and settles where Fig. 3 would fail; rest
 	// is what settle has still to try.
 	dyn, settling bool
 	rest          []repo.Ref
@@ -128,7 +126,7 @@ func lockName(coll string) string { return "coll/" + coll }
 
 // partIngest is the unbounded buffer between the listing-ingest
 // goroutine (pushing partition frames as the stream delivers them) and
-// the iterator goroutine (folding them into s_first between kernel
+// the iterator goroutine (folding them into s_first between
 // invocations). Unbounded so the stream's producer never blocks on a
 // slow consumer; total memory is bounded by the listing itself.
 type partIngest struct {
@@ -345,7 +343,7 @@ func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
 	}
-	for it.opts.Recorder != nil || it.dyn || it.tab.unyielded() < it.prefetchWindow() {
+	for it.opts.Recorder != nil || it.dyn || it.tab.unyielded() < it.pf.window() {
 		pl, ok, done, err := it.ing.takeOne()
 		if !ok {
 			if !done {
@@ -374,7 +372,7 @@ func (it *Iterator) drainIngest() error {
 }
 
 // ingestActive reports whether opening-listing partitions may still
-// arrive: terminal kernel decisions must wait them out.
+// arrive: terminal decisions must wait them out.
 func (it *Iterator) ingestActive() bool { return it.ing != nil && !it.ingDone }
 
 // waitIngest blocks until the ingest stream produces (or finishes).
@@ -529,17 +527,10 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			return false
 		}
 		it.listFails = 0
-		var pre spec.State // the kernel's; a cursor decision assembles none
-		d, chosen, fast := it.fastNext()
-		if !fast {
-			// The fast path stood down: the kernel decides.
-			pre, d = it.kernelStep()
-			if d.Kind == DecideYield {
-				run, i := it.tab.find(repo.ObjectID(d.Elem)) // a member: Step chose it from the table's own
-				chosen = run.refs[i]
-			}
-		}
-		if (d.Kind == DecideReturn || d.Kind == DecideFail) && it.ingestActive() {
+		// The generation is read before the sample it gates, so a sample is
+		// never kept for a topology newer than the one it saw.
+		d := it.tab.decide(it.opts.Semantics, it.client.Bus().Network().Generation(), it.client.NodeReachable)
+		if (d == DecideReturn || d == DecideFail) && it.ingestActive() {
 			// The drained partitions are exhausted but the opening listing
 			// is still streaming in: a terminal decision is about a prefix,
 			// not the snapshot, so it decides nothing. Wait for more.
@@ -549,9 +540,9 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			continue
 		}
 		it.wk.Invocations++
-		switch d.Kind {
+		switch d {
 		case DecideYield:
-			if it.fetch(ctx, pre, chosen) {
+			if it.fetch(ctx) {
 				return true
 			}
 			if it.done {
@@ -562,7 +553,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			continue
 
 		case DecideReturn:
-			it.record(pre, spec.Returned, "", false)
+			it.record(spec.Returned, "", false)
 			it.countSkipped()
 			it.done = true
 			return false
@@ -571,13 +562,13 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			if it.dyn {
 				return it.settle()
 			}
-			it.record(pre, spec.Failed, "", false)
+			it.record(spec.Failed, "", false)
 			it.countSkipped()
 			it.terminate(fmt.Errorf("%w: %s: unreachable members remain", ErrFailure, it.opts.Semantics))
 			return false
 
 		case DecideBlock:
-			it.record(pre, spec.Blocked, "", false)
+			it.record(spec.Blocked, "", false)
 			if !it.blockPause(ctx) {
 				return false
 			}
@@ -585,93 +576,44 @@ func (it *Iterator) Next(ctx context.Context) bool {
 	}
 }
 
-// kernelStep hands the invocation to the kernel, over the table in the
-// figures' shapes. The membership doubles as s_first, which Step reads
-// under the snapshot semantics only.
-func (it *Iterator) kernelStep() (spec.State, Decision) {
-	pre, yielded := it.tab.kernelArgs(it.client.NodeReachable)
-	it.kernelSteps++
-	return pre, Step(it.opts.Semantics, spec.State{Members: pre.Members}, pre, yielded)
-}
-
-// fastNext is the one stepper in front of Step, for every semantics: it
-// produces the kernel's decision, and the ref it chose, without the
-// O(members) state assembly and scans, where that decision is provable
-// cheaply (fastDecide, which ExhaustiveConformance checks against Step).
-// It stands down, leaving the invocation to kernelArgs + Step, when a
-// conformance Recorder is attached (recorded pre-states are full ones);
-// when the cursor is not empty and some member-holding node is
-// unreachable in this invocation's sample; and, except under the
-// optimistic Fig. 6, when a yielded id has left the listing (the
-// pessimistic Fig. 5 kernel must fail that run). An empty cursor is the
-// terminal Return, decided without a sample, so a quiescent run never
-// steps the kernel (Next holds a snapshot run's Return until its opening
-// listing is complete).
-func (it *Iterator) fastNext() (Decision, repo.Ref, bool) {
-	if it.opts.Recorder != nil {
-		return Decision{}, repo.Ref{}, false
-	}
-	// fastDecide reads its cursor's length and first id only.
-	var cursor []spec.ElemID
-	allReachable := false
-	head, ok := it.tab.head()
-	if ok {
-		cursor = []spec.ElemID{spec.ElemID(head.ID)}
-		// Every invocation decides against the current reachability, as
-		// the spec demands: the generation is read first, so a sample is
-		// never kept for a topology newer than the one it saw.
-		allReachable = it.tab.allReachable(it.client.Bus().Network().Generation(), it.client.NodeReachable)
-	}
-	d, ok := fastDecide(it.opts.Semantics, cursor, allReachable, len(it.tab.gone))
-	return d, head, ok
-}
-
-// prefetchWindow bounds how many candidates one prefetch replan hands
-// the pipeline: enough to keep Inflight batches of the prefetcher's
+// cursorCandidates lists what the run could yield next, in yield order
+// from the cursor's head — the member a yield decision chose — on: a
+// prefetch window, enough to keep Inflight batches of the prefetcher's
 // current size full several times over, small enough that building and
 // sorting a plan never scales with the set — which is what keeps
 // time-to-first-element (and the cost of each replan) independent of
-// membership size.
-func (it *Iterator) prefetchWindow() int { return it.pf.window() }
-
-// cursorCandidates lists what the run could yield from chosen on: the
-// next prefetch window of unyielded members in yield order, chosen first,
-// less those the kernel's sample (pre.Reach, nil on the fast path) found
-// unreachable. The prefetcher batches them by node for later Next calls,
-// copying what it keeps: the window is one buffer, rewritten by the next
-// replan.
-func (it *Iterator) cursorCandidates(chosen repo.Ref, pre spec.State) []repo.Ref {
-	limit := min(it.prefetchWindow(), 1+it.tab.unyielded())
+// membership size. The prefetcher batches them by node for later Next
+// calls, copying what it keeps: the window is one buffer, rewritten by
+// the next replan.
+func (it *Iterator) cursorCandidates() []repo.Ref {
+	limit := min(it.pf.window(), it.tab.unyielded())
 	if cap(it.cands) < limit {
 		it.cands = make([]repo.Ref, 0, limit)
 	}
-	it.cands = it.tab.window(append(it.cands[:0], chosen), limit, func(ref repo.Ref) bool {
-		return ref.ID != chosen.ID && (pre.Reach == nil || pre.Reach[spec.ElemID(ref.ID)])
-	})
+	it.cands = it.tab.window(it.cands[:0], limit)
 	return it.cands
 }
 
 // accepts reports whether the invocation may yield ref in place of the
-// member the kernel chose — exactly the refs the figures' Yield may pick
-// from: an unyielded member the invocation's sample found reachable
-// (pre.Reach; nil on the fast path, which yields only when all are).
-func (it *Iterator) accepts(pre spec.State, ref repo.Ref) bool {
+// member the table chose — exactly the refs the figures' Yield may pick
+// from: an unyielded member on a node the invocation's sample found up.
+func (it *Iterator) accepts(ref repo.Ref) bool {
 	run, i := it.tab.find(ref.ID)
-	return run != nil && run.refs[i] == ref && !run.isTaken(i) && (pre.Reach == nil || pre.Reach[spec.ElemID(ref.ID)])
+	return run != nil && run.refs[i] == ref && !run.isTaken(i) && !it.tab.down[ref.Node]
 }
 
-// fetch retrieves the chosen element's object, or one the run accepts in
-// its place whose batch landed first (completion order). It returns true
-// when the iterator yielded; false means the caller should re-observe (or
-// the iterator terminated — check it.done). The prefetch candidates are
-// planned lazily, on a miss.
-func (it *Iterator) fetch(ctx context.Context, pre spec.State, chosen repo.Ref) bool {
-	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, it.tab.version, it.direct,
-		func() []repo.Ref { return it.cursorCandidates(chosen, pre) },
-		func(r repo.Ref) bool { return it.accepts(pre, r) })
+// fetch retrieves the object of the member a yield decision chose — the
+// cursor's head — or of one the run accepts in its place whose batch
+// landed first (completion order). It returns true when the iterator
+// yielded; false means the caller should re-observe (or the iterator
+// terminated — check it.done). The prefetch candidates are planned
+// lazily, on a miss.
+func (it *Iterator) fetch(ctx context.Context) bool {
+	chosen, _ := it.tab.head()
+	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, it.tab.version, it.direct, it.cursorCandidates, it.accepts)
 	switch {
 	case err == nil:
-		it.yield(pre, ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
+		it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
 		return true
 
 	case errors.Is(err, repo.ErrNotFound):
@@ -680,7 +622,7 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, chosen repo.Ref) 
 		case Immutable, ImmutablePerRun, Snapshot:
 			// The snapshot still lists the member but its data is gone —
 			// Fig. 4's tolerated anomaly. Yield the identity as stale.
-			it.yield(pre, ref, Element{Ref: ref, Stale: true})
+			it.yield(ref, Element{Ref: ref, Stale: true})
 			return true
 		case Optimistic:
 			// Concurrently deleted; the next membership read drops it.
@@ -688,27 +630,27 @@ func (it *Iterator) fetch(ctx context.Context, pre spec.State, chosen repo.Ref) 
 		default:
 			// Grow-only: a member's data vanished, so the grow-only
 			// discipline was broken under us. Pessimistic failure.
-			it.record(pre, spec.Failed, "", false)
+			it.record(spec.Failed, "", false)
 			it.terminate(fmt.Errorf("%w: member %q data missing: %v", ErrFailure, ref.ID, err))
 			return false
 		}
 
 	default:
 		// Transport failure. The element may have become unreachable (the
-		// kernel will see that next time) or the message was dropped (the
-		// kernel will choose it again). Guard liveness on lossy links.
+		// next sample will see that) or the message was dropped (the run
+		// will choose it again). Guard liveness on lossy links.
 		it.fetchFails++
 		it.wk.FetchFailures++
 		if it.fetchFails >= maxConsecutiveFetchFailures && it.opts.Semantics != Optimistic {
-			it.record(pre, spec.Failed, "", false)
+			it.record(spec.Failed, "", false)
 			it.terminate(fmt.Errorf("%w: fetching %q kept failing: %v", ErrFailure, ref.ID, err))
 		}
 		return false
 	}
 }
 
-func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
-	it.record(pre, spec.Suspended, spec.ElemID(ref.ID), true)
+func (it *Iterator) yield(ref repo.Ref, e Element) {
+	it.record(spec.Suspended, spec.ElemID(ref.ID), true)
 	it.tab.yield(ref.ID)
 	it.wk.Yielded++
 	if e.Stale {
@@ -723,7 +665,16 @@ func (it *Iterator) yield(pre spec.State, ref repo.Ref, e Element) {
 // once Next has returned false, those it left at termination — for a
 // dynamic run, the unreachable ones it had no fallback copy of.
 func (it *Iterator) Skipped() []repo.Ref {
-	return it.tab.window(nil, it.tab.unyielded(), func(repo.Ref) bool { return true })
+	out := make([]repo.Ref, 0, it.tab.unyielded())
+	for r := range it.tab.runs {
+		for i, ref := range it.tab.runs[r].refs {
+			if !it.tab.runs[r].isTaken(i) {
+				out = append(out, ref)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // countSkipped records, at a terminal decision, the members of the
@@ -752,9 +703,11 @@ func (it *Iterator) blockPause(ctx context.Context) bool {
 	return true
 }
 
-func (it *Iterator) record(pre spec.State, outcome spec.Outcome, yield spec.ElemID, hasYield bool) {
+// record hands a Recorder the invocation the run just decided, over the
+// pre-state the decision was made on.
+func (it *Iterator) record(outcome spec.Outcome, yield spec.ElemID, hasYield bool) {
 	if it.opts.Recorder != nil {
-		it.opts.Recorder.Record(pre, outcome, yield, hasYield)
+		it.opts.Recorder.Record(it.tab.preState(), outcome, yield, hasYield)
 	}
 }
 

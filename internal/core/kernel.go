@@ -63,32 +63,13 @@ func Step(sem Semantics, first spec.State, pre spec.State, yielded map[spec.Elem
 	}
 }
 
-// Step is O(members). An Iterator runs it only for the invocations its
-// cursor cannot decide (fastDecide) — any taken under a Recorder, a
-// partition, or a Fig. 5 listing that dropped a yielded id — so a
-// quiescent run never pays it. What the step functions must not do is
-// allocate: the reachable subsets (reachable(s_first), reachable(s_pre))
-// are folded into single counting scans instead of materialized maps.
-
-// fastDecide is the cursor stepper's whole decision, as a pure function.
-// cursor is the governing membership (s_first for the snapshot semantics,
-// s_pre otherwise) minus yielded, ascending; allReachable says this
-// invocation's sample found all of it reachable; yieldedGone counts
-// yielded ids outside it. When ok, the decision is Step's. Except under
-// Fig. 6, which never asks where yielded ids went, it decides only when
-// none has gone. An empty cursor then returns, whatever the sample says:
-// every governing member is yielded. A non-empty one yields cursor[0]
-// when all of it is reachable: yielded is a strict subset of the
-// reachable members and cursor[0] their smallest unyielded one.
-func fastDecide(sem Semantics, cursor []spec.ElemID, allReachable bool, yieldedGone int) (d Decision, ok bool) {
-	if yieldedGone > 0 && sem != Optimistic || len(cursor) > 0 && !allReachable {
-		return Decision{}, false
-	}
-	if len(cursor) == 0 {
-		return Decision{Kind: DecideReturn}, true
-	}
-	return Decision{Kind: DecideYield, Elem: cursor[0]}, true
-}
+// Step is O(members) and no Iterator runs it: every decision of a run is
+// its run table's (runTable.decide, O(1)), which ExhaustiveConformance
+// holds to Step in every world of a few elements. Step is the figures'
+// executable form — the oracle, and RunModel's and speccheck's kernel —
+// and must not allocate: the reachable subsets (reachable(s_first),
+// reachable(s_pre)) are folded into single counting scans instead of
+// materialized maps.
 
 // stepSnapshot implements the shared ensures clause of Figures 3 and 4:
 // everything is judged against s_first, with reachability sampled now.

@@ -22,8 +22,9 @@ type ModelConfig struct {
 // the kernel observes env's state, decides, the recorder logs the
 // invocation, and the environment takes a random step between invocations.
 // This is the harness the conformance matrix (experiment E6) and the
-// property tests use: the exact kernel the distributed iterator runs,
-// checked against the executable specifications with no network noise.
+// property tests use: the kernel the distributed iterator's run table is
+// held to (ExhaustiveConformance), checked against the executable
+// specifications with no network noise.
 //
 // It returns the recorded run and whether the run terminated (returned or
 // failed) within cfg.MaxSteps.

@@ -2,21 +2,23 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
+	"weaksets/internal/netsim"
+	"weaksets/internal/repo"
 	"weaksets/internal/spec"
 )
 
 // This file is the exhaustive companion to the randomized model harness:
-// for a small universe of elements it enumerates EVERY reachable
-// configuration of (membership, reachability, yielded-history) under the
-// environment discipline a semantics' constraint clause allows, drives the
-// kernel in each, and checks every decision against the figure's ensures
-// clause via spec.CheckInvocation. Where the property tests sample, this
-// proves: within the bound, no interleaving of mutations, failures and
-// repairs can make the kernel violate its specification — nor make the
-// Iterator's cursor stepper (fastDecide), wherever it claims to apply,
-// decide anything but what the kernel decides.
+// for a small universe of elements it enumerates EVERY configuration of
+// (s_first, membership, reachability, yielded-history), builds in each
+// the run table an Iterator would hold there, and checks the table's
+// decision — the one every run ships — against the kernel Step, the
+// figures' executable form, and both against the figure's ensures clause
+// via spec.CheckInvocation: the same kind of decision, and a yield the
+// figure allows, not necessarily Step's. A decision reads only the
+// configuration it is taken in, so where the property tests sample,
+// this proves: within the bound, no interleaving of mutations, failures
+// and repairs can make a run decide anything its specification forbids.
 
 // mcWorld is a bitmask-encoded model-check configuration. Bit i stands for
 // element i of the universe.
@@ -27,145 +29,125 @@ type mcWorld struct {
 	first   uint16 // membership at the run's first invocation
 }
 
+func (w mcWorld) String() string {
+	return fmt.Sprintf("world members=%04b reach=%04b yielded=%04b first=%04b", w.members, w.reach, w.yielded, w.first)
+}
+
 // ExhaustiveResult reports what an exhaustive check covered.
 type ExhaustiveResult struct {
-	Elements    int
-	States      int // distinct configurations visited
-	Invocations int // kernel decisions checked
-	FastDecided int // of those, decided by the cursor stepper too, identically
+	Elements int
+	States   int // configurations checked: one decision each, the table's against Step's
 }
 
 // ExhaustiveConformance model-checks the semantics over every world of n
-// elements (n <= 8): all initial (membership, reachability) pairs, closed
-// under every environment mutation the constraint discipline permits,
-// every reachability flip, and every kernel invocation. It returns the
-// first specification violation or cursor/kernel disagreement found, or
-// the coverage counts.
+// elements (n <= 8): every membership, every reachability mask and every
+// yielded set — a snapshot run's drawn from every s_first, since it
+// yields from s_first only; the current-state semantics never read
+// s_first. It returns the first specification violation or table/kernel
+// disagreement found, or the coverage counts.
 func ExhaustiveConformance(sem Semantics, n int) (ExhaustiveResult, error) {
 	if n < 1 || n > 8 {
 		return ExhaustiveResult{}, fmt.Errorf("core: exhaustive check supports 1..8 elements, got %d", n)
 	}
-	var (
-		res     ExhaustiveResult
-		full    = uint16(1<<n) - 1
-		visited = make(map[mcWorld]bool)
-		queue   []mcWorld
-	)
-	res.Elements = n
-
-	push := func(w mcWorld) {
-		if !visited[w] {
-			visited[w] = true
-			queue = append(queue, w)
-		}
+	res := ExhaustiveResult{Elements: n}
+	full, firsts := uint16(1<<n)-1, uint16(0)
+	if sem.UsesSnapshot() {
+		firsts = full
 	}
-
-	// Every initial world: any membership, any reachability, nothing
-	// yielded, s_first = the initial membership.
-	for members := uint16(0); members <= full; members++ {
-		for reach := uint16(0); reach <= full; reach++ {
-			push(mcWorld{members: members, reach: reach, yielded: 0, first: members})
-		}
-	}
-
-	for len(queue) > 0 {
-		w := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		res.States++
-
-		// Kernel invocation from this world.
-		first := maskStateWithReach(w.first, full, n) // reachability irrelevant for first
-		pre := maskStateWithReach(w.members, w.reach, n)
-		yielded := maskSet(w.yielded, n)
-		d := Step(sem, first, pre, yielded)
-
-		// The cursor stepper, fed what an Iterator would hold in this
-		// world: the governing membership minus yielded in yield order,
-		// whether all of it is reachable, how many yielded ids left it.
-		governing := w.members
-		if sem.UsesSnapshot() {
-			governing = w.first
-		}
-		var cursor []spec.ElemID
-		for i := 0; i < n; i++ { // elemID(i) ascends with i
-			if governing&^w.yielded&(1<<i) != 0 {
-				cursor = append(cursor, elemID(i))
-			}
-		}
-		if fd, ok := fastDecide(sem, cursor, governing&^w.reach == 0, bits.OnesCount16(w.yielded&^governing)); ok {
-			if fd != d {
-				return res, fmt.Errorf("world members=%03b reach=%03b yielded=%03b first=%03b: cursor decides %v, kernel %v",
-					w.members, w.reach, w.yielded, w.first, fd, d)
-			}
-			res.FastDecided++
-		}
-
-		inv := spec.Invocation{Pre: pre}
-		next := w
-		switch d.Kind {
-		case DecideYield:
-			inv.Outcome = spec.Suspended
-			inv.Yield = d.Elem
-			inv.HasYield = true
-			bit, ok := elemBit(d.Elem, n)
-			if !ok {
-				return res, fmt.Errorf("core: kernel yielded unknown element %q", d.Elem)
-			}
-			next.yielded |= bit
-		case DecideReturn:
-			inv.Outcome = spec.Returned
-		case DecideFail:
-			inv.Outcome = spec.Failed
-		case DecideBlock:
-			inv.Outcome = spec.Blocked
-		}
-		res.Invocations++
-		if err := spec.CheckInvocation(sem.Figure(), first.Members, yielded, res.Invocations, inv); err != nil {
-			return res, fmt.Errorf("world members=%03b reach=%03b yielded=%03b first=%03b: %w",
-				w.members, w.reach, w.yielded, w.first, err)
-		}
-		// The run continues only after a yield; terminal decisions end it.
-		// Blocking leaves the world to the environment.
-		if d.Kind == DecideYield {
-			push(next)
-		}
-
-		// Environment transitions: reachability may flip freely; membership
-		// mutates per the constraint discipline.
-		for i := 0; i < n; i++ {
-			bit := uint16(1) << i
-			flipped := w
-			flipped.reach ^= bit
-			push(flipped)
-
-			switch sem.Constraint() {
-			case spec.ConstraintImmutable, spec.ConstraintImmutablePerRun:
-				// No membership mutation during the run.
-			case spec.ConstraintGrowOnly, spec.ConstraintGrowOnlyPerRun:
-				if w.members&bit == 0 {
-					grown := w
-					grown.members |= bit
-					push(grown)
+	for first := uint16(0); first <= firsts; first++ {
+		for members := uint16(0); members <= full; members++ {
+			for reach := uint16(0); reach <= full; reach++ {
+				for yielded := uint16(0); yielded <= full; yielded++ {
+					if sem.UsesSnapshot() && yielded&^first != 0 {
+						continue
+					}
+					res.States++
+					if err := checkWorld(sem, mcWorld{members, reach, yielded, first}, n); err != nil {
+						return res, err
+					}
 				}
-			default:
-				mutated := w
-				mutated.members ^= bit
-				push(mutated)
 			}
 		}
 	}
 	return res, nil
 }
 
-func elemID(i int) spec.ElemID { return spec.ElemID(fmt.Sprintf("e%d", i)) }
-
-func elemBit(id spec.ElemID, n int) (uint16, bool) {
-	for i := 0; i < n; i++ {
-		if elemID(i) == id {
-			return uint16(1) << i, true
+// checkWorld holds the run table's decision in w to Step's, and both to
+// the figure.
+func checkWorld(sem Semantics, w mcWorld, n int) error {
+	first := spec.State{Members: maskSet(w.first, n)} // reachability irrelevant for first
+	pre := spec.State{Members: maskSet(w.members, n), Reach: maskSet(w.reach, n)}
+	yielded := maskSet(w.yielded, n)
+	want := Step(sem, first, pre, yielded)
+	tab := worldTable(sem, w, n)
+	got := Decision{Kind: tab.decide(sem, 0, func(node netsim.NodeID) bool { return pre.Reach[spec.ElemID(node)] })}
+	if got.Kind != want.Kind {
+		return fmt.Errorf("%v: run table decides %v, kernel %v", w, got.Kind, want)
+	}
+	if got.Kind == DecideYield {
+		ref, ok := tab.head()
+		if !ok {
+			return fmt.Errorf("%v: the run table decides a yield with no reachable member", w)
+		}
+		got.Elem = spec.ElemID(ref.ID)
+	}
+	for _, d := range []Decision{want, got} {
+		if err := spec.CheckInvocation(sem.Figure(), first.Members, yielded, 1, invocation(pre, d)); err != nil {
+			return fmt.Errorf("%v: %w", w, err)
 		}
 	}
-	return 0, false
+	return nil
+}
+
+// invocation is decision d taken in pre-state pre, as the figures record it.
+func invocation(pre spec.State, d Decision) spec.Invocation {
+	inv := spec.Invocation{Pre: pre}
+	switch d.Kind {
+	case DecideYield:
+		inv.Outcome, inv.Yield, inv.HasYield = spec.Suspended, d.Elem, true
+	case DecideReturn:
+		inv.Outcome = spec.Returned
+	case DecideFail:
+		inv.Outcome = spec.Failed
+	case DecideBlock:
+		inv.Outcome = spec.Blocked
+	}
+	return inv
+}
+
+func elemID(i int) spec.ElemID { return spec.ElemID(fmt.Sprintf("e%d", i)) }
+
+// maskRefs lists the elements of mask ascending, each on a node of its
+// own named after it, so a reach mask is the set of nodes up.
+func maskRefs(mask uint16, n int) []repo.Ref {
+	var refs []repo.Ref
+	for i := 0; i < n; i++ { // elemID(i) ascends with i
+		if mask&(1<<i) != 0 {
+			refs = append(refs, repo.Ref{ID: repo.ObjectID(elemID(i)), Node: netsim.NodeID(elemID(i))})
+		}
+	}
+	return refs
+}
+
+// worldTable builds the run table an Iterator holds in world w, through
+// the production fold, yield and adopt: a snapshot run folds s_first and
+// yields from it; a current-state run yielded from the listings it
+// observed before and has adopted the current membership, so what it
+// yielded and the set has dropped is gone.
+func worldTable(sem Semantics, w mcWorld, n int) *runTable {
+	var tab runTable
+	if sem.UsesSnapshot() {
+		tab.fold(maskRefs(w.first, n))
+	} else {
+		tab.fold(maskRefs(w.members|w.yielded, n))
+	}
+	for _, ref := range maskRefs(w.yielded, n) {
+		tab.yield(ref.ID)
+	}
+	if !sem.UsesSnapshot() {
+		tab.adopt(&listing{sorted: maskRefs(w.members, n), nodes: tab.nodes})
+	}
+	return &tab
 }
 
 func maskSet(mask uint16, n int) map[spec.ElemID]bool {
@@ -176,8 +158,4 @@ func maskSet(mask uint16, n int) map[spec.ElemID]bool {
 		}
 	}
 	return out
-}
-
-func maskStateWithReach(members, reach uint16, n int) spec.State {
-	return spec.State{Members: maskSet(members, n), Reach: maskSet(reach, n)}
 }

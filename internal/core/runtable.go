@@ -13,19 +13,22 @@ import (
 // the paper's s_first (or s_pre) and its history object yielded, Figs.
 // 3–6 — held as what the wire delivered: sorted runs of refs. The store
 // ships every listing and partition ascending by id, so members stay as
-// decoded, the cursor is a position per run merged through a heap, and
-// yielded is a bit per position. Nothing is keyed by id; the maps the
-// kernel is specified over are assembled by kernelArgs, on the
-// invocations the kernel decides. A snapshot run grows its table a
-// partition at a time (fold), a current-state run re-bases it on each
-// whole listing it observes (adopt); a table is one or the other, since
-// adopt shares the listing's node set, which fold writes.
+// decoded, the cursor is a position per run merged through a heap —
+// past the members on down nodes too, while a sample finds one — and
+// yielded is a bit per position. Nothing is keyed by id but the nodes.
+// The table decides every invocation (decide) from a few counts and its
+// cursor; the maps the kernel is specified over are assembled only for a
+// Recorder (preState). A snapshot run grows its table a partition at a time
+// (fold), a current-state run re-bases it on each whole listing it
+// observes (adopt); a table is one or the other, since adopt shares the
+// listing's node set, which fold writes.
 type runTable struct {
 	// version is the membership's listing version, which anchors the
 	// cache's freshness check.
 	version uint64
 	// runs is a min-heap on the id under each run's cursor, exhausted runs
-	// last: runs[0] holds the run's cursor.
+	// last: runs[0] holds the run's cursor, the smallest unyielded member
+	// on a node the last sample found up.
 	runs    []refRun
 	members int // refs across runs
 	yielded int // of those, yielded
@@ -35,14 +38,17 @@ type runTable struct {
 	// nodes is the distinct nodes holding members: the domain of one
 	// reachability sample.
 	nodes map[netsim.NodeID]bool
-	// reachAll is the last sample's answer — every node in nodes was
-	// reachable — and reachGen the network generation read before it was
-	// taken. sampled is false until the first sample and again whenever
-	// nodes changes: a fold that admits a node, and adopt, which replaces
-	// the table (a listing of as many nodes need not list the same ones).
-	reachAll bool
-	reachGen uint64
-	sampled  bool
+	// down is the nodes the last sample found unreachable, nil when it
+	// found all of them up, and reachGen the network generation read
+	// before it was taken; the cursor is valid for that sample. sampled is
+	// false until the first sample and again whenever nodes changes: a
+	// fold that admits a node, and adopt, which replaces the table (a
+	// listing of as many nodes need not list the same ones).
+	// downYielded counts the yielded members on down nodes.
+	down        map[netsim.NodeID]bool
+	reachGen    uint64
+	sampled     bool
+	downYielded int
 	// lastRun and lastAt are find's last by-search hit, checked by
 	// content before reuse: ids are unique across runs, so a match is the
 	// member whatever reordered the runs since.
@@ -51,8 +57,8 @@ type runTable struct {
 
 // refRun is one sorted run of members. refs ascend by id and are never
 // written — they may be a shared listing's or, on the in-process bus, the
-// store's own; bit i of taken says refs[i] is yielded; pos is the first
-// index not taken, the run's cursor.
+// store's own; bit i of taken says refs[i] is yielded; pos is the run's
+// cursor, the first index neither taken nor on a down node.
 type refRun struct {
 	refs  []repo.Ref
 	taken []uint64
@@ -65,14 +71,15 @@ func newRefRun(refs []repo.Ref) refRun {
 
 func (r *refRun) isTaken(i int) bool { return r.taken[i>>6]>>(i&63)&1 != 0 }
 
-// take marks refs[i] yielded and keeps pos off taken refs.
-func (r *refRun) take(i int) {
+// take marks refs[i] yielded and keeps pos off taken refs and refs on
+// down nodes.
+func (r *refRun) take(i int, down map[netsim.NodeID]bool) {
 	r.taken[i>>6] |= 1 << (i & 63)
-	r.skip()
+	r.skip(down)
 }
 
-func (r *refRun) skip() {
-	for r.pos < len(r.refs) && r.isTaken(r.pos) {
+func (r *refRun) skip(down map[netsim.NodeID]bool) {
+	for r.pos < len(r.refs) && (r.isTaken(r.pos) || down != nil && down[r.refs[r.pos].Node]) {
 		r.pos++
 	}
 }
@@ -108,7 +115,9 @@ func (t *runTable) fold(refs []repo.Ref) {
 	refs = admit(t.nodes, refs)
 	t.sampled = t.sampled && len(t.nodes) == held
 	if len(refs) > 0 {
-		t.runs = append(t.runs, newRefRun(refs))
+		run := newRefRun(refs)
+		run.skip(t.down)
+		t.runs = append(t.runs, run)
 		t.members += len(refs)
 		t.reheap()
 	}
@@ -128,7 +137,7 @@ func (t *runTable) adopt(l *listing) (suppressed int) {
 			i++
 		}
 		if i < len(run.refs) && run.refs[i].ID == id {
-			run.take(i)
+			run.take(i, nil)
 			t.yielded++
 		} else {
 			t.gone = append(t.gone, id)
@@ -155,7 +164,8 @@ func (t *runTable) yieldedCount() int { return t.yielded + len(t.gone) }
 // unyielded is the cursor's length.
 func (t *runTable) unyielded() int { return t.members - t.yielded }
 
-// head is the cursor: the smallest unyielded member.
+// head is the cursor: the smallest unyielded member on a node the last
+// sample found up — what the run yields next.
 func (t *runTable) head() (repo.Ref, bool) {
 	if len(t.runs) == 0 || t.runs[0].pos == len(t.runs[0].refs) {
 		return repo.Ref{}, false
@@ -164,8 +174,8 @@ func (t *runTable) head() (repo.Ref, bool) {
 }
 
 // find locates member id: the cursor's head, or the last id found (a
-// yield in place of the kernel's choice is looked up to accept it, then
-// to mark it), at no cost; any other by binary search of the runs — one
+// yield in place of the head is looked up to accept it, then to mark
+// it), at no cost; any other by binary search of the runs — one
 // on a table opened on a whole listing, a partition's each while a
 // stream folds.
 func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
@@ -195,8 +205,11 @@ func (t *runTable) yield(id repo.ObjectID) {
 		return
 	}
 	t.yielded++
+	if t.down[run.refs[i].Node] { // a dynamic run settling
+		t.downYielded++
+	}
 	was := run.pos
-	run.take(i)
+	run.take(i, t.down)
 	switch {
 	case run.pos == was: // ahead of its run's cursor, which will step over it
 	case run == &t.runs[0]:
@@ -207,17 +220,16 @@ func (t *runTable) yield(id repo.ObjectID) {
 }
 
 // window appends to out, in yield order from the cursor on, the unyielded
-// members keep admits, until out holds limit. It walks the merge itself
-// and then puts the runs back as they were: the cursor does not move.
-func (t *runTable) window(out []repo.Ref, limit int, keep func(repo.Ref) bool) []repo.Ref {
+// members on nodes the last sample found up, until out holds limit. It
+// walks the merge itself and then puts the runs back as they were: the
+// cursor does not move.
+func (t *runTable) window(out []repo.Ref, limit int) []repo.Ref {
 	var few [16]refRun
 	saved := append(few[:0], t.runs...)
 	for ref, ok := t.head(); ok && len(out) < limit; ref, ok = t.head() {
-		if keep(ref) {
-			out = append(out, ref)
-		}
+		out = append(out, ref)
 		t.runs[0].pos++
-		t.runs[0].skip()
+		t.runs[0].skip(t.down)
 		t.siftDown(0)
 	}
 	copy(t.runs, saved)
@@ -253,45 +265,91 @@ func (t *runTable) reheap() {
 // call. Reachability is a function of the topology and the node set, so
 // while neither has moved since the last sample its answer is the one a
 // fresh sample would give, and only a move pays for one — per distinct
-// node, not per member.
+// node, not per member. A sample that finds a node down also moves the
+// cursor past the members on it and counts the yielded ones, and one
+// after such a sample rewinds the cursor over the members it passed: a
+// pass over the table per topology move, and none while every node stays
+// up. Yields in between take reachable members only (a settling dynamic
+// run's aside), so the count stands until the next sample.
 func (t *runTable) allReachable(gen uint64, reachable func(netsim.NodeID) bool) bool {
 	if t.sampled && t.reachGen == gen {
-		return t.reachAll
+		return t.down == nil
 	}
-	t.reachAll, t.reachGen, t.sampled = true, gen, true
+	t.reachGen, t.sampled = gen, true
+	wasDown := t.down != nil
+	t.down, t.downYielded = nil, 0
 	for node := range t.nodes {
 		if !reachable(node) {
-			t.reachAll = false
-			break
+			if t.down == nil {
+				t.down = make(map[netsim.NodeID]bool, 1)
+			}
+			t.down[node] = true
 		}
 	}
-	return t.reachAll
+	if !wasDown && t.down == nil {
+		return true
+	}
+	for r := range t.runs {
+		run := &t.runs[r]
+		if wasDown {
+			run.pos = 0
+		}
+		run.skip(t.down)
+		for i := 0; t.down != nil && i < len(run.refs); i++ {
+			if run.isTaken(i) && t.down[run.refs[i].Node] {
+				t.downYielded++
+			}
+		}
+	}
+	t.reheap()
+	return t.down == nil
 }
 
-// kernelArgs assembles what core.Step takes — the pre-state (membership
-// plus a fresh reachability sample) and the yielded history — in the map
-// shapes the figures are written over: the one place the table is turned
-// into maps, paid only by the invocations the kernel decides, which no
-// quiescent run has (fastDecide). Reachability is a link property, so it
-// is sampled once per distinct node: members sharing a node share the
-// answer within one sample.
-func (t *runTable) kernelArgs(reachable func(netsim.NodeID) bool) (pre spec.State, yielded map[spec.ElemID]bool) {
-	up := make(map[netsim.NodeID]bool, len(t.nodes))
-	for node := range t.nodes {
-		up[node] = reachable(node)
+// decide is the invocation's outcome — Figs. 3–6's ensures clauses, as
+// Step decides them — over the reachability sample allReachable takes
+// (gen, reachable), in O(1): from the unyielded members' count, whether
+// the cursor has a head (an unyielded member on a node found up, which a
+// yield chooses), and the yielded members on down nodes and gone from the
+// listing. The governing membership is the table's: s_first under the
+// snapshot semantics, the observed s_pre otherwise, and yielded ⊆
+// reachable(governing) holds exactly when no yielded member is down and
+// none has gone. An empty cursor decides alike on any sample and takes
+// none, so a quiescent run's terminal Return costs nothing.
+// ExhaustiveConformance holds it to Step.
+func (t *runTable) decide(sem Semantics, gen uint64, reachable func(netsim.NodeID) bool) DecisionKind {
+	unyielded := t.unyielded()
+	if unyielded > 0 {
+		t.allReachable(gen, reachable)
 	}
-	pre = spec.State{Members: make(map[spec.ElemID]bool, t.members), Reach: make(map[spec.ElemID]bool, t.members)}
+	_, canYield := t.head()
+	lost := t.downYielded > 0 || len(t.gone) > 0
+	snapshot, optimistic := sem.UsesSnapshot(), sem == Optimistic
+	switch {
+	case unyielded == 0 && (snapshot || optimistic), lost && snapshot:
+		return DecideReturn // all yielded, or (Figs. 3–4) a yielded member out of reach
+	case canYield && (!lost || optimistic):
+		return DecideYield
+	case optimistic:
+		return DecideBlock // Fig. 6 never fails
+	case unyielded == 0 && len(t.gone) == 0:
+		return DecideReturn // Fig. 5: yielded = s_pre
+	}
+	return DecideFail
+}
+
+// preState is the invocation's pre-state in the shape the figures are
+// written over — the membership, and as reachable every member the last
+// sample did not find down — which only a Recorder asks for: the one
+// place the table is turned into maps.
+func (t *runTable) preState() spec.State {
+	pre := spec.State{Members: make(map[spec.ElemID]bool, t.members), Reach: make(map[spec.ElemID]bool, t.members)}
 	for r := range t.runs {
 		for _, ref := range t.runs[r].refs {
 			pre.Members[spec.ElemID(ref.ID)] = true
-			if up[ref.Node] {
+			if !t.down[ref.Node] {
 				pre.Reach[spec.ElemID(ref.ID)] = true
 			}
 		}
 	}
-	yielded = make(map[spec.ElemID]bool, t.yieldedCount())
-	for _, id := range t.yieldedIDs() {
-		yielded[spec.ElemID(id)] = true
-	}
-	return pre, yielded
+	return pre
 }

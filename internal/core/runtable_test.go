@@ -22,9 +22,9 @@ func newListing(version uint64, refs []repo.Ref) *listing {
 
 // cursorIDs lists the table's cursor — every unyielded member in yield
 // order — without moving it.
-func cursorIDs(t *runTable) []repo.ObjectID {
+func cursorIDs(it *Iterator) []repo.ObjectID {
 	var ids []repo.ObjectID
-	for _, ref := range t.window(nil, t.unyielded(), func(repo.Ref) bool { return true }) {
+	for _, ref := range it.Skipped() {
 		ids = append(ids, ref.ID)
 	}
 	return ids
@@ -38,6 +38,7 @@ type mapRun struct {
 	members     map[repo.ObjectID]bool
 	refs        map[repo.ObjectID]repo.Ref
 	cursor      []repo.ObjectID
+	at          int // head's position in cursor
 	yielded     map[repo.ObjectID]bool
 	yieldedGone int
 	suppressed  int64
@@ -70,6 +71,7 @@ func (m *mapRun) fold(refs []repo.Ref) {
 		}
 	}
 	m.cursor = append(append(merged, m.cursor[i:]...), fresh[j:]...)
+	m.at = 0
 }
 
 func (m *mapRun) adopt(refs []repo.Ref) {
@@ -89,16 +91,18 @@ func (m *mapRun) adopt(refs []repo.Ref) {
 	}
 	m.suppressed += int64(len(m.yielded) - m.yieldedGone)
 	m.cursor = slices.DeleteFunc(order, func(id repo.ObjectID) bool { return m.yielded[id] })
+	m.at = 0
 }
 
-func (m *mapRun) head() (repo.Ref, bool) {
-	for len(m.cursor) > 0 && m.yielded[m.cursor[0]] {
-		m.cursor = m.cursor[1:]
+// head is the smallest unyielded member not on node down.
+func (m *mapRun) head(down netsim.NodeID) (repo.Ref, bool) {
+	for m.at < len(m.cursor) && (m.yielded[m.cursor[m.at]] || m.refs[m.cursor[m.at]].Node == down) {
+		m.at++
 	}
-	if len(m.cursor) == 0 {
+	if m.at == len(m.cursor) {
 		return repo.Ref{}, false
 	}
-	return m.refs[m.cursor[0]], true
+	return m.refs[m.cursor[m.at]], true
 }
 
 // order is the cursor proper: what head would walk.
@@ -115,17 +119,32 @@ func (m *mapRun) order() []repo.ObjectID {
 func (m *mapRun) unreachableSkipped() int { return len(m.members) - len(m.yielded) + m.yieldedGone }
 
 // tableVsOracle drives a bare Iterator's run table and the map oracle
-// through one script, side by side.
+// through one script, side by side. down is the node (of testRefs' four)
+// every reachability sample finds down — none on even seeds — so the
+// table's down-node counts are built once and then kept by fold and
+// yield through the script.
 type tableVsOracle struct {
 	t      *testing.T
 	rnd    *sim.Rand
 	it     *Iterator
 	oracle *mapRun
+	down   netsim.NodeID
 	step   int
 }
 
+// sample is the table's reachability sample, as Iterator.decide takes it
+// before every decision: taken afresh only when fold or adopt changed the
+// node set, since the topology never moves.
+func (p *tableVsOracle) sample() { p.it.tab.allReachable(1, p.reachable) }
+
+func (p *tableVsOracle) reachable(node netsim.NodeID) bool { return node != p.down }
+
 func newTableVsOracle(t *testing.T, seed int64) *tableVsOracle {
-	return &tableVsOracle{t: t, rnd: sim.NewRand(seed), it: &Iterator{}, oracle: newMapRun()}
+	p := &tableVsOracle{t: t, rnd: sim.NewRand(seed), it: &Iterator{}, oracle: newMapRun()}
+	if seed%2 == 1 {
+		p.down = "n3"
+	}
+	return p
 }
 
 func (p *tableVsOracle) fold(part, partitions int, refs []repo.Ref) {
@@ -144,17 +163,24 @@ func (p *tableVsOracle) adopt(version uint64, refs []repo.Ref) {
 }
 
 // yields takes n members on both sides: the cursor's head, or one time in
-// eight a member chosen by id from further down, as the kernel chooses
-// under a partition.
+// eight a member chosen by id from further down, as a landed batch
+// stands in for the head, and once only members on the down node are
+// left, those, as a dynamic run settles them.
 func (p *tableVsOracle) yields(n int) {
 	p.t.Helper()
 	for ; n > 0; n-- {
-		want, ok := p.oracle.head()
+		p.sample()
+		want, ok := p.oracle.head(p.down)
 		got, gotOK := p.it.tab.head()
 		if got != want || gotOK != ok {
-			p.t.Fatalf("step %d: head %v %v, oracle %v %v", p.step, got, gotOK, want, ok)
+			p.t.Fatalf("step %d: head %v %v, oracle %v %v (down %q)", p.step, got, gotOK, want, ok, p.down)
 		}
 		if !ok {
+			for _, ref := range p.it.Skipped() {
+				p.it.tab.yield(ref.ID)
+				p.oracle.yielded[ref.ID] = true
+			}
+			p.step++
 			return
 		}
 		id := want.ID
@@ -178,11 +204,13 @@ func (p *tableVsOracle) yields(n int) {
 // agree requires what a run can observe of its state to be equal on both
 // sides: cursor order, the yielded set, yieldedGone, DuplicatesSuppressed
 // and what a terminal decision would count as UnreachableSkipped — and
-// the kernel's map-shaped arguments to be the oracle's maps.
+// the table's decision under each figure's clause, over its sample, to
+// be Step's over the oracle's maps, yielding the smallest reachable
+// unyielded member.
 func (p *tableVsOracle) agree() {
 	p.t.Helper()
 	tab := &p.it.tab
-	if got, want := cursorIDs(tab), p.oracle.order(); !slices.Equal(got, want) {
+	if got, want := cursorIDs(p.it), p.oracle.order(); !slices.Equal(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
@@ -210,19 +238,29 @@ func (p *tableVsOracle) agree() {
 	if got := int(p.it.wk.UnreachableSkipped - before); got != p.oracle.unreachableSkipped() {
 		p.t.Fatalf("step %d: UnreachableSkipped %d, oracle %d", p.step, got, p.oracle.unreachableSkipped())
 	}
-	pre, yielded := tab.kernelArgs(func(netsim.NodeID) bool { return true })
-	if len(pre.Members) != len(p.oracle.members) || len(pre.Reach) != len(pre.Members) || len(yielded) != len(wantYielded) {
-		p.t.Fatalf("step %d: kernel sees %d members, %d reachable, %d yielded; oracle %d, %d", p.step, len(pre.Members), len(pre.Reach), len(yielded), len(p.oracle.members), len(wantYielded))
-	}
+	p.sample()
+	pre := spec.State{Members: map[spec.ElemID]bool{}, Reach: map[spec.ElemID]bool{}}
 	for id := range p.oracle.members {
-		if !pre.Members[spec.ElemID(id)] {
-			p.t.Fatalf("step %d: kernel membership lacks %q", p.step, id)
+		pre.Members[spec.ElemID(id)] = true
+		if p.oracle.refs[id].Node != p.down {
+			pre.Reach[spec.ElemID(id)] = true
 		}
 	}
-	for _, id := range wantYielded {
-		if !yielded[spec.ElemID(id)] {
-			p.t.Fatalf("step %d: kernel yielded lacks %q", p.step, id)
+	if got := tab.preState(); !sameSet(got.Members, pre.Members) || !sameSet(got.Reach, pre.Reach) {
+		p.t.Fatalf("step %d: a recorded pre-state has %d members, %d reachable; oracle %d, %d", p.step, len(got.Members), len(got.Reach), len(pre.Members), len(pre.Reach))
+	}
+	yielded := make(map[spec.ElemID]bool, len(p.oracle.yielded))
+	for id := range p.oracle.yielded {
+		yielded[spec.ElemID(id)] = true
+	}
+	for _, sem := range []Semantics{Snapshot, GrowOnly, Optimistic} { // Figs. 3–4, 5 and 6
+		if got, want := tab.decide(sem, 1, p.reachable), Step(sem, pre, pre, yielded); got != want.Kind {
+			p.t.Fatalf("step %d: %s run table decides %v, kernel %v (down %q)", p.step, sem, got, want, p.down)
 		}
+	}
+	want, wantOK := p.oracle.head(p.down)
+	if got, ok := tab.head(); got != want || ok != wantOK {
+		p.t.Fatalf("step %d: cursor at %v %v, oracle %v %v (down %q)", p.step, got, ok, want, wantOK, p.down)
 	}
 }
 

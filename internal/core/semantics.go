@@ -19,10 +19,11 @@
 // built, is one such run: Immutable, over one membership read, that
 // returns what is reachable where Fig. 3 would fail.
 //
-// The semantic decision logic is factored into pure kernels (Step) shared
-// by the distributed iterators and the model-level conformance tests, so
-// the code proven against the executable specifications in internal/spec is
-// the code that runs against the network.
+// The semantic decision logic has an executable form, the pure kernel Step
+// the model-level conformance tests check against the specifications in
+// internal/spec, and the form the distributed iterators run, their run
+// table's O(1) decision, which ExhaustiveConformance proves equal to Step
+// in every world of a few elements.
 package core
 
 import (

@@ -169,11 +169,11 @@ func (s *Locked) ListPart(name string, part int, ifVersion uint64) (members []Re
 	if part < 0 || part >= c.partitions() {
 		return nil, 0, false, fmt.Errorf("list %q partition %d of %d: %w", name, part, c.partitions(), ErrBadPartition)
 	}
-	members, version = c.partSorted(part, true), c.parts[part].version
+	version = c.parts[part].version
 	if ifVersion != 0 && version <= ifVersion {
 		return nil, version, true, nil
 	}
-	return members, version, false, nil
+	return c.partSorted(part, true), version, false, nil
 }
 
 // ListVersion implements Store.

@@ -112,6 +112,13 @@ func TestListPartVersionGating(t *testing.T) {
 				t.Fatalf("part %d gated at own version: notMod=%v members=%v ver=%d", pi, notMod, members, ver)
 			}
 		}
+		// The gate is checked before the partition is listed, so a
+		// NotModified answer copies and sorts no member slice.
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(20, func() { _, _, _, _ = st.ListPart("c", 0, vers[0]) }); allocs != 0 {
+				t.Fatalf("a NotModified ListPart allocates %.0f objects, want 0", allocs)
+			}
+		}
 		// Mutating one member invalidates exactly its partition's gate.
 		target := Ref{ID: "e00", Node: "n2"}
 		if _, err := st.Add("c", target); err != nil {
