@@ -14,6 +14,7 @@ import (
 	"weaksets/internal/repo"
 	"weaksets/internal/rpc"
 	"weaksets/internal/sim"
+	"weaksets/internal/store"
 )
 
 // Well-known node names.
@@ -133,10 +134,10 @@ func (c *Cluster) StorageFor(i int) netsim.NodeID {
 }
 
 // ReplicaSet is the per-collection replica placement map: the home
-// (directory) node first, then n-1 storage nodes picked by the same FNV
-// hash the listing partitioner uses — so different collections land on
-// different replica sets and their partitions scatter *across* the
-// cluster, not all behind one node. n is clamped to the nodes available;
+// (directory) node first, then n-1 storage nodes picked by the listing
+// partitioner's function over the collection name (store.PartOf) — so
+// different collections land on different replica sets and their
+// partitions scatter *across* the cluster, not all behind one node. n is clamped to the nodes available;
 // n <= 1 means unreplicated (home only).
 func (c *Cluster) ReplicaSet(name string, n int) []netsim.NodeID {
 	out := []netsim.NodeID{DirNode}
@@ -146,14 +147,7 @@ func (c *Cluster) ReplicaSet(name string, n int) []netsim.NodeID {
 	if n <= 1 || len(c.Storage) == 0 {
 		return out
 	}
-	// FNV-1a over the collection name seeds the placement, matching the
-	// partitioner's hash family (store.partOf).
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	start := int(h % uint32(len(c.Storage)))
+	start := store.PartOf(store.ObjectID(name), len(c.Storage))
 	for i := 0; len(out) < n; i++ {
 		out = append(out, c.Storage[(start+i)%len(c.Storage)])
 	}

@@ -150,8 +150,13 @@ func TestWarmRunsServeAtYield(t *testing.T) {
 				t.Fatalf("the run moved or wrote the store's pin (err %v)", err)
 			}
 			held := s.lastPinned.Load()
-			if len(it.tab.runs) != 1 || held == nil || &it.tab.runs[0].refs[0] != &held.sorted[0] {
+			if held == nil || len(it.tab.parts) != len(held.parts) {
 				t.Fatal("the run table is not the set's held pinned listing")
+			}
+			for p := range held.parts {
+				if !sameRefs(it.tab.parts[p], held.parts[p]) {
+					t.Fatalf("the run table's partition %d is not the set's held pinned listing's", p)
+				}
 			}
 		}
 		_ = it.Close(ctx)
@@ -224,11 +229,11 @@ func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
 	p := newPrefetcher(ctx, w.c.Client, "set", s.router, &replicaTally{}, s.opts.Fetch, nil)
 	defer p.close()
 	ref, batches := w.refs[0], w.c.Bus.MethodCalls(repo.MethodGetBatch)
-	got, obj, err := p.fetch(ctx, ref, 5, true, func() []repo.Ref {
+	got, obj, err := p.fetch(ctx, ref, 0, 5, true, func() []member {
 		// Called between the serve check and the plan.
 		cache.PutValidated("set", 5, repo.Object{ID: ref.ID, Version: 1, Data: []byte("landed")})
-		return []repo.Ref{ref}
-	}, func(repo.Ref) bool { return false })
+		return []member{{Ref: ref}}
+	}, func(member) bool { return false })
 	if err != nil || got != ref || string(obj.Data) != "landed" {
 		t.Fatalf("fetched %q, %v; want the landed entry", obj.Data, err)
 	}

@@ -100,7 +100,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		}
 
 		yielded := make(map[spec.ElemID]bool)
-		for _, id := range it.tab.yieldedIDs() {
+		for _, id := range yieldedIDs(&it.tab) {
 			yielded[spec.ElemID(id)] = true
 		}
 		want := Step(sem, first, pre, yielded)
@@ -117,8 +117,8 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 		if !fresh {
 			down++
 		}
-		d := it.tab.decide(sem, net.Generation(), it.client.NodeReachable)
-		chosen, _ := it.tab.head()
+		d := it.tab.decide(sem, false, net.Generation(), it.client.NodeReachable)
+		chosen, _, _ := it.tab.head()
 		if d != want.Kind {
 			t.Fatalf("seed %d step %d: run table decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
 				seed, step, d, want, pre.Members, pre.Reach, yielded)

@@ -73,6 +73,38 @@ func TestDynSetSkipsUnreachable(t *testing.T) {
 	}
 }
 
+// TestDynSetYieldsReachableAfterAYieldedMemberGoesDown: once the node of
+// a member the run already yielded is cut off, a dynamic run goes on
+// yielding every member it can reach and only then settles — it does not
+// return at once, as Fig. 3's Return on a yielded member out of reach
+// would, leaving reachable members in Skipped.
+func TestDynSetYieldsReachableAfterAYieldedMemberGoesDown(t *testing.T) {
+	ctx := context.Background()
+	w := newTestWorld(t, 40) // ten members on each of four storage nodes
+	ds, err := OpenDyn(ctx, w.c.Client, cluster.DirNode, "set", DynOptions{Batch: 1, Width: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close(ctx)
+	if !ds.Next(ctx) {
+		t.Fatalf("first next: %v", ds.Err())
+	}
+	cut := ds.Element().Ref.Node
+	w.c.Net.Isolate(cut)
+	if got := collectDyn(t, ds, 100); len(got) != 30 || ds.Err() != nil {
+		t.Fatalf("yielded %d more after cutting %s, err %v; want the 30 on the other nodes, nil", len(got), cut, ds.Err())
+	}
+	skipped := ds.Skipped()
+	for _, ref := range skipped {
+		if ref.Node != cut {
+			t.Fatalf("skipped %v on a reachable node", ref)
+		}
+	}
+	if len(skipped) != 9 {
+		t.Fatalf("skipped %d members, want the 9 left on %s", len(skipped), cut)
+	}
+}
+
 func TestDynSetOpenFailsOnUnreachableDir(t *testing.T) {
 	w := newTestWorld(t, 2)
 	w.c.Net.Isolate(cluster.DirNode)

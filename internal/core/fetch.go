@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,13 +47,12 @@ func (o FetchOptions) WithDefaults() FetchOptions {
 	return o
 }
 
-// chunkByNode splits fetch-ordered refs into per-node batches of at most
-// size ids, in first-appearance order — so the closest node's batch is
-// first and launches first. Each chunk is allocated once, at size or the
-// refs left when it opens; a node's open chunk is found by a scan, as
-// nodes are few.
-func chunkByNode(refs []repo.Ref, size int) [][]repo.Ref {
-	var chunks [][]repo.Ref
+// chunkByNode splits members in yield order into per-node batches of at
+// most size ids, in first-appearance order, each in yield order. Each
+// chunk is allocated once, at size or the refs left when it opens; a
+// node's open chunk is found by a scan, as nodes are few.
+func chunkByNode(refs []member, size int) [][]member {
+	var chunks [][]member
 	var open []int // the chunk each node is filling, in chunks
 	for k, ref := range refs {
 		o := 0
@@ -67,20 +66,22 @@ func chunkByNode(refs []repo.Ref, size int) [][]repo.Ref {
 			continue
 		}
 		open[o] = len(chunks)
-		chunks = append(chunks, append(make([]repo.Ref, 0, min(size, len(refs)-k)), ref))
+		chunks = append(chunks, append(make([]member, 0, min(size, len(refs)-k)), ref))
 	}
 	return chunks
 }
 
 // fetchChunk is one per-node batch, the unit of the prefetcher's
-// bookkeeping: its refs (one node, ascending id, as planLocked orders a
-// node's refs) and their ids, the cache context it was planned under (the
-// known versions to validate, the listing version that stamps installed
-// results) and, once landed, the answer parked by position. One epoch and
-// one error cover the whole batch.
+// bookkeeping: its refs (one node's, in yield order) — the slots — and
+// the request, their ids ascending (a store answers a strictly ascending
+// request without a duplicate check), with ord[j] the slot of ids[j]; the
+// cache context it was planned under (the known versions to validate, the
+// listing version that stamps installed results) and, once landed, the
+// answer parked by slot. One epoch and one error cover the whole batch.
 type fetchChunk struct {
-	refs    []repo.Ref
+	refs    []member
 	ids     []repo.ObjectID
+	ord     []int32
 	known   map[repo.ObjectID]uint64
 	listVer uint64
 
@@ -90,21 +91,23 @@ type fetchChunk struct {
 	at     []int32       // per slot: an index into objs, slotMissing or slotTaken
 	taken  int
 	// next is the first slot not taken. The run asks for members in
-	// ascending id order, so a chunk's next slot is almost always the one
-	// a fetch wants, and every chunk's lies at or above the cursor.
+	// yield order, so a chunk's next slot is almost always the one a fetch
+	// wants, and every chunk's lies at or above the cursor.
 	next  int
 	slot  int // c's index in the live heap, −1 once retired
 	epoch uint64
 	err   error
 }
 
-// liveHeap orders the live chunks on their next slot's id
+// liveHeap orders the live chunks on their next slot, in yield order
 // (container/heap). Every chunk's next slot lies at or above the cursor's
 // head, so the chunk holding the head, which the run asks for, is the top.
 type liveHeap []*fetchChunk
 
-func (h liveHeap) Len() int           { return len(h) }
-func (h liveHeap) Less(a, b int) bool { return h[a].refs[h[a].next].ID < h[b].refs[h[b].next].ID }
+func (h liveHeap) Len() int { return len(h) }
+func (h liveHeap) Less(a, b int) bool {
+	return before(&h[a].refs[h[a].next], &h[b].refs[h[b].next])
+}
 func (h liveHeap) Swap(a, b int) {
 	h[a], h[b] = h[b], h[a]
 	h[a].slot, h[b].slot = a, b
@@ -158,11 +161,12 @@ func (p *prefetcher) take(c *fetchChunk, i int) {
 type prefetcher struct {
 	client *repo.Client
 	// size is the chunk size the next plan cuts at (slow start): Batch
-	// for the first window, then doubled each time the run has launched a
-	// window of ids, up to 4 × Batch; Batch: 1 stays 1. Only planLocked
-	// writes it, on the iterator's goroutine, window's one caller.
-	batch, size, launched int
-	tracer                *obs.Tracer
+	// for the first window, then doubled after each plan of a whole window
+	// at the current size, up to 4 × Batch; Batch: 1 stays 1. Only
+	// planLocked writes it, on the iterator's goroutine, window's one
+	// caller.
+	batch, size int
+	tracer      *obs.Tracer
 	// router redirects batches aimed at a replicated node to the closest
 	// live replica (anti-entropy copies its objects there), hedging back
 	// to the owner on failure or a replica miss; tally accounts those
@@ -208,11 +212,10 @@ type prefetcher struct {
 	// parked counts the untaken slots across live, which window reads
 	// without the lock.
 	parked atomic.Int64
-	// need and held are planLocked's scratch: the candidates one replan
-	// must fetch, copied into their chunks (chunkByNode) before the next
-	// overwrites it, and which candidates a live chunk holds (sweep).
-	need []repo.Ref
-	held []bool
+	// held and merge are planLocked's scratch: which candidates a live
+	// chunk holds (sweep), and a chunk's request order (order).
+	held  []bool
+	merge []int32
 	// plans counts replans, on the iterator's goroutine: the warm guard.
 	plans int
 }
@@ -256,8 +259,9 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns ref's object, or the object of a ref the run accepts in
-// its place, with the ref it returns it for. It looks in three places, in
+// fetch returns the object of ref — chosen, the cursor's head, of
+// partition part — or of a ref the run accepts in its place, with the ref
+// it returns it for. It looks in three places, in
 // order: the live chunk holding ref, whose batch is in flight or has
 // landed; the cache, when direct — the invocation's certificate
 // (Iterator.observe) that an entry fresh under the held listing's version
@@ -269,24 +273,25 @@ func errMissing(id repo.ObjectID) error {
 // error is returned for ref only, once per failed round trip, not once
 // per batched id. candidates is consulted only on a replan, so a warm run
 // builds no window at all; it lists ref first, then the cursor's next
-// members ascending by id, which sweep relies on. Until the first plan no
+// members in yield order, which sweep relies on. Until the first plan no
 // chunk exists to hold ref, so the cache serves without mu.
-func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, direct bool, candidates func() []repo.Ref, accept func(repo.Ref) bool) (repo.Ref, repo.Object, error) {
+func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, listVer uint64, direct bool, candidates func() []member, accept func(member) bool) (repo.Ref, repo.Object, error) {
 	direct = direct && p.cache != nil
-	for {
-		unlocked := direct && p.plans == 0
-		if unlocked {
-			if obj, ok, err := p.serve(ref, listVer); ok {
-				return ref, obj, err
-			}
+	unlocked := direct && p.plans == 0
+	if unlocked {
+		if obj, ok, err := p.serve(chosen.ID, listVer); ok {
+			return chosen, obj, err
 		}
+	}
+	ref := member{chosen, part}
+	for ; ; unlocked = false {
 		p.mu.Lock()
 		c, i := p.find(ref)
 		if c == nil {
 			if direct && !unlocked {
-				if obj, ok, err := p.serve(ref, listVer); ok {
+				if obj, ok, err := p.serve(ref.ID, listVer); ok {
 					p.mu.Unlock()
-					return ref, obj, err
+					return ref.Ref, obj, err
 				}
 			}
 			// Replan only when ref's batch is not already in flight:
@@ -300,7 +305,7 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 				// (another run's batch landed) and the next pass serves it.
 				p.mu.Unlock()
 				if err := p.ctx.Err(); err != nil {
-					return ref, repo.Object{}, err
+					return ref.Ref, repo.Object{}, err
 				}
 				continue
 			}
@@ -318,7 +323,7 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 			select {
 			case <-wake:
 			case <-ctx.Done():
-				return ref, repo.Object{}, ctx.Err()
+				return ref.Ref, repo.Object{}, ctx.Err()
 			}
 			p.mu.Lock()
 			// Whatever landed first while this fetch waited goes first,
@@ -341,9 +346,9 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 			p.epochRetries.Add(1)
 			continue
 		}
-		err, k, got := c.err, slotMissing, ref
+		err, k, got := c.err, slotMissing, ref.Ref
 		if err == nil {
-			k, got = c.at[i], c.refs[i]
+			k, got = c.at[i], c.refs[i].Ref
 			if p.take(c, i); c.taken == len(c.refs) {
 				p.retire(c)
 			} else {
@@ -353,24 +358,24 @@ func (p *prefetcher) fetch(ctx context.Context, ref repo.Ref, listVer uint64, di
 		p.mu.Unlock()
 		switch {
 		case err != nil:
-			return ref, repo.Object{}, err
+			return ref.Ref, repo.Object{}, err
 		case k == slotMissing:
-			return ref, repo.Object{}, errMissing(ref.ID)
+			return ref.Ref, repo.Object{}, errMissing(ref.ID)
 		}
 		return got, c.objs[k], nil
 	}
 }
 
-// serve hands out ref's cache entry if it is fresh under listVer: its
+// serve hands out id's cache entry if it is fresh under listVer: its
 // object, or a negative entry's missing error.
-func (p *prefetcher) serve(ref repo.Ref, listVer uint64) (obj repo.Object, ok bool, err error) {
-	obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, ref.ID)
+func (p *prefetcher) serve(id repo.ObjectID, listVer uint64) (obj repo.Object, ok bool, err error) {
+	obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, id)
 	if !ok {
 		return repo.Object{}, false, nil
 	}
 	p.cacheHits++
 	if negative {
-		return repo.Object{}, true, errMissing(ref.ID)
+		return repo.Object{}, true, errMissing(id)
 	}
 	return obj, true, nil
 }
@@ -378,7 +383,7 @@ func (p *prefetcher) serve(ref repo.Ref, listVer uint64) (obj repo.Object, ok bo
 // substitute returns a landed slot holding an object whose ref accept
 // admits, and its chunk; nil when no landed chunk has one. Caller holds
 // p.mu.
-func (p *prefetcher) substitute(accept func(repo.Ref) bool) (*fetchChunk, int) {
+func (p *prefetcher) substitute(accept func(member) bool) (*fetchChunk, int) {
 	for _, c := range p.live {
 		if i := accepted(c, accept); i >= 0 {
 			return c, i
@@ -392,7 +397,7 @@ func (p *prefetcher) substitute(accept func(repo.Ref) bool) (*fetchChunk, int) {
 // in for the ref the run chose, so what fetch returns for another ref
 // is always a yield; a missing one waits for the run to ask for it.
 // Caller holds p.mu.
-func accepted(c *fetchChunk, accept func(repo.Ref) bool) int {
+func accepted(c *fetchChunk, accept func(member) bool) int {
 	for i := c.next; c.landed && i < len(c.refs); i++ {
 		if c.at[i] >= 0 && accept(c.refs[i]) {
 			return i
@@ -403,21 +408,21 @@ func accepted(c *fetchChunk, accept func(repo.Ref) bool) int {
 
 // find returns the live chunk holding ref in a slot not yet taken, and
 // the slot: the top chunk's next slot when ref is the cursor's head, as
-// it almost always is; otherwise a chunk matches on node and the id range
+// it almost always is; otherwise a chunk matches on node and the range
 // from its next slot on, and a binary search finds the slot. Caller holds
 // p.mu.
-func (p *prefetcher) find(ref repo.Ref) (*fetchChunk, int) {
+func (p *prefetcher) find(ref member) (*fetchChunk, int) {
 	if len(p.live) > 0 && p.live[0].refs[p.live[0].next] == ref {
 		return p.live[0], p.live[0].next
 	}
 	for _, c := range p.live {
 		refs := c.refs[c.next:]
-		if refs[0].Node != ref.Node || ref.ID < refs[0].ID || ref.ID > refs[len(refs)-1].ID {
+		if refs[0].Node != ref.Node || before(&ref, &refs[0]) || before(&refs[len(refs)-1], &ref) {
 			continue
 		}
-		i, ok := 0, refs[0].ID == ref.ID
+		i, ok := 0, refs[0] == ref
 		if !ok {
-			i, ok = slices.BinarySearchFunc(refs, ref.ID, cmpRefID)
+			i, ok = slices.BinarySearchFunc(refs, ref, cmpMember)
 		}
 		if ok && c.at[c.next+i] != slotTaken {
 			return c, c.next + i
@@ -440,50 +445,59 @@ func (p *prefetcher) retire(c *fetchChunk) {
 // asks for it, and the probe that leaves it out counts no hit, so a partly
 // evicted warm run fetches exactly its evicted ids. With a cache bound
 // the chunks carry the known versions for a conditional fetch, and
-// listVer stamps what they install. Once the run has launched a window
-// at the current chunk size, the next plan cuts chunks twice as wide.
-// Caller holds p.mu.
-func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bool) {
+// listVer stamps what they install. Once a plan has cut a whole window at
+// the current chunk size, the next cuts chunks twice as wide. The plan
+// filters candidates in place. Caller holds p.mu.
+func (p *prefetcher) planLocked(candidates []member, listVer uint64, direct bool) {
 	if p.ctx.Err() != nil {
 		return
 	}
 	p.plans++
-	held := p.sweep(candidates)
-	if cap(p.need) < len(candidates) {
-		p.need = make([]repo.Ref, 0, len(candidates))
-	}
-	need := p.need[:0]
+	chosen, whole := candidates[0], len(candidates) < p.window()
+	held := p.sweep(candidates, whole)
+	need := candidates[:0]
 	for k, ref := range candidates {
 		if held[k] || direct && p.cache.Fresh(p.coll, listVer, ref.ID) {
 			continue
 		}
 		need = append(need, ref)
 	}
-	if len(need) == 0 {
+	// A node's last chunk short of size waits for the next plan, which
+	// cuts it whole with the members after it — unless it holds the run's
+	// choice, or the candidates reach the cursor's end.
+	chunks, total := chunkByNode(need, p.size), 0
+	chunks = slices.DeleteFunc(chunks, func(c []member) bool { return len(c) < p.size && !whole && c[0] != chosen })
+	for _, c := range chunks {
+		total += len(c)
+	}
+	if total == 0 {
 		return
 	}
-	// Closest first, by estimated round-trip time; ties break on ID, so the
-	// order is deterministic for a fixed network.
-	sort.Slice(need, func(i, j int) bool {
-		ri, rj := p.client.EstimateRTT(need[i]), p.client.EstimateRTT(need[j])
-		return ri < rj || ri == rj && need[i].ID < need[j].ID
+	// Closest node first, by estimated round-trip time; ties keep the
+	// order the chunks were cut in, so the order is deterministic for a
+	// fixed network.
+	slices.SortStableFunc(chunks, func(a, b []member) int {
+		return cmp.Compare(p.client.EstimateRTT(a[0].Ref), p.client.EstimateRTT(b[0].Ref))
 	})
-	// Every chunk's ids and slots are cut from one slice each.
-	ids, at := make([]repo.ObjectID, len(need)), make([]int32, len(need))
-	for _, refs := range chunkByNode(need, p.size) {
+	// Every chunk's ids, request order and slots are cut from one slice
+	// each.
+	ids, ord, at := make([]repo.ObjectID, total), make([]int32, total), make([]int32, total)
+	for _, refs := range chunks {
 		n := len(refs)
-		c := &fetchChunk{refs: refs, ids: ids[:n:n], at: at[:n:n], listVer: listVer}
-		ids, at = ids[n:], at[n:]
-		for i, ref := range refs {
-			c.ids[i] = ref.ID
+		c := &fetchChunk{refs: refs, ids: ids[:n:n], ord: ord[:n:n], at: at[:n:n], listVer: listVer}
+		ids, ord, at = ids[n:], ord[n:], at[n:]
+		p.merge = order(refs, c.ord, p.merge)
+		for j, i := range c.ord {
+			id := refs[i].ID
+			c.ids[j] = id
 			if p.cache == nil {
 				continue
 			}
-			if v, ok := p.cache.Version(ref.ID); ok {
+			if v, ok := p.cache.Version(id); ok {
 				if c.known == nil {
 					c.known = make(map[repo.ObjectID]uint64, n)
 				}
-				c.known[ref.ID] = v
+				c.known[id] = v
 			}
 		}
 		heap.Push(&p.live, c)
@@ -494,48 +508,78 @@ func (p *prefetcher) planLocked(candidates []repo.Ref, listVer uint64, direct bo
 		p.wg.Add(1)
 		go p.work()
 	}
-	p.parked.Add(int64(len(need)))
-	if p.launched += len(need); p.launched >= p.size*p.inflight*4 && 1 < p.size && p.size < 4*p.batch {
-		p.size, p.launched = 2*p.size, 0
+	p.parked.Add(int64(total))
+	if len(candidates) >= p.size*p.inflight*4 && 1 < p.size && p.size < 4*p.batch {
+		p.size *= 2
 	}
+}
+
+// order fills ord with the positions of refs by ascending id and returns
+// buf, its scratch, for reuse. refs are in yield order — ascending by id
+// within each partition they span — so each partition's run is merged
+// into the runs before it: linear in the few runs a chunk spans, where a
+// sort would be n log n.
+func order(refs []member, ord, buf []int32) []int32 {
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	for s, e := 0, 0; s < len(refs); s = e {
+		for e = s + 1; e < len(refs) && refs[e].part == refs[s].part; e++ {
+		}
+		if s == 0 {
+			continue
+		}
+		buf = append(buf[:0], ord[:e]...)
+		a, b, k := buf[:s], buf[s:e], 0
+		for ; len(a) > 0 && len(b) > 0; k++ {
+			if refs[b[0]].ID < refs[a[0]].ID {
+				ord[k], b = b[0], b[1:]
+			} else {
+				ord[k], a = a[0], a[1:]
+			}
+		}
+		copy(ord[k+copy(ord[k:], a):], b)
+	}
+	return buf
 }
 
 // sweep reports which candidates a live chunk holds in an untaken slot,
 // and drops the landed slots the candidates show the run will not ask
 // for. candidates are the run's choice — in no live chunk, or fetch
-// would not be planning — then the cursor's next members ascending by id;
-// a chunk's refs ascend too, so each chunk is merged against them, a step
-// per ref instead of a scan of the chunks per candidate. A landed slot the
-// merge passes unlisted — below the candidates, or among them but not
-// listed — is no member the cursor still holds: a current-state listing
-// dropped it, or the run's sample found its node down, and a refetch
-// serves it if it is asked for again. Dropping it lets its chunk retire
-// instead of holding the answer, and lengthening every find, to the end of
-// the run. Fewer candidates than a window reached the cursor's end, so
-// then nothing above them is listed either. Caller holds p.mu.
-func (p *prefetcher) sweep(candidates []repo.Ref) []bool {
+// would not be planning — then the cursor's next members in yield order;
+// a chunk's refs are in yield order too, so each chunk is merged against
+// them, a step per ref instead of a scan of the chunks per candidate. A
+// landed slot the merge passes unlisted — below the candidates, or among
+// them but not listed — is no member the cursor still holds: a
+// current-state listing dropped it, or the run's sample found its node
+// down, and a refetch serves it if it is asked for again. Dropping it lets
+// its chunk retire instead of holding the answer, and lengthening every
+// find, to the end of the run. whole says the candidates reached the
+// cursor's end — fewer than a window — so then nothing above them is
+// listed either. Caller holds p.mu.
+func (p *prefetcher) sweep(candidates []member, whole bool) []bool {
 	if cap(p.held) < len(candidates) {
 		p.held = make([]bool, len(candidates))
 	}
 	held := p.held[:len(candidates)]
 	clear(held)
-	chosen, rest, whole := candidates[0], candidates[1:], len(candidates) < p.window()
+	chosen, rest := candidates[0], candidates[1:]
 	live := p.live[:0]
 	for _, c := range p.live {
-		j, _ := slices.BinarySearchFunc(rest, c.refs[c.next].ID, cmpRefID)
+		j, _ := slices.BinarySearchFunc(rest, c.refs[c.next], cmpMember)
 		for i := c.next; i < len(c.refs); i++ {
-			ref := c.refs[i]
-			if j < len(rest) && rest[j].ID < ref.ID {
-				j = seek(rest, j, ref.ID)
+			ref := &c.refs[i]
+			if j < len(rest) && before(&rest[j], ref) {
+				j = seek(rest, j, ref)
 			}
 			if j == len(rest) && !whole {
 				break // the chunk's other refs lie past the candidates
 			}
 			switch {
 			case c.landed && c.at[i] == slotTaken:
-			case j < len(rest) && rest[j] == ref:
+			case j < len(rest) && rest[j] == *ref:
 				held[1+j] = true
-			case c.landed && ref != chosen:
+			case c.landed && *ref != chosen:
 				p.take(c, i)
 			}
 		}
@@ -551,16 +595,16 @@ func (p *prefetcher) sweep(candidates []repo.Ref) []bool {
 	return held
 }
 
-// seek returns the first k > j with refs[k].ID >= id, given refs[j].ID <
-// id: it gallops from j, then binary-searches the last stride, so a
-// chunk sparse among the candidates costs a logarithm of each gap it
-// skips, not the gap.
-func seek(refs []repo.Ref, j int, id repo.ObjectID) int {
+// seek returns the first k > j with refs[k] at or past key in yield
+// order, given refs[j] before it: it gallops from j, then binary-searches
+// the last stride, so a chunk sparse among the candidates costs a
+// logarithm of each gap it skips, not the gap.
+func seek(refs []member, j int, key *member) int {
 	step := 1
-	for j+step < len(refs) && refs[j+step].ID < id {
+	for j+step < len(refs) && before(&refs[j+step], key) {
 		j, step = j+step, 2*step
 	}
-	k, _ := slices.BinarySearchFunc(refs[j+1:min(j+step, len(refs))], id, cmpRefID)
+	k, _ := slices.BinarySearchFunc(refs[j+1:min(j+step, len(refs))], *key, cmpMember)
 	return j + 1 + k
 }
 
@@ -669,17 +713,17 @@ type batchFlight struct {
 }
 
 // flightKey identifies a conditional batch for singleflight coalescing:
-// node, ids (in deterministic fetch order) and the known versions fully
-// determine the response, so concurrent iterators planning the same
-// chunk share one round trip.
-func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint64) string {
+// node, ids (in request order) and the known versions fully determine the
+// response, so concurrent iterators planning the same chunk share one
+// round trip.
+func flightKey(node netsim.NodeID, ids []repo.ObjectID, known map[repo.ObjectID]uint64) string {
 	var b strings.Builder
 	b.WriteString("batch|")
 	b.WriteString(string(node))
-	for _, ref := range refs {
+	for _, id := range ids {
 		b.WriteByte('|')
-		b.WriteString(string(ref.ID))
-		if v, ok := known[ref.ID]; ok {
+		b.WriteString(string(id))
+		if v, ok := known[id]; ok {
 			b.WriteByte('=')
 			b.WriteString(strconv.FormatUint(v, 10))
 		}
@@ -695,13 +739,18 @@ func flightKey(node netsim.NodeID, refs []repo.Ref, known map[repo.ObjectID]uint
 // one coherent answer per chunk.
 func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.Object, error) {
 	node := c.refs[0].Node
-	v, _ := p.cache.Do(flightKey(node, c.refs, c.known), func() any {
+	v, _ := p.cache.Do(flightKey(node, c.ids, c.known), func() any {
 		objs, notModified, missing, err := p.client.GetBatchValidated(ctx, node, c.ids, c.known)
 		if err != nil {
 			return &batchFlight{err: err}
 		}
-		for _, obj := range objs {
-			p.cache.PutValidated(p.coll, c.listVer, obj)
+		// Installed in slot order, the order runs are served in: the cache
+		// lays its copies out as they are installed, and a warm run that
+		// walks them in another order misses the CPU cache on each.
+		for _, k := range c.park(objs, make([]int32, len(c.refs))) {
+			if k >= 0 {
+				p.cache.PutValidated(p.coll, c.listVer, objs[k])
+			}
 		}
 		for _, id := range missing {
 			p.cache.PutNegative(p.coll, c.listVer, id)
@@ -743,8 +792,8 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 	return out, nil
 }
 
-// deliver parks one batch's answer in its chunk — objs in the order of
-// the chunk's refs, matched to them by position — and wakes the fetch
+// deliver parks one batch's answer in its chunk — objs in request order,
+// matched to the ids by position and so to their slots — and wakes the fetch
 // waiting for a landing, if any. A failed batch retires at once: its
 // error reaches the fetch that asked for one of its refs only, and a later
 // fetch re-batches the chunk's other refs, which is what makes a failed
@@ -756,19 +805,25 @@ func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch
 	if err != nil {
 		p.retire(c)
 	} else {
-		k := 0
-		for i, ref := range c.refs {
-			if k < len(objs) && objs[k].ID == ref.ID {
-				c.at[i], k = int32(k), k+1
-			} else {
-				c.at[i] = slotMissing
-			}
-		}
+		c.park(objs, c.at)
 	}
 	if p.wake != nil {
 		close(p.wake)
 		p.wake, p.woke = nil, c
 	}
+}
+
+// park maps objs, an answer to c's request in request order, onto c's
+// slots: it sets at[i] to slot i's index into objs, or slotMissing.
+func (c *fetchChunk) park(objs []repo.Object, at []int32) []int32 {
+	k := 0
+	for j, i := range c.ord {
+		at[i] = slotMissing
+		if k < len(objs) && objs[k].ID == c.ids[j] {
+			at[i], k = int32(k), k+1
+		}
+	}
+	return at
 }
 
 // close cancels in-flight batches and waits for the workers to exit.

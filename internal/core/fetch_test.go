@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,8 @@ import (
 	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
+	"weaksets/internal/rpc"
+	"weaksets/internal/store"
 )
 
 // TestChunkByNode: refs split into per-node batches of at most size, in
@@ -20,9 +23,9 @@ import (
 // chunk allocated for more refs than it could be given — size, or the
 // refs left when it opened.
 func TestChunkByNode(t *testing.T) {
-	refs := make([]repo.Ref, 23)
+	refs := make([]member, 23)
 	for i := range refs {
-		refs[i] = repo.Ref{ID: repo.ObjectID(fmt.Sprintf("e%02d", i)), Node: netsim.NodeID(fmt.Sprintf("n%d", i%3))}
+		refs[i] = member{repo.Ref{ID: repo.ObjectID(fmt.Sprintf("e%02d", i)), Node: netsim.NodeID(fmt.Sprintf("n%d", i%3))}, i / 8}
 	}
 	for _, tc := range []struct {
 		size int
@@ -45,6 +48,36 @@ func TestChunkByNode(t *testing.T) {
 					t.Fatalf("size %d chunk %d[%d] = %v, want %v", tc.size, c, j, got[j], refs[i])
 				}
 			}
+		}
+	}
+}
+
+// TestOrderSortsAChunksRequest: a chunk's refs are in yield order — a run
+// ascending by id per partition — and order lists their positions by
+// ascending id, whatever the runs: one, several interleaved, or one
+// wholly after another.
+func TestOrderSortsAChunksRequest(t *testing.T) {
+	for _, runs := range [][][]string{
+		{{"a", "c", "e"}},
+		{{"b", "d"}, {"a", "c", "e"}},
+		{{"m", "n"}, {"a", "b"}, {"c", "z"}},
+		{{"a"}, {"b"}, {"c"}, {"d"}},
+		{{"d", "e"}, {"a", "b", "c"}, {"f"}},
+	} {
+		var refs []member
+		for p, ids := range runs {
+			for _, id := range ids {
+				refs = append(refs, member{repo.Ref{ID: repo.ObjectID(id)}, p})
+			}
+		}
+		ord := make([]int32, len(refs))
+		order(refs, ord, nil)
+		seen := make([]bool, len(refs))
+		for j, i := range ord {
+			if seen[i] || j > 0 && refs[ord[j-1]].ID >= refs[i].ID {
+				t.Fatalf("runs %v: order %v is not the positions by ascending id", runs, ord)
+			}
+			seen[i] = true
 		}
 	}
 }
@@ -475,24 +508,28 @@ func batchSpans(t *testing.T, w *testWorld) (ids []int) {
 // TestSlowStartWidensLaterPlans: a cold 10 000-member run fetches its
 // first window (1 024 ids) in batches of at most Batch, the next (2 048)
 // at up to 2 × Batch, and the rest at up to — and, with members to spare,
-// exactly — 4 × Batch, and the batches add up to the set; a 1 000-member
-// run fits in its first window and issues exactly the batches a fixed
-// Batch does: per node, ⌈250/64⌉ batches of 64, 64, 64 and 58 ids.
+// exactly — 4 × Batch, and the batches add up to the set. A plan launches
+// its window less each node's short last chunk, which waits for the next
+// plan, so in issue order the batches come in three stretches, the first
+// at least 1 024 − 4 × 63 ids and the second at least 2 048 − 4 × 127 less
+// what the first left in flight. A 1 000-member run fits in its first
+// window and issues exactly the batches a fixed Batch does: per node,
+// ⌈250/64⌉ batches of 64, 64, 64 and 58 ids.
 func TestSlowStartWidensLaterPlans(t *testing.T) {
 	ids := batchSpans(t, newTestWorld(t, 10_000))
-	issued, widest := 0, 0
+	limits, stretch, phase, issued, widest := []int{64, 128, 256}, make([]int, 3), 0, 0, 0
 	for _, n := range ids {
-		limit := 256
-		switch {
-		case issued < 1024:
-			limit = 64
-		case issued < 1024+2048:
-			limit = 128
+		for phase < len(limits) && n > limits[phase] {
+			phase++
 		}
-		if n > limit {
-			t.Fatalf("a %d-id batch after %d ids, want at most %d", n, issued, limit)
+		if phase == len(limits) {
+			t.Fatalf("a %d-id batch after %d ids, want at most %d", n, issued, limits[len(limits)-1])
 		}
+		stretch[phase] += n
 		issued, widest = issued+n, max(widest, n)
+	}
+	if stretch[0] < 1024-4*63 || stretch[1] < 1024 {
+		t.Fatalf("%d ids in batches of at most 64, then %d of at most 128: the batches widened early", stretch[0], stretch[1])
 	}
 	if issued != 10_000 || widest != 256 || len(ids) > 75 {
 		t.Fatalf("%d GetBatch calls fetched %d ids, the widest %d; want at most 75, 10000 and 256", len(ids), issued, widest)
@@ -511,8 +548,17 @@ func TestSlowStartWidensLaterPlans(t *testing.T) {
 // fetchChosen fetches ref, planning candidates on a miss, with no other
 // landed slot standing in for it.
 func fetchChosen(ctx context.Context, p *prefetcher, ref repo.Ref, candidates []repo.Ref) (repo.Object, error) {
-	_, obj, err := p.fetch(ctx, ref, 0, false, func() []repo.Ref { return candidates }, func(repo.Ref) bool { return false })
+	_, obj, err := p.fetch(ctx, ref, 0, 0, false, func() []member { return asMembers(candidates) }, func(member) bool { return false })
 	return obj, err
+}
+
+// asMembers gives refs as members of partition 0.
+func asMembers(refs []repo.Ref) []member {
+	out := make([]member, len(refs))
+	for i, ref := range refs {
+		out[i] = member{Ref: ref}
+	}
+	return out
 }
 
 // sameNode returns the test world's members held on the first storage
@@ -641,5 +687,76 @@ func TestRemovedPlannedMemberRetiresItsChunk(t *testing.T) {
 	it.pf.mu.Unlock()
 	if it.Err() != nil || yielded != len(w.refs)-1 || live != 0 {
 		t.Fatalf("yielded %d of %d, err %v, %d chunks live; want every chunk retired", yielded, len(w.refs)-1, it.Err(), live)
+	}
+}
+
+// TestColdRunBatchesAscendByID: a chunk's slots follow the run's yield
+// order, partition-major, while its request is sorted, so every GetBatch
+// a cold snapshot run issues — over windows spanning several partitions,
+// with chunks that cross a partition boundary — is strictly ascending by
+// id, which keeps the store's duplicate filter off.
+func TestColdRunBatchesAscendByID(t *testing.T) {
+	ctx := context.Background()
+	c, err := cluster.New(cluster.Config{StorageNodes: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	// Every member is held on the tap node, which notes each request and
+	// relays it to the storage node holding the objects: one node, so
+	// every chunk lists consecutive members of the yield order.
+	const tap = netsim.NodeID("batch-tap")
+	c.Net.AddNode(tap)
+	var mu sync.Mutex
+	var reqs [][]repo.ObjectID
+	srv := rpc.NewServer(tap)
+	srv.Handle(repo.MethodGetBatch, rpc.Typed(func(ctx context.Context, _ netsim.NodeID, req repo.GetBatchReq) (any, error) {
+		mu.Lock()
+		reqs = append(reqs, slices.Clone(req.IDs))
+		mu.Unlock()
+		out, _, err := c.Bus.Call(ctx, tap, c.Storage[0], repo.MethodGetBatch, req)
+		return out, err
+	}))
+	if err := c.Bus.Register(srv); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Client.CreateCollection(ctx, cluster.DirNode, "set"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		id := repo.ObjectID(fmt.Sprintf("e%04d", i))
+		if _, err := c.Client.Put(ctx, c.Storage[0], repo.Object{ID: id, Data: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Client.Add(ctx, cluster.DirNode, "set", repo.Ref{ID: id, Node: tap}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewSet(c.Client, cluster.DirNode, "set", Options{Semantics: Snapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elems, err := s.Collect(ctx); err != nil || len(elems) != n {
+		t.Fatalf("yielded %d, err %v; want %d", len(elems), err, n)
+	}
+	crossing, ids := 0, 0
+	for _, req := range reqs {
+		for i := 1; i < len(req); i++ {
+			if req[i-1] >= req[i] {
+				t.Fatalf("a GetBatch of %d ids not strictly ascending at %d: %q, %q", len(req), i, req[i-1], req[i])
+			}
+		}
+		parts := map[int]bool{}
+		for _, id := range req {
+			parts[store.PartOf(id, store.DefaultPartitions)] = true
+		}
+		if len(parts) > 1 {
+			crossing++
+		}
+		ids += len(req)
+	}
+	if ids != n || crossing == 0 {
+		t.Fatalf("%d GetBatch calls fetched %d ids, %d of them across partitions; want %d ids, some across", len(reqs), ids, crossing, n)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -69,18 +68,14 @@ type Iterator struct {
 
 	// ing buffers the streamed opening listing; nil for the current-state
 	// semantics, which have no opening listing. ingDone flips once the
-	// completed stream has been folded and tab.version sealed. partitions
-	// is the stream's partition count, from its first frame, and folded the
-	// partitions already in the table: a frame is checked against both.
-	// frames keeps a pinned stream's folded frames, which make the set's
-	// pinned listing once the stream completes.
+	// completed stream has been folded and tab.version sealed. folded marks
+	// the partitions already in the table, one per partition of the
+	// stream's layout, from its first frame: a frame is checked against it.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
 	maxPartVer uint64
-	partitions int
-	folded     map[int]bool
-	frames     []repo.PartListing
+	folded     []bool
 
 	// dyn marks a dynamic set's run (OpenDyn), which folds its whole
 	// opening listing first and settles where Fig. 3 would fail; rest
@@ -91,7 +86,7 @@ type Iterator struct {
 	// pf is the batched prefetch pipeline every element fetch goes through;
 	// cands is the candidate window one replan hands it, reused by the next.
 	pf    *prefetcher
-	cands []repo.Ref
+	cands []member
 	// rep tallies the reads a replica answered for this run, whichever of
 	// the listing streams, the membership reads or the batches they were.
 	rep replicaTally
@@ -241,7 +236,10 @@ func (it *Iterator) openPinned(ctx context.Context) error {
 			return nil
 		})
 		if err == nil {
-			l, err = it.pinnedListing(held, frames)
+			l, err = held.with(frames)
+		}
+		if err == nil && !slices.Equal(l.vers, it.pinVers) {
+			err = fmt.Errorf("pinned listing frames do not make the pin's %d partitions at its versions", len(it.pinVers))
 		}
 		if err != nil {
 			return err
@@ -250,18 +248,6 @@ func (it *Iterator) openPinned(ctx context.Context) error {
 	}
 	it.adopt(l)
 	return nil
-}
-
-// pinnedListing is what frames of the pin make of held (nil: the frames
-// alone). The frames come from outside the program, so the result is
-// checked against the pin's vector: every partition, each at its pinned
-// version.
-func (it *Iterator) pinnedListing(held *listing, frames []repo.PartListing) (*listing, error) {
-	l, err := held.with(frames)
-	if err == nil && (l == nil || !slices.Equal(l.vers, it.pinVers)) {
-		err = fmt.Errorf("pinned listing frames do not make the pin's %d partitions at its versions", len(it.pinVers))
-	}
-	return l, err
 }
 
 // startIngest opens the streamed partitioned listing and waits for its
@@ -293,24 +279,30 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 	}
 }
 
+// maxPartitions bounds the partition count a listing stream may claim:
+// the count arrives off the wire, and the run table is sized by it (the
+// store bounds a replication push's layout alike).
+const maxPartitions = 1 << 12
+
 // fold merges one partition's listing into s_first on the iterator
 // goroutine. The frame came from outside the program, so it is checked
 // here, where it is used: a partition the table already holds is dropped
 // (a retried stream re-served it; yielding its members twice would break
-// the no-duplicates obligation), and a partition index the stream's
-// layout does not have fails the run.
+// the no-duplicates obligation), and a layout of more than maxPartitions,
+// a partition index the stream's layout does not have, or a pinned
+// frame at another version than the pin's, fails the run.
 func (it *Iterator) fold(pl repo.PartListing) error {
-	if it.partitions == 0 {
-		it.partitions = pl.Partitions
+	if it.folded == nil && pl.Partitions >= 1 && pl.Partitions <= maxPartitions {
+		it.folded = make([]bool, pl.Partitions)
 	}
-	if pl.Partitions < 1 || pl.Partitions != it.partitions || pl.Part < 0 || pl.Part >= pl.Partitions {
-		return fmt.Errorf("listing frame for partition %d of %d in a stream of %d", pl.Part, pl.Partitions, it.partitions)
+	if pl.Partitions != len(it.folded) || pl.Part < 0 || pl.Part >= pl.Partitions {
+		return fmt.Errorf("listing frame for partition %d of %d in a stream of %d", pl.Part, pl.Partitions, len(it.folded))
+	}
+	if it.pin != 0 && (len(it.pinVers) != pl.Partitions || it.pinVers[pl.Part] != pl.Version) {
+		return fmt.Errorf("pinned listing frame for partition %d at version %d, not the pin's", pl.Part, pl.Version)
 	}
 	if it.folded[pl.Part] {
 		return nil
-	}
-	if it.folded == nil {
-		it.folded = make(map[int]bool)
 	}
 	it.folded[pl.Part] = true
 	if pl.Skewed {
@@ -319,10 +311,7 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 	if pl.Version > it.maxPartVer {
 		it.maxPartVer = pl.Version
 	}
-	if it.pin != 0 {
-		it.frames = append(it.frames, pl)
-	}
-	it.tab.fold(pl.Members)
+	it.tab.fold(pl.Part, pl.Partitions, pl.Members)
 	return nil
 }
 
@@ -354,14 +343,15 @@ func (it *Iterator) drainIngest() error {
 				return err
 			}
 			it.tab.version = it.maxPartVer
-			if it.pin != 0 {
-				l, err := it.pinnedListing(nil, it.frames)
-				if err != nil {
-					return err
-				}
-				publish(&it.set.lastPinned, l)
-				it.frames = nil
+			if it.pin == 0 {
+				return nil
 			}
+			if slices.Contains(it.folded, false) {
+				return fmt.Errorf("pinned listing frames do not make the pin's %d partitions", len(it.pinVers))
+			}
+			// The folded table is the pin, partition for partition, and no
+			// fold writes it again: it is the set's pinned listing.
+			publish(&it.set.lastPinned, &listing{version: it.tab.version, parts: it.tab.parts, vers: it.pinVers, nodes: it.tab.nodes})
 			return nil
 		}
 		if err := it.fold(pl); err != nil {
@@ -529,7 +519,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 		it.listFails = 0
 		// The generation is read before the sample it gates, so a sample is
 		// never kept for a topology newer than the one it saw.
-		d := it.tab.decide(it.opts.Semantics, it.client.Bus().Network().Generation(), it.client.NodeReachable)
+		d := it.tab.decide(it.opts.Semantics, it.dyn, it.client.Bus().Network().Generation(), it.client.NodeReachable)
 		if (d == DecideReturn || d == DecideFail) && it.ingestActive() {
 			// The drained partitions are exhausted but the opening listing
 			// is still streaming in: a terminal decision is about a prefix,
@@ -585,21 +575,13 @@ func (it *Iterator) Next(ctx context.Context) bool {
 // membership size. The prefetcher batches them by node for later Next
 // calls, copying what it keeps: the window is one buffer, rewritten by
 // the next replan.
-func (it *Iterator) cursorCandidates() []repo.Ref {
+func (it *Iterator) cursorCandidates() []member {
 	limit := min(it.pf.window(), it.tab.unyielded())
 	if cap(it.cands) < limit {
-		it.cands = make([]repo.Ref, 0, limit)
+		it.cands = make([]member, 0, limit)
 	}
 	it.cands = it.tab.window(it.cands[:0], limit)
 	return it.cands
-}
-
-// accepts reports whether the invocation may yield ref in place of the
-// member the table chose — exactly the refs the figures' Yield may pick
-// from: an unyielded member on a node the invocation's sample found up.
-func (it *Iterator) accepts(ref repo.Ref) bool {
-	run, i := it.tab.find(ref.ID)
-	return run != nil && run.refs[i] == ref && !run.isTaken(i) && !it.tab.down[ref.Node]
 }
 
 // fetch retrieves the object of the member a yield decision chose — the
@@ -609,8 +591,8 @@ func (it *Iterator) accepts(ref repo.Ref) bool {
 // terminated — check it.done). The prefetch candidates are planned
 // lazily, on a miss.
 func (it *Iterator) fetch(ctx context.Context) bool {
-	chosen, _ := it.tab.head()
-	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, it.tab.version, it.direct, it.cursorCandidates, it.accepts)
+	chosen, part, _ := it.tab.head()
+	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, part, it.tab.version, it.direct, it.cursorCandidates, it.tab.accepts)
 	switch {
 	case err == nil:
 		it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -661,19 +643,18 @@ func (it *Iterator) yield(ref repo.Ref, e Element) {
 	it.fetchFails = 0
 }
 
-// Skipped lists, ascending by id, the members the run has not yielded:
-// once Next has returned false, those it left at termination — for a
-// dynamic run, the unreachable ones it had no fallback copy of.
+// Skipped lists, in the run's yield order, the members the run has not
+// yielded: once Next has returned false, those it left at termination —
+// for a dynamic run, the unreachable ones it had no fallback copy of.
 func (it *Iterator) Skipped() []repo.Ref {
 	out := make([]repo.Ref, 0, it.tab.unyielded())
-	for r := range it.tab.runs {
-		for i, ref := range it.tab.runs[r].refs {
-			if !it.tab.runs[r].isTaken(i) {
+	for p, refs := range it.tab.parts {
+		for i, ref := range refs {
+			if !it.tab.isTaken(p, i) {
 				out = append(out, ref)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

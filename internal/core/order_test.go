@@ -143,7 +143,7 @@ func TestSubstituteSkipsDroppedYieldedAndUnreachable(t *testing.T) {
 
 	// Wait for every fast batch to land; then drop a parked member of one
 	// fast node and cut another off, with the slow batch still in flight.
-	var parked []repo.Ref
+	var parked []member
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		it.pf.mu.Lock()
 		landed, n := 0, len(it.pf.live)
@@ -167,7 +167,7 @@ func TestSubstituteSkipsDroppedYieldedAndUnreachable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	dropped, cut := parked[0], netsim.NodeID("")
+	dropped, cut := parked[0].Ref, netsim.NodeID("")
 	for _, ref := range parked {
 		if ref.Node != dropped.Node && ref.Node != firstRef.Node {
 			cut = ref.Node

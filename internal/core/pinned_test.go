@@ -140,7 +140,7 @@ func TestSnapshotRunYieldsNoGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 	listed, err := s.router.relist(ctx, nil, &replicaTally{})
-	if err != nil || !slices.Contains(listed.sorted, victim) {
+	if err != nil || !slices.Contains(listedRefs(listed), victim) {
 		t.Fatalf("the live listing does not list the ghost (err %v)", err)
 	}
 	s.lastListing.Store(listed)

@@ -323,7 +323,7 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l != held || tally.served.Load() != 0 {
-		t.Fatalf("a replica in another layout answered (%d replica reads): %d partitions, %d members", tally.served.Load(), len(l.vers), len(l.sorted))
+		t.Fatalf("a replica in another layout answered (%d replica reads): %d partitions, %d members", tally.served.Load(), len(l.vers), len(listedRefs(l)))
 	}
 
 	// A listing in another layout (one partition, members the collection
@@ -333,8 +333,8 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.vers) != len(held.vers) || !reflect.DeepEqual(l.sorted, held.sorted) {
-		t.Fatalf("layout change kept %d partitions and %d members, want the home's %d and %d", len(l.vers), len(l.sorted), len(held.vers), len(held.sorted))
+	if len(l.vers) != len(held.vers) || !reflect.DeepEqual(listedRefs(l), listedRefs(held)) {
+		t.Fatalf("layout change kept %d partitions and %d members, want the home's %d and %d", len(l.vers), len(listedRefs(l)), len(held.vers), len(listedRefs(held)))
 	}
 }
 
@@ -421,7 +421,7 @@ func TestMarkDeadExcludesUntilReprobe(t *testing.T) {
 
 	// Reads keep completing from the home while the replica is dead.
 	var tally replicaTally
-	if l, err := rt.relist(ctx, nil, &tally); err != nil || len(l.sorted) != 8 {
+	if l, err := rt.relist(ctx, nil, &tally); err != nil || len(listedRefs(l)) != 8 {
 		t.Fatalf("relist with dead replica: %v, err %v", l, err)
 	} else if served := tally.served.Load(); served != 0 {
 		t.Fatalf("%d frames served by a replica, want all from home %s", served, nodes[0])
@@ -848,7 +848,7 @@ func TestProbeRefreshIsSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if l, err := rt.relist(ctx, nil, new(replicaTally)); err != nil || len(l.sorted) != 8 {
+			if l, err := rt.relist(ctx, nil, new(replicaTally)); err != nil || len(listedRefs(l)) != 8 {
 				t.Errorf("relist: %v, err %v", l, err)
 			}
 		}()

@@ -7,30 +7,35 @@ import (
 	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
 	"weaksets/internal/spec"
+	"weaksets/internal/store"
 )
 
 // runTable is the membership state of one run of the elements iterator —
 // the paper's s_first (or s_pre) and its history object yielded, Figs.
-// 3–6 — held as what the wire delivered: sorted runs of refs. The store
-// ships every listing and partition ascending by id, so members stay as
-// decoded, the cursor is a position per run merged through a heap —
-// past the members on down nodes too, while a sample finds one — and
-// yielded is a bit per position. Nothing is keyed by id but the nodes.
-// The table decides every invocation (decide) from a few counts and its
-// cursor; the maps the kernel is specified over are assembled only for a
-// Recorder (preState). A snapshot run grows its table a partition at a time
-// (fold), a current-state run re-bases it on each whole listing it
-// observes (adopt); a table is one or the other, since adopt shares the
-// listing's node set, which fold writes.
+// 3–6 — held as what the wire delivered: the listing's partitions, each
+// ascending by id, which a run walks partition-major, so its order key
+// (partition, id) is a function of the ref. The cursor is a partition and
+// a position in each, yielded one bitmap; nothing is keyed by id but the
+// nodes. The table decides every invocation (decide) from a few counts
+// and its cursor; the kernel's maps are built only for a Recorder
+// (preState). A snapshot run grows its table a partition at a time
+// (fold), a current-state run re-bases it on each listing it observes
+// (adopt); a table is one or the other, since adopt aliases the
+// listing's partitions, which fold writes.
 type runTable struct {
 	// version is the membership's listing version, which anchors the
 	// cache's freshness check.
 	version uint64
-	// runs is a min-heap on the id under each run's cursor, exhausted runs
-	// last: runs[0] holds the run's cursor, the smallest unyielded member
-	// on a node the last sample found up.
-	runs    []refRun
-	members int // refs across runs
+	// parts holds the members by partition, each strictly ascending by id
+	// and never written (a shared listing's, or the store's); at is each
+	// partition's place in taken, a bit per member, set once yielded.
+	parts [][]repo.Ref
+	at    []partAt
+	taken []uint64
+	// cur is the cursor's partition, len(parts) when the cursor is empty:
+	// its head is parts[cur][at[cur].pos].
+	cur     int
+	members int // refs across parts
 	yielded int // of those, yielded
 	// gone holds the yielded ids a current-state listing no longer lists
 	// (yielded ⊆ s_first otherwise).
@@ -42,121 +47,177 @@ type runTable struct {
 	// found all of them up, and reachGen the network generation read
 	// before it was taken; the cursor is valid for that sample. sampled is
 	// false until the first sample and again whenever nodes changes: a
-	// fold that admits a node, and adopt, which replaces the table (a
-	// listing of as many nodes need not list the same ones).
+	// fold that admits a node, and adopt, which takes the listing's node
+	// set (a listing of as many nodes need not list the same ones).
 	// downYielded counts the yielded members on down nodes.
 	down        map[netsim.NodeID]bool
 	reachGen    uint64
 	sampled     bool
 	downYielded int
-	// lastRun and lastAt are find's last by-search hit, checked by
-	// content before reuse: ids are unique across runs, so a match is the
-	// member whatever reordered the runs since.
-	lastRun, lastAt int
+	// lastPart and lastAt are find's last by-search hit, checked by
+	// content before reuse.
+	lastPart, lastAt int
 }
 
-// refRun is one sorted run of members. refs ascend by id and are never
-// written — they may be a shared listing's or, on the in-process bus, the
-// store's own; bit i of taken says refs[i] is yielded; pos is the run's
-// cursor, the first index neither taken nor on a down node.
-type refRun struct {
-	refs  []repo.Ref
-	taken []uint64
-	pos   int
+// partAt is one partition's place in the table: off is the word of taken
+// its bits start at, pos its cursor — the first index neither taken nor
+// on a down node.
+type partAt struct{ off, pos int32 }
+
+// member is a ref with the partition the run table holds it in, which the
+// walk that lists it carries along: (part, ID) is a run's yield order, and
+// ordering two members hashes no id.
+type member struct {
+	repo.Ref
+	part int
 }
 
-func newRefRun(refs []repo.Ref) refRun {
-	return refRun{refs: refs, taken: make([]uint64, (len(refs)+63)/64)}
+// before reports whether a comes before b in yield order; it takes
+// pointers, since a member, at 40 bytes, is copied through memory.
+func before(a, b *member) bool { return a.part < b.part || a.part == b.part && a.ID < b.ID }
+
+// cmpMember orders members in yield order.
+func cmpMember(a, b member) int {
+	if c := cmp.Compare(a.part, b.part); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
-func (r *refRun) isTaken(i int) bool { return r.taken[i>>6]>>(i&63)&1 != 0 }
+func bitWords(n int) int { return (n + 63) / 64 }
 
-// take marks refs[i] yielded and keeps pos off taken refs and refs on
-// down nodes.
-func (r *refRun) take(i int, down map[netsim.NodeID]bool) {
-	r.taken[i>>6] |= 1 << (i & 63)
-	r.skip(down)
+func (t *runTable) isTaken(p, i int) bool {
+	return t.taken[int(t.at[p].off)+i>>6]>>(i&63)&1 != 0
 }
 
-func (r *refRun) skip(down map[netsim.NodeID]bool) {
-	for r.pos < len(r.refs) && (r.isTaken(r.pos) || down != nil && down[r.refs[r.pos].Node]) {
-		r.pos++
+func (t *runTable) mark(p, i int) { t.taken[int(t.at[p].off)+i>>6] |= 1 << (i & 63) }
+
+// skip moves partition p's cursor past taken members and members on down
+// nodes.
+func (t *runTable) skip(p int) {
+	refs, a := t.parts[p], &t.at[p]
+	for int(a.pos) < len(refs) && (t.isTaken(p, int(a.pos)) || t.down != nil && t.down[refs[a.pos].Node]) {
+		a.pos++
+	}
+}
+
+// advance moves the cursor's partition from cur on to the first whose
+// cursor has a member left.
+func (t *runTable) advance() {
+	for t.cur < len(t.parts) && int(t.at[t.cur].pos) == len(t.parts[t.cur]) {
+		t.cur++
 	}
 }
 
 // admit notes the nodes holding refs and returns refs strictly ascending
-// by id: as given when they already are — every listing the store ships —
-// otherwise a sorted, de-duplicated copy, because the order comes from
-// outside the program and the slice may not be ours to write.
+// by id: as given when they already are — every partition the store
+// ships — otherwise a sorted, de-duplicated copy, because the order comes
+// from outside the program and the slice may not be ours to write.
 func admit(nodes map[netsim.NodeID]bool, refs []repo.Ref) []repo.Ref {
-	sorted := true
-	for i := range refs {
-		sorted = sorted && (i == 0 || refs[i-1].ID < refs[i].ID)
-		if i == 0 || refs[i-1].Node != refs[i].Node {
-			nodes[refs[i].Node] = true
+	noteNodes(nodes, refs)
+	for i := 1; i < len(refs); i++ {
+		if refs[i-1].ID >= refs[i].ID {
+			refs = slices.Clone(refs)
+			slices.SortFunc(refs, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
+			return slices.CompactFunc(refs, func(a, b repo.Ref) bool { return a.ID == b.ID })
 		}
 	}
-	if sorted {
-		return refs
-	}
-	refs = slices.Clone(refs)
-	slices.SortFunc(refs, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
-	return slices.CompactFunc(refs, func(a, b repo.Ref) bool { return a.ID == b.ID })
+	return refs
 }
 
-// fold adds one partition's members as one more run under the cursor.
-// Partitions are disjoint — an id hashes to one, live or pinned — so no
-// ref is looked up.
-func (t *runTable) fold(refs []repo.Ref) {
+// noteNodes adds the nodes holding refs to nodes. Nodes are few, so the
+// map is written about once per node, not per ref: a ref's node is first
+// compared with the last one noted under its name's final byte.
+func noteNodes(nodes map[netsim.NodeID]bool, refs []repo.Ref) {
+	var noted [256]netsim.NodeID
+	for _, ref := range refs {
+		last := byte(0)
+		if n := len(ref.Node); n > 0 {
+			last = ref.Node[n-1]
+		}
+		if noted[last] != ref.Node || ref.Node == "" {
+			nodes[ref.Node], noted[last] = true, ref.Node
+		}
+	}
+}
+
+// fold adds partition part of a stream's partitions to the table, moving
+// the cursor back to it when it lies below. Partitions are disjoint — the
+// store places an id in one (store.PartOf) — so no ref is looked up.
+func (t *runTable) fold(part, partitions int, refs []repo.Ref) {
+	if t.parts == nil {
+		t.parts, t.at, t.cur = make([][]repo.Ref, partitions), make([]partAt, partitions), partitions
+	}
 	if t.nodes == nil {
 		t.nodes = make(map[netsim.NodeID]bool, 8)
 	}
 	held := len(t.nodes)
 	refs = admit(t.nodes, refs)
 	t.sampled = t.sampled && len(t.nodes) == held
-	if len(refs) > 0 {
-		run := newRefRun(refs)
-		run.skip(t.down)
-		t.runs = append(t.runs, run)
-		t.members += len(refs)
-		t.reheap()
+	t.parts[part], t.at[part] = refs, partAt{off: int32(len(t.taken))}
+	t.taken = append(t.taken, make([]uint64, bitWords(len(refs)))...)
+	t.members += len(refs)
+	if t.skip(part); int(t.at[part].pos) < len(refs) {
+		t.cur = min(t.cur, part)
 	}
 }
 
-// adopt re-bases the table on l: l's refs in yield order less what the
-// run already yielded, found by walking the two ascending sequences
-// together. It reports how many yielded ids l lists again — the
-// duplicates the run suppresses.
+// adopt re-bases the table on l. A partition l shares with the table
+// (listing.with keeps every one that did not move) keeps its taken bits
+// and cursor; the yielded ids of the others, and those gone earlier, are
+// looked up in l (find): taken again where l lists them, gone otherwise.
+// It reports how many yielded ids l lists — the duplicates suppressed.
 func (t *runTable) adopt(l *listing) (suppressed int) {
-	was := t.yieldedIDs()
-	slices.Sort(was)
-	*t = runTable{version: l.version, runs: append(t.runs[:0], newRefRun(l.sorted)), members: len(l.sorted), nodes: l.nodes}
-	run, i := &t.runs[0], 0
-	for _, id := range was {
-		for i < len(run.refs) && run.refs[i].ID < id {
-			i++
-		}
-		if i < len(run.refs) && run.refs[i].ID == id {
-			run.take(i, nil)
-			t.yielded++
-		} else {
-			t.gone = append(t.gone, id)
-		}
-	}
-	return t.yielded
-}
-
-// yieldedIDs lists the history object yielded, in no order.
-func (t *runTable) yieldedIDs() []repo.ObjectID {
-	out := append(make([]repo.ObjectID, 0, t.yieldedCount()), t.gone...)
-	for r := range t.runs {
-		for i, ref := range t.runs[r].refs {
-			if t.runs[r].isTaken(i) {
-				out = append(out, ref.ID)
+	kept := func(p int) bool { return len(t.parts) == len(l.parts) && sameRefs(t.parts[p], l.parts[p]) }
+	again := t.gone
+	for p, refs := range t.parts {
+		for i := 0; !kept(p) && i < len(refs); i++ {
+			if t.isTaken(p, i) {
+				again = append(again, refs[i].ID)
+				t.yielded--
 			}
 		}
 	}
-	return out
+	was, wasDown, n := t.taken, t.down != nil, 0
+	for _, refs := range l.parts {
+		n += bitWords(len(refs))
+	}
+	t.taken, t.members, n = make([]uint64, n), 0, 0
+	if len(t.at) != len(l.parts) {
+		t.at = make([]partAt, len(l.parts))
+	}
+	for p, refs := range l.parts {
+		a, words := &t.at[p], bitWords(len(refs))
+		if kept(p) {
+			copy(t.taken[n:n+words], was[a.off:])
+		}
+		if !kept(p) || wasDown {
+			a.pos = 0
+		}
+		a.off, n, t.members = int32(n), n+words, t.members+len(refs)
+	}
+	t.version, t.parts, t.nodes, t.cur = l.version, l.parts, l.nodes, len(l.parts) // no head while re-basing
+	t.down, t.sampled, t.downYielded = nil, false, 0
+	t.gone = again[:0]
+	for _, id := range again {
+		if p, i, ok := t.find(id); !ok {
+			t.gone = append(t.gone, id)
+		} else if !t.isTaken(p, i) {
+			t.mark(p, i)
+			t.yielded++
+		}
+	}
+	for p := range t.parts {
+		t.skip(p)
+	}
+	t.cur = 0
+	t.advance()
+	return t.yielded
+}
+
+// sameRefs reports whether a and b are one slice of refs.
+func sameRefs(a, b []repo.Ref) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (t *runTable) yieldedCount() int { return t.yielded + len(t.gone) }
@@ -164,100 +225,92 @@ func (t *runTable) yieldedCount() int { return t.yielded + len(t.gone) }
 // unyielded is the cursor's length.
 func (t *runTable) unyielded() int { return t.members - t.yielded }
 
-// head is the cursor: the smallest unyielded member on a node the last
-// sample found up — what the run yields next.
-func (t *runTable) head() (repo.Ref, bool) {
-	if len(t.runs) == 0 || t.runs[0].pos == len(t.runs[0].refs) {
-		return repo.Ref{}, false
+// head is the cursor: the first unyielded member, in yield order, on a
+// node the last sample found up — what the run yields next — and its
+// partition. (A member, at 40 bytes, would be built in memory, not in
+// registers, on every invocation.)
+func (t *runTable) head() (ref repo.Ref, part int, ok bool) {
+	if t.cur == len(t.parts) {
+		return repo.Ref{}, 0, false
 	}
-	return t.runs[0].refs[t.runs[0].pos], true
+	return t.parts[t.cur][t.at[t.cur].pos], t.cur, true
 }
 
 // find locates member id: the cursor's head, or the last id found (a
-// yield in place of the head is looked up to accept it, then to mark
-// it), at no cost; any other by binary search of the runs — one
-// on a table opened on a whole listing, a partition's each while a
-// stream folds.
-func (t *runTable) find(id repo.ObjectID) (run *refRun, i int) {
-	if head, ok := t.head(); ok && head.ID == id {
-		return &t.runs[0], t.runs[0].pos
-	}
-	if r, i := t.lastRun, t.lastAt; r < len(t.runs) && i < len(t.runs[r].refs) && t.runs[r].refs[i].ID == id {
-		return &t.runs[r], i
-	}
-	for r := range t.runs {
-		if i, ok := slices.BinarySearchFunc(t.runs[r].refs, id, cmpRefID); ok {
-			t.lastRun, t.lastAt = r, i
-			return &t.runs[r], i
+// yield in place of the head is looked up to accept it, then to mark it),
+// at no cost; any other by binary search of its partition (store.PartOf)
+// — or of the others, should a listing have placed it elsewhere.
+func (t *runTable) find(id repo.ObjectID) (p, i int, ok bool) {
+	if p := t.cur; p < len(t.parts) {
+		if i := int(t.at[p].pos); t.parts[p][i].ID == id {
+			return p, i, true
 		}
 	}
-	return nil, 0
+	if p, i := t.lastPart, t.lastAt; p < len(t.parts) && i < len(t.parts[p]) && t.parts[p][i].ID == id {
+		return p, i, true
+	}
+	if len(t.parts) == 0 {
+		return 0, 0, false
+	}
+	home := store.PartOf(id, len(t.parts))
+	if i, ok := t.search(home, id); ok {
+		return home, i, true
+	}
+	for p := range t.parts {
+		if i, ok := t.search(p, id); ok {
+			return p, i, true
+		}
+	}
+	return 0, 0, false
 }
 
-// cmpRefID orders a ref against an id: the binary search over refs sorted
-// by id that the run table and the prefetcher's chunks both do.
-func cmpRefID(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) }
+// search binary-searches partition p for id, noting a hit for find.
+func (t *runTable) search(p int, id repo.ObjectID) (int, bool) {
+	i, ok := slices.BinarySearchFunc(t.parts[p], id, func(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) })
+	if ok {
+		t.lastPart, t.lastAt = p, i
+	}
+	return i, ok
+}
+
+// accepts reports whether m is an unyielded member on a node the last
+// sample found up: what the figures' Yield may take in place of the head.
+func (t *runTable) accepts(m member) bool {
+	if m.part >= len(t.parts) {
+		return false
+	}
+	i, ok := t.search(m.part, m.ID)
+	return ok && t.parts[m.part][i] == m.Ref && !t.isTaken(m.part, i) && !t.down[m.Node]
+}
 
 // yield records member id as yielded and moves the cursor off it.
 func (t *runTable) yield(id repo.ObjectID) {
-	run, i := t.find(id)
-	if run == nil || run.isTaken(i) {
+	p, i, ok := t.find(id)
+	if !ok || t.isTaken(p, i) {
 		return
 	}
 	t.yielded++
-	if t.down[run.refs[i].Node] { // a dynamic run settling
+	if t.down != nil && t.down[t.parts[p][i].Node] { // a dynamic run settling
 		t.downYielded++
 	}
-	was := run.pos
-	run.take(i, t.down)
-	switch {
-	case run.pos == was: // ahead of its run's cursor, which will step over it
-	case run == &t.runs[0]:
-		t.siftDown(0)
-	default:
-		t.reheap()
+	t.mark(p, i)
+	if i == int(t.at[p].pos) {
+		t.skip(p)
+		t.advance()
 	}
 }
 
 // window appends to out, in yield order from the cursor on, the unyielded
-// members on nodes the last sample found up, until out holds limit. It
-// walks the merge itself and then puts the runs back as they were: the
-// cursor does not move.
-func (t *runTable) window(out []repo.Ref, limit int) []repo.Ref {
-	var few [16]refRun
-	saved := append(few[:0], t.runs...)
-	for ref, ok := t.head(); ok && len(out) < limit; ref, ok = t.head() {
-		out = append(out, ref)
-		t.runs[0].pos++
-		t.runs[0].skip(t.down)
-		t.siftDown(0)
+// members on nodes the last sample found up, until out holds limit.
+func (t *runTable) window(out []member, limit int) []member {
+	for p := t.cur; p < len(t.parts) && len(out) < limit; p++ {
+		for i := int(t.at[p].pos); i < len(t.parts[p]) && len(out) < limit; i++ {
+			if ref := t.parts[p][i]; !t.isTaken(p, i) && (t.down == nil || !t.down[ref.Node]) {
+				out = append(out, member{ref, p})
+			}
+		}
 	}
-	copy(t.runs, saved)
 	return out
-}
-
-// before orders runs by the id under their cursor, exhausted runs last.
-func (t *runTable) before(a, b int) bool {
-	ra, rb := &t.runs[a], &t.runs[b]
-	return ra.pos < len(ra.refs) && (rb.pos == len(rb.refs) || ra.refs[ra.pos].ID < rb.refs[rb.pos].ID)
-}
-
-func (t *runTable) siftDown(h int) {
-	for c := 2*h + 1; c < len(t.runs); h, c = c, 2*c+1 {
-		if c+1 < len(t.runs) && t.before(c+1, c) {
-			c++
-		}
-		if !t.before(c, h) {
-			return
-		}
-		t.runs[h], t.runs[c] = t.runs[c], t.runs[h]
-	}
-}
-
-func (t *runTable) reheap() {
-	for h := len(t.runs)/2 - 1; h >= 0; h-- {
-		t.siftDown(h)
-	}
 }
 
 // allReachable reports whether every member-holding node is reachable
@@ -289,19 +342,19 @@ func (t *runTable) allReachable(gen uint64, reachable func(netsim.NodeID) bool) 
 	if !wasDown && t.down == nil {
 		return true
 	}
-	for r := range t.runs {
-		run := &t.runs[r]
+	for p, refs := range t.parts {
 		if wasDown {
-			run.pos = 0
+			t.at[p].pos = 0
 		}
-		run.skip(t.down)
-		for i := 0; t.down != nil && i < len(run.refs); i++ {
-			if run.isTaken(i) && t.down[run.refs[i].Node] {
+		t.skip(p)
+		for i := 0; t.down != nil && i < len(refs); i++ {
+			if t.isTaken(p, i) && t.down[refs[i].Node] {
 				t.downYielded++
 			}
 		}
 	}
-	t.reheap()
+	t.cur = 0
+	t.advance()
 	return t.down == nil
 }
 
@@ -315,14 +368,16 @@ func (t *runTable) allReachable(gen uint64, reachable func(netsim.NodeID) bool) 
 // reachable(governing) holds exactly when no yielded member is down and
 // none has gone. An empty cursor decides alike on any sample and takes
 // none, so a quiescent run's terminal Return costs nothing.
-// ExhaustiveConformance holds it to Step.
-func (t *runTable) decide(sem Semantics, gen uint64, reachable func(netsim.NodeID) bool) DecisionKind {
+// ExhaustiveConformance holds it to Step. A dynamic run (dyn, OpenDyn)
+// parts from Fig. 3 where a yielded member is out of reach: it yields
+// every member it can reach, then settles where Fig. 3 fails.
+func (t *runTable) decide(sem Semantics, dyn bool, gen uint64, reachable func(netsim.NodeID) bool) DecisionKind {
 	unyielded := t.unyielded()
 	if unyielded > 0 {
 		t.allReachable(gen, reachable)
 	}
-	_, canYield := t.head()
-	lost := t.downYielded > 0 || len(t.gone) > 0
+	canYield := t.cur < len(t.parts)
+	lost := !dyn && (t.downYielded > 0 || len(t.gone) > 0)
 	snapshot, optimistic := sem.UsesSnapshot(), sem == Optimistic
 	switch {
 	case unyielded == 0 && (snapshot || optimistic), lost && snapshot:
@@ -343,8 +398,8 @@ func (t *runTable) decide(sem Semantics, gen uint64, reachable func(netsim.NodeI
 // place the table is turned into maps.
 func (t *runTable) preState() spec.State {
 	pre := spec.State{Members: make(map[spec.ElemID]bool, t.members), Reach: make(map[spec.ElemID]bool, t.members)}
-	for r := range t.runs {
-		for _, ref := range t.runs[r].refs {
+	for _, refs := range t.parts {
+		for _, ref := range refs {
 			pre.Members[spec.ElemID(ref.ID)] = true
 			if !t.down[ref.Node] {
 				pre.Reach[spec.ElemID(ref.ID)] = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"weaksets/internal/repo"
 	"weaksets/internal/sim"
 	"weaksets/internal/spec"
+	"weaksets/internal/store"
 )
 
 // newListing is a one-partition listing of refs at version.
@@ -18,6 +20,22 @@ func newListing(version uint64, refs []repo.Ref) *listing {
 		panic(err)
 	}
 	return l
+}
+
+// listedRefs lists l's members in yield order.
+func listedRefs(l *listing) []repo.Ref { return slices.Concat(l.parts...) }
+
+// yieldedIDs lists the history object yielded, in no order.
+func yieldedIDs(t *runTable) []repo.ObjectID {
+	out := slices.Clone(t.gone)
+	for p, refs := range t.parts {
+		for i, ref := range refs {
+			if t.isTaken(p, i) {
+				out = append(out, ref.ID)
+			}
+		}
+	}
+	return out
 }
 
 // cursorIDs lists the table's cursor — every unyielded member in yield
@@ -31,12 +49,14 @@ func cursorIDs(it *Iterator) []repo.ObjectID {
 }
 
 // mapRun is the run state as it was kept before the run table — a member
-// map, a ref map, a merged id cursor and a yielded map, all keyed by id —
-// with the fold, adopt and cursor-skipping code that maintained them. It
+// map, a ref map, a merged cursor and a yielded map, all keyed by id —
+// with the fold, adopt and cursor-skipping code that maintained them, and
+// each member's partition, which orders the cursor partition-major. It
 // stays here as the reference the table is held to.
 type mapRun struct {
 	members     map[repo.ObjectID]bool
 	refs        map[repo.ObjectID]repo.Ref
+	part        map[repo.ObjectID]int
 	cursor      []repo.ObjectID
 	at          int // head's position in cursor
 	yielded     map[repo.ObjectID]bool
@@ -45,10 +65,18 @@ type mapRun struct {
 }
 
 func newMapRun() *mapRun {
-	return &mapRun{members: map[repo.ObjectID]bool{}, refs: map[repo.ObjectID]repo.Ref{}, yielded: map[repo.ObjectID]bool{}}
+	return &mapRun{members: map[repo.ObjectID]bool{}, refs: map[repo.ObjectID]repo.Ref{}, part: map[repo.ObjectID]int{}, yielded: map[repo.ObjectID]bool{}}
 }
 
-func (m *mapRun) fold(refs []repo.Ref) {
+// cmp orders ids in yield order: by partition, then id.
+func (m *mapRun) cmp(a, b repo.ObjectID) int {
+	if c := cmp.Compare(m.part[a], m.part[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+func (m *mapRun) fold(part int, refs []repo.Ref) {
 	var fresh []repo.ObjectID
 	for _, ref := range refs {
 		if m.members[ref.ID] {
@@ -56,13 +84,14 @@ func (m *mapRun) fold(refs []repo.Ref) {
 		}
 		m.members[ref.ID] = true
 		m.refs[ref.ID] = ref
+		m.part[ref.ID] = part
 		fresh = append(fresh, ref.ID)
 	}
 	slices.Sort(fresh)
 	merged := make([]repo.ObjectID, 0, len(m.cursor)+len(fresh))
 	i, j := 0, 0
 	for i < len(m.cursor) && j < len(fresh) {
-		if m.cursor[i] <= fresh[j] {
+		if m.cmp(m.cursor[i], fresh[j]) <= 0 {
 			merged = append(merged, m.cursor[i])
 			i++
 		} else {
@@ -74,15 +103,17 @@ func (m *mapRun) fold(refs []repo.Ref) {
 	m.at = 0
 }
 
-func (m *mapRun) adopt(refs []repo.Ref) {
-	m.members, m.refs = map[repo.ObjectID]bool{}, map[repo.ObjectID]repo.Ref{}
+// adopt re-bases the oracle on refs, each in partition partOf(id).
+func (m *mapRun) adopt(refs []repo.Ref, partOf func(repo.ObjectID) int) {
+	m.members, m.refs, m.part = map[repo.ObjectID]bool{}, map[repo.ObjectID]repo.Ref{}, map[repo.ObjectID]int{}
 	order := make([]repo.ObjectID, 0, len(refs))
 	for _, ref := range refs {
 		m.members[ref.ID] = true
 		m.refs[ref.ID] = ref
+		m.part[ref.ID] = partOf(ref.ID)
 		order = append(order, ref.ID)
 	}
-	slices.Sort(order)
+	slices.SortFunc(order, m.cmp)
 	m.yieldedGone = 0
 	for id := range m.yielded {
 		if !m.members[id] {
@@ -94,7 +125,7 @@ func (m *mapRun) adopt(refs []repo.Ref) {
 	m.at = 0
 }
 
-// head is the smallest unyielded member not on node down.
+// head is the first unyielded member, in yield order, not on node down.
 func (m *mapRun) head(down netsim.NodeID) (repo.Ref, bool) {
 	for m.at < len(m.cursor) && (m.yielded[m.cursor[m.at]] || m.refs[m.cursor[m.at]].Node == down) {
 		m.at++
@@ -122,7 +153,7 @@ func (m *mapRun) unreachableSkipped() int { return len(m.members) - len(m.yielde
 // through one script, side by side. down is the node (of testRefs' four)
 // every reachability sample finds down — none on even seeds — so the
 // table's down-node counts are built once and then kept by fold and
-// yield through the script.
+// yield through the script. held is the listing the run last adopted.
 type tableVsOracle struct {
 	t      *testing.T
 	rnd    *sim.Rand
@@ -130,6 +161,7 @@ type tableVsOracle struct {
 	oracle *mapRun
 	down   netsim.NodeID
 	step   int
+	held   *listing
 }
 
 // sample is the table's reachability sample, as Iterator.decide takes it
@@ -152,14 +184,48 @@ func (p *tableVsOracle) fold(part, partitions int, refs []repo.Ref) {
 	if err := p.it.fold(repo.PartListing{Part: part, Partitions: partitions, Version: 1, Members: refs}); err != nil {
 		p.t.Fatal(err)
 	}
-	p.oracle.fold(refs)
+	p.oracle.fold(part, refs)
 	p.step++
 }
 
-func (p *tableVsOracle) adopt(version uint64, refs []repo.Ref) {
-	p.it.adopt(newListing(version, refs))
-	p.oracle.adopt(refs)
+// adopt re-bases both sides on refs, listed in partitions as the store
+// places them: the table on the held listing with the partitions whose
+// members changed replaced, as a gated read ships them, in the order
+// given.
+func (p *tableVsOracle) adopt(version uint64, partitions int, refs []repo.Ref) {
+	p.t.Helper()
+	frames := make([]repo.PartListing, partitions)
+	for i := range frames {
+		frames[i] = repo.PartListing{Part: i, Partitions: partitions, Version: version}
+	}
+	for _, ref := range refs {
+		f := &frames[store.PartOf(ref.ID, partitions)]
+		f.Members = append(f.Members, ref)
+	}
+	moved := frames[:0]
+	for _, f := range frames {
+		if p.held == nil || len(p.held.parts) != partitions || !sameMembers(f.Members, p.held.parts[f.Part]) {
+			moved = append(moved, f)
+		}
+	}
+	l, err := p.held.with(moved)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if l != p.held { // an observation that moved nothing adopts nothing
+		p.it.adopt(l)
+		p.held = l
+		p.oracle.adopt(refs, func(id repo.ObjectID) int { return store.PartOf(id, partitions) })
+	}
 	p.step++
+}
+
+// sameMembers reports whether refs, in any order, are the members of
+// part.
+func sameMembers(refs, part []repo.Ref) bool {
+	sorted := slices.Clone(refs)
+	slices.SortFunc(sorted, func(a, b repo.Ref) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.Equal(sorted, part)
 }
 
 // yields takes n members on both sides: the cursor's head, or one time in
@@ -171,9 +237,9 @@ func (p *tableVsOracle) yields(n int) {
 	for ; n > 0; n-- {
 		p.sample()
 		want, ok := p.oracle.head(p.down)
-		got, gotOK := p.it.tab.head()
-		if got != want || gotOK != ok {
-			p.t.Fatalf("step %d: head %v %v, oracle %v %v (down %q)", p.step, got, gotOK, want, ok, p.down)
+		got, part, gotOK := p.it.tab.head()
+		if got != want || gotOK != ok || ok && part != p.oracle.part[want.ID] {
+			p.t.Fatalf("step %d: head %v (partition %d) %v, oracle %v %v (down %q)", p.step, got, part, gotOK, want, ok, p.down)
 		}
 		if !ok {
 			for _, ref := range p.it.Skipped() {
@@ -191,7 +257,7 @@ func (p *tableVsOracle) yields(n int) {
 					break
 				}
 			}
-			if run, i := p.it.tab.find(id); run == nil || run.refs[i] != p.oracle.refs[id] {
+			if part, i, ok := p.it.tab.find(id); !ok || p.it.tab.parts[part][i] != p.oracle.refs[id] {
 				p.t.Fatalf("step %d: find(%q) misses, oracle has %v", p.step, id, p.oracle.refs[id])
 			}
 		}
@@ -205,8 +271,8 @@ func (p *tableVsOracle) yields(n int) {
 // sides: cursor order, the yielded set, yieldedGone, DuplicatesSuppressed
 // and what a terminal decision would count as UnreachableSkipped — and
 // the table's decision under each figure's clause, over its sample, to
-// be Step's over the oracle's maps, yielding the smallest reachable
-// unyielded member.
+// be Step's over the oracle's maps, yielding the first reachable
+// unyielded member in yield order.
 func (p *tableVsOracle) agree() {
 	p.t.Helper()
 	tab := &p.it.tab
@@ -222,7 +288,7 @@ func (p *tableVsOracle) agree() {
 		wantYielded = append(wantYielded, id)
 	}
 	slices.Sort(wantYielded)
-	got := tab.yieldedIDs()
+	got := yieldedIDs(tab)
 	slices.Sort(got)
 	if !slices.Equal(got, wantYielded) || tab.yieldedCount() != len(wantYielded) {
 		p.t.Fatalf("step %d: yielded %d ids (count %d), oracle %d", p.step, len(got), tab.yieldedCount(), len(wantYielded))
@@ -254,12 +320,12 @@ func (p *tableVsOracle) agree() {
 		yielded[spec.ElemID(id)] = true
 	}
 	for _, sem := range []Semantics{Snapshot, GrowOnly, Optimistic} { // Figs. 3–4, 5 and 6
-		if got, want := tab.decide(sem, 1, p.reachable), Step(sem, pre, pre, yielded); got != want.Kind {
+		if got, want := tab.decide(sem, false, 1, p.reachable), Step(sem, pre, pre, yielded); got != want.Kind {
 			p.t.Fatalf("step %d: %s run table decides %v, kernel %v (down %q)", p.step, sem, got, want, p.down)
 		}
 	}
 	want, wantOK := p.oracle.head(p.down)
-	if got, ok := tab.head(); got != want || ok != wantOK {
+	if got, _, ok := tab.head(); got != want || ok != wantOK {
 		p.t.Fatalf("step %d: cursor at %v %v, oracle %v %v (down %q)", p.step, got, ok, want, wantOK, p.down)
 	}
 }
@@ -365,11 +431,14 @@ func TestRunTableMatchesMapOracleAtScale(t *testing.T) {
 // TestRunTableMatchesMapOracleAdopting re-bases both sides on a sequence
 // of whole listings, as a current-state run's observations do, with
 // yields in between: yielded ids leave the listing, come back, and ids
-// smaller than everything yielded so far appear.
+// smaller than everything yielded so far appear. The listings are in up
+// to seven partitions, of which mostly one moves at a time, so adopt keeps
+// the others as they were; some seeds change the partition count midway.
 func TestRunTableMatchesMapOracleAdopting(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		p := newTableVsOracle(t, seed)
 		universe := testRefs(120)
+		partitions := 1 + 2*int(seed%4)
 		listed := make(map[repo.ObjectID]bool)
 		// Start in the upper half, so smaller ids can appear later.
 		for _, ref := range universe[60:] {
@@ -378,7 +447,14 @@ func TestRunTableMatchesMapOracleAdopting(t *testing.T) {
 			}
 		}
 		for version := uint64(1); version <= 12; version++ {
+			if version == 7 && seed%5 == 4 {
+				partitions = 1 + (partitions+2)%8
+			}
+			moving := p.rnd.Intn(partitions) // every partition, one listing in four
 			for _, ref := range universe {
+				if version%4 != 0 && store.PartOf(ref.ID, partitions) != moving {
+					continue
+				}
 				switch {
 				case p.oracle.yielded[ref.ID] && p.rnd.Intn(4) == 0:
 					listed[ref.ID] = !listed[ref.ID] // a yielded id leaves, or returns
@@ -387,12 +463,12 @@ func TestRunTableMatchesMapOracleAdopting(t *testing.T) {
 				}
 			}
 			var refs []repo.Ref
-			for _, i := range p.rnd.Perm(len(universe)) { // newListing sorts what it is given
+			for _, i := range p.rnd.Perm(len(universe)) { // admit sorts what a frame lists
 				if listed[universe[i].ID] {
 					refs = append(refs, universe[i])
 				}
 			}
-			p.adopt(version, refs)
+			p.adopt(version, partitions, refs)
 			p.agree()
 			p.yields(p.rnd.Intn(25))
 			p.agree()
@@ -402,10 +478,77 @@ func TestRunTableMatchesMapOracleAdopting(t *testing.T) {
 	}
 }
 
-// BenchmarkRunTable is the layer's own microbenchmark: one warm 10k run's
-// worth of membership bookkeeping and nothing else — an opening listing
-// folded as 16 hash partitions of 625 refs, 10 000 yields off the cursor,
-// and one adopt of the whole listing when half are yielded.
+// TestAdoptRebasesOnlyTheMovedPartition: a 10 000-member table over 16
+// partitions, half yielded, adopts a listing in which one partition moved
+// (a member added): the other 15 stay the listing's own refs with their
+// taken bits unchanged, the moved one's yielded members are taken again,
+// and the adopt allocates at most twice — the new bitmap and, at most once,
+// the ids it looks up again — with no sort and no pass over the others'
+// members.
+func TestAdoptRebasesOnlyTheMovedPartition(t *testing.T) {
+	const n, partitions, moved = 10_000, 16, 10
+	frames := make([]repo.PartListing, partitions)
+	for p := range frames {
+		frames[p] = repo.PartListing{Part: p, Partitions: partitions, Version: 1}
+	}
+	for _, ref := range testRefs(n) {
+		f := &frames[store.PartOf(ref.ID, partitions)]
+		f.Members = append(f.Members, ref)
+	}
+	l0, err := (*listing)(nil).with(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := repo.Ref{ID: "zz-added", Node: "n0"}
+	grown := slices.Clone(l0.parts[store.PartOf(added.ID, partitions)])
+	if store.PartOf(added.ID, partitions) != moved {
+		t.Fatalf("%q is in partition %d, want %d", added.ID, store.PartOf(added.ID, partitions), moved)
+	}
+	l1, err := l0.with([]repo.PartListing{{Part: moved, Partitions: partitions, Version: 2, Members: append(grown, added)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab runTable
+	tab.adopt(l0)
+	for i, ref := range testRefs(n) {
+		if i%2 == 0 {
+			tab.yield(ref.ID)
+		}
+	}
+	taken := func() [][]bool {
+		out := make([][]bool, partitions)
+		for p, refs := range tab.parts {
+			for i := range refs {
+				out[p] = append(out[p], tab.isTaken(p, i))
+			}
+		}
+		return out
+	}
+	before := taken()
+	if got := tab.adopt(l1); got != n/2 || tab.yieldedCount() != n/2 || tab.members != n+1 {
+		t.Fatalf("adopt suppressed %d, %d yielded of %d members; want %d, %d of %d", got, tab.yieldedCount(), tab.members, n/2, n/2, n+1)
+	}
+	after := taken()
+	for p := range tab.parts {
+		if p != moved && (!sameRefs(tab.parts[p], l0.parts[p]) || !slices.Equal(before[p], after[p])) {
+			t.Fatalf("partition %d did not move, but adopt replaced its refs or changed its taken bits", p)
+		}
+	}
+	if want := append(slices.Clone(before[moved]), false); !slices.Equal(after[moved], want) {
+		t.Fatal("the moved partition's yielded members were not taken again")
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	next, other := l0, l1
+	if allocs := testing.AllocsPerRun(20, func() {
+		tab.adopt(next)
+		next, other = other, next
+	}); allocs > 2 {
+		t.Fatalf("an adopt with one partition moved allocated %.1f times, want at most 2", allocs)
+	}
+}
+
 // TestReachabilitySampleFollowsTheNodeSet holds the half of the gate the
 // network's generation cannot see: the node set a sample ranges over. With
 // the topology standing still, a listing adopted over as many nodes but
@@ -432,39 +575,58 @@ func TestReachabilitySampleFollowsTheNodeSet(t *testing.T) {
 	}
 
 	var snap runTable
-	snap.fold([]repo.Ref{on("a", "n1"), on("b", "n2")})
+	snap.fold(0, 3, []repo.Ref{on("a", "n1"), on("b", "n2")})
 	if !snap.allReachable(gen, reachable) {
 		t.Fatal("n1 and n2 are up")
 	}
 	samples = 0
-	snap.fold([]repo.Ref{on("d", "n2")})
+	snap.fold(2, 3, []repo.Ref{on("d", "n2")})
 	if !snap.allReachable(gen, reachable) || samples != 0 {
 		t.Fatalf("a fold that admitted no node cost %d reachability probes", samples)
 	}
-	snap.fold([]repo.Ref{on("c", "n3")})
+	snap.fold(1, 3, []repo.Ref{on("c", "n3")})
 	if snap.allReachable(gen, reachable) {
 		t.Fatal("folded in a partition on n3, which is down: the sample over {n1, n2} was kept")
 	}
 }
 
+// BenchmarkRunTable is the layer's own microbenchmark: one warm 10k run's
+// worth of membership bookkeeping and nothing else — an opening listing
+// folded as its 16 partitions of ~625 refs, 10 000 yields off the cursor,
+// and, when half are yielded, one adopt of a listing in which every
+// partition moved (each re-shipped as a copy).
 func BenchmarkRunTable(b *testing.B) {
 	const n, partitions = 10_000, 16
-	refs := testRefs(n)
-	parts := hashParts(sim.NewRand(1), refs, partitions, partitions)
+	frames := make([]repo.PartListing, partitions)
+	for p := range frames {
+		frames[p] = repo.PartListing{Part: p, Partitions: partitions, Version: 1}
+	}
+	for _, ref := range testRefs(n) {
+		f := &frames[store.PartOf(ref.ID, partitions)]
+		f.Members = append(f.Members, ref)
+	}
+	moved := make([]repo.PartListing, partitions)
+	for p, f := range frames {
+		moved[p] = repo.PartListing{Part: p, Partitions: partitions, Version: 2, Members: slices.Clone(f.Members)}
+	}
+	relisted, err := (*listing)(nil).with(moved)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := &Iterator{}
-		for part, members := range parts {
-			if err := it.fold(repo.PartListing{Part: part, Partitions: partitions, Version: 1, Members: members}); err != nil {
+		for _, f := range frames {
+			if err := it.fold(f); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for y := 0; y < n; y++ {
 			if y == n/2 {
-				it.adopt(newListing(2, refs))
+				it.adopt(relisted)
 			}
-			head, ok := it.tab.head()
+			head, _, ok := it.tab.head()
 			if !ok {
 				b.Fatalf("cursor empty after %d yields", y)
 			}

@@ -90,24 +90,24 @@ func (o Options) withDefaults() Options {
 var iterSeq atomic.Int64
 
 // listing is one whole observed membership of the collection: the
-// partitions the listing RPC delivered with their version vector (the
-// next read's gate), their merge ascending by id, and the distinct nodes
-// holding them. version is the vector's max, the collection version. It is
-// immutable — runs (runTable.adopt) and Set.lastListing alias it freely,
-// each run keeping its own cursor over it.
+// partitions the listing RPC delivered, each ascending by id, with their
+// version vector (the next read's gate), and the distinct nodes holding
+// them. version is the vector's max, the collection version. It is
+// immutable — runs (runTable.adopt) and Set.lastListing alias it and its
+// partitions freely, each run keeping its own cursor over them.
 type listing struct {
 	version uint64
 	parts   [][]repo.Ref
 	vers    []uint64
-	sorted  []repo.Ref
 	nodes   map[netsim.NodeID]bool
 }
 
 // with returns the listing a gated read's frames make of l: l itself
-// when no partition moved, else l with the moved partitions replaced — or
-// the frames alone when their layout is not l's, since a gate vector of
-// another length ships every partition. The frames come from outside the
-// program, so they are checked here, as fold checks a snapshot's.
+// when no partition moved, else l with the moved partitions replaced and
+// the others shared — or the frames alone when their layout is not l's,
+// since a gate vector of another length ships every partition. The
+// frames come from outside the program, so they are checked here, as
+// fold checks a snapshot's.
 func (l *listing) with(frames []repo.PartListing) (*listing, error) {
 	if len(frames) == 0 {
 		return l, nil
@@ -129,7 +129,13 @@ func (l *listing) with(frames []repo.PartListing) (*listing, error) {
 		parts[pl.Part], vers[pl.Part] = pl.Members, pl.Version
 	}
 	next := &listing{version: slices.Max(vers), parts: parts, vers: vers, nodes: make(map[netsim.NodeID]bool, 8)}
-	next.sorted = admit(next.nodes, repo.MergeParts(parts))
+	for p, refs := range parts {
+		if same && sameRefs(refs, l.parts[p]) {
+			noteNodes(next.nodes, refs) // l admitted them
+		} else {
+			parts[p] = admit(next.nodes, refs)
+		}
+	}
 	return next, nil
 }
 

@@ -78,9 +78,10 @@ func TestStreamedListingWithRecorder(t *testing.T) {
 }
 
 // TestFoldCountsPartitionSkew unit-tests the ingest fold: Skewed frames
-// feed the weakness counter, members merge into the cursor in id order —
-// a frame that arrives unsorted included — and the sealed snapshot
-// version is the max partition version.
+// feed the weakness counter, members join the cursor partition-major —
+// the later frame, for partition 0, ahead of the earlier one, each
+// ascending by id, one that arrives unsorted included — and the sealed
+// snapshot version is the max partition version.
 func TestFoldCountsPartitionSkew(t *testing.T) {
 	it := &Iterator{}
 	for _, pl := range []repo.PartListing{
@@ -97,7 +98,7 @@ func TestFoldCountsPartitionSkew(t *testing.T) {
 	if it.maxPartVer != 9 {
 		t.Fatalf("maxPartVer = %d, want 9", it.maxPartVer)
 	}
-	want := []repo.ObjectID{"a", "b", "c", "d", "e"}
+	want := []repo.ObjectID{"a", "c", "e", "b", "d"}
 	if got := cursorIDs(it); !slices.Equal(got, want) {
 		t.Fatalf("cursor = %v, want %v", got, want)
 	}
@@ -125,8 +126,8 @@ func (fs *frameStream) Err() error { return nil }
 // frames arrive from outside the program, and the fold no longer looks
 // each id up, so it must hold them to the stream's shape itself. A
 // partition served twice is folded once, an unsorted one is yielded in
-// order, and an index the layout does not have fails the run — no
-// duplicate yield, no panic.
+// order, and an index the layout does not have, or a layout too large to
+// size the run table by, fails the run — no duplicate yield, no panic.
 func TestFoldValidatesFrames(t *testing.T) {
 	w := newTestWorld(t, 6)
 	ctx := context.Background()
@@ -155,6 +156,9 @@ func TestFoldValidatesFrames(t *testing.T) {
 		}},
 		{name: "no partitions", fails: true, frames: []repo.PartListing{
 			{Part: 0, Partitions: 0, Version: 3, Members: low},
+		}},
+		{name: "a layout too large to hold", fails: true, frames: []repo.PartListing{
+			{Part: 0, Partitions: 1 << 40, Version: 3, Members: low},
 		}},
 		{name: "layout changes mid-stream", fails: true, frames: []repo.PartListing{
 			{Part: 0, Partitions: 2, Version: 3, Members: low},

@@ -67,18 +67,8 @@ func newCollState(name string, partitions int) *collState {
 	return c
 }
 
-// partOf maps an object ID to its listing partition (FNV-1a).
-func (c *collState) partOf(id ObjectID) int {
-	if len(c.parts) == 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(len(c.parts)))
-}
+// partOf maps an object ID to its listing partition (PartOf).
+func (c *collState) partOf(id ObjectID) int { return PartOf(id, len(c.parts)) }
 
 // partitions reports the listing partition count.
 func (c *collState) partitions() int { return len(c.parts) }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"hash/fnv"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -325,11 +324,27 @@ func getBatch(in *instruments, ids []ObjectID, known map[ObjectID]uint64, get fu
 	return objs, notModified, missing
 }
 
-// hashID is the FNV-1a hash of an id: its low bits pick a Sharded shard.
+// hashID is the FNV-1a hash of an id, the one hash every placement
+// reads: its low bits pick a Sharded shard, and PartOf takes it modulo a
+// partition count.
 func hashID(id ObjectID) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return h.Sum32()
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h ^= uint32(id[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// PartOf is the partition id belongs to among partitions — its hash
+// modulo the count, 0 for one partition or fewer: the layout every
+// collection is listed in, which clients read to find an id's partition
+// without a listing, and which places a collection's replicas.
+func PartOf(id ObjectID, partitions int) int {
+	if partitions <= 1 {
+		return 0
+	}
+	return int(hashID(id) % uint32(partitions))
 }
 
 // batchStats snapshots the batch counters.
