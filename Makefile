@@ -73,7 +73,7 @@ bench-iter:
 # lease check, once each, so the logs carry their ns/op.
 bench-rpc:
 	$(GO) test ./internal/repo -run TestAllocBudget -count 1
-	$(GO) test ./internal/repo -run xxx -bench 'BenchmarkCacheServeFresh|BenchmarkLeaseServeable' -benchtime 200000x
+	$(GO) test ./internal/repo -run xxx -bench 'BenchmarkCacheServeFresh|BenchmarkCacheServeAt|BenchmarkLeaseServeable' -benchtime 200000x
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/tcp' -benchtime 5x .
 
 # Every layer sweep once, trimmed, through the one harness: store

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,7 +230,7 @@ func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
 	p := newPrefetcher(ctx, w.c.Client, "set", s.router, &replicaTally{}, s.opts.Fetch, nil)
 	defer p.close()
 	ref, batches := w.refs[0], w.c.Bus.MethodCalls(repo.MethodGetBatch)
-	got, obj, err := p.fetch(ctx, ref, 0, 5, true, func() []member {
+	got, obj, err := p.fetch(ctx, ref, 0, 0, &listing{vers: []uint64{5}}, true, func() []member {
 		// Called between the serve check and the plan.
 		cache.PutValidated("set", 5, repo.Object{ID: ref.ID, Version: 1, Data: []byte("landed")})
 		return []member{{Ref: ref}}
@@ -516,6 +517,121 @@ func TestCurrentStateRelistShipsMovedPartition(t *testing.T) {
 	}
 }
 
+// batchTap is a storage node's stand-in that relays its object methods
+// to the real node and notes the ids of every GetBatch it relays.
+type batchTap struct {
+	mu  sync.Mutex
+	ids []repo.ObjectID
+}
+
+func (tap *batchTap) take() []repo.ObjectID {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	out := tap.ids
+	tap.ids = nil
+	return out
+}
+
+func newBatchTap(t *testing.T, c *cluster.Cluster, storage netsim.NodeID) (netsim.NodeID, *batchTap) {
+	t.Helper()
+	node := storage + "-tap"
+	c.Net.AddNode(node)
+	tap := &batchTap{}
+	srv := rpc.NewServer(node)
+	for _, method := range []string{repo.MethodPut, repo.MethodGet, repo.MethodGetBatch} {
+		srv.Handle(method, func(ctx context.Context, _ netsim.NodeID, req any) (any, error) {
+			if r, ok := req.(repo.GetBatchReq); ok {
+				tap.mu.Lock()
+				for _, id := range r.IDs {
+					tap.ids = append(tap.ids, repo.ObjectID(strings.Clone(string(id))))
+				}
+				tap.mu.Unlock()
+			}
+			out, _, err := c.Bus.Call(ctx, node, storage, method, req)
+			return out, err
+		})
+	}
+	if err := c.Bus.Register(srv); err != nil {
+		t.Fatal(err)
+	}
+	return node, tap
+}
+
+// TestChurnRevalidatesOnlyTheMovedPartition holds what a write costs a
+// leased current-state reader's element cache: after one Add to a warm,
+// 500-member collection of 16 partitions, the next run re-reads the one
+// partition the Add moved, and every id its batches carry is a member of
+// that partition — the other fifteen partitions' entries are fresh under
+// versions that did not move, and the lease that certifies the re-read
+// listing certifies them too. Were entries stamped with the collection's
+// version, every one would go stale with the write and the run would
+// revalidate all 501.
+func TestChurnRevalidatesOnlyTheMovedPartition(t *testing.T) {
+	const n = 500
+	c, err := cluster.New(cluster.Config{StorageNodes: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	ctx := context.Background()
+	if err := c.Client.CreateCollection(ctx, cluster.DirNode, "set"); err != nil {
+		t.Fatal(err)
+	}
+	node, tap := newBatchTap(t, c, c.StorageFor(0))
+	add := func(i int) repo.Ref {
+		t.Helper()
+		ref, err := c.Client.Put(ctx, node, repo.Object{ID: repo.ObjectID(fmt.Sprintf("e%03d", i)), Data: []byte(fmt.Sprintf("data-%d", i))})
+		if err == nil {
+			err = c.Client.Add(ctx, cluster.DirNode, "set", ref)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	for i := 0; i < n; i++ {
+		add(i)
+	}
+	if parts, err := c.Servers[cluster.DirNode].Store().Partitions("set"); err != nil || parts != 16 {
+		t.Fatalf("collection laid out in %d partitions (%v), want 16", parts, err)
+	}
+	w := &testWorld{c: c}
+	ls := leaseWorld(t, w)
+	c.Client.UseCache(repo.NewCache(2 * n))
+	s := w.set(t, Options{Semantics: GrowOnly})
+	for run := 0; run < 2; run++ { // cold, then warm
+		if elems, err := s.Collect(ctx); err != nil || len(elems) != n {
+			t.Fatalf("run %d: %d elems, %v", run, len(elems), err)
+		}
+	}
+	awaitLease(t, w, ls)
+	tap.take()
+
+	v0, _, _ := ls.Serveable("set")
+	added := add(n)
+	deadline := time.Now().Add(5 * time.Second)
+	for v, _, ok := ls.Serveable("set"); !ok || v <= v0; v, _, ok = ls.Serveable("set") {
+		if time.Now().After(deadline) {
+			t.Fatal("pushed invalidation never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elems, err := s.Collect(ctx); err != nil || len(elems) != n+1 {
+		t.Fatalf("post-write run: %d elems, %v", len(elems), err)
+	}
+	moved := store.PartOf(added.ID, 16)
+	ids := tap.take()
+	if !slices.Contains(ids, added.ID) {
+		t.Fatalf("the post-write run's batches carried %d ids, not the added member's", len(ids))
+	}
+	for _, id := range ids {
+		if p := store.PartOf(id, 16); p != moved {
+			t.Fatalf("the post-write run batched %q of partition %d among %d ids; the write moved partition %d only", id, p, len(ids), moved)
+		}
+	}
+	t.Logf("the post-write run batched %d ids of partition %d, of %d members", len(ids), moved, n+1)
+}
+
 // TestCacheCoherenceAcrossMutations interleaves a remote mutation between
 // two validated runs: the changed object must be re-shipped and yielded
 // fresh, the untouched ones still answer NotModified.
@@ -612,7 +728,7 @@ func TestNegativeCacheUntilListingMoves(t *testing.T) {
 	}
 
 	// A membership change moves the listing version: the stamps are now
-	// behind the pin, so the next run revalidates everything.
+	// behind the pin, so the next run revalidates.
 	w.addElement(t, 100)
 	moved, err := s.Collect(ctx)
 	if err != nil || len(moved) != 6 || stales(moved) != 1 {
@@ -620,6 +736,43 @@ func TestNegativeCacheUntilListingMoves(t *testing.T) {
 	}
 	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d == 0 {
 		t.Fatal("listing moved but the run never revalidated")
+	}
+
+	// Stamps are per partition: a member added to another partition than
+	// the phantom's leaves its negative entry serving — the run fetches the
+	// new member alone — and one added to the phantom's own partition
+	// makes the run ask the owner again.
+	home := store.PartOf(phantom.ID, store.DefaultPartitions)
+	next := 101
+	addIn := func(inHome bool) {
+		t.Helper()
+		for ; (store.PartOf(repo.ObjectID(fmt.Sprintf("e%03d", next)), store.DefaultPartitions) == home) != inHome; next++ {
+		}
+		w.addElement(t, next)
+		next++
+	}
+	for _, inHome := range []bool{false, true} {
+		addIn(inHome)
+		before, negs := batchTotals(w.c), cache.Stats().NegativeHits
+		es, err := s.Collect(ctx)
+		if err != nil || len(es) != len(w.refs)+1 || stales(es) != 1 {
+			t.Fatalf("run after an add (phantom's partition: %v): %d elems (%d stale), %v", inHome, len(es), stales(es), err)
+		}
+		// What the run fetches is the moved partition, the new member and
+		// the phantom among it when it is the phantom's.
+		part, want := store.PartOf(w.refs[len(w.refs)-1].ID, store.DefaultPartitions), int64(0)
+		for _, ref := range append(w.refs, phantom) {
+			if store.PartOf(ref.ID, store.DefaultPartitions) == part {
+				want++
+			}
+		}
+		fetched, served := batchTotals(w.c).BatchedGets-before.BatchedGets, cache.Stats().NegativeHits-negs
+		switch {
+		case !inHome && (fetched != want || served != 1):
+			t.Fatalf("an add to another partition: %d ids fetched, %d negative serves; want partition %d's %d, and the phantom served", fetched, served, part, want)
+		case inHome && (fetched != want || served != 0):
+			t.Fatalf("an add to the phantom's partition: %d ids fetched, %d negative serves; want partition %d's %d, the phantom among them, and no serve", fetched, served, part, want)
+		}
 	}
 }
 

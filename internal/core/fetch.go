@@ -76,14 +76,15 @@ func chunkByNode(refs []member, size int) [][]member {
 // the request, their ids ascending (a store answers a strictly ascending
 // request without a duplicate check), with ord[j] the slot of ids[j]; the
 // cache context it was planned under (the known versions to validate, the
-// listing version that stamps installed results) and, once landed, the
-// answer parked by slot. One epoch and one error cover the whole batch.
+// listing whose stamps and handles its installs take — nil for none)
+// and, once landed, the answer parked by slot. One epoch and one error
+// cover the whole batch.
 type fetchChunk struct {
-	refs    []member
-	ids     []repo.ObjectID
-	ord     []int32
-	known   map[repo.ObjectID]uint64
-	listVer uint64
+	refs  []member
+	ids   []repo.ObjectID
+	ord   []int32
+	known map[repo.ObjectID]uint64
+	img   *listing
 
 	// Under the prefetcher's mu.
 	landed bool
@@ -185,9 +186,11 @@ type prefetcher struct {
 	epochRetries atomic.Int64
 	// cacheHits / cacheValidated count this run's no-RPC serves and
 	// NotModified serves for the weakness report; only the iterator's
-	// goroutine serves, workers validate.
+	// goroutine serves, workers validate. served is the no-RPC serves'
+	// tally for the cache's stats, which close hands over.
 	cacheHits      int64
 	cacheValidated atomic.Int64
+	served         repo.Tally
 
 	// ctx outlives individual Next calls so batches pipeline across
 	// yields; close cancels it and waits out the workers.
@@ -259,13 +262,14 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns the object of ref — chosen, the cursor's head, of
-// partition part — or of a ref the run accepts in its place, with the ref
-// it returns it for. It looks in three places, in
+// fetch returns the object of ref — chosen, the cursor's head, member at
+// of partition part of the listing im — or of a ref the run accepts in
+// its place, with the ref it returns it for. It looks in three places, in
 // order: the live chunk holding ref, whose batch is in flight or has
 // landed; the cache, when direct — the invocation's certificate
-// (Iterator.observe) that an entry fresh under the held listing's version
-// listVer is exactly what the owner would ship; otherwise it replans,
+// (Iterator.observe) that an entry fresh under its partition's version in
+// im is exactly what the owner would ship — through im's handle on it;
+// otherwise it replans,
 // batching ref with the other candidates the run could yield next.
 // While ref's batch is in flight it hands out a landed slot whose ref
 // accept admits, waiting for the next landing only when there is none:
@@ -275,21 +279,21 @@ func errMissing(id repo.ObjectID) error {
 // builds no window at all; it lists ref first, then the cursor's next
 // members in yield order, which sweep relies on. Until the first plan no
 // chunk exists to hold ref, so the cache serves without mu.
-func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, listVer uint64, direct bool, candidates func() []member, accept func(member) bool) (repo.Ref, repo.Object, error) {
+func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at int32, im *listing, direct bool, candidates func() []member, accept func(member) bool) (repo.Ref, repo.Object, error) {
 	direct = direct && p.cache != nil
+	ref := member{chosen, int32(part), at}
 	unlocked := direct && p.plans == 0
 	if unlocked {
-		if obj, ok, err := p.serve(chosen.ID, listVer); ok {
+		if obj, ok, err := p.serve(im, &ref); ok {
 			return chosen, obj, err
 		}
 	}
-	ref := member{chosen, part}
 	for ; ; unlocked = false {
 		p.mu.Lock()
 		c, i := p.find(ref)
 		if c == nil {
 			if direct && !unlocked {
-				if obj, ok, err := p.serve(ref.ID, listVer); ok {
+				if obj, ok, err := p.serve(im, &ref); ok {
 					p.mu.Unlock()
 					return ref.Ref, obj, err
 				}
@@ -298,7 +302,7 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, listV
 			// replanning on an in-flight miss would launch fragmentary
 			// top-up batches for the few candidates the advancing window
 			// has newly exposed.
-			p.planLocked(candidates(), listVer, direct)
+			p.planLocked(candidates(), im, direct)
 			if c, i = p.find(ref); c == nil {
 				// Nothing was launched for ref: the pipeline is closed, or
 				// ref turned fresh in the cache since the serve above
@@ -366,16 +370,17 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, listV
 	}
 }
 
-// serve hands out id's cache entry if it is fresh under listVer: its
-// object, or a negative entry's missing error.
-func (p *prefetcher) serve(id repo.ObjectID, listVer uint64) (obj repo.Object, ok bool, err error) {
-	obj, negative, ok := p.cache.ServeFresh(p.coll, listVer, id)
+// serve hands out m's cache entry if it is fresh under its partition's
+// stamp in im, through im's handle on it: its object, or a negative
+// entry's missing error.
+func (p *prefetcher) serve(im *listing, m *member) (obj repo.Object, ok bool, err error) {
+	obj, negative, ok := p.cache.ServeAt(im.handle(p.cache, m.part, m.at), p.coll, im.stamp(m.part), m.ID, &p.served)
 	if !ok {
 		return repo.Object{}, false, nil
 	}
 	p.cacheHits++
 	if negative {
-		return repo.Object{}, true, errMissing(id)
+		return repo.Object{}, true, errMissing(m.ID)
 	}
 	return obj, true, nil
 }
@@ -412,7 +417,7 @@ func accepted(c *fetchChunk, accept func(member) bool) int {
 // from its next slot on, and a binary search finds the slot. Caller holds
 // p.mu.
 func (p *prefetcher) find(ref member) (*fetchChunk, int) {
-	if len(p.live) > 0 && p.live[0].refs[p.live[0].next] == ref {
+	if len(p.live) > 0 && same(&p.live[0].refs[p.live[0].next], &ref) {
 		return p.live[0], p.live[0].next
 	}
 	for _, c := range p.live {
@@ -420,7 +425,7 @@ func (p *prefetcher) find(ref member) (*fetchChunk, int) {
 		if refs[0].Node != ref.Node || before(&ref, &refs[0]) || before(&refs[len(refs)-1], &ref) {
 			continue
 		}
-		i, ok := 0, refs[0] == ref
+		i, ok := 0, same(&refs[0], &ref)
 		if !ok {
 			i, ok = slices.BinarySearchFunc(refs, ref, cmpMember)
 		}
@@ -441,14 +446,16 @@ func (p *prefetcher) retire(c *fetchChunk) {
 
 // planLocked launches batches for every candidate that is neither in a
 // live chunk (sweep) nor, when direct (which fetch leaves set only with a
-// cache bound), fresh in the cache: fetch serves that one when the run
-// asks for it, and the probe that leaves it out counts no hit, so a partly
-// evicted warm run fetches exactly its evicted ids. With a cache bound
-// the chunks carry the known versions for a conditional fetch, and
-// listVer stamps what they install. Once a plan has cut a whole window at
-// the current chunk size, the next cuts chunks twice as wide. The plan
-// filters candidates in place. Caller holds p.mu.
-func (p *prefetcher) planLocked(candidates []member, listVer uint64, direct bool) {
+// cache bound), fresh in the cache under its partition's stamp in im —
+// read off im's handle on it, which a probe by id binds when it can:
+// fetch serves that one when the run asks for it, and the check that
+// leaves it out counts no hit, so a partly evicted warm run fetches
+// exactly its evicted ids. With a cache bound the chunks carry the known
+// versions for a conditional fetch, and im's stamps and handles take what
+// they install. Once a plan has cut a whole window at the current chunk
+// size, the next cuts chunks twice as wide. The plan filters candidates
+// in place. Caller holds p.mu.
+func (p *prefetcher) planLocked(candidates []member, im *listing, direct bool) {
 	if p.ctx.Err() != nil {
 		return
 	}
@@ -457,7 +464,7 @@ func (p *prefetcher) planLocked(candidates []member, listVer uint64, direct bool
 	held := p.sweep(candidates, whole)
 	need := candidates[:0]
 	for k, ref := range candidates {
-		if held[k] || direct && p.cache.Fresh(p.coll, listVer, ref.ID) {
+		if held[k] || direct && p.cache.Bound(im.handle(p.cache, ref.part, ref.at), p.coll, im.stamp(ref.part), ref.ID) {
 			continue
 		}
 		need = append(need, ref)
@@ -466,7 +473,7 @@ func (p *prefetcher) planLocked(candidates []member, listVer uint64, direct bool
 	// cuts it whole with the members after it — unless it holds the run's
 	// choice, or the candidates reach the cursor's end.
 	chunks, total := chunkByNode(need, p.size), 0
-	chunks = slices.DeleteFunc(chunks, func(c []member) bool { return len(c) < p.size && !whole && c[0] != chosen })
+	chunks = slices.DeleteFunc(chunks, func(c []member) bool { return len(c) < p.size && !whole && !same(&c[0], &chosen) })
 	for _, c := range chunks {
 		total += len(c)
 	}
@@ -484,7 +491,7 @@ func (p *prefetcher) planLocked(candidates []member, listVer uint64, direct bool
 	ids, ord, at := make([]repo.ObjectID, total), make([]int32, total), make([]int32, total)
 	for _, refs := range chunks {
 		n := len(refs)
-		c := &fetchChunk{refs: refs, ids: ids[:n:n], ord: ord[:n:n], at: at[:n:n], listVer: listVer}
+		c := &fetchChunk{refs: refs, ids: ids[:n:n], ord: ord[:n:n], at: at[:n:n], img: im}
 		ids, ord, at = ids[n:], ord[n:], at[n:]
 		p.merge = order(refs, c.ord, p.merge)
 		for j, i := range c.ord {
@@ -577,9 +584,9 @@ func (p *prefetcher) sweep(candidates []member, whole bool) []bool {
 			}
 			switch {
 			case c.landed && c.at[i] == slotTaken:
-			case j < len(rest) && rest[j] == *ref:
+			case j < len(rest) && same(&rest[j], ref):
 				held[1+j] = true
-			case c.landed && *ref != chosen:
+			case c.landed && !same(ref, &chosen):
 				p.take(c, i)
 			}
 		}
@@ -734,9 +741,11 @@ func flightKey(node netsim.NodeID, ids []repo.ObjectID, known map[repo.ObjectID]
 // fetchValidated issues one conditional batch through the cache's
 // singleflight group: full objects ship only for ids whose version
 // moved, NotModified ids serve from cache, and missing ids are cached
-// negatively. The leader installs results; every caller (leader and
-// joiners) assembles its own answer, in request order, so deliver sees
-// one coherent answer per chunk.
+// negatively, each under its partition's stamp in the listing the chunk
+// was planned over, binding the listing's handle on its slot. The leader
+// installs results; every caller (leader and joiners) assembles its own
+// answer, in request order, so deliver sees one coherent answer per
+// chunk.
 func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.Object, error) {
 	node := c.refs[0].Node
 	v, _ := p.cache.Do(flightKey(node, c.ids, c.known), func() any {
@@ -747,13 +756,16 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 		// Installed in slot order, the order runs are served in: the cache
 		// lays its copies out as they are installed, and a warm run that
 		// walks them in another order misses the CPU cache on each.
-		for _, k := range c.park(objs, make([]int32, len(c.refs))) {
+		for i, k := range c.park(objs, make([]int32, len(c.refs))) {
 			if k >= 0 {
-				p.cache.PutValidated(p.coll, c.listVer, objs[k])
+				h, st := c.cached(p.cache, i)
+				p.cache.PutAt(h, p.coll, st, objs[k])
 			}
 		}
+		j := 0
 		for _, id := range missing {
-			p.cache.PutNegative(p.coll, c.listVer, id)
+			h, st := c.answered(p.cache, id, &j)
+			p.cache.PutNegativeAt(h, p.coll, st, id)
 		}
 		return &batchFlight{objs: objs, notModified: notModified}
 	})
@@ -768,8 +780,10 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 	}
 	var validated []repo.Object
 	var evicted []repo.ObjectID
+	j := 0
 	for _, id := range res.notModified {
-		if obj, ok := p.cache.MarkValidated(p.coll, c.listVer, id); ok {
+		h, st := c.answered(p.cache, id, &j)
+		if obj, ok := p.cache.ValidateAt(h, p.coll, st, id); ok {
 			validated = append(validated, obj)
 			p.cacheValidated.Add(1)
 		} else {
@@ -784,8 +798,10 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 		if err != nil {
 			return nil, err
 		}
+		j = 0
 		for _, obj := range objs {
-			p.cache.PutValidated(p.coll, c.listVer, obj)
+			h, st := c.answered(p.cache, obj.ID, &j)
+			p.cache.PutAt(h, p.coll, st, obj)
 		}
 		out = mergeByPosition(c.ids, out, objs)
 	}
@@ -813,6 +829,26 @@ func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch
 	}
 }
 
+// cached returns slot i's handle on cache and stamp, in the listing c was
+// planned over.
+func (c *fetchChunk) cached(cache *repo.Cache, i int) (*repo.Handle, repo.Stamp) {
+	m := &c.refs[i]
+	return c.img.handle(cache, m.part, m.at), c.img.stamp(m.part)
+}
+
+// answered is cached for the slot of id, which c's request holds at or
+// after position *j — an answer names its ids in request order — moving
+// *j past it; an id the request does not hold has neither.
+func (c *fetchChunk) answered(cache *repo.Cache, id repo.ObjectID, j *int) (*repo.Handle, repo.Stamp) {
+	for ; *j < len(c.ids); *j++ {
+		if c.ids[*j] == id {
+			*j++
+			return c.cached(cache, int(c.ord[*j-1]))
+		}
+	}
+	return nil, repo.Stamp{}
+}
+
 // park maps objs, an answer to c's request in request order, onto c's
 // slots: it sets at[i] to slot i's index into objs, or slotMissing.
 func (c *fetchChunk) park(objs []repo.Object, at []int32) []int32 {
@@ -826,8 +862,13 @@ func (c *fetchChunk) park(objs []repo.Object, at []int32) []int32 {
 	return at
 }
 
-// close cancels in-flight batches and waits for the workers to exit.
+// close cancels in-flight batches, waits for the workers to exit and
+// hands the run's serves to the cache's stats.
 func (p *prefetcher) close() {
 	p.cancel()
 	p.wg.Wait()
+	if p.cache != nil {
+		p.cache.Count(p.served)
+		p.served = repo.Tally{}
+	}
 }

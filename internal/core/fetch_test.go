@@ -25,7 +25,7 @@ import (
 func TestChunkByNode(t *testing.T) {
 	refs := make([]member, 23)
 	for i := range refs {
-		refs[i] = member{repo.Ref{ID: repo.ObjectID(fmt.Sprintf("e%02d", i)), Node: netsim.NodeID(fmt.Sprintf("n%d", i%3))}, i / 8}
+		refs[i] = member{Ref: repo.Ref{ID: repo.ObjectID(fmt.Sprintf("e%02d", i)), Node: netsim.NodeID(fmt.Sprintf("n%d", i%3))}, part: int32(i / 8)}
 	}
 	for _, tc := range []struct {
 		size int
@@ -67,7 +67,7 @@ func TestOrderSortsAChunksRequest(t *testing.T) {
 		var refs []member
 		for p, ids := range runs {
 			for _, id := range ids {
-				refs = append(refs, member{repo.Ref{ID: repo.ObjectID(id)}, p})
+				refs = append(refs, member{Ref: repo.Ref{ID: repo.ObjectID(id)}, part: int32(p)})
 			}
 		}
 		ord := make([]int32, len(refs))
@@ -548,7 +548,7 @@ func TestSlowStartWidensLaterPlans(t *testing.T) {
 // fetchChosen fetches ref, planning candidates on a miss, with no other
 // landed slot standing in for it.
 func fetchChosen(ctx context.Context, p *prefetcher, ref repo.Ref, candidates []repo.Ref) (repo.Object, error) {
-	_, obj, err := p.fetch(ctx, ref, 0, 0, false, func() []member { return asMembers(candidates) }, func(member) bool { return false })
+	_, obj, err := p.fetch(ctx, ref, 0, 0, nil, false, func() []member { return asMembers(candidates) }, func(member) bool { return false })
 	return obj, err
 }
 

@@ -52,17 +52,24 @@ type Iterator struct {
 	released  bool
 
 	// tab is the run's membership state — members, cursor and yielded in
-	// one table of sorted refs — with the version that anchors the cache's
-	// freshness check. A snapshot run grows it into s_first, partition by
-	// partition (fold), until the opening stream completes — unless it
-	// opens on its set's held pinned listing (openPinned); the run
-	// legally steps over the partial view meanwhile — members it yields
-	// are genuine members of the snapshot — but terminal decisions wait
-	// for completeness. A current-state run re-bases it on the shared
+	// one table of sorted refs. A snapshot run grows it into s_first,
+	// partition by partition (fold), until the opening stream completes —
+	// unless it opens on its set's held pinned listing (openPinned); the
+	// run legally steps over the partial view meanwhile — members it
+	// yields are genuine members of the snapshot — but terminal decisions
+	// wait for completeness. A current-state run re-bases it on the shared
 	// immutable listing its last observation delivered (adopt), which it
 	// keeps as held; a lease or a ListParts gated on held's version vector
 	// revalidates that in no round trip or one that ships no frame while
 	// the membership hasn't changed, and the cursor stands meanwhile.
+	//
+	// held is also what the run serves the element cache under: each
+	// partition's version is the stamp its members' entries are checked
+	// against, and its handles serve them by position. A pinned stream's
+	// is the pin's vector, with the handles its folds make, which the
+	// listing it publishes keeps; an unpinned stream's is the vector it
+	// folded, once sealed, and nil until then, so no cache entry serves
+	// against a listing still being assembled.
 	tab  runTable
 	held *listing
 
@@ -70,12 +77,14 @@ type Iterator struct {
 	// semantics, which have no opening listing. ingDone flips once the
 	// completed stream has been folded and tab.version sealed. folded marks
 	// the partitions already in the table, one per partition of the
-	// stream's layout, from its first frame: a frame is checked against it.
+	// stream's layout, from its first frame: a frame is checked against it;
+	// an unpinned stream notes each one's version in partVers.
 	ing        *partIngest
 	ingCancel  context.CancelFunc
 	ingDone    bool
 	maxPartVer uint64
 	folded     []bool
+	partVers   []uint64
 
 	// dyn marks a dynamic set's run (OpenDyn), which folds its whole
 	// opening listing first and settles where Fig. 3 would fail; rest
@@ -236,7 +245,7 @@ func (it *Iterator) openPinned(ctx context.Context) error {
 			return nil
 		})
 		if err == nil {
-			l, err = held.with(frames)
+			l, err = held.with(frames, it.pf.cache)
 		}
 		if err == nil && !slices.Equal(l.vers, it.pinVers) {
 			err = fmt.Errorf("pinned listing frames do not make the pin's %d partitions at its versions", len(it.pinVers))
@@ -255,6 +264,9 @@ func (it *Iterator) openPinned(ctx context.Context) error {
 // Elements — while the remaining partitions keep arriving in the
 // background, already fetchable against.
 func (it *Iterator) startIngest(ctx context.Context) error {
+	if it.pin != 0 && it.pf.cache != nil {
+		it.held = &listing{vers: it.pinVers, handles: make([][]repo.Handle, len(it.pinVers)), cache: it.pf.cache}
+	}
 	ing := newPartIngest(&it.rep)
 	it.ing = ing
 	// The stream outlives this call; its context carries the run's trace
@@ -294,6 +306,9 @@ const maxPartitions = 1 << 12
 func (it *Iterator) fold(pl repo.PartListing) error {
 	if it.folded == nil && pl.Partitions >= 1 && pl.Partitions <= maxPartitions {
 		it.folded = make([]bool, pl.Partitions)
+		if it.pin == 0 {
+			it.partVers = make([]uint64, pl.Partitions)
+		}
 	}
 	if pl.Partitions != len(it.folded) || pl.Part < 0 || pl.Part >= pl.Partitions {
 		return fmt.Errorf("listing frame for partition %d of %d in a stream of %d", pl.Part, pl.Partitions, len(it.folded))
@@ -312,6 +327,11 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 		it.maxPartVer = pl.Version
 	}
 	it.tab.fold(pl.Part, pl.Partitions, pl.Members)
+	if it.pin == 0 {
+		it.partVers[pl.Part] = pl.Version
+	} else if it.held != nil {
+		it.held.handles[pl.Part] = make([]repo.Handle, len(it.tab.parts[pl.Part]))
+	}
 	return nil
 }
 
@@ -344,14 +364,22 @@ func (it *Iterator) drainIngest() error {
 			}
 			it.tab.version = it.maxPartVer
 			if it.pin == 0 {
+				if it.pf.cache != nil {
+					it.held = &listing{vers: it.partVers}
+				}
 				return nil
 			}
 			if slices.Contains(it.folded, false) {
 				return fmt.Errorf("pinned listing frames do not make the pin's %d partitions", len(it.pinVers))
 			}
 			// The folded table is the pin, partition for partition, and no
-			// fold writes it again: it is the set's pinned listing.
-			publish(&it.set.lastPinned, &listing{version: it.tab.version, parts: it.tab.parts, vers: it.pinVers, nodes: it.tab.nodes})
+			// fold writes it again: it is the set's pinned listing, with the
+			// handles this run's installs bound.
+			l := &listing{version: it.tab.version, parts: it.tab.parts, vers: it.pinVers, nodes: it.tab.nodes}
+			if it.held != nil {
+				l.handles, l.cache = it.held.handles, it.held.cache
+			}
+			publish(&it.set.lastPinned, l)
 			return nil
 		}
 		if err := it.fold(pl); err != nil {
@@ -414,12 +442,8 @@ func (it *Iterator) release(ctx context.Context) {
 // the caller falls back to a gated ListParts — the degradation ladder's
 // middle rung.
 func (it *Iterator) leaseServe() bool {
-	ls := it.set.leaseState()
-	if ls == nil || it.tab.version == 0 {
-		return false
-	}
-	v, age, ok := ls.Serveable(it.set.name)
-	if !ok || v > it.tab.version {
+	age, ok := it.leaseCertifies()
+	if !ok {
 		return false
 	}
 	it.wk.LeaseServed++
@@ -429,6 +453,17 @@ func (it *Iterator) leaseServe() bool {
 	return true
 }
 
+// leaseCertifies reports whether a held lease certifies the listing the
+// run holds current, and the certification's age.
+func (it *Iterator) leaseCertifies() (age time.Duration, ok bool) {
+	ls := it.set.leaseState()
+	if ls == nil || it.tab.version == 0 {
+		return 0, false
+	}
+	v, age, ok := ls.Serveable(it.set.name)
+	return age, ok && v <= it.tab.version
+}
+
 // observe is the invocation's membership observation, after which tab is
 // what the invocation steps over: s_first as folded so far for snapshot
 // semantics, otherwise a fresh read — the lease's certificate, or a
@@ -436,8 +471,11 @@ func (it *Iterator) leaseServe() bool {
 // vector, which certifies it (no frame) or ships the moved partitions
 // for a new listing. Every invocation pays it, on either path, and
 // leaves its certificate in it.direct — set under a snapshot semantics,
-// otherwise whether the read was lease-served — so the lease is read
-// once per invocation, never per element served.
+// otherwise whether a held lease certifies the listing the run holds
+// after the read: lease-served, or re-listed after a pushed change, when
+// the partitions the push did not move serve as they did before it — so
+// the lease is read once or twice per invocation, never per element
+// served.
 func (it *Iterator) observe(ctx context.Context) error {
 	if it.opts.Semantics.UsesSnapshot() {
 		it.direct = true
@@ -449,7 +487,7 @@ func (it *Iterator) observe(ctx context.Context) error {
 	}
 	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
 	defer lsp.End()
-	l, err := it.set.router.relist(ctx, it.held, &it.rep)
+	l, err := it.set.router.relist(ctx, it.held, it.pf.cache, &it.rep)
 	if err != nil {
 		return err
 	}
@@ -463,6 +501,7 @@ func (it *Iterator) observe(ctx context.Context) error {
 		it.set.publishListing(l)
 	}
 	it.observed = true
+	_, it.direct = it.leaseCertifies()
 	return nil
 }
 
@@ -592,7 +631,7 @@ func (it *Iterator) cursorCandidates() []member {
 // lazily, on a miss.
 func (it *Iterator) fetch(ctx context.Context) bool {
 	chosen, part, _ := it.tab.head()
-	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, part, it.tab.version, it.direct, it.cursorCandidates, it.tab.accepts)
+	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, part, it.tab.at[part].pos, it.held, it.direct, it.cursorCandidates, it.tab.accepts)
 	switch {
 	case err == nil:
 		it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
@@ -645,7 +684,8 @@ func (it *Iterator) yield(ref repo.Ref, e Element) {
 
 // Skipped lists, in the run's yield order, the members the run has not
 // yielded: once Next has returned false, those it left at termination —
-// for a dynamic run, the unreachable ones it had no fallback copy of.
+// for a dynamic run, the unreachable ones it had no fallback copy of. A
+// closed run lists none, but for a dynamic one.
 func (it *Iterator) Skipped() []repo.Ref {
 	out := make([]repo.Ref, 0, it.tab.unyielded())
 	for p, refs := range it.tab.parts {
@@ -795,6 +835,9 @@ func (it *Iterator) Close(ctx context.Context) error {
 		it.ingCancel()
 	}
 	it.pf.close()
+	if !it.dyn {
+		it.set.giveTable(&it.tab)
+	}
 	// Release rides the run's trace so the closing unpin/unlock RPCs show
 	// up as the trace's final spans; finishObs then seals the root span.
 	it.release(it.traceCtx(ctx))

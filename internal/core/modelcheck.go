@@ -172,7 +172,7 @@ func worldTable(sem Semantics, w mcWorld, n int, reverse bool, yielded map[spec.
 		}
 		return &tab
 	}
-	l, _ := (*listing)(nil).with(worldFrames(w.members|w.yielded, n, 1))
+	l, _ := (*listing)(nil).with(worldFrames(w.members|w.yielded, n, 1), nil)
 	tab.adopt(l)
 	tab.allReachable(0, reachable)
 	for _, refs := range l.parts {
@@ -184,7 +184,7 @@ func worldTable(sem Semantics, w mcWorld, n int, reverse bool, yielded map[spec.
 			moved = append(moved, f)
 		}
 	}
-	if next, _ := l.with(moved); next != l {
+	if next, _ := l.with(moved, nil); next != l {
 		tab.adopt(next)
 	}
 	return &tab

@@ -139,7 +139,7 @@ func TestSnapshotRunYieldsNoGhost(t *testing.T) {
 	if err := s.Remove(ctx, victim); err != nil {
 		t.Fatal(err)
 	}
-	listed, err := s.router.relist(ctx, nil, &replicaTally{})
+	listed, err := s.router.relist(ctx, nil, nil, &replicaTally{})
 	if err != nil || !slices.Contains(listedRefs(listed), victim) {
 		t.Fatalf("the live listing does not list the ghost (err %v)", err)
 	}

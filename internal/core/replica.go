@@ -293,7 +293,7 @@ func (rt *replicaRouter) nearTieRotate(live []replicaProbe) []replicaProbe {
 // returns held itself when nothing moved. Each served frame is noted in
 // tally against the probe's baseline, as scatter does; an empty answer
 // is noted as the certification its replica served.
-func (rt *replicaRouter) relist(ctx context.Context, held *listing, tally *replicaTally) (*listing, error) {
+func (rt *replicaRouter) relist(ctx context.Context, held *listing, cache *repo.Cache, tally *replicaTally) (*listing, error) {
 	var gates []uint64
 	if held != nil {
 		gates = held.vers
@@ -326,7 +326,7 @@ func (rt *replicaRouter) relist(ctx context.Context, held *listing, tally *repli
 		}
 		l := held
 		if err == nil {
-			l, err = held.with(frames)
+			l, err = held.with(frames, cache)
 		}
 		if err != nil {
 			return l, err

@@ -260,7 +260,7 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 		}
 	}
 	addHomeElement(t, w, 24)
-	held, err := (*listing)(nil).with(readHome())
+	held, err := (*listing)(nil).with(readHome(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 	rt.probedAt = time.Now()
 	c.Net.Crash(cluster.DirNode) // so only the replica can answer
 	var tally replicaTally
-	l, err := rt.relist(ctx, held, &tally)
+	l, err := rt.relist(ctx, held, nil, &tally)
 	c.Net.Restart(cluster.DirNode)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 	}
 	rt.probedAt = time.Now()
 	tally = replicaTally{}
-	if l, err = rt.relist(ctx, held, &tally); err != nil {
+	if l, err = rt.relist(ctx, held, nil, &tally); err != nil {
 		t.Fatal(err)
 	}
 	if l != held || tally.served.Load() != 0 {
@@ -329,7 +329,7 @@ func TestRelistNeverMovesAPartitionBackwards(t *testing.T) {
 	// A listing in another layout (one partition, members the collection
 	// never had) is replaced whole by the home's 16-partition one.
 	other := newListing(held.version, []repo.Ref{{ID: "zz-stale", Node: cluster.DirNode}})
-	l, err = newReplicaRouter(c.Client, cluster.DirNode, "set", ReplicaConfig{}).relist(ctx, other, &tally)
+	l, err = newReplicaRouter(c.Client, cluster.DirNode, "set", ReplicaConfig{}).relist(ctx, other, nil, &tally)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestMarkDeadExcludesUntilReprobe(t *testing.T) {
 
 	// Reads keep completing from the home while the replica is dead.
 	var tally replicaTally
-	if l, err := rt.relist(ctx, nil, &tally); err != nil || len(listedRefs(l)) != 8 {
+	if l, err := rt.relist(ctx, nil, nil, &tally); err != nil || len(listedRefs(l)) != 8 {
 		t.Fatalf("relist with dead replica: %v, err %v", l, err)
 	} else if served := tally.served.Load(); served != 0 {
 		t.Fatalf("%d frames served by a replica, want all from home %s", served, nodes[0])
@@ -728,7 +728,7 @@ func TestReplicaRouterConcurrentProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := rt.relist(ctx, nil, new(replicaTally)); err != nil {
+				if _, err := rt.relist(ctx, nil, nil, new(replicaTally)); err != nil {
 					t.Errorf("relist with home up: %v", err)
 					return
 				}
@@ -848,7 +848,7 @@ func TestProbeRefreshIsSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if l, err := rt.relist(ctx, nil, new(replicaTally)); err != nil || len(listedRefs(l)) != 8 {
+			if l, err := rt.relist(ctx, nil, nil, new(replicaTally)); err != nil || len(listedRefs(l)) != 8 {
 				t.Errorf("relist: %v, err %v", l, err)
 			}
 		}()

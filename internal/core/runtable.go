@@ -23,12 +23,14 @@ import (
 // (adopt); a table is one or the other, since adopt aliases the
 // listing's partitions, which fold writes.
 type runTable struct {
-	// version is the membership's listing version, which anchors the
-	// cache's freshness check.
+	// version is the membership's listing version, which a lease
+	// certifies.
 	version uint64
 	// parts holds the members by partition, each strictly ascending by id
 	// and never written (a shared listing's, or the store's); at is each
-	// partition's place in taken, a bit per member, set once yielded.
+	// partition's place in taken, a bit per member, set once yielded. A
+	// run takes at and taken from its set at open and gives them back at
+	// Close (Set.takeTable), so a set's runs allocate them once.
 	parts [][]repo.Ref
 	at    []partAt
 	taken []uint64
@@ -64,13 +66,18 @@ type runTable struct {
 // on a down node.
 type partAt struct{ off, pos int32 }
 
-// member is a ref with the partition the run table holds it in, which the
-// walk that lists it carries along: (part, ID) is a run's yield order, and
-// ordering two members hashes no id.
+// member is a ref with the partition the run table holds it in and its
+// index there, which the walk that lists it carries along: (part, ID) is
+// a run's yield order, and ordering two members hashes no id; (part, at)
+// is its handle on the element cache in the listing the walk read.
 type member struct {
 	repo.Ref
-	part int
+	part, at int32
 }
+
+// same reports whether a and b are one member: one ref in one partition,
+// wherever two listings of it placed it.
+func same(a, b *member) bool { return a.part == b.part && a.Ref == b.Ref }
 
 // before reports whether a comes before b in yield order; it takes
 // pointers, since a member, at 40 bytes, is copied through memory.
@@ -141,12 +148,23 @@ func noteNodes(nodes map[netsim.NodeID]bool, refs []repo.Ref) {
 	}
 }
 
+// resized returns buf at length n, cleared, in buf's own array when that
+// is large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // fold adds partition part of a stream's partitions to the table, moving
 // the cursor back to it when it lies below. Partitions are disjoint — the
 // store places an id in one (store.PartOf) — so no ref is looked up.
 func (t *runTable) fold(part, partitions int, refs []repo.Ref) {
 	if t.parts == nil {
-		t.parts, t.at, t.cur = make([][]repo.Ref, partitions), make([]partAt, partitions), partitions
+		t.parts, t.at, t.cur = make([][]repo.Ref, partitions), resized(t.at, partitions), partitions
 	}
 	if t.nodes == nil {
 		t.nodes = make(map[netsim.NodeID]bool, 8)
@@ -182,9 +200,14 @@ func (t *runTable) adopt(l *listing) (suppressed int) {
 	for _, refs := range l.parts {
 		n += bitWords(len(refs))
 	}
-	t.taken, t.members, n = make([]uint64, n), 0, 0
+	if t.parts == nil {
+		t.taken = resized(t.taken, n) // a new run's table: nothing to carry
+	} else {
+		t.taken = make([]uint64, n)
+	}
+	t.members, n = 0, 0
 	if len(t.at) != len(l.parts) {
-		t.at = make([]partAt, len(l.parts))
+		t.at = resized(t.at, len(l.parts))
 	}
 	for p, refs := range l.parts {
 		a, words := &t.at[p], bitWords(len(refs))
@@ -276,11 +299,11 @@ func (t *runTable) search(p int, id repo.ObjectID) (int, bool) {
 // accepts reports whether m is an unyielded member on a node the last
 // sample found up: what the figures' Yield may take in place of the head.
 func (t *runTable) accepts(m member) bool {
-	if m.part >= len(t.parts) {
+	if int(m.part) >= len(t.parts) {
 		return false
 	}
-	i, ok := t.search(m.part, m.ID)
-	return ok && t.parts[m.part][i] == m.Ref && !t.isTaken(m.part, i) && !t.down[m.Node]
+	i, ok := t.search(int(m.part), m.ID)
+	return ok && t.parts[m.part][i] == m.Ref && !t.isTaken(int(m.part), i) && !t.down[m.Node]
 }
 
 // yield records member id as yielded and moves the cursor off it.
@@ -306,7 +329,7 @@ func (t *runTable) window(out []member, limit int) []member {
 	for p := t.cur; p < len(t.parts) && len(out) < limit; p++ {
 		for i := int(t.at[p].pos); i < len(t.parts[p]) && len(out) < limit; i++ {
 			if ref := t.parts[p][i]; !t.isTaken(p, i) && (t.down == nil || !t.down[ref.Node]) {
-				out = append(out, member{ref, p})
+				out = append(out, member{ref, int32(p), int32(i)})
 			}
 		}
 	}

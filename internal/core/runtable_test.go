@@ -15,7 +15,7 @@ import (
 
 // newListing is a one-partition listing of refs at version.
 func newListing(version uint64, refs []repo.Ref) *listing {
-	l, err := (*listing)(nil).with([]repo.PartListing{{Partitions: 1, Members: refs, Version: version}})
+	l, err := (*listing)(nil).with([]repo.PartListing{{Partitions: 1, Members: refs, Version: version}}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -208,7 +208,7 @@ func (p *tableVsOracle) adopt(version uint64, partitions int, refs []repo.Ref) {
 			moved = append(moved, f)
 		}
 	}
-	l, err := p.held.with(moved)
+	l, err := p.held.with(moved, nil)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestAdoptRebasesOnlyTheMovedPartition(t *testing.T) {
 		f := &frames[store.PartOf(ref.ID, partitions)]
 		f.Members = append(f.Members, ref)
 	}
-	l0, err := (*listing)(nil).with(frames)
+	l0, err := (*listing)(nil).with(frames, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestAdoptRebasesOnlyTheMovedPartition(t *testing.T) {
 	if store.PartOf(added.ID, partitions) != moved {
 		t.Fatalf("%q is in partition %d, want %d", added.ID, store.PartOf(added.ID, partitions), moved)
 	}
-	l1, err := l0.with([]repo.PartListing{{Part: moved, Partitions: partitions, Version: 2, Members: append(grown, added)}})
+	l1, err := l0.with([]repo.PartListing{{Part: moved, Partitions: partitions, Version: 2, Members: append(grown, added)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +609,7 @@ func BenchmarkRunTable(b *testing.B) {
 	for p, f := range frames {
 		moved[p] = repo.PartListing{Part: p, Partitions: partitions, Version: 2, Members: slices.Clone(f.Members)}
 	}
-	relisted, err := (*listing)(nil).with(moved)
+	relisted, err := (*listing)(nil).with(moved, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,24 +92,54 @@ var iterSeq atomic.Int64
 
 // listing is one whole observed membership of the collection: the
 // partitions the listing RPC delivered, each ascending by id, with their
-// version vector (the next read's gate), and the distinct nodes holding
-// them. version is the vector's max, the collection version. It is
-// immutable — runs (runTable.adopt) and Set.lastListing alias it and its
-// partitions freely, each run keeping its own cursor over them.
+// version vector (the next read's gate, and the stamps a run serves the
+// element cache under), and the distinct nodes holding them. version is
+// the vector's max, the collection version. Its membership is immutable —
+// runs (runTable.adopt) and Set.lastListing alias it and its partitions
+// freely, each run keeping its own cursor over them.
+//
+// handles, made when the listing is read with an element cache bound
+// (cache), holds a repo.Handle per member, parallel to parts: what runs
+// over the listing share to serve a member's cache entry by position. A
+// handle is bound lazily, by the first serve by id or the batch install
+// that makes its entry fresh under the partition's stamp, never by a
+// pass at open.
 type listing struct {
 	version uint64
 	parts   [][]repo.Ref
 	vers    []uint64
 	nodes   map[netsim.NodeID]bool
+	handles [][]repo.Handle
+	cache   *repo.Cache
+}
+
+// stamp is the cache stamp of partition part of the listing: its version
+// in the listing's layout. A nil listing — a stream not yet sealed — has
+// none, and the zero stamp serves nothing.
+func (l *listing) stamp(part int32) repo.Stamp {
+	if l == nil || int(part) >= len(l.vers) {
+		return repo.Stamp{}
+	}
+	return repo.Stamp{Ver: l.vers[part], Part: part, Parts: int32(len(l.vers))}
+}
+
+// handle returns the listing's handle on member at of partition part,
+// nil when it has none on cache.
+func (l *listing) handle(cache *repo.Cache, part, at int32) *repo.Handle {
+	if l == nil || l.cache != cache || int(part) >= len(l.handles) || int(at) >= len(l.handles[part]) {
+		return nil
+	}
+	return &l.handles[part][at]
 }
 
 // with returns the listing a gated read's frames make of l: l itself
 // when no partition moved, else l with the moved partitions replaced and
-// the others shared — or the frames alone when their layout is not l's,
-// since a gate vector of another length ships every partition. The
-// frames come from outside the program, so they are checked here, as
-// fold checks a snapshot's.
-func (l *listing) with(frames []repo.PartListing) (*listing, error) {
+// the others shared, their handles too when l's are on cache — or the
+// frames alone when their layout is not l's, since a gate vector of
+// another length ships every partition. With cache bound, every
+// partition not shared gets fresh handles. The frames come from outside
+// the program, so they are checked here, as fold checks a snapshot's.
+func (l *listing) with(frames []repo.PartListing, cache *repo.Cache) (*listing, error) {
 	if len(frames) == 0 {
 		return l, nil
 	}
@@ -118,9 +149,16 @@ func (l *listing) with(frames []repo.PartListing) (*listing, error) {
 		return nil, fmt.Errorf("listing of %d partitions in %d frames: another layout ships every partition", total, len(frames))
 	}
 	parts, vers := make([][]repo.Ref, total), make([]uint64, total)
+	var handles [][]repo.Handle
+	if cache != nil {
+		handles = make([][]repo.Handle, total)
+	}
 	if same {
 		copy(parts, l.parts)
 		copy(vers, l.vers)
+		if cache != nil && l.cache == cache {
+			copy(handles, l.handles)
+		}
 	}
 	for _, pl := range frames {
 		if pl.Partitions != total || pl.Part < 0 || pl.Part >= total {
@@ -128,12 +166,18 @@ func (l *listing) with(frames []repo.PartListing) (*listing, error) {
 		}
 		parts[pl.Part], vers[pl.Part] = pl.Members, pl.Version
 	}
-	next := &listing{version: slices.Max(vers), parts: parts, vers: vers, nodes: make(map[netsim.NodeID]bool, 8)}
+	next := &listing{version: slices.Max(vers), parts: parts, vers: vers, nodes: make(map[netsim.NodeID]bool, 8), handles: handles, cache: cache}
 	for p, refs := range parts {
 		if same && sameRefs(refs, l.parts[p]) {
 			noteNodes(next.nodes, refs) // l admitted them
+			if handles != nil && handles[p] != nil {
+				continue
+			}
 		} else {
 			parts[p] = admit(next.nodes, refs)
+		}
+		if handles != nil {
+			handles[p] = make([]repo.Handle, len(parts[p]))
 		}
 	}
 	return next, nil
@@ -171,6 +215,31 @@ type Set struct {
 	// lastListing because a listing lists the ghosts of an open grow
 	// window, which a pin does not hold, at the same partition versions.
 	lastPinned atomic.Pointer[listing]
+
+	// tabAt and tabTaken are the run-table buffers the last closed run
+	// gave back (giveTable), for the next run to take at open: one run at
+	// a time holds them, so two concurrent runs never share them.
+	tabMu    sync.Mutex
+	tabAt    []partAt
+	tabTaken []uint64
+}
+
+// takeTable hands t the run-table buffers a closed run gave back, if any.
+func (s *Set) takeTable(t *runTable) {
+	s.tabMu.Lock()
+	t.at, t.taken, s.tabAt, s.tabTaken = s.tabAt[:0], s.tabTaken[:0], nil, nil
+	s.tabMu.Unlock()
+}
+
+// giveTable takes a closed run's run-table buffers back for the next run,
+// and leaves t holding no membership.
+func (s *Set) giveTable(t *runTable) {
+	s.tabMu.Lock()
+	if cap(t.taken) >= cap(s.tabTaken) {
+		s.tabAt, s.tabTaken = t.at, t.taken
+	}
+	s.tabMu.Unlock()
+	t.at, t.taken, t.parts = nil, nil, nil
 }
 
 // leaseState returns the client's lease state when it watches this set's
@@ -290,6 +359,9 @@ func (s *Set) elements(ctx context.Context, dyn bool) (*Iterator, error) {
 	// The prefetcher's background context carries the run's trace, so
 	// batches issued between Next calls still join it.
 	it.pf = newPrefetcher(it.traceCtx(context.Background()), s.client, s.name, s.router, &it.rep, s.opts.Fetch, s.opts.Tracer)
+	if !dyn { // a dynamic run's set is its own, and its table outlives Close (Skipped)
+		s.takeTable(&it.tab)
+	}
 	if err := it.setup(it.traceCtx(ctx)); err != nil {
 		werr := fmt.Errorf("%w: open %s elements on %q: %v", ErrFailure, s.opts.Semantics, s.name, err)
 		if it.ingCancel != nil {

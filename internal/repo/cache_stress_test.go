@@ -132,6 +132,123 @@ func TestCacheStressCoherent(t *testing.T) {
 	}
 }
 
+// TestCacheHandleServesNeverStale races serves by position — readers
+// walking one shared listing's handles in order, as concurrent runs over
+// one held listing do — against everything that unbinds a handle: a
+// newer version Put over the entry, eviction by a stream of other ids
+// through a cache smaller than the key space, Drop, and a newer missing
+// verdict (PutNegativeAt). Each id's writer is one goroutine, so its
+// versions rise in order; floor is the least version a serve may return
+// once the last Put (or the missing verdict after it) has returned. Under
+// -race this is the data-race check for the handles, the entries'
+// atomic bits and the lock-free serve. Nothing may serve through a
+// second listing's handles, whose layout (8 partitions) no install ever
+// stamped.
+func TestCacheHandleServesNeverStale(t *testing.T) {
+	const (
+		capacity = 32
+		keySpace = 48
+		writers  = 2
+		readers  = 4
+		iters    = 1500
+	)
+	c := NewCache(capacity)
+	ids := make([]ObjectID, keySpace)
+	for i := range ids {
+		ids[i] = ObjectID(fmt.Sprintf("k%03d", i))
+	}
+	at := func(i int, parts int32, ver uint64) Stamp {
+		return Stamp{Ver: ver, Part: int32(i) % parts, Parts: parts}
+	}
+	held, other := make([]Handle, keySpace), make([]Handle, keySpace)
+	floor := make([]atomic.Uint64, keySpace)
+	var served, bound atomic.Int64
+	var stop atomic.Bool
+	var wg, writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			next := make([]uint64, keySpace)
+			for n := 0; n < iters; n++ {
+				i := (n*7 + w) % keySpace
+				if i%writers != w {
+					i = (i + 1) % keySpace
+				}
+				if n%9 == 8 {
+					// A missing verdict newer than every stamp before it, so
+					// it replaces the positive entry.
+					c.PutNegativeAt(nil, "c", at(i, 4, 11+uint64(n)), ids[i])
+					floor[i].Store(next[i] + 1)
+					continue
+				}
+				next[i]++
+				v := next[i]
+				c.PutAt(nil, "c", at(i, 4, 10), Object{ID: ids[i], Version: v, Data: []byte(fmt.Sprint(v))})
+				floor[i].Store(v)
+				if n%16 == 0 {
+					// Let the readers bind and serve between writes.
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() { // evicts: other ids through the cache
+		defer wg.Done()
+		for n := 0; !stop.Load(); n++ {
+			c.Put(Object{ID: ObjectID(fmt.Sprintf("f%04d", n%256)), Version: 1})
+		}
+	}()
+	go func() { // drops
+		defer wg.Done()
+		for n := 0; !stop.Load(); n++ {
+			c.Drop(ids[(n*5)%keySpace])
+			time.Sleep(10 * time.Microsecond)
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				for i, id := range ids {
+					least := floor[i].Load()
+					if held[i].entry() != nil {
+						bound.Add(1)
+					}
+					obj, neg, ok := c.ServeAt(&held[i], "c", at(i, 4, 10), id, nil)
+					if ok && !neg {
+						served.Add(1)
+						if obj.ID != id || obj.Version < least || string(obj.Data) != fmt.Sprint(obj.Version) {
+							t.Errorf("served %q v%d (data %q) for %q, whose Put of v%d had returned", obj.ID, obj.Version, obj.Data, id, least)
+							return
+						}
+					}
+					if _, _, ok := c.ServeAt(&other[i], "c", at(i, 8, 10), id, nil); ok {
+						t.Errorf("served %q under a layout no install stamped", id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if served.Load() == 0 || bound.Load() == 0 {
+		t.Fatalf("%d positive serves, %d through a bound handle: the race exercised nothing", served.Load(), bound.Load())
+	}
+	st := c.Stats()
+	if live := st.Stores - st.Evictions - st.Drops; live != int64(c.Len()) {
+		t.Fatalf("stores(%d) − evictions(%d) − drops(%d) = %d, but len = %d",
+			st.Stores, st.Evictions, st.Drops, live, c.Len())
+	}
+}
+
 // TestLeaseStressPushExpiryRace soaks the lease protocol under -race: a
 // tiny server TTL keeps grant, piggyback renewal, client renewal, lazy
 // expiry reaping, and invalidation pushes all racing, while reader

@@ -167,9 +167,10 @@ func TestCacheServeFreshStamps(t *testing.T) {
 		t.Fatalf("serves under coll %v, under other %v: a second collection's stamp displaced the first", underColl, underOther)
 	}
 
-	// Fresh answers as ServeFresh would and counts nothing.
-	if !c.Fresh("coll", 6, "a") || c.Fresh("coll", 7, "a") || c.Fresh("coll", 0, "a") || c.Fresh("coll", 1, "never-cached") {
-		t.Fatal("Fresh disagrees with ServeFresh")
+	// Bound answers as ServeFresh would and counts nothing.
+	bound := func(ver uint64, id ObjectID) bool { return c.Bound(nil, "coll", Stamp{Ver: ver, Parts: 1}, id) }
+	if !bound(6, "a") || bound(7, "a") || bound(0, "a") || bound(1, "never-cached") {
+		t.Fatal("Bound disagrees with ServeFresh")
 	}
 
 	st := c.Stats()
@@ -355,7 +356,7 @@ func cached(c *Cache, ids ...ObjectID) string {
 // TestCacheSecondChance walks the CLOCK eviction through a scripted
 // sequence: an entry used since the hand last passed survives one sweep,
 // an untouched one goes first, the hand wraps, a mid-ring Drop refills
-// without an eviction, and Fresh protects nothing.
+// without an eviction, and Bound protects nothing.
 func TestCacheSecondChance(t *testing.T) {
 	c := NewCache(3)
 	for _, id := range []ObjectID{"a", "b", "c"} {
@@ -408,17 +409,17 @@ func TestCacheSecondChance(t *testing.T) {
 	c.Drop(last)
 	checkRing(t, c)
 
-	// Fresh answers without using the entry: it is the next victim all the
+	// Bound answers without using the entry: it is the next victim all the
 	// same.
 	c = NewCache(2)
 	c.PutValidated("coll", 1, Object{ID: "p", Version: 1})
 	c.PutValidated("coll", 1, Object{ID: "q", Version: 1})
-	if !c.Fresh("coll", 1, "p") {
+	if !c.Bound(nil, "coll", Stamp{Ver: 1, Parts: 1}, "p") {
 		t.Fatal("p not fresh")
 	}
 	c.Put(Object{ID: "r"})
 	if got := cached(c, "p", "q", "r"); got != "qr" {
-		t.Fatalf("after a Fresh probe of p the cache holds %q, want qr", got)
+		t.Fatalf("after a Bound probe of p the cache holds %q, want qr", got)
 	}
 
 	// Capacity 1: a used entry gets its chance, the hand wraps onto it
@@ -481,4 +482,35 @@ func BenchmarkCacheServeFresh(b *testing.B) {
 			b.Fatal("miss")
 		}
 	}
+}
+
+// benchHandles binds a handle per id of a benchCache, as a warm run's
+// first serves bind a held listing's: one listing partition, in order.
+func benchHandles(c *Cache, ids []ObjectID) []Handle {
+	hs := make([]Handle, len(ids))
+	for i, id := range ids {
+		if !c.Bound(&hs[i], "set", whole(1), id) {
+			panic("benchCache entry not fresh")
+		}
+	}
+	return hs
+}
+
+// BenchmarkCacheServeAt is BenchmarkCacheServeFresh by position: the same
+// 10 000 entries walked in listing order through bound handles, which is
+// what a warm run over its held listing pays per element.
+func BenchmarkCacheServeAt(b *testing.B) {
+	c, ids := benchCache(10_000)
+	hs := benchHandles(c, ids)
+	var tally Tally
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ids)
+		if _, _, ok := c.ServeAt(&hs[k], "set", whole(1), ids[k], &tally); !ok {
+			b.Fatal("miss")
+		}
+	}
+	b.StopTimer()
+	c.Count(tally)
 }

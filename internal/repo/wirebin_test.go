@@ -447,9 +447,10 @@ func TestAllocBudget(t *testing.T) {
 	r.Reset(invFrame)
 	_ = decodeInvalidation(&r)
 
-	// The two serves every cache- or lease-served element makes: neither
-	// may allocate.
+	// The serves every cache- or lease-served element makes — by id, by
+	// position, and the lease check: none may allocate.
 	cache, cacheIDs := benchCache(1_000)
+	cacheHandles, tally := benchHandles(cache, cacheIDs), Tally{}
 	lease := heldLease("set", time.Hour)
 	nextServe := 0
 
@@ -479,6 +480,13 @@ func TestAllocBudget(t *testing.T) {
 	paths := map[string]func(){
 		"cacheServeFresh": func() {
 			if _, _, ok := cache.ServeFresh("set", 1, cacheIDs[nextServe%len(cacheIDs)]); !ok {
+				t.Fatal("cache miss")
+			}
+			nextServe++
+		},
+		"cacheServeAt": func() {
+			k := nextServe % len(cacheIDs)
+			if _, _, ok := cache.ServeAt(&cacheHandles[k], "set", whole(1), cacheIDs[k], &tally); !ok {
 				t.Fatal("cache miss")
 			}
 			nextServe++
