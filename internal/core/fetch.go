@@ -28,9 +28,10 @@ import (
 // FetchOptions tunes the Iterator's batched fetch path.
 type FetchOptions struct {
 	// Batch caps how many ids ride in one GetBatch RPC of a run's first
-	// prefetch window. Defaults to 64. A run that outlives a window
-	// fetches wider, up to 4 × Batch (slow start, prefetcher.size);
-	// Batch: 1 stays one id per round trip.
+	// prefetch window. Defaults to 64. A run that outlives a window cuts
+	// its later calls by bytes (prefetcher.sized): about callBytes of
+	// answer each, within [Batch, 16 × Batch] ids; Batch: 1 stays one id
+	// per round trip.
 	Batch int
 	// Inflight bounds concurrent batch RPCs. Defaults to 4.
 	Inflight int
@@ -46,6 +47,12 @@ func (o FetchOptions) WithDefaults() FetchOptions {
 	}
 	return o
 }
+
+// callBytes is what a GetBatch call after a run's first window aims to
+// carry: a quarter of the transport's kept buffer (tcprpc maxKeptBuf), so
+// neither end outgrows it, and what a run holds in flight and parked is
+// about Inflight × 4 × callBytes, whatever its objects' size.
+const callBytes = 256 << 10
 
 // chunkByNode splits members in yield order into per-node batches of at
 // most size ids, in first-appearance order, each in yield order. Each
@@ -161,11 +168,9 @@ func (p *prefetcher) take(c *fetchChunk, i int) {
 //     the client keeps the cache coherent with its own writes.
 type prefetcher struct {
 	client *repo.Client
-	// size is the chunk size the next plan cuts at (slow start): Batch
-	// for the first window, then doubled after each plan of a whole window
-	// at the current size, up to 4 × Batch; Batch: 1 stays 1. Only
-	// planLocked writes it, on the iterator's goroutine, window's one
-	// caller.
+	// size is the chunk size the next plan cuts at: Batch until the run
+	// has landed an object, then what deliver last sized (next). Only
+	// fetch writes it, on the iterator's goroutine, window's one caller.
 	batch, size int
 	tracer      *obs.Tracer
 	// router redirects batches aimed at a replicated node to the closest
@@ -221,6 +226,10 @@ type prefetcher struct {
 	merge []int32
 	// plans counts replans, on the iterator's goroutine: the warm guard.
 	plans int
+	// landedBytes and landedObjs are the answers' bytes (answerBytes) and
+	// objects landed so far, and next the chunk size they make (sized).
+	landedBytes, landedObjs int64
+	next                    int
 }
 
 // newPrefetcher builds the pipeline for a run over collection coll. base
@@ -233,6 +242,7 @@ func newPrefetcher(base context.Context, client *repo.Client, coll string, route
 		client:   client,
 		batch:    o.Batch,
 		size:     o.Batch,
+		next:     o.Batch,
 		tracer:   tracer,
 		router:   router,
 		tally:    tally,
@@ -245,7 +255,8 @@ func newPrefetcher(base context.Context, client *repo.Client, coll string, route
 }
 
 // window is how many candidates one replan hands the pipeline: enough to
-// keep Inflight batches of the current size full several times over. A
+// keep Inflight batches of the current size full several times over —
+// Batch × Inflight × 4 before the run has landed an object. A
 // replan while the live chunks still hold a first window's slots is a
 // top-up — a fold landed members below the cursor — and a first window
 // does.
@@ -359,6 +370,7 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at in
 				heap.Fix(&p.live, c.slot)
 			}
 		}
+		p.size = p.next
 		p.mu.Unlock()
 		switch {
 		case err != nil:
@@ -452,8 +464,7 @@ func (p *prefetcher) retire(c *fetchChunk) {
 // leaves it out counts no hit, so a partly evicted warm run fetches
 // exactly its evicted ids. With a cache bound the chunks carry the known
 // versions for a conditional fetch, and im's stamps and handles take what
-// they install. Once a plan has cut a whole window at the current chunk
-// size, the next cuts chunks twice as wide. The plan filters candidates
+// they install. Chunks are cut at p.size ids. The plan filters candidates
 // in place. Caller holds p.mu.
 func (p *prefetcher) planLocked(candidates []member, im *listing, direct bool) {
 	if p.ctx.Err() != nil {
@@ -516,36 +527,70 @@ func (p *prefetcher) planLocked(candidates []member, im *listing, direct bool) {
 		go p.work()
 	}
 	p.parked.Add(int64(total))
-	if len(candidates) >= p.size*p.inflight*4 && 1 < p.size && p.size < 4*p.batch {
-		p.size *= 2
+}
+
+// sized is the chunk size for the plans after a run's first landing: as
+// many ids as make callBytes of answer at the mean answer bytes per object
+// the run has landed, within [Batch, 16 × Batch] — so a chunk of large
+// objects is narrower than one of small, and what a run holds is bounded
+// in bytes, not ids. Batch: 1 stays 1. Caller holds p.mu.
+func (p *prefetcher) sized() int {
+	if p.batch == 1 || p.landedObjs == 0 {
+		return p.batch
 	}
+	return min(max(int(callBytes*p.landedObjs/p.landedBytes), p.batch), 16*p.batch)
+}
+
+// answerBytes is about what objs cost in a GetBatch answer: each object's
+// id, data and attributes, and a few bytes of lengths, version and flags.
+func answerBytes(objs []repo.Object) (n int64) {
+	for i := range objs {
+		o := &objs[i]
+		n += int64(len(o.ID) + len(o.Data) + 8)
+		for k, v := range o.Attrs {
+			n += int64(len(k) + len(v) + 2)
+		}
+	}
+	return n
 }
 
 // order fills ord with the positions of refs by ascending id and returns
 // buf, its scratch, for reuse. refs are in yield order — ascending by id
-// within each partition they span — so each partition's run is merged
-// into the runs before it: linear in the few runs a chunk spans, where a
-// sort would be n log n.
+// within each partition they span — so the partitions' runs are merged
+// pairwise, then the merged runs pairwise, until one is left: n log P for
+// a chunk spanning P partitions, where a sort would be n log n. buf holds
+// the merge's other n positions, then the runs' ends.
 func order(refs []member, ord, buf []int32) []int32 {
+	n := len(refs)
 	for i := range ord {
 		ord[i] = int32(i)
 	}
-	for s, e := 0, 0; s < len(refs); s = e {
-		for e = s + 1; e < len(refs) && refs[e].part == refs[s].part; e++ {
+	buf = slices.Grow(buf[:0], n+1)[:n]
+	for e := 1; e <= n; e++ {
+		if e == n || refs[e].part != refs[e-1].part {
+			buf = append(buf, int32(e))
 		}
-		if s == 0 {
-			continue
-		}
-		buf = append(buf[:0], ord[:e]...)
-		a, b, k := buf[:s], buf[s:e], 0
-		for ; len(a) > 0 && len(b) > 0; k++ {
-			if refs[b[0]].ID < refs[a[0]].ID {
-				ord[k], b = b[0], b[1:]
-			} else {
-				ord[k], a = a[0], a[1:]
+	}
+	src, dst, ends := ord, buf[:n], buf[n:]
+	for len(ends) > 1 {
+		k := 0
+		for r, s := 0, int32(0); r < len(ends); r, k = r+2, k+1 {
+			m, e := ends[r], ends[min(r+1, len(ends)-1)]
+			a, b, j := src[s:m], src[m:e], s
+			for ; len(a) > 0 && len(b) > 0; j++ {
+				if refs[b[0]].ID < refs[a[0]].ID {
+					dst[j], b = b[0], b[1:]
+				} else {
+					dst[j], a = a[0], a[1:]
+				}
 			}
+			copy(dst[j+int32(copy(dst[j:], a)):], b)
+			ends[k], s = e, e
 		}
-		copy(ord[k+copy(ord[k:], a):], b)
+		src, dst, ends = dst, src, ends[:k]
+	}
+	if n > 0 && &src[0] != &ord[0] {
+		copy(ord, src)
 	}
 	return buf
 }
@@ -809,14 +854,18 @@ func (p *prefetcher) fetchValidated(ctx context.Context, c *fetchChunk) ([]repo.
 }
 
 // deliver parks one batch's answer in its chunk — objs in request order,
-// matched to the ids by position and so to their slots — and wakes the fetch
-// waiting for a landing, if any. A failed batch retires at once: its
+// matched to the ids by position and so to their slots — sizes the later
+// plans' chunks by what has landed, and wakes the fetch waiting for a
+// landing, if any. A failed batch retires at once: its
 // error reaches the fetch that asked for one of its refs only, and a later
 // fetch re-batches the chunk's other refs, which is what makes a failed
 // batch count once per round trip in the iterator's liveness accounting.
 func (p *prefetcher) deliver(c *fetchChunk, objs []repo.Object, err error, epoch uint64) {
+	bytes := answerBytes(objs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.landedBytes, p.landedObjs = p.landedBytes+bytes, p.landedObjs+int64(len(objs))
+	p.next = p.sized()
 	c.landed, c.objs, c.epoch, c.err = true, objs, epoch, err
 	if err != nil {
 		p.retire(c)

@@ -57,12 +57,14 @@ func TestChunkByNode(t *testing.T) {
 // ascending id, whatever the runs: one, several interleaved, or one
 // wholly after another.
 func TestOrderSortsAChunksRequest(t *testing.T) {
+	var buf []int32 // reused, as a prefetcher's plans reuse theirs
 	for _, runs := range [][][]string{
 		{{"a", "c", "e"}},
 		{{"b", "d"}, {"a", "c", "e"}},
 		{{"m", "n"}, {"a", "b"}, {"c", "z"}},
 		{{"a"}, {"b"}, {"c"}, {"d"}},
 		{{"d", "e"}, {"a", "b", "c"}, {"f"}},
+		{{"b", "g"}, {"a", "h"}, {"c", "f"}, {"d", "e"}, {"i"}},
 	} {
 		var refs []member
 		for p, ids := range runs {
@@ -71,7 +73,7 @@ func TestOrderSortsAChunksRequest(t *testing.T) {
 			}
 		}
 		ord := make([]int32, len(refs))
-		order(refs, ord, nil)
+		buf = order(refs, ord, buf)
 		seen := make([]bool, len(refs))
 		for j, i := range ord {
 			if seen[i] || j > 0 && refs[ord[j-1]].ID >= refs[i].ID {
@@ -458,14 +460,15 @@ func TestPrefetcherReadYourWrites(t *testing.T) {
 }
 
 // batchSpans runs one cold snapshot run of every member of w under a
-// tracer, a whole first window of the opening listing folded before the
-// first plan, and returns its fetch.batch spans' id counts in the order
-// the batches were issued. The prefetcher must be left with no live chunk.
-func batchSpans(t *testing.T, w *testWorld) (ids []int) {
+// tracer, fetching as fo says, a whole first window of the opening listing
+// folded before the first plan, and returns its fetch.batch spans' id
+// counts in the order the batches were issued. The prefetcher must be
+// left with no live chunk.
+func batchSpans(t *testing.T, w *testWorld, fo FetchOptions) (ids []int) {
 	t.Helper()
 	ctx := context.Background()
 	tr := obs.NewTracer("test", obs.Config{Capacity: 1 << 12})
-	s := w.set(t, Options{Semantics: Snapshot, Tracer: tr})
+	s := w.set(t, Options{Semantics: Snapshot, Tracer: tr, Fetch: fo})
 	it, err := s.Elements(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -505,43 +508,73 @@ func batchSpans(t *testing.T, w *testWorld) (ids []int) {
 	return ids
 }
 
-// TestSlowStartWidensLaterPlans: a cold 10 000-member run fetches its
-// first window (1 024 ids) in batches of at most Batch, the next (2 048)
-// at up to 2 × Batch, and the rest at up to — and, with members to spare,
-// exactly — 4 × Batch, and the batches add up to the set. A plan launches
-// its window less each node's short last chunk, which waits for the next
-// plan, so in issue order the batches come in three stretches, the first
-// at least 1 024 − 4 × 63 ids and the second at least 2 048 − 4 × 127 less
-// what the first left in flight. A 1 000-member run fits in its first
-// window and issues exactly the batches a fixed Batch does: per node,
-// ⌈250/64⌉ batches of 64, 64, 64 and 58 ids.
-func TestSlowStartWidensLaterPlans(t *testing.T) {
-	ids := batchSpans(t, newTestWorld(t, 10_000))
-	limits, stretch, phase, issued, widest := []int{64, 128, 256}, make([]int, 3), 0, 0, 0
-	for _, n := range ids {
-		for phase < len(limits) && n > limits[phase] {
-			phase++
-		}
-		if phase == len(limits) {
-			t.Fatalf("a %d-id batch after %d ids, want at most %d", n, issued, limits[len(limits)-1])
-		}
-		stretch[phase] += n
+// TestByteSizedLaterPlans: a run's first window is cut at Batch ids a
+// call, and every plan after its first landing at callBytes of answer,
+// within [Batch, 16 × Batch] ids.
+//   - A cold 10 000-member run of small objects fetches its first window
+//     (1 024 ids, less each node's short last chunk, which waits for the
+//     next plan) at Batch ids a call, then the rest at 16 × Batch: about
+//     16 calls for the first window and 10 for the rest. A 1 000-member
+//     run fits in its first window and issues exactly the batches a fixed
+//     Batch does: per node, ⌈250/64⌉ batches of 64, 64, 64 and 58 ids.
+//   - Over 64 KiB objects no call carries more than max(callBytes,
+//     Batch × object) bytes: at Batch 2, three objects a call once sized.
+//   - Batch: 1 stays one id per call.
+func TestByteSizedLaterPlans(t *testing.T) {
+	const batch = 64
+	ids := batchSpans(t, newTestWorld(t, 10_000), FetchOptions{})
+	first, issued, widest := 0, 0, 0
+	for first < len(ids) && ids[first] <= batch {
+		issued += ids[first]
+		first++
+	}
+	if issued < 1024-4*(batch-1) || issued > 1024 {
+		t.Fatalf("%d ids in the first %d calls of at most %d: want the first window's 1 024 less the short chunks", issued, first, batch)
+	}
+	for _, n := range ids[first:] {
 		issued, widest = issued+n, max(widest, n)
 	}
-	if stretch[0] < 1024-4*63 || stretch[1] < 1024 {
-		t.Fatalf("%d ids in batches of at most 64, then %d of at most 128: the batches widened early", stretch[0], stretch[1])
-	}
-	if issued != 10_000 || widest != 256 || len(ids) > 75 {
-		t.Fatalf("%d GetBatch calls fetched %d ids, the widest %d; want at most 75, 10000 and 256", len(ids), issued, widest)
+	if issued != 10_000 || widest != 16*batch || len(ids) > 32 {
+		t.Fatalf("%d GetBatch calls %v fetched %d ids, the widest %d; want at most 32, 10000 and %d", len(ids), ids, issued, widest, 16*batch)
 	}
 
-	ids = batchSpans(t, newTestWorld(t, 1000))
+	ids = batchSpans(t, newTestWorld(t, 1000), FetchOptions{})
 	sizes := map[int]int{}
 	for _, n := range ids {
 		sizes[n]++
 	}
 	if len(ids) != 16 || sizes[64] != 12 || sizes[58] != 4 {
 		t.Fatalf("a 1 000-member run issued %d batches sized %v, want 12 × 64 and 4 × 58", len(ids), sizes)
+	}
+
+	const object = 64 << 10
+	w := newTestWorld(t, 0)
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		ref, err := w.c.Client.Put(ctx, w.c.StorageFor(i), repo.Object{ID: repo.ObjectID(fmt.Sprintf("e%03d", i)), Data: make([]byte, object)})
+		if err == nil {
+			err = w.c.Client.Add(ctx, cluster.DirNode, "set", ref)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.refs = append(w.refs, ref)
+	}
+	ids, widest = batchSpans(t, w, FetchOptions{Batch: 2, Inflight: 2}), 0
+	for _, n := range ids {
+		if n*object > max(callBytes, 2*object) {
+			t.Fatalf("a %d-id call of %d KiB objects: %d KiB, over max(callBytes, Batch × object)", n, object>>10, n*object>>10)
+		}
+		widest = max(widest, n)
+	}
+	if widest != callBytes/object-1 {
+		t.Fatalf("calls of %v ids: the widest %d, want %d", ids, widest, callBytes/object-1)
+	}
+
+	for _, n := range batchSpans(t, newTestWorld(t, 100), FetchOptions{Batch: 1, Inflight: 2}) {
+		if n != 1 {
+			t.Fatalf("a %d-id call at Batch 1", n)
+		}
 	}
 }
 

@@ -182,21 +182,18 @@ func (t *runTable) fold(part, partitions int, refs []repo.Ref) {
 
 // adopt re-bases the table on l. A partition l shares with the table
 // (listing.with keeps every one that did not move) keeps its taken bits
-// and cursor; the yielded ids of the others, and those gone earlier, are
-// looked up in l (find): taken again where l lists them, gone otherwise.
-// It reports how many yielded ids l lists — the duplicates suppressed.
+// and cursor; a moved one's yielded members are marked in l's copy of it
+// straight from the old bits (carry), and only the ids it no longer lists
+// — with those gone earlier — are looked up in the others (find): taken
+// again where l lists them, gone otherwise. A listing of another partition
+// count looks up every yielded id. It reports how many yielded ids l lists
+// — the duplicates suppressed.
 func (t *runTable) adopt(l *listing) (suppressed int) {
-	kept := func(p int) bool { return len(t.parts) == len(l.parts) && sameRefs(t.parts[p], l.parts[p]) }
-	again := t.gone
-	for p, refs := range t.parts {
-		for i := 0; !kept(p) && i < len(refs); i++ {
-			if t.isTaken(p, i) {
-				again = append(again, refs[i].ID)
-				t.yielded--
-			}
-		}
+	aligned, again, n := len(t.parts) == len(l.parts), t.gone, 0
+	for p := 0; !aligned && p < len(t.parts); p++ {
+		again = t.carry(p, nil, t.parts[p], t.taken[t.at[p].off:], again)
 	}
-	was, wasDown, n := t.taken, t.down != nil, 0
+	was, wasParts, wasDown := t.taken, t.parts, t.down != nil
 	for _, refs := range l.parts {
 		n += bitWords(len(refs))
 	}
@@ -206,18 +203,23 @@ func (t *runTable) adopt(l *listing) (suppressed int) {
 		t.taken = make([]uint64, n)
 	}
 	t.members, n = 0, 0
-	if len(t.at) != len(l.parts) {
+	if !aligned {
 		t.at = resized(t.at, len(l.parts))
 	}
 	for p, refs := range l.parts {
 		a, words := &t.at[p], bitWords(len(refs))
-		if kept(p) {
-			copy(t.taken[n:n+words], was[a.off:])
+		off, kept := a.off, aligned && sameRefs(wasParts[p], refs)
+		a.off = int32(n)
+		switch {
+		case kept:
+			copy(t.taken[n:n+words], was[off:])
+		case aligned:
+			again = t.carry(p, refs, wasParts[p], was[off:], again)
 		}
-		if !kept(p) || wasDown {
+		if !kept || wasDown {
 			a.pos = 0
 		}
-		a.off, n, t.members = int32(n), n+words, t.members+len(refs)
+		n, t.members = n+words, t.members+len(refs)
 	}
 	t.version, t.parts, t.nodes, t.cur = l.version, l.parts, l.nodes, len(l.parts) // no head while re-basing
 	t.down, t.sampled, t.downYielded = nil, false, 0
@@ -236,6 +238,29 @@ func (t *runTable) adopt(l *listing) (suppressed int) {
 	t.cur = 0
 	t.advance()
 	return t.yielded
+}
+
+// carry marks in refs — partition p of the listing adopt re-bases on,
+// its bits at t.at[p].off — the yielded members of old, p's members
+// before, their bits at bits[0]: both ascend by id, so it is one merge.
+// It appends to again the yielded ids refs lacks.
+func (t *runTable) carry(p int, refs, old []repo.Ref, bits []uint64, again []repo.ObjectID) []repo.ObjectID {
+	j := 0
+	for i := range old {
+		if bits[i>>6]>>(i&63)&1 == 0 {
+			continue
+		}
+		for j < len(refs) && refs[j].ID < old[i].ID {
+			j++
+		}
+		if j < len(refs) && refs[j].ID == old[i].ID {
+			t.mark(p, j)
+		} else {
+			again = append(again, old[i].ID)
+			t.yielded--
+		}
+	}
+	return again
 }
 
 // sameRefs reports whether a and b are one slice of refs.
@@ -298,12 +323,21 @@ func (t *runTable) search(p int, id repo.ObjectID) (int, bool) {
 
 // accepts reports whether m is an unyielded member on a node the last
 // sample found up: what the figures' Yield may take in place of the head.
+// m is found at the position the walk that listed it read (m.at) while
+// its partition still holds it there — checked by content, and noted for
+// find, as a search's hit is — and searched for in a re-based one.
 func (t *runTable) accepts(m member) bool {
-	if int(m.part) >= len(t.parts) {
+	p, i := int(m.part), int(m.at)
+	if p >= len(t.parts) {
 		return false
 	}
-	i, ok := t.search(int(m.part), m.ID)
-	return ok && t.parts[m.part][i] == m.Ref && !t.isTaken(int(m.part), i) && !t.down[m.Node]
+	ok := i < len(t.parts[p]) && t.parts[p][i].ID == m.ID
+	if ok {
+		t.lastPart, t.lastAt = p, i
+	} else if i, ok = t.search(p, m.ID); !ok {
+		return false
+	}
+	return t.parts[p][i] == m.Ref && !t.isTaken(p, i) && !t.down[m.Node]
 }
 
 // yield records member id as yielded and moves the cursor off it.

@@ -594,7 +594,10 @@ func TestReachabilitySampleFollowsTheNodeSet(t *testing.T) {
 // worth of membership bookkeeping and nothing else — an opening listing
 // folded as its 16 partitions of ~625 refs, 10 000 yields off the cursor,
 // and, when half are yielded, one adopt of a listing in which every
-// partition moved (each re-shipped as a copy).
+// partition moved (each re-shipped as a copy). On a 2-vCPU host it reads
+// 0.37–0.56 ms, 4 672 B and 12 allocations an op; the adopt marks the
+// 5 000 yielded members of the moved partitions straight from their taken
+// bits, so it allocates only the new listing's bits.
 func BenchmarkRunTable(b *testing.B) {
 	const n, partitions = 10_000, 16
 	frames := make([]repo.PartListing, partitions)

@@ -91,6 +91,9 @@ type wirebinCodec struct {
 	fw   *flate.Writer
 	fr   io.ReadCloser
 	zbuf bytes.Buffer
+	// hdr is writeRaw's frame header: held here, a header handed to the
+	// bufio.Writer costs no allocation.
+	hdr [binary.MaxVarintLen64 + 1]byte
 }
 
 func newWirebinCodec(conn io.ReadWriter, from string, compress bool, compressMin int) *wirebinCodec {
@@ -192,11 +195,10 @@ func (c *wirebinCodec) writeFrame(raw []byte) (int, error) {
 
 // writeRaw puts one frame on the socket: length prefix, flags, payload.
 func (c *wirebinCodec) writeRaw(payload []byte, flags byte) (int, error) {
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	hn := binary.PutUvarint(hdr[:], uint64(1+len(payload)))
-	hdr[hn] = flags
+	hn := binary.PutUvarint(c.hdr[:], uint64(1+len(payload)))
+	c.hdr[hn] = flags
 	hn++
-	if _, err := c.bw.Write(hdr[:hn]); err != nil {
+	if _, err := c.bw.Write(c.hdr[:hn]); err != nil {
 		return 0, err
 	}
 	if _, err := c.bw.Write(payload); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -412,5 +413,30 @@ func TestCompressedFrameRejectedWithoutNegotiation(t *testing.T) {
 	var in response
 	if _, err := r.readResponse(&in); err == nil {
 		t.Fatal("undeclared compressed frame decoded cleanly; want an error")
+	}
+}
+
+// TestFrameWriteAllocatesNothing: once a connection's buffers are warm, a
+// frame write — a request, a response, a compressed frame — allocates
+// nothing on either end; the header goes out of the codec's own scratch.
+func TestFrameWriteAllocatesNothing(t *testing.T) {
+	c := newWirebinCodec(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(""), io.Discard}, "tester", true, 1024)
+	req := &request{Seq: 1, Method: "echo"}
+	resp := &response{Seq: 1, IsErr: true, ErrText: "no such object"}
+	big := bytes.Repeat([]byte("weak"), 1024) // compresses
+	for name, write := range map[string]func() (int, error){
+		"request":    func() (int, error) { return c.writeRequest(req) },
+		"response":   func() (int, error) { return c.writeResponse(resp) },
+		"compressed": func() (int, error) { return c.writeFrame(append(c.wbuf[:0], big...)) },
+	} {
+		if _, err := write(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = write() }); n != 0 {
+			t.Errorf("%s frame write: %.1f allocs, want 0", name, n)
+		}
 	}
 }
