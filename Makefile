@@ -8,9 +8,9 @@ GO ?= go
 # them back (CI collects the directory as an artifact).
 SMOKE := /tmp/weakbench-smoke
 
-.PHONY: check vet no-gob no-unsafe build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+.PHONY: check vet no-gob no-unsafe spec-oracle build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
-check: vet no-gob no-unsafe build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
+check: vet no-gob no-unsafe spec-oracle build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
 	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
 
 vet:
@@ -26,6 +26,14 @@ no-gob:
 # frame's lifetime rule, so no other production Go file imports unsafe.
 no-unsafe:
 	! grep -rl '"unsafe"' --include='*.go' . | grep -v _test | grep -v '^\./internal/wirebin/'
+
+# The paper's figures are an oracle, off the run path: a run is checked
+# against them from its history, after the run. No production file of
+# internal/core imports internal/spec but the kernel (Step), the model
+# harness and checker that hold the run table to it, and the semantics
+# table naming each point's figure.
+spec-oracle:
+	! grep -l '"weaksets/internal/spec"' internal/core/*.go | grep -v _test | grep -v -e '/kernel\.go$$' -e '/model\.go$$' -e '/modelcheck\.go$$' -e '/semantics\.go$$'
 
 build:
 	$(GO) build ./...

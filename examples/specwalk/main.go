@@ -41,7 +41,7 @@ func main() {
 		return spec.NewState(m, r)
 	}
 
-	rec := spec.NewRecorder()
+	var run spec.Run
 	yielded := make(map[spec.ElemID]bool)
 	first := state()
 	step := 0
@@ -51,20 +51,20 @@ func main() {
 		d := core.Step(core.Optimistic, first, pre, yielded)
 		switch d.Kind {
 		case core.DecideYield:
-			rec.Record(pre, spec.Suspended, d.Elem, true)
+			run.Invocations = append(run.Invocations, spec.Invocation{Pre: pre, Outcome: spec.Suspended, Yield: d.Elem, HasYield: true})
 			yielded[d.Elem] = true
 			fmt.Printf("invocation %d: members=%s reachable=%s -> yield %q, suspends   (%s)\n",
 				step, fmtSet(pre.Members), fmtSet(pre.Reach), d.Elem, note)
 		case core.DecideBlock:
-			rec.Record(pre, spec.Blocked, "", false)
+			run.Invocations = append(run.Invocations, spec.Invocation{Pre: pre, Outcome: spec.Blocked})
 			fmt.Printf("invocation %d: members=%s reachable=%s -> BLOCKS             (%s)\n",
 				step, fmtSet(pre.Members), fmtSet(pre.Reach), note)
 		case core.DecideReturn:
-			rec.Record(pre, spec.Returned, "", false)
+			run.Invocations = append(run.Invocations, spec.Invocation{Pre: pre, Outcome: spec.Returned})
 			fmt.Printf("invocation %d: members=%s -> returns                          (%s)\n",
 				step, fmtSet(pre.Members), note)
 		case core.DecideFail:
-			rec.Record(pre, spec.Failed, "", false)
+			run.Invocations = append(run.Invocations, spec.Invocation{Pre: pre, Outcome: spec.Failed})
 			fmt.Printf("invocation %d: FAILS (%s)\n", step, note)
 		}
 	}
@@ -82,7 +82,6 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("checking the recorded run against every figure:")
-	run := rec.Run()
 	for _, fig := range spec.Figures() {
 		err := spec.CheckRun(fig, run)
 		verdict := "conforms"

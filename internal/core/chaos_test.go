@@ -11,6 +11,7 @@ import (
 	"weaksets/internal/cluster"
 	"weaksets/internal/repo"
 	"weaksets/internal/sim"
+	"weaksets/internal/spec"
 	"weaksets/internal/workload"
 )
 
@@ -19,6 +20,9 @@ import (
 // semantics at once — and checks the invariants that must hold regardless
 // of interleaving:
 //
+//   - every optimistic run's history meets Fig. 6, invocation by
+//     invocation (CheckRun holds the iterator's obligations only, so the
+//     concurrent writers break none);
 //   - the optimistic iterator never raises the failure exception;
 //   - nothing is ever yielded twice within a run;
 //   - everything yielded was a member at some point (initial or added);
@@ -118,6 +122,8 @@ func TestChaosSoak(t *testing.T) {
 				return
 			}
 			defer it.Close(context.Background())
+			var hist []invocation
+			it.hist = &hist
 			seen := make(map[repo.ObjectID]bool)
 			for it.Next(ctx) {
 				id := it.Element().Ref.ID
@@ -129,6 +135,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if err := it.Err(); errors.Is(err, ErrFailure) {
 				errCh <- fmt.Errorf("reader %d: optimistic iterator failed: %w", r, err)
+			}
+			if err := spec.CheckRun(Optimistic.Figure(), historyRun(Optimistic, hist)); err != nil {
+				errCh <- fmt.Errorf("reader %d: %w", r, err)
 			}
 			seenCh <- seen
 		}()

@@ -275,13 +275,13 @@ func (run scriptedRun) settled(victims []string) []string {
 
 const scriptedMembers = 10
 
-// runScripted plays sc once on a fresh world. With a Recorder the run —
-// the same stepper as without — is checked against its figure.
-func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recorder) scriptedRun {
+// runScripted plays sc once on a fresh world. With a history attached
+// the run — the same stepper as without — is checked against its figure.
+func runScripted(t *testing.T, sc cursorScenario, sem Semantics, recorded bool) scriptedRun {
 	t.Helper()
 	ctx := context.Background()
 	sw := &scriptedWorld{t: t, w: newTestWorld(t, scriptedMembers)}
-	s := sw.w.set(t, Options{Semantics: sem, Recorder: rec, BlockRetry: time.Millisecond})
+	s := sw.w.set(t, Options{Semantics: sem, BlockRetry: time.Millisecond})
 	if sc.leased {
 		sw.ls = leaseWorld(t, sw.w)
 		for i := 0; i < 2; i++ { // publish the listing, land the grant
@@ -291,25 +291,14 @@ func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recor
 		}
 		awaitLease(t, sw.w, sw.ls)
 	}
-	recorded := 0
-	if rec != nil {
-		recorded = rec.Len()
-	}
 	it, err := s.Elements(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close(ctx)
-	// Both arms start from the whole s_first. An unrecorded snapshot run
-	// would otherwise step over whatever prefix of the opening stream has
-	// arrived — a scheduling difference (ROADMAP item 4), not a stepping one.
-	for it.ing != nil && !it.ingDone {
-		if err := it.drainIngest(); err != nil {
-			t.Fatal(err)
-		}
-		if !it.ingDone {
-			<-it.ing.notify
-		}
+	var hist []invocation
+	if recorded {
+		it.hist = &hist
 	}
 	var run scriptedRun
 	for k := 0; ; k++ {
@@ -327,8 +316,8 @@ func runScripted(t *testing.T, sc cursorScenario, sem Semantics, rec *spec.Recor
 	sw.bg.Wait()
 	run.refs, run.victims, run.cut = sw.yielded, sw.victims, sw.cut
 	run.err, run.wk = it.Err(), it.Weakness()
-	if rec != nil {
-		if err := spec.CheckRun(sem.Figure(), spec.Run{Invocations: rec.Run().Invocations[recorded:]}); err != nil {
+	if recorded {
+		if err := spec.CheckRun(sem.Figure(), historyRun(sem, hist)); err != nil {
 			t.Fatalf("recorded run violates %s: %v", sem.Figure(), err)
 		}
 	}
@@ -462,12 +451,12 @@ var cursorScenarios = []cursorScenario{
 }
 
 // TestCursorAndKernelRunsAgree plays every scenario twice per semantics —
-// once recorded, every invocation checked against the figure, and once
-// not — and demands the same yields and the same end: a Recorder watches
-// the shipped stepper and changes nothing it decides. Both yield in
-// completion order, so the yields are compared as sets, less the members
-// each arm's script took out of the set, and a run that does not return
-// normally by count alone.
+// once with a history attached, every invocation checked against the
+// figure, and once without — and demands the same yields and the same
+// end: the history watches the shipped stepper and changes nothing it
+// decides. Both yield in completion order, so the yields are compared as
+// sets, less the members each arm's script took out of the set, and a run
+// that does not return normally by count alone.
 func TestCursorAndKernelRunsAgree(t *testing.T) {
 	for _, sc := range cursorScenarios {
 		sems := sc.sems
@@ -477,8 +466,8 @@ func TestCursorAndKernelRunsAgree(t *testing.T) {
 		for _, sem := range sems {
 			sc, sem := sc, sem
 			t.Run(sc.name+"/"+sem.String(), func(t *testing.T) {
-				recorded := runScripted(t, sc, sem, spec.NewRecorder())
-				shipped := runScripted(t, sc, sem, nil)
+				recorded := runScripted(t, sc, sem, true)
+				shipped := runScripted(t, sc, sem, false)
 				// A run cut short yields whichever members landed first.
 				victims := append(slices.Clone(shipped.victims), recorded.victims...)
 				returned := shipped.err == nil && recorded.err == nil

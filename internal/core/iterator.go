@@ -13,7 +13,6 @@ import (
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
 	"weaksets/internal/sim"
-	"weaksets/internal/spec"
 )
 
 // maxConsecutiveFetchFailures is a liveness guard: a pessimistic iterator
@@ -92,10 +91,8 @@ type Iterator struct {
 	dyn, settling bool
 	rest          []repo.Ref
 
-	// pf is the batched prefetch pipeline every element fetch goes through;
-	// cands is the candidate window one replan hands it, reused by the next.
-	pf    *prefetcher
-	cands []member
+	// pf is the batched prefetch pipeline every element fetch goes through.
+	pf *prefetcher
 	// rep tallies the reads a replica answered for this run, whichever of
 	// the listing streams, the membership reads or the batches they were.
 	rep replicaTally
@@ -105,6 +102,11 @@ type Iterator struct {
 	// direct is the invocation's certificate for serving fresh cache
 	// entries with no round trip (prefetcher.fetch), set by observe.
 	direct bool
+
+	// hist, when a test attaches one between Elements and the first Next,
+	// receives every invocation the run decides (record), for a check
+	// against the run's figure after the run; nil otherwise.
+	hist *[]invocation
 
 	blockedFor time.Duration
 	fetchFails int
@@ -259,10 +261,13 @@ func (it *Iterator) openPinned(ctx context.Context) error {
 	return nil
 }
 
-// startIngest opens the streamed partitioned listing and waits for its
-// first partition (or its completion), so opening errors surface from
-// Elements — while the remaining partitions keep arriving in the
-// background, already fetchable against.
+// startIngest opens the streamed partitioned listing and waits until the
+// cursor holds a prefetch window or the stream has completed, so opening
+// errors surface from Elements and the run's first plan is cut over a
+// window or the whole listing — a plan over a shorter prefix would take
+// its end for the cursor's, cut each node's chunk short there, and the
+// next plan call the same nodes again — while the remaining partitions
+// keep arriving in the background, already fetchable against.
 func (it *Iterator) startIngest(ctx context.Context) error {
 	if it.pin != 0 && it.pf.cache != nil {
 		it.held = &listing{vers: it.pinVers, handles: make([][]repo.Handle, len(it.pinVers)), cache: it.pf.cache}
@@ -280,12 +285,9 @@ func (it *Iterator) startIngest(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		// A recorded run is checked against the figures invocation by
-		// invocation, so every recorded pre-state must hold the whole
-		// s_first, and a dynamic run plans its first window closest-first
-		// over the whole membership: both wait the stream out before their
-		// first invocation.
-		if err := it.drainIngest(); err != nil || it.opts.Recorder == nil && !it.dyn || it.ingDone {
+		// A dynamic run plans its first window closest-first over the
+		// whole membership, so it waits the stream out.
+		if err := it.drainIngest(); err != nil || it.ingDone || !it.dyn && it.tab.unyielded() >= it.pf.window() {
 			return err
 		}
 	}
@@ -337,10 +339,9 @@ func (it *Iterator) fold(pl repo.PartListing) error {
 
 // drainIngest folds arrived partitions, without blocking — at most
 // enough to keep a full prefetch window of unyielded members in the
-// cursor (everything, under a recorder or in a dynamic run), so the fold
-// cost is paid incrementally across yields rather than all before the
-// first element (the in-process stream can outrun the iterator
-// arbitrarily). When the stream has completed and the queue is drained it
+// cursor (everything, in a dynamic run), so the fold cost is paid
+// incrementally across yields rather than all before the first element
+// (the in-process stream can outrun the iterator arbitrarily). When the stream has completed and the queue is drained it
 // seals tab.version — 0 until then on an unpinned stream, so no cache
 // serves against a version still being assembled; a pinned one has its
 // pin's from the start — to the highest partition version observed
@@ -352,7 +353,7 @@ func (it *Iterator) drainIngest() error {
 	if it.ing == nil || it.ingDone {
 		return nil
 	}
-	for it.opts.Recorder != nil || it.dyn || it.tab.unyielded() < it.pf.window() {
+	for it.dyn || it.tab.unyielded() < it.pf.window() {
 		pl, ok, done, err := it.ing.takeOne()
 		if !ok {
 			if !done {
@@ -582,7 +583,7 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			continue
 
 		case DecideReturn:
-			it.record(spec.Returned, "", false)
+			it.record(DecideReturn, repo.Ref{})
 			it.countSkipped()
 			it.done = true
 			return false
@@ -591,13 +592,13 @@ func (it *Iterator) Next(ctx context.Context) bool {
 			if it.dyn {
 				return it.settle()
 			}
-			it.record(spec.Failed, "", false)
+			it.record(DecideFail, repo.Ref{})
 			it.countSkipped()
 			it.terminate(fmt.Errorf("%w: %s: unreachable members remain", ErrFailure, it.opts.Semantics))
 			return false
 
 		case DecideBlock:
-			it.record(spec.Blocked, "", false)
+			it.record(DecideBlock, repo.Ref{})
 			if !it.blockPause(ctx) {
 				return false
 			}
@@ -616,11 +617,11 @@ func (it *Iterator) Next(ctx context.Context) bool {
 // the next replan.
 func (it *Iterator) cursorCandidates() []member {
 	limit := min(it.pf.window(), it.tab.unyielded())
-	if cap(it.cands) < limit {
-		it.cands = make([]member, 0, limit)
+	if cap(it.tab.cands) < limit {
+		it.tab.cands = make([]member, 0, limit)
 	}
-	it.cands = it.tab.window(it.cands[:0], limit)
-	return it.cands
+	it.tab.cands = it.tab.window(it.tab.cands[:0], limit)
+	return it.tab.cands
 }
 
 // fetch retrieves the object of the member a yield decision chose — the
@@ -651,7 +652,7 @@ func (it *Iterator) fetch(ctx context.Context) bool {
 		default:
 			// Grow-only: a member's data vanished, so the grow-only
 			// discipline was broken under us. Pessimistic failure.
-			it.record(spec.Failed, "", false)
+			it.record(DecideFail, repo.Ref{})
 			it.terminate(fmt.Errorf("%w: member %q data missing: %v", ErrFailure, ref.ID, err))
 			return false
 		}
@@ -663,7 +664,7 @@ func (it *Iterator) fetch(ctx context.Context) bool {
 		it.fetchFails++
 		it.wk.FetchFailures++
 		if it.fetchFails >= maxConsecutiveFetchFailures && it.opts.Semantics != Optimistic {
-			it.record(spec.Failed, "", false)
+			it.record(DecideFail, repo.Ref{})
 			it.terminate(fmt.Errorf("%w: fetching %q kept failing: %v", ErrFailure, ref.ID, err))
 		}
 		return false
@@ -671,7 +672,7 @@ func (it *Iterator) fetch(ctx context.Context) bool {
 }
 
 func (it *Iterator) yield(ref repo.Ref, e Element) {
-	it.record(spec.Suspended, spec.ElemID(ref.ID), true)
+	it.record(DecideYield, ref)
 	it.tab.yield(ref.ID)
 	it.wk.Yielded++
 	if e.Stale {
@@ -724,11 +725,23 @@ func (it *Iterator) blockPause(ctx context.Context) bool {
 	return true
 }
 
-// record hands a Recorder the invocation the run just decided, over the
-// pre-state the decision was made on.
-func (it *Iterator) record(outcome spec.Outcome, yield spec.ElemID, hasYield bool) {
-	if it.opts.Recorder != nil {
-		it.opts.Recorder.Record(it.tab.preState(), outcome, yield, hasYield)
+// invocation is one decision in a run's history: its kind, the member a
+// yield took, and the state it was made over — the table's partitions and
+// the down nodes of the sample it used. Neither is written again once
+// recorded: allReachable replaces down at each sample, and a current-state
+// table's partitions are the held listing's, which are immutable.
+type invocation struct {
+	kind  DecisionKind
+	yield repo.Ref
+	parts [][]repo.Ref
+	down  map[netsim.NodeID]bool
+}
+
+// record appends the invocation the run just decided to its history, if
+// one is attached.
+func (it *Iterator) record(kind DecisionKind, yield repo.Ref) {
+	if it.hist != nil {
+		*it.hist = append(*it.hist, invocation{kind, yield, it.tab.parts, it.tab.down})
 	}
 }
 

@@ -19,7 +19,7 @@ type ModelConfig struct {
 }
 
 // RunModel drives the pure semantic kernel against a model environment:
-// the kernel observes env's state, decides, the recorder logs the
+// the kernel observes env's state, decides, the run appends the
 // invocation, and the environment takes a random step between invocations.
 // This is the harness the conformance matrix (experiment E6) and the
 // property tests use: the kernel the distributed iterator's run table is
@@ -32,29 +32,24 @@ func RunModel(sem Semantics, env *spec.Env, cfg ModelConfig) (spec.Run, bool) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 200
 	}
-	rec := spec.NewRecorder()
+	var run spec.Run
 	yielded := make(map[spec.ElemID]bool)
 	var first spec.State
 	blocked := 0
 	for step := 0; step < cfg.MaxSteps; step++ {
-		pre := env.State()
+		pre := env.State() // a fresh state each step: the run keeps it
 		if step == 0 {
 			first = pre
 		}
 		d := Step(sem, first, pre, yielded)
+		run.Invocations = append(run.Invocations, specInvocation(pre, d))
 		switch d.Kind {
 		case DecideYield:
-			rec.Record(pre, spec.Suspended, d.Elem, true)
 			yielded[d.Elem] = true
 			blocked = 0
-		case DecideReturn:
-			rec.Record(pre, spec.Returned, "", false)
-			return rec.Run(), true
-		case DecideFail:
-			rec.Record(pre, spec.Failed, "", false)
-			return rec.Run(), true
+		case DecideReturn, DecideFail:
+			return run, true
 		case DecideBlock:
-			rec.Record(pre, spec.Blocked, "", false)
 			blocked++
 			if cfg.HealAfterBlocks >= 0 && blocked > cfg.HealAfterBlocks {
 				env.HealAll()
@@ -64,5 +59,5 @@ func RunModel(sem Semantics, env *spec.Env, cfg ModelConfig) (spec.Run, bool) {
 			env.Step()
 		}
 	}
-	return rec.Run(), false
+	return run, false
 }

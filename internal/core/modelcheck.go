@@ -100,7 +100,7 @@ func checkWorld(sem Semantics, w mcWorld, n int) error {
 			got.Elem = spec.ElemID(ref.ID)
 		}
 		for _, d := range []Decision{want, got} {
-			if err := spec.CheckInvocation(sem.Figure(), first.Members, yielded, 1, invocation(pre, d)); err != nil {
+			if err := spec.CheckInvocation(sem.Figure(), first.Members, yielded, 1, specInvocation(pre, d)); err != nil {
 				return fmt.Errorf("%v (folded in reverse: %v): %w", w, reverse, err)
 			}
 		}
@@ -108,8 +108,9 @@ func checkWorld(sem Semantics, w mcWorld, n int) error {
 	return nil
 }
 
-// invocation is decision d taken in pre-state pre, as the figures record it.
-func invocation(pre spec.State, d Decision) spec.Invocation {
+// specInvocation is decision d taken in pre-state pre, as the figures
+// record it.
+func specInvocation(pre spec.State, d Decision) spec.Invocation {
 	inv := spec.Invocation{Pre: pre}
 	switch d.Kind {
 	case DecideYield:

@@ -101,11 +101,12 @@ func TestRecordedRunsYieldInCompletionOrder(t *testing.T) {
 	ctx := context.Background()
 	w, _ := slowWorld(t)
 	for _, sem := range AllSemantics() {
-		rec := spec.NewRecorder()
-		it, err := w.set(t, Options{Semantics: sem, Recorder: rec}).Elements(ctx)
+		it, err := w.set(t, Options{Semantics: sem}).Elements(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var hist []invocation
+		it.hist = &hist
 		got := drain(t, it)
 		_ = it.Close(ctx)
 		if it.Err() != nil || len(got) != 12 {
@@ -114,7 +115,7 @@ func TestRecordedRunsYieldInCompletionOrder(t *testing.T) {
 		if slices.IsSortedFunc(got, func(a, b repo.Ref) int { return strings.Compare(string(a.ID), string(b.ID)) }) {
 			t.Fatalf("%s: yielded in id order: %v", sem, got)
 		}
-		if err := spec.CheckRun(sem.Figure(), rec.Run()); err != nil {
+		if err := spec.CheckRun(sem.Figure(), historyRun(sem, hist)); err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}
 	}

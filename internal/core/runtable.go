@@ -6,7 +6,6 @@ import (
 
 	"weaksets/internal/netsim"
 	"weaksets/internal/repo"
-	"weaksets/internal/spec"
 	"weaksets/internal/store"
 )
 
@@ -17,8 +16,9 @@ import (
 // (partition, id) is a function of the ref. The cursor is a partition and
 // a position in each, yielded one bitmap; nothing is keyed by id but the
 // nodes. The table decides every invocation (decide) from a few counts
-// and its cursor; the kernel's maps are built only for a Recorder
-// (preState). A snapshot run grows its table a partition at a time
+// and its cursor, and builds none of the kernel's maps: a test checks a
+// run against its figure from the history of its decisions
+// (Iterator.hist). A snapshot run grows its table a partition at a time
 // (fold), a current-state run re-bases it on each listing it observes
 // (adopt); a table is one or the other, since adopt aliases the
 // listing's partitions, which fold writes.
@@ -28,12 +28,15 @@ type runTable struct {
 	version uint64
 	// parts holds the members by partition, each strictly ascending by id
 	// and never written (a shared listing's, or the store's); at is each
-	// partition's place in taken, a bit per member, set once yielded. A
-	// run takes at and taken from its set at open and gives them back at
-	// Close (Set.takeTable), so a set's runs allocate them once.
+	// partition's place in taken, a bit per member, set once yielded; cands
+	// is the candidate window one replan hands the prefetcher
+	// (Iterator.cursorCandidates), rewritten by the next. A run takes at,
+	// taken and cands from its set at open and gives them back at Close
+	// (Set.takeTable), so a set's runs allocate them once.
 	parts [][]repo.Ref
 	at    []partAt
 	taken []uint64
+	cands []member
 	// cur is the cursor's partition, len(parts) when the cursor is empty:
 	// its head is parts[cur][at[cur].pos].
 	cur     int
@@ -447,21 +450,4 @@ func (t *runTable) decide(sem Semantics, dyn bool, gen uint64, reachable func(ne
 		return DecideReturn // Fig. 5: yielded = s_pre
 	}
 	return DecideFail
-}
-
-// preState is the invocation's pre-state in the shape the figures are
-// written over — the membership, and as reachable every member the last
-// sample did not find down — which only a Recorder asks for: the one
-// place the table is turned into maps.
-func (t *runTable) preState() spec.State {
-	pre := spec.State{Members: make(map[spec.ElemID]bool, t.members), Reach: make(map[spec.ElemID]bool, t.members)}
-	for _, refs := range t.parts {
-		for _, ref := range refs {
-			pre.Members[spec.ElemID(ref.ID)] = true
-			if !t.down[ref.Node] {
-				pre.Reach[spec.ElemID(ref.ID)] = true
-			}
-		}
-	}
-	return pre
 }

@@ -312,7 +312,7 @@ func (p *tableVsOracle) agree() {
 			pre.Reach[spec.ElemID(id)] = true
 		}
 	}
-	if got := tab.preState(); !sameSet(got.Members, pre.Members) || !sameSet(got.Reach, pre.Reach) {
+	if got := historyRun(GrowOnly, []invocation{{parts: tab.parts, down: tab.down}}).First(); !sameSet(got.Members, pre.Members) || !sameSet(got.Reach, pre.Reach) {
 		p.t.Fatalf("step %d: a recorded pre-state has %d members, %d reachable; oracle %d, %d", p.step, len(got.Members), len(got.Reach), len(pre.Members), len(pre.Reach))
 	}
 	yielded := make(map[spec.ElemID]bool, len(p.oracle.yielded))

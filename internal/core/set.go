@@ -12,7 +12,6 @@ import (
 	"weaksets/internal/netsim"
 	"weaksets/internal/obs"
 	"weaksets/internal/repo"
-	"weaksets/internal/spec"
 	"weaksets/internal/store"
 )
 
@@ -54,9 +53,6 @@ type Options struct {
 	// waiting for repairs before giving up with ErrBlocked. Zero means
 	// block until the context is cancelled (the paper's semantics).
 	MaxBlock time.Duration
-	// Recorder, when set, receives every invocation for conformance
-	// checking against the executable specifications.
-	Recorder *spec.Recorder
 	// Fetch tunes the batched, pipelined element-fetch path. The zero
 	// value batches with the defaults; Batch: 1, Inflight: 1 is one element
 	// per round trip.
@@ -216,30 +212,37 @@ type Set struct {
 	// window, which a pin does not hold, at the same partition versions.
 	lastPinned atomic.Pointer[listing]
 
-	// tabAt and tabTaken are the run-table buffers the last closed run
-	// gave back (giveTable), for the next run to take at open: one run at
-	// a time holds them, so two concurrent runs never share them.
+	// tabAt, tabTaken and tabCands are the run-table buffers the last
+	// closed run gave back (giveTable), for the next run to take at open:
+	// one run at a time holds them, so two concurrent runs never share
+	// them.
 	tabMu    sync.Mutex
 	tabAt    []partAt
 	tabTaken []uint64
+	tabCands []member
 }
 
 // takeTable hands t the run-table buffers a closed run gave back, if any.
 func (s *Set) takeTable(t *runTable) {
 	s.tabMu.Lock()
-	t.at, t.taken, s.tabAt, s.tabTaken = s.tabAt[:0], s.tabTaken[:0], nil, nil
+	t.at, t.taken, t.cands = s.tabAt[:0], s.tabTaken[:0], s.tabCands[:0]
+	s.tabAt, s.tabTaken, s.tabCands = nil, nil, nil
 	s.tabMu.Unlock()
 }
 
 // giveTable takes a closed run's run-table buffers back for the next run,
-// and leaves t holding no membership.
+// and leaves t holding no membership. The candidate window is cleared
+// first: its stale refs, up to 16 384 of them, would otherwise be marked
+// by every GC cycle between runs, which lengthened the cycles enough to
+// read in a cold 10k run's time-to-first-element tail.
 func (s *Set) giveTable(t *runTable) {
+	clear(t.cands[:cap(t.cands)])
 	s.tabMu.Lock()
 	if cap(t.taken) >= cap(s.tabTaken) {
-		s.tabAt, s.tabTaken = t.at, t.taken
+		s.tabAt, s.tabTaken, s.tabCands = t.at, t.taken, t.cands
 	}
 	s.tabMu.Unlock()
-	t.at, t.taken, t.parts = nil, nil, nil
+	t.at, t.taken, t.cands, t.parts = nil, nil, nil, nil
 }
 
 // leaseState returns the client's lease state when it watches this set's

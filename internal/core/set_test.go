@@ -540,19 +540,18 @@ func TestIteratorAfterClose(t *testing.T) {
 }
 
 func TestLiveRunConformance(t *testing.T) {
-	// Record a live distributed run and check it against the executable
-	// spec. The environment is quiescent during the run, so the recorded
+	// Check a live distributed run's history against the executable spec.
+	// The environment is quiescent during the run, so the recorded
 	// pre-states are exact.
 	for _, sem := range AllSemantics() {
 		sem := sem
 		t.Run(sem.String(), func(t *testing.T) {
 			w := newTestWorld(t, 5)
-			rec := spec.NewRecorder()
-			s := w.set(t, Options{Semantics: sem, Recorder: rec})
-			if _, err := s.Collect(context.Background()); err != nil {
+			run, err := collectRecorded(context.Background(), w.set(t, Options{Semantics: sem}))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := spec.CheckRun(sem.Figure(), rec.Run()); err != nil {
+			if err := spec.CheckRun(sem.Figure(), run); err != nil {
 				t.Fatalf("live run violates %s: %v", sem.Figure(), err)
 			}
 		})
@@ -567,16 +566,13 @@ func TestLiveRunConformanceUnderFailure(t *testing.T) {
 		t.Run(sem.String(), func(t *testing.T) {
 			w := newTestWorld(t, 8)
 			w.c.Net.Isolate(w.c.Storage[3])
-			rec := spec.NewRecorder()
-			s := w.set(t, Options{Semantics: sem, Recorder: rec})
-			_, err := s.Collect(context.Background())
+			run, err := collectRecorded(context.Background(), w.set(t, Options{Semantics: sem}))
 			if !errors.Is(err, ErrFailure) {
 				t.Fatalf("err = %v, want ErrFailure", err)
 			}
-			if err := spec.CheckRun(sem.Figure(), rec.Run()); err != nil {
+			if err := spec.CheckRun(sem.Figure(), run); err != nil {
 				t.Fatalf("failing run violates %s: %v", sem.Figure(), err)
 			}
-			run := rec.Run()
 			if !run.Terminated() {
 				t.Fatal("run not terminated")
 			}
@@ -596,12 +592,11 @@ func TestPerRunRelaxationAcrossRuns(t *testing.T) {
 	ctx := context.Background()
 
 	runOnce := func() spec.Run {
-		rec := spec.NewRecorder()
-		s := w.set(t, Options{Semantics: ImmutablePerRun, Recorder: rec})
-		if _, err := s.Collect(ctx); err != nil {
+		run, err := collectRecorded(ctx, w.set(t, Options{Semantics: ImmutablePerRun}))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Run()
+		return run
 	}
 
 	run1 := runOnce()

@@ -124,29 +124,3 @@ func CheckRuns(c Constraint, runs []Run) error {
 		return CheckStates(c, states)
 	}
 }
-
-// Recorder accumulates the invocations of one iterator run. It is used by
-// the live iterators (instrumentation) and by the model-level conformance
-// harness. Recorder is not safe for concurrent use; each iterator owns one.
-type Recorder struct {
-	run Run
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record appends one invocation observation.
-func (r *Recorder) Record(pre State, outcome Outcome, yield ElemID, hasYield bool) {
-	r.run.Invocations = append(r.run.Invocations, Invocation{
-		Pre:      pre.Clone(),
-		Outcome:  outcome,
-		Yield:    yield,
-		HasYield: hasYield,
-	})
-}
-
-// Run returns the recorded run.
-func (r *Recorder) Run() Run { return r.run }
-
-// Len reports the number of recorded invocations.
-func (r *Recorder) Len() int { return len(r.run.Invocations) }

@@ -367,26 +367,6 @@ func TestCheckRunConstraint(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	r := NewRecorder()
-	pre := st("a", "a")
-	r.Record(pre, Suspended, "a", true)
-	r.Record(pre, Returned, "", false)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	run := r.Run()
-	if err := CheckRun(Fig6, run); err != nil {
-		t.Fatal(err)
-	}
-	// The recorder must have cloned: mutating pre afterwards must not
-	// affect the recorded run.
-	pre.Members["z"] = true
-	if r.Run().Invocations[0].Pre.Members["z"] {
-		t.Fatal("recorder aliased the pre-state")
-	}
-}
-
 func TestConstraintOf(t *testing.T) {
 	tests := []struct {
 		fig  Figure
