@@ -8,7 +8,7 @@ GO ?= go
 # them back (CI collects the directory as an artifact).
 SMOKE := /tmp/weakbench-smoke
 
-.PHONY: check vet no-gob no-unsafe spec-oracle build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
+.PHONY: check vet no-gob no-unsafe spec-oracle build test race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend bench-e2e bench-pairs bench sweep sweep-store sweep-iter sweep-rpc sweep-scale sweep-frontier sweep-replica loc clean
 
 check: vet no-gob no-unsafe spec-oracle build race fuzz-smoke bench-iter bench-rpc bench-smoke bench-trend
 	@printf 'non-test Go lines (make loc): '; $(MAKE) -s loc
@@ -61,12 +61,14 @@ fuzz-smoke:
 # artifacts. First the run-state guard: a run that moves no element bytes
 # is held to the bytes- and objects-per-element ceilings in
 # BENCH_budget.json (its figures are kept in budget.txt, which CI puts on
-# the job summary), and the run table's own microbenchmark runs once.
+# the job summary), and the run table's own microbenchmark and the warm
+# invocation's (a warm 10k snapshot run and a leased 1k run, ns/elem) run
+# once.
 bench-iter:
 	@mkdir -p $(SMOKE)
 	$(GO) test ./internal/core -run TestRunAllocBudget -count 1 -v > $(SMOKE)/budget.txt; \
 		s=$$?; cat $(SMOKE)/budget.txt; exit $$s
-	$(GO) test ./internal/core -run xxx -bench BenchmarkRunTable -benchmem -benchtime 20x
+	$(GO) test ./internal/core -run xxx -bench 'BenchmarkRunTable|BenchmarkWarmRun' -benchmem -benchtime 20x
 	$(GO) test -run xxx -bench 'BenchmarkIterFetch/(per-object|batched)' -benchtime 20x .
 	$(GO) test -run xxx -bench BenchmarkIteratorLogical -benchtime 3x . > $(SMOKE)/iterlogical.txt; \
 		s=$$?; cat $(SMOKE)/iterlogical.txt; exit $$s
@@ -111,6 +113,17 @@ bench-trend: bench-smoke
 # check: it runs for minutes. Report and span files land in /tmp.
 bench-e2e:
 	$(GO) run ./bench -seed 1 -out /tmp/bench-e2e
+
+# Alternating parent/change pairs of one end-to-end workload, the way a
+# claimed gain is judged: `make bench-pairs W=snap_warm_10k N=10
+# SEEDS='11 12 13'` builds REF (default HEAD) and the working tree once
+# each and prints each pair's run_ms_p50, how many the change won, both
+# sides' medians and spread, and whether the change's elems_per_s IQR is
+# inside 25 % of the parent's median (scripts/bench-pairs.sh); LOGS=<dir>
+# keeps every run's result line. Minutes: each run measures the
+# benchmark's declared 20 s.
+bench-pairs:
+	W='$(W)' N='$(N)' REF='$(REF)' SEEDS='$(SEEDS)' LOGS='$(LOGS)' sh scripts/bench-pairs.sh
 
 # Full root benchmark suite (slow).
 bench:

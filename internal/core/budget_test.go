@@ -133,3 +133,59 @@ func TestRunAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkWarmRun is the warm invocation's layer benchmark: whole runs
+// that move no element bytes, on the in-process bus — a warm 10k Snapshot
+// run, which opens on the set's held pinned listing, and a leased 1k
+// GrowOnly run — timed per element (ns/elem), so that a move in the
+// end-to-end snap_warm_10k or cur_leased_1k has a layer that explains
+// it. `make bench-iter` runs it once. On a 2-vCPU host (five runs of
+// 200, interleaved with the code before it) snapshot10k reads 35–37 ns
+// an element and leased1k 85–89 — 85–94 and 129–140 while the warm serve
+// went through prefetcher.fetch and the yield looked its id up — at
+// 2 192 B and 15 allocations, and 1 511 B and 6, a run, before and after.
+func BenchmarkWarmRun(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		sem     Semantics
+		members int
+		leased  bool
+	}{
+		{"snapshot10k", Snapshot, 10_000, false},
+		{"leased1k", GrowOnly, 1_000, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := newTestWorld(b, tc.members)
+			if tc.leased {
+				leaseWorld(b, w)
+			}
+			w.c.Client.UseCache(repo.NewCache(2 * tc.members))
+			s := w.set(b, Options{Semantics: tc.sem})
+			run := func() {
+				it, err := s.Elements(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for it.Next(ctx) {
+				}
+				_ = it.Close(ctx)
+				if wk := it.Weakness(); it.Err() != nil || it.Yielded() != tc.members || wk.CacheHits != int64(tc.members) {
+					b.Fatalf("yielded %d, %d from the cache, err %v; want %d, all", it.Yielded(), wk.CacheHits, it.Err(), tc.members)
+				}
+			}
+			for i := 0; i < 2; i++ { // fill the cache, publish the listing, land the grant
+				_, _ = s.Collect(ctx)
+			}
+			if tc.leased {
+				awaitLease(b, w, w.c.Client.Leases())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.members), "ns/elem")
+		})
+	}
+}

@@ -85,19 +85,20 @@ func TestSnapshotWarmRunServesWithoutRPC(t *testing.T) {
 }
 
 // TestWarmRunsServeAtYield holds the warm read path to serve-at-yield: a
-// warm snapshot run and a lease-served current-state run hand out every
-// element from the cache when Next asks for it — never a replan, never a
-// chunk created. The snapshot run opens on the set's held pinned
-// listing, which its table aliases rather than copies, and on the
-// in-process bus it must leave the store's shared pin exactly as the
-// store holds it.
+// warm snapshot run and lease-served GrowOnly and Optimistic runs (the
+// semantics of the benchmark's cur_leased_1k and cur_churn_500) hand out
+// every element from the cache when Next asks for it, by position —
+// never a replan, never a chunk created. The snapshot run opens on the
+// set's held pinned listing, which its table aliases rather than copies,
+// and on the in-process bus it must leave the store's shared pin exactly
+// as the store holds it.
 func TestWarmRunsServeAtYield(t *testing.T) {
 	ctx := context.Background()
 	const n = 300
 	for _, tc := range []struct {
 		sem    Semantics
 		leased bool
-	}{{Snapshot, false}, {GrowOnly, true}} {
+	}{{Snapshot, false}, {GrowOnly, true}, {Optimistic, true}} {
 		w := newTestWorld(t, n)
 		var ls *repo.LeaseState
 		if tc.leased {
@@ -230,13 +231,13 @@ func TestFreshBetweenServeAndPlanYieldsData(t *testing.T) {
 	p := newPrefetcher(ctx, w.c.Client, "set", s.router, &replicaTally{}, s.opts.Fetch, nil)
 	defer p.close()
 	ref, batches := w.refs[0], w.c.Bus.MethodCalls(repo.MethodGetBatch)
-	got, obj, err := p.fetch(ctx, ref, 0, 0, &listing{vers: []uint64{5}}, true, func() []member {
+	got, obj, err := p.fetch(ctx, member{Ref: ref}, &listing{vers: []uint64{5}}, true, func() ([]member, bool) {
 		// Called between the serve check and the plan.
 		cache.PutValidated("set", 5, repo.Object{ID: ref.ID, Version: 1, Data: []byte("landed")})
-		return []member{{Ref: ref}}
-	}, func(member) bool { return false })
-	if err != nil || got != ref || string(obj.Data) != "landed" {
-		t.Fatalf("fetched %q, %v; want the landed entry", obj.Data, err)
+		return []member{{Ref: ref}}, false
+	}, acceptNone)
+	if err != nil || got.Ref != ref || string(obj.Data) != "landed" {
+		t.Fatalf("fetched %v, %v; want the landed entry", obj, err)
 	}
 	if d := w.c.Bus.MethodCalls(repo.MethodGetBatch) - batches; d != 0 || p.plans != 1 || p.cacheHits != 1 {
 		t.Fatalf("%d GetBatch calls, %d plans, %d cache hits; want 0, 1, 1", d, p.plans, p.cacheHits)

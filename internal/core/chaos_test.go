@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +23,10 @@ import (
 //
 //   - every optimistic run's history meets Fig. 6, invocation by
 //     invocation (CheckRun holds the iterator's obligations only, so the
-//     concurrent writers break none);
+//     concurrent writers break none) — one reader's on a client with a
+//     lease and an element cache warmed before the writers and outages
+//     start, so its invocations the lease certifies are served by
+//     position at yield;
 //   - the optimistic iterator never raises the failure exception;
 //   - nothing is ever yielded twice within a run;
 //   - everything yielded was a member at some point (initial or added);
@@ -70,6 +74,24 @@ func TestChaosSoak(t *testing.T) {
 		legal.ids[id] = true
 	}
 
+	// The cached reader's client: a lease on the collection, and a cache
+	// one run fills before anything moves.
+	cached := c.ClientAt(cluster.HomeNode)
+	cached.UseCache(repo.NewCache(4 * initial))
+	ls := repo.NewLeaseState(cached, cluster.DirNode, "chaos")
+	if err := ls.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Stop()
+	cached.UseLeases(ls)
+	warm, err := NewSet(cached, cluster.DirNode, "chaos", Options{Semantics: Optimistic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := warm.Collect(ctx); err != nil || len(got) != initial {
+		t.Fatalf("warming run: %d elements, %v", len(got), err)
+	}
+
 	// Two writers churn the set; one failure injector cycles outages.
 	mutators := make([]*workload.Mutator, 0, 2)
 	for i := 0; i < 2; i++ {
@@ -99,15 +121,22 @@ func TestChaosSoak(t *testing.T) {
 	flaky.Start(ctx)
 
 	// Readers: several optimistic runs and dynamic sets, concurrently.
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		cacheHits atomic.Int64 // the cached reader's serves at yield
+	)
 	errCh := make(chan error, 16)
 	seenCh := make(chan map[repo.ObjectID]bool, 8)
 	for r := 0; r < 3; r++ {
 		r := r
+		client := c.Client
+		if r == 0 {
+			client = cached
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := NewSet(c.Client, cluster.DirNode, "chaos", Options{
+			s, err := NewSet(client, cluster.DirNode, "chaos", Options{
 				Semantics:  Optimistic,
 				BlockRetry: 20 * time.Millisecond,
 				MaxBlock:   2 * time.Second,
@@ -138,6 +167,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 			if err := spec.CheckRun(Optimistic.Figure(), historyRun(Optimistic, hist)); err != nil {
 				errCh <- fmt.Errorf("reader %d: %w", r, err)
+			}
+			if r == 0 {
+				cacheHits.Store(it.Weakness().CacheHits)
 			}
 			seenCh <- seen
 		}()
@@ -200,5 +232,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if flaky.Outages() == 0 {
 		t.Error("chaos produced no outages; soak was not stressful")
+	}
+	if cacheHits.Load() == 0 {
+		t.Error("the cached reader served no element from the cache: the positional serve went unchecked")
 	}
 }

@@ -118,7 +118,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 			down++
 		}
 		d := it.tab.decide(sem, false, net.Generation(), it.client.NodeReachable)
-		chosen, _, _ := it.tab.head()
+		chosen, part, _ := it.tab.head()
 		if d != want.Kind {
 			t.Fatalf("seed %d step %d: run table decides %v, kernel %v\nmembers=%v reach=%v yielded=%v",
 				seed, step, d, want, pre.Members, pre.Reach, yielded)
@@ -132,7 +132,7 @@ func cursorVsKernel(t *testing.T, sem Semantics, discipline spec.Constraint, see
 				t.Fatalf("seed %d step %d: run table yields %q, not an unyielded reachable member (kernel %v)\nmembers=%v reach=%v yielded=%v",
 					seed, step, id, want, governing, pre.Reach, yielded)
 			}
-			it.tab.yield(chosen.ID)
+			it.tab.yield(part, int(it.tab.at[part].pos))
 			blocked = 0
 		case DecideReturn, DecideFail:
 			return down, gated
@@ -178,7 +178,7 @@ func TestCursorMatchesKernelOverSeededWorlds(t *testing.T) {
 
 // leaseWorld attaches an element cache and a started lease state to the
 // world's client, as a leased deployment would.
-func leaseWorld(t *testing.T, w *testWorld) *repo.LeaseState {
+func leaseWorld(t testing.TB, w *testWorld) *repo.LeaseState {
 	t.Helper()
 	w.c.Client.UseCache(repo.NewCache(64))
 	ls := repo.NewLeaseState(w.c.Client, cluster.DirNode, "set")
@@ -192,7 +192,7 @@ func leaseWorld(t *testing.T, w *testWorld) *repo.LeaseState {
 
 // awaitLease waits until the lease certifies the collection's current
 // listing version: the grant, or the push of the last write, has landed.
-func awaitLease(t *testing.T, w *testWorld, ls *repo.LeaseState) {
+func awaitLease(t testing.TB, w *testWorld, ls *repo.LeaseState) {
 	t.Helper()
 	_, want, err := w.c.Client.List(context.Background(), cluster.DirNode, "set")
 	if err != nil {

@@ -58,14 +58,14 @@ func OpenDyn(ctx context.Context, client *repo.Client, dir netsim.NodeID, name s
 // member asks the cache once.
 func (it *Iterator) settle() bool {
 	if !it.settling {
-		it.settling, it.rest = true, it.Skipped()
+		it.settling, it.rest = true, it.tab.remaining()
 	}
 	if cache := it.client.ElementCache(); cache != nil {
 		for len(it.rest) > 0 {
-			ref := it.rest[0]
+			m := &it.rest[0]
 			it.rest = it.rest[1:]
-			if obj, ok := cache.Fallback(ref.ID); ok {
-				it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: true})
+			if obj, ok := cache.Fallback(m.ID); ok {
+				it.yield(&m.Ref, int(m.part), int(m.at), obj.Data, obj.Attrs, true)
 				return true
 			}
 		}

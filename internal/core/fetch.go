@@ -152,7 +152,7 @@ func (p *prefetcher) take(c *fetchChunk, i int) {
 // them: the slot the run asked for or, while its batch is in flight,
 // a landed one the run accepts instead (completion order). What the
 // shared element cache may serve with no round trip is never planned or
-// parked: it is served when the run asks for it (fetch).
+// parked: it is served when the run asks for it (serve).
 //
 // Two properties keep it semantics-preserving:
 //
@@ -273,61 +273,52 @@ func errMissing(id repo.ObjectID) error {
 	return fmt.Errorf("prefetch %q: %w", id, repo.ErrNotFound)
 }
 
-// fetch returns the object of ref — chosen, the cursor's head, member at
-// of partition part of the listing im — or of a ref the run accepts in
-// its place, with the ref it returns it for. It looks in three places, in
+// fetch returns the object of ref — the cursor's head, in the listing im —
+// or of a member the run accepts in its place, with the member it returns
+// it for, at its place in the run table. It looks in three places, in
 // order: the live chunk holding ref, whose batch is in flight or has
 // landed; the cache, when direct — the invocation's certificate
 // (Iterator.observe) that an entry fresh under its partition's version in
-// im is exactly what the owner would ship — through im's handle on it;
-// otherwise it replans,
-// batching ref with the other candidates the run could yield next.
-// While ref's batch is in flight it hands out a landed slot whose ref
-// accept admits, waiting for the next landing only when there is none:
-// a slow node never holds up what faster ones delivered. A transport
-// error is returned for ref only, once per failed round trip, not once
-// per batched id. candidates is consulted only on a replan, so a warm run
-// builds no window at all; it lists ref first, then the cursor's next
-// members in yield order, which sweep relies on. Until the first plan no
-// chunk exists to hold ref, so the cache serves without mu.
-func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at int32, im *listing, direct bool, candidates func() []member, accept func(member) bool) (repo.Ref, repo.Object, error) {
+// im is exactly what the owner would ship — through im's handle on it,
+// unless no plan was made yet (the iterator has just tried it); otherwise
+// it replans (planLocked, the one consumer of candidates), batching ref
+// with the other candidates the run could yield next. While ref's batch
+// is in flight it hands out a landed slot whose member accept admits,
+// waiting for the next landing only when there is none: a slow node never
+// holds up what faster ones delivered. A transport error is returned for
+// ref only, once per failed round trip, not once per batched id.
+func (p *prefetcher) fetch(ctx context.Context, ref member, im *listing, direct bool, candidates func() ([]member, bool), accept func(member) (int32, bool)) (member, *repo.Object, error) {
 	direct = direct && p.cache != nil
-	ref := member{chosen, int32(part), at}
-	unlocked := direct && p.plans == 0
-	if unlocked {
-		if obj, ok, err := p.serve(im, &ref); ok {
-			return chosen, obj, err
-		}
-	}
-	for ; ; unlocked = false {
+	for tried := p.plans == 0; ; tried = false {
 		p.mu.Lock()
 		c, i := p.find(ref)
+		at := ref.at // the returned member's index in the run table
 		if c == nil {
-			if direct && !unlocked {
-				if obj, ok, err := p.serve(im, &ref); ok {
+			if direct && !tried {
+				if obj, ok, err := p.serve(im, ref.part, ref.at, ref.ID); ok {
 					p.mu.Unlock()
-					return ref.Ref, obj, err
+					return ref, obj, err
 				}
 			}
 			// Replan only when ref's batch is not already in flight:
 			// replanning on an in-flight miss would launch fragmentary
 			// top-up batches for the few candidates the advancing window
 			// has newly exposed.
-			p.planLocked(candidates(), im, direct)
+			p.planLocked(candidates, im, direct)
 			if c, i = p.find(ref); c == nil {
 				// Nothing was launched for ref: the pipeline is closed, or
 				// ref turned fresh in the cache since the serve above
 				// (another run's batch landed) and the next pass serves it.
 				p.mu.Unlock()
 				if err := p.ctx.Err(); err != nil {
-					return ref.Ref, repo.Object{}, err
+					return ref, nil, err
 				}
 				continue
 			}
 		}
 		for !c.landed {
-			if s, j := p.substitute(accept); s != nil {
-				c, i = s, j
+			if s, j, a := p.substitute(accept); s != nil {
+				c, i, at = s, j, a
 				break
 			}
 			if p.wake == nil {
@@ -338,15 +329,15 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at in
 			select {
 			case <-wake:
 			case <-ctx.Done():
-				return ref.Ref, repo.Object{}, ctx.Err()
+				return ref, nil, ctx.Err()
 			}
 			p.mu.Lock()
 			// Whatever landed first while this fetch waited goes first,
 			// though ref's own batch may have landed since — unless that
 			// batch failed, whose error is ref's to report.
 			if w := p.woke; w != c && w.slot >= 0 && c.err == nil {
-				if j := accepted(w, accept); j >= 0 {
-					c, i = w, j
+				if j, a := accepted(w, accept); j >= 0 {
+					c, i, at = w, j, a
 				}
 			}
 		}
@@ -361,9 +352,9 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at in
 			p.epochRetries.Add(1)
 			continue
 		}
-		err, k, got := c.err, slotMissing, ref.Ref
+		err, k := c.err, slotMissing
 		if err == nil {
-			k, got = c.at[i], c.refs[i].Ref
+			k, ref = c.at[i], member{c.refs[i].Ref, c.refs[i].part, at}
 			if p.take(c, i); c.taken == len(c.refs) {
 				p.retire(c)
 			} else {
@@ -374,53 +365,57 @@ func (p *prefetcher) fetch(ctx context.Context, chosen repo.Ref, part int, at in
 		p.mu.Unlock()
 		switch {
 		case err != nil:
-			return ref.Ref, repo.Object{}, err
+			return ref, nil, err
 		case k == slotMissing:
-			return ref.Ref, repo.Object{}, errMissing(ref.ID)
+			return ref, nil, errMissing(ref.ID)
 		}
-		return got, c.objs[k], nil
+		return ref, &c.objs[k], nil
 	}
 }
 
-// serve hands out m's cache entry if it is fresh under its partition's
-// stamp in im, through im's handle on it: its object, or a negative
-// entry's missing error.
-func (p *prefetcher) serve(im *listing, m *member) (obj repo.Object, ok bool, err error) {
-	obj, negative, ok := p.cache.ServeAt(im.handle(p.cache, m.part, m.at), p.coll, im.stamp(m.part), m.ID, &p.served)
+// serve hands out the bound cache's entry of id, member at of partition
+// part of im, to a direct invocation when it is fresh under the
+// partition's stamp in im, through im's handle on it: its object, or a
+// negative entry's missing error. Only the iterator's goroutine serves:
+// Iterator.fetch while no plan has been made, fetch under mu after.
+func (p *prefetcher) serve(im *listing, part, at int32, id repo.ObjectID) (*repo.Object, bool, error) {
+	obj, negative, ok := p.cache.ServeAt(im.handle(p.cache, part, at), p.coll, im.stamp(part), id, &p.served)
 	if !ok {
-		return repo.Object{}, false, nil
+		return nil, false, nil
 	}
 	p.cacheHits++
 	if negative {
-		return repo.Object{}, true, errMissing(m.ID)
+		return nil, true, errMissing(id)
 	}
 	return obj, true, nil
 }
 
-// substitute returns a landed slot holding an object whose ref accept
-// admits, and its chunk; nil when no landed chunk has one. Caller holds
+// substitute returns a landed slot holding an object whose member accept
+// admits, its chunk and accept's index; nil when none has. Caller holds
 // p.mu.
-func (p *prefetcher) substitute(accept func(member) bool) (*fetchChunk, int) {
+func (p *prefetcher) substitute(accept func(member) (int32, bool)) (*fetchChunk, int, int32) {
 	for _, c := range p.live {
-		if i := accepted(c, accept); i >= 0 {
-			return c, i
+		if i, at := accepted(c, accept); i >= 0 {
+			return c, i, at
 		}
 	}
-	return nil, 0
+	return nil, 0, 0
 }
 
 // accepted returns the first untaken slot of landed chunk c holding an
-// object whose ref accept admits, or −1. Only slots with an object stand
-// in for the ref the run chose, so what fetch returns for another ref
-// is always a yield; a missing one waits for the run to ask for it.
-// Caller holds p.mu.
-func accepted(c *fetchChunk, accept func(member) bool) int {
+// object whose member accept admits, or −1, and accept's index for it.
+// Only slots with an object stand in for the ref the run chose, so what
+// fetch returns for another ref is always a yield; a missing one waits
+// for the run to ask for it. Caller holds p.mu.
+func accepted(c *fetchChunk, accept func(member) (int32, bool)) (int, int32) {
 	for i := c.next; c.landed && i < len(c.refs); i++ {
-		if c.at[i] >= 0 && accept(c.refs[i]) {
-			return i
+		if c.at[i] >= 0 {
+			if at, ok := accept(c.refs[i]); ok {
+				return i, at
+			}
 		}
 	}
-	return -1
+	return -1, 0
 }
 
 // find returns the live chunk holding ref in a slot not yet taken, and
@@ -464,14 +459,18 @@ func (p *prefetcher) retire(c *fetchChunk) {
 // leaves it out counts no hit, so a partly evicted warm run fetches
 // exactly its evicted ids. With a cache bound the chunks carry the known
 // versions for a conditional fetch, and im's stamps and handles take what
-// they install. Chunks are cut at p.size ids. The plan filters candidates
-// in place. Caller holds p.mu.
-func (p *prefetcher) planLocked(candidates []member, im *listing, direct bool) {
+// they install. Chunks are cut at p.size ids. cands lists the candidates
+// — ref first, then the cursor's next members in yield order, which sweep
+// relies on; the plan filters them in place — and whether the cursor may
+// still grow: fewer than a window reach its end only once it cannot.
+// Caller holds p.mu.
+func (p *prefetcher) planLocked(cands func() ([]member, bool), im *listing, direct bool) {
 	if p.ctx.Err() != nil {
 		return
 	}
 	p.plans++
-	chosen, whole := candidates[0], len(candidates) < p.window()
+	candidates, growing := cands()
+	chosen, whole := candidates[0], !growing && len(candidates) < p.window()
 	held := p.sweep(candidates, whole)
 	need := candidates[:0]
 	for k, ref := range candidates {

@@ -581,9 +581,15 @@ func TestByteSizedLaterPlans(t *testing.T) {
 // fetchChosen fetches ref, planning candidates on a miss, with no other
 // landed slot standing in for it.
 func fetchChosen(ctx context.Context, p *prefetcher, ref repo.Ref, candidates []repo.Ref) (repo.Object, error) {
-	_, obj, err := p.fetch(ctx, ref, 0, 0, nil, false, func() []member { return asMembers(candidates) }, func(member) bool { return false })
-	return obj, err
+	_, obj, err := p.fetch(ctx, member{Ref: ref}, nil, false, func() ([]member, bool) { return asMembers(candidates), false }, acceptNone)
+	if obj == nil {
+		return repo.Object{}, err
+	}
+	return *obj, err
 }
+
+// acceptNone is an accept that admits no member in place of the chosen.
+func acceptNone(member) (int32, bool) { return 0, false }
 
 // asMembers gives refs as members of partition 0.
 func asMembers(refs []repo.Ref) []member {

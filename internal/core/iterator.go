@@ -89,7 +89,7 @@ type Iterator struct {
 	// opening listing first and settles where Fig. 3 would fail; rest
 	// is what settle has still to try.
 	dyn, settling bool
-	rest          []repo.Ref
+	rest          []member
 
 	// pf is the batched prefetch pipeline every element fetch goes through.
 	pf *prefetcher
@@ -435,25 +435,6 @@ func (it *Iterator) release(ctx context.Context) {
 	}
 }
 
-// leaseServe tries to serve a current-state membership read from the
-// held listing under the lease: while a held lease certifies it current —
-// the server promised to push any listing change, and the certified
-// version is still the one the run holds — the gated revalidation RPC is
-// provably redundant. A pushed bump makes the version comparison fail and
-// the caller falls back to a gated ListParts — the degradation ladder's
-// middle rung.
-func (it *Iterator) leaseServe() bool {
-	age, ok := it.leaseCertifies()
-	if !ok {
-		return false
-	}
-	it.wk.LeaseServed++
-	if age > it.wk.LeaseAge {
-		it.wk.LeaseAge = age
-	}
-	return true
-}
-
 // leaseCertifies reports whether a held lease certifies the listing the
 // run holds current, and the certification's age.
 func (it *Iterator) leaseCertifies() (age time.Duration, ok bool) {
@@ -482,8 +463,14 @@ func (it *Iterator) observe(ctx context.Context) error {
 		it.direct = true
 		return nil
 	}
-	if it.direct = it.leaseServe(); it.direct {
-		it.observed = true
+	if age, ok := it.leaseCertifies(); ok {
+		// The server promised to push any listing change, so while the
+		// certified version is the one the run holds the gated re-list is
+		// provably redundant; a pushed bump fails the comparison and the
+		// re-list below runs — the degradation ladder's middle rung.
+		it.wk.LeaseServed++
+		it.wk.LeaseAge = max(it.wk.LeaseAge, age)
+		it.direct, it.observed = true, true
 		return nil
 	}
 	ctx, lsp := it.opts.Tracer.StartSpan(it.traceCtx(ctx), "iter.list")
@@ -614,28 +601,40 @@ func (it *Iterator) Next(ctx context.Context) bool {
 // time-to-first-element (and the cost of each replan) independent of
 // membership size. The prefetcher batches them by node for later Next
 // calls, copying what it keeps: the window is one buffer, rewritten by
-// the next replan.
-func (it *Iterator) cursorCandidates() []member {
+// the next replan. It also reports whether the opening stream may still
+// fold members in (a prefix's end is not the cursor's).
+func (it *Iterator) cursorCandidates() ([]member, bool) {
 	limit := min(it.pf.window(), it.tab.unyielded())
 	if cap(it.tab.cands) < limit {
 		it.tab.cands = make([]member, 0, limit)
 	}
 	it.tab.cands = it.tab.window(it.tab.cands[:0], limit)
-	return it.tab.cands
+	return it.tab.cands, it.ingestActive()
 }
 
 // fetch retrieves the object of the member a yield decision chose — the
 // cursor's head — or of one the run accepts in its place whose batch
 // landed first (completion order). It returns true when the iterator
 // yielded; false means the caller should re-observe (or the iterator
-// terminated — check it.done). The prefetch candidates are planned
-// lazily, on a miss.
+// terminated — check it.done). Until the first plan no chunk can hold the
+// head: a direct invocation serves it here, by its position in the held
+// listing; otherwise the batched path plans the candidates on a miss.
 func (it *Iterator) fetch(ctx context.Context) bool {
-	chosen, part, _ := it.tab.head()
-	ref, obj, err := it.pf.fetch(it.traceCtx(ctx), chosen, part, it.tab.at[part].pos, it.held, it.direct, it.cursorCandidates, it.tab.accepts)
+	p, i := it.tab.cur, it.tab.at[it.tab.cur].pos
+	ref := &it.tab.parts[p][i]
+	var obj *repo.Object
+	ok, err := false, error(nil)
+	if it.direct && it.pf.plans == 0 && it.pf.cache != nil {
+		obj, ok, err = it.pf.serve(it.held, int32(p), i, ref.ID)
+	}
+	if !ok {
+		var m member
+		m, obj, err = it.pf.fetch(it.traceCtx(ctx), member{*ref, int32(p), i}, it.held, it.direct, it.cursorCandidates, it.tab.accepts)
+		ref, p, i = &m.Ref, int(m.part), m.at
+	}
 	switch {
 	case err == nil:
-		it.yield(ref, Element{Ref: ref, Data: obj.Data, Attrs: obj.Attrs, Stale: obj.Tombstone})
+		it.yield(ref, p, int(i), obj.Data, obj.Attrs, obj.Tombstone)
 		return true
 
 	case errors.Is(err, repo.ErrNotFound):
@@ -644,7 +643,7 @@ func (it *Iterator) fetch(ctx context.Context) bool {
 		case Immutable, ImmutablePerRun, Snapshot:
 			// The snapshot still lists the member but its data is gone —
 			// Fig. 4's tolerated anomaly. Yield the identity as stale.
-			it.yield(ref, Element{Ref: ref, Stale: true})
+			it.yield(ref, p, int(i), nil, nil, true)
 			return true
 		case Optimistic:
 			// Concurrently deleted; the next membership read drops it.
@@ -671,14 +670,19 @@ func (it *Iterator) fetch(ctx context.Context) bool {
 	}
 }
 
-func (it *Iterator) yield(ref repo.Ref, e Element) {
-	it.record(DecideYield, ref)
-	it.tab.yield(ref.ID)
+// yield marks ref, member i of partition p of the run table, yielded and
+// makes it the element, built in place.
+func (it *Iterator) yield(ref *repo.Ref, p, i int, data []byte, attrs map[string]string, stale bool) {
+	it.record(DecideYield, *ref)
+	it.tab.yield(p, i)
 	it.wk.Yielded++
-	if e.Stale {
+	// Field by field: a composite literal is built on the stack and
+	// copied, and the copy's wide loads stall on the narrow stores.
+	e := &it.elem
+	e.Ref, e.Data, e.Attrs, e.Stale = *ref, data, attrs, stale
+	if stale {
 		it.wk.GhostsServed++
 	}
-	it.elem = e
 	it.blockedFor = 0
 	it.fetchFails = 0
 }
@@ -688,13 +692,10 @@ func (it *Iterator) yield(ref repo.Ref, e Element) {
 // for a dynamic run, the unreachable ones it had no fallback copy of. A
 // closed run lists none, but for a dynamic one.
 func (it *Iterator) Skipped() []repo.Ref {
-	out := make([]repo.Ref, 0, it.tab.unyielded())
-	for p, refs := range it.tab.parts {
-		for i, ref := range refs {
-			if !it.tab.isTaken(p, i) {
-				out = append(out, ref)
-			}
-		}
+	rest := it.tab.remaining()
+	out := make([]repo.Ref, len(rest))
+	for k := range rest {
+		out[k] = rest[k].Ref
 	}
 	return out
 }

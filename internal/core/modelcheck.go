@@ -153,10 +153,10 @@ func worldFrames(mask uint16, n int, version uint64) []repo.PartListing {
 // dropped is gone. The frames are well-formed, so with never errs.
 func worldTable(sem Semantics, w mcWorld, n int, reverse bool, yielded map[spec.ElemID]bool, reachable func(netsim.NodeID) bool) *runTable {
 	var tab runTable
-	yield := func(refs []repo.Ref) {
-		for _, ref := range refs {
+	yield := func(p int) {
+		for i, ref := range tab.parts[p] {
 			if yielded[spec.ElemID(ref.ID)] {
-				tab.yield(ref.ID)
+				tab.yield(p, i)
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func worldTable(sem Semantics, w mcWorld, n int, reverse bool, yielded map[spec.
 		}
 		for k, f := range frames {
 			tab.fold(f.Part, f.Partitions, f.Members)
-			if yield(f.Members); k == 0 {
+			if yield(f.Part); k == 0 {
 				tab.allReachable(0, reachable)
 			}
 		}
@@ -176,8 +176,8 @@ func worldTable(sem Semantics, w mcWorld, n int, reverse bool, yielded map[spec.
 	l, _ := (*listing)(nil).with(worldFrames(w.members|w.yielded, n, 1), nil)
 	tab.adopt(l)
 	tab.allReachable(0, reachable)
-	for _, refs := range l.parts {
-		yield(refs)
+	for p := range l.parts {
+		yield(p)
 	}
 	var moved []repo.PartListing
 	for _, f := range worldFrames(w.members, n, 2) {

@@ -59,9 +59,6 @@ type runTable struct {
 	reachGen    uint64
 	sampled     bool
 	downYielded int
-	// lastPart and lastAt are find's last by-search hit, checked by
-	// content before reuse.
-	lastPart, lastAt int
 }
 
 // partAt is one partition's place in the table: off is the word of taken
@@ -278,8 +275,8 @@ func (t *runTable) unyielded() int { return t.members - t.yielded }
 
 // head is the cursor: the first unyielded member, in yield order, on a
 // node the last sample found up — what the run yields next — and its
-// partition. (A member, at 40 bytes, would be built in memory, not in
-// registers, on every invocation.)
+// partition, at index at[part].pos there. (A member, at 40 bytes, would
+// be built in memory, not in registers, on every invocation.)
 func (t *runTable) head() (ref repo.Ref, part int, ok bool) {
 	if t.cur == len(t.parts) {
 		return repo.Ref{}, 0, false
@@ -287,19 +284,11 @@ func (t *runTable) head() (ref repo.Ref, part int, ok bool) {
 	return t.parts[t.cur][t.at[t.cur].pos], t.cur, true
 }
 
-// find locates member id: the cursor's head, or the last id found (a
-// yield in place of the head is looked up to accept it, then to mark it),
-// at no cost; any other by binary search of its partition (store.PartOf)
-// — or of the others, should a listing have placed it elsewhere.
+// find locates member id by binary search of its partition (store.PartOf)
+// — or of the others, should a listing have placed it elsewhere: how
+// adopt re-homes the yielded ids a re-based partition no longer lists. A
+// yield looks nothing up: it is given its member's position.
 func (t *runTable) find(id repo.ObjectID) (p, i int, ok bool) {
-	if p := t.cur; p < len(t.parts) {
-		if i := int(t.at[p].pos); t.parts[p][i].ID == id {
-			return p, i, true
-		}
-	}
-	if p, i := t.lastPart, t.lastAt; p < len(t.parts) && i < len(t.parts[p]) && t.parts[p][i].ID == id {
-		return p, i, true
-	}
 	if len(t.parts) == 0 {
 		return 0, 0, false
 	}
@@ -315,38 +304,29 @@ func (t *runTable) find(id repo.ObjectID) (p, i int, ok bool) {
 	return 0, 0, false
 }
 
-// search binary-searches partition p for id, noting a hit for find.
+// search binary-searches partition p for id.
 func (t *runTable) search(p int, id repo.ObjectID) (int, bool) {
-	i, ok := slices.BinarySearchFunc(t.parts[p], id, func(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) })
-	if ok {
-		t.lastPart, t.lastAt = p, i
-	}
-	return i, ok
+	return slices.BinarySearchFunc(t.parts[p], id, func(ref repo.Ref, id repo.ObjectID) int { return cmp.Compare(ref.ID, id) })
 }
 
 // accepts reports whether m is an unyielded member on a node the last
-// sample found up: what the figures' Yield may take in place of the head.
-// m is found at the position the walk that listed it read (m.at) while
-// its partition still holds it there — checked by content, and noted for
-// find, as a search's hit is — and searched for in a re-based one.
-func (t *runTable) accepts(m member) bool {
-	p, i := int(m.part), int(m.at)
-	if p >= len(t.parts) {
-		return false
+// sample found up — what the figures' Yield may take in place of the head
+// — and its index in m's partition, which the yield then marks. m is
+// found at the position the walk that listed it read (m.at) while its
+// partition still holds it there — checked by content — and searched for
+// in a re-based one.
+func (t *runTable) accepts(m member) (int32, bool) {
+	p, i, ok := int(m.part), int(m.at), int(m.part) < len(t.parts)
+	if ok && (i >= len(t.parts[p]) || t.parts[p][i].ID != m.ID) {
+		i, ok = t.search(p, m.ID)
 	}
-	ok := i < len(t.parts[p]) && t.parts[p][i].ID == m.ID
-	if ok {
-		t.lastPart, t.lastAt = p, i
-	} else if i, ok = t.search(p, m.ID); !ok {
-		return false
-	}
-	return t.parts[p][i] == m.Ref && !t.isTaken(p, i) && !t.down[m.Node]
+	return int32(i), ok && t.parts[p][i] == m.Ref && !t.isTaken(p, i) && !t.down[m.Node]
 }
 
-// yield records member id as yielded and moves the cursor off it.
-func (t *runTable) yield(id repo.ObjectID) {
-	p, i, ok := t.find(id)
-	if !ok || t.isTaken(p, i) {
+// yield records member i of partition p as yielded and moves the cursor
+// off it.
+func (t *runTable) yield(p, i int) {
+	if t.isTaken(p, i) {
 		return
 	}
 	t.yielded++
@@ -358,6 +338,20 @@ func (t *runTable) yield(id repo.ObjectID) {
 		t.skip(p)
 		t.advance()
 	}
+}
+
+// remaining lists, in yield order with their places, the members not
+// yielded: those a dynamic run settles, and Skipped's.
+func (t *runTable) remaining() []member {
+	out := make([]member, 0, t.unyielded())
+	for p, refs := range t.parts {
+		for i, ref := range refs {
+			if !t.isTaken(p, i) {
+				out = append(out, member{ref, int32(p), int32(i)})
+			}
+		}
+	}
+	return out
 }
 
 // window appends to out, in yield order from the cursor on, the unyielded

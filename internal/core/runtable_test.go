@@ -242,14 +242,14 @@ func (p *tableVsOracle) yields(n int) {
 			p.t.Fatalf("step %d: head %v (partition %d) %v, oracle %v %v (down %q)", p.step, got, part, gotOK, want, ok, p.down)
 		}
 		if !ok {
-			for _, ref := range p.it.Skipped() {
-				p.it.tab.yield(ref.ID)
-				p.oracle.yielded[ref.ID] = true
+			for _, m := range p.it.tab.remaining() {
+				p.it.tab.yield(int(m.part), int(m.at))
+				p.oracle.yielded[m.ID] = true
 			}
 			p.step++
 			return
 		}
-		id := want.ID
+		id, i := want.ID, int(p.it.tab.at[part].pos)
 		if p.rnd.Intn(8) == 0 {
 			for _, further := range p.oracle.cursor[p.rnd.Intn(len(p.oracle.cursor)):] {
 				if !p.oracle.yielded[further] {
@@ -257,11 +257,11 @@ func (p *tableVsOracle) yields(n int) {
 					break
 				}
 			}
-			if part, i, ok := p.it.tab.find(id); !ok || p.it.tab.parts[part][i] != p.oracle.refs[id] {
+			if part, i, ok = p.it.tab.find(id); !ok || p.it.tab.parts[part][i] != p.oracle.refs[id] {
 				p.t.Fatalf("step %d: find(%q) misses, oracle has %v", p.step, id, p.oracle.refs[id])
 			}
 		}
-		p.it.tab.yield(id)
+		p.it.tab.yield(part, i)
 		p.oracle.yielded[id] = true
 		p.step++
 	}
@@ -512,7 +512,8 @@ func TestAdoptRebasesOnlyTheMovedPartition(t *testing.T) {
 	tab.adopt(l0)
 	for i, ref := range testRefs(n) {
 		if i%2 == 0 {
-			tab.yield(ref.ID)
+			p, at, _ := tab.find(ref.ID)
+			tab.yield(p, at)
 		}
 	}
 	taken := func() [][]bool {
@@ -629,11 +630,11 @@ func BenchmarkRunTable(b *testing.B) {
 			if y == n/2 {
 				it.adopt(relisted)
 			}
-			head, _, ok := it.tab.head()
+			_, part, ok := it.tab.head()
 			if !ok {
 				b.Fatalf("cursor empty after %d yields", y)
 			}
-			it.tab.yield(head.ID)
+			it.tab.yield(part, int(it.tab.at[part].pos))
 		}
 		if it.tab.unyielded() != 0 || it.wk.DuplicatesSuppressed != n/2 {
 			b.Fatalf("%d unyielded, %d suppressed", it.tab.unyielded(), it.wk.DuplicatesSuppressed)

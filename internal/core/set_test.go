@@ -20,7 +20,7 @@ type testWorld struct {
 	refs []repo.Ref
 }
 
-func newTestWorld(t *testing.T, n int) *testWorld {
+func newTestWorld(t testing.TB, n int) *testWorld {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{StorageNodes: 4, Seed: 42})
 	if err != nil {
@@ -38,7 +38,7 @@ func newTestWorld(t *testing.T, n int) *testWorld {
 	return w
 }
 
-func (w *testWorld) addElement(t *testing.T, i int) repo.Ref {
+func (w *testWorld) addElement(t testing.TB, i int) repo.Ref {
 	t.Helper()
 	ctx := context.Background()
 	id := repo.ObjectID(fmt.Sprintf("e%03d", i))
@@ -54,7 +54,7 @@ func (w *testWorld) addElement(t *testing.T, i int) repo.Ref {
 	return ref
 }
 
-func (w *testWorld) set(t *testing.T, opts Options) *Set {
+func (w *testWorld) set(t testing.TB, opts Options) *Set {
 	t.Helper()
 	if opts.LockServer == "" && opts.Semantics == ImmutablePerRun {
 		opts.LockServer = w.c.LockNode

@@ -169,6 +169,56 @@ func TestOpeningWaitsForAWindowOrTheStream(t *testing.T) {
 	}
 }
 
+// TestPlanWaitsForTheStreamsEnd: a run that outruns its opening stream
+// after its first plan — the frames after the first held back — plans
+// over a prefix of fewer than a window, whose end is not the cursor's
+// while the stream may still fold members in. That plan launches only the
+// chunk holding the run's choice; cut as if the cursor ended there, it
+// would launch each node's short chunk, and the plan after the stream
+// completed would call every node again. With Batch 2 and Inflight 1 the
+// first plan cuts one 2-id chunk a node over a window of 8; the run then
+// asks for member 8 with 8 members of the first frame left, and once the
+// rest has folded the last plan cuts one chunk a node: 2 × nodes + 1 calls
+// (3 × nodes when that plan takes the prefix's end for the cursor's).
+func TestPlanWaitsForTheStreamsEnd(t *testing.T) {
+	w := newTestWorld(t, 32)
+	ctx := context.Background()
+	dir, open := gatedDir(t, w, w.refs[:16], w.refs[16:])
+	s, err := NewSet(w.c.Client, dir, "set", Options{Semantics: Immutable, Fetch: FetchOptions{Batch: 2, Inflight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.c.Bus.ResetStats()
+	it, err := s.Elements(ctx)
+	if err != nil {
+		close(open)
+		t.Fatal(err)
+	}
+	defer it.Close(ctx)
+	yielded := 0
+	for ; yielded < 9 && it.Next(ctx); yielded++ { // the first window, then member 8
+	}
+	close(open)
+	for { // until the stream has finished
+		it.ing.mu.Lock()
+		done := it.ing.done
+		it.ing.mu.Unlock()
+		if done {
+			break
+		}
+		<-it.ing.notify
+	}
+	for it.Next(ctx) {
+		yielded++
+	}
+	if it.Err() != nil || yielded != 32 {
+		t.Fatalf("yielded %d, err %v; want 32", yielded, it.Err())
+	}
+	if got, want := w.c.Bus.MethodCalls(repo.MethodGetBatch), int64(2*len(w.c.Storage)+1); got != want {
+		t.Fatalf("%d GetBatch calls, want %d: one a node for the first window and for the rest, one for the run's choice between", got, want)
+	}
+}
+
 // gatedDir registers a scripted directory node whose listing stream
 // serves first as partition 0 of 2 at once and rest as partition 1 once
 // open is closed.

@@ -353,7 +353,11 @@ func (c *Cache) PutNegativeAt(h *Handle, coll string, st Stamp, id ObjectID) {
 // and are read-only (an entry is copied on Put and replaced whole, never
 // written in place).
 func (c *Cache) ServeFresh(coll string, atVer uint64, id ObjectID) (obj Object, negative, ok bool) {
-	return c.ServeAt(nil, coll, whole(atVer), id, nil)
+	e, negative, ok := c.ServeAt(nil, coll, whole(atVer), id, nil)
+	if e != nil {
+		obj = *e
+	}
+	return obj, negative, ok
 }
 
 // Tally is one reader's count of its serves, which the cache's stats take
@@ -375,12 +379,13 @@ func (c *Cache) Count(t Tally) {
 // ServeAt is ServeFresh by position: through h when it is bound to a
 // live entry, with no lock; otherwise by id under coll's st, binding h to
 // the entry it serves. The serve is counted in t, or at once when t is
-// nil.
-func (c *Cache) ServeAt(h *Handle, coll string, st Stamp, id ObjectID, t *Tally) (obj Object, negative, ok bool) {
+// nil. It hands out the entry's own object — shared, read-only and never
+// written once cached — or nil for a negative entry or a miss.
+func (c *Cache) ServeAt(h *Handle, coll string, st Stamp, id ObjectID, t *Tally) (obj *Object, negative, ok bool) {
 	e := h.entry()
 	if e == nil {
 		if e = c.bind(h, coll, st, id); e == nil {
-			return Object{}, false, false
+			return nil, false, false
 		}
 	}
 	if !e.used.Load() {
@@ -396,9 +401,9 @@ func (c *Cache) ServeAt(h *Handle, coll string, st Stamp, id ObjectID, t *Tally)
 		t.hits, t.negative, t.saved = t.hits+one.hits, t.negative+one.negative, t.saved+one.saved
 	}
 	if e.negative {
-		return Object{}, true, true
+		return nil, true, true
 	}
-	return e.obj, false, true
+	return &e.obj, false, true
 }
 
 // Bound reports whether ServeAt would serve, without serving it: no hit
